@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/dashboard"
-	"repro/internal/decomp"
 	"repro/internal/geometry"
 	"repro/internal/lbm"
 	"repro/internal/machine"
@@ -72,6 +71,8 @@ type Anatomy struct {
 	Access  lbm.AccessModel
 	Summary perfmodel.WorkloadSummary
 	General perfmodel.GeneralModel
+
+	workloads WorkloadMemo
 }
 
 // CalibrationCounts is the task-count sweep used to fit the z-law and
@@ -123,13 +124,10 @@ func (f *Framework) PrepareAnatomy(name string, dom *geometry.Domain, p lbm.Para
 	}, nil
 }
 
-// Workload decomposes the anatomy over the given rank count.
+// Workload decomposes the anatomy over the given rank count, once per
+// (anatomy, ranks): repeat calls share one read-only workload.
 func (f *Framework) Workload(a *Anatomy, ranks int) (simcloud.Workload, error) {
-	p, err := decomp.RCB(a.Solver, ranks, a.Access)
-	if err != nil {
-		return simcloud.Workload{}, err
-	}
-	return simcloud.FromPartition(a.Name, a.Solver.N(), p), nil
+	return a.workloads.Workload(a.Name, a.Solver, a.Access, ranks)
 }
 
 // AttachTable enables the Tier 2 measured-lookup backend on every

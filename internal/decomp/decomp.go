@@ -8,12 +8,26 @@
 // The partitioner is recursive coordinate bisection (RCB) over fluid
 // sites: at every level the current point set is split along the longest
 // axis of its bounding box, weighted by task share, which is the balanced
-// geometric decomposition HARVEY-class codes use.
+// geometric decomposition HARVEY-class codes use. Sites are ordered by
+// (coordinate, site index), so a split depends only on the set of sites;
+// keeping every tree node's sites in ascending index order makes each
+// split one histogram and one stable pass instead of a sort (see bisect).
+//
+// RCBSweep decomposes over many task counts at once — the calibration
+// sweep of the generalized model. Power-of-two counts always halve, so
+// their trees nest and all of them are read off one tree grown to the
+// largest; RCB is a sweep of one count. Per-task statistics are counted
+// without maps, one task at a time over sites grouped by owner, summing
+// bytes in ascending site order so results are reproducible to the bit.
+// DESIGN.md §14 states the invariants; reference_test.go keeps the
+// sort-based decomposer these replaced as the oracle the tests compare
+// whole partitions against.
 package decomp
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/geometry"
 	"repro/internal/lbm"
@@ -58,129 +72,317 @@ type Partition struct {
 	Tasks  []Task
 }
 
+// TaskCountError reports a task count above the lattice's fluid-site
+// count: every task must own at least one site. The request is at fault,
+// not the decomposer, so callers serving outside input match it with
+// errors.As.
+type TaskCountError struct {
+	NTasks int // the count requested
+	Sites  int // the lattice's fluid sites, the largest count accepted
+}
+
+func (e *TaskCountError) Error() string {
+	return fmt.Sprintf("decomp: ntasks %d exceeds fluid sites %d", e.NTasks, e.Sites)
+}
+
 // RCB decomposes the lattice of s over ntasks tasks by recursive
 // coordinate bisection and computes all per-task statistics under access
 // model m.
 func RCB(s *lbm.Sparse, ntasks int, m lbm.AccessModel) (*Partition, error) {
-	n := s.N()
-	if ntasks < 1 {
-		return nil, fmt.Errorf("decomp: ntasks %d must be positive", ntasks)
+	parts, err := RCBSweep(s, []int{ntasks}, m)
+	if err != nil {
+		return nil, err
 	}
-	if ntasks > n {
-		return nil, fmt.Errorf("decomp: ntasks %d exceeds fluid sites %d", ntasks, n)
-	}
-
-	// Gather site coordinates once.
-	xs := make([]int32, n)
-	ys := make([]int32, n)
-	zs := make([]int32, n)
-	for si := 0; si < n; si++ {
-		x, y, z := s.SiteCoords(si)
-		xs[si], ys[si], zs[si] = int32(x), int32(y), int32(z)
-	}
-
-	p := &Partition{NTasks: ntasks, Owner: make([]int32, n)}
-	sites := make([]int32, n)
-	for i := range sites {
-		sites[i] = int32(i)
-	}
-	bisect(sites, 0, ntasks, xs, ys, zs, p.Owner)
-
-	p.computeStats(s, m)
-	return p, nil
+	return parts[0], nil
 }
 
-// bisect assigns tasks [task0, task0+k) to the given site set.
-func bisect(sites []int32, task0, k int, xs, ys, zs []int32, owner []int32) {
+// RCBSweep decomposes the lattice of s over every task count in counts:
+// parts[i] equals RCB(s, counts[i], m). All the power-of-two counts are
+// read off one bisection tree grown to the largest of them (see bisect
+// for why those trees nest); any other count is bisected on its own. The
+// whole sweep works in one set of scratch arrays.
+func RCBSweep(s *lbm.Sparse, counts []int, m lbm.AccessModel) ([]*Partition, error) {
+	n := s.N()
+	maxCount, maxPow2 := 0, 0
+	for _, k := range counts {
+		if k < 1 {
+			return nil, fmt.Errorf("decomp: ntasks %d must be positive", k)
+		}
+		if k > n {
+			return nil, &TaskCountError{NTasks: k, Sites: n}
+		}
+		maxCount = max(maxCount, k)
+		if isPow2(k) {
+			maxPow2 = max(maxPow2, k)
+		}
+	}
+	b, w := newBisector(s), newTally(s, m, maxCount)
+
+	// leaf[si] is the site's task in the maxPow2-way partition.
+	var leaf []int32
+	if maxPow2 > 0 {
+		leaf = make([]int32, n)
+		b.decompose(maxPow2, leaf)
+	}
+	leafDepth := bits.TrailingZeros(uint(maxPow2))
+
+	parts := make([]*Partition, len(counts))
+	for i, k := range counts {
+		owner := make([]int32, n)
+		if isPow2(k) {
+			// The depth-d nodes of the tree are the tasks of the 2^d-way
+			// partition, numbered by the high d bits of the leaf number.
+			shift := leafDepth - bits.TrailingZeros(uint(k))
+			for si, t := range leaf {
+				owner[si] = t >> shift
+			}
+		} else {
+			b.decompose(k, owner)
+		}
+		parts[i] = &Partition{NTasks: k, Owner: owner}
+		w.computeStats(parts[i])
+	}
+	return parts, nil
+}
+
+func isPow2(k int) bool { return k&(k-1) == 0 }
+
+// bisector is the scratch the bisections of one RCB call, or of a whole
+// sweep, work in.
+type bisector struct {
+	xs, ys, zs []int32 // site coordinates
+	sites      []int32 // every tree node's sites: contiguous, ascending
+	right      []int32 // the right half of the split under way
+	hist       []int32 // sites per coordinate along the split axis
+}
+
+func newBisector(s *lbm.Sparse) *bisector {
+	n := s.N()
+	b := &bisector{
+		xs: make([]int32, n), ys: make([]int32, n), zs: make([]int32, n),
+		sites: make([]int32, n),
+		right: make([]int32, n),
+		hist:  make([]int32, max(s.Dom.NX, s.Dom.NY, s.Dom.NZ)),
+	}
+	for si := 0; si < n; si++ {
+		x, y, z := s.SiteCoords(si)
+		b.xs[si], b.ys[si], b.zs[si] = int32(x), int32(y), int32(z)
+	}
+	return b
+}
+
+// decompose fills owner with the ntasks-way RCB partition.
+func (b *bisector) decompose(ntasks int, owner []int32) {
+	for i := range b.sites {
+		b.sites[i] = int32(i)
+	}
+	b.bisect(b.sites, 0, ntasks, owner)
+}
+
+// bisect assigns tasks [task0, task0+k) to sites, a window of b.sites in
+// ascending site order. The sites are split along the longest axis of
+// their bounding box: ordered by (coordinate, site number), the first cut
+// go left. Because the window is ascending, one stable pass makes that
+// split — every site below the cut coordinate, then the lowest-numbered
+// sites on it — and leaves both halves ascending for the next level.
+//
+// When k is a power of two, cut is len(sites)/2 whatever k is, so a node
+// splits the same way in every power-of-two tree that reaches it: those
+// trees nest. For other k the cut moves with k and they do not.
+//
+//lint:hot
+func (b *bisector) bisect(sites []int32, task0, k int, owner []int32) {
 	if k == 1 {
 		for _, si := range sites {
 			owner[si] = int32(task0)
 		}
 		return
 	}
-	// Longest axis of the bounding box.
-	var minX, maxX, minY, maxY, minZ, maxZ int32
-	minX, maxX = xs[sites[0]], xs[sites[0]]
-	minY, maxY = ys[sites[0]], ys[sites[0]]
-	minZ, maxZ = zs[sites[0]], zs[sites[0]]
+	xs, ys, zs := b.xs, b.ys, b.zs
+	first := sites[0]
+	minX, maxX := xs[first], xs[first]
+	minY, maxY := ys[first], ys[first]
+	minZ, maxZ := zs[first], zs[first]
 	for _, si := range sites[1:] {
-		if xs[si] < minX {
-			minX = xs[si]
-		}
-		if xs[si] > maxX {
-			maxX = xs[si]
-		}
-		if ys[si] < minY {
-			minY = ys[si]
-		}
-		if ys[si] > maxY {
-			maxY = ys[si]
-		}
-		if zs[si] < minZ {
-			minZ = zs[si]
-		}
-		if zs[si] > maxZ {
-			maxZ = zs[si]
-		}
+		x, y, z := xs[si], ys[si], zs[si]
+		minX, maxX = min(minX, x), max(maxX, x)
+		minY, maxY = min(minY, y), max(maxY, y)
+		minZ, maxZ = min(minZ, z), max(maxZ, z)
 	}
-	coord := xs
+	coord, lo, hi := xs, minX, maxX
 	switch {
 	case maxY-minY > maxX-minX && maxY-minY >= maxZ-minZ:
-		coord = ys
+		coord, lo, hi = ys, minY, maxY
 	case maxZ-minZ > maxX-minX && maxZ-minZ > maxY-minY:
-		coord = zs
+		coord, lo, hi = zs, minZ, maxZ
 	}
-	sort.Slice(sites, func(i, j int) bool {
-		a, b := sites[i], sites[j]
-		if coord[a] != coord[b] {
-			return coord[a] < coord[b]
-		}
-		return a < b // deterministic tie-break
-	})
 	kLeft := k / 2
 	cut := len(sites) * kLeft / k
-	bisect(sites[:cut], task0, kLeft, xs, ys, zs, owner)
-	bisect(sites[cut:], task0+kLeft, k-kLeft, xs, ys, zs, owner)
+
+	// The cut coordinate is the one the cut-th site in coordinate order
+	// sits on; of the sites on it, ties go left.
+	hist := b.hist[:hi-lo+1]
+	clear(hist)
+	for _, si := range sites {
+		hist[coord[si]-lo]++
+	}
+	below, at := 0, 0
+	for below+int(hist[at]) <= cut {
+		below += int(hist[at])
+		at++
+	}
+	cutCoord, ties := lo+int32(at), cut-below
+
+	right := b.right[:len(sites)-cut]
+	nl, nr := 0, 0
+	for _, si := range sites {
+		c := coord[si]
+		switch {
+		case c < cutCoord:
+			sites[nl] = si
+			nl++
+		case c == cutCoord && ties > 0:
+			ties--
+			sites[nl] = si
+			nl++
+		default:
+			right[nr] = si
+			nr++
+		}
+	}
+	copy(sites[cut:], right)
+
+	b.bisect(sites[:cut], task0, kLeft, owner)
+	b.bisect(sites[cut:], task0+kLeft, k-kLeft, owner)
 }
 
-// computeStats fills per-task points, bytes, composition and halos.
-func (p *Partition) computeStats(s *lbm.Sparse, m lbm.AccessModel) {
+// tally is the scratch computeStats works in, sized for the largest task
+// count it will see.
+type tally struct {
+	s          *lbm.Sparse
+	pointBytes [lbm.NQ + 1]float64  // the access model's PointBytes by stored-vector count
+	order      []int32              // sites grouped by owner, ascending within each
+	start      []int32              // order[start[t]:start[t+1]] are task t's sites (one spare slot)
+	links      []int32              // crossing links per peer, for the task under way
+	peers      []int32              // the peers links is non-zero for
+	byType     [256]int32           // sites per point type, for the task under way
+	types      []geometry.PointType // the types byType is non-zero for
+	sends      []Halo               // every task's halos, back to back
+}
+
+func newTally(s *lbm.Sparse, m lbm.AccessModel, maxTasks int) *tally {
+	w := &tally{
+		s:     s,
+		order: make([]int32, s.N()),
+		start: make([]int32, maxTasks+2),
+		links: make([]int32, maxTasks),
+		peers: make([]int32, maxTasks),
+		types: make([]geometry.PointType, 0, 8),
+	}
+	for v := range w.pointBytes {
+		w.pointBytes[v] = m.PointBytes(v)
+	}
+	return w
+}
+
+// computeStats fills per-task points, bytes, composition and halos from
+// p.Owner, one task at a time so a single dense per-peer counter serves
+// them all.
+func (w *tally) computeStats(p *Partition) {
+	w.groupByOwner(p)
+	w.sends = w.sends[:0]
 	p.Tasks = make([]Task, p.NTasks)
 	for t := range p.Tasks {
-		p.Tasks[t].ID = t
-		p.Tasks[t].ByType = make(map[geometry.PointType]int, 4)
-	}
-	// links[t] accumulates crossing-link counts per peer for task t.
-	links := make([]map[int]int, p.NTasks)
-	for t := range links {
-		links[t] = make(map[int]int)
-	}
-	for si := 0; si < s.N(); si++ {
-		t := int(p.Owner[si])
 		task := &p.Tasks[t]
-		task.Points++
-		task.ByType[s.Type(si)]++
-		task.Bytes += m.PointBytes(s.Vectors(si))
-		for q := 1; q < lbm.NQ; q++ {
-			nb := s.Neighbor(si, q)
+		task.ID = t
+		task.Points = int(w.start[t+1] - w.start[t])
+		var npeers int
+		task.Bytes, npeers = w.scanTask(p.Owner, t)
+
+		task.ByType = make(map[geometry.PointType]int, 4)
+		for _, typ := range w.types {
+			task.ByType[typ] = int(w.byType[typ])
+			w.byType[typ] = 0
+		}
+		w.types = w.types[:0]
+
+		peers := w.peers[:npeers]
+		slices.Sort(peers)
+		mark := len(w.sends)
+		for _, peer := range peers {
+			w.sends = append(w.sends, Halo{Peer: int(peer), Links: int(w.links[peer])})
+			w.links[peer] = 0
+		}
+		if npeers > 0 {
+			task.Sends = w.sends[mark:] // only its length survives, see below
+		}
+	}
+	// One exact-size allocation holds every task's halos; each task gets
+	// its window of it.
+	all := slices.Clone(w.sends)
+	for t := range p.Tasks {
+		if n := len(p.Tasks[t].Sends); n > 0 {
+			p.Tasks[t].Sends, all = all[:n:n], all[n:]
+		}
+	}
+}
+
+// groupByOwner counting-sorts the sites by p.Owner into w.order and
+// w.start. The sort is stable, so each task's sites stay ascending — the
+// order Bytes has always been summed in, which keeps every float
+// bit-identical.
+//
+//lint:hot
+func (w *tally) groupByOwner(p *Partition) {
+	// Counted two slots up, the prefix sums put task t's first position
+	// in c[t+1]; filling advances it to t's end, which is where t+1
+	// begins, so c[:NTasks+1] ends up as the start table with no second
+	// cursor array.
+	c := w.start[:p.NTasks+2]
+	clear(c)
+	for _, t := range p.Owner {
+		c[t+2]++
+	}
+	for t := 2; t < len(c); t++ {
+		c[t] += c[t-1]
+	}
+	for si, t := range p.Owner {
+		w.order[c[t+1]] = int32(si)
+		c[t+1]++
+	}
+}
+
+// scanTask walks task t's sites and returns their summed bytes. It leaves
+// the crossing-link counts in w.links with the peers they are non-zero
+// for in w.peers[:npeers], and the site composition in w.byType and
+// w.types; the caller zeroes what it reads.
+//
+//lint:hot
+func (w *tally) scanTask(owner []int32, t int) (bytes float64, npeers int) {
+	s, links, peers := w.s, w.links, w.peers
+	for _, si := range w.order[w.start[t]:w.start[t+1]] {
+		vectors := 1 // rest
+		for _, nb := range s.Links(int(si)) {
 			if nb < 0 {
 				continue
 			}
-			if peer := int(p.Owner[nb]); peer != t {
-				links[t][peer]++
+			vectors++
+			if peer := owner[nb]; int(peer) != t {
+				if links[peer] == 0 {
+					peers[npeers] = peer
+					npeers++
+				}
+				links[peer]++
 			}
 		}
-	}
-	for t := range p.Tasks {
-		peers := make([]int, 0, len(links[t]))
-		for peer := range links[t] {
-			peers = append(peers, peer)
+		bytes += w.pointBytes[vectors]
+		typ := s.Type(int(si))
+		if w.byType[typ] == 0 {
+			w.types = append(w.types, typ)
 		}
-		sort.Ints(peers)
-		for _, peer := range peers {
-			p.Tasks[t].Sends = append(p.Tasks[t].Sends, Halo{Peer: peer, Links: links[t][peer]})
-		}
+		w.byType[typ]++
 	}
+	return bytes, npeers
 }
 
 // MaxBytes returns the largest per-task memory byte count — the

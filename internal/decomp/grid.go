@@ -30,7 +30,7 @@ func Grid(s *lbm.Sparse, px, py, pz int, m lbm.AccessModel) (*Partition, error) 
 		bz := z * pz / nz
 		p.Owner[si] = int32((bz*py+by)*px + bx)
 	}
-	p.computeStats(s, m)
+	newTally(s, m, ntasks).computeStats(p)
 	return p, nil
 }
 

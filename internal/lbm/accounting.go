@@ -110,6 +110,11 @@ func (s *Sparse) Vectors(si int) int {
 // package uses this to count halo crossings exactly.
 func (s *Sparse) Neighbor(si, q int) int { return int(s.neigh[si*NQ+q]) }
 
+// Links returns the NQ-1 moving-direction entries of site si's neighbor
+// row: Links(si)[q-1] == Neighbor(si, q). The slice aliases the solver's
+// table; read only.
+func (s *Sparse) Links(si int) []int32 { return s.neigh[si*NQ+1 : si*NQ+NQ : si*NQ+NQ] }
+
 // GlobalIndex returns the global linear index of local site si.
 func (s *Sparse) GlobalIndex(si int) int { return int(s.gidx[si]) }
 

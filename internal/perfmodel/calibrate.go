@@ -28,12 +28,12 @@ func CalibrateGeneral(s *lbm.Sparse, m lbm.AccessModel, taskCounts []int, coresP
 		evCounts    []float64 // measured max inter-node events
 		pcbEstimate []float64 // Eq. 13 payload back-solved per count
 	)
-	for _, k := range taskCounts {
-		p, err := decomp.RCB(s, k, m)
-		if err != nil {
-			return GeneralModel{}, fmt.Errorf("perfmodel: calibration decomposition at %d tasks: %w", k, err)
-		}
-		n := float64(k)
+	parts, err := decomp.RCBSweep(s, taskCounts, m)
+	if err != nil {
+		return GeneralModel{}, fmt.Errorf("perfmodel: calibration decomposition: %w", err)
+	}
+	for _, p := range parts {
+		n := float64(p.NTasks)
 		z := p.Imbalance()
 		ns = append(ns, n)
 		zs = append(zs, z)

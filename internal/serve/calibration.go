@@ -2,9 +2,10 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
+	"net/http"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -60,8 +61,7 @@ type calibration struct {
 	solver  *lbm.Sparse
 	access  lbm.AccessModel
 
-	mu        sync.Mutex
-	workloads map[int]simcloud.Workload
+	workloads core.WorkloadMemo
 }
 
 // needsCharacterization reports whether the tier's build pays for the
@@ -137,10 +137,9 @@ func (s *Server) buildCalibration(ctx context.Context, key calibKey, spec Worklo
 			Points:      solver.N(),
 			BytesSerial: solver.BytesSerial(access),
 		},
-		general:   general,
-		solver:    solver,
-		access:    access,
-		workloads: make(map[int]simcloud.Workload),
+		general: general,
+		solver:  solver,
+		access:  access,
 	}, nil
 }
 
@@ -164,22 +163,19 @@ func (s *Server) calibrationFor(ctx context.Context, system string, spec Workloa
 	return cal, res, err
 }
 
-// workload returns the RCB decomposition at the given rank count,
-// memoizing per calibration — the direct model's analogue of the
-// cached generalized laws.
+// workload returns the RCB decomposition at the given rank count from
+// the calibration's bounded memo — the direct model's analogue of the
+// cached generalized laws. More ranks than the lattice has fluid sites
+// is the request's mistake: 400, naming the limit.
 func (c *calibration) workload(ranks int) (simcloud.Workload, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if w, ok := c.workloads[ranks]; ok {
-		return w, nil
+	w, err := c.workloads.Workload(c.summary.Name, c.solver, c.access, ranks)
+	var tc *decomp.TaskCountError
+	if errors.As(err, &tc) {
+		return w, &apiError{status: http.StatusBadRequest, msg: fmt.Sprintf(
+			"ranks %d exceeds the workload's %d fluid sites: the direct model decomposes one task per rank",
+			tc.NTasks, tc.Sites)}
 	}
-	p, err := decomp.RCB(c.solver, ranks, c.access)
-	if err != nil {
-		return simcloud.Workload{}, err
-	}
-	w := simcloud.FromPartition(c.summary.Name, c.solver.N(), p)
-	c.workloads[ranks] = w
-	return w, nil
+	return w, err
 }
 
 // predict evaluates the requested model through the tiered Predictor.

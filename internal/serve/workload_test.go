@@ -1,0 +1,96 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/perfmodel"
+)
+
+// TestDirectRanksAboveFluidSitesIs400: the direct model decomposes one
+// task per rank, so more ranks than the lattice has fluid sites is a
+// request error naming the limit — not a 500, which the router would
+// count against the replica. The generalized model extrapolates to the
+// same rank count.
+func TestDirectRanksAboveFluidSitesIs400(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	spec := WorkloadSpec{Geometry: "cylinder", Scale: 5}
+	cal, _, err := s.calibrationFor(context.Background(), "CSP-2", spec, 7, perfmodel.Tier1Calibrated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := cal.solver.N()
+
+	body := func(model string, ranks int) string {
+		return fmt.Sprintf(`{"workload":{"geometry":"cylinder","scale":5},"systems":["CSP-2"],"ranks":[%d],"model":%q}`, ranks, model)
+	}
+	resp, data := postJSON(t, ts.URL+"/v1/predict", body("direct", 100000))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("direct at 100000 ranks: status %d, want 400 (%s)", resp.StatusCode, data)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(data, &er); err != nil {
+		t.Fatalf("error body malformed: %s", data)
+	}
+	if !strings.Contains(er.Error, "100000") || !strings.Contains(er.Error, fmt.Sprint(sites)) {
+		t.Errorf("error %q does not name the request (100000) and the limit (%d)", er.Error, sites)
+	}
+
+	// The limit itself is served; one past it is not.
+	if resp, data := postJSON(t, ts.URL+"/v1/predict", body("direct", sites)); resp.StatusCode != http.StatusOK {
+		t.Errorf("direct at %d ranks (one per site): status %d (%s)", sites, resp.StatusCode, data)
+	}
+	if resp, _ := postJSON(t, ts.URL+"/v1/predict", body("direct", sites+1)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("direct at %d ranks: status %d, want 400", sites+1, resp.StatusCode)
+	}
+	if resp, data := postJSON(t, ts.URL+"/v1/predict", body("generalized", 100000)); resp.StatusCode != http.StatusOK {
+		t.Errorf("generalized at 100000 ranks: status %d, want 200 (%s)", resp.StatusCode, data)
+	}
+}
+
+// TestDecompositionMemoIsBounded: rank counts are the client's choice, so
+// one cache key must not pin a decomposition per count ever requested.
+// 200 distinct counts at one key keep the memo at or below its cap, and a
+// count evicted and asked for again gets the byte-identical reply.
+func TestDecompositionMemoIsBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	spec := WorkloadSpec{Geometry: "cylinder", Scale: 5}
+	cal, _, err := s.calibrationFor(context.Background(), "CSP-2", spec, 7, perfmodel.Tier1Calibrated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ask := func(ranks int) []byte {
+		t.Helper()
+		resp, data := postJSON(t, ts.URL+"/v1/predict", fmt.Sprintf(
+			`{"workload":{"geometry":"cylinder","scale":5},"systems":["CSP-2"],"ranks":[%d],"model":"direct"}`, ranks))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ranks %d: status %d (%s)", ranks, resp.StatusCode, data)
+		}
+		return data
+	}
+
+	const distinct = 200
+	replies := make([][]byte, distinct+1)
+	for ranks := 1; ranks <= distinct; ranks++ {
+		replies[ranks] = ask(ranks)
+		if n := cal.workloads.Len(); n > core.MaxMemoizedWorkloads {
+			t.Fatalf("after %d distinct rank counts the memo holds %d decompositions, cap %d",
+				ranks, n, core.MaxMemoizedWorkloads)
+		}
+	}
+	if n := cal.workloads.Len(); n != core.MaxMemoizedWorkloads {
+		t.Errorf("memo holds %d decompositions, want it full at %d", n, core.MaxMemoizedWorkloads)
+	}
+	// Counts 1…(distinct-cap) are long evicted; the last few are not.
+	for _, ranks := range []int{1, 2, 57, distinct - core.MaxMemoizedWorkloads, distinct} {
+		if again := ask(ranks); !bytes.Equal(again, replies[ranks]) {
+			t.Errorf("ranks %d: reply after eviction differs\nfirst: %s\nagain: %s", ranks, replies[ranks], again)
+		}
+	}
+}
