@@ -22,9 +22,11 @@
 //     against an in-run single-replica baseline on the same workload;
 //     writes BENCH_cluster.json with aggregate and per-replica numbers.
 //
-// The cluster benchmark's workload is -keys distinct calibration seeds
+// The cluster benchmark's workload is -keys distinct calibration keys —
+// key i asks seed i+1 on the workload at scale + i/keys, so a miss pays
+// for both of the service's caches, a lattice and a characterization —
 // with per-replica cache capacity -cache chosen so the keyset overflows
-// one replica's LRU but fits the fleet's: the single baseline thrashes
+// one replica's LRUs but fits the fleet's: the single baseline thrashes
 // (every request pays a calibration) while the sharded fleet stays warm.
 // That is the cluster's whole bet — N disjoint warm caches instead of N
 // copies of the same one — so the speedup holds even on a single CPU.
@@ -373,18 +375,22 @@ func runClusterBench(n, cacheEntries, samples, keys int, bodies [][]byte, worker
 }
 
 // bodiesFor builds one predict body per calibration key. With a single
-// key the seed field is omitted (server default); with several, seeds
-// 1..keys address distinct cache entries.
+// key the seed field is omitted (server default); with several, key i
+// asks seed i+1 at scale + i/keys, so it addresses its own dashboard
+// entry and its own anatomy. Seeds alone would share one anatomy, and a
+// miss would cost only the sub-millisecond characterization.
 func bodiesFor(geometry string, scale float64, system string, ranks, keys int) [][]byte {
 	bodies := make([][]byte, keys)
 	for i := range bodies {
+		workload := map[string]any{"geometry": geometry, "scale": scale}
 		req := map[string]any{
-			"workload": map[string]any{"geometry": geometry, "scale": scale},
+			"workload": workload,
 			"systems":  []string{system},
 			"ranks":    []int{ranks},
 		}
 		if keys > 1 {
 			req["seed"] = i + 1
+			workload["scale"] = scale + float64(i)/float64(keys)
 		}
 		b, err := json.Marshal(req)
 		fatal(err)

@@ -285,11 +285,9 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 		summary.Alerts = tracker.Alerts()
 	}
 
-	// Close the loop through the metrics pipeline: the scheduler
-	// published per-job gauges on completion; the monitor bridge
-	// reassembles them into telemetry samples, and every
-	// prediction-bearing sample becomes a refinement record.
-	if _, err := fw.Monitor.IngestSnapshot(summary.Metrics.Snapshot()); err != nil {
+	// Close the loop: every completed job becomes a telemetry sample,
+	// and every prediction-bearing sample a refinement record.
+	if err := report.ExportMonitor(&fw.Monitor); err != nil {
 		return summary, err
 	}
 	if err := fw.Monitor.FeedRefiner(&fw.Refiner); err != nil {

@@ -100,34 +100,3 @@ func (a *admission) release() {
 		<-a.inflight
 	}
 }
-
-// retryJitter deals deterministic Retry-After values in [1, spreadS]
-// seconds from a seeded SplitMix64 stream. Seeding it per router (and
-// per serve.Server, which has its own copy of this idea) decorrelates
-// fleets of clients that would otherwise all sleep exactly 1s and
-// stampede back in lockstep.
-type retryJitter struct {
-	spread uint64
-	mu     sync.Mutex
-	state  uint64
-}
-
-func newRetryJitter(seed int64, spreadS int) *retryJitter {
-	if spreadS < 1 {
-		spreadS = 3
-	}
-	return &retryJitter{spread: uint64(spreadS), state: uint64(seed)}
-}
-
-// next returns the following backoff in whole seconds, 1..spread.
-func (j *retryJitter) next() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	// SplitMix64 step: well-distributed, cheap, and reproducible.
-	j.state += 0x9e3779b97f4a7c15
-	z := j.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return int(z%j.spread) + 1
-}

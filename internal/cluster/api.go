@@ -1,5 +1,7 @@
 package cluster
 
+import "repro/internal/httpedge"
+
 // This file is the router's own JSON vocabulary. The /v1 planning
 // endpoints proxied to replicas keep internal/serve's shapes untouched;
 // these types cover only what the router adds: topology introspection,
@@ -41,10 +43,8 @@ type RouterHealthResponse struct {
 	Replicas []ReplicaStatus `json:"replicas"`
 }
 
-// ErrorResponse mirrors serve's uniform error body.
-type ErrorResponse struct {
-	Error string `json:"error"`
-}
+// ErrorResponse is the uniform error body, shared with serve.
+type ErrorResponse = httpedge.ErrorResponse
 
 // TelemetrySourceStatus is one scrape target's row in the aggregated
 // telemetry report: whether its snapshot merged, and why not if not.

@@ -25,6 +25,8 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // Ring is a consistent-hash ring with virtual nodes. Each member owns
@@ -66,8 +68,8 @@ func NewRing(seed int64, vnodes int) *Ring {
 }
 
 // hash64 is the ring's placement hash: FNV-64a over the 8-byte seed
-// followed by s, finished with a SplitMix64 mix. FNV alone is stable
-// but avalanches poorly on near-identical strings ("r0#1" vs "r0#2"),
+// followed by s, finished with the SplitMix64 mix (obs.Mix64). FNV alone
+// is stable but avalanches poorly on near-identical strings ("r0#1" vs "r0#2"),
 // which clusters virtual points and skews arc ownership ~5×; the
 // finalizer scrambles the low-entropy tail. Both pieces are fixed
 // algorithms, so placement stays reproducible across processes and Go
@@ -80,10 +82,7 @@ func hash64(seed int64, s string) uint64 {
 	binary.BigEndian.PutUint64(b[:], uint64(seed))
 	h.Write(b[:]) // hash.Hash Write never errors
 	h.Write([]byte(s))
-	z := h.Sum64()
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return obs.Mix64(h.Sum64())
 }
 
 // Add inserts a member's virtual points. Adding an existing member is a

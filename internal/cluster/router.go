@@ -8,8 +8,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
+	"repro/internal/httpedge"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
 )
@@ -28,125 +28,43 @@ type Router struct {
 	ring      *Ring
 	set       *replicaSet
 	admit     *admission
-	jitter    *retryJitter
+	edge      *httpedge.Edge
 	health    *healthChecker
 	telemetry *telemetryAggregator
 
-	reg       *obs.Registry
-	tracer    *obs.Tracer
-	startWall time.Time
-	mux       *http.ServeMux
+	reg    *obs.Registry
+	tracer *obs.Tracer
+	mux    *http.ServeMux
 }
 
 func newRouter(cfg Config, ring *Ring, set *replicaSet, health *healthChecker, telemetry *telemetryAggregator, reg *obs.Registry, tracer *obs.Tracer) *Router {
 	rt := &Router{
-		cfg:       cfg,
-		ring:      ring,
-		set:       set,
-		admit:     newAdmission(cfg.TenantRate, cfg.TenantBurst, cfg.MaxInflight, reg),
-		jitter:    newRetryJitter(cfg.Seed, cfg.RetryAfterSpreadS),
+		cfg:   cfg,
+		ring:  ring,
+		set:   set,
+		admit: newAdmission(cfg.TenantRate, cfg.TenantBurst, cfg.MaxInflight, reg),
+		edge: httpedge.New(reg, tracer, "cluster", "router ",
+			httpedge.NewRetryJitter(cfg.Seed, cfg.RetryAfterSpreadS)),
 		health:    health,
 		telemetry: telemetry,
 		reg:       reg,
 		tracer:    tracer,
-		startWall: time.Now(),
 		mux:       http.NewServeMux(),
 	}
-	rt.mux.HandleFunc("GET /v1/healthz", rt.instrument("/v1/healthz", rt.handleHealthz))
-	rt.mux.HandleFunc("GET /v1/metrics", rt.instrument("/v1/metrics", rt.handleMetrics))
-	rt.mux.HandleFunc("GET /v1/cluster", rt.instrument("/v1/cluster", rt.handleTopology))
-	rt.mux.HandleFunc("GET /v1/cluster/telemetry", rt.instrument("/v1/cluster/telemetry", rt.handleTelemetry))
-	rt.mux.HandleFunc("POST /v1/cluster/drain", rt.instrument("/v1/cluster/drain", rt.handleDrain))
-	rt.mux.HandleFunc("POST /v1/predict", rt.instrument("/v1/predict", rt.planning("/v1/predict")))
-	rt.mux.HandleFunc("POST /v1/plan", rt.instrument("/v1/plan", rt.planning("/v1/plan")))
-	rt.mux.HandleFunc("POST /v1/campaigns", rt.instrument("/v1/campaigns", rt.handleCampaignSubmit))
-	rt.mux.HandleFunc("GET /v1/campaigns/{id}", rt.instrument("/v1/campaigns/status", rt.handleCampaignStatus))
+	rt.mux.HandleFunc("GET /v1/healthz", rt.edge.Route("/v1/healthz", rt.handleHealthz))
+	rt.mux.HandleFunc("GET /v1/metrics", rt.edge.Route("/v1/metrics", rt.edge.Metrics))
+	rt.mux.HandleFunc("GET /v1/cluster", rt.edge.Route("/v1/cluster", rt.handleTopology))
+	rt.mux.HandleFunc("GET /v1/cluster/telemetry", rt.edge.Route("/v1/cluster/telemetry", rt.handleTelemetry))
+	rt.mux.HandleFunc("POST /v1/cluster/drain", rt.edge.Route("/v1/cluster/drain", rt.handleDrain))
+	rt.mux.HandleFunc("POST /v1/predict", rt.edge.Route("/v1/predict", rt.planning("/v1/predict")))
+	rt.mux.HandleFunc("POST /v1/plan", rt.edge.Route("/v1/plan", rt.planning("/v1/plan")))
+	rt.mux.HandleFunc("POST /v1/campaigns", rt.edge.Route("/v1/campaigns", rt.handleCampaignSubmit))
+	rt.mux.HandleFunc("GET /v1/campaigns/{id}", rt.edge.Route("/v1/campaigns/status", rt.handleCampaignStatus))
 	return rt
 }
 
 // Handler returns the router's HTTP handler.
 func (rt *Router) Handler() http.Handler { return rt.mux }
-
-// simNow is the router's span timeline: seconds of router uptime.
-func (rt *Router) simNow() float64 { return time.Since(rt.startWall).Seconds() }
-
-// instrument wraps every route with a span and the request/latency
-// metric families, mirroring serve's middleware so cluster traces and
-// replica traces read the same way.
-func (rt *Router) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		sp := rt.startSpan(r, "router "+endpoint)
-		if tid := sp.TraceID(); !tid.IsZero() {
-			sw.Header().Set("X-Trace-Id", tid.String())
-		}
-		r = r.WithContext(obs.ContextWithSpan(r.Context(), sp))
-		defer func() {
-			code := sw.code
-			if code == 0 {
-				code = http.StatusOK
-			}
-			sp.SetAttr("code", strconv.Itoa(code))
-			sp.End(rt.simNow())
-			rt.reg.Counter("cluster_requests_total",
-				obs.L("endpoint", endpoint), obs.L("code", strconv.Itoa(code))).Inc()
-			rt.reg.Histogram("cluster_latency_seconds", routerLatencyBuckets,
-				obs.L("endpoint", endpoint)).Observe(time.Since(start).Seconds())
-		}()
-		h(sw, r)
-	}
-}
-
-var routerLatencyBuckets = obs.ExpBuckets(50e-6, 2, 25)
-
-// startSpan opens the request's router span, honoring an incoming
-// traceparent header (a client or upstream proxy propagating context)
-// and falling back to a fresh root otherwise — malformed headers
-// included, so junk from the network can't break a request.
-func (rt *Router) startSpan(r *http.Request, name string) *obs.Span {
-	if v := r.Header.Get(obs.TraceParentHeader); v != "" {
-		if tp, err := obs.ParseTraceParent(v); err == nil {
-			return rt.tracer.StartRemote(tp, name, rt.simNow())
-		}
-	}
-	return rt.tracer.Start(name, rt.simNow())
-}
-
-// statusWriter records the response code for metrics and span attrs.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		return // headers gone; the instrumented status already recorded
-	}
-}
-
-func (rt *Router) writeError(w http.ResponseWriter, status int, msg string) {
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(rt.jitter.next()))
-	}
-	rt.writeJSON(w, status, ErrorResponse{Error: msg})
-}
 
 // shardProbe is the lenient view of a planning request body: just the
 // fields that form the calibration identity. Lenient on purpose — the
@@ -211,11 +129,11 @@ func (rt *Router) planning(path string) http.HandlerFunc {
 // reports false. The in-flight slot is held on true returns.
 func (rt *Router) admitPlanning(w http.ResponseWriter, r *http.Request) bool {
 	if !rt.admit.admitTenant(r.Header.Get("X-Tenant")) {
-		rt.writeError(w, http.StatusTooManyRequests, "tenant quota exhausted; retry after backoff")
+		httpedge.WriteError(w, http.StatusTooManyRequests, "tenant quota exhausted; retry after backoff")
 		return false
 	}
 	if !rt.admit.acquire() {
-		rt.writeError(w, http.StatusTooManyRequests, "router saturated; retry after backoff")
+		httpedge.WriteError(w, http.StatusTooManyRequests, "router saturated; retry after backoff")
 		return false
 	}
 	return true
@@ -226,11 +144,11 @@ func (rt *Router) admitPlanning(w http.ResponseWriter, r *http.Request) bool {
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBodyBytes+1))
 	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
+		httpedge.WriteError(w, http.StatusBadRequest, "reading request body: "+err.Error())
 		return nil, false
 	}
 	if int64(len(body)) > rt.cfg.MaxBodyBytes {
-		rt.writeError(w, http.StatusRequestEntityTooLarge,
+		httpedge.WriteError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("request body exceeds %d bytes", rt.cfg.MaxBodyBytes))
 		return nil, false
 	}
@@ -244,7 +162,7 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 func (rt *Router) forwardSharded(w http.ResponseWriter, r *http.Request, path, key string, body []byte) {
 	targets := rt.ring.Successors(key, 2)
 	if len(targets) == 0 {
-		rt.writeError(w, http.StatusServiceUnavailable, "no healthy replicas in ring")
+		httpedge.WriteError(w, http.StatusServiceUnavailable, "no healthy replicas in ring")
 		return
 	}
 	for i, name := range targets {
@@ -258,7 +176,7 @@ func (rt *Router) forwardSharded(w http.ResponseWriter, r *http.Request, path, k
 			rt.reg.Counter("cluster_retry_total", obs.L("endpoint", path)).Inc()
 			continue
 		}
-		rt.writeError(w, http.StatusBadGateway,
+		httpedge.WriteError(w, http.StatusBadGateway,
 			fmt.Sprintf("replica %s unreachable: %v", name, err))
 		return
 	}
@@ -271,13 +189,13 @@ func (rt *Router) forwardOnce(r *http.Request, name, path, rawQuery string, body
 		return nil, fmt.Errorf("replica %q not configured", name)
 	}
 	// The forward span hangs under the request's router span (stashed
-	// in the context by instrument), so the replica's handler span —
+	// in the context by the edge), so the replica's handler span —
 	// parented on this one via the injected traceparent — completes the
 	// router → forward → handler chain in the stitched trace.
-	sp := rt.tracer.StartChild(obs.SpanFromContext(r.Context()), "forward "+name, rt.simNow())
+	sp := rt.tracer.StartChild(obs.SpanFromContext(r.Context()), "forward "+name, rt.edge.Now())
 	sp.SetAttr("replica", name)
 	sp.SetAttr("path", path)
-	defer sp.End(rt.simNow())
+	defer sp.End(rt.edge.Now())
 
 	url := rep.BaseURL + path
 	if rawQuery != "" {
@@ -356,7 +274,7 @@ func (rt *Router) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	key := "campaign|" + string(body)
 	targets := rt.ring.Successors(key, 2)
 	if len(targets) == 0 {
-		rt.writeError(w, http.StatusServiceUnavailable, "no healthy replicas in ring")
+		httpedge.WriteError(w, http.StatusServiceUnavailable, "no healthy replicas in ring")
 		return
 	}
 	for i, name := range targets {
@@ -367,7 +285,7 @@ func (rt *Router) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 				rt.reg.Counter("cluster_retry_total", obs.L("endpoint", "/v1/campaigns")).Inc()
 				continue
 			}
-			rt.writeError(w, http.StatusBadGateway,
+			httpedge.WriteError(w, http.StatusBadGateway,
 				fmt.Sprintf("replica %s unreachable: %v", name, err))
 			return
 		}
@@ -392,12 +310,12 @@ func (rt *Router) relayCampaignAck(w http.ResponseWriter, resp *http.Response, r
 		err = cerr
 	}
 	if err != nil {
-		rt.writeError(w, http.StatusBadGateway, "malformed ack from replica "+replica)
+		httpedge.WriteError(w, http.StatusBadGateway, "malformed ack from replica "+replica)
 		return
 	}
 	id := replica + "." + ack.ID
 	w.Header().Set("X-Replica", replica)
-	rt.writeJSON(w, http.StatusAccepted, map[string]string{
+	httpedge.WriteJSON(w, http.StatusAccepted, map[string]string{
 		"id":  id,
 		"url": "/v1/campaigns/" + id,
 	})
@@ -411,18 +329,18 @@ func (rt *Router) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	name, localID, ok := strings.Cut(id, ".")
 	if !ok {
-		rt.writeError(w, http.StatusNotFound,
+		httpedge.WriteError(w, http.StatusNotFound,
 			fmt.Sprintf("campaign %q not found (cluster IDs are replica.id)", id))
 		return
 	}
 	if _, exists := rt.set.get(name); !exists {
-		rt.writeError(w, http.StatusNotFound, fmt.Sprintf("campaign %q names unknown replica %q", id, name))
+		httpedge.WriteError(w, http.StatusNotFound, fmt.Sprintf("campaign %q names unknown replica %q", id, name))
 		return
 	}
 	resp, err := rt.forwardOnce(r, name, "/v1/campaigns/"+localID, "", nil)
 	if err != nil {
 		rt.set.reportFailure(name, rt.cfg.HealthFailures)
-		rt.writeError(w, http.StatusBadGateway,
+		httpedge.WriteError(w, http.StatusBadGateway,
 			fmt.Sprintf("replica %s unreachable: %v", name, err))
 		return
 	}
@@ -443,21 +361,9 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "degraded"
 		code = http.StatusServiceUnavailable
 	}
-	rt.writeJSON(w, code, RouterHealthResponse{
+	httpedge.WriteJSON(w, code, RouterHealthResponse{
 		Status: status, Healthy: healthy, Total: len(reps), Replicas: reps,
 	})
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := rt.reg.Snapshot()
-	if r.URL.Query().Get("format") == "json" {
-		rt.writeJSON(w, http.StatusOK, snap)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := obs.WriteMetricsText(w, snap); err != nil {
-		return // mid-stream failure; status line already written
-	}
 }
 
 // handleTelemetry serves the fleet-wide aggregated telemetry view.
@@ -471,7 +377,7 @@ func (rt *Router) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		snap = rt.telemetry.scrape(r.Context())
 	}
 	if snap == nil {
-		rt.writeError(w, http.StatusServiceUnavailable, "telemetry aggregation unavailable")
+		httpedge.WriteError(w, http.StatusServiceUnavailable, "telemetry aggregation unavailable")
 		return
 	}
 	if r.URL.Query().Get("format") == "prom" {
@@ -481,7 +387,7 @@ func (rt *Router) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, snap)
+	httpedge.WriteJSON(w, http.StatusOK, snap)
 }
 
 // handleTopology reports membership plus each member's share of a
@@ -497,7 +403,7 @@ func (rt *Router) handleTopology(w http.ResponseWriter, r *http.Request) {
 			share[k] /= samples
 		}
 	}
-	rt.writeJSON(w, http.StatusOK, TopologyResponse{
+	httpedge.WriteJSON(w, http.StatusOK, TopologyResponse{
 		Replicas:    rt.set.snapshot(),
 		RingMembers: rt.ring.Members(),
 		Vnodes:      rt.cfg.VirtualNodes,
@@ -512,7 +418,7 @@ func (rt *Router) handleTopology(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("replica")
 	if name == "" {
-		rt.writeError(w, http.StatusBadRequest, "replica query parameter is required")
+		httpedge.WriteError(w, http.StatusBadRequest, "replica query parameter is required")
 		return
 	}
 	to := StateDraining
@@ -520,8 +426,8 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 		to = StateHealthy
 	}
 	if !rt.set.setState(name, to) {
-		rt.writeError(w, http.StatusNotFound, fmt.Sprintf("replica %q not configured", name))
+		httpedge.WriteError(w, http.StatusNotFound, fmt.Sprintf("replica %q not configured", name))
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, DrainResponse{Replica: name, State: to.String()})
+	httpedge.WriteJSON(w, http.StatusOK, DrainResponse{Replica: name, State: to.String()})
 }

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/httpedge"
 )
 
 // echoReplica is a stub replica handler that answers every /v1 path
@@ -215,10 +217,10 @@ func TestTenantQuota(t *testing.T) {
 // TestRetryJitterDeterministic: two jitters with one seed deal the same
 // backoff sequence; all values stay in [1, spread].
 func TestRetryJitterDeterministic(t *testing.T) {
-	a, b := newRetryJitter(5, 3), newRetryJitter(5, 3)
+	a, b := httpedge.NewRetryJitter(5, 3), httpedge.NewRetryJitter(5, 3)
 	seen := make(map[int]bool)
 	for i := 0; i < 64; i++ {
-		va, vb := a.next(), b.next()
+		va, vb := a.Next(), b.Next()
 		if va != vb {
 			t.Fatalf("jitter diverged at %d: %d vs %d", i, va, vb)
 		}

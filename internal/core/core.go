@@ -72,14 +72,12 @@ type Anatomy struct {
 	Summary perfmodel.WorkloadSummary
 	General perfmodel.GeneralModel
 
-	workloads WorkloadMemo
+	workloads workloadMemo
 }
 
 // CalibrationCounts is the task-count sweep used to fit the z-law and
 // event-law when tuning the generalized model to an anatomy of n fluid
-// points. Exported so the serving layer calibrates workloads exactly the
-// way PrepareAnatomy does — the cache-key determinism contract depends
-// on both paths sweeping identical counts.
+// points.
 func CalibrationCounts(n int) []int {
 	var counts []int
 	for k := 1; k <= n/8 && k <= 512; k *= 2 {
@@ -91,22 +89,17 @@ func CalibrationCounts(n int) []int {
 	return counts
 }
 
-// PrepareAnatomy builds the solver for a domain and tunes the generalized
+// NewAnatomy builds the solver for a domain and tunes the generalized
 // model to it by decomposing over a task sweep (the paper's "anatomy-
-// specific predictions"). The calibration node width is taken from the
-// largest-node system in the dashboard so one tuning serves all entries.
-func (f *Framework) PrepareAnatomy(name string, dom *geometry.Domain, p lbm.Params) (*Anatomy, error) {
+// specific predictions"). Nothing in it depends on a machine but
+// coresPerNode, the node width the sweep is calibrated at: pass the
+// widest node among the candidate systems so one tuning serves them all.
+func NewAnatomy(name string, dom *geometry.Domain, p lbm.Params, coresPerNode int) (*Anatomy, error) {
 	s, err := lbm.NewSparse(dom, p)
 	if err != nil {
 		return nil, err
 	}
 	access := lbm.HarveyAccess()
-	coresPerNode := 1
-	for _, sys := range f.systems {
-		if sys.CoresPerNode > coresPerNode {
-			coresPerNode = sys.CoresPerNode
-		}
-	}
 	g, err := perfmodel.CalibrateGeneral(s, access, CalibrationCounts(s.N()), coresPerNode)
 	if err != nil {
 		return nil, fmt.Errorf("core: calibrating %q: %w", name, err)
@@ -124,10 +117,25 @@ func (f *Framework) PrepareAnatomy(name string, dom *geometry.Domain, p lbm.Para
 	}, nil
 }
 
+// PrepareAnatomy is NewAnatomy at the node width of the largest-node
+// system in the dashboard.
+func (f *Framework) PrepareAnatomy(name string, dom *geometry.Domain, p lbm.Params) (*Anatomy, error) {
+	return NewAnatomy(name, dom, p, machine.WidestNode(f.systems))
+}
+
 // Workload decomposes the anatomy over the given rank count, once per
 // (anatomy, ranks): repeat calls share one read-only workload.
+func (a *Anatomy) Workload(ranks int) (simcloud.Workload, error) {
+	return a.workloads.workload(a.Name, a.Solver, a.Access, ranks)
+}
+
+// MemoizedWorkloads returns the number of decompositions the anatomy
+// currently holds, at most MaxMemoizedWorkloads.
+func (a *Anatomy) MemoizedWorkloads() int { return a.workloads.len() }
+
+// Workload is a.Workload(ranks).
 func (f *Framework) Workload(a *Anatomy, ranks int) (simcloud.Workload, error) {
-	return a.workloads.Workload(a.Name, a.Solver, a.Access, ranks)
+	return a.Workload(ranks)
 }
 
 // AttachTable enables the Tier 2 measured-lookup backend on every

@@ -9,30 +9,30 @@ import (
 	"repro/internal/simcloud"
 )
 
-// MaxMemoizedWorkloads bounds a WorkloadMemo: rank counts come from
+// MaxMemoizedWorkloads bounds an Anatomy's memo: rank counts come from
 // requests, so without a cap one lattice could pin a decomposition per
 // count ever asked for. A campaign or a serving key asks for a handful.
 const MaxMemoizedWorkloads = 32
 
-// WorkloadMemo remembers the decompositions of one lattice by rank count,
+// workloadMemo remembers the decompositions of one lattice by rank count,
 // so predicting, measuring and planning the same (anatomy, ranks) run RCB
 // once. It holds at most MaxMemoizedWorkloads, dropping the oldest first;
 // a decomposition is a pure function of lattice, access model and rank
 // count, so recomputing a dropped one returns the identical workload. The
 // zero value is ready to use. The returned workloads share their slices:
 // read, do not modify.
-type WorkloadMemo struct {
+type workloadMemo struct {
 	mu      sync.Mutex
 	byRanks map[int]simcloud.Workload
 	oldest  []int // the memoised rank counts, oldest first
 	builds  int   // decompositions run
 }
 
-// Workload returns the RCB decomposition of s over ranks tasks as a
+// workload returns the RCB decomposition of s over ranks tasks as a
 // simulator workload under the given name, decomposing only on a miss.
 // Misses on one memo are serialised, so a count is never decomposed twice
 // concurrently. Errors are not memoised.
-func (m *WorkloadMemo) Workload(name string, s *lbm.Sparse, access lbm.AccessModel, ranks int) (simcloud.Workload, error) {
+func (m *workloadMemo) workload(name string, s *lbm.Sparse, access lbm.AccessModel, ranks int) (simcloud.Workload, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if w, ok := m.byRanks[ranks]; ok {
@@ -56,8 +56,8 @@ func (m *WorkloadMemo) Workload(name string, s *lbm.Sparse, access lbm.AccessMod
 	return w, nil
 }
 
-// Len returns the number of decompositions currently held.
-func (m *WorkloadMemo) Len() int {
+// len returns the number of decompositions currently held.
+func (m *workloadMemo) len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.byRanks)

@@ -62,7 +62,7 @@ func TestOneDecompositionPerAnatomyAndRanks(t *testing.T) {
 	if _, err := fw.Workload(a, a.Solver.N()+1); err == nil {
 		t.Error("want an error for more ranks than fluid sites")
 	}
-	if got := a.workloads.Len(); got != 2 {
+	if got := a.workloads.len(); got != 2 {
 		t.Errorf("memo holds %d workloads after a failed request, want 2", got)
 	}
 }
@@ -87,14 +87,14 @@ func TestWorkloadMemoBoundedAndConcurrent(t *testing.T) {
 				if _, err := fw.Workload(a, ranks); err != nil {
 					t.Errorf("ranks %d: %v", ranks, err)
 				}
-				if n := a.workloads.Len(); n > MaxMemoizedWorkloads {
+				if n := a.workloads.len(); n > MaxMemoizedWorkloads {
 					t.Errorf("memo holds %d workloads, cap %d", n, MaxMemoizedWorkloads)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if n := a.workloads.Len(); n != MaxMemoizedWorkloads {
+	if n := a.workloads.len(); n != MaxMemoizedWorkloads {
 		t.Errorf("memo holds %d workloads after %d distinct counts, want the cap %d",
 			n, 3*MaxMemoizedWorkloads, MaxMemoizedWorkloads)
 	}

@@ -30,13 +30,7 @@ func Fig11() (Report, error) {
 	}
 	// Tune the z and event laws on the aorta decomposition, with node
 	// width from the largest node among the compared systems.
-	coresPerNode := 0
-	for _, sys := range systems {
-		if sys.CoresPerNode > coresPerNode {
-			coresPerNode = sys.CoresPerNode
-		}
-	}
-	g, err := perfmodel.CalibrateGeneral(s, access, []int{1, 2, 4, 8, 16, 32, 64, 128, 256}, coresPerNode)
+	g, err := perfmodel.CalibrateGeneral(s, access, []int{1, 2, 4, 8, 16, 32, 64, 128, 256}, machine.WidestNode(systems))
 	if err != nil {
 		return Report{}, err
 	}

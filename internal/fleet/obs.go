@@ -1,10 +1,8 @@
 package fleet
 
 import (
-	"fmt"
 	"strconv"
 
-	"repro/internal/monitor"
 	"repro/internal/obs"
 )
 
@@ -117,36 +115,11 @@ func (s *Scheduler) obsShed(j *jobState, reason string) {
 	j.span.End(s.clock)
 }
 
-// obsComplete closes the job span and publishes the per-job telemetry
-// gauges the monitor bridge reassembles into Samples (see
-// monitor.Store.IngestSnapshot).
+// obsComplete closes the job span as completed.
 func (s *Scheduler) obsComplete(j *jobState) {
 	s.Metrics.Counter(metricCompletionsTotal).Inc()
 	j.span.SetAttr("outcome", "completed")
 	j.span.SetAttrF("mflups", j.mflups())
 	j.span.SetAttrF("usd", j.usd)
 	j.span.End(s.clock)
-
-	if s.Metrics == nil || j.mflups() <= 0 {
-		return
-	}
-	model := ""
-	if j.PredMFLUPS[j.system] > 0 {
-		model = "direct"
-	}
-	waitS := 0.0
-	if j.firstStart > 0 {
-		waitS = j.firstStart // all jobs submit at t=0
-	}
-	labels := []obs.Label{
-		obs.L(monitor.LabelWorkload, j.Name),
-		obs.L(monitor.LabelSystem, j.system),
-		obs.L(monitor.LabelRanks, strconv.Itoa(j.ranks)),
-		obs.L(monitor.LabelModel, model),
-		obs.L(monitor.LabelDoneT, fmt.Sprintf("%g", j.finishedAt)),
-	}
-	s.Metrics.Gauge(monitor.MetricJobMFLUPS, labels...).Set(j.mflups())
-	s.Metrics.Gauge(monitor.MetricJobPredMFLUPS, labels...).Set(j.PredMFLUPS[j.system])
-	s.Metrics.Gauge(monitor.MetricJobCostUSD, labels...).Set(j.usd)
-	s.Metrics.Gauge(monitor.MetricJobWaitS, labels...).Set(waitS)
 }

@@ -171,21 +171,19 @@ func (r *Report) RenderUtilization() string {
 // ExportMonitor appends a telemetry sample per completed job — stamped
 // with its simulated completion time, carrying the model prediction when
 // one drove the placement — into a monitor store, feeding the regression
-// tracking and refinement loop the paper's Discussion sketches.
+// tracking and refinement loop the paper's Discussion sketches. Samples
+// arrive in completion order, ties broken on the configuration key.
 func (r *Report) ExportMonitor(st *monitor.Store) error {
-	done := make([]JobReport, 0, len(r.Jobs))
+	var done []monitor.Sample
 	for _, j := range r.Jobs {
-		if j.Completed && j.MFLUPS > 0 {
-			done = append(done, j)
+		if !j.Completed || j.MFLUPS <= 0 {
+			continue
 		}
-	}
-	sort.SliceStable(done, func(i, k int) bool { return done[i].DoneS < done[k].DoneS })
-	for _, j := range done {
 		model := ""
 		if j.PredMFLUPS > 0 {
 			model = "direct"
 		}
-		if err := st.Add(monitor.Sample{
+		done = append(done, monitor.Sample{
 			TimeS:     j.DoneS,
 			Workload:  j.Name,
 			System:    j.System,
@@ -195,8 +193,17 @@ func (r *Report) ExportMonitor(st *monitor.Store) error {
 			Predicted: j.PredMFLUPS,
 			CostUSD:   j.USD,
 			WaitS:     j.WaitS,
-		}); err != nil {
-			return fmt.Errorf("fleet: exporting telemetry for %q: %w", j.Name, err)
+		})
+	}
+	sort.SliceStable(done, func(i, k int) bool {
+		if done[i].TimeS < done[k].TimeS {
+			return true
+		}
+		return done[i].TimeS <= done[k].TimeS && done[i].Key() < done[k].Key()
+	})
+	for _, s := range done {
+		if err := st.Add(s); err != nil {
+			return fmt.Errorf("fleet: exporting telemetry for %q: %w", s.Workload, err)
 		}
 	}
 	return nil

@@ -143,6 +143,17 @@ func FullCatalog() []*System {
 	return append(Catalog(), NewCSP2GPU())
 }
 
+// WidestNode returns the largest CoresPerNode among the systems (at
+// least 1): the node width the generalized model is calibrated at so one
+// anatomy tuning serves every candidate.
+func WidestNode(systems []*System) int {
+	widest := 1
+	for _, s := range systems {
+		widest = max(widest, s.CoresPerNode)
+	}
+	return widest
+}
+
 // ByAbbrev returns the catalog system (including the GPU instance) with
 // the given abbreviation.
 func ByAbbrev(abbrev string) (*System, error) {

@@ -42,8 +42,9 @@ func escapeKeyPart(s string) string {
 	return strings.ReplaceAll(s, "|", `\|`)
 }
 
-// key identifies a monitored configuration.
-func (s Sample) key() string {
+// Key identifies a monitored configuration: workload, system and rank
+// count, "|"-joined with each part escaped.
+func (s Sample) Key() string {
 	return fmt.Sprintf("%s|%s|%d", escapeKeyPart(s.Workload), escapeKeyPart(s.System), s.Ranks)
 }
 
@@ -65,11 +66,11 @@ func (st *Store) Add(s Sample) error {
 		{"cost", s.CostUSD}, {"wait", s.WaitS},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("monitor: sample for %s has non-finite %s (%g)", s.key(), f.name, f.v)
+			return fmt.Errorf("monitor: sample for %s has non-finite %s (%g)", s.Key(), f.name, f.v)
 		}
 	}
 	if s.MFLUPS <= 0 {
-		return fmt.Errorf("monitor: sample for %s has non-positive MFLUPS", s.key())
+		return fmt.Errorf("monitor: sample for %s has non-positive MFLUPS", s.Key())
 	}
 	if s.Workload == "" || s.System == "" {
 		return fmt.Errorf("monitor: sample missing workload or system")
@@ -86,10 +87,10 @@ func (st *Store) Len() int { return len(st.samples) }
 
 // Series returns the samples of one configuration in arrival order.
 func (st *Store) Series(workload, system string, ranks int) []Sample {
-	key := Sample{Workload: workload, System: system, Ranks: ranks}.key()
+	key := Sample{Workload: workload, System: system, Ranks: ranks}.Key()
 	var out []Sample
 	for _, s := range st.samples {
-		if s.key() == key {
+		if s.Key() == key {
 			out = append(out, s)
 		}
 	}
@@ -100,7 +101,7 @@ func (st *Store) Series(workload, system string, ranks int) []Sample {
 func (st *Store) Configurations() []string {
 	seen := map[string]bool{}
 	for _, s := range st.samples {
-		seen[s.key()] = true
+		seen[s.Key()] = true
 	}
 	keys := make([]string, 0, len(seen))
 	for k := range seen {
@@ -148,7 +149,7 @@ func (st *Store) DetectRegressions(minHistory int, threshold float64) ([]Regress
 	for _, key := range st.Configurations() {
 		var series []Sample
 		for _, s := range st.samples {
-			if s.key() == key {
+			if s.Key() == key {
 				series = append(series, s)
 			}
 		}
@@ -219,7 +220,7 @@ func (st *Store) Render() string {
 	for _, key := range st.Configurations() {
 		var series []Sample
 		for _, s := range st.samples {
-			if s.key() == key {
+			if s.Key() == key {
 				series = append(series, s)
 			}
 		}

@@ -191,3 +191,63 @@ func TestRender(t *testing.T) {
 		}
 	}
 }
+
+// TestAddRejectsNonFinite is the regression test for the NaN guard:
+// every NaN comparison is false, so NaN MFLUPS sailed through the old
+// `<= 0` validation and poisoned every downstream mean and sigma.
+func TestAddRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		name string
+		s    Sample
+	}{
+		{"NaN MFLUPS", Sample{TimeS: 1, Workload: "a", System: "s", Ranks: 4, MFLUPS: math.NaN()}},
+		{"+Inf MFLUPS", Sample{TimeS: 1, Workload: "a", System: "s", Ranks: 4, MFLUPS: math.Inf(1)}},
+		{"NaN time", Sample{TimeS: math.NaN(), Workload: "a", System: "s", Ranks: 4, MFLUPS: 5}},
+		{"NaN predicted", Sample{TimeS: 1, Workload: "a", System: "s", Ranks: 4, MFLUPS: 5, Predicted: math.NaN()}},
+		{"-Inf cost", Sample{TimeS: 1, Workload: "a", System: "s", Ranks: 4, MFLUPS: 5, CostUSD: math.Inf(-1)}},
+		{"NaN wait", Sample{TimeS: 1, Workload: "a", System: "s", Ranks: 4, MFLUPS: 5, WaitS: math.NaN()}},
+	}
+	for _, tc := range cases {
+		var st Store
+		if err := st.Add(tc.s); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("%s: error %q does not name the non-finite field", tc.name, err)
+		}
+		if st.Len() != 0 {
+			t.Errorf("%s: rejected sample was stored", tc.name)
+		}
+	}
+}
+
+// TestKeyEscaping is the regression test for the ambiguous key join:
+// workload "a|b" system "c" and workload "a" system "b|c" rendered the
+// same "a|b|c|ranks" key, merging two configurations' series.
+func TestKeyEscaping(t *testing.T) {
+	var st Store
+	first := Sample{TimeS: 1, Workload: "a|b", System: "c", Ranks: 4, MFLUPS: 10}
+	second := Sample{TimeS: 2, Workload: "a", System: "b|c", Ranks: 4, MFLUPS: 20}
+	if first.Key() == second.Key() {
+		t.Fatalf("keys collide: %q", first.Key())
+	}
+	for _, s := range []Sample{first, second} {
+		if err := st.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := st.Series("a|b", "c", 4); len(got) != 1 || got[0].MFLUPS != 10 {
+		t.Errorf("series for workload a|b = %v, want the single 10-MFLUPS sample", got)
+	}
+	if got := st.Series("a", "b|c", 4); len(got) != 1 || got[0].MFLUPS != 20 {
+		t.Errorf("series for system b|c = %v, want the single 20-MFLUPS sample", got)
+	}
+	if got := len(st.Configurations()); got != 2 {
+		t.Errorf("configurations = %d, want 2 distinct", got)
+	}
+	// Backslashes in names must not manufacture collisions either.
+	esc1 := Sample{Workload: `a\`, System: `b`}
+	esc2 := Sample{Workload: `a`, System: `\b`}
+	if esc1.Key() == esc2.Key() {
+		t.Errorf("backslash keys collide: %q", esc1.Key())
+	}
+}

@@ -65,16 +65,21 @@ func (t TraceID) String() string {
 	return fmt.Sprintf("%016x%016x", t.Hi, t.Lo)
 }
 
+// Mix64 is the SplitMix64 finalizer: a cheap bijection on uint64 whose
+// output bits each depend on every input bit. Span IDs, ring positions
+// and Retry-After jitter all finish with it, so nearby seeds, sequence
+// numbers and keys land far apart.
+func Mix64(x uint64) uint64 {
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
+}
+
 // spanID mixes the tracer seed and the span's start sequence number
-// through the SplitMix64 finalizer. Same seed + same start order = same
-// IDs; the mixing keeps IDs from colliding across nearby seeds.
+// through Mix64. Same seed + same start order = same IDs; the mixing
+// keeps IDs from colliding across nearby seeds.
 func spanID(seed int64, seq uint64) SpanID {
-	x := uint64(seed)*0x9E3779B97F4A7C15 + (seq+1)*0xBF58476D1CE4E5B9
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
+	x := Mix64(uint64(seed)*0x9E3779B97F4A7C15 + (seq+1)*0xBF58476D1CE4E5B9)
 	if x == 0 {
 		x = 1 // reserve 0 for "no span"
 	}

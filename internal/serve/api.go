@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/httpedge"
 	"repro/internal/perfmodel"
 )
 
@@ -12,15 +13,15 @@ import (
 // /v2 prefix, never a mutation of these shapes.
 
 // WorkloadSpec names a simulation domain in the campaign geometry
-// vocabulary at a lattice scale. Together with a system abbreviation and
-// a calibration seed it forms the calibration cache key, so two requests
-// that agree on these fields share one calibration.
+// vocabulary at a lattice scale. It is the whole key of the anatomy
+// cache: two requests that agree on it share one prepared anatomy,
+// whatever systems, seeds and tiers they ask about.
 type WorkloadSpec struct {
 	Geometry string  `json:"geometry"`
 	Scale    float64 `json:"scale"`
 }
 
-// key renders the workload component of the cache key. %g keeps it
+// key renders the anatomy cache key. %g keeps it
 // deterministic: equal float64 scales render identically.
 func (w WorkloadSpec) key() string { return fmt.Sprintf("%s@%g", w.Geometry, w.Scale) }
 
@@ -281,10 +282,9 @@ type HealthResponse struct {
 	Status       string  `json:"status"`
 	UptimeS      float64 `json:"uptime_s"`
 	CacheEntries int     `json:"cache_entries"`
+	Anatomies    int     `json:"anatomies"`
 	Campaigns    int     `json:"campaigns_inflight"`
 }
 
 // ErrorResponse is the uniform error body for every non-2xx status.
-type ErrorResponse struct {
-	Error string `json:"error"`
-}
+type ErrorResponse = httpedge.ErrorResponse

@@ -3,38 +3,42 @@ package serve
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 )
 
-// calibCache is a bounded LRU of calibrations with request coalescing:
-// the expensive fill for a missing key runs exactly once, on the first
-// caller's goroutine, while concurrent callers for the same key park on
-// the fill's done channel. This is the serving layer's core economic
-// bet — calibration costs seconds, model evaluation costs microseconds —
-// so the cache turns the paper's decision procedure into a hot,
-// effectively stateless call.
+// cache is a bounded LRU with request coalescing: the expensive fill
+// for a missing key runs exactly once, on the first caller's goroutine,
+// while concurrent callers for the same key park on the fill's done
+// channel. This is the serving layer's core economic bet — preparing an
+// anatomy or characterizing a system costs milliseconds to seconds,
+// model evaluation costs microseconds — so the caches turn the paper's
+// decision procedure into a hot, effectively stateless call.
 //
 // Fill errors propagate to every parked waiter but are NOT cached: a
 // transient failure must not poison the key. Waiters abandoned by their
 // own context return its error; the fill keeps running under the filling
-// caller and still populates the cache for future requests.
-type calibCache struct {
+// caller and still populates the cache for future requests. A fill that
+// ends because the filling caller's context ended says nothing about
+// the key, so a waiter whose own context is still live takes the fill
+// over instead of inheriting the filler's deadline.
+type cache[V any] struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List               // front = most recently used
-	items map[string]*list.Element // key -> element holding *cacheEntry
-	fills map[string]*fillCall
+	items map[string]*list.Element // key -> element holding *cacheEntry[V]
+	fills map[string]*fillCall[V]
 }
 
-type cacheEntry struct {
+type cacheEntry[V any] struct {
 	key string
-	val *calibration
+	val V
 }
 
-type fillCall struct {
+type fillCall[V any] struct {
 	done chan struct{}
-	val  *calibration
+	val  V
 	err  error
 }
 
@@ -47,42 +51,47 @@ const (
 	cacheCoalesced
 )
 
-func newCalibCache(capacity int) *calibCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &calibCache{
-		cap:   capacity,
+func newCache[V any](capacity int) *cache[V] {
+	return &cache[V]{
+		cap:   max(capacity, 1),
 		ll:    list.New(),
 		items: make(map[string]*list.Element),
-		fills: make(map[string]*fillCall),
+		fills: make(map[string]*fillCall[V]),
 	}
 }
 
-// get returns the calibration for key, running build on a miss. The
+// get returns the value for key, running build on a miss. The
 // cacheResult reports whether the value was resident, built here, or
 // built by a concurrent request this call coalesced onto.
-func (c *calibCache) get(ctx context.Context, key string, build func() (*calibration, error)) (*calibration, cacheResult, error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		entry, ok := el.Value.(*cacheEntry)
-		c.mu.Unlock()
-		if !ok {
-			return nil, cacheHit, fmt.Errorf("serve: cache entry for %q has wrong type", key)
+func (c *cache[V]) get(ctx context.Context, key string, build func() (V, error)) (V, cacheResult, error) {
+	var zero V
+	for {
+		c.mu.Lock()
+		if el, ok := c.items[key]; ok {
+			c.ll.MoveToFront(el)
+			entry, ok := el.Value.(*cacheEntry[V])
+			c.mu.Unlock()
+			if !ok {
+				return zero, cacheHit, fmt.Errorf("serve: cache entry for %q has wrong type", key)
+			}
+			return entry.val, cacheHit, nil
 		}
-		return entry.val, cacheHit, nil
-	}
-	if f, ok := c.fills[key]; ok {
+		f, filling := c.fills[key]
+		if !filling {
+			break // still holding c.mu: this caller fills
+		}
 		c.mu.Unlock()
 		select {
 		case <-f.done:
+			if isContextError(f.err) && ctx.Err() == nil {
+				continue // the filler gave up, not this caller: look again
+			}
 			return f.val, cacheCoalesced, f.err
 		case <-ctx.Done():
-			return nil, cacheCoalesced, ctx.Err()
+			return zero, cacheCoalesced, ctx.Err()
 		}
 	}
-	f := &fillCall{done: make(chan struct{})}
+	f := &fillCall[V]{done: make(chan struct{})}
 	c.fills[key] = f
 	c.mu.Unlock()
 
@@ -98,23 +107,27 @@ func (c *calibCache) get(ctx context.Context, key string, build func() (*calibra
 	return f.val, cacheMiss, f.err
 }
 
+func isContextError(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
 // insertLocked adds a value and evicts from the LRU tail past capacity.
 // Caller holds c.mu.
-func (c *calibCache) insertLocked(key string, v *calibration) {
+func (c *cache[V]) insertLocked(key string, v V) {
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		if entry, ok := el.Value.(*cacheEntry); ok {
+		if entry, ok := el.Value.(*cacheEntry[V]); ok {
 			entry.val = v
 		}
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: v})
+	c.items[key] = c.ll.PushFront(&cacheEntry[V]{key: key, val: v})
 	for c.ll.Len() > c.cap {
 		back := c.ll.Back()
 		if back == nil {
 			return
 		}
-		if entry, ok := back.Value.(*cacheEntry); ok {
+		if entry, ok := back.Value.(*cacheEntry[V]); ok {
 			delete(c.items, entry.key)
 		}
 		c.ll.Remove(back)
@@ -122,7 +135,7 @@ func (c *calibCache) insertLocked(key string, v *calibration) {
 }
 
 // len returns the resident entry count.
-func (c *calibCache) len() int {
+func (c *cache[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

@@ -9,6 +9,10 @@ import (
 	"time"
 )
 
+// built stands in for a cached value; the field keeps distinct values at
+// distinct addresses.
+type built struct{ _ int }
+
 // TestCacheHammer drives the LRU + singleflight from 32 goroutines
 // under -race: every key's expensive build must run at most a handful
 // of times (once per residency; eviction can force rebuilds but
@@ -20,11 +24,11 @@ func TestCacheHammer(t *testing.T) {
 		iters      = 200
 		keys       = 4
 	)
-	c := newCalibCache(keys) // capacity >= keys: no eviction churn
+	c := newCache[*built](keys) // capacity >= keys: no eviction churn
 	var builds atomic.Int64
-	vals := make([]*calibration, keys)
+	vals := make([]*built, keys)
 	for i := range vals {
-		vals[i] = &calibration{}
+		vals[i] = &built{}
 	}
 
 	var wg sync.WaitGroup
@@ -34,7 +38,7 @@ func TestCacheHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				k := (g + i) % keys
-				val, _, err := c.get(context.Background(), fmt.Sprintf("key-%d", k), func() (*calibration, error) {
+				val, _, err := c.get(context.Background(), fmt.Sprintf("key-%d", k), func() (*built, error) {
 					builds.Add(1)
 					time.Sleep(time.Millisecond) // widen the coalescing window
 					return vals[k], nil
@@ -64,8 +68,8 @@ func TestCacheHammer(t *testing.T) {
 // classification: first caller misses, resident callers hit, and a
 // caller arriving mid-fill reports coalesced.
 func TestCacheCoalescedResult(t *testing.T) {
-	c := newCalibCache(4)
-	val := &calibration{}
+	c := newCache[*built](4)
+	val := &built{}
 	filling := make(chan struct{})
 	release := make(chan struct{})
 
@@ -73,7 +77,7 @@ func TestCacheCoalescedResult(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, res, err := c.get(context.Background(), "k", func() (*calibration, error) {
+		_, res, err := c.get(context.Background(), "k", func() (*built, error) {
 			close(filling)
 			<-release
 			return val, nil
@@ -87,7 +91,7 @@ func TestCacheCoalescedResult(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		got, res, err := c.get(context.Background(), "k", func() (*calibration, error) {
+		got, res, err := c.get(context.Background(), "k", func() (*built, error) {
 			t.Error("second build ran during in-flight fill")
 			return nil, nil
 		})
@@ -100,7 +104,7 @@ func TestCacheCoalescedResult(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	_, res, err := c.get(context.Background(), "k", func() (*calibration, error) {
+	_, res, err := c.get(context.Background(), "k", func() (*built, error) {
 		t.Error("build ran for resident key")
 		return nil, nil
 	})
@@ -113,8 +117,8 @@ func TestCacheCoalescedResult(t *testing.T) {
 // deadline returns promptly with the context error while the fill keeps
 // going and still lands in the cache.
 func TestCacheWaiterHonorsContext(t *testing.T) {
-	c := newCalibCache(4)
-	val := &calibration{}
+	c := newCache[*built](4)
+	val := &built{}
 	filling := make(chan struct{})
 	release := make(chan struct{})
 
@@ -122,7 +126,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := c.get(context.Background(), "k", func() (*calibration, error) {
+		_, _, err := c.get(context.Background(), "k", func() (*built, error) {
 			close(filling)
 			<-release
 			return val, nil
@@ -135,14 +139,14 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, _, err := c.get(ctx, "k", func() (*calibration, error) { return nil, nil })
+	_, _, err := c.get(ctx, "k", func() (*built, error) { return nil, nil })
 	if err == nil || ctx.Err() == nil {
 		t.Errorf("abandoned waiter: err %v, ctx %v; want deadline", err, ctx.Err())
 	}
 
 	close(release)
 	wg.Wait()
-	got, res, err := c.get(context.Background(), "k", func() (*calibration, error) {
+	got, res, err := c.get(context.Background(), "k", func() (*built, error) {
 		t.Error("build ran again: abandoned fill was lost")
 		return nil, nil
 	})
@@ -154,15 +158,15 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 // TestCacheErrorNotCached: a failed fill propagates but must not poison
 // the key.
 func TestCacheErrorNotCached(t *testing.T) {
-	c := newCalibCache(4)
+	c := newCache[*built](4)
 	boom := fmt.Errorf("transient")
-	if _, res, err := c.get(context.Background(), "k", func() (*calibration, error) {
+	if _, res, err := c.get(context.Background(), "k", func() (*built, error) {
 		return nil, boom
 	}); err != boom || res != cacheMiss {
 		t.Fatalf("failed fill: res %v err %v", res, err)
 	}
-	val := &calibration{}
-	got, res, err := c.get(context.Background(), "k", func() (*calibration, error) {
+	val := &built{}
+	got, res, err := c.get(context.Background(), "k", func() (*built, error) {
 		return val, nil
 	})
 	if err != nil || res != cacheMiss || got != val {
@@ -173,12 +177,12 @@ func TestCacheErrorNotCached(t *testing.T) {
 // TestCacheEviction: past capacity the least recently used key is
 // evicted and must rebuild on the next request.
 func TestCacheEviction(t *testing.T) {
-	c := newCalibCache(2)
+	c := newCache[*built](2)
 	builds := map[string]int{}
-	fill := func(k string) func() (*calibration, error) {
-		return func() (*calibration, error) {
+	fill := func(k string) func() (*built, error) {
+		return func() (*built, error) {
 			builds[k]++
-			return &calibration{}, nil
+			return &built{}, nil
 		}
 	}
 	mustGet := func(k string) cacheResult {
@@ -205,5 +209,61 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if builds["b"] != 2 {
 		t.Errorf("b built %d times, want 2", builds["b"])
+	}
+}
+
+// TestCacheWaiterOutlivesImpatientFiller: a fill runs under the filling
+// caller's context, so when that caller's deadline ends the fill, the
+// error says nothing about the key. A waiter whose own context is live
+// must not inherit it (a 504 for a request with time left): it takes the
+// fill over. Impatient filler → 504, patient waiter → 200, two builds.
+func TestCacheWaiterOutlivesImpatientFiller(t *testing.T) {
+	c := newCache[*built](4)
+	val := &built{}
+	var builds atomic.Int64
+	filling := make(chan struct{})
+	build := func(ctx context.Context) func() (*built, error) {
+		return func() (*built, error) {
+			if builds.Add(1) == 1 {
+				close(filling)
+				<-ctx.Done() // a build stage noticing its request is over
+				return nil, ctx.Err()
+			}
+			return val, ctx.Err()
+		}
+	}
+
+	impatient, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, res, err := c.get(impatient, "k", build(impatient))
+		if res != cacheMiss || err == nil {
+			t.Errorf("impatient filler: res %v err %v, want a failed miss", res, err)
+		}
+	}()
+	<-filling
+
+	patient := context.Background()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		got, _, err := c.get(patient, "k", build(patient))
+		if err != nil || got != val {
+			t.Errorf("patient waiter: got %p err %v (status %d), want %p and 200", got, err, statusFor(err), val)
+		}
+	}()
+	// Let the waiter park on the fill before the filler gives up.
+	time.Sleep(10 * time.Millisecond)
+	cancel()
+	wg.Wait()
+
+	if n := builds.Load(); n != 2 {
+		t.Errorf("%d builds, want 2: the abandoned one and the waiter's", n)
+	}
+	if _, res, err := c.get(patient, "k", build(patient)); err != nil || res != cacheHit {
+		t.Errorf("after the takeover: res %v err %v, want a hit", res, err)
 	}
 }

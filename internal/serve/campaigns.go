@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/httpedge"
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
@@ -230,7 +231,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, ack)
+	httpedge.WriteJSON(w, http.StatusAccepted, ack)
 }
 
 func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
@@ -239,5 +240,5 @@ func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	httpedge.WriteJSON(w, http.StatusOK, st)
 }

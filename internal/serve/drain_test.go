@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpedge"
 )
 
 // TestConcurrentDrain races campaign submissions against graceful
@@ -103,15 +104,15 @@ func TestConcurrentDrain(t *testing.T) {
 // per-server seeded stream — deterministic for a seed, varying across
 // responses so shed clients don't retry in lockstep.
 func TestRetryAfterJitter(t *testing.T) {
-	a, b := newRetryJitter(9), newRetryJitter(9)
-	seen := make(map[string]bool)
+	a, b := httpedge.NewRetryJitter(9, 3), httpedge.NewRetryJitter(9, 3)
+	seen := make(map[int]bool)
 	for i := 0; i < 64; i++ {
-		va, vb := a.next(), b.next()
+		va, vb := a.Next(), b.Next()
 		if va != vb {
-			t.Fatalf("same-seed jitter diverged at %d: %s vs %s", i, va, vb)
+			t.Fatalf("same-seed jitter diverged at %d: %d vs %d", i, va, vb)
 		}
-		if va != "1" && va != "2" && va != "3" {
-			t.Fatalf("jitter %q outside [1,3]", va)
+		if va < 1 || va > 3 {
+			t.Fatalf("jitter %d outside [1,3]", va)
 		}
 		seen[va] = true
 	}

@@ -1,0 +1,132 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/http"
+
+	"repro/internal/campaign"
+	"repro/internal/core"
+	"repro/internal/dashboard"
+	"repro/internal/decomp"
+	"repro/internal/lbm"
+	"repro/internal/machine"
+	"repro/internal/perfmodel"
+)
+
+// The service caches the paper's two phases (Figure 1) as the two
+// objects the rest of the repository already uses, each under the key
+// it is a pure function of:
+//
+//   - phase two, a *core.Anatomy per workload "geometry@scale": the
+//     sparse lattice, its byte summary, the anatomy-tuned generalized
+//     model and the memoized decompositions — machine-independent but
+//     for the calibration node width, a server constant;
+//   - phase one, a dashboard.Entry per "system|seed|tier": the
+//     microbenchmark characterization (Tier 1 and auto only) behind the
+//     tiered predictor — anatomy-independent.
+//
+// Equal keys always yield byte-identical state (Samples, the node width
+// and the lookup table are server constants), so neither cache can serve
+// a stale or divergent value, and a reply is anatomy × entry whatever
+// order the two were built in.
+
+// normalizeTier maps the API's empty tier to the pre-tier default, the
+// calibrated Tier 1 path, keeping legacy requests byte-compatible.
+func normalizeTier(tier string) string {
+	if tier == "" {
+		return perfmodel.Tier1Calibrated
+	}
+	return tier
+}
+
+// needsCharacterization reports whether the tier's entry pays for the
+// microbenchmark fit: the calibrated tier and auto (which may serve
+// tier1 predictions). Pure physics and measured lookup skip it — that
+// skip is the point of the cheap tiers.
+func needsCharacterization(tier string) bool {
+	return tier == perfmodel.Tier1Calibrated || tier == perfmodel.TierAuto
+}
+
+// anatomyFor serves the workload's prepared anatomy from the LRU,
+// coalescing concurrent identical builds. ctx is checked between the
+// expensive stages, so a deadline-bound request abandons the build
+// promptly; the stages themselves are uninterruptible.
+func (s *Server) anatomyFor(ctx context.Context, spec WorkloadSpec) (*core.Anatomy, error) {
+	a, res, err := s.anatomies.get(ctx, spec.key(), func() (*core.Anatomy, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		dom, err := campaign.BuildGeometry(spec.Geometry, spec.Scale)
+		if err != nil {
+			return nil, &apiError{status: http.StatusBadRequest, msg: err.Error()}
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return core.NewAnatomy(spec.Geometry, dom, lbm.Params{Tau: 0.9, UMax: 0.02}, machine.WidestNode(s.cfg.Systems))
+	})
+	s.anatomyLookups[res].Inc()
+	return a, err
+}
+
+// entryFor serves the system's dashboard entry at a seed and a
+// normalized (never empty) tier. The tier is part of the key because
+// tiers build different state — Tier 0 and 2 skip characterization
+// entirely — so predictions at different tiers never share an entry.
+func (s *Server) entryFor(ctx context.Context, sys *machine.System, seed int64, tier string) (dashboard.Entry, cacheResult, error) {
+	key := fmt.Sprintf("%s|%d|%s", sys.Abbrev, seed, tier)
+	e, res, err := s.entries.get(ctx, key, func() (dashboard.Entry, error) {
+		if err := ctx.Err(); err != nil {
+			return dashboard.Entry{}, err
+		}
+		var char *perfmodel.Characterization
+		if needsCharacterization(tier) {
+			var err error
+			char, err = perfmodel.Characterize(sys, s.cfg.Samples, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				return dashboard.Entry{}, err
+			}
+		}
+		return dashboard.NewEntry(sys, char, s.cfg.Table)
+	})
+	s.entryLookups[res].Inc()
+	return e, res, err
+}
+
+// predict evaluates the requested model on the anatomy through the
+// entry's tiered predictor. The tier rides on every request: explicit
+// tiers route to exactly that backend (a missing one is
+// perfmodel.ErrNoData, a 400), auto falls back tier2 → tier1 → tier0 by
+// coverage. The direct model decomposes one task per rank, so more
+// ranks than the lattice has fluid sites is the request's mistake: 400,
+// naming the limit.
+func predict(a *core.Anatomy, e dashboard.Entry, model, tier string, ranks int, occupancy float64) (perfmodel.Prediction, error) {
+	if model != perfmodel.ModelDirect {
+		return e.Predict(perfmodel.Request{
+			Model:   perfmodel.ModelGeneral,
+			Summary: &a.Summary,
+			General: a.General,
+			Ranks:   ranks,
+			Tier:    tier,
+		})
+	}
+	w, err := a.Workload(ranks)
+	if err != nil {
+		var tc *decomp.TaskCountError
+		if errors.As(err, &tc) {
+			err = &apiError{status: http.StatusBadRequest, msg: fmt.Sprintf(
+				"ranks %d exceeds the workload's %d fluid sites: the direct model decomposes one task per rank",
+				tc.NTasks, tc.Sites)}
+		}
+		return perfmodel.Prediction{}, err
+	}
+	return e.Predict(perfmodel.Request{
+		Model:     perfmodel.ModelDirect,
+		Workload:  &w,
+		Occupancy: occupancy,
+		Tier:      tier,
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"repro/internal/dashboard"
+	"repro/internal/httpedge"
 )
 
 func assessmentJSON(a dashboard.Assessment) AssessmentJSON {
@@ -31,48 +32,38 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	obj, err := dashboard.ParseObjective(req.Objective)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpedge.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ctx, cancel := withTimeoutMS(r.Context(), req.TimeoutMS)
 	defer cancel()
 
-	systems := req.Systems
-	if len(systems) == 0 {
-		systems = s.order
-	}
 	seed := req.Seed
 	if seed == 0 {
 		seed = s.cfg.DefaultSeed
 	}
 	tier := normalizeTier(req.Tier)
 
-	// The generalized model's laws are machine-independent (each
-	// calibration tunes them against the same solver at the same node
-	// width), so the first calibration's summary+laws serve the whole
-	// assessment; each entry contributes its own machine characterization
-	// and tiered predictor.
-	entries := make([]dashboard.Entry, 0, len(systems))
-	var first *calibration
-	for _, name := range systems {
-		cal, _, err := s.calibrationFor(ctx, name, req.Workload, seed, tier)
-		if err != nil {
+	systems, err := s.resolve(req.Systems)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	a, err := s.anatomyFor(ctx, req.Workload)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	d := dashboard.Dashboard{Entries: make([]dashboard.Entry, len(systems))}
+	for i, sys := range systems {
+		if d.Entries[i], _, err = s.entryFor(ctx, sys, seed, tier); err != nil {
 			writeErr(w, err)
 			return
 		}
-		if first == nil {
-			first = cal
-		}
-		entries = append(entries, dashboard.Entry{System: cal.sys, Char: cal.char, Predictor: cal.pred})
 	}
-	d := &dashboard.Dashboard{Entries: entries}
-	as, err := d.AssessTier(first.summary, first.general, req.Ranks, req.Steps, tier)
+	as, err := d.AssessTier(a.Summary, a.General, req.Ranks, req.Steps, tier)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -105,5 +96,5 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			resp.Pareto = append(resp.Pareto, assessmentJSON(a))
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpedge.WriteJSON(w, http.StatusOK, resp)
 }

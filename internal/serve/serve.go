@@ -5,9 +5,10 @@
 //
 // The paper's economics shape the architecture: calibration (system
 // microbenchmarks, anatomy tuning) is expensive while model evaluation
-// is microseconds, so calibrations live in an LRU cache keyed by
-// (system, workload, seed) with singleflight coalescing, and the
-// prediction endpoints become hot, effectively stateless calls.
+// is microseconds, so the two phases live in two LRU caches — prepared
+// anatomies keyed by workload, dashboard entries keyed by (system,
+// seed, tier) — each with singleflight coalescing, and the prediction
+// endpoints become hot, effectively stateless calls.
 // Robustness is conventional service hygiene: per-request deadlines, a
 // concurrency limiter that sheds load with 429 + Retry-After instead of
 // queueing into timeout collapse, request body caps, and graceful
@@ -37,10 +38,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/dashboard"
+	"repro/internal/httpedge"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
@@ -64,7 +67,8 @@ type Config struct {
 	// DefaultSeed seeds calibrations for requests that omit a seed.
 	DefaultSeed int64
 
-	// CacheEntries bounds the calibration LRU (default 64).
+	// CacheEntries bounds each of the two LRUs — prepared anatomies and
+	// dashboard entries (default 64).
 	CacheEntries int
 
 	// MaxInflight caps concurrently served planning requests; excess
@@ -91,24 +95,21 @@ type Config struct {
 // Server is the planning service. Create with New, mount Handler, and
 // Close on shutdown to drain async campaigns.
 type Server struct {
-	cfg          Config
-	systems      map[string]*machine.System
-	order        []string // catalog order, for default prediction sweeps
-	coresPerNode int      // widest node in the catalog, the calibration width
+	cfg     Config
+	systems map[string]*machine.System
 
-	cache     *calibCache
+	anatomies *cache[*core.Anatomy]
+	entries   *cache[dashboard.Entry]
 	sem       chan struct{}
 	campaigns *campaignManager
-	jitter    *retryJitter
+	edge      *httpedge.Edge
 
-	reg       *obs.Registry
-	tracer    *obs.Tracer
-	startWall time.Time
-	mux       *http.ServeMux
+	reg *obs.Registry
+	mux *http.ServeMux
 
-	cacheHits      *obs.Counter
-	cacheMisses    *obs.Counter
-	cacheCoalesced *obs.Counter
+	// Lookup counters of the two caches, indexed by cacheResult.
+	anatomyLookups [3]*obs.Counter
+	entryLookups   [3]*obs.Counter
 
 	// hookAfterAcquire, when set, runs on limited endpoints while the
 	// inflight slot is held — a test seam for saturating the limiter
@@ -158,29 +159,24 @@ func New(cfg Config) (*Server, error) {
 		tracer = obs.NewTracer(cfg.DefaultSeed)
 	}
 	s := &Server{
-		cfg:            cfg,
-		systems:        make(map[string]*machine.System, len(cfg.Systems)),
-		coresPerNode:   1,
-		cache:          newCalibCache(cfg.CacheEntries),
-		sem:            make(chan struct{}, cfg.MaxInflight),
-		jitter:         newRetryJitter(cfg.DefaultSeed),
-		reg:            reg,
-		tracer:         tracer,
-		startWall:      time.Now(),
-		mux:            http.NewServeMux(),
-		cacheHits:      reg.Counter("serve_cache_total", obs.L("result", "hit")),
-		cacheMisses:    reg.Counter("serve_cache_total", obs.L("result", "miss")),
-		cacheCoalesced: reg.Counter("serve_cache_total", obs.L("result", "coalesced")),
+		cfg:       cfg,
+		systems:   make(map[string]*machine.System, len(cfg.Systems)),
+		anatomies: newCache[*core.Anatomy](cfg.CacheEntries),
+		entries:   newCache[dashboard.Entry](cfg.CacheEntries),
+		sem:       make(chan struct{}, cfg.MaxInflight),
+		edge:      httpedge.New(reg, tracer, "serve", "http ", httpedge.NewRetryJitter(cfg.DefaultSeed, 3)),
+		reg:       reg,
+		mux:       http.NewServeMux(),
+	}
+	for res, label := range [...]string{cacheMiss: "miss", cacheHit: "hit", cacheCoalesced: "coalesced"} {
+		s.entryLookups[res] = reg.Counter("serve_cache_total", obs.L("result", label))
+		s.anatomyLookups[res] = reg.Counter("serve_anatomy_cache_total", obs.L("result", label))
 	}
 	for _, sys := range cfg.Systems {
 		if _, dup := s.systems[sys.Abbrev]; dup {
 			return nil, fmt.Errorf("serve: duplicate system %q in catalog", sys.Abbrev)
 		}
 		s.systems[sys.Abbrev] = sys
-		s.order = append(s.order, sys.Abbrev)
-		if sys.CoresPerNode > s.coresPerNode {
-			s.coresPerNode = sys.CoresPerNode
-		}
 	}
 	s.campaigns = newCampaignManager(cfg.Systems, cfg.Samples, cfg.MaxCampaigns, reg)
 	s.routes()
@@ -197,119 +193,68 @@ func (s *Server) Close(ctx context.Context) error {
 	return s.campaigns.drain(ctx)
 }
 
-// system resolves a catalog entry, or a 404 apiError.
-func (s *Server) system(abbrev string) (*machine.System, error) {
-	if sys, ok := s.systems[abbrev]; ok {
-		return sys, nil
+// resolve maps a request's system names to catalog entries — none named
+// means the whole catalog, in its order — or a 404 apiError naming the
+// first unknown one, before any cache is touched, so a request for an
+// unknown system never pays for a build.
+func (s *Server) resolve(names []string) ([]*machine.System, error) {
+	if len(names) == 0 {
+		return s.cfg.Systems, nil
 	}
-	return nil, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("system %q not in catalog", abbrev)}
+	out := make([]*machine.System, len(names))
+	for i, name := range names {
+		sys, ok := s.systems[name]
+		if !ok {
+			return nil, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("system %q not in catalog", name)}
+		}
+		out[i] = sys
+	}
+	return out, nil
 }
-
-// simNow is the span timeline: seconds of server uptime.
-func (s *Server) simNow() float64 { return time.Since(s.startWall).Seconds() }
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("GET /v1/healthz", s.instrument("/v1/healthz", false, s.handleHealthz))
-	s.mux.HandleFunc("GET /v1/metrics", s.instrument("/v1/metrics", false, s.handleMetrics))
-	s.mux.HandleFunc("GET /v1/telemetry", s.instrument("/v1/telemetry", false, s.handleTelemetry))
-	s.mux.HandleFunc("POST /v1/predict", s.instrument("/v1/predict", true, s.handlePredict))
-	s.mux.HandleFunc("POST /v1/plan", s.instrument("/v1/plan", true, s.handlePlan))
-	s.mux.HandleFunc("POST /v1/campaigns", s.instrument("/v1/campaigns", true, s.handleCampaignSubmit))
-	s.mux.HandleFunc("GET /v1/campaigns/{id}", s.instrument("/v1/campaigns/status", false, s.handleCampaignStatus))
-}
-
-// statusWriter records the response code for metrics and span attrs,
-// and stamps every 429 with the server's jittered Retry-After just
-// before the header flushes (overriding writeError's static fallback).
-type statusWriter struct {
-	http.ResponseWriter
-	code       int
-	retryAfter func() string
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-		if code == http.StatusTooManyRequests && w.retryAfter != nil {
-			w.Header().Set("Retry-After", w.retryAfter())
-		}
+	planning := func(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+		return s.edge.Route(endpoint, s.limited(endpoint, h))
 	}
-	w.ResponseWriter.WriteHeader(code)
+	s.mux.HandleFunc("GET /v1/healthz", s.edge.Route("/v1/healthz", s.handleHealthz))
+	s.mux.HandleFunc("GET /v1/metrics", s.edge.Route("/v1/metrics", s.edge.Metrics))
+	s.mux.HandleFunc("GET /v1/telemetry", s.edge.Route("/v1/telemetry", s.handleTelemetry))
+	s.mux.HandleFunc("POST /v1/predict", planning("/v1/predict", s.handlePredict))
+	s.mux.HandleFunc("POST /v1/plan", planning("/v1/plan", s.handlePlan))
+	s.mux.HandleFunc("POST /v1/campaigns", planning("/v1/campaigns", s.handleCampaignSubmit))
+	s.mux.HandleFunc("GET /v1/campaigns/{id}", s.edge.Route("/v1/campaigns/status", s.handleCampaignStatus))
 }
 
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// latencyBuckets spans 50µs to ~1.6ks geometrically — fine enough for a
-// p99 on a sub-millisecond cache-warm path.
-var latencyBuckets = obs.ExpBuckets(50e-6, 2, 25)
-
-// instrument is the middleware stack applied to every route: span +
-// request/latency metrics always; on limited (planning) endpoints also
+// limited is the planning endpoints' wrapper inside the shared edge:
 // the load-shedding concurrency limiter, the body cap, and the
-// per-request deadline ceiling.
-func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) http.HandlerFunc {
+// per-request deadline ceiling. The inflight gauge is resolved on the
+// first admitted request and then reused.
+func (s *Server) limited(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	var (
+		once     sync.Once
+		inflight *obs.Gauge
+	)
 	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, retryAfter: s.jitter.next}
-		start := time.Now()
-		sp := s.startSpan(r, "http "+endpoint)
-		if tid := sp.TraceID(); !tid.IsZero() {
-			sw.Header().Set("X-Trace-Id", tid.String())
+		select {
+		case s.sem <- struct{}{}:
+			defer func() { <-s.sem }()
+		default:
+			s.reg.Counter("serve_shed_total", obs.L("endpoint", endpoint)).Inc()
+			httpedge.WriteError(w, http.StatusTooManyRequests, "server saturated; retry after backoff")
+			return
 		}
-		r = r.WithContext(obs.ContextWithSpan(r.Context(), sp))
-		defer func() {
-			code := sw.code
-			if code == 0 {
-				code = http.StatusOK
-			}
-			sp.SetAttr("code", strconv.Itoa(code))
-			sp.End(s.simNow())
-			s.reg.Counter("serve_requests_total",
-				obs.L("endpoint", endpoint), obs.L("code", strconv.Itoa(code))).Inc()
-			s.reg.Histogram("serve_latency_seconds", latencyBuckets,
-				obs.L("endpoint", endpoint)).Observe(time.Since(start).Seconds())
-		}()
-
-		if limited {
-			select {
-			case s.sem <- struct{}{}:
-				defer func() { <-s.sem }()
-			default:
-				s.reg.Counter("serve_shed_total", obs.L("endpoint", endpoint)).Inc()
-				writeError(sw, http.StatusTooManyRequests, "server saturated; retry after backoff")
-				return
-			}
-			if s.hookAfterAcquire != nil {
-				s.hookAfterAcquire()
-			}
-			inflight := s.reg.Gauge("serve_inflight")
-			inflight.Add(1)
-			defer inflight.Add(-1)
-
-			r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-			defer cancel()
-			r = r.WithContext(ctx)
+		if s.hookAfterAcquire != nil {
+			s.hookAfterAcquire()
 		}
-		h(sw, r)
+		once.Do(func() { inflight = s.reg.Gauge("serve_inflight") })
+		inflight.Add(1)
+		defer inflight.Add(-1)
+
+		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+		h(w, r.WithContext(ctx))
 	}
-}
-
-// startSpan opens the request's handler span. A valid traceparent
-// header (the router's injection) makes the span a child of the remote
-// forward span — one stitched tree per client request; anything else,
-// including malformed headers, falls back to a fresh local root.
-func (s *Server) startSpan(r *http.Request, name string) *obs.Span {
-	if v := r.Header.Get(obs.TraceParentHeader); v != "" {
-		if tp, err := obs.ParseTraceParent(v); err == nil {
-			return s.tracer.StartRemote(tp, name, s.simNow())
-		}
-	}
-	return s.tracer.Start(name, s.simNow())
 }
 
 // apiError is an error with a fixed HTTP status.
@@ -341,73 +286,31 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
-		// Headers are gone; nothing to do but note it in metrics via
-		// the caller's instrumented status.
-		return
-	}
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	if status == http.StatusTooManyRequests {
-		// Load shedding contract: every 429 names a backoff. This
-		// static value is only a fallback — statusWriter overrides it
-		// with the server's seeded jitter at WriteHeader time, so
-		// client fleets don't retry in lockstep.
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, ErrorResponse{Error: msg})
-}
-
-// retryJitter deals deterministic Retry-After backoffs in [1, 3]
-// seconds from a seeded SplitMix64 stream. Shedding a fleet of clients
-// with one constant backoff synchronizes their retries into a thundering
-// herd one second later; per-server seeded jitter de-phases them while
-// keeping test runs reproducible.
-type retryJitter struct {
-	mu    sync.Mutex
-	state uint64
-}
-
-func newRetryJitter(seed int64) *retryJitter {
-	return &retryJitter{state: uint64(seed)}
-}
-
-// next returns the following backoff in whole seconds, "1".."3".
-func (j *retryJitter) next() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	// SplitMix64 step: well-distributed, cheap, reproducible.
-	j.state += 0x9e3779b97f4a7c15
-	z := j.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return strconv.Itoa(int(z%3) + 1)
-}
-
 func writeErr(w http.ResponseWriter, err error) {
-	writeError(w, statusFor(err), err.Error())
+	httpedge.WriteError(w, statusFor(err), err.Error())
 }
 
-// decodeJSON parses a request body strictly (unknown fields rejected),
-// answering 400 on malformed input and 413 past the body cap.
+// decodeJSON parses a request body strictly (unknown fields rejected)
+// and runs the request's own validate method when it has one, answering
+// 400 on malformed or invalid input and 413 past the body cap.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			httpedge.WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 			return false
 		}
-		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
+		httpedge.WriteError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 		return false
+	}
+	if req, ok := v.(interface{ validate() error }); ok {
+		if err := req.validate(); err != nil {
+			httpedge.WriteError(w, http.StatusBadRequest, err.Error())
+			return false
+		}
 	}
 	return true
 }
@@ -422,33 +325,21 @@ func withTimeoutMS(ctx context.Context, timeoutMS int64) (context.Context, conte
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{
+	httpedge.WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:       "ok",
-		UptimeS:      s.simNow(),
-		CacheEntries: s.cache.len(),
+		UptimeS:      s.edge.Now(),
+		CacheEntries: s.entries.len(),
+		Anatomies:    s.anatomies.len(),
 		Campaigns:    s.campaigns.running(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.reg.Snapshot()
-	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, snap)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := obs.WriteMetricsText(w, snap); err != nil {
-		// Mid-stream failure: the status line is already written.
-		return
-	}
 }
 
 // handleTelemetry serves the raw mergeable metric state — counter sums
 // and histogram buckets, never quantiles — that the cluster router
 // scrapes and folds into fleet-wide aggregates (obs.MergeMetrics).
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, obs.TelemetrySnapshot{
-		UptimeS: s.simNow(),
+	httpedge.WriteJSON(w, http.StatusOK, obs.TelemetrySnapshot{
+		UptimeS: s.edge.Now(),
 		Metrics: s.reg.Snapshot(),
 	})
 }
@@ -459,17 +350,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	ctx, cancel := withTimeoutMS(r.Context(), req.TimeoutMS)
 	defer cancel()
 
-	systems := req.Systems
-	if len(systems) == 0 {
-		systems = s.order
-	}
 	seed := req.Seed
 	if seed == 0 {
 		seed = s.cfg.DefaultSeed
@@ -480,9 +363,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	tier := normalizeTier(req.Tier)
 
+	systems, err := s.resolve(req.Systems)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	a, err := s.anatomyFor(ctx, req.Workload)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
 	resp := PredictResponse{Predictions: make([]PredictionJSON, 0, len(systems)*len(req.Ranks))}
-	for _, sysName := range systems {
-		cal, res, err := s.calibrationFor(ctx, sysName, req.Workload, seed, tier)
+	for _, sys := range systems {
+		e, res, err := s.entryFor(ctx, sys, seed, tier)
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -496,7 +389,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			resp.CacheCoalesced++
 		}
 		for _, ranks := range req.Ranks {
-			pred, err := cal.predict(model, ranks, req.Occupancy)
+			pred, err := predict(a, e, model, tier, ranks, req.Occupancy)
 			if err != nil {
 				writeErr(w, err)
 				return
@@ -504,5 +397,5 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			resp.Predictions = append(resp.Predictions, predictionJSON(pred))
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpedge.WriteJSON(w, http.StatusOK, resp)
 }

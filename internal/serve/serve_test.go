@@ -153,6 +153,9 @@ func TestMalformedAndInvalidRequests(t *testing.T) {
 		{"bad model", "/v1/predict", `{"workload":{"geometry":"cylinder","scale":5},"ranks":[4],"model":"quantum"}`, http.StatusBadRequest},
 		{"bad geometry", "/v1/predict", `{"workload":{"geometry":"spleen","scale":5},"ranks":[4]}`, http.StatusBadRequest},
 		{"unknown system", "/v1/predict", `{"workload":{"geometry":"cylinder","scale":5},"systems":["VAX-11"],"ranks":[4]}`, http.StatusNotFound},
+		// The system is checked before the geometry is built, as it always was.
+		{"unknown system and bad geometry", "/v1/predict", `{"workload":{"geometry":"spleen","scale":5},"systems":["VAX-11"],"ranks":[4]}`, http.StatusNotFound},
+		{"plan unknown system and bad geometry", "/v1/plan", `{"workload":{"geometry":"spleen","scale":5},"systems":["VAX-11"],"ranks":4,"steps":10}`, http.StatusNotFound},
 		{"bad objective", "/v1/plan", `{"workload":{"geometry":"cylinder","scale":5},"ranks":4,"steps":10,"objective":"wat"}`, http.StatusBadRequest},
 		{"bad backend", "/v1/campaigns", `{"backend":"mainframe","config":{}}`, http.StatusBadRequest},
 		{"campaign bad config", "/v1/campaigns", `{"config":{"budget_usd":0,"jobs":[]}}`, http.StatusBadRequest},
@@ -368,7 +371,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if resp := getJSON(t, ts.URL+"/v1/healthz", &hr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}
-	if hr.Status != "ok" || hr.CacheEntries != 1 {
+	if hr.Status != "ok" || hr.CacheEntries != 1 || hr.Anatomies != 1 {
 		t.Errorf("health implausible: %+v", hr)
 	}
 
@@ -388,6 +391,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`serve_requests_total{code="200",endpoint="/v1/predict"}`,
 		"serve_latency_seconds_bucket",
 		`serve_cache_total{result="miss"} 1`,
+		`serve_anatomy_cache_total{result="miss"} 1`,
 	} {
 		if !bytes.Contains(text, []byte(want)) {
 			t.Errorf("metrics text missing %q:\n%s", want, text)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/perfmodel"
 )
 
 // TestDirectRanksAboveFluidSitesIs400: the direct model decomposes one
@@ -21,11 +20,11 @@ import (
 func TestDirectRanksAboveFluidSitesIs400(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	spec := WorkloadSpec{Geometry: "cylinder", Scale: 5}
-	cal, _, err := s.calibrationFor(context.Background(), "CSP-2", spec, 7, perfmodel.Tier1Calibrated)
+	a, err := s.anatomyFor(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := cal.solver.N()
+	sites := a.Solver.N()
 
 	body := func(model string, ranks int) string {
 		return fmt.Sprintf(`{"workload":{"geometry":"cylinder","scale":5},"systems":["CSP-2"],"ranks":[%d],"model":%q}`, ranks, model)
@@ -55,13 +54,13 @@ func TestDirectRanksAboveFluidSitesIs400(t *testing.T) {
 }
 
 // TestDecompositionMemoIsBounded: rank counts are the client's choice, so
-// one cache key must not pin a decomposition per count ever requested.
-// 200 distinct counts at one key keep the memo at or below its cap, and a
+// one anatomy must not pin a decomposition per count ever requested.
+// 200 distinct counts at one workload keep the memo at or below its cap, and a
 // count evicted and asked for again gets the byte-identical reply.
 func TestDecompositionMemoIsBounded(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	spec := WorkloadSpec{Geometry: "cylinder", Scale: 5}
-	cal, _, err := s.calibrationFor(context.Background(), "CSP-2", spec, 7, perfmodel.Tier1Calibrated)
+	a, err := s.anatomyFor(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,16 +74,21 @@ func TestDecompositionMemoIsBounded(t *testing.T) {
 		return data
 	}
 
+	// Warm the entry without touching the memo, so every direct reply
+	// below carries the same cache fields.
+	if resp, data := postJSON(t, ts.URL+"/v1/predict", predictBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up: status %d (%s)", resp.StatusCode, data)
+	}
 	const distinct = 200
 	replies := make([][]byte, distinct+1)
 	for ranks := 1; ranks <= distinct; ranks++ {
 		replies[ranks] = ask(ranks)
-		if n := cal.workloads.Len(); n > core.MaxMemoizedWorkloads {
+		if n := a.MemoizedWorkloads(); n > core.MaxMemoizedWorkloads {
 			t.Fatalf("after %d distinct rank counts the memo holds %d decompositions, cap %d",
 				ranks, n, core.MaxMemoizedWorkloads)
 		}
 	}
-	if n := cal.workloads.Len(); n != core.MaxMemoizedWorkloads {
+	if n := a.MemoizedWorkloads(); n != core.MaxMemoizedWorkloads {
 		t.Errorf("memo holds %d decompositions, want it full at %d", n, core.MaxMemoizedWorkloads)
 	}
 	// Counts 1…(distinct-cap) are long evicted; the last few are not.
