@@ -84,9 +84,9 @@ func main() {
 	fmt.Println()
 	fmt.Print(outcome.Render())
 
-	// Post-campaign accuracy report from the refinement store.
+	// Post-campaign accuracy report from the monitor's Tier 1 samples.
 	for _, sys := range systems {
-		if before, after, n := fw.Refiner.MAPE(sys.Abbrev, "direct"); n > 0 {
+		if before, after, n := fw.Monitor.MAPE(sys.Abbrev, "direct"); n > 0 {
 			fmt.Printf("model accuracy on %s: MAPE %.1f%% raw, %.1f%% calibrated (%d runs)\n",
 				sys.Abbrev, before*100, after*100, n)
 		}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/decomp"
 	"repro/internal/lbm"
+	"repro/internal/monitor"
 	"repro/internal/perfmodel"
 	"repro/internal/simcloud"
 )
@@ -65,14 +66,14 @@ func main() {
 		measured, pred.MFLUPS/measured)
 
 	// Close the loop: one recorded run calibrates the host model.
-	var refiner perfmodel.Refiner
-	if err := refiner.Add(perfmodel.Record{
-		Workload: "proxy", System: char.System, Model: pred.Model,
-		Ranks: 1, Predicted: pred.MFLUPS, Measured: measured,
+	var store monitor.Store
+	if err := store.Add(monitor.Sample{
+		Workload: "proxy", System: char.System, Model: pred.Model, Tier: pred.Tier,
+		Ranks: 1, Predicted: pred.MFLUPS, MFLUPS: measured,
 	}); err != nil {
 		log.Fatal(err)
 	}
-	refined := refiner.Refine(pred)
+	refined := store.Refine(pred)
 	fmt.Printf("after one refinement record:    %8.2f MFLUPS\n", refined.MFLUPS)
 	fmt.Println("\nThe raw gap is the host's kernel overhead (instruction issue,")
 	fmt.Println("bounds checks, partial cache lines) that a pure bytes-over-")

@@ -2,9 +2,10 @@
 // The uncalibrated models overpredict by a consistent amount (the
 // simulator charges kernel overhead that a pure bytes/bandwidth model
 // cannot see, as the real HARVEY runs did). Every measurement is stored
-// with its prediction; the refiner learns a per-system correction and the
-// error collapses over successive campaign rounds. The record store is
-// serialized to JSON the way a production deployment would persist it.
+// with its prediction in the framework's monitor; the correction read
+// from those pairs scales the next prediction and the error collapses
+// over successive campaign rounds. The store is serialized to JSON the
+// way a production deployment would persist it.
 //
 // Run with: go run ./examples/refinement
 package main
@@ -59,14 +60,14 @@ func main() {
 		}
 	}
 
-	before, after, n := fw.Refiner.MAPE(system, "direct")
+	before, after, n := fw.Monitor.MAPE(system, "direct")
 	fmt.Printf("\nstored records: %d; MAPE raw %.1f%%, calibrated %.1f%%\n",
 		n, before*100, after*100)
 	fmt.Printf("first-round error %.1f%%, final-round error %.1f%%\n", firstErr*100, lastErr*100)
 
-	// Persist and restore the record store.
+	// Persist the store.
 	var buf bytes.Buffer
-	if err := fw.Refiner.Save(&buf); err != nil {
+	if err := fw.Monitor.Save(&buf); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("record store serialized: %d bytes of JSON\n", buf.Len())

@@ -18,7 +18,6 @@ import (
 	"repro/internal/dashboard"
 	"repro/internal/geometry"
 	"repro/internal/lbm"
-	"repro/internal/monitor"
 	"repro/internal/perfmodel"
 	"repro/internal/units"
 )
@@ -264,6 +263,29 @@ func resolve(j JobConfig) (scale float64, steps int, params lbm.Params, warnings
 	return scale, steps, params, warnings, nil
 }
 
+// prepare takes a job through phase two of Figure 1 up to its tuned
+// anatomy: resolve the lattice quantities, build the geometry, calibrate
+// the generalized model. It also returns the resolved step count and the
+// units-check warnings, prefixed with the job name.
+func prepare(fw *core.Framework, j JobConfig) (*core.Anatomy, int, []string, error) {
+	scale, steps, params, warnings, err := resolve(j)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	for i, w := range warnings {
+		warnings[i] = j.Name + ": " + w
+	}
+	dom, err := BuildGeometry(j.Geometry, scale)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	anatomy, err := fw.PrepareAnatomy(j.Name, dom, params)
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("campaign: preparing %q: %w", j.Name, err)
+	}
+	return anatomy, steps, warnings, nil
+}
+
 // JobOutcome reports one executed job.
 type JobOutcome struct {
 	Name            string
@@ -332,21 +354,11 @@ func runSerial(ctx context.Context, fw *core.Framework, cfg Config) (Summary, er
 			summary.SpentUSD = fw.Provider.TotalSpend()
 			return summary, err
 		}
-		scale, steps, params, warnings, err := resolve(j)
+		anatomy, steps, warnings, err := prepare(fw, j)
 		if err != nil {
 			return Summary{}, err
 		}
-		for _, w := range warnings {
-			summary.Warnings = append(summary.Warnings, j.Name+": "+w)
-		}
-		dom, err := BuildGeometry(j.Geometry, scale)
-		if err != nil {
-			return Summary{}, err
-		}
-		anatomy, err := fw.PrepareAnatomy(j.Name, dom, params)
-		if err != nil {
-			return Summary{}, fmt.Errorf("campaign: preparing %q: %w", j.Name, err)
-		}
+		summary.Warnings = append(summary.Warnings, warnings...)
 		system := j.System
 		if system == "" {
 			best, err := fw.Recommend(anatomy, j.Ranks, steps, obj, cfg.Deadline)
@@ -378,23 +390,10 @@ func runSerial(ctx context.Context, fw *core.Framework, cfg Config) (Summary, er
 			Name: j.Name, System: system, Planned: true,
 			Result: res, PredictedMFLUPS: pred.MFLUPS,
 		})
-		// Feed the refinement loop and the telemetry monitor with
-		// completed, unaborted runs — the same measure→model→refine
-		// loop the fleet backend closes through its metrics snapshot.
+		// Record completed, unaborted runs — the same measure→model→
+		// refine loop the fleet backend closes by exporting its report.
 		if !res.Aborted && res.StepsDone > 0 {
 			if err := fw.Record(anatomy, pred, res.Result); err != nil {
-				return Summary{}, err
-			}
-			if err := fw.Monitor.Add(monitor.Sample{
-				TimeS:     fw.Provider.Clock(),
-				Workload:  j.Name,
-				System:    system,
-				Model:     pred.Model,
-				Ranks:     j.Ranks,
-				MFLUPS:    res.Result.MFLUPS,
-				Predicted: pred.MFLUPS,
-				CostUSD:   res.USD,
-			}); err != nil {
 				return Summary{}, err
 			}
 		}

@@ -86,9 +86,9 @@ func TestRunCampaignEndToEnd(t *testing.T) {
 	if sum.SpentUSD <= 0 || sum.SpentUSD > cfg.BudgetUSD*1.5 {
 		t.Errorf("spend %v implausible for budget %v", sum.SpentUSD, cfg.BudgetUSD)
 	}
-	// Completed runs fed the refiner.
-	if fw.Refiner.Len() != 2 {
-		t.Errorf("refiner has %d records, want 2", fw.Refiner.Len())
+	// Completed runs were recorded, once each.
+	if fw.Monitor.Len() != 2 {
+		t.Errorf("monitor has %d samples, want 2", fw.Monitor.Len())
 	}
 	text := sum.Render()
 	for _, want := range []string{"patient-a", "patient-b", "completed", "total spend"} {

@@ -147,8 +147,8 @@ func fleetSLOObs(atS float64, metrics []obs.Metric) obs.SLOObs {
 // RunFleet executes the campaign on the fleet backend: every job is
 // prepared through the Figure 1 loop (anatomy, tuned model, per-system
 // predictions), then the whole queue is scheduled concurrently across
-// the declared instance pool. Completed jobs export telemetry into the
-// framework's monitor and feed the refinement store.
+// the declared instance pool. Completed jobs are exported into the
+// framework's monitor, the refinement store.
 func RunFleet(fw *core.Framework, cfg Config) (FleetSummary, error) {
 	return runFleet(context.Background(), fw, cfg)
 }
@@ -199,21 +199,11 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 		if err := interrupted(ctx); err != nil {
 			return FleetSummary{}, err
 		}
-		scale, steps, params, warnings, err := resolve(j)
+		anatomy, steps, warnings, err := prepare(fw, j)
 		if err != nil {
 			return FleetSummary{}, err
 		}
-		for _, w := range warnings {
-			summary.Warnings = append(summary.Warnings, j.Name+": "+w)
-		}
-		dom, err := BuildGeometry(j.Geometry, scale)
-		if err != nil {
-			return FleetSummary{}, err
-		}
-		anatomy, err := fw.PrepareAnatomy(j.Name, dom, params)
-		if err != nil {
-			return FleetSummary{}, fmt.Errorf("campaign: preparing %q: %w", j.Name, err)
-		}
+		summary.Warnings = append(summary.Warnings, warnings...)
 		w, err := fw.Workload(anatomy, j.Ranks)
 		if err != nil {
 			return FleetSummary{}, fmt.Errorf("campaign: decomposing %q: %w", j.Name, err)
@@ -229,6 +219,7 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 			OnDemandOnly: j.OnDemandOnly,
 			PerStep:      map[string]float64{},
 			PredMFLUPS:   map[string]float64{},
+			PredTier:     map[string]string{},
 		}
 		if j.System != "" {
 			if !seen[j.System] {
@@ -253,6 +244,7 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 			}
 			fj.PerStep[abbrev] = pred.SecondsPerStep
 			fj.PredMFLUPS[abbrev] = pred.MFLUPS
+			fj.PredTier[abbrev] = pred.Tier
 		}
 		jobs = append(jobs, fj)
 	}
@@ -285,13 +277,11 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 		summary.Alerts = tracker.Alerts()
 	}
 
-	// Close the loop: every completed job becomes a telemetry sample,
-	// and every prediction-bearing sample a refinement record.
-	if err := report.ExportMonitor(&fw.Monitor); err != nil {
+	// Close the loop: every completed job becomes one sample on the
+	// framework's timeline, which then moves past the run so whatever
+	// this framework does next is stamped after it.
+	if err := report.ExportMonitor(&fw.Monitor, fw.Provider.Clock()); err != nil {
 		return summary, err
 	}
-	if err := fw.Monitor.FeedRefiner(&fw.Refiner); err != nil {
-		return summary, err
-	}
-	return summary, nil
+	return summary, fw.Provider.Advance(report.MakespanS)
 }

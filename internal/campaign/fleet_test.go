@@ -32,7 +32,9 @@ const fleetConfigJSON = `{
   ]
 }`
 
-func runFleetOnce(t *testing.T) (*core.Framework, FleetSummary) {
+// fleetFramework loads the test config and characterizes a fresh
+// framework under its seed.
+func fleetFramework(t *testing.T) (*core.Framework, Config) {
 	t.Helper()
 	cfg, err := Load(strings.NewReader(fleetConfigJSON))
 	if err != nil {
@@ -42,6 +44,12 @@ func runFleetOnce(t *testing.T) (*core.Framework, FleetSummary) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fw, cfg
+}
+
+func runFleetOnce(t *testing.T) (*core.Framework, FleetSummary) {
+	t.Helper()
+	fw, cfg := fleetFramework(t)
 	sum, err := RunFleet(fw, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -66,12 +74,13 @@ func TestRunFleetEndToEnd(t *testing.T) {
 			t.Errorf("job %s missing measured/predicted throughput: %+v", j.Name, j)
 		}
 	}
-	// Completed jobs became telemetry and fed the refinement store.
-	if got := len(fw.Monitor.Records()); got != 4 {
-		t.Errorf("monitor has %d samples, want 4", got)
+	// Completed jobs became samples in the refinement store, once each,
+	// and the framework's clock moved past the run.
+	if fw.Monitor.Len() != 4 {
+		t.Errorf("monitor has %d samples, want 4", fw.Monitor.Len())
 	}
-	if fw.Refiner.Len() != 4 {
-		t.Errorf("refiner has %d records, want 4", fw.Refiner.Len())
+	if fw.Provider.Clock() != r.MakespanS {
+		t.Errorf("provider clock %v after the run, want the makespan %v", fw.Provider.Clock(), r.MakespanS)
 	}
 	text := sum.Render()
 	for _, want := range []string{"event log", "instance utilization", "jobs", "fleet-a", "submitted", "completed"} {

@@ -34,11 +34,12 @@ import (
 type Framework struct {
 	Dashboard *dashboard.Dashboard
 	Provider  *cloud.Provider
-	Refiner   perfmodel.Refiner
 
-	// Monitor is the SONAR-style telemetry store: every Observe cycle
-	// appends a sample, giving baselines and regression detection over
-	// the campaign's history.
+	// Monitor is the SONAR-style store of every measured run with the
+	// prediction that preceded it, on the provider's simulated timeline.
+	// Record is its one writer here (a fleet report exports into it
+	// too); baselines, regression detection and the refinement
+	// correction are all read from it.
 	Monitor monitor.Store
 
 	systems []*machine.System
@@ -145,7 +146,7 @@ func (f *Framework) AttachTable(tbl *perfmodel.Table) error {
 }
 
 // refine applies iterative-refinement feedback to a prediction. The
-// refiner's records are measured-vs-Tier-1 residuals, so its correction
+// monitor's correction is taken over measured-vs-Tier-1 residuals, so it
 // is only meaningful on Tier 1 output: scaling a Tier 2 table value (or
 // a Tier 0 spec-sheet estimate) by a Tier 1 bias factor would
 // contaminate the other tiers' provenance.
@@ -153,7 +154,7 @@ func (f *Framework) refine(pred perfmodel.Prediction) perfmodel.Prediction {
 	if pred.Tier != perfmodel.Tier1Calibrated {
 		return pred
 	}
-	return f.Refiner.Refine(pred)
+	return f.Monitor.Refine(pred)
 }
 
 // PredictDirect evaluates the direct model for the anatomy on a system
@@ -221,23 +222,29 @@ func (f *Framework) Measure(a *Anatomy, system string, ranks, steps int) (simclo
 	return simcloud.Run(w, sys, steps, f.rng)
 }
 
-// Record stores a prediction/measurement pair in the refiner, improving
-// subsequent predictions (the feedback arrow of Figure 1).
+// Record stores a prediction/measurement pair in the monitor, stamped
+// with the provider's simulated clock and the tier that predicted. Tier 1
+// pairs improve subsequent predictions (the feedback arrow of Figure 1).
 func (f *Framework) Record(a *Anatomy, pred perfmodel.Prediction, measured simcloud.Result) error {
-	return f.Refiner.Add(perfmodel.Record{
+	if pred.MFLUPS <= 0 {
+		return fmt.Errorf("core: prediction for %s/%s has non-positive throughput", pred.System, a.Name)
+	}
+	return f.Monitor.Add(monitor.Sample{
+		TimeS:     f.Provider.Clock(),
 		Workload:  a.Name,
 		System:    pred.System,
 		Model:     pred.Model,
+		Tier:      pred.Tier,
 		Ranks:     pred.Ranks,
+		MFLUPS:    measured.MFLUPS,
 		Predicted: pred.MFLUPS,
-		Measured:  measured.MFLUPS,
+		CostUSD:   measured.CostUSD,
 	})
 }
 
 // Observe runs one full predict-measure-track cycle for an anatomy on a
-// system: direct prediction, simulated measurement, a telemetry sample in
-// the monitor (stamped with the provider's simulated clock), and a
-// refinement record. This is the automated loop the paper's Discussion
+// system: direct prediction, simulated measurement, and the pair recorded
+// in the monitor. This is the automated loop the paper's Discussion
 // sketches around SONAR-style monitoring.
 func (f *Framework) Observe(a *Anatomy, system string, ranks, steps int) (perfmodel.Prediction, simcloud.Result, error) {
 	pred, err := f.PredictDirect(a, system, ranks)
@@ -246,18 +253,6 @@ func (f *Framework) Observe(a *Anatomy, system string, ranks, steps int) (perfmo
 	}
 	meas, err := f.Measure(a, system, ranks, steps)
 	if err != nil {
-		return perfmodel.Prediction{}, simcloud.Result{}, err
-	}
-	if err := f.Monitor.Add(monitor.Sample{
-		TimeS:     f.Provider.Clock(),
-		Workload:  a.Name,
-		System:    system,
-		Model:     pred.Model,
-		Ranks:     ranks,
-		MFLUPS:    meas.MFLUPS,
-		Predicted: pred.MFLUPS,
-		CostUSD:   meas.CostUSD,
-	}); err != nil {
 		return perfmodel.Prediction{}, simcloud.Result{}, err
 	}
 	if err := f.Record(a, pred, meas); err != nil {

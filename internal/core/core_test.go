@@ -59,8 +59,8 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err := fw.Record(a, direct, meas); err != nil {
 		t.Fatal(err)
 	}
-	if fw.Refiner.Len() != 1 {
-		t.Fatalf("refiner has %d records, want 1", fw.Refiner.Len())
+	if fw.Monitor.Len() != 1 {
+		t.Fatalf("monitor has %d samples, want 1", fw.Monitor.Len())
 	}
 
 	// After recording, the refined prediction moves toward the measurement.
@@ -191,7 +191,7 @@ func TestDefaultCalibrationCounts(t *testing.T) {
 	}
 }
 
-func TestObserveFeedsMonitorAndRefiner(t *testing.T) {
+func TestObserveFeedsMonitor(t *testing.T) {
 	fw := framework(t)
 	a := anatomy(t, fw)
 	for i := 0; i < 4; i++ {
@@ -209,8 +209,8 @@ func TestObserveFeedsMonitorAndRefiner(t *testing.T) {
 	if fw.Monitor.Len() != 4 {
 		t.Errorf("monitor has %d samples, want 4", fw.Monitor.Len())
 	}
-	if fw.Refiner.Len() != 4 {
-		t.Errorf("refiner has %d records, want 4", fw.Refiner.Len())
+	if _, _, n := fw.Monitor.MAPE("CSP-2", "direct"); n != 4 {
+		t.Errorf("refinement reads %d of the 4 samples", n)
 	}
 	base, err := fw.Monitor.Baseline("cylinder", "CSP-2", 36)
 	if err != nil {

@@ -420,21 +420,42 @@ func TestExportMonitor(t *testing.T) {
 	}
 	a := namedJob(t, "a", 8, 200, 0)
 	a.PredMFLUPS = map[string]float64{"CSP-2 Small": 123, "CSP-1": 99}
-	r, err := s.Run([]*Job{a, namedJob(t, "b", 8, 250, 0)})
+	b := namedJob(t, "b", 8, 250, 0)
+	b.PredMFLUPS = map[string]float64{"CSP-2 Small": 400, "CSP-1": 300}
+	b.PredTier = map[string]string{"CSP-2 Small": "tier0", "CSP-1": "tier0"}
+	r, err := s.Run([]*Job{a, b, namedJob(t, "c", 8, 250, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The store already holds a run that ended at t=1000: the fleet's
+	// completion times, counted from zero, land after it.
 	var st monitor.Store
-	if err := r.ExportMonitor(&st); err != nil {
+	if err := st.Add(monitor.Sample{TimeS: 1000, Workload: "earlier", System: "CSP-1", Ranks: 8, MFLUPS: 50}); err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() != r.Completed {
-		t.Fatalf("exported %d samples for %d completed jobs", st.Len(), r.Completed)
+	if err := r.ExportMonitor(&st, 1000); err != nil {
+		t.Fatal(err)
 	}
-	// The job carrying predictions must surface them as refinement records.
-	recs := st.Records()
-	if len(recs) != 1 || recs[0].Workload != "a" || recs[0].Predicted <= 0 {
-		t.Errorf("refinement records = %+v, want one for job a", recs)
+	if st.Len() != 1+r.Completed || r.Completed != 3 {
+		t.Fatalf("exported %d samples for %d completed jobs", st.Len()-1, r.Completed)
+	}
+	for _, j := range r.Jobs {
+		got := st.Series(j.Name, j.System, j.Ranks)
+		if len(got) != 1 || got[0].TimeS != 1000+j.DoneS || got[0].Predicted != j.PredMFLUPS || got[0].Tier != j.PredTier {
+			t.Errorf("job %s exported as %+v, report %+v", j.Name, got, j)
+		}
+	}
+	// Only the Tier 1 prediction refines: job a's, not b's tier0 one or
+	// the prediction-less c.
+	sysA := r.Jobs[0].System
+	if _, _, n := st.MAPE(sysA, "direct"); n != 1 {
+		t.Errorf("refinement reads %d samples on %s, want job a's alone", n, sysA)
+	}
+	if got, want := st.Correction(sysA, "direct", 8), r.Jobs[0].MFLUPS/r.Jobs[0].PredMFLUPS; math.Abs(got-want) > 1e-12 {
+		t.Errorf("correction on %s = %v, want %v", sysA, got, want)
+	}
+	if r.Jobs[1].PredTier != "tier0" {
+		t.Errorf("job b reports tier %q, want tier0", r.Jobs[1].PredTier)
 	}
 }
 

@@ -46,8 +46,10 @@ type Job struct {
 
 	// PredMFLUPS optionally carries predicted throughput per system for
 	// telemetry export (monitor samples gain a Predicted field, feeding
-	// the refinement loop).
+	// the refinement loop), and PredTier the accuracy tier that produced
+	// each; a system missing from PredTier was predicted at Tier 1.
 	PredMFLUPS map[string]float64
+	PredTier   map[string]string
 }
 
 // jobState wraps a Job with the scheduler's bookkeeping. All fields are

@@ -36,6 +36,7 @@ type JobReport struct {
 	ShedReason string // empty when completed
 
 	PredMFLUPS float64 // model prediction on the final system, 0 if unknown
+	PredTier   string  // tier that produced PredMFLUPS, "" for Tier 1
 }
 
 // InstanceReport is one pool instance's utilization accounting.
@@ -91,6 +92,7 @@ func (s *Scheduler) report() *Report {
 		if j.system != "" {
 			jr.System = j.system
 			jr.PredMFLUPS = j.PredMFLUPS[j.system]
+			jr.PredTier = j.PredTier[j.system]
 		}
 		if j.firstStart >= 0 {
 			jr.WaitS = j.firstStart - jr.SubmitS
@@ -168,12 +170,14 @@ func (r *Report) RenderUtilization() string {
 	return b.String()
 }
 
-// ExportMonitor appends a telemetry sample per completed job — stamped
-// with its simulated completion time, carrying the model prediction when
-// one drove the placement — into a monitor store, feeding the regression
-// tracking and refinement loop the paper's Discussion sketches. Samples
+// ExportMonitor appends a telemetry sample per completed job — carrying
+// the model prediction and its tier when one drove the placement — into
+// a monitor store, feeding the regression tracking and refinement loop
+// the paper's Discussion sketches. The fleet clock starts at zero every
+// run while the store keeps one timeline, so startS, the store owner's
+// clock when the run began, is added to each completion time. Samples
 // arrive in completion order, ties broken on the configuration key.
-func (r *Report) ExportMonitor(st *monitor.Store) error {
+func (r *Report) ExportMonitor(st *monitor.Store, startS float64) error {
 	var done []monitor.Sample
 	for _, j := range r.Jobs {
 		if !j.Completed || j.MFLUPS <= 0 {
@@ -184,10 +188,11 @@ func (r *Report) ExportMonitor(st *monitor.Store) error {
 			model = "direct"
 		}
 		done = append(done, monitor.Sample{
-			TimeS:     j.DoneS,
+			TimeS:     startS + j.DoneS,
 			Workload:  j.Name,
 			System:    j.System,
 			Model:     model,
+			Tier:      j.PredTier,
 			Ranks:     j.Ranks,
 			MFLUPS:    j.MFLUPS,
 			Predicted: j.PredMFLUPS,

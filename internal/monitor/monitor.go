@@ -1,10 +1,12 @@
 // Package monitor is the performance-monitoring layer the paper's
 // Discussion anticipates ("performance monitoring projects such as SONAR
 // are expected to be extremely useful in helping to automate and track
-// the measured performance against model predictions"): an append-only
-// telemetry store of completed runs with their predictions, statistical
-// baselines per configuration, regression detection, and export of
-// prediction/measurement pairs into the model-refinement loop.
+// the measured performance against model predictions"): the one
+// append-only store of completed runs with their predictions. Baselines
+// and regression detection per configuration, and the iterative-
+// refinement correction ("storing all measured performance along with
+// the estimated performance model prediction will be critical to
+// iteratively refining the performance models"), are views over it.
 package monitor
 
 import (
@@ -25,6 +27,7 @@ type Sample struct {
 	Workload  string  `json:"workload"`
 	System    string  `json:"system"`
 	Model     string  `json:"model,omitempty"` // which model predicted, if any
+	Tier      string  `json:"tier,omitempty"`  // which tier predicted; "" is Tier 1 (see Add)
 	Ranks     int     `json:"ranks"`
 	MFLUPS    float64 `json:"mflups"`
 	Predicted float64 `json:"predicted_mflups,omitempty"`
@@ -48,14 +51,26 @@ func (s Sample) Key() string {
 	return fmt.Sprintf("%s|%s|%d", escapeKeyPart(s.Workload), escapeKeyPart(s.System), s.Ranks)
 }
 
+// refines reports whether the sample is a measured-vs-Tier-1 residual,
+// the only kind the refinement correction is taken over: scaling Tier 1
+// output by the bias of a spec-sheet estimate or a table value would
+// mix the tiers' provenance. The other tiers' residuals stay in the
+// store for per-(system, tier) drift telemetry.
+func (s Sample) refines() bool { return s.Predicted > 0 && s.Tier == "" }
+
 // Store is an append-only telemetry store.
 type Store struct {
 	samples []Sample
 }
 
 // Add appends a sample after validation. Samples must arrive in
-// non-decreasing time order (the monitor tails a live system).
+// non-decreasing time order (the monitor tails a live system). Tier 1 has
+// one spelling in the store, the empty string: it is what a file written
+// before the field existed holds, and a Tier-1-only store saves as one.
 func (st *Store) Add(s Sample) error {
+	if s.Tier == perfmodel.Tier1Calibrated {
+		s.Tier = ""
+	}
 	// NaN slips past a plain <= 0 guard (every NaN comparison is false),
 	// so non-finite fields need their own check.
 	for _, f := range []struct {
@@ -72,6 +87,9 @@ func (st *Store) Add(s Sample) error {
 	if s.MFLUPS <= 0 {
 		return fmt.Errorf("monitor: sample for %s has non-positive MFLUPS", s.Key())
 	}
+	if s.Predicted < 0 {
+		return fmt.Errorf("monitor: sample for %s has negative predicted MFLUPS", s.Key())
+	}
 	if s.Workload == "" || s.System == "" {
 		return fmt.Errorf("monitor: sample missing workload or system")
 	}
@@ -85,30 +103,46 @@ func (st *Store) Add(s Sample) error {
 // Len returns the number of stored samples.
 func (st *Store) Len() int { return len(st.samples) }
 
+// grouped splits the store by configuration in one pass: the sorted
+// configuration keys, and under each key its samples in arrival order.
+// Configurations are told apart by their fields; the escaped key is
+// built once per configuration.
+func (st *Store) grouped() ([]string, map[string][]Sample) {
+	byConfig := map[Sample][]Sample{}
+	for _, s := range st.samples {
+		c := Sample{Workload: s.Workload, System: s.System, Ranks: s.Ranks}
+		byConfig[c] = append(byConfig[c], s)
+	}
+	keys := make([]string, 0, len(byConfig))
+	series := make(map[string][]Sample, len(byConfig))
+	for c, g := range byConfig {
+		key := c.Key()
+		keys = append(keys, key)
+		series[key] = g
+	}
+	sort.Strings(keys)
+	return keys, series
+}
+
 // Series returns the samples of one configuration in arrival order.
 func (st *Store) Series(workload, system string, ranks int) []Sample {
-	key := Sample{Workload: workload, System: system, Ranks: ranks}.Key()
-	var out []Sample
-	for _, s := range st.samples {
-		if s.Key() == key {
-			out = append(out, s)
-		}
-	}
-	return out
+	_, series := st.grouped()
+	return series[Sample{Workload: workload, System: system, Ranks: ranks}.Key()]
 }
 
 // Configurations lists the distinct monitored configurations, sorted.
 func (st *Store) Configurations() []string {
-	seen := map[string]bool{}
-	for _, s := range st.samples {
-		seen[s.Key()] = true
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys, _ := st.grouped()
 	return keys
+}
+
+// summarize takes the throughput statistics of a series.
+func summarize(series []Sample) fit.Summary {
+	vals := make([]float64, len(series))
+	for i, s := range series {
+		vals[i] = s.MFLUPS
+	}
+	return fit.Summarize(vals)
 }
 
 // Baseline summarizes a configuration's throughput history.
@@ -117,11 +151,7 @@ func (st *Store) Baseline(workload, system string, ranks int) (fit.Summary, erro
 	if len(series) == 0 {
 		return fit.Summary{}, fmt.Errorf("monitor: no samples for %s/%s/%d", workload, system, ranks)
 	}
-	vals := make([]float64, len(series))
-	for i, s := range series {
-		vals[i] = s.MFLUPS
-	}
-	return fit.Summarize(vals), nil
+	return summarize(series), nil
 }
 
 // Regression flags a configuration whose latest run fell significantly
@@ -146,22 +176,14 @@ func (st *Store) DetectRegressions(minHistory int, threshold float64) ([]Regress
 		return nil, fmt.Errorf("monitor: non-positive threshold %g", threshold)
 	}
 	var out []Regression
-	for _, key := range st.Configurations() {
-		var series []Sample
-		for _, s := range st.samples {
-			if s.Key() == key {
-				series = append(series, s)
-			}
-		}
+	keys, grouped := st.grouped()
+	for _, key := range keys {
+		series := grouped[key]
 		if len(series) < minHistory+1 {
 			continue
 		}
 		latest := series[len(series)-1]
-		hist := make([]float64, len(series)-1)
-		for i, s := range series[:len(series)-1] {
-			hist[i] = s.MFLUPS
-		}
-		sum := fit.Summarize(hist)
+		sum := summarize(series[:len(series)-1])
 		if sum.StdDev == 0 {
 			continue // a perfectly flat history cannot grade deviations
 		}
@@ -180,35 +202,70 @@ func (st *Store) DetectRegressions(minHistory int, threshold float64) ([]Regress
 	return out, nil
 }
 
-// Records exports every sample that carries a prediction as a refinement
-// record — the automation loop the paper sketches: monitoring feeds the
-// model store without human bookkeeping.
-func (st *Store) Records() []perfmodel.Record {
-	var out []perfmodel.Record
+// Correction returns the multiplicative calibration factor for a system
+// and model at a rank count: the geometric mean of measured/predicted over
+// the matching Tier 1 samples. Both of the paper's models "overpredicted
+// ... by a consistent amount in all cases", which is exactly the bias a
+// multiplicative correction removes. The bias is regime-dependent
+// (memory-dominated small runs versus latency-dominated large ones), so
+// samples at the same rank count are preferred; the fallbacks widen to
+// the system, then the model, then 1 when nothing matches yet (an
+// uncalibrated model is used as-is). ranks <= 0 skips the rank-specific
+// level.
+func (st *Store) Correction(system, model string, ranks int) float64 {
+	var atRanks, onSystem, ofModel []float64
 	for _, s := range st.samples {
-		if s.Predicted <= 0 {
+		if !s.refines() || s.Model != model {
 			continue
 		}
-		out = append(out, perfmodel.Record{
-			Workload:  s.Workload,
-			System:    s.System,
-			Model:     s.Model,
-			Ranks:     s.Ranks,
-			Predicted: s.Predicted,
-			Measured:  s.MFLUPS,
-		})
+		ratio := s.MFLUPS / s.Predicted
+		ofModel = append(ofModel, ratio)
+		if s.System == system {
+			onSystem = append(onSystem, ratio)
+			if ranks > 0 && s.Ranks == ranks {
+				atRanks = append(atRanks, ratio)
+			}
+		}
+	}
+	for _, ratios := range [][]float64{atRanks, onSystem, ofModel} {
+		if len(ratios) > 0 {
+			return fit.GeoMean(ratios)
+		}
+	}
+	return 1
+}
+
+// Refine applies the current calibration to a prediction, returning the
+// corrected copy. Time-like components scale inversely with throughput.
+func (st *Store) Refine(p perfmodel.Prediction) perfmodel.Prediction {
+	c := st.Correction(p.System, p.Model, p.Ranks)
+	out := p
+	out.MFLUPS = p.MFLUPS * c
+	if c > 0 {
+		out.SecondsPerStep = p.SecondsPerStep / c
 	}
 	return out
 }
 
-// FeedRefiner pushes all prediction-bearing samples into a refiner.
-func (st *Store) FeedRefiner(r *perfmodel.Refiner) error {
-	for _, rec := range st.Records() {
-		if err := r.Add(rec); err != nil {
-			return err
+// MAPE reports the mean absolute percentage error of a system's Tier 1
+// samples before and after calibration — the feedback metric that decides
+// whether a model term earns its place (the paper's "system of adding and
+// checking").
+func (st *Store) MAPE(system, model string) (before, after float64, n int) {
+	var sumB, sumA float64
+	for _, s := range st.samples {
+		if !s.refines() || s.System != system || s.Model != model {
+			continue
 		}
+		c := st.Correction(system, model, s.Ranks)
+		sumB += math.Abs(s.Predicted-s.MFLUPS) / s.MFLUPS
+		sumA += math.Abs(s.Predicted*c-s.MFLUPS) / s.MFLUPS
+		n++
 	}
-	return nil
+	if n == 0 {
+		return 0, 0, 0
+	}
+	return sumB / float64(n), sumA / float64(n), n
 }
 
 // Render formats a status report: every monitored configuration with its
@@ -217,18 +274,10 @@ func (st *Store) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-40s %8s %12s %10s %12s\n",
 		"configuration", "samples", "mean MFLUPS", "cv", "latest")
-	for _, key := range st.Configurations() {
-		var series []Sample
-		for _, s := range st.samples {
-			if s.Key() == key {
-				series = append(series, s)
-			}
-		}
-		vals := make([]float64, len(series))
-		for i, s := range series {
-			vals[i] = s.MFLUPS
-		}
-		sum := fit.Summarize(vals)
+	keys, grouped := st.grouped()
+	for _, key := range keys {
+		series := grouped[key]
+		sum := summarize(series)
 		fmt.Fprintf(&b, "%-40s %8d %12.2f %10.3f %12.2f\n",
 			key, sum.N, sum.Mean, sum.CV, series[len(series)-1].MFLUPS)
 	}

@@ -2,11 +2,14 @@ package monitor
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
-	"repro/internal/perfmodel"
+	"repro/internal/fit"
 )
 
 func sample(t float64, mflups float64) Sample {
@@ -127,37 +130,19 @@ func TestDetectRegressionsValidation(t *testing.T) {
 	}
 }
 
-func TestRecordsAndFeedRefiner(t *testing.T) {
-	var st Store
-	s := sample(1, 80)
-	s.Model = "direct"
-	s.Predicted = 100
-	if err := st.Add(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Add(sample(2, 85)); err != nil { // no prediction: skipped
-		t.Fatal(err)
-	}
-	recs := st.Records()
-	if len(recs) != 1 || recs[0].Predicted != 100 || recs[0].Measured != 80 {
-		t.Fatalf("records wrong: %+v", recs)
-	}
-	var ref perfmodel.Refiner
-	if err := st.FeedRefiner(&ref); err != nil {
-		t.Fatal(err)
-	}
-	if ref.Len() != 1 {
-		t.Errorf("refiner has %d records, want 1", ref.Len())
-	}
-	if c := ref.Correction("CSP-2", "direct", 36); math.Abs(c-0.8) > 1e-12 {
-		t.Errorf("correction %v, want 0.8", c)
-	}
-}
-
+// TestSaveLoadRoundTrip: the one on-disk format round-trips every field,
+// the tier included, and a file written before the field existed loads
+// as Tier 1.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	var st Store
-	for i := 0; i < 3; i++ {
-		if err := st.Add(sample(float64(i), 50+float64(i))); err != nil {
+	want := []Sample{
+		{TimeS: 1, Workload: "aorta", System: "CSP-2", Model: "direct", Ranks: 36, MFLUPS: 80, Predicted: 100, CostUSD: 0.5},
+		{TimeS: 2, Workload: "cyl", System: "TRC", Model: "generalized", Tier: "tier0", Ranks: 80, MFLUPS: 55, Predicted: 60, WaitS: 3},
+		{TimeS: 3, Workload: "cyl", System: "TRC", Model: "measured", Tier: "tier2", Ranks: 80, MFLUPS: 55, Predicted: 56},
+		{TimeS: 4, Workload: "cyl", System: "TRC", Ranks: 80, MFLUPS: 54},
+	}
+	for _, s := range want {
+		if err := st.Add(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,15 +150,116 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := st.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var st2 Store
-	if err := st2.Load(&buf); err != nil {
+	if n := strings.Count(buf.String(), `"tier"`); n != 2 {
+		t.Errorf("%d samples serialized a tier, want 2 (Tier 1 is omitted):\n%s", n, buf.String())
+	}
+	var got Store
+	if err := got.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if st2.Len() != 3 {
-		t.Fatalf("loaded %d samples, want 3", st2.Len())
+	if got.Len() != len(want) {
+		t.Fatalf("loaded %d samples, want %d", got.Len(), len(want))
 	}
-	if err := st2.Load(bytes.NewBufferString("garbage")); err == nil {
-		t.Error("want error for corrupt input")
+	for i, s := range got.samples {
+		if s != want[i] {
+			t.Errorf("sample %d = %+v, want %+v", i, s, want[i])
+		}
+	}
+	if a, b := got.Correction("CSP-2", "direct", 36), st.Correction("CSP-2", "direct", 36); a != b || a != 0.8 {
+		t.Errorf("correction after reload = %v, before %v, want 0.8", a, b)
+	}
+
+	legacy := `[{"time":58.9,"workload":"fleet-b","system":"CSP-2 Small","model":"direct","ranks":8,
+		"mflups":80,"predicted_mflups":100,"cost_usd":0.000001}]`
+	var old Store
+	if err := old.Load(strings.NewReader(legacy)); err != nil {
+		t.Fatal(err)
+	}
+	if c := old.Correction("CSP-2 Small", "direct", 8); math.Abs(c-0.8) > 1e-12 {
+		t.Errorf("legacy sample correction = %v, want 0.8 (no tier field means Tier 1)", c)
+	}
+}
+
+// The three reference functions are Series, Configurations and Render
+// as they stood before the grouping pass: rescan every sample and rebuild
+// its key for every configuration.
+func referenceSeries(st *Store, key string) []Sample {
+	var out []Sample
+	for _, s := range st.samples {
+		if s.Key() == key {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+func referenceConfigurations(st *Store) []string {
+	seen := map[string]bool{}
+	var keys []string
+	for _, s := range st.samples {
+		if !seen[s.Key()] {
+			seen[s.Key()] = true
+			keys = append(keys, s.Key())
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func referenceRender(st *Store) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-40s %8s %12s %10s %12s\n",
+		"configuration", "samples", "mean MFLUPS", "cv", "latest")
+	for _, key := range referenceConfigurations(st) {
+		series := referenceSeries(st, key)
+		vals := make([]float64, len(series))
+		for i, s := range series {
+			vals[i] = s.MFLUPS
+		}
+		sum := fit.Summarize(vals)
+		fmt.Fprintf(&b, "%-40s %8d %12.2f %10.3f %12.2f\n",
+			key, sum.N, sum.Mean, sum.CV, series[len(series)-1].MFLUPS)
+	}
+	return b.String()
+}
+
+// TestGroupingMatchesKeyScan checks the one grouping pass against the
+// per-configuration key scan it replaced, on names that need escaping.
+func TestGroupingMatchesKeyScan(t *testing.T) {
+	var st Store
+	names := []string{"a|b", "a", `a\`, `a\|b`, "plain"}
+	systems := []string{"c", "b|c", `\b`, `|`}
+	ts := 0.0
+	for round := 0; round < 3; round++ {
+		for i, w := range names {
+			for _, sys := range systems {
+				ts++
+				s := Sample{TimeS: ts, Workload: w, System: sys, Ranks: 4 << (i % 2), MFLUPS: 50 + ts}
+				if err := st.Add(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	keys, want := st.Configurations(), referenceConfigurations(&st)
+	if len(want) != len(names)*len(systems) || !reflect.DeepEqual(keys, want) {
+		t.Fatalf("configurations = %q, want %q", keys, want)
+	}
+	for _, key := range want {
+		series := referenceSeries(&st, key)
+		id := series[0]
+		if got := st.Series(id.Workload, id.System, id.Ranks); len(series) != 3 || !reflect.DeepEqual(got, series) {
+			t.Errorf("series %q = %+v, want %+v", key, got, series)
+		}
+		if base, err := st.Baseline(id.Workload, id.System, id.Ranks); err != nil || base.N != 3 {
+			t.Errorf("baseline of %q = %+v, %v", key, base, err)
+		}
+	}
+	if got := st.Series("a", "c", 4); got != nil {
+		t.Errorf("series of an unseen configuration = %+v, want nil", got)
+	}
+	if got, want := st.Render(), referenceRender(&st); got != want {
+		t.Errorf("render differs:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 

@@ -70,6 +70,43 @@ type Request struct {
 	Kernel string
 }
 
+// model names the model the request selects — Model, or whichever of
+// Workload/Summary is populated — and checks that model's input is
+// present: the dispatch the two analytical tiers share. A nil error means
+// ModelDirect with a Workload or ModelGeneral with a Summary.
+func (req Request) model() (string, error) {
+	model := req.Model
+	if model == "" {
+		switch {
+		case req.Workload != nil && req.Summary != nil:
+			return "", fmt.Errorf("perfmodel: request carries both a decomposed workload and a summary; set Model to disambiguate")
+		case req.Workload != nil:
+			model = ModelDirect
+		case req.Summary != nil:
+			model = ModelGeneral
+		default:
+			return "", fmt.Errorf("perfmodel: request carries neither a decomposed workload nor a workload summary")
+		}
+	}
+	switch model {
+	case ModelDirect:
+		if req.Workload == nil {
+			return "", fmt.Errorf("perfmodel: direct model needs a decomposed workload")
+		}
+		if req.Ranks != 0 && req.Ranks != len(req.Workload.Tasks) {
+			return "", fmt.Errorf("perfmodel: request asks for %d ranks but the workload decomposes into %d tasks",
+				req.Ranks, len(req.Workload.Tasks))
+		}
+	case ModelGeneral:
+		if req.Summary == nil {
+			return "", fmt.Errorf("perfmodel: generalized model needs a workload summary")
+		}
+	default:
+		return "", fmt.Errorf("perfmodel: unknown model %q", model)
+	}
+	return model, nil
+}
+
 // Predict evaluates the requested model at Tier 1: the fitted
 // microbenchmark models this Characterization holds. It is the one call
 // path behind both the CLI tools and the serving layer's POST
@@ -82,32 +119,12 @@ func (c *Characterization) Predict(req Request) (Prediction, error) {
 		return Prediction{}, fmt.Errorf("perfmodel: a bare characterization serves tier %q only (requested %q); use a Predictor for other tiers",
 			Tier1Calibrated, req.Tier)
 	}
-	model := req.Model
-	if model == "" {
-		switch {
-		case req.Workload != nil && req.Summary != nil:
-			return Prediction{}, fmt.Errorf("perfmodel: request carries both a decomposed workload and a summary; set Model to disambiguate")
-		case req.Workload != nil:
-			model = ModelDirect
-		case req.Summary != nil:
-			model = ModelGeneral
-		default:
-			return Prediction{}, fmt.Errorf("perfmodel: request carries neither a decomposed workload nor a workload summary")
-		}
+	model, err := req.model()
+	if err != nil {
+		return Prediction{}, err
 	}
-	var (
-		p   Prediction
-		err error
-	)
-	switch model {
-	case ModelDirect:
-		if req.Workload == nil {
-			return Prediction{}, fmt.Errorf("perfmodel: direct model needs a decomposed workload")
-		}
-		if req.Ranks != 0 && req.Ranks != len(req.Workload.Tasks) {
-			return Prediction{}, fmt.Errorf("perfmodel: request asks for %d ranks but the workload decomposes into %d tasks",
-				req.Ranks, len(req.Workload.Tasks))
-		}
+	var p Prediction
+	if model == ModelDirect {
 		p, err = c.predictDirect(*req.Workload, req.Occupancy)
 		if err == nil && len(req.Terms) > 0 {
 			base := p
@@ -116,10 +133,7 @@ func (c *Characterization) Predict(req Request) (Prediction, error) {
 			}
 			p.MFLUPS = float64(req.Workload.Points) / p.SecondsPerStep / 1e6
 		}
-	case ModelGeneral:
-		if req.Summary == nil {
-			return Prediction{}, fmt.Errorf("perfmodel: generalized model needs a workload summary")
-		}
+	} else {
 		if len(req.Terms) > 0 {
 			return Prediction{}, fmt.Errorf("perfmodel: terms apply to the direct model only")
 		}
@@ -129,8 +143,6 @@ func (c *Characterization) Predict(req Request) (Prediction, error) {
 			// instance — the fits are being stretched past their data.
 			p.Extrapolated = true
 		}
-	default:
-		return Prediction{}, fmt.Errorf("perfmodel: unknown model %q", model)
 	}
 	if err != nil {
 		return Prediction{}, err

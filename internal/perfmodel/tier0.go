@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/machine"
+	"repro/internal/roofline"
 	"repro/internal/simcloud"
 	"repro/internal/units"
 )
@@ -34,11 +35,6 @@ const Tier0ConfidenceRel = 0.40
 // flopsPerCycle is the assumed per-core double-precision issue width
 // (one 512-bit FMA per cycle): spec-sheet physics, not a fit.
 const flopsPerCycle = 16
-
-// d3q19FlopsPerPoint is the D3Q19 BGK per-point operation count the
-// roofline package documents; the compute ceiling of the Tier 0
-// roofline uses it directly.
-const d3q19FlopsPerPoint = 250
 
 // Tier returns Tier0Physics.
 func (b *PhysicsBackend) Tier() string { return Tier0Physics }
@@ -70,9 +66,17 @@ func (b *PhysicsBackend) interBWBps() float64 {
 	return b.Sys.InterconnectGbps * 1e9 / 8
 }
 
-// peakFlopsPerCore returns the spec-sheet per-core FLOP/s ceiling.
-func (b *PhysicsBackend) peakFlopsPerCore() float64 {
-	return b.Sys.ClockGHz * 1e9 * flopsPerCycle
+// peakPerCore returns the spec-sheet per-core ceiling in GFLOP/s: cycles
+// per nanosecond times FLOPs per cycle.
+func (b *PhysicsBackend) peakPerCore() float64 { return b.Sys.ClockGHz * flopsPerCycle }
+
+// flopS returns the compute-ceiling time of one core updating n points:
+// the D3Q19 BGK operation count against the spec-sheet per-core peak.
+// The kernel's byte side stays zero here; memory time is priced from the
+// workload's own byte counts.
+func (b *PhysicsBackend) flopS(n float64) float64 {
+	core := roofline.Machine{PeakGFLOPS: b.peakPerCore()}
+	return roofline.FlopTimeS(roofline.D3Q19BGK(0), core, n)
 }
 
 // Predict evaluates the Tier 0 model: per-task time is the roofline
@@ -84,40 +88,15 @@ func (b *PhysicsBackend) Predict(req Request) (Prediction, error) {
 	if len(req.Terms) > 0 {
 		return Prediction{}, fmt.Errorf("perfmodel: terms apply to the calibrated tier only")
 	}
-	model := req.Model
-	if model == "" {
-		switch {
-		case req.Workload != nil && req.Summary != nil:
-			return Prediction{}, fmt.Errorf("perfmodel: request carries both a decomposed workload and a summary; set Model to disambiguate")
-		case req.Workload != nil:
-			model = ModelDirect
-		case req.Summary != nil:
-			model = ModelGeneral
-		default:
-			return Prediction{}, fmt.Errorf("perfmodel: request carries neither a decomposed workload nor a workload summary")
-		}
+	model, err := req.model()
+	if err != nil {
+		return Prediction{}, err
 	}
-	var (
-		p   Prediction
-		err error
-	)
-	switch model {
-	case ModelDirect:
-		if req.Workload == nil {
-			return Prediction{}, fmt.Errorf("perfmodel: direct model needs a decomposed workload")
-		}
-		if req.Ranks != 0 && req.Ranks != len(req.Workload.Tasks) {
-			return Prediction{}, fmt.Errorf("perfmodel: request asks for %d ranks but the workload decomposes into %d tasks",
-				req.Ranks, len(req.Workload.Tasks))
-		}
+	var p Prediction
+	if model == ModelDirect {
 		p, err = b.predictDirect(*req.Workload, req.Occupancy)
-	case ModelGeneral:
-		if req.Summary == nil {
-			return Prediction{}, fmt.Errorf("perfmodel: generalized model needs a workload summary")
-		}
+	} else {
 		p, err = b.predictGeneral(*req.Summary, req.Ranks)
-	default:
-		return Prediction{}, fmt.Errorf("perfmodel: unknown model %q", model)
 	}
 	if err != nil {
 		return Prediction{}, err
@@ -144,6 +123,9 @@ func (b *PhysicsBackend) predictDirect(w simcloud.Workload, occupancy float64) (
 	}
 	nodalBW := b.nodalBWBps()
 	interBW := b.interBWBps()
+	// Roofline: a task cannot run faster than its compute ceiling either;
+	// points are assumed spread evenly over tasks.
+	flopS := b.flopS(float64(w.Points) / float64(ranks))
 
 	var maxStep, maxMem, maxIntra, maxInter float64
 	for t := range w.Tasks {
@@ -151,9 +133,6 @@ func (b *PhysicsBackend) predictDirect(w simcloud.Workload, occupancy float64) (
 		sharers := k + occupancy*float64(cores-int(k))
 		share := nodalBW / math.Max(1, sharers)
 		memS := w.Tasks[t].Bytes / share
-		// Roofline: the task cannot run faster than its compute ceiling
-		// either; points are assumed spread evenly over tasks.
-		flopS := float64(w.Points) / float64(ranks) * d3q19FlopsPerPoint / b.peakFlopsPerCore()
 		gate := math.Max(memS, flopS)
 
 		var intraS, interS float64
@@ -193,8 +172,7 @@ func (b *PhysicsBackend) predictGeneral(ws WorkloadSummary, ranks int) (Predicti
 	cores := float64(b.Sys.CoresPerNode)
 	share := b.nodalBWBps() / math.Min(n, cores)
 	memS := ws.BytesSerial / n / share
-	flopS := float64(ws.Points) / n * d3q19FlopsPerPoint / b.peakFlopsPerCore()
-	gate := math.Max(memS, flopS)
+	gate := math.Max(memS, b.flopS(float64(ws.Points)/n))
 
 	var commS float64
 	if ranks > 1 {
