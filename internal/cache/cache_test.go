@@ -1,4 +1,4 @@
-package serve
+package cache
 
 import (
 	"context"
@@ -24,7 +24,7 @@ func TestCacheHammer(t *testing.T) {
 		iters      = 200
 		keys       = 4
 	)
-	c := newCache[*built](keys) // capacity >= keys: no eviction churn
+	c := New[string, *built](keys, nil) // capacity >= keys: no eviction churn
 	var builds atomic.Int64
 	vals := make([]*built, keys)
 	for i := range vals {
@@ -38,7 +38,7 @@ func TestCacheHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				k := (g + i) % keys
-				val, _, err := c.get(context.Background(), fmt.Sprintf("key-%d", k), func() (*built, error) {
+				val, _, err := c.Get(context.Background(), fmt.Sprintf("key-%d", k), func() (*built, error) {
 					builds.Add(1)
 					time.Sleep(time.Millisecond) // widen the coalescing window
 					return vals[k], nil
@@ -59,8 +59,8 @@ func TestCacheHammer(t *testing.T) {
 	if n := builds.Load(); n != keys {
 		t.Errorf("build ran %d times for %d keys; coalescing failed", n, keys)
 	}
-	if c.len() != keys {
-		t.Errorf("cache holds %d entries, want %d", c.len(), keys)
+	if c.Len() != keys {
+		t.Errorf("cache holds %d entries, want %d", c.Len(), keys)
 	}
 }
 
@@ -68,7 +68,7 @@ func TestCacheHammer(t *testing.T) {
 // classification: first caller misses, resident callers hit, and a
 // caller arriving mid-fill reports coalesced.
 func TestCacheCoalescedResult(t *testing.T) {
-	c := newCache[*built](4)
+	c := New[string, *built](4, nil)
 	val := &built{}
 	filling := make(chan struct{})
 	release := make(chan struct{})
@@ -77,12 +77,12 @@ func TestCacheCoalescedResult(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, res, err := c.get(context.Background(), "k", func() (*built, error) {
+		_, res, err := c.Get(context.Background(), "k", func() (*built, error) {
 			close(filling)
 			<-release
 			return val, nil
 		})
-		if err != nil || res != cacheMiss {
+		if err != nil || res != Miss {
 			t.Errorf("filler: res %v, err %v; want miss", res, err)
 		}
 	}()
@@ -91,11 +91,11 @@ func TestCacheCoalescedResult(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		got, res, err := c.get(context.Background(), "k", func() (*built, error) {
+		got, res, err := c.Get(context.Background(), "k", func() (*built, error) {
 			t.Error("second build ran during in-flight fill")
 			return nil, nil
 		})
-		if err != nil || res != cacheCoalesced || got != val {
+		if err != nil || res != Coalesced || got != val {
 			t.Errorf("waiter: got %p res %v err %v; want coalesced %p", got, res, err, val)
 		}
 	}()
@@ -104,11 +104,11 @@ func TestCacheCoalescedResult(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	_, res, err := c.get(context.Background(), "k", func() (*built, error) {
+	_, res, err := c.Get(context.Background(), "k", func() (*built, error) {
 		t.Error("build ran for resident key")
 		return nil, nil
 	})
-	if err != nil || res != cacheHit {
+	if err != nil || res != Hit {
 		t.Errorf("resident: res %v, err %v; want hit", res, err)
 	}
 }
@@ -117,7 +117,7 @@ func TestCacheCoalescedResult(t *testing.T) {
 // deadline returns promptly with the context error while the fill keeps
 // going and still lands in the cache.
 func TestCacheWaiterHonorsContext(t *testing.T) {
-	c := newCache[*built](4)
+	c := New[string, *built](4, nil)
 	val := &built{}
 	filling := make(chan struct{})
 	release := make(chan struct{})
@@ -126,7 +126,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := c.get(context.Background(), "k", func() (*built, error) {
+		_, _, err := c.Get(context.Background(), "k", func() (*built, error) {
 			close(filling)
 			<-release
 			return val, nil
@@ -139,18 +139,18 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, _, err := c.get(ctx, "k", func() (*built, error) { return nil, nil })
+	_, _, err := c.Get(ctx, "k", func() (*built, error) { return nil, nil })
 	if err == nil || ctx.Err() == nil {
 		t.Errorf("abandoned waiter: err %v, ctx %v; want deadline", err, ctx.Err())
 	}
 
 	close(release)
 	wg.Wait()
-	got, res, err := c.get(context.Background(), "k", func() (*built, error) {
+	got, res, err := c.Get(context.Background(), "k", func() (*built, error) {
 		t.Error("build ran again: abandoned fill was lost")
 		return nil, nil
 	})
-	if err != nil || res != cacheHit || got != val {
+	if err != nil || res != Hit || got != val {
 		t.Errorf("post-abandon: got %p res %v err %v", got, res, err)
 	}
 }
@@ -158,18 +158,18 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 // TestCacheErrorNotCached: a failed fill propagates but must not poison
 // the key.
 func TestCacheErrorNotCached(t *testing.T) {
-	c := newCache[*built](4)
+	c := New[string, *built](4, nil)
 	boom := fmt.Errorf("transient")
-	if _, res, err := c.get(context.Background(), "k", func() (*built, error) {
+	if _, res, err := c.Get(context.Background(), "k", func() (*built, error) {
 		return nil, boom
-	}); err != boom || res != cacheMiss {
+	}); err != boom || res != Miss {
 		t.Fatalf("failed fill: res %v err %v", res, err)
 	}
 	val := &built{}
-	got, res, err := c.get(context.Background(), "k", func() (*built, error) {
+	got, res, err := c.Get(context.Background(), "k", func() (*built, error) {
 		return val, nil
 	})
-	if err != nil || res != cacheMiss || got != val {
+	if err != nil || res != Miss || got != val {
 		t.Fatalf("retry after failure: got %p res %v err %v", got, res, err)
 	}
 }
@@ -177,7 +177,8 @@ func TestCacheErrorNotCached(t *testing.T) {
 // TestCacheEviction: past capacity the least recently used key is
 // evicted and must rebuild on the next request.
 func TestCacheEviction(t *testing.T) {
-	c := newCache[*built](2)
+	var observed [3]int
+	c := New[string, *built](2, func(r Result) { observed[r]++ })
 	builds := map[string]int{}
 	fill := func(k string) func() (*built, error) {
 		return func() (*built, error) {
@@ -185,9 +186,9 @@ func TestCacheEviction(t *testing.T) {
 			return &built{}, nil
 		}
 	}
-	mustGet := func(k string) cacheResult {
+	mustGet := func(k string) Result {
 		t.Helper()
-		_, res, err := c.get(context.Background(), k, fill(k))
+		_, res, err := c.Get(context.Background(), k, fill(k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,17 +199,21 @@ func TestCacheEviction(t *testing.T) {
 	mustGet("b")
 	mustGet("a") // refresh a: b is now LRU
 	mustGet("c") // evicts b
-	if c.len() != 2 {
-		t.Fatalf("len %d, want 2", c.len())
+	if c.Len() != 2 {
+		t.Fatalf("len %d, want 2", c.Len())
 	}
-	if res := mustGet("a"); res != cacheHit {
+	if res := mustGet("a"); res != Hit {
 		t.Errorf("a should be resident, got %v", res)
 	}
-	if res := mustGet("b"); res != cacheMiss {
+	if res := mustGet("b"); res != Miss {
 		t.Errorf("b should have been evicted, got %v", res)
 	}
 	if builds["b"] != 2 {
 		t.Errorf("b built %d times, want 2", builds["b"])
+	}
+	// The observer saw every Get: a, b, c and b again missed, a hit twice.
+	if observed != [3]int{Miss: 4, Hit: 2} {
+		t.Errorf("observer counted %v, want 4 misses and 2 hits", observed)
 	}
 }
 
@@ -216,9 +221,10 @@ func TestCacheEviction(t *testing.T) {
 // caller's context, so when that caller's deadline ends the fill, the
 // error says nothing about the key. A waiter whose own context is live
 // must not inherit it (a 504 for a request with time left): it takes the
-// fill over. Impatient filler → 504, patient waiter → 200, two builds.
+// fill over. Impatient filler → its own error, patient waiter → the value,
+// two builds.
 func TestCacheWaiterOutlivesImpatientFiller(t *testing.T) {
-	c := newCache[*built](4)
+	c := New[string, *built](4, nil)
 	val := &built{}
 	var builds atomic.Int64
 	filling := make(chan struct{})
@@ -239,8 +245,8 @@ func TestCacheWaiterOutlivesImpatientFiller(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, res, err := c.get(impatient, "k", build(impatient))
-		if res != cacheMiss || err == nil {
+		_, res, err := c.Get(impatient, "k", build(impatient))
+		if res != Miss || err == nil {
 			t.Errorf("impatient filler: res %v err %v, want a failed miss", res, err)
 		}
 	}()
@@ -250,9 +256,9 @@ func TestCacheWaiterOutlivesImpatientFiller(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		got, _, err := c.get(patient, "k", build(patient))
+		got, _, err := c.Get(patient, "k", build(patient))
 		if err != nil || got != val {
-			t.Errorf("patient waiter: got %p err %v (status %d), want %p and 200", got, err, statusFor(err), val)
+			t.Errorf("patient waiter: got %p err %v, want %p and no error", got, err, val)
 		}
 	}()
 	// Let the waiter park on the fill before the filler gives up.
@@ -263,7 +269,7 @@ func TestCacheWaiterOutlivesImpatientFiller(t *testing.T) {
 	if n := builds.Load(); n != 2 {
 		t.Errorf("%d builds, want 2: the abandoned one and the waiter's", n)
 	}
-	if _, res, err := c.get(patient, "k", build(patient)); err != nil || res != cacheHit {
+	if _, res, err := c.Get(patient, "k", build(patient)); err != nil || res != Hit {
 		t.Errorf("after the takeover: res %v err %v, want a hit", res, err)
 	}
 }

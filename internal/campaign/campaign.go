@@ -264,10 +264,12 @@ func resolve(j JobConfig) (scale float64, steps int, params lbm.Params, warnings
 }
 
 // prepare takes a job through phase two of Figure 1 up to its tuned
-// anatomy: resolve the lattice quantities, build the geometry, calibrate
-// the generalized model. It also returns the resolved step count and the
-// units-check warnings, prefixed with the job name.
-func prepare(fw *core.Framework, j JobConfig) (*core.Anatomy, int, []string, error) {
+// anatomy: resolve the lattice quantities, then fetch the anatomy of that
+// geometry, scale and parameter set from the framework's cache under the
+// job's name — building the geometry and calibrating the generalized
+// model only for the first job to ask. It also returns the resolved step
+// count and the units-check warnings, prefixed with the job name.
+func prepare(ctx context.Context, fw *core.Framework, j JobConfig) (*core.Anatomy, int, []string, error) {
 	scale, steps, params, warnings, err := resolve(j)
 	if err != nil {
 		return nil, 0, nil, err
@@ -275,11 +277,10 @@ func prepare(fw *core.Framework, j JobConfig) (*core.Anatomy, int, []string, err
 	for i, w := range warnings {
 		warnings[i] = j.Name + ": " + w
 	}
-	dom, err := BuildGeometry(j.Geometry, scale)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	anatomy, err := fw.PrepareAnatomy(j.Name, dom, params)
+	// A campaign stops at clean points between jobs, never inside one:
+	// the preparation keeps ctx's values and drops its cancellation.
+	anatomy, err := fw.CachedAnatomy(context.WithoutCancel(ctx), j.Name, j.Geometry, scale, params,
+		func() (*geometry.Domain, error) { return BuildGeometry(j.Geometry, scale) })
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("campaign: preparing %q: %w", j.Name, err)
 	}
@@ -354,7 +355,7 @@ func runSerial(ctx context.Context, fw *core.Framework, cfg Config) (Summary, er
 			summary.SpentUSD = fw.Provider.TotalSpend()
 			return summary, err
 		}
-		anatomy, steps, warnings, err := prepare(fw, j)
+		anatomy, steps, warnings, err := prepare(ctx, fw, j)
 		if err != nil {
 			return Summary{}, err
 		}

@@ -199,7 +199,7 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 		if err := interrupted(ctx); err != nil {
 			return FleetSummary{}, err
 		}
-		anatomy, steps, warnings, err := prepare(fw, j)
+		anatomy, steps, warnings, err := prepare(ctx, fw, j)
 		if err != nil {
 			return FleetSummary{}, err
 		}

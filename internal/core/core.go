@@ -17,11 +17,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
+	"repro/internal/cache"
 	"repro/internal/cloud"
 	"repro/internal/dashboard"
+	"repro/internal/decomp"
 	"repro/internal/geometry"
 	"repro/internal/lbm"
 	"repro/internal/machine"
@@ -42,6 +45,13 @@ type Framework struct {
 	// correction are all read from it.
 	Monitor monitor.Store
 
+	// Anatomies holds what phase two prepared, one entry per distinct
+	// lattice, for CachedAnatomy: a campaign whose jobs share a geometry
+	// and scale tunes the model to it once. A fresh framework starts cold;
+	// an owner with a longer-lived cache (the planning service) may hand
+	// its own in before the first use.
+	Anatomies *AnatomyCache
+
 	systems []*machine.System
 	rng     *rand.Rand
 }
@@ -58,23 +68,41 @@ func NewFramework(systems []*machine.System, samples int, seed int64) (*Framewor
 	return &Framework{
 		Dashboard: d,
 		Provider:  cloud.NewProvider(systems, seed+1),
+		Anatomies: cache.New[AnatomyKey, *Anatomy](MaxCachedAnatomies, nil),
 		systems:   systems,
 		rng:       rng,
 	}, nil
 }
 
-// Anatomy bundles a prepared simulation target: the solver over its
+// Anatomy bundles a prepared simulation target: the lattice of its
 // geometry, the byte-access accounting, the scalar workload summary, and
-// the anatomy-tuned generalized model (phase two of Figure 1).
+// the anatomy-tuned generalized model (phase two of Figure 1). It holds
+// topology only — no distribution array — so it is cheap to keep.
+//
+// Name labels the workloads, predictions and records made from it, and
+// nothing else: anatomies of one lattice under different names (see
+// CachedAnatomy) share the lattice, the model and the decompositions.
 type Anatomy struct {
 	Name    string
-	Solver  *lbm.Sparse
+	Lattice *lbm.Lattice
 	Access  lbm.AccessModel
 	Summary perfmodel.WorkloadSummary
 	General perfmodel.GeneralModel
 
-	workloads workloadMemo
+	// workloads memoises the lattice's decompositions by rank count, so
+	// predicting, measuring and planning the same (anatomy, ranks) run RCB
+	// once, and a hit on one count never waits behind a miss on another.
+	// The stored workloads are unnamed and share their slices: read, do
+	// not modify.
+	workloads *cache.LRU[int, simcloud.Workload]
 }
+
+// MaxMemoizedWorkloads bounds an Anatomy's memo: rank counts come from
+// requests, so without a cap one lattice could pin a decomposition per
+// count ever asked for. A campaign or a serving key asks for a handful. A
+// decomposition is a pure function of lattice, access model and rank
+// count, so recomputing a dropped one returns the identical workload.
+const MaxMemoizedWorkloads = 32
 
 // CalibrationCounts is the task-count sweep used to fit the z-law and
 // event-law when tuning the generalized model to an anatomy of n fluid
@@ -90,49 +118,126 @@ func CalibrationCounts(n int) []int {
 	return counts
 }
 
-// NewAnatomy builds the solver for a domain and tunes the generalized
+// NewAnatomy builds the lattice of a domain and tunes the generalized
 // model to it by decomposing over a task sweep (the paper's "anatomy-
 // specific predictions"). Nothing in it depends on a machine but
 // coresPerNode, the node width the sweep is calibrated at: pass the
 // widest node among the candidate systems so one tuning serves them all.
 func NewAnatomy(name string, dom *geometry.Domain, p lbm.Params, coresPerNode int) (*Anatomy, error) {
-	s, err := lbm.NewSparse(dom, p)
+	l, err := lbm.NewLattice(dom, p)
 	if err != nil {
 		return nil, err
 	}
 	access := lbm.HarveyAccess()
-	g, err := perfmodel.CalibrateGeneral(s, access, CalibrationCounts(s.N()), coresPerNode)
+	g, err := perfmodel.CalibrateGeneral(l, access, CalibrationCounts(l.N()), coresPerNode)
 	if err != nil {
 		return nil, fmt.Errorf("core: calibrating %q: %w", name, err)
 	}
 	return &Anatomy{
-		Name:   name,
-		Solver: s,
-		Access: access,
+		Name:    name,
+		Lattice: l,
+		Access:  access,
 		Summary: perfmodel.WorkloadSummary{
 			Name:        name,
-			Points:      s.N(),
-			BytesSerial: s.BytesSerial(access),
+			Points:      l.N(),
+			BytesSerial: l.BytesSerial(access),
 		},
-		General: g,
+		General:   g,
+		workloads: cache.New[int, simcloud.Workload](MaxMemoizedWorkloads, nil),
 	}, nil
 }
 
+// as returns the anatomy under another name: a copy sharing the lattice
+// and the memo, or the receiver when the name is already its own.
+func (a *Anatomy) as(name string) *Anatomy {
+	if a.Name == name {
+		return a
+	}
+	b := *a
+	b.Name, b.Summary.Name = name, name
+	return &b
+}
+
+// AnatomyKey is everything NewAnatomy's result depends on but the name:
+// a geometry in the vocabulary of whoever builds the domain, its scale,
+// the solver parameters and the calibration node width.
+type AnatomyKey struct {
+	Geometry     string
+	Scale        float64
+	Params       lbm.Params
+	CoresPerNode int
+}
+
+// AnatomyCache holds prepared anatomies by what they are a function of.
+type AnatomyCache = cache.LRU[AnatomyKey, *Anatomy]
+
+// MaxCachedAnatomies bounds a Framework's anatomy cache: a lattice is
+// tens of bytes per fluid site, and a campaign revisits few of them.
+const MaxCachedAnatomies = 64
+
+// CachedAnatomy is phase two evaluated once per distinct lattice: it
+// returns the anatomy of key from c under the given name, and on a miss
+// builds the domain with dom and tunes the model to it (NewAnatomy) —
+// once, however many callers ask for the key at the same time. ctx is
+// checked between the two stages and bounds the wait for another
+// caller's build; the stages themselves are uninterruptible.
+func CachedAnatomy(ctx context.Context, c *AnatomyCache, key AnatomyKey, name string, dom func() (*geometry.Domain, error)) (*Anatomy, error) {
+	a, _, err := c.Get(ctx, key, func() (*Anatomy, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		d, err := dom()
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return NewAnatomy(key.Geometry, d, key.Params, key.CoresPerNode)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return a.as(name), nil
+}
+
+// CachedAnatomy is the package function on the framework's own cache, at
+// the node width of the largest-node system in the dashboard.
+func (f *Framework) CachedAnatomy(ctx context.Context, name, geometryName string, scale float64, p lbm.Params, dom func() (*geometry.Domain, error)) (*Anatomy, error) {
+	key := AnatomyKey{Geometry: geometryName, Scale: scale, Params: p, CoresPerNode: machine.WidestNode(f.systems)}
+	return CachedAnatomy(ctx, f.Anatomies, key, name, dom)
+}
+
 // PrepareAnatomy is NewAnatomy at the node width of the largest-node
-// system in the dashboard.
+// system in the dashboard, for a domain the caller built: nothing names
+// its lattice, so nothing is cached.
 func (f *Framework) PrepareAnatomy(name string, dom *geometry.Domain, p lbm.Params) (*Anatomy, error) {
 	return NewAnatomy(name, dom, p, machine.WidestNode(f.systems))
 }
 
 // Workload decomposes the anatomy over the given rank count, once per
-// (anatomy, ranks): repeat calls share one read-only workload.
+// (lattice, ranks): repeat calls share one read-only workload, named for
+// the anatomy asking. Errors are not memoised.
 func (a *Anatomy) Workload(ranks int) (simcloud.Workload, error) {
-	return a.workloads.workload(a.Name, a.Solver, a.Access, ranks)
+	// Building runs on the calling goroutine and a parked caller waits
+	// for it as it would for its own, so there is nothing to cancel.
+	w, _, err := a.workloads.Get(context.Background(), ranks, func() (simcloud.Workload, error) {
+		p, err := decomp.RCB(a.Lattice, ranks, a.Access)
+		if err != nil {
+			return simcloud.Workload{}, err
+		}
+		return simcloud.FromPartition("", a.Lattice.N(), p), nil
+	})
+	if err != nil {
+		return simcloud.Workload{}, err
+	}
+	w.Name = a.Name
+	return w, nil
 }
 
-// MemoizedWorkloads returns the number of decompositions the anatomy
-// currently holds, at most MaxMemoizedWorkloads.
-func (a *Anatomy) MemoizedWorkloads() int { return a.workloads.len() }
+// MemoizedWorkloads returns the number of decompositions the anatomy's
+// lattice currently holds, at most MaxMemoizedWorkloads.
+func (a *Anatomy) MemoizedWorkloads() int { return a.workloads.Len() }
 
 // Workload is a.Workload(ranks).
 func (f *Framework) Workload(a *Anatomy, ranks int) (simcloud.Workload, error) {

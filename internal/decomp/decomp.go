@@ -17,8 +17,11 @@
 // sweep of the generalized model. Power-of-two counts always halve, so
 // their trees nest and all of them are read off one tree grown to the
 // largest; RCB is a sweep of one count. Per-task statistics are counted
-// without maps, one task at a time over sites grouped by owner, summing
-// bytes in ascending site order so results are reproducible to the bit.
+// without maps, one task at a time over sites grouped by owner, and only
+// the finest level of a nested tree scans links: a coarser task is the
+// union of its subtree's tasks, so its halos, points and composition are
+// theirs merged. Bytes are summed per task in ascending site order at
+// every level, so results are reproducible to the bit.
 // DESIGN.md §14 states the invariants; reference_test.go keeps the
 // sort-based decomposer these replaced as the oracle the tests compare
 // whole partitions against.
@@ -85,26 +88,34 @@ func (e *TaskCountError) Error() string {
 	return fmt.Sprintf("decomp: ntasks %d exceeds fluid sites %d", e.NTasks, e.Sites)
 }
 
-// RCB decomposes the lattice of s over ntasks tasks by recursive
+// Topology is what a decomposition reads of its subject: the lattice. A
+// *lbm.Lattice is one, and so is a solver built over one (*lbm.Sparse).
+type Topology interface{ Topology() *lbm.Lattice }
+
+// RCB decomposes the lattice of t over ntasks tasks by recursive
 // coordinate bisection and computes all per-task statistics under access
 // model m.
-func RCB(s *lbm.Sparse, ntasks int, m lbm.AccessModel) (*Partition, error) {
-	parts, err := RCBSweep(s, []int{ntasks}, m)
+func RCB(t Topology, ntasks int, m lbm.AccessModel) (*Partition, error) {
+	parts, err := RCBSweep(t, []int{ntasks}, m)
 	if err != nil {
 		return nil, err
 	}
 	return parts[0], nil
 }
 
-// RCBSweep decomposes the lattice of s over every task count in counts:
-// parts[i] equals RCB(s, counts[i], m). All the power-of-two counts are
+// RCBSweep decomposes the lattice of t over every task count in counts:
+// parts[i] equals RCB(t, counts[i], m). All the power-of-two counts are
 // read off one bisection tree grown to the largest of them (see bisect
-// for why those trees nest); any other count is bisected on its own. The
-// whole sweep works in one set of scratch arrays.
-func RCBSweep(s *lbm.Sparse, counts []int, m lbm.AccessModel) ([]*Partition, error) {
-	n := s.N()
-	maxCount, maxPow2 := 0, 0
-	for _, k := range counts {
+// for why those trees nest): the largest has its links scanned, every
+// smaller one is merged from the next larger (see mergeTask). Any other
+// count is bisected and scanned on its own. The whole sweep works in one
+// set of scratch arrays.
+func RCBSweep(t Topology, counts []int, m lbm.AccessModel) ([]*Partition, error) {
+	l := t.Topology()
+	n := l.N()
+	maxCount := 0
+	var nested []int // the power-of-two entries of counts, finest first
+	for i, k := range counts {
 		if k < 1 {
 			return nil, fmt.Errorf("decomp: ntasks %d must be positive", k)
 		}
@@ -113,39 +124,47 @@ func RCBSweep(s *lbm.Sparse, counts []int, m lbm.AccessModel) ([]*Partition, err
 		}
 		maxCount = max(maxCount, k)
 		if isPow2(k) {
-			maxPow2 = max(maxPow2, k)
+			nested = append(nested, i)
 		}
 	}
-	b, w := newBisector(s), newTally(s, m, maxCount)
-
-	// leaf[si] is the site's task in the maxPow2-way partition.
-	var leaf []int32
-	if maxPow2 > 0 {
-		leaf = make([]int32, n)
-		b.decompose(maxPow2, leaf)
-	}
-	leafDepth := bits.TrailingZeros(uint(maxPow2))
-
+	slices.SortStableFunc(nested, func(i, j int) int { return counts[j] - counts[i] })
+	b, w := newBisector(l), newTally(l, m, maxCount)
 	parts := make([]*Partition, len(counts))
-	for i, k := range counts {
-		owner := make([]int32, n)
-		if isPow2(k) {
-			// The depth-d nodes of the tree are the tasks of the 2^d-way
-			// partition, numbered by the high d bits of the leaf number.
-			shift := leafDepth - bits.TrailingZeros(uint(k))
-			for si, t := range leaf {
-				owner[si] = t >> shift
-			}
+
+	// The depth-d nodes of the finest tree are the tasks of the 2^d-way
+	// partition, numbered by the high d bits of the leaf number.
+	var finer *Partition
+	for _, i := range nested {
+		p := &Partition{NTasks: counts[i], Owner: make([]int32, n)}
+		if finer == nil {
+			b.decompose(p.NTasks, p.Owner)
 		} else {
-			b.decompose(k, owner)
+			shift := levelsBelow(p, finer)
+			for si, leaf := range finer.Owner {
+				p.Owner[si] = leaf >> shift
+			}
 		}
-		parts[i] = &Partition{NTasks: k, Owner: owner}
-		w.computeStats(parts[i])
+		w.computeStats(p, finer)
+		parts[i], finer = p, p
+	}
+	for i, k := range counts {
+		if parts[i] == nil {
+			p := &Partition{NTasks: k, Owner: make([]int32, n)}
+			b.decompose(k, p.Owner)
+			w.computeStats(p, nil)
+			parts[i] = p
+		}
 	}
 	return parts, nil
 }
 
 func isPow2(k int) bool { return k&(k-1) == 0 }
+
+// levelsBelow returns how many tree levels finer lies below p, both
+// power-of-two partitions of one tree: finer task q is under p's q >> it.
+func levelsBelow(p, finer *Partition) int {
+	return bits.TrailingZeros(uint(finer.NTasks / p.NTasks))
+}
 
 // bisector is the scratch the bisections of one RCB call, or of a whole
 // sweep, work in.
@@ -156,13 +175,13 @@ type bisector struct {
 	hist       []int32 // sites per coordinate along the split axis
 }
 
-func newBisector(s *lbm.Sparse) *bisector {
+func newBisector(s *lbm.Lattice) *bisector {
 	n := s.N()
 	b := &bisector{
 		xs: make([]int32, n), ys: make([]int32, n), zs: make([]int32, n),
 		sites: make([]int32, n),
 		right: make([]int32, n),
-		hist:  make([]int32, max(s.Dom.NX, s.Dom.NY, s.Dom.NZ)),
+		hist:  make([]int32, max(s.NX, s.NY, s.NZ)),
 	}
 	for si := 0; si < n; si++ {
 		x, y, z := s.SiteCoords(si)
@@ -259,52 +278,74 @@ func (b *bisector) bisect(sites []int32, task0, k int, owner []int32) {
 // tally is the scratch computeStats works in, sized for the largest task
 // count it will see.
 type tally struct {
-	s          *lbm.Sparse
+	l          *lbm.Lattice
 	pointBytes [lbm.NQ + 1]float64  // the access model's PointBytes by stored-vector count
+	kinds      []geometry.PointType // the point types the lattice has, ascending
 	order      []int32              // sites grouped by owner, ascending within each
 	start      []int32              // order[start[t]:start[t+1]] are task t's sites (one spare slot)
 	links      []int32              // crossing links per peer, for the task under way
 	peers      []int32              // the peers links is non-zero for
 	byType     [256]int32           // sites per point type, for the task under way
-	types      []geometry.PointType // the types byType is non-zero for
+	bytes      []float64            // bytes per task
 	sends      []Halo               // every task's halos, back to back
 }
 
-func newTally(s *lbm.Sparse, m lbm.AccessModel, maxTasks int) *tally {
+func newTally(l *lbm.Lattice, m lbm.AccessModel, maxTasks int) *tally {
 	w := &tally{
-		s:     s,
-		order: make([]int32, s.N()),
+		l:     l,
+		order: make([]int32, l.N()),
 		start: make([]int32, maxTasks+2),
 		links: make([]int32, maxTasks),
 		peers: make([]int32, maxTasks),
-		types: make([]geometry.PointType, 0, 8),
+		bytes: make([]float64, maxTasks),
 	}
 	for v := range w.pointBytes {
 		w.pointBytes[v] = m.PointBytes(v)
+	}
+	var present [256]bool
+	for si := 0; si < l.N(); si++ {
+		present[l.Type(si)] = true
+	}
+	for typ, ok := range present {
+		if ok {
+			w.kinds = append(w.kinds, geometry.PointType(typ))
+		}
 	}
 	return w
 }
 
 // computeStats fills per-task points, bytes, composition and halos from
 // p.Owner, one task at a time so a single dense per-peer counter serves
-// them all.
-func (w *tally) computeStats(p *Partition) {
-	w.groupByOwner(p)
+// them all. With finer nil the tasks' links are scanned; otherwise finer
+// is a partition of the same bisection tree with 2^d times the tasks,
+// and each task is merged from its 2^d descendants there.
+func (w *tally) computeStats(p, finer *Partition) {
+	shift := 0
+	if finer == nil {
+		w.groupByOwner(p)
+	} else {
+		shift = levelsBelow(p, finer)
+	}
 	w.sends = w.sends[:0]
 	p.Tasks = make([]Task, p.NTasks)
 	for t := range p.Tasks {
 		task := &p.Tasks[t]
 		task.ID = t
-		task.Points = int(w.start[t+1] - w.start[t])
 		var npeers int
-		task.Bytes, npeers = w.scanTask(p.Owner, t)
+		if finer == nil {
+			task.Points = int(w.start[t+1] - w.start[t])
+			npeers = w.scanTask(p.Owner, t)
+		} else {
+			task.Points, npeers = w.mergeTask(finer.Tasks[t<<shift:(t+1)<<shift], t, shift)
+		}
 
 		task.ByType = make(map[geometry.PointType]int, 4)
-		for _, typ := range w.types {
-			task.ByType[typ] = int(w.byType[typ])
-			w.byType[typ] = 0
+		for _, typ := range w.kinds {
+			if c := w.byType[typ]; c > 0 {
+				task.ByType[typ] = int(c)
+				w.byType[typ] = 0
+			}
 		}
-		w.types = w.types[:0]
 
 		peers := w.peers[:npeers]
 		slices.Sort(peers)
@@ -325,12 +366,22 @@ func (w *tally) computeStats(p *Partition) {
 			p.Tasks[t].Sends, all = all[:n:n], all[n:]
 		}
 	}
+
+	// Bytes (Eq. 9): one pass in ascending site order, so each task's sum
+	// adds its sites' bytes in the order it always has, whatever the level
+	// — a parent's float sum is not the sum of its children's.
+	bytes := w.bytes[:p.NTasks]
+	clear(bytes)
+	for si, t := range p.Owner {
+		bytes[t] += w.pointBytes[w.l.Vectors(si)]
+	}
+	for t := range p.Tasks {
+		p.Tasks[t].Bytes = bytes[t]
+	}
 }
 
 // groupByOwner counting-sorts the sites by p.Owner into w.order and
-// w.start. The sort is stable, so each task's sites stay ascending — the
-// order Bytes has always been summed in, which keeps every float
-// bit-identical.
+// w.start. The sort is stable, so each task's sites stay ascending.
 //
 //lint:hot
 func (w *tally) groupByOwner(p *Partition) {
@@ -352,21 +403,19 @@ func (w *tally) groupByOwner(p *Partition) {
 	}
 }
 
-// scanTask walks task t's sites and returns their summed bytes. It leaves
-// the crossing-link counts in w.links with the peers they are non-zero
-// for in w.peers[:npeers], and the site composition in w.byType and
-// w.types; the caller zeroes what it reads.
+// scanTask walks the links of task t's sites. It leaves the crossing-link
+// counts in w.links with the peers they are non-zero for in
+// w.peers[:npeers], and the site composition in w.byType; the caller
+// zeroes what it reads.
 //
 //lint:hot
-func (w *tally) scanTask(owner []int32, t int) (bytes float64, npeers int) {
-	s, links, peers := w.s, w.links, w.peers
+func (w *tally) scanTask(owner []int32, t int) (npeers int) {
+	l, links, peers := w.l, w.links, w.peers
 	for _, si := range w.order[w.start[t]:w.start[t+1]] {
-		vectors := 1 // rest
-		for _, nb := range s.Links(int(si)) {
+		for _, nb := range l.Links(int(si)) {
 			if nb < 0 {
 				continue
 			}
-			vectors++
 			if peer := owner[nb]; int(peer) != t {
 				if links[peer] == 0 {
 					peers[npeers] = peer
@@ -375,14 +424,41 @@ func (w *tally) scanTask(owner []int32, t int) (bytes float64, npeers int) {
 				links[peer]++
 			}
 		}
-		bytes += w.pointBytes[vectors]
-		typ := s.Type(int(si))
-		if w.byType[typ] == 0 {
-			w.types = append(w.types, typ)
-		}
-		w.byType[typ]++
+		w.byType[l.Type(int(si))]++
 	}
-	return bytes, npeers
+	return npeers
+}
+
+// mergeTask is scanTask for a task t whose sites are exactly those of
+// children, its 2^shift descendants in a finer partition of the same
+// tree: it leaves the same counts without touching a link. It is exact
+// because a crossing link of t crosses out of one child to a task outside
+// all of them, and that task's ancestor at t's level is its number
+// shifted right; the links a child sends to a peer under the same
+// ancestor stay inside t and drop out; points and composition add.
+//
+//lint:hot
+func (w *tally) mergeTask(children []Task, t, shift int) (points, npeers int) {
+	links, peers := w.links, w.peers
+	for c := range children {
+		child := &children[c]
+		points += child.Points
+		for _, typ := range w.kinds {
+			w.byType[typ] += int32(child.ByType[typ])
+		}
+		for _, h := range child.Sends {
+			peer := int32(h.Peer >> shift)
+			if int(peer) == t {
+				continue
+			}
+			if links[peer] == 0 {
+				peers[npeers] = peer
+				npeers++
+			}
+			links[peer] += int32(h.Links)
+		}
+	}
+	return points, npeers
 }
 
 // MaxBytes returns the largest per-task memory byte count — the
@@ -474,7 +550,8 @@ func (p *Partition) InterStats(coresPerNode int) (maxBytes float64, maxEvents in
 // summing to the lattice size, and halo symmetry (task a sends exactly as
 // many links to b as b sends to a, because crossing links pair up through
 // opposite directions).
-func (p *Partition) Validate(s *lbm.Sparse) error {
+func (p *Partition) Validate(t Topology) error {
+	s := t.Topology()
 	total := 0
 	for i := range p.Tasks {
 		total += p.Tasks[i].Points

@@ -108,6 +108,32 @@ func TestRCBMatchesReferenceInexactBytes(t *testing.T) {
 	}
 }
 
+// TestMergedLevelsMatchReference sweeps the count sets the merge could get
+// wrong, every level held to the reference: powers of two that are not
+// neighbours in the tree (a task merged from 16 or 256 descendants at
+// once), powers of two among counts with trees of their own, and both of
+// those under the access model whose byte sums show their order.
+func TestMergedLevelsMatchReference(t *testing.T) {
+	models := map[string]lbm.AccessModel{
+		"harvey":  lbm.HarveyAccess(),
+		"inexact": lbm.ProxyAccess(lbm.KernelConfig{Layout: lbm.SOA, Pattern: lbm.AA}),
+	}
+	for _, shape := range shapes {
+		s := buildSolver(t, shape, 6)
+		for _, counts := range [][]int{{1, 4, 64}, {2, 512}, {512, 2}, {3, 8, 27, 64}, {4, 4, 1}} {
+			for name, m := range models {
+				parts, err := decomp.RCBSweep(s, counts, m)
+				if err != nil {
+					t.Fatalf("%s@6 RCBSweep(%v): %v", shape, counts, err)
+				}
+				for i, k := range counts {
+					checkAgainstReference(t, fmt.Sprintf("%s@6 %s sweep%v[%d]", shape, name, counts, i), s, k, m, parts[i])
+				}
+			}
+		}
+	}
+}
+
 func TestRCBSweepMatchesRCB(t *testing.T) {
 	m := lbm.HarveyAccess()
 	check := func(label string, s *lbm.Sparse, counts []int) {
@@ -217,11 +243,12 @@ func randomMask(seed int64, nx, ny, nz int, fill float64) (*lbm.Sparse, error) {
 }
 
 func FuzzRCBMatchesReference(f *testing.F) {
-	f.Add(int64(1), uint8(6), uint8(5), uint8(4), uint8(128), uint16(7))
-	f.Add(int64(2), uint8(12), uint8(3), uint8(9), uint8(200), uint16(16))
-	f.Add(int64(3), uint8(2), uint8(2), uint8(2), uint8(255), uint16(8))
-	f.Add(int64(4), uint8(16), uint8(16), uint8(1), uint8(60), uint16(33))
-	f.Fuzz(func(t *testing.T, seed int64, nx, ny, nz, fill uint8, ntasks uint16) {
+	f.Add(int64(1), uint8(6), uint8(5), uint8(4), uint8(128), uint16(7), uint16(0x7f))
+	f.Add(int64(2), uint8(12), uint8(3), uint8(9), uint8(200), uint16(16), uint16(0x45)) // 1, 4, 64
+	f.Add(int64(3), uint8(2), uint8(2), uint8(2), uint8(255), uint16(8), uint16(0x6))
+	f.Add(int64(4), uint8(16), uint8(16), uint8(1), uint8(60), uint16(33), uint16(0x82))    // 2, 128
+	f.Add(int64(5), uint8(15), uint8(15), uint8(15), uint8(250), uint16(27), uint16(0x202)) // 2, 512
+	f.Fuzz(func(t *testing.T, seed int64, nx, ny, nz, fill uint8, ntasks, levels uint16) {
 		dims := [3]int{1 + int(nx)%16, 1 + int(ny)%16, 1 + int(nz)%16}
 		s, err := randomMask(seed, dims[0], dims[1], dims[2], (1+float64(fill))/256)
 		if err != nil {
@@ -235,17 +262,21 @@ func FuzzRCBMatchesReference(f *testing.F) {
 		}
 		checkAgainstReference(t, fmt.Sprintf("mask %v seed %d RCB(%d)", dims, seed, k), s, k, m, got)
 
-		// The same count inside a sweep, next to the powers of two below it.
+		// The same count inside a sweep, next to the powers of two levels
+		// picks: any subset, so merged levels skip any number of tree
+		// depths.
 		counts := []int{k}
-		for c := 1; c <= s.N() && c <= 64; c *= 2 {
-			counts = append(counts, c)
+		for d := 0; d < 10 && 1<<d <= s.N(); d++ {
+			if levels>>d&1 != 0 {
+				counts = append(counts, 1<<d)
+			}
 		}
 		parts, err := decomp.RCBSweep(s, counts, m)
 		if err != nil {
 			t.Fatalf("RCBSweep(%v): %v", counts, err)
 		}
 		for i, c := range counts {
-			checkAgainstReference(t, fmt.Sprintf("mask %v seed %d sweep[%d]", dims, seed, c), s, c, m, parts[i])
+			checkAgainstReference(t, fmt.Sprintf("mask %v seed %d sweep%v[%d]", dims, seed, counts, i), s, c, m, parts[i])
 		}
 	})
 }

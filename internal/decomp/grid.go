@@ -13,7 +13,8 @@ import (
 // are legal: their tasks own zero sites, which is exactly the load
 // imbalance the z(n) law of Eq. 11 has to absorb for codes without a
 // balancing decomposer.
-func Grid(s *lbm.Sparse, px, py, pz int, m lbm.AccessModel) (*Partition, error) {
+func Grid(t Topology, px, py, pz int, m lbm.AccessModel) (*Partition, error) {
+	s := t.Topology()
 	if px < 1 || py < 1 || pz < 1 {
 		return nil, fmt.Errorf("decomp: grid %dx%dx%d must be positive", px, py, pz)
 	}
@@ -21,7 +22,7 @@ func Grid(s *lbm.Sparse, px, py, pz int, m lbm.AccessModel) (*Partition, error) 
 	if ntasks > s.N() {
 		return nil, fmt.Errorf("decomp: grid of %d blocks exceeds %d fluid sites", ntasks, s.N())
 	}
-	nx, ny, nz := s.Dom.NX, s.Dom.NY, s.Dom.NZ
+	nx, ny, nz := s.NX, s.NY, s.NZ
 	p := &Partition{NTasks: ntasks, Owner: make([]int32, s.N())}
 	for si := 0; si < s.N(); si++ {
 		x, y, z := s.SiteCoords(si)
@@ -30,14 +31,15 @@ func Grid(s *lbm.Sparse, px, py, pz int, m lbm.AccessModel) (*Partition, error) 
 		bz := z * pz / nz
 		p.Owner[si] = int32((bz*py+by)*px + bx)
 	}
-	newTally(s, m, ntasks).computeStats(p)
+	newTally(s, m, ntasks).computeStats(p, nil)
 	return p, nil
 }
 
 // GridCube decomposes with a near-cubic grid of approximately ntasks
 // blocks: the factorization of ntasks into three factors closest to its
 // cube root, preferring more cuts along longer axes.
-func GridCube(s *lbm.Sparse, ntasks int, m lbm.AccessModel) (*Partition, error) {
+func GridCube(t Topology, ntasks int, m lbm.AccessModel) (*Partition, error) {
+	s := t.Topology()
 	if ntasks < 1 {
 		return nil, fmt.Errorf("decomp: ntasks %d must be positive", ntasks)
 	}
@@ -47,7 +49,7 @@ func GridCube(s *lbm.Sparse, ntasks int, m lbm.AccessModel) (*Partition, error) 
 		length int
 		factor *int
 	}
-	dims := []axis{{s.Dom.NX, &px}, {s.Dom.NY, &py}, {s.Dom.NZ, &pz}}
+	dims := []axis{{s.NX, &px}, {s.NY, &py}, {s.NZ, &pz}}
 	factors := []int{px, py, pz}
 	sortDesc(factors)
 	// Order axes by length descending and hand out factors in order.

@@ -95,43 +95,35 @@ const CommBytesPerLink = 8
 
 // Vectors returns the number of stored vectors at local site si of the
 // sparse engine: the rest vector plus one per fluid link.
-func (s *Sparse) Vectors(si int) int {
-	v := 1 // rest
-	for q := 1; q < NQ; q++ {
-		if s.neigh[si*NQ+q] != solidNeighbor {
-			v++
-		}
-	}
-	return v
-}
+func (l *Lattice) Vectors(si int) int { return int(l.nvec[si]) }
 
 // Neighbor exposes the local index of the site one lattice link along q
 // from si, or -1 when that link leaves the fluid. The decomposition
 // package uses this to count halo crossings exactly.
-func (s *Sparse) Neighbor(si, q int) int { return int(s.neigh[si*NQ+q]) }
+func (l *Lattice) Neighbor(si, q int) int { return int(l.neigh[si*NQ+q]) }
 
 // Links returns the NQ-1 moving-direction entries of site si's neighbor
-// row: Links(si)[q-1] == Neighbor(si, q). The slice aliases the solver's
+// row: Links(si)[q-1] == Neighbor(si, q). The slice aliases the lattice's
 // table; read only.
-func (s *Sparse) Links(si int) []int32 { return s.neigh[si*NQ+1 : si*NQ+NQ : si*NQ+NQ] }
+func (l *Lattice) Links(si int) []int32 { return l.neigh[si*NQ+1 : si*NQ+NQ : si*NQ+NQ] }
 
 // GlobalIndex returns the global linear index of local site si.
-func (s *Sparse) GlobalIndex(si int) int { return int(s.gidx[si]) }
+func (l *Lattice) GlobalIndex(si int) int { return int(l.gidx[si]) }
 
 // BytesSerial returns the total bytes accessed per timestep by a serial
 // run under access model m — the n_bytes-serial input of Eq. 10.
-func (s *Sparse) BytesSerial(m AccessModel) float64 {
+func (l *Lattice) BytesSerial(m AccessModel) float64 {
 	var total float64
-	for si := 0; si < s.n; si++ {
-		total += m.PointBytes(s.Vectors(si))
+	for _, v := range l.nvec {
+		total += m.PointBytes(int(v))
 	}
 	return total
 }
 
 // CountTypes tallies fluid sites per classification.
-func (s *Sparse) CountTypes() map[geometry.PointType]int {
+func (l *Lattice) CountTypes() map[geometry.PointType]int {
 	counts := make(map[geometry.PointType]int, 4)
-	for _, t := range s.types {
+	for _, t := range l.types {
 		counts[t]++
 	}
 	return counts

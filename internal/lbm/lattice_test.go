@@ -1,0 +1,188 @@
+package lbm_test
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/campaign"
+	"repro/internal/geometry"
+	"repro/internal/lbm"
+)
+
+// latticeShapes builds the five campaign.BuildGeometry shapes at scale 6.
+func latticeShapes(t testing.TB) []*geometry.Domain {
+	t.Helper()
+	var doms []*geometry.Domain
+	for _, shape := range []string{"cylinder", "aorta", "cerebral", "stenosis", "bifurcation"} {
+		dom, err := campaign.BuildGeometry(shape, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doms = append(doms, dom)
+	}
+	return doms
+}
+
+// TestSiteAtMatchesDomainScan: the compact index answers every box
+// coordinate, and a shell of coordinates outside the box, exactly as a
+// scan of Domain.Types in global order numbers the fluid sites.
+func TestSiteAtMatchesDomainScan(t *testing.T) {
+	for _, dom := range latticeShapes(t) {
+		l, err := lbm.NewLattice(dom, lbm.Params{Tau: 0.9, UMax: 0.02})
+		if err != nil {
+			t.Fatalf("%s: %v", dom.Name, err)
+		}
+		next := 0
+		for z := -1; z <= dom.NZ; z++ {
+			for y := -1; y <= dom.NY; y++ {
+				for x := -1; x <= dom.NX; x++ {
+					want := -1
+					if dom.At(x, y, z).IsFluid() { // At is Solid outside the box
+						want = next
+						next++
+					}
+					if got := l.SiteAt(x, y, z); got != want {
+						t.Fatalf("%s: SiteAt(%d,%d,%d) = %d, want %d", dom.Name, x, y, z, got, want)
+					}
+					if want >= 0 {
+						if gx, gy, gz := l.SiteCoords(want); gx != x || gy != y || gz != z {
+							t.Fatalf("%s: SiteCoords(%d) = (%d,%d,%d), want (%d,%d,%d)", dom.Name, want, gx, gy, gz, x, y, z)
+						}
+						if l.Type(want) != dom.At(x, y, z) {
+							t.Fatalf("%s: Type(%d) = %v, want %v", dom.Name, want, l.Type(want), dom.At(x, y, z))
+						}
+					}
+				}
+			}
+		}
+		if next != l.N() {
+			t.Errorf("%s: lattice has %d sites, the domain %d fluid voxels", dom.Name, l.N(), next)
+		}
+	}
+}
+
+// TestLinksMatchDomainScan: every link row is what the domain says about
+// the 18 neighbours, with and without the periodic wrap, and Vectors is
+// the count of its fluid links plus the rest vector.
+func TestLinksMatchDomainScan(t *testing.T) {
+	for _, dom := range latticeShapes(t) {
+		for _, periodic := range []bool{false, true} {
+			l, err := lbm.NewLattice(dom, lbm.Params{Tau: 0.9, PeriodicX: periodic})
+			if err != nil {
+				t.Fatalf("%s: %v", dom.Name, err)
+			}
+			for si := 0; si < l.N(); si++ {
+				x, y, z := l.SiteCoords(si)
+				vectors := 1
+				for q := 0; q < lbm.NQ; q++ {
+					nx := x + lbm.Cx[q]
+					if periodic {
+						nx = (nx + dom.NX) % dom.NX
+					}
+					want := l.SiteAt(nx, y+lbm.Cy[q], z+lbm.Cz[q])
+					if got := l.Neighbor(si, q); got != want {
+						t.Fatalf("%s periodic=%v: Neighbor(%d,%d) = %d, want %d", dom.Name, periodic, si, q, got, want)
+					}
+					if q > 0 && want >= 0 {
+						vectors++
+					}
+				}
+				if l.Vectors(si) != vectors {
+					t.Fatalf("%s: Vectors(%d) = %d, want %d", dom.Name, si, l.Vectors(si), vectors)
+				}
+			}
+		}
+	}
+}
+
+// TestLatticeAllocatesByFluidSites is the byte bound of the compact
+// index: cerebral@6 is a 3.5 M-voxel box around 7.5 k fluid sites, and its
+// lattice — site tables, link rows and the index — allocates under 3 MB
+// where the dense int32 lookup alone took 14 MB.
+func TestLatticeAllocatesByFluidSites(t *testing.T) {
+	dom, err := campaign.BuildGeometry("cerebral", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dom.Sites() < 3e6 {
+		t.Fatalf("cerebral@6 has a %d-voxel box; the bound below is stated for ≥ 3 M", dom.Sites())
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	l, err := lbm.NewLattice(dom, lbm.Params{Tau: 0.9, UMax: 0.02})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 3 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("NewLattice allocated %d bytes for %d fluid sites in a %d-voxel box, bound %d",
+			got, l.N(), dom.Sites(), bound)
+	}
+}
+
+func TestNewLatticeRejects(t *testing.T) {
+	dom, err := geometry.Cylinder(16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lbm.NewLattice(dom, lbm.Params{Tau: 0.4}); err == nil {
+		t.Error("want an error for tau below 0.5")
+	}
+	short := *dom
+	short.Types = dom.Types[:len(dom.Types)-1]
+	if _, err := lbm.NewLattice(&short, lbm.Params{Tau: 0.9}); err == nil {
+		t.Error("want an error for a voxel array shorter than the box")
+	}
+	solid := *dom
+	solid.Types = make([]geometry.PointType, len(dom.Types))
+	if _, err := lbm.NewLattice(&solid, lbm.Params{Tau: 0.9}); err == nil {
+		t.Error("want an error for a domain without fluid")
+	}
+	closed := *dom
+	closed.Types = append([]geometry.PointType(nil), dom.Types...)
+	for i, typ := range closed.Types {
+		if typ == geometry.Inlet {
+			closed.Types[i] = geometry.Bulk
+		}
+	}
+	if _, err := lbm.NewLattice(&closed, lbm.Params{Tau: 0.9, UMax: 0.02}); err == nil {
+		t.Error("want an error for a driven flow without inlet sites")
+	}
+	if _, err := lbm.NewLattice(&closed, lbm.Params{Tau: 0.9, UMax: 0.02, PeriodicX: true}); err != nil {
+		t.Errorf("a periodic run needs no inlet: %v", err)
+	}
+}
+
+// BenchmarkNewSparse times lattice construction plus solver state; the
+// cerebral row is the sparse extreme (22 k fluid sites in 8.4 M voxels).
+func BenchmarkNewSparse(b *testing.B) {
+	for _, c := range []struct {
+		shape string
+		scale float64
+	}{{"cylinder", 8}, {"aorta", 8}, {"cerebral", 8}} {
+		name := fmt.Sprintf("%s@%g", c.shape, c.scale)
+		dom, err := campaign.BuildGeometry(c.shape, c.scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name+"/lattice", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := lbm.NewLattice(dom, lbm.Params{Tau: 0.9, UMax: 0.02}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := lbm.NewSparse(dom, lbm.Params{Tau: 0.9, UMax: 0.02}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -2,7 +2,6 @@
 package lbm
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/geometry"
@@ -11,29 +10,19 @@ import (
 // Sparse is the HARVEY-like engine: it stores only fluid sites, addresses
 // neighbors through an index table (indirect addressing), and runs the AB
 // propagation pattern with an array-of-structures layout — the production
-// configuration the paper benchmarks. The zero value is not usable; create
-// instances with NewSparse.
+// configuration the paper benchmarks. It is a Lattice plus the state of a
+// flow on it. The zero value is not usable; create instances with
+// NewSparse.
 type Sparse struct {
+	*Lattice
 	Dom    *geometry.Domain
 	Params Params
-
-	n     int                  // number of fluid sites
-	gidx  []int32              // local site -> global linear index (ascending)
-	types []geometry.PointType // local site -> classification
-
-	// neigh[s*NQ+q] is the local index of the site at x + c_q, or solidNeighbor
-	// when that site is solid (bounce-back), for every fluid site s.
-	neigh []int32
 
 	f, fnew []float64 // n*NQ distributions, AOS layout
 
 	// Inlet machinery: per-inlet-site prescribed Poiseuille velocity.
 	inletU []float64 // len n, nonzero only at inlet sites
 	// Outlet sites are relaxed to equilibrium at reference density.
-
-	// lookup maps global linear indices to local site indices (-1 for
-	// solid), kept for spatial queries (immersed-boundary coupling).
-	lookup []int32
 
 	// siteForce, when non-nil, holds a per-site body force density
 	// (fx, fy, fz per site) applied during collision in addition to the
@@ -43,75 +32,15 @@ type Sparse struct {
 	steps int // timesteps completed
 }
 
-const solidNeighbor = int32(-1)
-
-// NewSparse builds a solver for the domain. It indexes fluid sites, wires
-// the neighbor table (honoring PeriodicX), and initializes the fluid at
-// rest with unit density.
+// NewSparse builds a solver for the domain: its lattice (NewLattice),
+// the inlet profile, and the fluid at rest with unit density.
 func NewSparse(dom *geometry.Domain, p Params) (*Sparse, error) {
-	if err := p.Validate(); err != nil {
+	l, err := NewLattice(dom, p)
+	if err != nil {
 		return nil, err
 	}
-	s := &Sparse{Dom: dom, Params: p}
-
-	// Local indexing of fluid sites in global scan order. The site tables
-	// are pre-sized from a counting pass so the append loop never regrows
-	// (NewSparse is budgeted by cmd/lint -perfbudget).
-	nFluid := 0
-	for _, t := range dom.Types {
-		if t.IsFluid() {
-			nFluid++
-		}
-	}
-	s.gidx = make([]int32, 0, nFluid)
-	s.types = make([]geometry.PointType, 0, nFluid)
-	local := make([]int32, dom.Sites())
-	for i := range local {
-		local[i] = solidNeighbor
-	}
-	s.lookup = local
-	for z := 0; z < dom.NZ; z++ {
-		for y := 0; y < dom.NY; y++ {
-			for x := 0; x < dom.NX; x++ {
-				g := dom.Index(x, y, z)
-				if dom.Types[g].IsFluid() {
-					local[g] = int32(s.n)
-					s.gidx = append(s.gidx, int32(g))
-					s.types = append(s.types, dom.Types[g])
-					s.n++
-				}
-			}
-		}
-	}
-	if s.n == 0 {
-		return nil, fmt.Errorf("lbm: domain %q has no fluid sites", dom.Name)
-	}
-
-	// Neighbor table.
-	s.neigh = make([]int32, s.n*NQ)
-	for si := 0; si < s.n; si++ {
-		x, y, z := s.coords(si)
-		for q := 0; q < NQ; q++ {
-			nx, ny, nz := x+Cx[q], y+Cy[q], z+Cz[q]
-			if p.PeriodicX {
-				if nx < 0 {
-					nx += dom.NX
-				} else if nx >= dom.NX {
-					nx -= dom.NX
-				}
-			}
-			if nx < 0 || nx >= dom.NX || ny < 0 || ny >= dom.NY || nz < 0 || nz >= dom.NZ ||
-				!dom.Types[dom.Index(nx, ny, nz)].IsFluid() {
-				s.neigh[si*NQ+q] = solidNeighbor
-			} else {
-				s.neigh[si*NQ+q] = local[dom.Index(nx, ny, nz)]
-			}
-		}
-	}
-
-	if err := s.buildInletProfile(); err != nil {
-		return nil, err
-	}
+	s := &Sparse{Lattice: l, Dom: dom, Params: p}
+	s.buildInletProfile()
 
 	// Rest-state initialization.
 	s.f = make([]float64, s.n*NQ)
@@ -124,18 +53,11 @@ func NewSparse(dom *geometry.Domain, p Params) (*Sparse, error) {
 	return s, nil
 }
 
-// coords recovers (x, y, z) of local site si from its global index.
-func (s *Sparse) coords(si int) (x, y, z int) {
-	g := int(s.gidx[si])
-	x = g % s.Dom.NX
-	y = (g / s.Dom.NX) % s.Dom.NY
-	z = g / (s.Dom.NX * s.Dom.NY)
-	return x, y, z
-}
-
 // buildInletProfile computes the Poiseuille velocity for every inlet site:
-// u(r) = UMax * (1 - (r/R)^2) about the inlet centroid.
-func (s *Sparse) buildInletProfile() error {
+// u(r) = UMax * (1 - (r/R)^2) about the inlet centroid. A lattice without
+// inlet sites (periodic runs; NewLattice rejects the driven case) keeps
+// the zero profile.
+func (s *Sparse) buildInletProfile() {
 	s.inletU = make([]float64, s.n)
 	var cy, cz float64
 	count := 0
@@ -148,10 +70,7 @@ func (s *Sparse) buildInletProfile() error {
 		}
 	}
 	if count == 0 {
-		if s.Params.UMax > 0 && !s.Params.PeriodicX {
-			return fmt.Errorf("lbm: UMax set but domain %q has no inlet sites", s.Dom.Name)
-		}
-		return nil
+		return
 	}
 	cy /= float64(count)
 	cz /= float64(count)
@@ -176,17 +95,10 @@ func (s *Sparse) buildInletProfile() error {
 			s.inletU[si] = s.Params.UMax * (1 - (dy*dy+dz*dz)/r2)
 		}
 	}
-	return nil
 }
-
-// N returns the number of fluid sites.
-func (s *Sparse) N() int { return s.n }
 
 // Steps returns the number of completed timesteps.
 func (s *Sparse) Steps() int { return s.steps }
-
-// Type returns the classification of local site si.
-func (s *Sparse) Type(si int) geometry.PointType { return s.types[si] }
 
 // Step advances the simulation one timestep: BGK collision with optional
 // first-order body forcing, then pull streaming with halfway bounce-back
@@ -327,20 +239,6 @@ func (s *Sparse) MaxSpeed() float64 {
 		vmax = math.Max(vmax, v)
 	}
 	return vmax
-}
-
-// SiteCoords exposes the lattice coordinates of local site si, for
-// validation against analytic profiles.
-func (s *Sparse) SiteCoords(si int) (x, y, z int) { return s.coords(si) }
-
-// SiteAt returns the local index of the fluid site at lattice coordinates
-// (x, y, z), or -1 when the site is solid or outside the domain. It backs
-// the spatial queries of the immersed-boundary coupling.
-func (s *Sparse) SiteAt(x, y, z int) int {
-	if x < 0 || x >= s.Dom.NX || y < 0 || y >= s.Dom.NY || z < 0 || z >= s.Dom.NZ {
-		return -1
-	}
-	return int(s.lookup[s.Dom.Index(x, y, z)])
 }
 
 // EnableSiteForces allocates (once) the per-site body-force field used by

@@ -15,7 +15,7 @@ import (
 // calibrates the per-boundary-point communication payload of Eq. 13
 // against the measured halo sizes. coresPerNode fixes the node counts
 // entering the event law (Eq. 15).
-func CalibrateGeneral(s *lbm.Sparse, m lbm.AccessModel, taskCounts []int, coresPerNode int) (GeneralModel, error) {
+func CalibrateGeneral(t decomp.Topology, m lbm.AccessModel, taskCounts []int, coresPerNode int) (GeneralModel, error) {
 	if len(taskCounts) < 3 {
 		return GeneralModel{}, fmt.Errorf("perfmodel: need at least 3 task counts to calibrate, have %d", len(taskCounts))
 	}
@@ -28,10 +28,11 @@ func CalibrateGeneral(s *lbm.Sparse, m lbm.AccessModel, taskCounts []int, coresP
 		evCounts    []float64 // measured max inter-node events
 		pcbEstimate []float64 // Eq. 13 payload back-solved per count
 	)
-	parts, err := decomp.RCBSweep(s, taskCounts, m)
+	parts, err := decomp.RCBSweep(t, taskCounts, m)
 	if err != nil {
 		return GeneralModel{}, fmt.Errorf("perfmodel: calibration decomposition: %w", err)
 	}
+	points := float64(t.Topology().N())
 	for _, p := range parts {
 		n := float64(p.NTasks)
 		z := p.Imbalance()
@@ -50,7 +51,7 @@ func CalibrateGeneral(s *lbm.Sparse, m lbm.AccessModel, taskCounts []int, coresP
 			// Back-solve Eq. 13 for n_point-comm-bytes from the measured
 			// busiest-task inter-node payload.
 			w := math.Min(math.Log2(n), MaxNeighbors)
-			geom := w / MaxNeighbors * math.Pow(z*float64(s.N())/n, 2.0/3.0) * 2
+			geom := w / MaxNeighbors * math.Pow(z*points/n, 2.0/3.0) * 2
 			if geom > 0 && interBytes > 0 {
 				pcbEstimate = append(pcbEstimate, interBytes/geom)
 			}

@@ -13,17 +13,14 @@ import (
 // /v2 prefix, never a mutation of these shapes.
 
 // WorkloadSpec names a simulation domain in the campaign geometry
-// vocabulary at a lattice scale. It is the whole key of the anatomy
-// cache: two requests that agree on it share one prepared anatomy,
-// whatever systems, seeds and tiers they ask about.
+// vocabulary at a lattice scale. It is all of the anatomy cache's key
+// that a request chooses (core.AnatomyKey): two requests that agree on
+// it share one prepared anatomy, whatever systems, seeds and tiers they
+// ask about.
 type WorkloadSpec struct {
 	Geometry string  `json:"geometry"`
 	Scale    float64 `json:"scale"`
 }
-
-// key renders the anatomy cache key. %g keeps it
-// deterministic: equal float64 scales render identically.
-func (w WorkloadSpec) key() string { return fmt.Sprintf("%s@%g", w.Geometry, w.Scale) }
 
 func (w WorkloadSpec) validate() error {
 	if w.Geometry == "" {

@@ -18,10 +18,12 @@ import (
 // campaignManager runs submitted campaigns asynchronously: each accepted
 // POST /v1/campaigns spawns one goroutine executing the campaign against
 // a fresh seeded Framework, while GET /v1/campaigns/{id} polls the
-// record. Capacity is bounded — excess submissions are shed with 429 —
-// and drain implements graceful shutdown: stop intake, wait for running
-// campaigns, and past the drain deadline interrupt them at their next
-// clean point between jobs.
+// record. Fresh but for the server's anatomy cache, which the framework
+// prepares its jobs through: a campaign over shapes the service has
+// already tuned prepares nothing. Capacity is bounded — excess
+// submissions are shed with 429 — and drain implements graceful
+// shutdown: stop intake, wait for running campaigns, and past the drain
+// deadline interrupt them at their next clean point between jobs.
 type campaignManager struct {
 	systems []*machine.System
 	samples int
@@ -56,7 +58,7 @@ type campaignRec struct {
 	spentUSD float64
 }
 
-func newCampaignManager(systems []*machine.System, samples, max int, reg *obs.Registry) *campaignManager {
+func newCampaignManager(systems []*machine.System, samples, max int, reg *obs.Registry, anatomies *core.AnatomyCache) *campaignManager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &campaignManager{
 		systems: systems,
@@ -69,7 +71,12 @@ func newCampaignManager(systems []*machine.System, samples, max int, reg *obs.Re
 		recs:    make(map[string]*campaignRec),
 	}
 	m.newFramework = func(seed int64) (*core.Framework, error) {
-		return core.NewFramework(m.systems, m.samples, seed)
+		fw, err := core.NewFramework(m.systems, m.samples, seed)
+		if err != nil {
+			return nil, err
+		}
+		fw.Anatomies = anatomies
+		return fw, nil
 	}
 	return m
 }

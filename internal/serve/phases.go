@@ -7,10 +7,12 @@ import (
 	"math/rand"
 	"net/http"
 
+	"repro/internal/cache"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/dashboard"
 	"repro/internal/decomp"
+	"repro/internal/geometry"
 	"repro/internal/lbm"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
@@ -50,35 +52,35 @@ func needsCharacterization(tier string) bool {
 	return tier == perfmodel.Tier1Calibrated || tier == perfmodel.TierAuto
 }
 
-// anatomyFor serves the workload's prepared anatomy from the LRU,
-// coalescing concurrent identical builds. ctx is checked between the
+// anatomyFor serves the workload's prepared anatomy from the server's
+// anatomy cache through core.CachedAnatomy — the function a campaign's
+// jobs prepare through, on the same cache (see campaignManager) — under
+// the service's fixed solver parameters. ctx is checked between the
 // expensive stages, so a deadline-bound request abandons the build
 // promptly; the stages themselves are uninterruptible.
 func (s *Server) anatomyFor(ctx context.Context, spec WorkloadSpec) (*core.Anatomy, error) {
-	a, res, err := s.anatomies.get(ctx, spec.key(), func() (*core.Anatomy, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	key := core.AnatomyKey{
+		Geometry:     spec.Geometry,
+		Scale:        spec.Scale,
+		Params:       lbm.Params{Tau: 0.9, UMax: 0.02},
+		CoresPerNode: machine.WidestNode(s.cfg.Systems),
+	}
+	return core.CachedAnatomy(ctx, s.anatomies, key, spec.Geometry, func() (*geometry.Domain, error) {
 		dom, err := campaign.BuildGeometry(spec.Geometry, spec.Scale)
 		if err != nil {
 			return nil, &apiError{status: http.StatusBadRequest, msg: err.Error()}
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return core.NewAnatomy(spec.Geometry, dom, lbm.Params{Tau: 0.9, UMax: 0.02}, machine.WidestNode(s.cfg.Systems))
+		return dom, nil
 	})
-	s.anatomyLookups[res].Inc()
-	return a, err
 }
 
 // entryFor serves the system's dashboard entry at a seed and a
 // normalized (never empty) tier. The tier is part of the key because
 // tiers build different state — Tier 0 and 2 skip characterization
 // entirely — so predictions at different tiers never share an entry.
-func (s *Server) entryFor(ctx context.Context, sys *machine.System, seed int64, tier string) (dashboard.Entry, cacheResult, error) {
+func (s *Server) entryFor(ctx context.Context, sys *machine.System, seed int64, tier string) (dashboard.Entry, cache.Result, error) {
 	key := fmt.Sprintf("%s|%d|%s", sys.Abbrev, seed, tier)
-	e, res, err := s.entries.get(ctx, key, func() (dashboard.Entry, error) {
+	return s.entries.Get(ctx, key, func() (dashboard.Entry, error) {
 		if err := ctx.Err(); err != nil {
 			return dashboard.Entry{}, err
 		}
@@ -92,8 +94,6 @@ func (s *Server) entryFor(ctx context.Context, sys *machine.System, seed int64, 
 		}
 		return dashboard.NewEntry(sys, char, s.cfg.Table)
 	})
-	s.entryLookups[res].Inc()
-	return e, res, err
 }
 
 // predict evaluates the requested model on the anatomy through the

@@ -6,12 +6,19 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
+
+// anatomyLookups reads one result's counter of the anatomy cache.
+func anatomyLookups(s *Server, result string) float64 {
+	return s.reg.Counter("serve_anatomy_cache_total", obs.L("result", result)).Value()
+}
 
 // builds reads how many anatomies and entries the server has built: the
 // miss counters of its two caches.
 func builds(s *Server) (anatomies, entries float64) {
-	return s.anatomyLookups[cacheMiss].Value(), s.entryLookups[cacheMiss].Value()
+	return anatomyLookups(s, "miss"), s.reg.Counter("serve_cache_total", obs.L("result", "miss")).Value()
 }
 
 // TestPlanBuildsOneAnatomyAndOneEntryPerSystem: a whole-catalog plan on
@@ -70,7 +77,48 @@ func TestDistinctSeedsShareOneAnatomyBuild(t *testing.T) {
 	if a, e := builds(s); a != 1 || e != clients {
 		t.Errorf("%d seeds on one workload built %v anatomies and %v entries, want 1 and %d", clients, a, e, clients)
 	}
-	if rest := s.anatomyLookups[cacheHit].Value() + s.anatomyLookups[cacheCoalesced].Value(); rest != clients-1 {
+	if rest := anatomyLookups(s, "hit") + anatomyLookups(s, "coalesced"); rest != clients-1 {
 		t.Errorf("%v anatomy lookups hit or coalesced, want %d", rest, clients-1)
+	}
+}
+
+// TestCampaignPreparesThroughTheServersAnatomyCache: a submitted
+// campaign's framework is handed the server's anatomy cache, so a job on a
+// shape /v1/predict has already served prepares nothing, its lookup counts
+// with the requests', and a shape the campaign met first is there for the
+// next request. /v1/healthz's anatomies stays the number of prepared
+// lattices, whoever asked for them.
+func TestCampaignPreparesThroughTheServersAnatomyCache(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if resp, data := postJSON(t, ts.URL+"/v1/predict", predictBody); resp.StatusCode != http.StatusOK { // cylinder@5
+		t.Fatalf("predict: %d (%s)", resp.StatusCode, data)
+	}
+	if a, _ := builds(s); a != 1 {
+		t.Fatalf("the predict built %v anatomies, want 1", a)
+	}
+
+	st := runCampaign(t, ts, `{"backend":"serial","config":{
+	  "seed": 3, "budget_usd": 1.0, "objective": "min-cost",
+	  "jobs": [{"name": "seen", "geometry": "cylinder", "scale": 5, "ranks": 8, "steps": 200},
+	           {"name": "new", "geometry": "stenosis", "scale": 5, "ranks": 8, "steps": 200}]}}`)
+	if !strings.Contains(st.Report, "seen") || !strings.Contains(st.Report, "new") {
+		t.Errorf("report misses a job:\n%s", st.Report)
+	}
+	if a, hits := anatomyLookups(s, "miss"), anatomyLookups(s, "hit"); a != 2 || hits != 1 {
+		t.Errorf("after the campaign: %v anatomy builds and %v hits, want 2 (cylinder by the predict, stenosis by the campaign) and 1", a, hits)
+	}
+
+	resp, data := postJSON(t, ts.URL+"/v1/predict",
+		`{"workload":{"geometry":"stenosis","scale":5},"systems":["CSP-2"],"ranks":[8]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict on the campaign's shape: %d (%s)", resp.StatusCode, data)
+	}
+	if a, _ := builds(s); a != 2 {
+		t.Errorf("the campaign's lattice was built again for a request: %v builds", a)
+	}
+	var hr HealthResponse
+	getJSON(t, ts.URL+"/v1/healthz", &hr)
+	if hr.Anatomies != 2 {
+		t.Errorf("healthz reports %d anatomies, want 2", hr.Anatomies)
 	}
 }

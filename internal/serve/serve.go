@@ -41,6 +41,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dashboard"
 	"repro/internal/httpedge"
@@ -98,18 +99,14 @@ type Server struct {
 	cfg     Config
 	systems map[string]*machine.System
 
-	anatomies *cache[*core.Anatomy]
-	entries   *cache[dashboard.Entry]
+	anatomies *core.AnatomyCache
+	entries   *cache.LRU[string, dashboard.Entry]
 	sem       chan struct{}
 	campaigns *campaignManager
 	edge      *httpedge.Edge
 
 	reg *obs.Registry
 	mux *http.ServeMux
-
-	// Lookup counters of the two caches, indexed by cacheResult.
-	anatomyLookups [3]*obs.Counter
-	entryLookups   [3]*obs.Counter
 
 	// hookAfterAcquire, when set, runs on limited endpoints while the
 	// inflight slot is held — a test seam for saturating the limiter
@@ -161,16 +158,12 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		systems:   make(map[string]*machine.System, len(cfg.Systems)),
-		anatomies: newCache[*core.Anatomy](cfg.CacheEntries),
-		entries:   newCache[dashboard.Entry](cfg.CacheEntries),
+		anatomies: cache.New[core.AnatomyKey, *core.Anatomy](cfg.CacheEntries, lookupCounter(reg, "serve_anatomy_cache_total")),
+		entries:   cache.New[string, dashboard.Entry](cfg.CacheEntries, lookupCounter(reg, "serve_cache_total")),
 		sem:       make(chan struct{}, cfg.MaxInflight),
 		edge:      httpedge.New(reg, tracer, "serve", "http ", httpedge.NewRetryJitter(cfg.DefaultSeed, 3)),
 		reg:       reg,
 		mux:       http.NewServeMux(),
-	}
-	for res, label := range [...]string{cacheMiss: "miss", cacheHit: "hit", cacheCoalesced: "coalesced"} {
-		s.entryLookups[res] = reg.Counter("serve_cache_total", obs.L("result", label))
-		s.anatomyLookups[res] = reg.Counter("serve_anatomy_cache_total", obs.L("result", label))
 	}
 	for _, sys := range cfg.Systems {
 		if _, dup := s.systems[sys.Abbrev]; dup {
@@ -178,9 +171,20 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.systems[sys.Abbrev] = sys
 	}
-	s.campaigns = newCampaignManager(cfg.Systems, cfg.Samples, cfg.MaxCampaigns, reg)
+	s.campaigns = newCampaignManager(cfg.Systems, cfg.Samples, cfg.MaxCampaigns, reg, s.anatomies)
 	s.routes()
 	return s, nil
+}
+
+// lookupCounter registers the per-result counters of one cache under
+// name and returns the observer that feeds them: every lookup counts,
+// whichever code path makes it.
+func lookupCounter(reg *obs.Registry, name string) func(cache.Result) {
+	var counters [3]*obs.Counter
+	for res, label := range [...]string{cache.Miss: "miss", cache.Hit: "hit", cache.Coalesced: "coalesced"} {
+		counters[res] = reg.Counter(name, obs.L("result", label))
+	}
+	return func(res cache.Result) { counters[res].Inc() }
 }
 
 // Handler returns the service's HTTP handler.
@@ -328,8 +332,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	httpedge.WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:       "ok",
 		UptimeS:      s.edge.Now(),
-		CacheEntries: s.entries.len(),
-		Anatomies:    s.anatomies.len(),
+		CacheEntries: s.entries.Len(),
+		Anatomies:    s.anatomies.Len(),
 		Campaigns:    s.campaigns.running(),
 	})
 }
@@ -381,11 +385,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		switch res {
-		case cacheHit:
+		case cache.Hit:
 			resp.CacheHits++
-		case cacheMiss:
+		case cache.Miss:
 			resp.CacheMisses++
-		case cacheCoalesced:
+		case cache.Coalesced:
 			resp.CacheCoalesced++
 		}
 		for _, ranks := range req.Ranks {

@@ -295,10 +295,10 @@ const campaignSubmitBody = `{"backend":"serial","config":{
   "seed": 3, "budget_usd": 1.0, "objective": "min-cost",
   "jobs": [{"name": "smoke", "geometry": "cylinder", "scale": 5, "ranks": 8, "steps": 200}]}}`
 
-func TestCampaignLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-
-	resp, data := postJSON(t, ts.URL+"/v1/campaigns", campaignSubmitBody)
+// runCampaign submits a campaign and polls it to a terminal state.
+func runCampaign(t *testing.T, ts *httptest.Server, body string) CampaignStatusResponse {
+	t.Helper()
+	resp, data := postJSON(t, ts.URL+"/v1/campaigns", body)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d: %s", resp.StatusCode, data)
 	}
@@ -327,6 +327,12 @@ func TestCampaignLifecycle(t *testing.T) {
 	if st.State != CampaignDone {
 		t.Fatalf("campaign failed: %s", st.Error)
 	}
+	return st
+}
+
+func TestCampaignLifecycle(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	st := runCampaign(t, ts, campaignSubmitBody)
 	if st.Backend != "serial" || st.SpentUSD <= 0 || !strings.Contains(st.Report, "smoke") {
 		t.Errorf("terminal status implausible: %+v", st)
 	}

@@ -163,10 +163,10 @@ func TestPredictCrossTierCacheIsolation(t *testing.T) {
 			t.Errorf("warm %s request cache stats %+v, want one hit", tier, pr)
 		}
 	}
-	if got := s.entries.len(); got != 4 {
+	if got := s.entries.Len(); got != 4 {
 		t.Errorf("cache entries %d, want 4 (one per tier)", got)
 	}
-	if got := s.anatomies.len(); got != 1 {
+	if got := s.anatomies.Len(); got != 1 {
 		t.Errorf("%d anatomies, want the 1 workload every tier shares", got)
 	}
 }

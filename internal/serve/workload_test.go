@@ -24,7 +24,7 @@ func TestDirectRanksAboveFluidSitesIs400(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := a.Solver.N()
+	sites := a.Lattice.N()
 
 	body := func(model string, ranks int) string {
 		return fmt.Sprintf(`{"workload":{"geometry":"cylinder","scale":5},"systems":["CSP-2"],"ranks":[%d],"model":%q}`, ranks, model)
