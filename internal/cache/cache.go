@@ -133,6 +133,15 @@ func isContextError(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// Add makes v the value of key, as a Get that built it would have left
+// it, for a value its owner has before anyone asks. It is not a lookup:
+// the observer is not called.
+func (c *LRU[K, V]) Add(key K, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.insertLocked(key, v)
+}
+
 // insertLocked adds a value and evicts from the LRU tail past capacity.
 // Caller holds c.mu.
 func (c *LRU[K, V]) insertLocked(key K, v V) {

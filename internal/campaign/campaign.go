@@ -267,8 +267,10 @@ func resolve(j JobConfig) (scale float64, steps int, params lbm.Params, warnings
 // anatomy: resolve the lattice quantities, then fetch the anatomy of that
 // geometry, scale and parameter set from the framework's cache under the
 // job's name — building the geometry and calibrating the generalized
-// model only for the first job to ask. It also returns the resolved step
-// count and the units-check warnings, prefixed with the job name.
+// model only for the first job to ask, which also keeps the job's rank
+// count from the calibration sweep if the sweep passes through it. It
+// also returns the resolved step count and the units-check warnings,
+// prefixed with the job name.
 func prepare(ctx context.Context, fw *core.Framework, j JobConfig) (*core.Anatomy, int, []string, error) {
 	scale, steps, params, warnings, err := resolve(j)
 	if err != nil {
@@ -280,7 +282,7 @@ func prepare(ctx context.Context, fw *core.Framework, j JobConfig) (*core.Anatom
 	// A campaign stops at clean points between jobs, never inside one:
 	// the preparation keeps ctx's values and drops its cancellation.
 	anatomy, err := fw.CachedAnatomy(context.WithoutCancel(ctx), j.Name, j.Geometry, scale, params,
-		func() (*geometry.Domain, error) { return BuildGeometry(j.Geometry, scale) })
+		func() (*geometry.Domain, error) { return BuildGeometry(j.Geometry, scale) }, j.Ranks)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("campaign: preparing %q: %w", j.Name, err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/lbm"
 	"repro/internal/machine"
 )
 
@@ -74,6 +75,35 @@ func TestFleetReportsMatchGolden(t *testing.T) {
 		if builds != doc.lattices {
 			t.Errorf("%s: %d anatomies built for %d distinct lattices", doc.name, builds, doc.lattices)
 		}
+	}
+}
+
+// TestFleetTakesItsDecompositionsFromTheSweep: a job whose rank count is
+// a calibration level and who is first on its lattice gets its workload
+// out of the sweep that tuned the model. In fleet_shared_lattice every
+// rank count is such a level, so the only decompositions left are those
+// of jobs arriving at a lattice already prepared: at most jobs − lattices.
+func TestFleetTakesItsDecompositionsFromTheSweep(t *testing.T) {
+	fw, cfg, out, builds := goldenRun(t, "fleet_shared_lattice", BackendFleet)
+	checkGolden(t, "fleet_shared_lattice.golden", out.Fleet.Render())
+	lattices := map[*lbm.Lattice]int64{}
+	for _, j := range cfg.Jobs {
+		a, _, _, err := prepare(context.Background(), fw, j) // a hit: the run prepared it
+		if err != nil {
+			t.Fatal(err)
+		}
+		lattices[a.Lattice] = a.Decompositions()
+	}
+	if len(lattices) != builds {
+		t.Fatalf("%d lattices behind the jobs, %d anatomies built", len(lattices), builds)
+	}
+	var outside int64
+	for _, n := range lattices {
+		outside += n
+	}
+	if limit := int64(len(cfg.Jobs) - len(lattices)); outside > limit {
+		t.Errorf("%d decompositions outside the calibration sweeps for %d jobs on %d lattices, want at most %d",
+			outside, len(cfg.Jobs), len(lattices), limit)
 	}
 }
 

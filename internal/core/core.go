@@ -20,6 +20,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/cloud"
@@ -95,6 +97,7 @@ type Anatomy struct {
 	// The stored workloads are unnamed and share their slices: read, do
 	// not modify.
 	workloads *cache.LRU[int, simcloud.Workload]
+	lazy      *atomic.Int64 // decompositions Workload had to run: the memo's misses
 }
 
 // MaxMemoizedWorkloads bounds an Anatomy's memo: rank counts come from
@@ -123,17 +126,29 @@ func CalibrationCounts(n int) []int {
 // specific predictions"). Nothing in it depends on a machine but
 // coresPerNode, the node width the sweep is calibrated at: pass the
 // widest node among the candidate systems so one tuning serves them all.
-func NewAnatomy(name string, dom *geometry.Domain, p lbm.Params, coresPerNode int) (*Anatomy, error) {
+//
+// ranks are the rank counts the caller is about to ask Workload for:
+// those the sweep decomposed anyway are memoised from it, so asking costs
+// nothing more. The sweep's other levels are dropped — a level is a halo
+// list per task, and an anatomy that kept all of them for every lattice
+// held measurably more than the decompositions it saved.
+func NewAnatomy(name string, dom *geometry.Domain, p lbm.Params, coresPerNode int, ranks ...int) (*Anatomy, error) {
 	l, err := lbm.NewLattice(dom, p)
 	if err != nil {
 		return nil, err
 	}
 	access := lbm.HarveyAccess()
-	g, err := perfmodel.CalibrateGeneral(l, access, CalibrationCounts(l.N()), coresPerNode)
+	counts := CalibrationCounts(l.N())
+	var g perfmodel.GeneralModel
+	parts, err := decomp.RCBSweep(l, counts, access)
+	if err == nil {
+		g, err = perfmodel.FitGeneral(parts, l.N(), coresPerNode)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: calibrating %q: %w", name, err)
 	}
-	return &Anatomy{
+	lazy := new(atomic.Int64)
+	a := &Anatomy{
 		Name:    name,
 		Lattice: l,
 		Access:  access,
@@ -142,9 +157,20 @@ func NewAnatomy(name string, dom *geometry.Domain, p lbm.Params, coresPerNode in
 			Points:      l.N(),
 			BytesSerial: l.BytesSerial(access),
 		},
-		General:   g,
-		workloads: cache.New[int, simcloud.Workload](MaxMemoizedWorkloads, nil),
-	}, nil
+		General: g,
+		workloads: cache.New[int, simcloud.Workload](MaxMemoizedWorkloads, func(r cache.Result) {
+			if r == cache.Miss {
+				lazy.Add(1)
+			}
+		}),
+		lazy: lazy,
+	}
+	for i, k := range counts {
+		if slices.Contains(ranks, k) {
+			a.workloads.Add(k, simcloud.FromPartition("", l.N(), parts[i]))
+		}
+	}
+	return a, nil
 }
 
 // as returns the anatomy under another name: a copy sharing the lattice
@@ -180,8 +206,9 @@ const MaxCachedAnatomies = 64
 // builds the domain with dom and tunes the model to it (NewAnatomy) —
 // once, however many callers ask for the key at the same time. ctx is
 // checked between the two stages and bounds the wait for another
-// caller's build; the stages themselves are uninterruptible.
-func CachedAnatomy(ctx context.Context, c *AnatomyCache, key AnatomyKey, name string, dom func() (*geometry.Domain, error)) (*Anatomy, error) {
+// caller's build; the stages themselves are uninterruptible. ranks go to
+// NewAnatomy with a build; a key already prepared ignores them.
+func CachedAnatomy(ctx context.Context, c *AnatomyCache, key AnatomyKey, name string, dom func() (*geometry.Domain, error), ranks ...int) (*Anatomy, error) {
 	a, _, err := c.Get(ctx, key, func() (*Anatomy, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -193,7 +220,7 @@ func CachedAnatomy(ctx context.Context, c *AnatomyCache, key AnatomyKey, name st
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return NewAnatomy(key.Geometry, d, key.Params, key.CoresPerNode)
+		return NewAnatomy(key.Geometry, d, key.Params, key.CoresPerNode, ranks...)
 	})
 	if err != nil {
 		return nil, err
@@ -203,9 +230,9 @@ func CachedAnatomy(ctx context.Context, c *AnatomyCache, key AnatomyKey, name st
 
 // CachedAnatomy is the package function on the framework's own cache, at
 // the node width of the largest-node system in the dashboard.
-func (f *Framework) CachedAnatomy(ctx context.Context, name, geometryName string, scale float64, p lbm.Params, dom func() (*geometry.Domain, error)) (*Anatomy, error) {
+func (f *Framework) CachedAnatomy(ctx context.Context, name, geometryName string, scale float64, p lbm.Params, dom func() (*geometry.Domain, error), ranks ...int) (*Anatomy, error) {
 	key := AnatomyKey{Geometry: geometryName, Scale: scale, Params: p, CoresPerNode: machine.WidestNode(f.systems)}
-	return CachedAnatomy(ctx, f.Anatomies, key, name, dom)
+	return CachedAnatomy(ctx, f.Anatomies, key, name, dom, ranks...)
 }
 
 // PrepareAnatomy is NewAnatomy at the node width of the largest-node
@@ -238,6 +265,10 @@ func (a *Anatomy) Workload(ranks int) (simcloud.Workload, error) {
 // MemoizedWorkloads returns the number of decompositions the anatomy's
 // lattice currently holds, at most MaxMemoizedWorkloads.
 func (a *Anatomy) MemoizedWorkloads() int { return a.workloads.Len() }
+
+// Decompositions returns how many times Workload has had to decompose the
+// anatomy's lattice. The levels of the calibration sweep are not counted.
+func (a *Anatomy) Decompositions() int64 { return a.lazy.Load() }
 
 // Workload is a.Workload(ranks).
 func (f *Framework) Workload(a *Anatomy, ranks int) (simcloud.Workload, error) {

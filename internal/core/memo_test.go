@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -279,4 +280,63 @@ func TestAnatomyHoldsNoDistributions(t *testing.T) {
 			a.Lattice.N(), held, one)
 	}
 	runtime.KeepAlive(a)
+}
+
+// TestAnatomyKeepsTheSweepLevelsAskedFor: the calibration sweep decomposes
+// the lattice at every calibration count anyway, so an anatomy built for a
+// caller who says which counts it wants hands those over without another
+// decomposition — and keeps no level nobody asked for.
+func TestAnatomyKeepsTheSweepLevelsAskedFor(t *testing.T) {
+	fw := framework(t)
+	dom := func() (*geometry.Domain, error) { return geometry.Cylinder(40, 5) }
+	p := lbm.Params{Tau: 0.9, UMax: 0.02}
+	ctx := context.Background()
+	a, err := fw.CachedAnatomy(ctx, "patient-a", "cylinder", 5, p, dom, 8, 36)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(CalibrationCounts(a.Lattice.N()), 8) || slices.Contains(CalibrationCounts(a.Lattice.N()), 36) {
+		t.Fatalf("the test wants 8 among the calibration counts and 36 not: %v", CalibrationCounts(a.Lattice.N()))
+	}
+	if n := a.MemoizedWorkloads(); n != 1 {
+		t.Fatalf("asked for ranks 8 and 36, the new anatomy holds %d workloads; want the one calibration level", n)
+	}
+	w, err := a.Workload(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Decompositions(); n != 0 {
+		t.Errorf("Workload(8) decomposed %d times; the sweep had that level", n)
+	}
+	part, err := decomp.RCB(a.Lattice, 8, a.Access)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := simcloud.FromPartition("patient-a", a.Lattice.N(), part); !reflect.DeepEqual(w, want) {
+		t.Error("the sweep's workload differs from a fresh RCB(8)")
+	}
+	if _, err := a.Workload(36); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Decompositions(); n != 1 {
+		t.Errorf("%d decompositions after Workload(36), want 1: 36 is no calibration level", n)
+	}
+
+	// A hit ignores the counts: the lattice is prepared, 16 is decomposed
+	// when it is asked for, once.
+	b, err := fw.CachedAnatomy(ctx, "patient-b", "cylinder", 5, p, dom, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Lattice != a.Lattice || b.MemoizedWorkloads() != 2 {
+		t.Fatalf("the second name did not get the prepared lattice as it was (%d workloads)", b.MemoizedWorkloads())
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := b.Workload(16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := b.Decompositions(); n != 2 {
+		t.Errorf("%d decompositions after the second name asked for 16 twice, want 2 in all", n)
+	}
 }

@@ -138,7 +138,7 @@ func (c Capsule) distance(p Vec3) float64 {
 	if den > 0 {
 		t = ap.Dot(ab) / den
 	}
-	t = math.Max(0, math.Min(1, t))
+	t = max(0, min(1, t))
 	closest := Vec3{c.A.X + t*ab.X, c.A.Y + t*ab.Y, c.A.Z + t*ab.Z}
 	return p.Sub(closest).Norm()
 }
@@ -155,9 +155,20 @@ type Port struct {
 	Type   PointType // Inlet or Outlet
 }
 
+// unclassified is a fluid site between Build's first two passes: known to
+// be fluid, not yet Bulk or Wall. Each is decided once, however many
+// capsules' rows it lies in, and no Domain is returned holding one.
+const unclassified PointType = 0xFF
+
 // Build voxelizes a set of capsules into a domain of the given size, then
 // classifies fluid sites: sites adjacent (26-neighborhood, covering all
 // D3Q19 directions) to solid become Wall; port planes become Inlet/Outlet.
+//
+// Its cost follows the fluid, not the box: of each capsule's bounding box
+// only the rows the capsule can reach are visited, and of those only the
+// x-interval it can reach (see rows and reach.span) — to voxelize, to
+// classify, and where a port's plane cuts them — and nothing but Types is
+// allocated.
 func Build(name string, nx, ny, nz int, caps []Capsule, ports []Port) (*Domain, error) {
 	if nx <= 0 || ny <= 0 || nz <= 0 {
 		return nil, fmt.Errorf("geometry: non-positive dimensions %dx%dx%d", nx, ny, nz)
@@ -165,45 +176,13 @@ func Build(name string, nx, ny, nz int, caps []Capsule, ports []Port) (*Domain, 
 	if len(caps) == 0 {
 		return nil, fmt.Errorf("geometry: no capsules supplied for %q", name)
 	}
-	d := &Domain{Name: name, NX: nx, NY: ny, NZ: nz, Types: make([]PointType, nx*ny*nz)}
-
-	// Pass 1: fluid mask. Limit each capsule's scan to its bounding box so
-	// large domains stay affordable.
-	for _, c := range caps {
-		x0, x1 := boundRange(math.Min(c.A.X, c.B.X)-c.R, math.Max(c.A.X, c.B.X)+c.R, nx)
-		y0, y1 := boundRange(math.Min(c.A.Y, c.B.Y)-c.R, math.Max(c.A.Y, c.B.Y)+c.R, ny)
-		z0, z1 := boundRange(math.Min(c.A.Z, c.B.Z)-c.R, math.Max(c.A.Z, c.B.Z)+c.R, nz)
-		for z := z0; z <= z1; z++ {
-			for y := y0; y <= y1; y++ {
-				for x := x0; x <= x1; x++ {
-					if c.contains(Vec3{float64(x), float64(y), float64(z)}) {
-						d.Types[d.Index(x, y, z)] = Bulk
-					}
-				}
+	for i, c := range caps {
+		for _, v := range [...]float64{c.A.X, c.A.Y, c.A.Z, c.B.X, c.B.Y, c.B.Z, c.R} {
+			if math.IsNaN(v) || math.IsInf(v, 0) || c.R <= 0 {
+				return nil, fmt.Errorf("geometry: capsule %d of %q needs finite ends and a positive finite radius, has %+v", i, name, c)
 			}
 		}
 	}
-
-	// Pass 2: wall classification. A fluid site with any solid neighbor in
-	// the 26-neighborhood is a wall site (bounce-back happens there).
-	walls := make([]int, 0, nx*ny) // indices to flip after the scan
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				if d.Types[d.Index(x, y, z)] != Bulk {
-					continue
-				}
-				if hasSolidNeighbor(d, x, y, z) {
-					walls = append(walls, d.Index(x, y, z))
-				}
-			}
-		}
-	}
-	for _, i := range walls {
-		d.Types[i] = Wall
-	}
-
-	// Pass 3: ports override wall/bulk classification on their planes.
 	for _, p := range ports {
 		if p.Type != Inlet && p.Type != Outlet {
 			return nil, fmt.Errorf("geometry: port type %v is not Inlet or Outlet", p.Type)
@@ -211,19 +190,34 @@ func Build(name string, nx, ny, nz int, caps []Capsule, ports []Port) (*Domain, 
 		if p.XPlane < 0 || p.XPlane >= nx {
 			return nil, fmt.Errorf("geometry: port plane x=%d outside domain [0,%d)", p.XPlane, nx)
 		}
-		marked := 0
-		for z := 0; z < nz; z++ {
-			for y := 0; y < ny; y++ {
-				if d.At(p.XPlane, y, z) == Solid {
-					continue
-				}
-				dy, dz := float64(y)-p.Center.Y, float64(z)-p.Center.Z
-				if math.Sqrt(dy*dy+dz*dz) <= p.Radius {
-					d.Types[d.Index(p.XPlane, y, z)] = p.Type
-					marked++
-				}
+	}
+	d := &Domain{Name: name, NX: nx, NY: ny, NZ: nz, Types: make([]PointType, nx*ny*nz)}
+
+	// Pass 1: fluid mask. A voxel another capsule already claimed is not
+	// tested again; every other candidate is decided by Capsule.contains.
+	d.rows(caps, 0, nx-1, func(c *Capsule, y, z, xa, xb int) {
+		row := d.Types[d.Index(0, y, z):][:nx]
+		for x := xa; x <= xb; x++ {
+			if row[x] == Solid && c.contains(Vec3{float64(x), float64(y), float64(z)}) {
+				row[x] = unclassified
 			}
 		}
+	})
+
+	// Pass 2: wall classification, in place: what a site becomes depends
+	// only on which of its neighbors are solid, and none becomes solid.
+	d.rows(caps, 0, nx-1, func(_ *Capsule, y, z, xa, xb int) { d.classify(y, z, xa, xb) })
+
+	// Pass 3: ports override wall/bulk classification on their planes.
+	for _, p := range ports {
+		marked := 0
+		d.rows(caps, p.XPlane, p.XPlane, func(_ *Capsule, y, z, _, _ int) {
+			dy, dz := float64(y)-p.Center.Y, float64(z)-p.Center.Z
+			if i := d.Index(p.XPlane, y, z); d.Types[i] != Solid && math.Sqrt(dy*dy+dz*dz) <= p.Radius {
+				d.Types[i] = p.Type
+				marked++
+			}
+		})
 		if marked == 0 {
 			return nil, fmt.Errorf("geometry: port at x=%d marked no sites", p.XPlane)
 		}
@@ -231,32 +225,152 @@ func Build(name string, nx, ny, nz int, caps []Capsule, ports []Port) (*Domain, 
 	return d, nil
 }
 
-// hasSolidNeighbor reports whether any 26-neighbor of (x,y,z) is solid.
-func hasSolidNeighbor(d *Domain, x, y, z int) bool {
-	for dz := -1; dz <= 1; dz++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
-				if d.At(x+dx, y+dy, z+dz) == Solid {
-					return true
+// rows calls visit with every row (y, z) of the box a capsule of caps can
+// reach between the planes x = lo and x = hi, and the sites xa..xb of it
+// the capsule may contain there, capsule by capsule. Every fluid site
+// lies in the rows of the capsule that made it fluid, so the passes of
+// Build walk these and not the box.
+//
+//lint:hot
+func (d *Domain) rows(caps []Capsule, lo, hi int, visit func(c *Capsule, y, z, xa, xb int)) {
+	for i := range caps {
+		r := newReach(caps[i], d.NX, d.NY, d.NZ)
+		if r.x0, r.x1 = max(r.x0, lo), min(r.x1, hi); r.x0 > r.x1 {
+			continue
+		}
+		for z := r.z0; z <= r.z1; z++ {
+			for y := r.y0; y <= r.y1; y++ {
+				if xa, xb := r.span(y, z); xa <= xb {
+					visit(&caps[i], y, z, xa, xb)
 				}
 			}
 		}
 	}
-	return false
 }
 
-// boundRange clamps a continuous interval to valid integer site indices.
-func boundRange(lo, hi float64, n int) (int, int) {
-	a := int(math.Floor(lo))
-	b := int(math.Ceil(hi))
-	if a < 0 {
-		a = 0
+// classify decides the unclassified sites xa..xb of row (y, z): Wall with
+// a solid 26-neighbor, Bulk without. Everything outside the box is solid,
+// so a site on a box face is a wall; an interior site reads its nine
+// neighboring rows at the same offsets.
+//
+//lint:hot
+func (d *Domain) classify(y, z, xa, xb int) {
+	nx, base := d.NX, d.Index(0, y, z)
+	row := d.Types[base:][:nx]
+	if y == 0 || y == d.NY-1 || z == 0 || z == d.NZ-1 {
+		face := row[xa : xb+1]
+		for x := range face {
+			if face[x] == unclassified {
+				face[x] = Wall
+			}
+		}
+		return
 	}
-	if b > n-1 {
-		b = n - 1
+	for _, x := range [2]int{0, nx - 1} {
+		if xa <= x && x <= xb && row[x] == unclassified {
+			row[x] = Wall
+		}
+	}
+	if xa, xb = max(xa, 1), min(xb, nx-2); xa > xb {
+		return
+	}
+	// Windows over [xa-1, xb+1] of the nine rows, all one length: site x
+	// is at k-1 = x-xa+1 in each, its x-neighbors at k-2 and k. (Counting
+	// by the right-hand neighbor is what lets the compiler drop every
+	// bounds check in the loop.)
+	lo, plane := base+xa-1, nx*d.NY
+	mid := d.Types[lo:][:xb-xa+3]
+	r0, r1, r2 := d.Types[lo-plane-nx:][:len(mid)], d.Types[lo-plane:][:len(mid)], d.Types[lo-plane+nx:][:len(mid)]
+	r3, r5 := d.Types[lo-nx:][:len(mid)], d.Types[lo+nx:][:len(mid)]
+	r6, r7, r8 := d.Types[lo+plane-nx:][:len(mid)], d.Types[lo+plane:][:len(mid)], d.Types[lo+plane+nx:][:len(mid)]
+	for k := 2; k < len(mid); k++ {
+		if mid[k-1] != unclassified {
+			continue
+		}
+		mid[k-1] = Bulk
+		if solidBy(mid, k) || solidBy(r0, k) || solidBy(r1, k) || solidBy(r2, k) || solidBy(r3, k) ||
+			solidBy(r5, k) || solidBy(r6, k) || solidBy(r7, k) || solidBy(r8, k) {
+			mid[k-1] = Wall
+		}
+	}
+}
+
+// solidBy reports whether row has a solid site among the three up to k.
+func solidBy(row []PointType, k int) bool {
+	return row[k-2] == Solid || row[k-1] == Solid || row[k] == Solid
+}
+
+// reach is the part of the box one capsule can touch: its bounding box in
+// sites and what span needs to narrow a row of it.
+type reach struct {
+	x0, x1, y0, y1, z0, z1 int
+
+	a           Vec3    // the axis' start
+	ux, uy, uz  float64 // the axis, B - A
+	proj, proj2 float64 // length of the axis' projection on the y-z plane, and its square
+	slack       float64 // what the bounds give away to rounding, in sites
+	rr          float64 // (R + 2 slack)²
+}
+
+func newReach(c Capsule, nx, ny, nz int) reach {
+	r := reach{a: c.A, ux: c.B.X - c.A.X, uy: c.B.Y - c.A.Y, uz: c.B.Z - c.A.Z}
+	r.x0, r.x1 = boundRange(min(c.A.X, c.B.X)-c.R, max(c.A.X, c.B.X)+c.R, nx)
+	r.y0, r.y1 = boundRange(min(c.A.Y, c.B.Y)-c.R, max(c.A.Y, c.B.Y)+c.R, ny)
+	r.z0, r.z1 = boundRange(min(c.A.Z, c.B.Z)-c.R, max(c.A.Z, c.B.Z)+c.R, nz)
+	r.proj2 = r.uy*r.uy + r.uz*r.uz
+	r.proj = math.Sqrt(r.proj2)
+	// Rounding in Capsule.distance and in span moves a distance by a few
+	// ulps of the coordinates; a millionth of them is far outside that and
+	// costs no candidates. rr has it twice: span takes a projection
+	// shorter than the slack for a point.
+	r.slack = 1e-6 * (1 + c.R + max(math.Abs(c.A.X), math.Abs(c.A.Y), math.Abs(c.A.Z), math.Abs(c.B.X), math.Abs(c.B.Y), math.Abs(c.B.Z)))
+	r.rr = (c.R + 2*r.slack) * (c.R + 2*r.slack)
+	return r
+}
+
+// span returns the sites of row (y, z) the capsule can contain, an empty
+// range (xa > xb) when it cannot reach the row. It is a conservative
+// bound, never the decision: projecting onto the y-z plane only shortens
+// distances, so a row farther than R from the axis' projection holds no
+// site of the capsule, and on a nearer row a site within R of the axis is
+// within sqrt(R² - d²) in x of the stretch of axis whose projection is
+// within R of the row, d being the row's distance from the projection.
+// Every comparison is written so that a NaN from overflowing
+// intermediates keeps the whole row of the box.
+//
+//lint:hot
+func (r *reach) span(y, z int) (int, int) {
+	wy, wz := float64(y)-r.a.Y, float64(z)-r.a.Z
+	t0, t1, foot := 0.0, 1.0, 0.0
+	if r.proj > r.slack {
+		// The axis parameters whose projection is within R of the row:
+		// the chord the circle around it cuts from the projected line.
+		// (Dividing by a shorter projection would lose them to rounding.)
+		tc := (wy*r.uy + wz*r.uz) / r.proj2
+		py, pz := wy-tc*r.uy, wz-tc*r.uz
+		half := (math.Sqrt(max(0, r.rr-(py*py+pz*pz))) + r.slack) / r.proj
+		t0, t1, foot = max(0, tc-half), min(1, tc+half), max(0, min(1, tc))
+	}
+	ey, ez := wy-foot*r.uy, wz-foot*r.uz
+	room := r.rr - (ey*ey + ez*ez)
+	if room < 0 {
+		return 0, -1
+	}
+	h := math.Sqrt(room) + r.slack
+	xa, xb := r.a.X+t0*r.ux, r.a.X+t1*r.ux
+	lo, hi := min(xa, xb)-h, max(xa, xb)+h
+	a, b := r.x0, r.x1
+	if lo > float64(a) {
+		a = int(min(math.Ceil(lo), float64(b)+1))
+	}
+	if hi < float64(b) {
+		b = int(max(math.Floor(hi), float64(a)-1))
 	}
 	return a, b
+}
+
+// boundRange clamps a continuous interval to valid integer site indices;
+// the range is empty (a > b) when the interval misses [0, n).
+func boundRange(lo, hi float64, n int) (int, int) {
+	return int(min(max(math.Floor(lo), 0), float64(n))), int(max(min(math.Ceil(hi), float64(n-1)), -1))
 }

@@ -18,6 +18,11 @@ func Cylinder(nx int, radius float64) (*Domain, error) {
 	if nx < 4 || radius < 2 {
 		return nil, fmt.Errorf("geometry: cylinder too small (nx=%d, r=%g)", nx, radius)
 	}
+	return Build(cylinderTree(nx, radius))
+}
+
+// cylinderTree returns Cylinder's arguments to Build.
+func cylinderTree(nx int, radius float64) (string, int, int, int, []Capsule, []Port) {
 	side := int(math.Ceil(2*radius)) + 5
 	c := float64(side-1) / 2
 	caps := []Capsule{{
@@ -29,7 +34,7 @@ func Cylinder(nx int, radius float64) (*Domain, error) {
 		{XPlane: 0, Center: Vec3{0, c, c}, Radius: radius, Type: Inlet},
 		{XPlane: nx - 1, Center: Vec3{0, c, c}, Radius: radius, Type: Outlet},
 	}
-	return Build("cylinder", nx, side, side, caps, ports)
+	return "cylinder", nx, side, side, caps, ports
 }
 
 // StenosedCylinder builds a cylindrical vessel with a smooth concentric
@@ -48,6 +53,11 @@ func StenosedCylinder(nx int, radius, severity, width float64) (*Domain, error) 
 	if width <= 0 {
 		return nil, fmt.Errorf("geometry: stenosis width %g must be positive", width)
 	}
+	return Build(stenosisTree(nx, radius, severity, width))
+}
+
+// stenosisTree returns StenosedCylinder's arguments to Build.
+func stenosisTree(nx int, radius, severity, width float64) (string, int, int, int, []Capsule, []Port) {
 	side := int(math.Ceil(2*radius)) + 5
 	c := float64(side-1) / 2
 	mid := float64(nx-1) / 2
@@ -69,11 +79,7 @@ func StenosedCylinder(nx int, radius, severity, width float64) (*Domain, error) 
 		{XPlane: 0, Center: Vec3{0, c, c}, Radius: radius, Type: Inlet},
 		{XPlane: nx - 1, Center: Vec3{0, c, c}, Radius: radius, Type: Outlet},
 	}
-	d, err := Build("stenosis", nx, side, side, caps, ports)
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
+	return "stenosis", nx, side, side, caps, ports
 }
 
 // Aorta builds a synthetic aorta (Figure 2B): ascending segment, arch,
@@ -86,6 +92,11 @@ func Aorta(scale float64) (*Domain, error) {
 	if scale < 3 {
 		return nil, fmt.Errorf("geometry: aorta scale %g too small", scale)
 	}
+	return Build(aortaTree(scale))
+}
+
+// aortaTree returns Aorta's arguments to Build.
+func aortaTree(scale float64) (string, int, int, int, []Capsule, []Port) {
 	r := scale // ascending radius
 	// Domain sized to hold the arch. x is the inferior-superior axis so the
 	// inlet (aortic root) and outlet (descending aorta) sit on x planes.
@@ -145,7 +156,7 @@ func Aorta(scale float64) (*Domain, error) {
 		// branch tips.
 		{XPlane: nx - 1, Center: Vec3{0, cyMid, cz}, Radius: archR + 3*branchR, Type: Outlet},
 	}
-	return Build("aorta", nx, ny, nz, caps, ports)
+	return "aorta", nx, ny, nz, caps, ports
 }
 
 // Bifurcation builds a symmetric Y-branch: a parent vessel that splits
@@ -156,6 +167,11 @@ func Bifurcation(scale float64) (*Domain, error) {
 	if scale < 3 {
 		return nil, fmt.Errorf("geometry: bifurcation scale %g too small", scale)
 	}
+	return Build(bifurcationTree(scale))
+}
+
+// bifurcationTree returns Bifurcation's arguments to Build.
+func bifurcationTree(scale float64) (string, int, int, int, []Capsule, []Port) {
 	r := scale
 	rd := r * math.Pow(2, -1.0/3.0)
 	parentLen := 6 * r
@@ -184,7 +200,7 @@ func Bifurcation(scale float64) (*Domain, error) {
 		{XPlane: 0, Center: Vec3{0, cy, cz}, Radius: r, Type: Inlet},
 		{XPlane: nx - 1, Center: Vec3{0, cy, cz}, Radius: float64(ny), Type: Outlet},
 	}
-	return Build("bifurcation", nx, ny, nz, caps, ports)
+	return "bifurcation", nx, ny, nz, caps, ports
 }
 
 // Cerebral builds a synthetic cerebral vasculature (Figure 2C): a
@@ -203,6 +219,11 @@ func Cerebral(scale float64, depth int) (*Domain, error) {
 	if depth < 1 || depth > 8 {
 		return nil, fmt.Errorf("geometry: cerebral depth %d outside [1,8]", depth)
 	}
+	return Build(cerebralTree(scale, depth))
+}
+
+// cerebralTree returns Cerebral's arguments to Build.
+func cerebralTree(scale float64, depth int) (string, int, int, int, []Capsule, []Port) {
 	segLen := 9 * scale
 	// Estimate extent: the tree fans out in y/z while advancing in x.
 	nx := int(segLen*float64(depth+1) + 4*scale)
@@ -220,7 +241,7 @@ func Cerebral(scale float64, depth int) (*Domain, error) {
 		{XPlane: 0, Center: Vec3{0, cy, cz}, Radius: scale, Type: Inlet},
 		{XPlane: nx - 1, Center: Vec3{0, cy, cz}, Radius: math.Max(float64(ny), float64(nz)), Type: Outlet},
 	}
-	return Build("cerebral", nx, ny, nz, caps, ports)
+	return "cerebral", nx, ny, nz, caps, ports
 }
 
 // grow recursively adds a bifurcating pair of child vessels. Murray's law

@@ -11,13 +11,24 @@ import (
 
 // CalibrateGeneral fits the generalized model's empirical laws from
 // decompositions of a reference lattice over a sweep of task counts —
-// the paper's "fits of Eq. 11 to prior HARVEY decomposition data" — and
-// calibrates the per-boundary-point communication payload of Eq. 13
-// against the measured halo sizes. coresPerNode fixes the node counts
-// entering the event law (Eq. 15).
+// the paper's "fits of Eq. 11 to prior HARVEY decomposition data": one
+// decomp.RCBSweep, then FitGeneral over its partitions.
 func CalibrateGeneral(t decomp.Topology, m lbm.AccessModel, taskCounts []int, coresPerNode int) (GeneralModel, error) {
-	if len(taskCounts) < 3 {
-		return GeneralModel{}, fmt.Errorf("perfmodel: need at least 3 task counts to calibrate, have %d", len(taskCounts))
+	parts, err := decomp.RCBSweep(t, taskCounts, m)
+	if err != nil {
+		return GeneralModel{}, fmt.Errorf("perfmodel: calibration decomposition: %w", err)
+	}
+	return FitGeneral(parts, t.Topology().N(), coresPerNode)
+}
+
+// FitGeneral is the fit of CalibrateGeneral over decompositions the caller
+// already has, of a lattice of the given fluid-point count: the z-law and
+// the event law, and the per-boundary-point communication payload of
+// Eq. 13 calibrated against the measured halo sizes. coresPerNode fixes
+// the node counts entering the event law (Eq. 15).
+func FitGeneral(parts []*decomp.Partition, latticePoints, coresPerNode int) (GeneralModel, error) {
+	if len(parts) < 3 {
+		return GeneralModel{}, fmt.Errorf("perfmodel: need at least 3 task counts to calibrate, have %d", len(parts))
 	}
 	if coresPerNode < 1 {
 		return GeneralModel{}, fmt.Errorf("perfmodel: coresPerNode %d must be positive", coresPerNode)
@@ -28,11 +39,7 @@ func CalibrateGeneral(t decomp.Topology, m lbm.AccessModel, taskCounts []int, co
 		evCounts    []float64 // measured max inter-node events
 		pcbEstimate []float64 // Eq. 13 payload back-solved per count
 	)
-	parts, err := decomp.RCBSweep(t, taskCounts, m)
-	if err != nil {
-		return GeneralModel{}, fmt.Errorf("perfmodel: calibration decomposition: %w", err)
-	}
-	points := float64(t.Topology().N())
+	points := float64(latticePoints)
 	for _, p := range parts {
 		n := float64(p.NTasks)
 		z := p.Imbalance()

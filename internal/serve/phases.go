@@ -57,8 +57,10 @@ func needsCharacterization(tier string) bool {
 // jobs prepare through, on the same cache (see campaignManager) — under
 // the service's fixed solver parameters. ctx is checked between the
 // expensive stages, so a deadline-bound request abandons the build
-// promptly; the stages themselves are uninterruptible.
-func (s *Server) anatomyFor(ctx context.Context, spec WorkloadSpec) (*core.Anatomy, error) {
+// promptly; the stages themselves are uninterruptible. ranks are the
+// counts the request will have decomposed: a build keeps those its
+// calibration sweep passes through (core.NewAnatomy).
+func (s *Server) anatomyFor(ctx context.Context, spec WorkloadSpec, ranks ...int) (*core.Anatomy, error) {
 	key := core.AnatomyKey{
 		Geometry:     spec.Geometry,
 		Scale:        spec.Scale,
@@ -71,7 +73,7 @@ func (s *Server) anatomyFor(ctx context.Context, spec WorkloadSpec) (*core.Anato
 			return nil, &apiError{status: http.StatusBadRequest, msg: err.Error()}
 		}
 		return dom, nil
-	})
+	}, ranks...)
 }
 
 // entryFor serves the system's dashboard entry at a seed and a

@@ -372,7 +372,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	a, err := s.anatomyFor(ctx, req.Workload)
+	var decomposed []int // only the direct model decomposes, once per rank count
+	if model == perfmodel.ModelDirect {
+		decomposed = req.Ranks
+	}
+	a, err := s.anatomyFor(ctx, req.Workload, decomposed...)
 	if err != nil {
 		writeErr(w, err)
 		return

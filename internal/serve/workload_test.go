@@ -98,3 +98,33 @@ func TestDecompositionMemoIsBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestColdDirectPredictTakesItsWorkloadsFromTheSweep: the request that
+// makes the server prepare a workload says which rank counts it wants
+// decomposed, so those the calibration sweep passes through cost no
+// decomposition of their own; a generalized request, which decomposes
+// nothing, leaves the memo empty.
+func TestColdDirectPredictTakesItsWorkloadsFromTheSweep(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		scale                   float64
+		model                   string
+		memoised, decomposition int
+	}{
+		{5, "direct", 3, 1}, // 8 and 32 are sweep levels, 36 is not
+		{6, "generalized", 0, 0},
+	} {
+		body := fmt.Sprintf(`{"workload":{"geometry":"cylinder","scale":%g},"systems":["CSP-2"],"ranks":[8,32,36],"model":%q}`, tc.scale, tc.model)
+		if resp, data := postJSON(t, ts.URL+"/v1/predict", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", tc.model, resp.StatusCode, data)
+		}
+		a, err := s.anatomyFor(context.Background(), WorkloadSpec{Geometry: "cylinder", Scale: tc.scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.MemoizedWorkloads() != tc.memoised || a.Decompositions() != int64(tc.decomposition) {
+			t.Errorf("%s predict at ranks 8, 32, 36 on a cold workload: %d workloads memoised, %d decompositions outside the sweep; want %d and %d",
+				tc.model, a.MemoizedWorkloads(), a.Decompositions(), tc.memoised, tc.decomposition)
+		}
+	}
+}

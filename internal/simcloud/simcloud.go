@@ -41,8 +41,11 @@ func FromPartition(name string, points int, p *decomp.Partition) Workload {
 	w := Workload{Name: name, Points: points, Tasks: make([]TaskSpec, p.NTasks)}
 	for t := range p.Tasks {
 		w.Tasks[t].Bytes = p.Tasks[t].Bytes
-		for _, h := range p.Tasks[t].Sends {
-			w.Tasks[t].Sends = append(w.Tasks[t].Sends, Message{Peer: h.Peer, Bytes: h.Bytes()})
+		if sends := p.Tasks[t].Sends; len(sends) > 0 { // none stays nil
+			w.Tasks[t].Sends = make([]Message, len(sends))
+			for i, h := range sends {
+				w.Tasks[t].Sends[i] = Message{Peer: h.Peer, Bytes: h.Bytes()}
+			}
 		}
 	}
 	return w
