@@ -15,9 +15,9 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/dashboard"
-	"repro/internal/geometry"
 	"repro/internal/lbm"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
@@ -25,8 +25,9 @@ import (
 )
 
 func main() {
+	_, names := campaign.BuildGeometry("", 0) // the error lists the vocabulary
 	var (
-		geom      = flag.String("geometry", "aorta", "cylinder, aorta or cerebral")
+		geom      = flag.String("geometry", "aorta", "geometry to build; "+names.Error())
 		scale     = flag.Float64("scale", 8, "geometry scale")
 		ranks     = flag.Int("ranks", 128, "core count to assess")
 		steps     = flag.Int("steps", 10000, "job length in timesteps")
@@ -42,9 +43,7 @@ func main() {
 	flag.Parse()
 
 	switch *tier {
-	case "":
-		*tier = perfmodel.Tier1Calibrated // the pre-tier default
-	case perfmodel.TierAuto, perfmodel.Tier0Physics, perfmodel.Tier1Calibrated, perfmodel.Tier2Measured:
+	case "", perfmodel.TierAuto, perfmodel.Tier0Physics, perfmodel.Tier1Calibrated, perfmodel.Tier2Measured:
 	default:
 		fmt.Fprintf(os.Stderr, "csdash: unknown tier %q (valid: %v)\n", *tier, perfmodel.ValidTiers())
 		os.Exit(2)
@@ -79,18 +78,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var dom *geometry.Domain
-	var err error
-	switch *geom {
-	case "cylinder":
-		dom, err = geometry.Cylinder(int(8**scale), *scale)
-	case "aorta":
-		dom, err = geometry.Aorta(*scale)
-	case "cerebral":
-		dom, err = geometry.Cerebral(*scale/2, 4)
-	default:
-		err = fmt.Errorf("unknown geometry %q", *geom)
-	}
+	dom, err := campaign.BuildGeometry(*geom, *scale)
 	fatal(err)
 
 	systems := machine.Catalog()
@@ -112,7 +100,7 @@ func main() {
 		fatal(fw.AttachTable(tbl))
 	}
 
-	as, err := fw.AssessTier(anatomy, *ranks, *steps, *tier)
+	as, err := fw.Assess(anatomy, *ranks, *steps, *tier)
 	fatal(err)
 	fmt.Printf("\nCSP Option Dashboard — %s, %d cores, %d steps\n\n", dom.Name, *ranks, *steps)
 	fmt.Println(dashboard.RenderAssessments(as))

@@ -4,14 +4,13 @@
 //
 //	experiments              # run everything, in the paper's order
 //	experiments fig7 fig9    # run selected artifacts
-//	experiments -plot fig3   # additionally render ASCII charts
 //	experiments -list        # list artifact IDs
 //	experiments -gen-tables  # regenerate the Tier 2 lookup CSV
 //	experiments -tiers       # per-tier MAPE report + BENCH_tiers.json
 //
 // Artifact IDs: table1 fig3 fig4 fig5 table2 fig6 table3 table4 fig7 fig8
-// fig9 fig10 fig11, plus the extension studies ext-gpu, ext-shared,
-// ext-terms, ext-convergence, ext-weak and ext-pulsatile (see DESIGN.md).
+// fig9 fig10 fig11, plus ext-gpu, ext-shared and ext-terms: the end-to-end
+// checks against simcloud of model inputs the service accepts (DESIGN.md §4).
 //
 // With -tiers, -tiers-baseline FILE compares Tier 1 MAPE against a
 // committed BENCH_tiers.json and exits nonzero on a regression of more
@@ -23,12 +22,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/perfmodel"
-	"repro/internal/plot"
 )
 
 // tier1MAPETolerancePts is how many percentage points Tier 1 MAPE may
@@ -54,7 +50,7 @@ func runGenTables(path string) error {
 
 // runTiers evaluates all tiers, prints the report, writes the bench
 // JSON, and (with a baseline) gates Tier 1 MAPE.
-func runTiers(outPath, baselinePath string, doPlot bool) error {
+func runTiers(outPath, baselinePath string) error {
 	tbl, err := perfmodel.DefaultTable()
 	if err != nil {
 		return fmt.Errorf("embedded lookup table: %v", err)
@@ -64,9 +60,6 @@ func runTiers(outPath, baselinePath string, doPlot bool) error {
 		return err
 	}
 	fmt.Printf("==== %s — %s ====\n%s\n", report.ID, report.Title, report.Text)
-	if doPlot {
-		fmt.Println(renderPlots(report))
-	}
 	if !bench.OrderingOK {
 		return fmt.Errorf("accuracy ordering violated: want tier2 <= tier1 <= tier0 MAPE")
 	}
@@ -101,40 +94,6 @@ func runTiers(outPath, baselinePath string, doPlot bool) error {
 	return nil
 }
 
-// renderPlots draws every series group of a report as an ASCII chart.
-// Series labeled "<group>/<kind>" are charted together per group.
-func renderPlots(r experiments.Report) string {
-	groups := map[string][]plot.Series{}
-	for label, pts := range r.Series {
-		group := label
-		if i := strings.IndexByte(label, '/'); i > 0 {
-			group = label[:i]
-		}
-		s := plot.Series{Label: label}
-		for _, p := range pts {
-			s.Points = append(s.Points, plot.Point{X: p.X, Y: p.Y})
-		}
-		groups[group] = append(groups[group], s)
-	}
-	names := make([]string, 0, len(groups))
-	for g := range groups {
-		names = append(names, g)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, g := range names {
-		series := groups[g]
-		sort.Slice(series, func(i, j int) bool { return series[i].Label < series[j].Label })
-		// Rank sweeps and size sweeps read best on a log x axis.
-		b.WriteString(plot.Render(series, plot.Options{
-			Title: fmt.Sprintf("%s — %s", r.ID, g),
-			LogX:  true, Width: 72, Height: 18,
-		}))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 var registry = []struct {
 	id  string
 	run func() (experiments.Report, error)
@@ -155,14 +114,10 @@ var registry = []struct {
 	{"ext-gpu", experiments.ExtGPU},
 	{"ext-shared", experiments.ExtSharedNode},
 	{"ext-terms", experiments.ExtTermSelection},
-	{"ext-convergence", experiments.ExtConvergence},
-	{"ext-weak", experiments.ExtWeakScaling},
-	{"ext-pulsatile", experiments.ExtPulsatile},
 }
 
 func main() {
 	list := flag.Bool("list", false, "list artifact IDs and exit")
-	doPlot := flag.Bool("plot", false, "render ASCII charts of each report's series")
 	genTables := flag.Bool("gen-tables", false, "regenerate the Tier 2 lookup CSV and exit")
 	genTablesOut := flag.String("gen-tables-out", "internal/perfmodel/tables/measured.csv", "output path for -gen-tables")
 	tiers := flag.Bool("tiers", false, "run the per-tier MAPE evaluation")
@@ -183,7 +138,7 @@ func main() {
 		return
 	}
 	if *tiers {
-		if err := runTiers(*tiersOut, *tiersBaseline, *doPlot); err != nil {
+		if err := runTiers(*tiersOut, *tiersBaseline); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: -tiers: %v\n", err)
 			os.Exit(1)
 		}
@@ -208,9 +163,6 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Printf("==== %s — %s ====\n%s\n", r.ID, r.Title, r.Text)
-			if *doPlot {
-				fmt.Println(renderPlots(r))
-			}
 		}
 		if !found {
 			fmt.Fprintf(os.Stderr, "experiments: unknown artifact %q (use -list)\n", id)

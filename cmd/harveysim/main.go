@@ -17,72 +17,33 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/decomp"
-	"repro/internal/geometry"
 	"repro/internal/lbm"
 	"repro/internal/machine"
 	"repro/internal/par"
 	"repro/internal/simcloud"
 )
 
-func buildGeometry(name string, scale float64) (*geometry.Domain, error) {
-	switch name {
-	case "cylinder":
-		return geometry.Cylinder(int(8*scale), scale)
-	case "aorta":
-		return geometry.Aorta(scale)
-	case "cerebral":
-		return geometry.Cerebral(scale/2, 4)
-	case "stenosis":
-		return geometry.StenosedCylinder(int(8*scale), scale, 0.5, scale*0.75)
-	case "bifurcation":
-		return geometry.Bifurcation(scale)
-	default:
-		return nil, fmt.Errorf("unknown geometry %q (cylinder, aorta, cerebral, stenosis, bifurcation)", name)
-	}
-}
-
 func main() {
+	_, names := campaign.BuildGeometry("", 0) // the error lists the vocabulary
 	var (
-		geom    = flag.String("geometry", "cylinder", "cylinder, aorta, cerebral or stenosis")
-		scale   = flag.Float64("scale", 8, "geometry scale (vessel radius in lattice sites)")
-		steps   = flag.Int("steps", 100, "timesteps to run")
-		ranks   = flag.Int("ranks", 1, "parallel tasks")
-		system  = flag.String("system", "", "simulate on a modeled system (e.g. CSP-2) instead of running on the host")
-		tau     = flag.Float64("tau", 0.9, "BGK relaxation time")
-		umax    = flag.Float64("umax", 0.02, "peak inlet velocity (lattice units)")
-		seed    = flag.Int64("seed", 1, "noise seed for simulated runs")
-		period  = flag.Float64("pulse-period", 0, "pulsatile inflow period in timesteps (0 = steady)")
-		amp     = flag.Float64("pulse-amplitude", 0.5, "pulsatile modulation amplitude")
-		vtkPath = flag.String("vtk", "", "write the final fields as legacy VTK to this path")
-		wssPath = flag.String("wss", "", "write per-site wall forces (shear CSV) to this path")
-		ckpt    = flag.String("checkpoint", "", "write a binary checkpoint of the final state to this path")
-		resume  = flag.String("resume", "", "restore state from a checkpoint before running")
-		coll    = flag.String("collision", "bgk", "collision operator: bgk or trt")
-		geoIn   = flag.String("geometry-file", "", "load the domain from a file written by -save-geometry instead of generating it")
-		geoOut  = flag.String("save-geometry", "", "write the generated domain to this path and exit")
+		geom   = flag.String("geometry", "cylinder", "geometry to build; "+names.Error())
+		scale  = flag.Float64("scale", 8, "geometry scale (vessel radius in lattice sites)")
+		steps  = flag.Int("steps", 100, "timesteps to run")
+		ranks  = flag.Int("ranks", 1, "parallel tasks")
+		system = flag.String("system", "", "simulate on a modeled system (e.g. CSP-2) instead of running on the host")
+		tau    = flag.Float64("tau", 0.9, "BGK relaxation time")
+		umax   = flag.Float64("umax", 0.02, "peak inlet velocity (lattice units)")
+		seed   = flag.Int64("seed", 1, "noise seed for simulated runs")
+		period = flag.Float64("pulse-period", 0, "pulsatile inflow period in timesteps (0 = steady)")
+		amp    = flag.Float64("pulse-amplitude", 0.5, "pulsatile modulation amplitude")
+		coll   = flag.String("collision", "bgk", "collision operator: bgk or trt")
 	)
 	flag.Parse()
 
-	var dom *geometry.Domain
-	var err error
-	if *geoIn != "" {
-		f, err2 := os.Open(*geoIn)
-		fatal(err2)
-		dom, err = geometry.Read(f)
-		fatal(f.Close())
-	} else {
-		dom, err = buildGeometry(*geom, *scale)
-	}
+	dom, err := campaign.BuildGeometry(*geom, *scale)
 	fatal(err)
-	if *geoOut != "" {
-		f, err := os.Create(*geoOut)
-		fatal(err)
-		fatal(dom.Write(f))
-		fatal(f.Close())
-		fmt.Printf("wrote %s (%d sites)\n", *geoOut, dom.Sites())
-		return
-	}
 	params := lbm.Params{Tau: *tau, UMax: *umax}
 	switch *coll {
 	case "bgk":
@@ -97,13 +58,6 @@ func main() {
 	}
 	s, err := lbm.NewSparse(dom, params)
 	fatal(err)
-	if *resume != "" {
-		f, err := os.Open(*resume)
-		fatal(err)
-		fatal(s.Restore(f))
-		fatal(f.Close())
-		fmt.Printf("resumed from %s at step %d\n", *resume, s.Steps())
-	}
 	stats := dom.Stats()
 	fmt.Printf("geometry %s: %d fluid points (bulk %d, wall %d, inlet %d, outlet %d)\n",
 		dom.Name, stats.Fluid, stats.Bulk, stats.Wall, stats.Inlet, stats.Outlet)
@@ -138,28 +92,6 @@ func main() {
 	elapsed := time.Since(start).Seconds()
 	fmt.Printf("host run: %d steps on %d rank(s) in %.3f s = %.2f MFLUPS (max speed %.4g)\n",
 		*steps, *ranks, elapsed, lbm.MFLUPS(s.N(), *steps, elapsed), s.MaxSpeed())
-
-	if *vtkPath != "" {
-		f, err := os.Create(*vtkPath)
-		fatal(err)
-		fatal(s.WriteVTK(f, dom.Name+" flow field"))
-		fatal(f.Close())
-		fmt.Println("wrote", *vtkPath)
-	}
-	if *wssPath != "" {
-		f, err := os.Create(*wssPath)
-		fatal(err)
-		fatal(s.WriteWSSCSV(f))
-		fatal(f.Close())
-		fmt.Println("wrote", *wssPath)
-	}
-	if *ckpt != "" {
-		f, err := os.Create(*ckpt)
-		fatal(err)
-		fatal(s.Checkpoint(f))
-		fatal(f.Close())
-		fmt.Println("wrote", *ckpt)
-	}
 }
 
 func fatal(err error) {

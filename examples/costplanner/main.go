@@ -54,7 +54,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		as, err := fw.Assess(anatomy, ranks, c.steps)
+		as, err := fw.Assess(anatomy, ranks, c.steps, "")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/lbm"
 	"repro/internal/machine"
+	"repro/internal/perfmodel"
 )
 
 func main() {
@@ -41,7 +42,7 @@ func main() {
 	// 3. Assess every instance for a 5000-step job on 64 cores and pick
 	// the best value per dollar.
 	const ranks, steps = 64, 5000
-	as, err := fw.Assess(anatomy, ranks, steps)
+	as, err := fw.Assess(anatomy, ranks, steps, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,15 +68,17 @@ func main() {
 	fmt.Printf("job: %d/%d steps, %.2f MFLUPS, $%.4f (aborted: %v)\n",
 		res.StepsDone, steps, res.Result.MFLUPS, res.USD, res.Aborted)
 
-	// 5. Close the loop: record measured vs predicted.
-	pred, err := fw.PredictDirect(anatomy, best.System, ranks)
+	// 5. Close the loop: record measured vs predicted. A Query names the
+	// system, the model, the rank count and (when not Tier 1) the tier.
+	q := core.Query{System: best.System, Model: perfmodel.ModelDirect, Ranks: ranks}
+	pred, err := fw.Predict(anatomy, q)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := fw.Record(anatomy, pred, res.Result); err != nil {
 		log.Fatal(err)
 	}
-	refined, err := fw.PredictDirect(anatomy, best.System, ranks)
+	refined, err := fw.Predict(anatomy, q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,7 +38,7 @@ type PhysicalConfig struct {
 // Steps) or physically (Physical).
 type JobConfig struct {
 	Name     string  `json:"name"`
-	Geometry string  `json:"geometry"` // cylinder, aorta, cerebral, stenosis or bifurcation
+	Geometry string  `json:"geometry"` // a name in geometries
 	Scale    float64 `json:"scale,omitempty"`
 	Ranks    int     `json:"ranks"`
 	Steps    int     `json:"steps,omitempty"`
@@ -117,10 +117,8 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("campaign: duplicate job name %q", j.Name)
 		}
 		seen[j.Name] = true
-		switch j.Geometry {
-		case "cylinder", "aorta", "cerebral", "stenosis", "bifurcation":
-		default:
-			return fmt.Errorf("campaign: job %q has unknown geometry %q", j.Name, j.Geometry)
+		if _, err := geometryBuilder(j.Geometry); err != nil {
+			return fmt.Errorf("campaign: job %q has %w", j.Name, err)
 		}
 		if j.Physical != nil {
 			if j.Scale != 0 || j.Steps != 0 {
@@ -169,15 +167,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// jobTier normalizes a job's accuracy-tier selector: empty keeps the
-// legacy calibrated (Tier 1) planning path.
-func jobTier(j JobConfig) string {
-	if j.Tier == "" {
-		return perfmodel.Tier1Calibrated
-	}
-	return j.Tier
-}
-
 // objective maps the config string to a dashboard objective.
 func objective(s string) (dashboard.Objective, error) {
 	obj, err := dashboard.ParseObjective(s)
@@ -187,24 +176,46 @@ func objective(s string) (dashboard.Objective, error) {
 	return obj, nil
 }
 
-// BuildGeometry constructs a declared domain at the given scale (vessel
-// radius in lattice sites). It is exported for the serving layer, which
-// builds workloads from the same geometry vocabulary campaign configs
-// use.
-func BuildGeometry(name string, scale float64) (*geometry.Domain, error) {
-	switch name {
-	case "cylinder":
-		return geometry.Cylinder(int(8*scale), scale)
-	case "aorta":
-		return geometry.Aorta(scale)
-	case "cerebral":
-		return geometry.Cerebral(scale/2, 4)
-	case "stenosis":
-		return geometry.StenosedCylinder(int(8*scale), scale, 0.5, scale*0.75)
-	case "bifurcation":
-		return geometry.Bifurcation(scale)
+// geometries is the one vocabulary of domain names — campaign files, the
+// planning service and the CLIs all build through it — each at a scale
+// that is the vessel radius in lattice sites.
+var geometries = []struct {
+	name  string
+	build func(scale float64) (*geometry.Domain, error)
+}{
+	{"cylinder", func(s float64) (*geometry.Domain, error) { return geometry.Cylinder(int(8*s), s) }},
+	{"aorta", geometry.Aorta},
+	{"cerebral", func(s float64) (*geometry.Domain, error) { return geometry.Cerebral(s/2, 4) }},
+	{"stenosis", func(s float64) (*geometry.Domain, error) {
+		return geometry.StenosedCylinder(int(8*s), s, 0.5, s*0.75)
+	}},
+	{"bifurcation", geometry.Bifurcation},
+}
+
+// geometryBuilder looks a name up in geometries; the error of an unknown
+// one lists the names there are.
+func geometryBuilder(name string) (func(scale float64) (*geometry.Domain, error), error) {
+	for _, g := range geometries {
+		if g.name == name {
+			return g.build, nil
+		}
 	}
-	return nil, fmt.Errorf("campaign: unknown geometry %q", name)
+	names := make([]string, len(geometries))
+	for i, g := range geometries {
+		names[i] = g.name
+	}
+	return nil, fmt.Errorf("unknown geometry %q (valid: %s)", name, strings.Join(names, ", "))
+}
+
+// BuildGeometry constructs a declared domain at the given scale. It is
+// exported for the serving layer and the CLIs, which build workloads from
+// the same vocabulary campaign configs use.
+func BuildGeometry(name string, scale float64) (*geometry.Domain, error) {
+	build, err := geometryBuilder(name)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	return build(scale)
 }
 
 // resolve turns a job config into concrete lattice quantities: the
@@ -370,7 +381,7 @@ func runSerial(ctx context.Context, fw *core.Framework, cfg Config) (Summary, er
 			}
 			system = best.System
 		}
-		pred, err := fw.PredictDirectTier(anatomy, system, j.Ranks, jobTier(j))
+		pred, err := fw.Predict(anatomy, core.Query{System: system, Model: perfmodel.ModelDirect, Ranks: j.Ranks, Tier: j.Tier})
 		if err != nil {
 			return Summary{}, err
 		}

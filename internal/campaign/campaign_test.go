@@ -37,21 +37,32 @@ func TestLoadValid(t *testing.T) {
 }
 
 func TestLoadRejectsBadConfigs(t *testing.T) {
-	bad := []string{
-		`not json`,
-		`{"budget_usd": 0, "jobs": [{"name":"a","geometry":"aorta","scale":6,"ranks":4,"steps":10}]}`,
-		`{"budget_usd": 1, "jobs": []}`,
-		`{"budget_usd": 1, "objective": "wat", "jobs": [{"name":"a","geometry":"aorta","scale":6,"ranks":4,"steps":10}]}`,
-		`{"budget_usd": 1, "jobs": [{"name":"","geometry":"aorta","scale":6,"ranks":4,"steps":10}]}`,
-		`{"budget_usd": 1, "jobs": [{"name":"a","geometry":"spleen","scale":6,"ranks":4,"steps":10}]}`,
-		`{"budget_usd": 1, "jobs": [{"name":"a","geometry":"aorta","scale":0,"ranks":4,"steps":10}]}`,
-		`{"budget_usd": 1, "jobs": [{"name":"a","geometry":"aorta","scale":6,"ranks":0,"steps":10}]}`,
-		`{"budget_usd": 1, "jobs": [{"name":"a","geometry":"aorta","scale":6,"ranks":4,"steps":10},{"name":"a","geometry":"aorta","scale":6,"ranks":4,"steps":10}]}`,
-		`{"budget_usd": 1, "unknown_field": true, "jobs": [{"name":"a","geometry":"aorta","scale":6,"ranks":4,"steps":10}]}`,
+	bad := []struct {
+		cfg    string
+		errHas []string // what the error must mention
+	}{
+		{`not json`, nil},
+		{`{"budget_usd": 0, "jobs": [{"name":"a","geometry":"aorta","scale":6,"ranks":4,"steps":10}]}`, nil},
+		{`{"budget_usd": 1, "jobs": []}`, nil},
+		{`{"budget_usd": 1, "objective": "wat", "jobs": [{"name":"a","geometry":"aorta","scale":6,"ranks":4,"steps":10}]}`, nil},
+		{`{"budget_usd": 1, "jobs": [{"name":"","geometry":"aorta","scale":6,"ranks":4,"steps":10}]}`, nil},
+		// The error of an unknown geometry lists the vocabulary.
+		{`{"budget_usd": 1, "jobs": [{"name":"a","geometry":"spleen","scale":6,"ranks":4,"steps":10}]}`, []string{`"spleen"`, "cylinder", "aorta", "cerebral", "stenosis", "bifurcation"}},
+		{`{"budget_usd": 1, "jobs": [{"name":"a","geometry":"aorta","scale":0,"ranks":4,"steps":10}]}`, nil},
+		{`{"budget_usd": 1, "jobs": [{"name":"a","geometry":"aorta","scale":6,"ranks":0,"steps":10}]}`, nil},
+		{`{"budget_usd": 1, "jobs": [{"name":"a","geometry":"aorta","scale":6,"ranks":4,"steps":10},{"name":"a","geometry":"aorta","scale":6,"ranks":4,"steps":10}]}`, nil},
+		{`{"budget_usd": 1, "unknown_field": true, "jobs": [{"name":"a","geometry":"aorta","scale":6,"ranks":4,"steps":10}]}`, nil},
 	}
-	for i, s := range bad {
-		if _, err := Load(strings.NewReader(s)); err == nil {
+	for i, b := range bad {
+		_, err := Load(strings.NewReader(b.cfg))
+		if err == nil {
 			t.Errorf("bad config %d accepted", i)
+			continue
+		}
+		for _, want := range b.errHas {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("bad config %d: error %q does not mention %s", i, err, want)
+			}
 		}
 	}
 }

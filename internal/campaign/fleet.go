@@ -9,6 +9,7 @@ import (
 	"repro/internal/dashboard"
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/perfmodel"
 )
 
 // FleetConfig declares the fleet execution backend inside a campaign
@@ -238,7 +239,7 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 			if j.Ranks > sys.MaxRanks() {
 				continue
 			}
-			pred, err := fw.PredictDirectTier(anatomy, abbrev, j.Ranks, jobTier(j))
+			pred, err := fw.Predict(anatomy, core.Query{System: abbrev, Model: perfmodel.ModelDirect, Ranks: j.Ranks, Tier: j.Tier})
 			if err != nil {
 				return FleetSummary{}, fmt.Errorf("campaign: predicting %q on %s: %w", j.Name, abbrev, err)
 			}

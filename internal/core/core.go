@@ -10,7 +10,7 @@
 //
 //	fw, _ := core.NewFramework(machine.Catalog(), 5, 1)
 //	anatomy, _ := fw.PrepareAnatomy("aorta", dom, lbm.Params{Tau: 0.9, UMax: 0.02})
-//	pred, _ := fw.PredictGeneral(anatomy, "CSP-2 EC", 144)
+//	pred, _ := fw.Predict(anatomy, core.Query{System: "CSP-2 EC", Model: perfmodel.ModelGeneral, Ranks: 144})
 //	spec, _ := fw.PlanJob(anatomy, "CSP-2 EC", 144, 10000, 0.10)
 //	res, _ := fw.Provider.RunJob(spec)
 //	fw.Record(anatomy, pred, res.Result)
@@ -293,54 +293,54 @@ func (f *Framework) refine(pred perfmodel.Prediction) perfmodel.Prediction {
 	return f.Monitor.Refine(pred)
 }
 
-// PredictDirect evaluates the direct model for the anatomy on a system
-// at the calibrated tier (Tier 1).
+// Query asks for one prediction: a system of the dashboard, one of
+// perfmodel's two models ("" is ModelGeneral), a rank count, and an
+// accuracy tier ("" is Tier 1; perfmodel.TierAuto picks the best tier
+// with data).
+type Query struct {
+	System, Model string
+	Ranks         int
+	Tier          string
+}
+
+// tierOr1 is the tier a query or assessment names, Tier 1 when none.
+func tierOr1(tier string) string {
+	if tier == "" {
+		return perfmodel.Tier1Calibrated
+	}
+	return tier
+}
+
+// Predict evaluates q for the anatomy, filling the request with what the
+// anatomy knows: its decomposition over q.Ranks for the direct model, its
+// summary and tuned laws for the generalized one, whose rank counts may
+// exceed the instance size (extrapolation). Tier 1 output is refined.
+func (f *Framework) Predict(a *Anatomy, q Query) (perfmodel.Prediction, error) {
+	e, err := f.Dashboard.Entry(q.System)
+	if err != nil {
+		return perfmodel.Prediction{}, err
+	}
+	req := perfmodel.Request{Model: q.Model, Tier: tierOr1(q.Tier)}
+	if q.Model == perfmodel.ModelDirect {
+		w, err := a.Workload(q.Ranks)
+		if err != nil {
+			return perfmodel.Prediction{}, err
+		}
+		req.Workload = &w
+	} else {
+		req.Summary, req.General, req.Ranks = &a.Summary, a.General, q.Ranks
+	}
+	pred, err := e.Predict(req)
+	if err != nil {
+		return perfmodel.Prediction{}, err
+	}
+	return f.refine(pred), nil
+}
+
+// PredictDirect is Predict with the direct model at Tier 1, kept as a
+// method because bench/fleet.go calls it.
 func (f *Framework) PredictDirect(a *Anatomy, system string, ranks int) (perfmodel.Prediction, error) {
-	return f.PredictDirectTier(a, system, ranks, perfmodel.Tier1Calibrated)
-}
-
-// PredictDirectTier is PredictDirect at an explicit accuracy tier ("" or
-// perfmodel.TierAuto picks the best tier with data for the request).
-func (f *Framework) PredictDirectTier(a *Anatomy, system string, ranks int, tier string) (perfmodel.Prediction, error) {
-	e, err := f.Dashboard.Entry(system)
-	if err != nil {
-		return perfmodel.Prediction{}, err
-	}
-	w, err := f.Workload(a, ranks)
-	if err != nil {
-		return perfmodel.Prediction{}, err
-	}
-	pred, err := e.Predict(perfmodel.Request{Model: perfmodel.ModelDirect, Workload: &w, Tier: tier})
-	if err != nil {
-		return perfmodel.Prediction{}, err
-	}
-	return f.refine(pred), nil
-}
-
-// PredictGeneral evaluates the generalized model for the anatomy on a
-// system at the calibrated tier (Tier 1). Rank counts may exceed the
-// instance size (extrapolation).
-func (f *Framework) PredictGeneral(a *Anatomy, system string, ranks int) (perfmodel.Prediction, error) {
-	return f.PredictGeneralTier(a, system, ranks, perfmodel.Tier1Calibrated)
-}
-
-// PredictGeneralTier is PredictGeneral at an explicit accuracy tier.
-func (f *Framework) PredictGeneralTier(a *Anatomy, system string, ranks int, tier string) (perfmodel.Prediction, error) {
-	e, err := f.Dashboard.Entry(system)
-	if err != nil {
-		return perfmodel.Prediction{}, err
-	}
-	pred, err := e.Predict(perfmodel.Request{
-		Model:   perfmodel.ModelGeneral,
-		Summary: &a.Summary,
-		General: a.General,
-		Ranks:   ranks,
-		Tier:    tier,
-	})
-	if err != nil {
-		return perfmodel.Prediction{}, err
-	}
-	return f.refine(pred), nil
+	return f.Predict(a, Query{System: system, Model: perfmodel.ModelDirect, Ranks: ranks})
 }
 
 // Measure runs the decomposed anatomy on a system's hardware model with
@@ -427,22 +427,17 @@ func (f *Framework) PlanJob(a *Anatomy, system string, ranks, steps int, toleran
 	}, nil
 }
 
-// Assess evaluates every dashboard system for the anatomy at a rank count
-// and job length.
-func (f *Framework) Assess(a *Anatomy, ranks, steps int) ([]dashboard.Assessment, error) {
-	return f.Dashboard.Assess(a.Summary, a.General, ranks, steps)
-}
-
-// AssessTier is Assess at an explicit accuracy tier ("" or
-// perfmodel.TierAuto picks the best tier with data per system).
-func (f *Framework) AssessTier(a *Anatomy, ranks, steps int, tier string) ([]dashboard.Assessment, error) {
-	return f.Dashboard.AssessTier(a.Summary, a.General, ranks, steps, tier)
+// Assess evaluates every dashboard system for the anatomy at a rank count,
+// job length and accuracy tier ("" is Tier 1; perfmodel.TierAuto picks the
+// best tier with data per system).
+func (f *Framework) Assess(a *Anatomy, ranks, steps int, tier string) ([]dashboard.Assessment, error) {
+	return f.Dashboard.AssessTier(a.Summary, a.General, ranks, steps, tierOr1(tier))
 }
 
 // Recommend picks the best system under an objective, optionally subject
 // to a deadline in seconds.
 func (f *Framework) Recommend(a *Anatomy, ranks, steps int, obj dashboard.Objective, deadline float64) (dashboard.Assessment, error) {
-	as, err := f.Assess(a, ranks, steps)
+	as, err := f.Assess(a, ranks, steps, "")
 	if err != nil {
 		return dashboard.Assessment{}, err
 	}

@@ -7,6 +7,8 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/lbm"
 	"repro/internal/machine"
+	"repro/internal/perfmodel"
+	"repro/internal/simcloud"
 )
 
 func framework(t *testing.T) *Framework {
@@ -40,7 +42,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	general, err := fw.PredictGeneral(a, "CSP-2", 36)
+	general, err := fw.Predict(a, Query{System: "CSP-2", Model: perfmodel.ModelGeneral, Ranks: 36})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestRecommendEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, err := fw.Assess(a, 128, 1000)
+	as, err := fw.Assess(a, 128, 1000, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,15 +161,113 @@ func TestRecommendEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPredict drives the one prediction entry point over both models,
+// every tier and the inputs it must refuse. A recorded Tier 1 residual per
+// model puts a correction in the monitor first, which makes refinement
+// observable: Tier 1 output is the entry's answer moved by it, Tier 0 and
+// Tier 2 output is the entry's answer untouched.
+func TestPredict(t *testing.T) {
+	const system, ranks = "CSP-2", 36
+	direct, general := perfmodel.ModelDirect, perfmodel.ModelGeneral
+	fw := framework(t)
+	a := anatomy(t, fw)
+	tbl, err := perfmodel.DefaultTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.AttachTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []string{direct, general} {
+		pred, err := fw.Predict(a, Query{System: system, Model: model, Ranks: ranks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Record(a, pred, simcloud.Result{MFLUPS: 0.8 * pred.MFLUPS}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	e, err := fw.Dashboard.Entry(system)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := a.Workload(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unrefined := func(model, tier string) perfmodel.Prediction {
+		t.Helper()
+		req := perfmodel.Request{Model: model, Tier: tier, Summary: &a.Summary, General: a.General, Ranks: ranks}
+		if model == direct {
+			req = perfmodel.Request{Model: model, Tier: tier, Workload: &w}
+		}
+		p, err := e.Predict(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+
+	got := map[string]perfmodel.Prediction{}
+	for _, c := range []struct {
+		name     string
+		q        Query
+		wantTier string // the tier that must answer; "" means an error
+		refined  bool
+	}{
+		{"direct", Query{system, direct, ranks, ""}, perfmodel.Tier1Calibrated, true},
+		{"general", Query{system, general, ranks, ""}, perfmodel.Tier1Calibrated, true},
+		{"general by default", Query{system, "", ranks, ""}, perfmodel.Tier1Calibrated, true},
+		{"direct tier1", Query{system, direct, ranks, perfmodel.Tier1Calibrated}, perfmodel.Tier1Calibrated, true},
+		{"direct tier0", Query{system, direct, ranks, perfmodel.Tier0Physics}, perfmodel.Tier0Physics, false},
+		{"general tier0", Query{system, general, ranks, perfmodel.Tier0Physics}, perfmodel.Tier0Physics, false},
+		{"direct tier2", Query{system, direct, ranks, perfmodel.Tier2Measured}, perfmodel.Tier2Measured, false},
+		{"general tier2", Query{system, general, ranks, perfmodel.Tier2Measured}, perfmodel.Tier2Measured, false},
+		{"direct auto", Query{system, direct, ranks, perfmodel.TierAuto}, perfmodel.Tier2Measured, false},
+		{"direct unknown system", Query{"nope", direct, 8, ""}, "", false},
+		{"general unknown system", Query{"nope", general, 8, ""}, "", false},
+		{"unknown model", Query{system, "quantum", ranks, ""}, "", false},
+		{"unknown tier", Query{system, direct, ranks, "tier9"}, "", false},
+		{"direct beyond the lattice", Query{system, direct, a.Lattice.N() + 1, ""}, "", false},
+	} {
+		p, err := fw.Predict(a, c.q)
+		if c.wantTier == "" {
+			if err == nil {
+				t.Errorf("%s: want an error, got %+v", c.name, p)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		got[c.name] = p
+		want := unrefined(c.q.Model, c.wantTier)
+		if c.refined {
+			raw := want
+			if want = fw.Monitor.Refine(raw); want.MFLUPS == raw.MFLUPS {
+				t.Fatalf("%s: the monitor holds no correction, refinement is unobservable", c.name)
+			}
+		}
+		if p != want {
+			t.Errorf("%s:\n got %+v\nwant %+v", c.name, p, want)
+		}
+	}
+	if got["direct"].MFLUPS == got["general"].MFLUPS || got["direct"].Model == got["general"].Model {
+		t.Errorf("the two models gave one answer: %+v", got["direct"])
+	}
+	if got["general by default"] != got["general"] {
+		t.Error("a query naming no model is not the generalized model")
+	}
+	if p, err := fw.PredictDirect(a, system, ranks); err != nil || p != got["direct"] {
+		t.Errorf("PredictDirect = %+v, %v; want Predict's direct Tier 1 answer", p, err)
+	}
+}
+
 func TestUnknownSystemErrors(t *testing.T) {
 	fw := framework(t)
 	a := anatomy(t, fw)
-	if _, err := fw.PredictDirect(a, "nope", 8); err == nil {
-		t.Error("want error for unknown system in PredictDirect")
-	}
-	if _, err := fw.PredictGeneral(a, "nope", 8); err == nil {
-		t.Error("want error for unknown system in PredictGeneral")
-	}
 	if _, err := fw.Measure(a, "nope", 8, 10); err == nil {
 		t.Error("want error for unknown system in Measure")
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/lbm"
 	"repro/internal/machine"
-	"repro/internal/perfmodel"
 	"repro/internal/simcloud"
 )
 
@@ -42,7 +41,7 @@ func TestOneDecompositionPerAnatomyAndRanks(t *testing.T) {
 	builds := countDecompositions(a)
 
 	for _, sys := range machine.Catalog() {
-		if _, err := fw.PredictDirectTier(a, sys.Abbrev, 16, perfmodel.Tier1Calibrated); err != nil {
+		if _, err := fw.PredictDirect(a, sys.Abbrev, 16); err != nil {
 			t.Fatalf("%s: %v", sys.Abbrev, err)
 		}
 	}

@@ -270,43 +270,6 @@ func Recommend(as []Assessment, obj Objective, deadline float64) (Assessment, er
 	return best, nil
 }
 
-// Crossover locates where two systems trade places for a workload: the
-// smallest rank count in [2, maxRanks] at which system a's predicted
-// throughput overtakes system b's, scanning powers of two. The paper's
-// reproduction target is exactly this — "where crossovers fall" — since
-// latency-light clusters win small jobs and bandwidth-rich cloud nodes
-// win large ones. Returns ok=false if a never overtakes b in range.
-func (d *Dashboard) Crossover(ws perfmodel.WorkloadSummary, g perfmodel.GeneralModel,
-	a, b string, maxRanks int) (ranks int, ok bool, err error) {
-	ea, err := d.Entry(a)
-	if err != nil {
-		return 0, false, err
-	}
-	eb, err := d.Entry(b)
-	if err != nil {
-		return 0, false, err
-	}
-	if maxRanks < 2 {
-		return 0, false, fmt.Errorf("dashboard: maxRanks %d must be at least 2", maxRanks)
-	}
-	for r := 2; r <= maxRanks; r *= 2 {
-		req := perfmodel.Request{Model: perfmodel.ModelGeneral, Summary: &ws, General: g, Ranks: r,
-			Tier: perfmodel.Tier1Calibrated}
-		pa, err := ea.Predict(req)
-		if err != nil {
-			return 0, false, err
-		}
-		pb, err := eb.Predict(req)
-		if err != nil {
-			return 0, false, err
-		}
-		if pa.MFLUPS > pb.MFLUPS {
-			return r, true, nil
-		}
-	}
-	return 0, false, nil
-}
-
 // Pareto returns the assessments on the time/cost Pareto frontier: the
 // options no other option beats on both predicted time to solution and
 // predicted dollars. The paper leaves the final trade-off to the user

@@ -281,56 +281,3 @@ func TestParetoOnRealAssessments(t *testing.T) {
 		t.Errorf("frontier %v missing fastest %s or cheapest %s", front, fastest.System, cheapest.System)
 	}
 }
-
-func TestCrossoverCloudOvertakesTRC(t *testing.T) {
-	// On a production-scale (memory-dominated) workload the cloud node's
-	// bandwidth advantage grows with rank count while TRC's latency edge
-	// fades: CSP-2 EC must overtake TRC somewhere in the sweep.
-	d, ws, g := buildFixture(t)
-	big := ws
-	big.Points *= 512 // high-resolution mesh, as Figure 11 rates
-	big.BytesSerial *= 512
-	ranks, ok, err := d.Crossover(big, g, "CSP-2 EC", "TRC", 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("CSP-2 EC never overtook TRC on the production mesh")
-	}
-	if ranks < 2 || ranks > 4096 {
-		t.Errorf("crossover at %d ranks outside sweep", ranks)
-	}
-	// Before the crossover TRC leads; sanity-check one earlier point.
-	if ranks > 2 {
-		ea, _ := d.Entry("CSP-2 EC")
-		eb, _ := d.Entry("TRC")
-		pa, err := ea.Char.Predict(perfmodel.Request{Model: perfmodel.ModelGeneral, Summary: &big, General: g, Ranks: ranks / 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := eb.Char.Predict(perfmodel.Request{Model: perfmodel.ModelGeneral, Summary: &big, General: g, Ranks: ranks / 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pa.MFLUPS > pb.MFLUPS {
-			t.Errorf("crossover not minimal: EC already ahead at %d ranks", ranks/2)
-		}
-	}
-}
-
-func TestCrossoverValidation(t *testing.T) {
-	d, ws, g := buildFixture(t)
-	if _, _, err := d.Crossover(ws, g, "nope", "TRC", 64); err == nil {
-		t.Error("want error for unknown system a")
-	}
-	if _, _, err := d.Crossover(ws, g, "TRC", "nope", 64); err == nil {
-		t.Error("want error for unknown system b")
-	}
-	if _, _, err := d.Crossover(ws, g, "TRC", "CSP-2", 1); err == nil {
-		t.Error("want error for tiny maxRanks")
-	}
-	// A system never overtakes itself.
-	if _, ok, err := d.Crossover(ws, g, "TRC", "TRC", 256); err != nil || ok {
-		t.Errorf("self-crossover: ok=%v err=%v", ok, err)
-	}
-}

@@ -494,32 +494,6 @@ func (p *Partition) Imbalance() float64 {
 	return p.MaxBytes() / (total / float64(p.NTasks))
 }
 
-// MaxSendBytes returns the largest per-task outgoing halo payload per
-// timestep.
-func (p *Partition) MaxSendBytes() float64 {
-	var m float64
-	for i := range p.Tasks {
-		if b := p.Tasks[i].TotalSendBytes(); b > m {
-			m = b
-		}
-	}
-	return m
-}
-
-// MaxEvents returns the largest per-task message-event count per timestep
-// (sends plus the matching receives), the empirical quantity Eq. 15
-// models.
-func (p *Partition) MaxEvents() int {
-	var m int
-	for i := range p.Tasks {
-		// Receives mirror sends in a symmetric halo exchange.
-		if e := 2 * p.Tasks[i].Events(); e > m {
-			m = e
-		}
-	}
-	return m
-}
-
 // InterStats returns the busiest task's inter-node halo payload (bytes
 // per timestep, sends plus receives) and message-event count under block
 // placement of one task per core with the given node width. These are the

@@ -2,12 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
-	"repro/internal/decomp"
-	"repro/internal/fit"
-	"repro/internal/geometry"
 	"repro/internal/lbm"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
@@ -18,7 +14,10 @@ import (
 // The extension studies regenerate results for the parts of the paper's
 // full model (Eq. 2) and Discussion that its evaluation section defers:
 // GPU execution with the t_CPU-GPU term, shared-node tenancy, and the
-// add-and-check model-term feedback loop.
+// add-and-check model-term feedback loop. Each stays because it is the
+// only end-to-end check against simcloud of a model input a root accepts:
+// the GPU catalog (csdash -gpu), Request.Occupancy (/v1/predict) and
+// Request.Terms (read inside perfmodel.Predict).
 
 // ExtGPU compares the GPU instance against the CPU instances node-for-
 // node on the HARVEY cylinder and validates the direct model's t_CPU-GPU
@@ -108,195 +107,6 @@ func ExtSharedNode() (Report, error) {
 		Title:  "Extension: shared-node co-tenancy, measured vs occupancy-aware model",
 		Text:   text.String(),
 		Series: series,
-	}, nil
-}
-
-// ExtWeakScaling complements the paper's strong-scaling study: the
-// cylinder grows with the rank count so every task keeps the same number
-// of fluid points, and the reported efficiency is MFLUPS(n)/(n*MFLUPS(1)).
-// Perfect weak scaling holds efficiency at 1; communication growth bends
-// it down, more on the slow interconnect than on EC. Series:
-// "<system>/efficiency" over ranks, plus "<system>/mflups".
-func ExtWeakScaling() (Report, error) {
-	// Base slab: one node's worth of work per 9 ranks.
-	const baseLen = 20
-	rng := newRNG()
-	access := lbm.HarveyAccess()
-	series := map[string][]Point{}
-	var text strings.Builder
-	fmt.Fprintf(&text, "%-10s %8s %12s %12s\n", "system", "ranks", "MFLUPS", "efficiency")
-	for _, sys := range []*machine.System{machine.NewCSP2(), machine.NewCSP2EC()} {
-		var base float64
-		for _, ranks := range []int{1, 2, 4, 9, 18, 36, 72, 144} {
-			dom, err := geometry.Cylinder(baseLen*ranks, 16)
-			if err != nil {
-				return Report{}, err
-			}
-			s, err := solverFor(dom)
-			if err != nil {
-				return Report{}, err
-			}
-			p, err := decomp.RCB(s, ranks, access)
-			if err != nil {
-				return Report{}, err
-			}
-			w := simcloud.FromPartition("cyl-weak", s.N(), p)
-			res, err := simcloud.Run(w, sys, benchSteps, rng)
-			if err != nil {
-				return Report{}, err
-			}
-			if ranks == 1 {
-				base = res.MFLUPS
-			}
-			eff := res.MFLUPS / (float64(ranks) * base)
-			x := float64(ranks)
-			series[sys.Abbrev+"/mflups"] = append(series[sys.Abbrev+"/mflups"], Point{X: x, Y: res.MFLUPS})
-			series[sys.Abbrev+"/efficiency"] = append(series[sys.Abbrev+"/efficiency"], Point{X: x, Y: eff})
-			fmt.Fprintf(&text, "%-10s %8d %12.2f %12.3f\n", sys.Abbrev, ranks, res.MFLUPS, eff)
-		}
-	}
-	return Report{
-		ID:     "ext-weak",
-		Title:  "Extension: weak scaling (constant work per rank) on CSP-2 with and without EC",
-		Text:   text.String(),
-		Series: series,
-	}, nil
-}
-
-// ExtConvergence runs the classic grid-refinement validation the numerical
-// accuracy of everything else rests on: force-driven Poiseuille flow at
-// increasing resolution, fitting the parabolic profile's curvature and
-// comparing the implied viscosity to the solver's nominal value. The
-// error must shrink with resolution. Series: "viscosity-error" over tube
-// radius.
-func ExtConvergence() (Report, error) {
-	const g = 2e-6
-	var text strings.Builder
-	series := map[string][]Point{}
-	fmt.Fprintf(&text, "%8s %14s %14s %12s\n", "radius", "nominal nu", "fitted nu", "rel error")
-	for _, radius := range []float64{4, 6, 9} {
-		dom, err := geometry.Cylinder(8, radius)
-		if err != nil {
-			return Report{}, err
-		}
-		params := lbm.Params{Tau: 0.9, PeriodicX: true, Force: [3]float64{g, 0, 0}}
-		s, err := lbm.NewSparse(dom, params)
-		if err != nil {
-			return Report{}, err
-		}
-		// March to steady state: stop when the peak velocity stalls.
-		prev := -1.0
-		for i := 0; i < 400; i++ {
-			s.Run(100)
-			var umax float64
-			for si := 0; si < s.N(); si++ {
-				_, ux, _, _ := s.Macro(si)
-				umax = math.Max(umax, ux)
-			}
-			if math.Abs(umax-prev) < 1e-12 {
-				break
-			}
-			prev = umax
-		}
-		// Fit u against r^2 over the interior of the mid cross-section.
-		cy := float64(dom.NY-1) / 2
-		cz := float64(dom.NZ-1) / 2
-		var r2s, us []float64
-		for si := 0; si < s.N(); si++ {
-			x, y, z := s.SiteCoords(si)
-			if x != dom.NX/2 {
-				continue
-			}
-			dy, dz := float64(y)-cy, float64(z)-cz
-			r2 := dy*dy + dz*dz
-			if r2 > (0.75*radius)*(0.75*radius) {
-				continue
-			}
-			_, ux, _, _ := s.Macro(si)
-			r2s = append(r2s, r2)
-			us = append(us, ux)
-		}
-		line, err := fit.LinearLSQ(r2s, us)
-		if err != nil {
-			return Report{}, err
-		}
-		nuFit := -g / (4 * line.Slope)
-		nu := params.Viscosity()
-		rel := math.Abs(nuFit-nu) / nu
-		fmt.Fprintf(&text, "%8.0f %14.5f %14.5f %11.2f%%\n", radius, nu, nuFit, rel*100)
-		series["viscosity-error"] = append(series["viscosity-error"], Point{X: radius, Y: rel})
-	}
-	return Report{
-		ID:     "ext-convergence",
-		Title:  "Extension: grid-convergence of the LBM solver against analytic Poiseuille flow",
-		Text:   text.String(),
-		Series: series,
-	}, nil
-}
-
-// ExtPulsatile runs the hemodynamic-physics extension: steady versus
-// reversing pulsatile inflow through the stenosed vessel, reporting the
-// clinical wall metrics (surface-averaged OSI and peak wall shear) the
-// simulations exist to produce. Reversing flow must elevate OSI while
-// steady flow keeps it near zero. Series: "osi" and "peak-wss" with x=0
-// (steady) and x=1 (pulsatile).
-func ExtPulsatile() (Report, error) {
-	run := func(wave lbm.Waveform) (osi, peakWSS float64, err error) {
-		dom, err := geometry.StenosedCylinder(64, 8, 0.4, 5)
-		if err != nil {
-			return 0, 0, err
-		}
-		s, err := lbm.NewSparse(dom, lbm.Params{Tau: 0.9, UMax: 0.03, Pulsatile: wave})
-		if err != nil {
-			return 0, 0, err
-		}
-		warm := 600
-		span := 200
-		if wave.Period > 0 {
-			warm = 2 * int(wave.Period)
-			span = int(wave.Period)
-		}
-		s.Run(warm)
-		acc := lbm.NewOSIAccumulator(s)
-		for i := 0; i < span; i++ {
-			s.Step()
-			acc.Accumulate()
-		}
-		osi, err = acc.MeanOSI()
-		if err != nil {
-			return 0, 0, err
-		}
-		sites, err := acc.OSI()
-		if err != nil {
-			return 0, 0, err
-		}
-		for _, site := range sites {
-			if site.MeanWSS > peakWSS {
-				peakWSS = site.MeanWSS
-			}
-		}
-		return osi, peakWSS, nil
-	}
-	steadyOSI, steadyWSS, err := run(lbm.Waveform{})
-	if err != nil {
-		return Report{}, err
-	}
-	pulsOSI, pulsWSS, err := run(lbm.Waveform{Period: 150, Amplitude: 1.6})
-	if err != nil {
-		return Report{}, err
-	}
-	var text strings.Builder
-	fmt.Fprintf(&text, "%-12s %12s %14s\n", "inflow", "mean OSI", "peak WSS")
-	fmt.Fprintf(&text, "%-12s %12.4f %14.3g\n", "steady", steadyOSI, steadyWSS)
-	fmt.Fprintf(&text, "%-12s %12.4f %14.3g\n", "pulsatile", pulsOSI, pulsWSS)
-	return Report{
-		ID:    "ext-pulsatile",
-		Title: "Extension: pulsatile vs steady inflow — OSI and peak wall shear in a stenosed vessel",
-		Text:  text.String(),
-		Series: map[string][]Point{
-			"osi":      {{X: 0, Y: steadyOSI}, {X: 1, Y: pulsOSI}},
-			"peak-wss": {{X: 0, Y: steadyWSS}, {X: 1, Y: pulsWSS}},
-		},
 	}, nil
 }
 

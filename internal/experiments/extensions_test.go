@@ -73,73 +73,3 @@ func TestExtTermSelectionImproves(t *testing.T) {
 		t.Error("flops term not rejected")
 	}
 }
-
-func TestExtConvergence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs steady-state convergence sweeps")
-	}
-	r := report(t, "ext-convergence", ExtConvergence)
-	s := r.Series["viscosity-error"]
-	if len(s) != 3 {
-		t.Fatalf("sweep has %d points, want 3", len(s))
-	}
-	// Error shrinks from coarsest to finest resolution, and the finest is
-	// comfortably inside the solver's validated tolerance.
-	if s[len(s)-1].Y >= s[0].Y {
-		t.Errorf("no convergence: error %v at r=%v vs %v at r=%v",
-			s[len(s)-1].Y, s[len(s)-1].X, s[0].Y, s[0].X)
-	}
-	if s[len(s)-1].Y > 0.02 {
-		t.Errorf("finest-grid viscosity error %v above 2%%", s[len(s)-1].Y)
-	}
-}
-
-func TestExtWeakScaling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs weak-scaling sweeps")
-	}
-	r := report(t, "ext-weak", ExtWeakScaling)
-	for _, sys := range []string{"CSP-2", "CSP-2 EC"} {
-		eff := r.Series[sys+"/efficiency"]
-		if len(eff) != 8 {
-			t.Fatalf("%s efficiency sweep has %d points", sys, len(eff))
-		}
-		if eff[0].Y != 1 {
-			t.Errorf("%s: base efficiency %v, want 1", sys, eff[0].Y)
-		}
-		// Within one node efficiency stays high; multi-node pays for the
-		// interconnect.
-		if v := value(t, r, sys+"/efficiency", 9); v < 0.8 {
-			t.Errorf("%s: single-node efficiency %v below 0.8", sys, v)
-		}
-		if v := value(t, r, sys+"/efficiency", 144); v > 0.8 {
-			t.Errorf("%s: 4-node efficiency %v suspiciously high", sys, v)
-		}
-		// Throughput still grows with the machine (weak scaling works).
-		if value(t, r, sys+"/mflups", 144) < 10*value(t, r, sys+"/mflups", 1) {
-			t.Errorf("%s: weak-scaled throughput did not grow", sys)
-		}
-	}
-	// EC holds efficiency better once nodes multiply.
-	if value(t, r, "CSP-2 EC/efficiency", 144) <= value(t, r, "CSP-2/efficiency", 144) {
-		t.Error("EC not above no-EC at 4-node weak scaling")
-	}
-}
-
-func TestExtPulsatile(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs pulsatile cycles")
-	}
-	r := report(t, "ext-pulsatile", ExtPulsatile)
-	steady := value(t, r, "osi", 0)
-	puls := value(t, r, "osi", 1)
-	if steady > 0.05 {
-		t.Errorf("steady OSI %v, want near zero", steady)
-	}
-	if puls <= steady+0.05 {
-		t.Errorf("pulsatile OSI %v not elevated over steady %v", puls, steady)
-	}
-	if value(t, r, "peak-wss", 0) <= 0 || value(t, r, "peak-wss", 1) <= 0 {
-		t.Error("peak WSS missing")
-	}
-}

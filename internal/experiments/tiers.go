@@ -160,11 +160,18 @@ type residual struct {
 func summarize(rs []residual) TierStats {
 	st := TierStats{BySystem: map[string]SystemStats{}}
 	bySys := map[string][]float64{}
+	// Systems are summed in order of first appearance: a float sum taken
+	// in map order differs in its last digit from run to run.
+	var systems []string
 	for _, r := range rs {
+		if bySys[r.system] == nil {
+			systems = append(systems, r.system)
+		}
 		bySys[r.system] = append(bySys[r.system], r.rel)
 	}
 	var allAbs, allSigned float64
-	for sys, rels := range bySys {
+	for _, sys := range systems {
+		rels := bySys[sys]
 		var sumAbs, sumSigned float64
 		for _, rel := range rels {
 			sumAbs += math.Abs(rel)

@@ -86,3 +86,17 @@ func TestTiersAccuracyOrdering(t *testing.T) {
 		t.Error("report text missing MAPE table")
 	}
 }
+
+// TestSummarizeDoesNotDependOnMapOrder pins the totals of a tier to the
+// order the residuals arrive in. Summed in map order they moved
+// BENCH_tiers.json's last digit from run to run; the sum of these values
+// depends on the order they are added in.
+func TestSummarizeDoesNotDependOnMapOrder(t *testing.T) {
+	rs := []residual{{"a", 1e16}, {"b", 1}, {"c", -1e16}, {"d", 1}, {"e", 3}}
+	want := summarize(rs)
+	for i := 0; i < 200; i++ {
+		if got := summarize(rs); got.BiasPct != want.BiasPct || got.MAPEPct != want.MAPEPct {
+			t.Fatalf("run %d: MAPE %v bias %v, first run gave %v and %v", i, got.MAPEPct, got.BiasPct, want.MAPEPct, want.BiasPct)
+		}
+	}
+}

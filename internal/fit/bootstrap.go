@@ -67,52 +67,6 @@ func BootstrapTwoLine(threads, bw []float64, resamples int, rng *rand.Rand) (Two
 	}, nil
 }
 
-// LinearUncertainty holds bootstrap uncertainties of a linear fit's
-// parameters (for the Eq. 12 communication model: slope is 1/bandwidth,
-// intercept is latency).
-type LinearUncertainty struct {
-	Slope, Intercept Uncertainty
-	Resamples        int
-}
-
-// BootstrapLinear estimates a linear fit's parameter uncertainty by case
-// resampling.
-func BootstrapLinear(xs, ys []float64, resamples int, rng *rand.Rand) (LinearUncertainty, error) {
-	if len(xs) != len(ys) || len(xs) < 3 {
-		return LinearUncertainty{}, fmt.Errorf("fit: bootstrap needs >= 3 paired points, have %d/%d", len(xs), len(ys))
-	}
-	if resamples < 10 {
-		return LinearUncertainty{}, fmt.Errorf("fit: at least 10 resamples required, got %d", resamples)
-	}
-	if rng == nil {
-		return LinearUncertainty{}, fmt.Errorf("fit: nil rng")
-	}
-	n := len(xs)
-	var slopes, intercepts []float64
-	rx := make([]float64, n)
-	ry := make([]float64, n)
-	for r := 0; r < resamples; r++ {
-		for i := 0; i < n; i++ {
-			j := rng.Intn(n)
-			rx[i], ry[i] = xs[j], ys[j]
-		}
-		l, err := LinearLSQ(rx, ry)
-		if err != nil {
-			continue
-		}
-		slopes = append(slopes, l.Slope)
-		intercepts = append(intercepts, l.Intercept)
-	}
-	if len(slopes) < resamples/2 {
-		return LinearUncertainty{}, fmt.Errorf("fit: only %d of %d resamples fit", len(slopes), resamples)
-	}
-	return LinearUncertainty{
-		Slope:     summarizeU(slopes),
-		Intercept: summarizeU(intercepts),
-		Resamples: len(slopes),
-	}, nil
-}
-
 // summarizeU condenses bootstrap estimates into mean ± stderr.
 func summarizeU(xs []float64) Uncertainty {
 	m := Mean(xs)

@@ -1,7 +1,5 @@
 package lbm
 
-import "repro/internal/geometry"
-
 // AccessModel quantifies memory accesses per fluid-point update for a
 // kernel, the n_vectors * n_accesses * d_size counting of Eq. 9. The
 // counts describe a production HARVEY-style kernel: wall-adjacent points
@@ -107,9 +105,6 @@ func (l *Lattice) Neighbor(si, q int) int { return int(l.neigh[si*NQ+q]) }
 // table; read only.
 func (l *Lattice) Links(si int) []int32 { return l.neigh[si*NQ+1 : si*NQ+NQ : si*NQ+NQ] }
 
-// GlobalIndex returns the global linear index of local site si.
-func (l *Lattice) GlobalIndex(si int) int { return int(l.gidx[si]) }
-
 // BytesSerial returns the total bytes accessed per timestep by a serial
 // run under access model m — the n_bytes-serial input of Eq. 10.
 func (l *Lattice) BytesSerial(m AccessModel) float64 {
@@ -118,13 +113,4 @@ func (l *Lattice) BytesSerial(m AccessModel) float64 {
 		total += m.PointBytes(int(v))
 	}
 	return total
-}
-
-// CountTypes tallies fluid sites per classification.
-func (l *Lattice) CountTypes() map[geometry.PointType]int {
-	counts := make(map[geometry.PointType]int, 4)
-	for _, t := range l.types {
-		counts[t]++
-	}
-	return counts
 }

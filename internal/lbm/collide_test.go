@@ -1,7 +1,6 @@
 package lbm
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -161,36 +160,5 @@ func TestProxyRejectsTRT(t *testing.T) {
 		Params{Tau: 0.9, Collision: TRT})
 	if err == nil {
 		t.Error("proxy should reject TRT")
-	}
-}
-
-func TestCheckpointPersistsCollisionOp(t *testing.T) {
-	dom, err := geometry.Cylinder(10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Params{Tau: 0.9, UMax: 0.02, Collision: TRT}
-	s, err := NewSparse(dom, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(5)
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dom2, err := geometry.Cylinder(10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewSparse(dom2, Params{Tau: 0.9, UMax: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Params.Collision != TRT {
-		t.Errorf("collision operator not restored: %v", s2.Params.Collision)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // to. It is everything decomposition, calibration and byte accounting
 // read, it is immutable once built, and every array but the site index
 // is sized by fluid sites, so it is what a cache of prepared anatomies
-// holds. Solver state — distributions, inlet profile, site forces —
-// lives in Sparse, which embeds a Lattice.
+// holds. Solver state — distributions, inlet profile — lives in Sparse,
+// which embeds a Lattice.
 type Lattice struct {
 	NX, NY, NZ int // the bounding box global indices are linear in
 
@@ -175,8 +175,8 @@ func (l *Lattice) coords(si int) (x, y, z int) {
 func (l *Lattice) SiteCoords(si int) (x, y, z int) { return l.coords(si) }
 
 // SiteAt returns the local index of the fluid site at lattice coordinates
-// (x, y, z), or -1 when the site is solid or outside the domain. It backs
-// the spatial queries of the immersed-boundary coupling.
+// (x, y, z), or -1 when the site is solid or outside the domain: how the
+// link table finds a site's neighbors.
 func (l *Lattice) SiteAt(x, y, z int) int {
 	if x < 0 || x >= l.NX || y < 0 || y >= l.NY || z < 0 || z >= l.NZ {
 		return -1

@@ -24,11 +24,6 @@ type Sparse struct {
 	inletU []float64 // len n, nonzero only at inlet sites
 	// Outlet sites are relaxed to equilibrium at reference density.
 
-	// siteForce, when non-nil, holds a per-site body force density
-	// (fx, fy, fz per site) applied during collision in addition to the
-	// uniform Params.Force. The immersed boundary method writes it.
-	siteForce []float64
-
 	steps int // timesteps completed
 }
 
@@ -116,19 +111,11 @@ func (s *Sparse) Step() {
 
 	// Collision, in place on s.f, one window per site.
 	f := s.f
-	sf := s.siteForce
 	w := f
 	for len(w) >= NQ {
 		cell := (*[NQ]float64)(w[:NQ])
 		w = w[NQ:]
-		gx, gy, gz := fx, fy, fz
-		if len(sf) >= 3 {
-			gx += sf[0]
-			gy += sf[1]
-			gz += sf[2]
-			sf = sf[3:]
-		}
-		CollideCell(cell, s.Params, gx, gy, gz)
+		CollideCell(cell, s.Params, fx, fy, fz)
 	}
 
 	// Pull streaming into s.fnew: f_q(x, t+1) = f*_q(x - c_q, t); when the
@@ -239,23 +226,6 @@ func (s *Sparse) MaxSpeed() float64 {
 		vmax = math.Max(vmax, v)
 	}
 	return vmax
-}
-
-// EnableSiteForces allocates (once) the per-site body-force field used by
-// immersed-boundary coupling and returns it as a flat [n*3] slice of
-// (fx, fy, fz) triplets. Callers typically zero and refill it each step.
-func (s *Sparse) EnableSiteForces() []float64 {
-	if s.siteForce == nil {
-		s.siteForce = make([]float64, s.n*3)
-	}
-	return s.siteForce
-}
-
-// ClearSiteForces zeroes the per-site force field if enabled.
-func (s *Sparse) ClearSiteForces() {
-	for i := range s.siteForce {
-		s.siteForce[i] = 0
-	}
 }
 
 // Cell returns a copy of the distribution at local site si.

@@ -247,14 +247,6 @@ func TestBytesSerialPositive(t *testing.T) {
 	if b := s.BytesSerial(HarveyAccess()); b <= 0 {
 		t.Errorf("BytesSerial = %v, want positive", b)
 	}
-	counts := s.CountTypes()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != s.N() {
-		t.Errorf("CountTypes total %d != N %d", total, s.N())
-	}
 }
 
 func TestAccessModels(t *testing.T) {

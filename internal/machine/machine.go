@@ -127,15 +127,6 @@ func (s *System) Nodes(ranks int) int {
 // ceiling for one-rank-per-core placement.
 func (s *System) MaxRanks() int { return s.TotalCores }
 
-// RanksOnNode returns how many of the given ranks land on the busiest node
-// under block placement (fill node 0, then node 1, ...).
-func (s *System) RanksOnNode(ranks int) int {
-	if ranks >= s.CoresPerNode {
-		return s.CoresPerNode
-	}
-	return ranks
-}
-
 // SampleBandwidth returns one noisy STREAM-style bandwidth observation at
 // the given thread count, using rng for reproducible draws. Hyperthreaded
 // sampling (threads beyond physical cores) applies HTEfficiency.

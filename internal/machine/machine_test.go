@@ -76,16 +76,6 @@ func TestNodesPanicsOnNonPositive(t *testing.T) {
 	NewTRC().Nodes(0)
 }
 
-func TestRanksOnNode(t *testing.T) {
-	s := NewCSP1() // 16 cores per node
-	if got := s.RanksOnNode(5); got != 5 {
-		t.Errorf("RanksOnNode(5) = %d, want 5", got)
-	}
-	if got := s.RanksOnNode(48); got != 16 {
-		t.Errorf("RanksOnNode(48) = %d, want 16", got)
-	}
-}
-
 func TestCatalogMatchesTable1(t *testing.T) {
 	cat := Catalog()
 	if len(cat) != 5 {

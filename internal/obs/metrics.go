@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -236,37 +235,6 @@ func bucketIndex(bounds []float64, v float64) int {
 	return sort.SearchFloat64s(bounds, v)
 }
 
-// Merge folds another histogram with identical bounds into h. A bounds
-// mismatch is reported as an error and leaves h unchanged.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == nil || o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	oBounds := append([]float64(nil), o.bounds...)
-	oCounts := append([]uint64(nil), o.counts...)
-	oSum, oN := o.sum, o.n
-	o.mu.Unlock()
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(oBounds) != len(h.bounds) {
-		return fmt.Errorf("obs: merging histograms with %d vs %d buckets", len(oBounds), len(h.bounds))
-	}
-	for i, b := range oBounds {
-		//lint:ignore floateq bucket bounds are configuration constants, copied not computed; inequality means a real layout mismatch
-		if b != h.bounds[i] {
-			return fmt.Errorf("obs: merging histograms with different bounds at bucket %d (%g vs %g)", i, b, h.bounds[i])
-		}
-	}
-	for i, c := range oCounts {
-		h.counts[i] += c
-	}
-	h.sum += oSum
-	h.n += oN
-	return nil
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
@@ -288,10 +256,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	}
 	return out
 }
-
-// DefTimeBucketsS is the default bucket layout for duration histograms:
-// 1µs to 10s in decades, in seconds.
-var DefTimeBucketsS = ExpBuckets(1e-6, 10, 8)
 
 // Metric is the exportable snapshot of one instrument.
 type Metric struct {

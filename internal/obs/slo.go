@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -323,21 +322,4 @@ func (t *SLOTracker) Alerts() []SLOAlert {
 // reports.
 func (a SLOAlert) String() string {
 	return fmt.Sprintf("slo %s %s at %.3fs (burn %.2f, bad %.4f)", a.SLO, a.State, a.AtS, a.BurnRate, a.BadFraction)
-}
-
-// SortAlerts orders alerts by time then SLO name then state — the
-// canonical order for reports that merge alert streams.
-func SortAlerts(alerts []SLOAlert) {
-	sort.SliceStable(alerts, func(i, j int) bool {
-		if alerts[i].AtS < alerts[j].AtS {
-			return true
-		}
-		if alerts[j].AtS < alerts[i].AtS {
-			return false
-		}
-		if alerts[i].SLO != alerts[j].SLO {
-			return alerts[i].SLO < alerts[j].SLO
-		}
-		return alerts[i].State < alerts[j].State
-	})
 }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/geometry"
 	"repro/internal/lbm"
-	"repro/internal/obs"
 )
 
 // edge carries one direction of a pairwise halo exchange. The two buffers
@@ -53,8 +52,6 @@ type rank struct {
 
 	computeNS int64 // accumulated compute time
 	commNS    int64 // accumulated communication time
-
-	stepHist *obs.Histogram // per-step wall durations; nil unless enabled
 
 	f, fnew []float64 // nOwn*NQ distributions, AOS
 
@@ -101,8 +98,6 @@ type Runner struct {
 	params lbm.Params
 	steps  int
 	now    Clock
-
-	stepBoundsS []float64 // histogram bucket bounds, set by EnableStepHistograms
 
 	// site lookup for result readback: serial site -> (rank, local index)
 	ownerOf []int32
@@ -266,13 +261,7 @@ func (r *Runner) Run(steps int) {
 		go func(rk *rank) {
 			defer wg.Done()
 			for k := 0; k < steps; k++ {
-				if rk.stepHist == nil {
-					rk.step(r.params, base+k, r.now)
-					continue
-				}
-				tick := r.now()
 				rk.step(r.params, base+k, r.now)
-				rk.stepHist.Observe(r.now().Sub(tick).Seconds())
 			}
 		}(rk)
 	}

@@ -178,7 +178,7 @@ func TestPredictValidation(t *testing.T) {
 		{"empty", Request{}, "neither"},
 		{"ambiguous", Request{Workload: &w, Summary: &ws}, "disambiguate"},
 		{"ranks disagree", Request{Workload: &w, Ranks: 99}, "decomposes into"},
-		{"terms on general", Request{Summary: &ws, General: g, Ranks: 8, Terms: []Term{CouplingTerm("coupling", 1)}}, "direct model only"},
+		{"terms on general", Request{Summary: &ws, General: g, Ranks: 8, Terms: []Term{OverheadTerm(0.1)}}, "direct model only"},
 		{"direct without workload", Request{Model: ModelDirect}, "needs a decomposed workload"},
 		{"general without summary", Request{Model: ModelGeneral}, "needs a workload summary"},
 		{"unknown model", Request{Model: "quantum", Workload: &w}, "unknown model"},

@@ -51,34 +51,6 @@ func OverheadTerm(frac float64) Term {
 	}
 }
 
-// CouplingTerm prices extra per-step memory traffic — the cells and walls
-// coupling terms of Eq. 2 (t_pos, t_forces and the force spread, whose
-// byte counts internal/cells reports) — at the same effective bandwidth
-// the fluid bytes achieved on the gating task. totalBytes is the
-// suspension-wide per-step traffic; it is assumed spread evenly over the
-// ranks, matching how markers distribute through the fluid.
-func CouplingTerm(name string, totalBytes float64) Term {
-	return Term{
-		Name: name,
-		Eval: func(w simcloud.Workload, base Prediction) float64 {
-			if base.MemS <= 0 || len(w.Tasks) == 0 {
-				return 0
-			}
-			var maxTask float64
-			for _, t := range w.Tasks {
-				if t.Bytes > maxTask {
-					maxTask = t.Bytes
-				}
-			}
-			if maxTask <= 0 {
-				return 0
-			}
-			effBW := maxTask / base.MemS // bytes/s the gating task achieved
-			return totalBytes / float64(len(w.Tasks)) / effBW
-		},
-	}
-}
-
 // ConstantTerm adds a fixed per-step cost (a barrier or bookkeeping
 // estimate) independent of the workload.
 func ConstantTerm(name string, seconds float64) Term {

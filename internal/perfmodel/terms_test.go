@@ -138,44 +138,3 @@ func absRel(pred, meas float64) float64 {
 	}
 	return d
 }
-
-func TestCouplingTermScalesWithBytes(t *testing.T) {
-	s := cylinderSolver(t)
-	sys := machine.NewCSP2()
-	c := characterizeNoiseless(t, sys)
-	p, err := decomp.RCB(s, 18, lbm.HarveyAccess())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := simcloud.FromPartition("cyl", s.N(), p)
-	base, err := c.Predict(Request{Model: ModelDirect, Workload: &w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := CouplingTerm("cells-1MB", 1e6)
-	big := CouplingTerm("cells-4MB", 4e6)
-	eSmall := small.Eval(w, base)
-	eBig := big.Eval(w, base)
-	if eSmall <= 0 {
-		t.Fatal("coupling term evaluated to zero")
-	}
-	if r := eBig / eSmall; r < 3.99 || r > 4.01 {
-		t.Errorf("coupling term not linear in bytes: ratio %v", r)
-	}
-	// Pricing sanity: coupling bytes equal to the gating task's fluid
-	// bytes (per task) should cost about one base memory time.
-	var maxTask float64
-	for _, task := range w.Tasks {
-		if task.Bytes > maxTask {
-			maxTask = task.Bytes
-		}
-	}
-	equal := CouplingTerm("cells-eq", maxTask*float64(len(w.Tasks)))
-	if e := equal.Eval(w, base); e < base.MemS*0.9 || e > base.MemS*1.1 {
-		t.Errorf("equal-traffic coupling costs %v, want ~%v", e, base.MemS)
-	}
-	// Degenerate inputs return zero rather than exploding.
-	if z := small.Eval(simcloud.Workload{}, base); z != 0 {
-		t.Errorf("empty workload term = %v", z)
-	}
-}

@@ -1,36 +1,14 @@
-// Package roofline implements the roofline performance model the paper's
-// Discussion proposes folding into the framework: a kernel's attainable
-// throughput is bounded by the lesser of peak floating-point rate and
-// peak memory bandwidth times arithmetic intensity. The paper uses it two
-// ways — as an additional runtime term candidate for the performance
-// model, and as "a realistic measure of potential performance" so users
-// do not chase a single hardware limit's roofline that cannot actually be
-// met.
+// Package roofline holds the two ceilings of a compute device and the
+// per-point work of a kernel, and from them the compute-ceiling time the
+// paper's Discussion proposes folding into the framework: Tier 0 prices
+// it from the spec sheet, and the term selector is offered it as an
+// additional runtime term (perfmodel.FlopTerm).
 package roofline
-
-import (
-	"fmt"
-	"math"
-)
 
 // Machine is the two-ceiling roofline of one compute device.
 type Machine struct {
 	PeakGFLOPS        float64 // floating-point ceiling, GFLOP/s
 	PeakBandwidthGBps float64 // memory ceiling, GB/s
-}
-
-// Validate checks the ceilings are usable.
-func (m Machine) Validate() error {
-	if m.PeakGFLOPS <= 0 || m.PeakBandwidthGBps <= 0 {
-		return fmt.Errorf("roofline: non-positive ceilings %+v", m)
-	}
-	return nil
-}
-
-// RidgePoint returns the arithmetic intensity (FLOP/byte) at which the
-// machine transitions from bandwidth-bound to compute-bound.
-func (m Machine) RidgePoint() float64 {
-	return m.PeakGFLOPS / m.PeakBandwidthGBps
 }
 
 // Kernel characterizes one computational kernel by its per-point work.
@@ -40,70 +18,12 @@ type Kernel struct {
 	BytesPerPoint float64 // memory traffic per fluid-point update
 }
 
-// Intensity returns the kernel's arithmetic intensity in FLOP/byte.
-func (k Kernel) Intensity() float64 {
-	if k.BytesPerPoint == 0 {
-		return math.Inf(1)
-	}
-	return k.FlopsPerPoint / k.BytesPerPoint
-}
-
 // D3Q19BGK returns the roofline kernel for a D3Q19 BGK fluid-point
 // update: roughly 250 floating-point operations (moments, equilibrium,
 // relaxation over 19 directions) against the supplied effective byte
 // count from the Eq. 9 accounting.
 func D3Q19BGK(bytesPerPoint float64) Kernel {
 	return Kernel{Name: "D3Q19-BGK", FlopsPerPoint: 250, BytesPerPoint: bytesPerPoint}
-}
-
-// Bound identifies which ceiling limits a kernel.
-type Bound int
-
-// Roofline regimes.
-const (
-	BandwidthBound Bound = iota
-	ComputeBound
-)
-
-// String names the bound.
-func (b Bound) String() string {
-	if b == BandwidthBound {
-		return "bandwidth-bound"
-	}
-	return "compute-bound"
-}
-
-// Analysis is the roofline verdict for one kernel on one machine.
-type Analysis struct {
-	Kernel            Kernel
-	Machine           Machine
-	Bound             Bound
-	AttainableGFLOPS  float64 // min(peak, bw * intensity)
-	PointsPerSecond   float64 // attainable fluid-point updates per second
-	SecondsPerNPoints func(n float64) float64
-}
-
-// Analyze places the kernel on the machine's roofline.
-func Analyze(k Kernel, m Machine) (Analysis, error) {
-	if err := m.Validate(); err != nil {
-		return Analysis{}, err
-	}
-	if k.FlopsPerPoint <= 0 || k.BytesPerPoint <= 0 {
-		return Analysis{}, fmt.Errorf("roofline: kernel %q has non-positive work", k.Name)
-	}
-	a := Analysis{Kernel: k, Machine: m}
-	bwLimited := m.PeakBandwidthGBps * k.Intensity() // GFLOP/s if bandwidth-fed
-	if bwLimited < m.PeakGFLOPS {
-		a.Bound = BandwidthBound
-		a.AttainableGFLOPS = bwLimited
-	} else {
-		a.Bound = ComputeBound
-		a.AttainableGFLOPS = m.PeakGFLOPS
-	}
-	a.PointsPerSecond = a.AttainableGFLOPS * 1e9 / k.FlopsPerPoint
-	pps := a.PointsPerSecond
-	a.SecondsPerNPoints = func(n float64) float64 { return n / pps }
-	return a, nil
 }
 
 // FlopTimeS returns the pure compute-ceiling time for updating n points —

@@ -12,14 +12,9 @@ import (
 	"math"
 )
 
-// Blood-flow reference constants (SI).
-const (
-	// BloodKinematicViscosity is the kinematic viscosity of whole blood
-	// at physiological hematocrit, m^2/s.
-	BloodKinematicViscosity = 3.3e-6
-	// BloodDensity in kg/m^3.
-	BloodDensity = 1060
-)
+// BloodKinematicViscosity is the kinematic viscosity of whole blood at
+// physiological hematocrit, m^2/s.
+const BloodKinematicViscosity = 3.3e-6
 
 // Physical describes the physical problem.
 type Physical struct {
