@@ -38,7 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// Describe the same lattice for the model via the sparse indexer.
-	ref, err := lbm.NewSparse(proxy.Dom, lbm.Params{Tau: 0.9, PeriodicX: true})
+	ref, err := lbm.NewLattice(proxy.Dom, lbm.Params{Tau: 0.9, PeriodicX: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func Fig11() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	s, err := solverFor(aorta)
+	l, err := newWorkloadCache().lattice(aorta)
 	if err != nil {
 		return Report{}, err
 	}
@@ -30,7 +30,7 @@ func Fig11() (Report, error) {
 	}
 	// Tune the z and event laws on the aorta decomposition, with node
 	// width from the largest node among the compared systems.
-	g, err := perfmodel.CalibrateGeneral(s, access, []int{1, 2, 4, 8, 16, 32, 64, 128, 256}, machine.WidestNode(systems))
+	g, err := perfmodel.CalibrateGeneral(l, access, []int{1, 2, 4, 8, 16, 32, 64, 128, 256}, machine.WidestNode(systems))
 	if err != nil {
 		return Report{}, err
 	}
@@ -39,8 +39,8 @@ func Fig11() (Report, error) {
 	// calibrated on the benchmark mesh carry over.
 	ws := perfmodel.WorkloadSummary{
 		Name:        "aorta-hires",
-		Points:      s.N() * HighResolutionFactor,
-		BytesSerial: s.BytesSerial(access) * HighResolutionFactor,
+		Points:      l.N() * HighResolutionFactor,
+		BytesSerial: l.BytesSerial(access) * HighResolutionFactor,
 	}
 	const ranks = 2048
 	as, err := d.Assess(ws, g, ranks, benchSteps)

@@ -82,55 +82,52 @@ func Geometries() (cylinder, aorta, cerebral *geometry.Domain, err error) {
 // model's purpose: predicting runs too large to stage.
 const HighResolutionFactor = 512
 
-// solverFor builds the HARVEY engine over a domain with the standard
-// benchmark parameters (steady bulk flow).
-func solverFor(dom *geometry.Domain) (*lbm.Sparse, error) {
-	return lbm.NewSparse(dom, lbm.Params{Tau: 0.9, UMax: 0.02})
-}
-
-// workloadCache memoizes decompositions, which dominate experiment cost.
+// workloadCache memoizes lattices and their decompositions, which
+// dominate experiment cost. The experiments read topology only — site
+// counts, bytes, partitions — so it holds lattices, not solvers.
 type workloadCache struct {
-	solvers map[string]*lbm.Sparse
-	parts   map[string]*decomp.Partition
+	lattices map[string]*lbm.Lattice
+	parts    map[string]*decomp.Partition
 }
 
 func newWorkloadCache() *workloadCache {
 	return &workloadCache{
-		solvers: make(map[string]*lbm.Sparse),
-		parts:   make(map[string]*decomp.Partition),
+		lattices: make(map[string]*lbm.Lattice),
+		parts:    make(map[string]*decomp.Partition),
 	}
 }
 
-// solver returns (building once) the solver for a named domain.
-func (c *workloadCache) solver(dom *geometry.Domain) (*lbm.Sparse, error) {
-	if s, ok := c.solvers[dom.Name]; ok {
-		return s, nil
+// lattice returns (building once) the lattice of a named domain under
+// the standard benchmark parameters (steady bulk flow).
+func (c *workloadCache) lattice(dom *geometry.Domain) (*lbm.Lattice, error) {
+	if l, ok := c.lattices[dom.Name]; ok {
+		return l, nil
 	}
-	s, err := solverFor(dom)
+	l, err := lbm.NewLattice(dom, lbm.Params{Tau: 0.9, UMax: 0.02})
 	if err != nil {
 		return nil, err
 	}
-	c.solvers[dom.Name] = s
-	return s, nil
+	c.lattices[dom.Name] = l
+	return l, nil
 }
 
 // workload returns (building once) the decomposed workload for a domain,
 // rank count and access model.
-func (c *workloadCache) workload(dom *geometry.Domain, ranks int, m lbm.AccessModel, tag string) (simcloud.Workload, *lbm.Sparse, error) {
-	s, err := c.solver(dom)
+func (c *workloadCache) workload(dom *geometry.Domain, ranks int, m lbm.AccessModel, tag string) (simcloud.Workload, error) {
+	l, err := c.lattice(dom)
 	if err != nil {
-		return simcloud.Workload{}, nil, err
+		return simcloud.Workload{}, err
 	}
 	key := fmt.Sprintf("%s/%d/%s", dom.Name, ranks, tag)
 	p, ok := c.parts[key]
 	if !ok {
-		p, err = decomp.RCB(s, ranks, m)
+		p, err = decomp.RCB(l, ranks, m)
 		if err != nil {
-			return simcloud.Workload{}, nil, err
+			return simcloud.Workload{}, err
 		}
 		c.parts[key] = p
 	}
-	return simcloud.FromPartition(dom.Name, s.N(), p), s, nil
+	return simcloud.FromPartition(dom.Name, l.N(), p), nil
 }
 
 // rankSweep returns the strong-scaling rank counts for a system, powers of

@@ -40,7 +40,7 @@ func ExtGPU() (Report, error) {
 		rng := newRNG()
 		for nodes := 1; nodes <= 4; nodes++ {
 			ranks := nodes * sys.CoresPerNode
-			w, _, err := cache.workload(cyl, ranks, lbm.HarveyAccess(), "harvey")
+			w, err := cache.workload(cyl, ranks, lbm.HarveyAccess(), "harvey")
 			if err != nil {
 				return Report{}, err
 			}
@@ -82,7 +82,7 @@ func ExtSharedNode() (Report, error) {
 		return Report{}, err
 	}
 	cache := newWorkloadCache()
-	w, _, err := cache.workload(cyl, 9, lbm.HarveyAccess(), "harvey") // 9 of 36 cores
+	w, err := cache.workload(cyl, 9, lbm.HarveyAccess(), "harvey") // 9 of 36 cores
 	if err != nil {
 		return Report{}, err
 	}
@@ -129,7 +129,7 @@ func ExtTermSelection() (Report, error) {
 	var obs []perfmodel.Observation
 	rng := newRNG()
 	for _, ranks := range []int{4, 9, 18, 36} {
-		w, _, err := cache.workload(cyl, ranks, lbm.HarveyAccess(), "harvey")
+		w, err := cache.workload(cyl, ranks, lbm.HarveyAccess(), "harvey")
 		if err != nil {
 			return Report{}, err
 		}

@@ -40,7 +40,7 @@ func Table4() (Report, error) {
 		"System", "MPI Ranks", "Mean MFLUPS", "Standard Deviation", "Variation Coefficient")
 	for _, c := range cfgs {
 		for _, ranks := range c.ranks {
-			w, _, err := cache.workload(aorta, ranks, access, "harvey")
+			w, err := cache.workload(aorta, ranks, access, "harvey")
 			if err != nil {
 				return Report{}, err
 			}
@@ -81,18 +81,18 @@ func csp2Characterization() (*perfmodel.Characterization, *machine.System, error
 func modelSweep(cache *workloadCache, dom *geometry.Domain, access lbm.AccessModel, tag string,
 	c *perfmodel.Characterization, sys *machine.System, series map[string][]Point, label string) error {
 
-	s, err := cache.solver(dom)
+	l, err := cache.lattice(dom)
 	if err != nil {
 		return err
 	}
-	g, err := perfmodel.CalibrateGeneral(s, access, []int{1, 2, 4, 8, 16, 32, 64, 128}, sys.CoresPerNode)
+	g, err := perfmodel.CalibrateGeneral(l, access, []int{1, 2, 4, 8, 16, 32, 64, 128}, sys.CoresPerNode)
 	if err != nil {
 		return err
 	}
-	ws := perfmodel.WorkloadSummary{Name: label, Points: s.N(), BytesSerial: s.BytesSerial(access)}
+	ws := perfmodel.WorkloadSummary{Name: label, Points: l.N(), BytesSerial: l.BytesSerial(access)}
 	rng := newRNG()
 	for _, ranks := range rankSweep(sys) {
-		w, _, err := cache.workload(dom, ranks, access, tag)
+		w, err := cache.workload(dom, ranks, access, tag)
 		if err != nil {
 			return err
 		}
@@ -196,7 +196,7 @@ func Fig9() (Report, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%8s %14s %14s %14s\n", "ranks", "mem (s)", "intra (s)", "inter (s)")
 	for _, ranks := range rankSweep(sys) {
-		w, _, err := cache.workload(cyl, ranks, access, "harvey")
+		w, err := cache.workload(cyl, ranks, access, "harvey")
 		if err != nil {
 			return Report{}, err
 		}
@@ -233,15 +233,15 @@ func Fig10() (Report, error) {
 	}
 	cache := newWorkloadCache()
 	access := lbm.HarveyAccess()
-	s, err := cache.solver(cyl)
+	l, err := cache.lattice(cyl)
 	if err != nil {
 		return Report{}, err
 	}
-	g, err := perfmodel.CalibrateGeneral(s, access, []int{1, 2, 4, 8, 16, 32, 64, 128}, sys.CoresPerNode)
+	g, err := perfmodel.CalibrateGeneral(l, access, []int{1, 2, 4, 8, 16, 32, 64, 128}, sys.CoresPerNode)
 	if err != nil {
 		return Report{}, err
 	}
-	ws := perfmodel.WorkloadSummary{Name: cyl.Name, Points: s.N(), BytesSerial: s.BytesSerial(access)}
+	ws := perfmodel.WorkloadSummary{Name: cyl.Name, Points: l.N(), BytesSerial: l.BytesSerial(access)}
 	series := map[string][]Point{}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%8s %14s %14s %14s\n", "ranks", "mem (s)", "comm-bw (s)", "comm-lat (s)")

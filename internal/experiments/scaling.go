@@ -29,7 +29,7 @@ func Fig3() (Report, error) {
 		for _, sys := range machine.Catalog() {
 			key := fmt.Sprintf("%s/%s", sys.Abbrev, dom.Name)
 			for _, ranks := range rankSweep(sys) {
-				w, _, err := cache.workload(dom, ranks, access, "harvey")
+				w, err := cache.workload(dom, ranks, access, "harvey")
 				if err != nil {
 					return Report{}, err
 				}
@@ -72,7 +72,7 @@ func Fig4() (Report, error) {
 		for _, sys := range machine.Catalog() {
 			key := fmt.Sprintf("%s/%v", sys.Abbrev, cfg)
 			for _, ranks := range rankSweep(sys) {
-				w, _, err := cache.workload(cyl, ranks, access, cfg.String())
+				w, err := cache.workload(cyl, ranks, access, cfg.String())
 				if err != nil {
 					return Report{}, err
 				}

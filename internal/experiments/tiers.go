@@ -88,7 +88,7 @@ func GenerateTable(w io.Writer) error {
 	access := lbm.HarveyAccess()
 	var rows []perfmodel.TableRow
 	for _, cfg := range cfgs {
-		wl, _, err := cache.workload(cfg.dom, cfg.ranks, access, "harvey")
+		wl, err := cache.workload(cfg.dom, cfg.ranks, access, "harvey")
 		if err != nil {
 			return err
 		}
@@ -234,7 +234,7 @@ func Tiers(tbl *perfmodel.Table) (Report, *TierBench, error) {
 
 	series := map[string][]Point{}
 	for _, cfg := range cfgs {
-		wl, _, err := cache.workload(cfg.dom, cfg.ranks, access, "harvey")
+		wl, err := cache.workload(cfg.dom, cfg.ranks, access, "harvey")
 		if err != nil {
 			return Report{}, nil, err
 		}

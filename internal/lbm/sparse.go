@@ -9,7 +9,8 @@ import (
 
 // Sparse is the HARVEY-like engine: it stores only fluid sites, addresses
 // neighbors through an index table (indirect addressing), and runs the AB
-// propagation pattern with an array-of-structures layout — the production
+// propagation pattern (two arrays; collision fused with push streaming,
+// see CollideStream) with an array-of-structures layout — the production
 // configuration the paper benchmarks. It is a Lattice plus the state of a
 // flow on it. The zero value is not usable; create instances with
 // NewSparse.
@@ -20,22 +21,24 @@ type Sparse struct {
 
 	f, fnew []float64 // n*NQ distributions, AOS layout
 
-	// Inlet machinery: per-inlet-site prescribed Poiseuille velocity.
-	inletU []float64 // len n, nonzero only at inlet sites
-	// Outlet sites are relaxed to equilibrium at reference density.
+	// Boundary machinery: the inlet sites, each with its prescribed
+	// Poiseuille velocity, and the outlet sites, which are relaxed to
+	// equilibrium at reference density. Ascending; none when periodic.
+	bounds []BoundarySite
 
 	steps int // timesteps completed
 }
 
 // NewSparse builds a solver for the domain: its lattice (NewLattice),
-// the inlet profile, and the fluid at rest with unit density.
+// the boundary sites with the inlet profile, and the fluid at rest with
+// unit density.
 func NewSparse(dom *geometry.Domain, p Params) (*Sparse, error) {
 	l, err := NewLattice(dom, p)
 	if err != nil {
 		return nil, err
 	}
 	s := &Sparse{Lattice: l, Dom: dom, Params: p}
-	s.buildInletProfile()
+	s.buildBoundaries()
 
 	// Rest-state initialization.
 	s.f = make([]float64, s.n*NQ)
@@ -48,27 +51,31 @@ func NewSparse(dom *geometry.Domain, p Params) (*Sparse, error) {
 	return s, nil
 }
 
-// buildInletProfile computes the Poiseuille velocity for every inlet site:
-// u(r) = UMax * (1 - (r/R)^2) about the inlet centroid. A lattice without
-// inlet sites (periodic runs; NewLattice rejects the driven case) keeps
-// the zero profile.
-func (s *Sparse) buildInletProfile() {
-	s.inletU = make([]float64, s.n)
+// buildBoundaries lists the inlet and outlet sites in ascending order,
+// each inlet with its Poiseuille velocity u(r) = UMax * (1 - (r/R)^2)
+// about the inlet centroid. A periodic run has none: its inlet and outlet
+// sites are bulk fluid.
+func (s *Sparse) buildBoundaries() {
+	if s.Params.PeriodicX {
+		return
+	}
 	var cy, cz float64
-	count := 0
+	inlets, outlets := 0, 0
 	for si := 0; si < s.n; si++ {
-		if s.types[si] == geometry.Inlet {
+		switch s.types[si] {
+		case geometry.Inlet:
 			_, y, z := s.coords(si)
 			cy += float64(y)
 			cz += float64(z)
-			count++
+			inlets++
+		case geometry.Outlet:
+			outlets++
 		}
 	}
-	if count == 0 {
-		return
+	if inlets > 0 {
+		cy /= float64(inlets)
+		cz /= float64(inlets)
 	}
-	cy /= float64(count)
-	cz /= float64(count)
 	var rMax float64
 	for si := 0; si < s.n; si++ {
 		if s.types[si] == geometry.Inlet {
@@ -83,11 +90,15 @@ func (s *Sparse) buildInletProfile() {
 	}
 	// R is half a site beyond the outermost fluid site (the true wall).
 	r2 := (rMax + 0.5) * (rMax + 0.5)
+	s.bounds = make([]BoundarySite, 0, inlets+outlets)
 	for si := 0; si < s.n; si++ {
-		if s.types[si] == geometry.Inlet {
+		switch s.types[si] {
+		case geometry.Inlet:
 			_, y, z := s.coords(si)
 			dy, dz := float64(y)-cy, float64(z)-cz
-			s.inletU[si] = s.Params.UMax * (1 - (dy*dy+dz*dz)/r2)
+			s.bounds = append(s.bounds, BoundarySite{Cell: int32(si), InletU: s.Params.UMax * (1 - (dy*dy+dz*dz)/r2)})
+		case geometry.Outlet:
+			s.bounds = append(s.bounds, BoundarySite{Cell: int32(si), Outlet: true})
 		}
 	}
 }
@@ -95,100 +106,25 @@ func (s *Sparse) buildInletProfile() {
 // Steps returns the number of completed timesteps.
 func (s *Sparse) Steps() int { return s.steps }
 
-// Step advances the simulation one timestep: BGK collision with optional
-// first-order body forcing, then pull streaming with halfway bounce-back
-// on solid links, then boundary-condition overrides at inlets and outlets.
-//
-// The loops are shaped so the compiler can prove every index in bounds
-// (gated by cmd/lint -perfbudget): fixed-stride NQ-wide windows advance
-// over the site arrays (w = w[NQ:] — slice bounds are checked against
-// cap, and prove only eliminates the check when the window length is
-// compared directly), and each neighbor gather is guarded by one
-// unsigned compare that doubles as the solid test, since solidNeighbor
-// converts to a huge uint.
+// SetSteps sets the timestep count, which is where a pulsatile inflow
+// stands in its cycle: for handing back a state advanced elsewhere
+// (par.Runner.WriteBack), together with SetCell.
+func (s *Sparse) SetSteps(n int) { s.steps = n }
+
+// Boundaries returns the inlet and outlet sites in ascending order (none
+// in a periodic run, where they are bulk fluid). The slice aliases the
+// solver's list; read only.
+func (s *Sparse) Boundaries() []BoundarySite { return s.bounds }
+
+// Step advances the simulation one timestep: one CollideStream pass over
+// all sites (BGK or TRT collision with optional first-order body forcing,
+// push streaming with halfway bounce-back on solid links), then the
+// boundary-condition overrides at inlets and outlets.
 func (s *Sparse) Step() {
-	fx, fy, fz := s.Params.Force[0], s.Params.Force[1], s.Params.Force[2]
-
-	// Collision, in place on s.f, one window per site.
-	f := s.f
-	w := f
-	for len(w) >= NQ {
-		cell := (*[NQ]float64)(w[:NQ])
-		w = w[NQ:]
-		CollideCell(cell, s.Params, fx, fy, fz)
-	}
-
-	// Pull streaming into s.fnew: f_q(x, t+1) = f*_q(x - c_q, t); when the
-	// upstream site is solid, halfway bounce-back reads the opposite
-	// distribution of the local cell. Direction pairs are unrolled so the
-	// opposite index is a constant, not an Opp load the prover can't bound.
-	fnew := s.fnew
-	fw, nw, ww := f, fnew, s.neigh
-	for len(fw) >= NQ && len(nw) >= NQ && len(ww) >= NQ {
-		lw := (*[NQ]float64)(fw[:NQ])
-		out := (*[NQ]float64)(nw[:NQ])
-		nb := (*[NQ]int32)(ww[:NQ])
-		fw, nw, ww = fw[NQ:], nw[NQ:], ww[NQ:]
-		out[0] = lw[0]
-		sparsePull(out, lw, f, nb, 1, 2)
-		sparsePull(out, lw, f, nb, 2, 1)
-		sparsePull(out, lw, f, nb, 3, 4)
-		sparsePull(out, lw, f, nb, 4, 3)
-		sparsePull(out, lw, f, nb, 5, 6)
-		sparsePull(out, lw, f, nb, 6, 5)
-		sparsePull(out, lw, f, nb, 7, 8)
-		sparsePull(out, lw, f, nb, 8, 7)
-		sparsePull(out, lw, f, nb, 9, 10)
-		sparsePull(out, lw, f, nb, 10, 9)
-		sparsePull(out, lw, f, nb, 11, 12)
-		sparsePull(out, lw, f, nb, 12, 11)
-		sparsePull(out, lw, f, nb, 13, 14)
-		sparsePull(out, lw, f, nb, 14, 13)
-		sparsePull(out, lw, f, nb, 15, 16)
-		sparsePull(out, lw, f, nb, 16, 15)
-		sparsePull(out, lw, f, nb, 17, 18)
-		sparsePull(out, lw, f, nb, 18, 17)
-	}
-
-	// Boundary conditions by equilibrium override.
-	if !s.Params.PeriodicX {
-		var bc [NQ]float64
-		scale := s.Params.Pulsatile.Scale(s.steps)
-		inletU := s.inletU
-		w := fnew
-		for si, t := range s.types {
-			if len(w) < NQ || si >= len(inletU) {
-				break
-			}
-			cw := (*[NQ]float64)(w[:NQ])
-			w = w[NQ:]
-			switch t {
-			case geometry.Inlet:
-				Equilibrium(1, inletU[si]*scale, 0, 0, &bc)
-				*cw = bc
-			case geometry.Outlet:
-				_, ux, uy, uz := Moments(cw)
-				Equilibrium(1, ux, uy, uz, &bc) // zero-pressure: rho pinned to 1
-				*cw = bc
-			}
-		}
-	}
-
+	CollideStream(s.f, s.fnew, s.neigh, nil, s.Params)
+	ApplyBoundaries(s.fnew, s.bounds, s.Params.Pulsatile.Scale(s.steps))
 	s.f, s.fnew = s.fnew, s.f
 	s.steps++
-}
-
-// sparsePull streams direction q into out: the upstream site along -c_q
-// is the neighbor recorded at the opposite slot oq; a solid upstream
-// bounces the local opposite distribution back instead. The unsigned
-// compare is both the solid test and the bounds proof, so the gather
-// carries no bounds check.
-func sparsePull(out, lw *[NQ]float64, f []float64, nb *[NQ]int32, q, oq int) {
-	if off := int(nb[oq])*NQ + q; uint(off) < uint(len(f)) {
-		out[q] = f[off]
-	} else {
-		out[q] = lw[oq]
-	}
 }
 
 // Run advances the given number of timesteps.
@@ -238,10 +174,6 @@ func (s *Sparse) Cell(si int) (c [NQ]float64) {
 func (s *Sparse) SetCell(si int, c [NQ]float64) {
 	copy(s.f[si*NQ:si*NQ+NQ], c[:])
 }
-
-// InletVelocity returns the prescribed Poiseuille axial velocity at local
-// site si (zero for non-inlet sites).
-func (s *Sparse) InletVelocity(si int) float64 { return s.inletU[si] }
 
 // MFLUPS returns millions of fluid lattice-point updates per second for a
 // run of the given number of steps and wall-clock seconds (Eq. 7).

@@ -32,84 +32,11 @@ func plane(a []float64, q, n int) []float64 {
 	return a[q*n:][:n:n]
 }
 
-// collideUnrolled performs BGK relaxation with first-order forcing on the
-// gathered cell values, fully unrolled. It returns the post-collision
-// values through the same variables by value semantics of the array.
-func (p *Proxy) collideUnrolled(c *[NQ]float64) {
-	omega := 1 / p.Params.Tau
-	fx, fy, fz := p.Params.Force[0], p.Params.Force[1], p.Params.Force[2]
-
-	rho := c[0] + c[1] + c[2] + c[3] + c[4] + c[5] + c[6] + c[7] + c[8] + c[9] +
-		c[10] + c[11] + c[12] + c[13] + c[14] + c[15] + c[16] + c[17] + c[18]
-	// Divide rather than multiply by a reciprocal so results match the
-	// rolled kernels bitwise.
-	ux := (c[1] - c[2] + c[7] - c[8] + c[9] - c[10] + c[11] - c[12] + c[13] - c[14]) / rho
-	uy := (c[3] - c[4] + c[7] - c[8] - c[9] + c[10] + c[15] - c[16] + c[17] - c[18]) / rho
-	uz := (c[5] - c[6] + c[11] - c[12] - c[13] + c[14] + c[15] - c[16] - c[17] + c[18]) / rho
-	usq := 1.5 * (ux*ux + uy*uy + uz*uz)
-
-	const w0, wf, we = 1.0 / 3, 1.0 / 18, 1.0 / 36
-	r0, rf, re := w0*rho, wf*rho, we*rho
-
-	// Rest.
-	c[0] -= omega * (c[0] - r0*(1-usq))
-
-	// Face pairs: (1,2)=±x, (3,4)=±y, (5,6)=±z.
-	cu := 3 * ux
-	c[1] -= omega * (c[1] - rf*(1+cu+0.5*cu*cu-usq))
-	c[2] -= omega * (c[2] - rf*(1-cu+0.5*cu*cu-usq))
-	cu = 3 * uy
-	c[3] -= omega * (c[3] - rf*(1+cu+0.5*cu*cu-usq))
-	c[4] -= omega * (c[4] - rf*(1-cu+0.5*cu*cu-usq))
-	cu = 3 * uz
-	c[5] -= omega * (c[5] - rf*(1+cu+0.5*cu*cu-usq))
-	c[6] -= omega * (c[6] - rf*(1-cu+0.5*cu*cu-usq))
-
-	// Edge pairs.
-	cu = 3 * (ux + uy)
-	c[7] -= omega * (c[7] - re*(1+cu+0.5*cu*cu-usq))
-	c[8] -= omega * (c[8] - re*(1-cu+0.5*cu*cu-usq))
-	cu = 3 * (ux - uy)
-	c[9] -= omega * (c[9] - re*(1+cu+0.5*cu*cu-usq))
-	c[10] -= omega * (c[10] - re*(1-cu+0.5*cu*cu-usq))
-	cu = 3 * (ux + uz)
-	c[11] -= omega * (c[11] - re*(1+cu+0.5*cu*cu-usq))
-	c[12] -= omega * (c[12] - re*(1-cu+0.5*cu*cu-usq))
-	cu = 3 * (ux - uz)
-	c[13] -= omega * (c[13] - re*(1+cu+0.5*cu*cu-usq))
-	c[14] -= omega * (c[14] - re*(1-cu+0.5*cu*cu-usq))
-	cu = 3 * (uy + uz)
-	c[15] -= omega * (c[15] - re*(1+cu+0.5*cu*cu-usq))
-	c[16] -= omega * (c[16] - re*(1-cu+0.5*cu*cu-usq))
-	cu = 3 * (uy - uz)
-	c[17] -= omega * (c[17] - re*(1+cu+0.5*cu*cu-usq))
-	c[18] -= omega * (c[18] - re*(1-cu+0.5*cu*cu-usq))
-
-	if fx != 0 || fy != 0 || fz != 0 {
-		c[1] += 3 * wf * fx
-		c[2] -= 3 * wf * fx
-		c[3] += 3 * wf * fy
-		c[4] -= 3 * wf * fy
-		c[5] += 3 * wf * fz
-		c[6] -= 3 * wf * fz
-		c[7] += 3 * we * (fx + fy)
-		c[8] -= 3 * we * (fx + fy)
-		c[9] += 3 * we * (fx - fy)
-		c[10] -= 3 * we * (fx - fy)
-		c[11] += 3 * we * (fx + fz)
-		c[12] -= 3 * we * (fx + fz)
-		c[13] += 3 * we * (fx - fz)
-		c[14] -= 3 * we * (fx - fz)
-		c[15] += 3 * we * (fy + fz)
-		c[16] -= 3 * we * (fy + fz)
-		c[17] += 3 * we * (fy - fz)
-		c[18] -= 3 * we * (fy - fz)
-	}
-}
-
 // stepABUnrolledRange is the AB kernel with the direction loop unrolled:
 // pull-stream + collide from f into g using explicit row arithmetic.
 func (p *Proxy) stepABUnrolledRange(zLo, zHi int) {
+	omega := 1 / p.Params.Tau
+	gx, gy, gz := p.Params.Force[0], p.Params.Force[1], p.Params.Force[2]
 	n := p.nsites
 	nx, ny := p.nx, p.ny
 	fluid := p.fluid[:n]
@@ -168,7 +95,7 @@ func (p *Proxy) stepABUnrolledRange(zLo, zHi int) {
 				pull(&c, f17, f18, fluid, 17, rowYMZP+x, site)
 				pull(&c, f18, f17, fluid, 18, rowYPZM+x, site)
 
-				p.collideUnrolled(&c)
+				collideBGK(&c, &c, omega, gx, gy, gz)
 
 				g0[site] = c[0]
 				g1[site] = c[1]
@@ -210,6 +137,8 @@ func pull(c *[NQ]float64, fq, fopp []float64, fluid []bool, q, up, site int) {
 // collide-and-swap; odd steps gather from neighbors' opposite slots and
 // scatter to neighbors' normal slots, exactly as the rolled stepAARange.
 func (p *Proxy) stepAAUnrolledRange(zLo, zHi int) {
+	omega := 1 / p.Params.Tau
+	gx, gy, gz := p.Params.Force[0], p.Params.Force[1], p.Params.Force[2]
 	n := p.nsites
 	nx, ny := p.nx, p.ny
 	fluid := p.fluid[:n]
@@ -260,7 +189,7 @@ func (p *Proxy) stepAAUnrolledRange(zLo, zHi int) {
 					c[16] = f16[site]
 					c[17] = f17[site]
 					c[18] = f18[site]
-					p.collideUnrolled(&c)
+					collideBGK(&c, &c, omega, gx, gy, gz)
 					f0[site] = c[0]
 					f2[site] = c[1]
 					f1[site] = c[2]
@@ -305,7 +234,7 @@ func (p *Proxy) stepAAUnrolledRange(zLo, zHi int) {
 				aaGather(&c, f18, f17, fluid, 17, rowYMZP+x, site)
 				aaGather(&c, f17, f18, fluid, 18, rowYPZM+x, site)
 
-				p.collideUnrolled(&c)
+				collideBGK(&c, &c, omega, gx, gy, gz)
 
 				// Scatter downstream (push), bouncing into the local
 				// opposite slot at solid links.

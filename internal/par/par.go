@@ -6,9 +6,10 @@
 // uses, so the per-task byte and message counts the performance models
 // consume are exercised by real concurrent execution.
 //
-// Each rank's site update applies arithmetic identical to the serial
-// lbm.Sparse engine, so a parallel run reproduces the serial result
-// bitwise regardless of rank count — the key correctness oracle.
+// Each rank steps its block with the step body the serial lbm.Sparse
+// engine steps the whole lattice with (lbm.CollideStream), so a parallel
+// run reproduces the serial result bitwise regardless of rank count — the
+// key correctness oracle.
 package par
 
 import (
@@ -18,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/decomp"
-	"repro/internal/geometry"
 	"repro/internal/lbm"
 )
 
@@ -45,45 +45,45 @@ type RankStats struct {
 	CommS    float64 // halo gather, send, receive, scatter (incl. waiting)
 }
 
-// rank is the per-goroutine state of one task.
+// rank is the per-goroutine state of one task: a block of cells in the
+// form lbm.CollideStream steps.
 type rank struct {
-	id  int
-	own []int32 // serial site indices owned, ascending
+	id int
 
 	computeNS int64 // accumulated compute time
 	commNS    int64 // accumulated communication time
 
 	f, fnew []float64 // nOwn*NQ distributions, AOS
 
-	// src drives streaming: for flat slot (i*NQ+q) it encodes where the
-	// post-collision value comes from:
-	//   >= 0   local flat index into f
-	//   -1     bounce-back (read f[i*NQ+Opp[q]])
-	//   <= -2  remote: recv[-(src+2)] in the rank's flat receive space
-	src []int32
+	// links holds the block's link rows: for flat slot (i*NQ+q), where the
+	// post-collision value of cell i along q goes:
+	//   >= 0   the local cell at x + c_q
+	//   -1     nowhere: the link is solid (bounce back into cell i)
+	//   <= -2  lbm.RemoteLink(k): slot k of send, the cell is another rank's
+	links []int32
+	send  []float64 // flat send space, one slot per outgoing link, edge after edge
 
-	types  []geometry.PointType
-	inletU []float64
+	bounds []lbm.BoundarySite // the block's inlet and outlet cells, ascending
 
 	// Communication schedule.
 	sendTo   []sendPlan // outgoing edges, sorted by peer
 	recvFrom []recvPlan // incoming edges, sorted by peer
-	recv     []float64  // flat receive space, one slot per incoming link
 }
 
-// sendPlan gathers local post-collision values into an edge buffer.
+// sendPlan is one outgoing edge: its segment of the rank's send space,
+// which the step body has filled in the edge's canonical link order.
 type sendPlan struct {
-	peer    int
-	e       *edge
-	srcFlat []int32 // local flat indices (ownerLocal*NQ+q), canonical order
-}
-
-// recvPlan scatters an incoming message into the flat receive space.
-type recvPlan struct {
 	peer int
 	e    *edge
-	base int // first slot in recv for this edge
-	n    int
+	seg  []float64
+}
+
+// recvPlan scatters an incoming message into fnew: value k of the message
+// belongs in flat slot dstFlat[k].
+type recvPlan struct {
+	peer    int
+	e       *edge
+	dstFlat []int32
 }
 
 // Clock abstracts the wall clock behind the per-rank timing split.
@@ -114,13 +114,15 @@ func (r *Runner) SetClock(c Clock) {
 }
 
 // NewRunner builds per-rank state from the serial engine s (its current
-// distributions become the initial condition) and partition p.
+// distributions and step count become the initial condition) and
+// partition p.
 func NewRunner(s *lbm.Sparse, p *decomp.Partition) (*Runner, error) {
 	if len(p.Owner) != s.N() {
 		return nil, fmt.Errorf("par: partition covers %d sites, lattice has %d", len(p.Owner), s.N())
 	}
 	r := &Runner{
 		params:  s.Params,
+		steps:   s.Steps(),
 		now:     time.Now,
 		ownerOf: make([]int32, s.N()),
 		localOf: make([]int32, s.N()),
@@ -132,122 +134,75 @@ func NewRunner(s *lbm.Sparse, p *decomp.Partition) (*Runner, error) {
 	for t := range r.ranks {
 		r.ranks[t] = &rank{id: t}
 	}
+	own := make([][]int32, p.NTasks)
 	for si := 0; si < s.N(); si++ {
-		t := int(p.Owner[si])
-		r.localOf[si] = int32(len(r.ranks[t].own))
-		r.ranks[t].own = append(r.ranks[t].own, int32(si))
+		t := p.Owner[si]
+		r.localOf[si] = int32(len(own[t]))
+		own[t] = append(own[t], int32(si))
+	}
+	for _, b := range s.Boundaries() {
+		rk := r.ranks[p.Owner[b.Cell]]
+		b.Cell = r.localOf[b.Cell]
+		rk.bounds = append(rk.bounds, b)
 	}
 
-	// Canonical link ordering per directed edge (sender -> receiver):
-	// ascending (receiverSerialSite, q). Build once, shared by both ends.
-	type link struct {
-		recvSite int32 // serial index of the receiving (pulling) site
-		q        int   // direction being pulled
-		sendSite int32 // serial index of the upstream site (owned by sender)
-	}
-	links := make(map[[2]int][]link) // [sender, receiver] -> links
-	for si := 0; si < s.N(); si++ {
-		recvT := int(p.Owner[si])
-		for q := 0; q < lbm.NQ; q++ {
-			up := s.Neighbor(si, lbm.Opp[q]) // upstream site for pulling q
-			if up < 0 {
-				continue
-			}
-			sendT := int(p.Owner[up])
-			if sendT == recvT {
-				continue
-			}
-			key := [2]int{sendT, recvT}
-			links[key] = append(links[key], link{recvSite: int32(si), q: q, sendSite: int32(up)})
-		}
-	}
-	for key := range links {
-		ls := links[key]
-		sort.Slice(ls, func(i, j int) bool {
-			if ls[i].recvSite != ls[j].recvSite {
-				return ls[i].recvSite < ls[j].recvSite
-			}
-			return ls[i].q < ls[j].q
-		})
-	}
-
-	// Per-rank arrays, stream source tables, and communication plans.
-	remoteSlot := make(map[[3]int32]int) // (receiver, site, q) -> flat recv slot
+	// Per-rank arrays, link rows and outgoing edges. A link into another
+	// rank's block is collected under the receiving rank with the flat
+	// slot it leaves from and the flat slot it arrives in.
+	type link struct{ src, dst int32 }
 	for t, rk := range r.ranks {
-		n := len(rk.own)
+		n := len(own[t])
 		rk.f = make([]float64, n*lbm.NQ)
 		rk.fnew = make([]float64, n*lbm.NQ)
-		rk.src = make([]int32, n*lbm.NQ)
-		rk.types = make([]geometry.PointType, n)
-		rk.inletU = make([]float64, n)
-		for i, si := range rk.own {
+		rk.links = make([]int32, n*lbm.NQ)
+		out := make(map[int32][]link) // receiver -> links
+		remote := 0
+		for i, si := range own[t] {
 			cell := s.Cell(int(si))
 			copy(rk.f[i*lbm.NQ:(i+1)*lbm.NQ], cell[:])
-			rk.types[i] = s.Type(int(si))
-			rk.inletU[i] = s.InletVelocity(int(si))
-		}
-		// Incoming edges first: they assign receive slots.
-		peers := make([]int, 0)
-		for key := range links {
-			if key[1] == t {
-				peers = append(peers, key[0])
-			}
-		}
-		sort.Ints(peers)
-		for _, peer := range peers {
-			ls := links[[2]int{peer, t}]
-			plan := recvPlan{peer: peer, base: len(rk.recv), n: len(ls)}
-			for k, l := range ls {
-				remoteSlot[[3]int32{int32(t), l.recvSite, int32(l.q)}] = plan.base + k
-			}
-			rk.recv = append(rk.recv, make([]float64, len(ls))...)
-			rk.recvFrom = append(rk.recvFrom, plan)
-		}
-	}
-
-	// Stream source tables (need remoteSlot fully populated).
-	for t, rk := range r.ranks {
-		for i, si := range rk.own {
 			for q := 0; q < lbm.NQ; q++ {
-				up := s.Neighbor(int(si), lbm.Opp[q])
+				slot := int32(i*lbm.NQ + q)
+				nb := s.Neighbor(int(si), q)
 				switch {
-				case up < 0:
-					rk.src[i*lbm.NQ+q] = -1
-				case int(p.Owner[up]) == t:
-					rk.src[i*lbm.NQ+q] = r.localOf[up]*lbm.NQ + int32(q)
+				case nb < 0:
+					rk.links[slot] = -1
+				case p.Owner[nb] == int32(t):
+					rk.links[slot] = r.localOf[nb]
 				default:
-					slot, ok := remoteSlot[[3]int32{int32(t), si, int32(q)}]
-					if !ok {
-						return nil, fmt.Errorf("par: missing receive slot for rank %d site %d dir %d", t, si, q)
-					}
-					rk.src[i*lbm.NQ+q] = int32(-2 - slot)
+					peer := p.Owner[nb]
+					out[peer] = append(out[peer], link{src: slot, dst: r.localOf[nb]*lbm.NQ + int32(q)})
+					remote++
 				}
 			}
 		}
-	}
 
-	// Outgoing edges: channels plus gather tables matching the canonical
-	// link order the receiver assigned slots in.
-	for key, ls := range links {
-		sendT, recvT := key[0], key[1]
-		e := &edge{ch: make(chan []float64, 1)}
-		e.bufs[0] = make([]float64, len(ls))
-		e.bufs[1] = make([]float64, len(ls))
-		sp := sendPlan{peer: recvT, e: e, srcFlat: make([]int32, len(ls))}
-		for k, l := range ls {
-			sp.srcFlat[k] = r.localOf[l.sendSite]*lbm.NQ + int32(l.q)
+		// Edges in peer order; ranks are visited in order, so every
+		// rank's incoming plans come out sorted by peer too. Within an
+		// edge the canonical link order, shared by both ends, is
+		// ascending (receiving site, direction): ascending arrival slot.
+		rk.send = make([]float64, remote)
+		peers := make([]int32, 0, len(out))
+		for peer := range out {
+			peers = append(peers, peer)
 		}
-		sender := r.ranks[sendT]
-		sender.sendTo = append(sender.sendTo, sp)
-		receiver := r.ranks[recvT]
-		for pi := range receiver.recvFrom {
-			if receiver.recvFrom[pi].peer == sendT {
-				receiver.recvFrom[pi].e = e
+		sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+		base := 0
+		for _, peer := range peers {
+			ls := out[peer]
+			sort.Slice(ls, func(i, j int) bool { return ls[i].dst < ls[j].dst })
+			e := &edge{ch: make(chan []float64, 1)}
+			e.bufs[0] = make([]float64, len(ls))
+			e.bufs[1] = make([]float64, len(ls))
+			dstFlat := make([]int32, len(ls))
+			for k, l := range ls {
+				rk.links[l.src] = lbm.RemoteLink(base + k)
+				dstFlat[k] = l.dst
 			}
+			rk.sendTo = append(rk.sendTo, sendPlan{peer: int(peer), e: e, seg: rk.send[base : base+len(ls)]})
+			receiver := r.ranks[peer]
+			receiver.recvFrom = append(receiver.recvFrom, recvPlan{peer: t, e: e, dstFlat: dstFlat})
+			base += len(ls)
 		}
-	}
-	for _, rk := range r.ranks {
-		sort.Slice(rk.sendTo, func(i, j int) bool { return rk.sendTo[i].peer < rk.sendTo[j].peer })
 	}
 	return r, nil
 }
@@ -269,74 +224,35 @@ func (r *Runner) Run(steps int) {
 	r.steps += steps
 }
 
-// step is one rank-local timestep: collide, exchange halos, stream, apply
-// boundary conditions — arithmetic identical to lbm.Sparse.Step.
+// step is one rank-local timestep: the step body of lbm.Sparse.Step over
+// the rank's block (collide, push-stream; values bound for other ranks
+// land in the send space), the halo exchange, then the boundary
+// conditions, which need every streamed value in place.
 func (rk *rank) step(p lbm.Params, stepIndex int, now Clock) {
-	fx, fy, fz := p.Force[0], p.Force[1], p.Force[2]
-	n := len(rk.own)
 	tick := now()
-
-	var cell [lbm.NQ]float64
-	for i := 0; i < n; i++ {
-		base := i * lbm.NQ
-		copy(cell[:], rk.f[base:base+lbm.NQ])
-		lbm.CollideCell(&cell, p, fx, fy, fz)
-		copy(rk.f[base:base+lbm.NQ], cell[:])
-	}
-
+	lbm.CollideStream(rk.f, rk.fnew, rk.links, rk.send, p)
 	rk.computeNS += now().Sub(tick).Nanoseconds()
 	tick = now()
 
-	// Post-collision halo exchange.
+	// Post-collision halo exchange: one contiguous copy out per edge, one
+	// scatter into fnew per message.
 	for _, sp := range rk.sendTo {
 		buf := sp.e.nextBuf()
-		for k, flat := range sp.srcFlat {
-			buf[k] = rk.f[flat]
-		}
+		copy(buf, sp.seg)
 		sp.e.ch <- buf
 	}
+	fnew := rk.fnew
 	for _, rp := range rk.recvFrom {
 		msg := <-rp.e.ch
-		copy(rk.recv[rp.base:rp.base+rp.n], msg)
+		for k, dst := range rp.dstFlat {
+			fnew[dst] = msg[k]
+		}
 	}
 
 	rk.commNS += now().Sub(tick).Nanoseconds()
 	tick = now()
 
-	// Pull streaming.
-	for i := 0; i < n; i++ {
-		base := i * lbm.NQ
-		for q := 0; q < lbm.NQ; q++ {
-			switch src := rk.src[base+q]; {
-			case src >= 0:
-				rk.fnew[base+q] = rk.f[src]
-			case src == -1:
-				rk.fnew[base+q] = rk.f[base+lbm.Opp[q]]
-			default:
-				rk.fnew[base+q] = rk.recv[-(src + 2)]
-			}
-		}
-	}
-
-	// Boundary conditions.
-	if !p.PeriodicX {
-		var bc [lbm.NQ]float64
-		scale := p.Pulsatile.Scale(stepIndex)
-		for i := 0; i < n; i++ {
-			switch rk.types[i] {
-			case geometry.Inlet:
-				lbm.Equilibrium(1, rk.inletU[i]*scale, 0, 0, &bc)
-				copy(rk.fnew[i*lbm.NQ:(i+1)*lbm.NQ], bc[:])
-			case geometry.Outlet:
-				base := i * lbm.NQ
-				copy(cell[:], rk.fnew[base:base+lbm.NQ])
-				_, ux, uy, uz := lbm.Moments(&cell)
-				lbm.Equilibrium(1, ux, uy, uz, &bc)
-				copy(rk.fnew[base:base+lbm.NQ], bc[:])
-			}
-		}
-	}
-
+	lbm.ApplyBoundaries(rk.fnew, rk.bounds, p.Pulsatile.Scale(stepIndex))
 	rk.f, rk.fnew = rk.fnew, rk.f
 	rk.computeNS += now().Sub(tick).Nanoseconds()
 }
@@ -355,7 +271,8 @@ func (r *Runner) Stats() []RankStats {
 	return out
 }
 
-// Steps returns the number of completed parallel timesteps.
+// Steps returns the timestep count of the state: the serial engine's when
+// the runner was built plus the parallel steps since.
 func (r *Runner) Steps() int { return r.steps }
 
 // Cell returns the distribution at serial site si after the last Run.
@@ -364,12 +281,6 @@ func (r *Runner) Cell(si int) (c [lbm.NQ]float64) {
 	base := int(r.localOf[si]) * lbm.NQ
 	copy(c[:], rk.f[base:base+lbm.NQ])
 	return c
-}
-
-// Macro returns density and velocity at serial site si.
-func (r *Runner) Macro(si int) (rho, ux, uy, uz float64) {
-	c := r.Cell(si)
-	return lbm.Moments(&c)
 }
 
 // TotalMass sums density across all ranks.
@@ -383,10 +294,12 @@ func (r *Runner) TotalMass() float64 {
 	return m
 }
 
-// WriteBack copies the parallel state into the serial engine s, which must
-// be the engine the runner was built from (or an identically shaped one).
+// WriteBack copies the parallel state — distributions and step count —
+// into the serial engine s, which must be the engine the runner was built
+// from (or an identically shaped one).
 func (r *Runner) WriteBack(s *lbm.Sparse) {
 	for si := 0; si < len(r.ownerOf); si++ {
 		s.SetCell(si, r.Cell(si))
 	}
+	s.SetSteps(r.steps)
 }

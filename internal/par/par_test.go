@@ -2,6 +2,7 @@ package par
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -315,4 +316,149 @@ func TestParallelTRTMatchesSerial(t *testing.T) {
 			t.Fatal("TRT parallel run diverges from serial")
 		}
 	}
+}
+
+// TestRunnerHandsOverTheStepCount: a pulsatile inflow depends on where the
+// cardiac cycle stands, so a runner built from an evolved solver must
+// continue from the solver's step count, and WriteBack must hand the
+// count back with the cells. Serial, parallel and serial again is then
+// bitwise one serial run.
+func TestRunnerHandsOverTheStepCount(t *testing.T) {
+	p := lbm.Params{Tau: 0.9, UMax: 0.03, Pulsatile: lbm.Waveform{Period: 40, Amplitude: 0.5}}
+	build := func() *lbm.Sparse {
+		dom, err := geometry.Cylinder(16, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := lbm.NewSparse(dom, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want := build()
+	want.Run(7 + 9 + 5)
+
+	s := build()
+	s.Run(7)
+	part, err := decomp.RCB(s, 4, lbm.HarveyAccess())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := NewRunner(s, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner.Run(9)
+	if runner.Steps() != 16 {
+		t.Errorf("runner at step %d after 7 serial and 9 parallel steps, want 16", runner.Steps())
+	}
+	runner.WriteBack(s)
+	if s.Steps() != 16 {
+		t.Errorf("solver at step %d after WriteBack, want 16", s.Steps())
+	}
+	s.Run(5)
+	for si := 0; si < want.N(); si++ {
+		if s.Cell(si) != want.Cell(si) {
+			t.Fatalf("site %d: serial/parallel/serial diverges from one serial run\n got %v\nwant %v", si, s.Cell(si), want.Cell(si))
+		}
+	}
+}
+
+// TestLinkRowsCoverEverySlotOnce is the invariant push streaming rests
+// on: within a rank, the local link targets, the bounce-back targets and
+// the arrival slots of the incoming edges together hit each of the rank's
+// n*NQ slots of fnew exactly once, and the remote links hit each slot of
+// the send space exactly once — so a step writes every value of the next
+// state, and none twice.
+func TestLinkRowsCoverEverySlotOnce(t *testing.T) {
+	shapes := []struct {
+		name string
+		dom  func() (*geometry.Domain, error)
+	}{
+		{"aorta", func() (*geometry.Domain, error) { return geometry.Aorta(4) }},
+		{"cerebral", func() (*geometry.Domain, error) { return geometry.Cerebral(3, 4) }},
+	}
+	for _, shape := range shapes {
+		for _, ntasks := range []int{1, 2, 3, 5, 8} {
+			dom, err := shape.dom()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, runner := setup(t, dom, lbm.Params{Tau: 0.9, UMax: 0.02}, ntasks)
+			for _, rk := range runner.ranks {
+				hits := make([]int, len(rk.fnew))
+				sendHits := make([]int, len(rk.send))
+				for slot, to := range rk.links {
+					i, q := slot/lbm.NQ, slot%lbm.NQ
+					switch {
+					case to >= 0:
+						hits[int(to)*lbm.NQ+q]++
+					case to == -1:
+						hits[i*lbm.NQ+lbm.Opp[q]]++
+					default:
+						sendHits[-2-int(to)]++
+					}
+				}
+				for _, rp := range rk.recvFrom {
+					if len(rp.dstFlat) != len(rp.e.bufs[0]) {
+						t.Fatalf("%s/%d rank %d: edge from %d scatters %d values of a %d-value message",
+							shape.name, ntasks, rk.id, rp.peer, len(rp.dstFlat), len(rp.e.bufs[0]))
+					}
+					for _, dst := range rp.dstFlat {
+						hits[dst]++
+					}
+				}
+				segs := 0
+				for _, sp := range rk.sendTo {
+					if len(sp.seg) != len(sp.e.bufs[0]) {
+						t.Fatalf("%s/%d rank %d: edge to %d copies %d values into a %d-value message",
+							shape.name, ntasks, rk.id, sp.peer, len(sp.seg), len(sp.e.bufs[0]))
+					}
+					segs += len(sp.seg)
+				}
+				if segs != len(rk.send) {
+					t.Fatalf("%s/%d rank %d: edges cover %d of %d send slots", shape.name, ntasks, rk.id, segs, len(rk.send))
+				}
+				for slot, h := range hits {
+					if h != 1 {
+						t.Fatalf("%s/%d rank %d: slot (cell %d, q %d) written %d times per step",
+							shape.name, ntasks, rk.id, slot/lbm.NQ, slot%lbm.NQ, h)
+					}
+				}
+				for k, h := range sendHits {
+					if h != 1 {
+						t.Fatalf("%s/%d rank %d: send slot %d written %d times per step", shape.name, ntasks, rk.id, k, h)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRunnerRun times parallel timesteps on the benchmark's lattice
+// (aorta@16) over one rank per CPU.
+func BenchmarkRunnerRun(b *testing.B) {
+	dom, err := geometry.Aorta(16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := lbm.NewSparse(dom, lbm.Params{Tau: 0.9, UMax: 0.02})
+	if err != nil {
+		b.Fatal(err)
+	}
+	part, err := decomp.RCB(s, runtime.GOMAXPROCS(0), lbm.HarveyAccess())
+	if err != nil {
+		b.Fatal(err)
+	}
+	runner, err := NewRunner(s, part)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runner.Run(1) // touch both arrays
+	b.ResetTimer()
+	runner.Run(b.N)
+	perSite := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(s.N())
+	b.ReportMetric(perSite, "ns/site")
+	b.ReportMetric(1e3/perSite, "MFLUPS")
 }
