@@ -343,7 +343,7 @@ func reapChildren(children []*exec.Cmd) {
 		}
 		done := make(chan struct{})
 		go func(c *exec.Cmd) {
-			_ = c.Wait() //lint:ignore droppederr replica exit status is advisory during shutdown
+			_ = c.Wait() // a replica's exit status is advisory during shutdown
 			close(done)
 		}(cmd)
 		select {
@@ -363,13 +363,13 @@ func replicaTracePath(dir string, i int) string {
 }
 
 // startDebugServer exposes the pprof mux on its own listener; the
-// router mux never carries the debug endpoints.
+// router mux never carries the debug endpoints. The listener lives
+// until process exit: profiling must stay reachable through shutdown.
 func startDebugServer(addr string) {
 	if addr == "" {
 		return
 	}
 	hs := &http.Server{Addr: addr, Handler: serve.DebugHandler(), ReadHeaderTimeout: 10 * time.Second}
-	//lint:ignore gorleak the debug listener deliberately lives until process exit; profiling must stay reachable through shutdown
 	go func() {
 		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "cluster: debug listener:", err)

@@ -38,7 +38,7 @@ func runGenTables(path string) error {
 		return err
 	}
 	if err := experiments.GenerateTable(f); err != nil {
-		_ = f.Close() //lint:ignore droppederr the generate error is the signal; close failure on the abandoned file has nothing to add
+		_ = f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {

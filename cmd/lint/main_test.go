@@ -10,8 +10,8 @@ import (
 	"repro/internal/analyzers"
 )
 
-// gorleakFixture is a directory with exactly two known findings.
-var gorleakFixture = filepath.Join("..", "..", "internal", "analyzers", "testdata", "gorleak")
+// nodetermFixture is a directory with exactly six known findings.
+var nodetermFixture = filepath.Join("..", "..", "internal", "analyzers", "testdata", "nodeterm", "dirty")
 
 func runLint(args ...string) (code int, stdout, stderr string) {
 	var out, errb bytes.Buffer
@@ -19,62 +19,35 @@ func runLint(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-func TestListFlag(t *testing.T) {
-	code, out, _ := runLint("-list")
-	if code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	for _, id := range []string{
-		"nodeterm", "unitsuffix", "floateq", "droppederr", "lockbalance", "gorleak",
-		"unitflow", "typeassert", "lossyconv",
-		"ctxflow", "lockheld", "detertaint",
-		"hotpath", "nilerr", "useafterfinal",
-	} {
-		if !strings.Contains(out, id) {
-			t.Errorf("-list output missing %q", id)
-		}
-	}
-}
-
-func TestUnknownCheckIsUsageError(t *testing.T) {
-	code, _, errOut := runLint("-checks", "bogus", gorleakFixture)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut, "unknown check") {
-		t.Errorf("stderr %q does not name the unknown check", errOut)
-	}
-}
-
 func TestFindingsFailTheRun(t *testing.T) {
-	code, out, _ := runLint("-checks", "gorleak", gorleakFixture)
+	code, out, _ := runLint(nodetermFixture)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out)
 	}
-	if !strings.Contains(out, "dirty.go") || !strings.Contains(out, "gorleak") {
+	if !strings.Contains(out, "dirty.go") || !strings.Contains(out, "nodeterm") {
 		t.Errorf("output does not report the dirty.go findings:\n%s", out)
 	}
-	if !strings.Contains(out, "2 finding(s)") {
+	if !strings.Contains(out, "lint: 1 file(s), 6 finding(s)\n") {
 		t.Errorf("summary line missing or wrong:\n%s", out)
 	}
 }
 
 func TestJSONOutput(t *testing.T) {
-	code, out, _ := runLint("-checks", "gorleak", "-json", gorleakFixture)
+	code, out, _ := runLint("-format=json", nodetermFixture)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
 	var diags []analyzers.Diagnostic
 	if err := json.Unmarshal([]byte(out), &diags); err != nil {
-		t.Fatalf("-json output is not a diagnostic array: %v\n%s", err, out)
+		t.Fatalf("-format=json output is not a diagnostic array: %v\n%s", err, out)
 	}
-	if len(diags) != 2 {
-		t.Fatalf("got %d findings, want 2", len(diags))
+	if len(diags) != 6 {
+		t.Fatalf("got %d findings, want 6", len(diags))
 	}
 }
 
 func TestGitHubFormat(t *testing.T) {
-	code, out, _ := runLint("-checks", "gorleak", "-format", "github", gorleakFixture)
+	code, out, _ := runLint("-format", "github", nodetermFixture)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out)
 	}
@@ -83,7 +56,7 @@ func TestGitHubFormat(t *testing.T) {
 	if !strings.Contains(out, "::error file=") || !strings.Contains(out, ",line=") {
 		t.Errorf("-format=github output carries no workflow annotations:\n%s", out)
 	}
-	if !strings.Contains(out, "[gorleak]") {
+	if !strings.Contains(out, "[nodeterm]") {
 		t.Errorf("annotation message does not name the check:\n%s", out)
 	}
 }
@@ -98,96 +71,11 @@ func TestGitHubEscaping(t *testing.T) {
 }
 
 func TestUnknownFormatIsUsageError(t *testing.T) {
-	code, _, errOut := runLint("-format", "yaml", gorleakFixture)
+	code, _, errOut := runLint("-format", "yaml", nodetermFixture)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 	if !strings.Contains(errOut, "unknown format") {
 		t.Errorf("stderr %q does not name the unknown format", errOut)
-	}
-}
-
-func TestTypedCheckSelection(t *testing.T) {
-	dirty := filepath.Join("..", "..", "internal", "analyzers", "testdata", "typeassert", "dirty")
-	code, out, _ := runLint("-checks", "typeassert", dirty)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out)
-	}
-	if !strings.Contains(out, "bare type assertion") {
-		t.Errorf("typed findings missing from output:\n%s", out)
-	}
-}
-
-func TestWriteBaselineThenClean(t *testing.T) {
-	baseline := filepath.Join(t.TempDir(), "baseline.json")
-	code, _, errOut := runLint("-checks", "gorleak", "-write-baseline", "-baseline", baseline, gorleakFixture)
-	if code != 0 {
-		t.Fatalf("-write-baseline exit %d, want 0; stderr: %s", code, errOut)
-	}
-	code, out, _ := runLint("-checks", "gorleak", "-baseline", baseline, gorleakFixture)
-	if code != 0 {
-		t.Fatalf("baselined run exit %d, want 0; output:\n%s", code, out)
-	}
-	if !strings.Contains(out, "0 finding(s) (2 baselined") {
-		t.Errorf("summary does not account for the baselined findings:\n%s", out)
-	}
-}
-
-func TestTimingFlag(t *testing.T) {
-	code, out, _ := runLint("-checks", "gorleak", "-timing", gorleakFixture)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1 (fixture has findings)", code)
-	}
-	if !strings.Contains(out, "lint: timing layer syntactic") {
-		t.Errorf("missing syntactic layer timing line:\n%s", out)
-	}
-	if !strings.Contains(out, "lint: timing check gorleak") {
-		t.Errorf("missing per-check timing line:\n%s", out)
-	}
-}
-
-func TestTimingOffByDefault(t *testing.T) {
-	_, out, _ := runLint("-checks", "gorleak", gorleakFixture)
-	if strings.Contains(out, "lint: timing") {
-		t.Errorf("timing lines printed without -timing:\n%s", out)
-	}
-}
-
-func TestPruneBaseline(t *testing.T) {
-	baseline := filepath.Join(t.TempDir(), "baseline.json")
-	code, _, errOut := runLint("-checks", "gorleak", "-write-baseline", "-baseline", baseline, gorleakFixture)
-	if code != 0 {
-		t.Fatalf("-write-baseline exit %d, want 0; stderr: %s", code, errOut)
-	}
-	b, err := analyzers.LoadBaseline(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := len(b.Findings)
-	b.Findings = append(b.Findings, analyzers.BaselineEntry{
-		File: "deleted.go", Check: "gorleak", Message: "goroutine leak long since fixed",
-	})
-	if err := b.Save(baseline); err != nil {
-		t.Fatal(err)
-	}
-	code, out, _ := runLint("-checks", "gorleak", "-prune-baseline", "-baseline", baseline, gorleakFixture)
-	if code != 0 {
-		t.Fatalf("-prune-baseline exit %d, want 0; output:\n%s", code, out)
-	}
-	want := "pruned 1 stale entry from"
-	if !strings.Contains(out, want) {
-		t.Errorf("output %q does not contain %q", out, want)
-	}
-	pruned, err := analyzers.LoadBaseline(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pruned.Findings) != got {
-		t.Errorf("pruned baseline has %d entries, want %d", len(pruned.Findings), got)
-	}
-	// The real findings must still be grandfathered.
-	code, out, _ = runLint("-checks", "gorleak", "-baseline", baseline, gorleakFixture)
-	if code != 0 {
-		t.Fatalf("post-prune run exit %d, want 0; output:\n%s", code, out)
 	}
 }

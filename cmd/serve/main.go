@@ -122,13 +122,13 @@ func main() {
 }
 
 // startDebugServer exposes the pprof mux on its own listener; the main
-// API mux never carries the debug endpoints.
+// API mux never carries the debug endpoints. The listener lives until
+// process exit: profiling must stay reachable through shutdown.
 func startDebugServer(addr string) {
 	if addr == "" {
 		return
 	}
 	hs := &http.Server{Addr: addr, Handler: serve.DebugHandler(), ReadHeaderTimeout: 10 * time.Second}
-	//lint:ignore gorleak the debug listener deliberately lives until process exit; profiling must stay reachable through shutdown
 	go func() {
 		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "serve: debug listener:", err)

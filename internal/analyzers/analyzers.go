@@ -1,48 +1,34 @@
 // Package analyzers is a stdlib-only static-analysis suite for this
-// repository. It enforces the invariants the reproduction's credibility
-// rests on — deterministic simulation paths (seeded RNGs, no wall
-// clock), disciplined unit suffixes on dimensioned quantities, no exact
-// float comparisons, no silently dropped errors, balanced mutexes, and
-// joined goroutines — as machine-checked rules instead of convention.
+// repository. It keeps the checks that guard what the reproduction
+// rests on and no test can: seeded replay that is byte-for-byte the
+// same (nodeterm), spans that end (spanend), the unit of every quantity
+// in the paper's equations (unitflow), and request contexts that reach
+// every blocking call (ctxflow). DESIGN.md §11 tables each check with
+// the invariant it guards and the defect history that earned it; the
+// compiler-diagnostics perf budget (perfbudget.go) is the suite's
+// other gate.
 //
-// The suite is stdlib-only so the module stays buildable offline with
-// no external dependencies, and has two layers: syntactic checks built
-// directly on go/ast, go/parser and go/token (Check, Run), and semantic
-// checks built on go/types (TypedCheck, RunTyped) fed by a loader that
-// type-checks the module from source. Every check in either layer
-// supports targeted suppression via
+// Every check runs over one typed load of the matched packages (Load)
+// and the call graph built over it, and every finding can be
+// suppressed in place with
 //
 //	//lint:ignore <check> <reason>
 //
-// comments on (or immediately above) the flagged line, and pre-existing
-// findings can be grandfathered in a baseline file (see Baseline).
+// on (or immediately above) the flagged line.
 package analyzers
 
 import (
 	"fmt"
-	"go/ast"
-	"go/token"
 	"sort"
 )
 
-// Severity classifies how a diagnostic should gate CI.
-type Severity string
-
-const (
-	// SeverityError findings fail the lint run.
-	SeverityError Severity = "error"
-	// SeverityWarning findings are reported but advisory.
-	SeverityWarning Severity = "warning"
-)
-
-// Diagnostic is one finding: where, which check, what, how bad.
+// Diagnostic is one finding: where, which check, what.
 type Diagnostic struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Check    string   `json:"check"`
-	Message  string   `json:"message"`
-	Severity Severity `json:"severity"`
+	File    string `json:"file"`
+	Line    int    `json:"line"`
+	Col     int    `json:"col"`
+	Check   string `json:"check"`
+	Message string `json:"message"`
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -50,81 +36,86 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Check, d.Message)
 }
 
-// File is the per-file analysis context handed to each check.
-type File struct {
-	Fset *token.FileSet
-	AST  *ast.File
-	Path string // path as walked, used verbatim in diagnostics
-	Pkg  string // package name
-
-	// Siblings exposes the other files of the same package so checks
-	// can resolve package-local declarations (e.g. whether a called
-	// function returns an error).
-	Siblings []*ast.File
+// Pass is what every check sees: the typed packages of one load and
+// the call graph over them.
+type Pass struct {
+	Pkgs  []*Package
+	Graph *CallGraph
 }
 
-// diag builds a Diagnostic at the given position.
-func (f *File) diag(pos token.Pos, check string, sev Severity, format string, args ...any) Diagnostic {
-	p := f.Fset.Position(pos)
-	return Diagnostic{
-		File:     f.Path,
-		Line:     p.Line,
-		Col:      p.Column,
-		Check:    check,
-		Message:  fmt.Sprintf(format, args...),
-		Severity: sev,
+// eachFile runs a per-file rule over every loaded file.
+func eachFile(rule func(*File) []Diagnostic) func(*Pass) []Diagnostic {
+	return func(p *Pass) []Diagnostic {
+		var diags []Diagnostic
+		for _, pkg := range p.Pkgs {
+			for _, f := range pkg.Files {
+				diags = append(diags, rule(f)...)
+			}
+		}
+		return diags
 	}
 }
 
-// Check is one analyzer: an ID used in -checks selection, suppression
-// comments and baseline entries, a one-line doc string, and the run
-// function producing diagnostics for a single file.
+// Check is one analyzer: the ID named in //lint:ignore directives, a
+// one-line doc string, and the run function.
 type Check struct {
 	ID  string
 	Doc string
-	Run func(f *File) []Diagnostic
+	Run func(*Pass) []Diagnostic
 }
 
 // All returns every registered check, sorted by ID.
 func All() []Check {
-	cs := []Check{
-		checkDroppedErr(),
-		checkFloatEq(),
-		checkGorLeak(),
-		checkLockBalance(),
+	return []Check{
+		checkCtxFlow(),
 		checkNoDeterm(),
 		checkSpanEnd(),
-		checkUnitSuffix(),
+		checkUnitFlow(),
 	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].ID < cs[j].ID })
-	return cs
 }
 
-// Select returns the checks matching the given IDs (all of them when
-// ids is empty) or an error naming any unknown ID.
-func Select(ids []string) ([]Check, error) {
-	all := All()
-	if len(ids) == 0 {
-		return all, nil
+// Result is one lint run over a set of packages.
+type Result struct {
+	Diags []Diagnostic // suppressed findings already filtered out
+	Files int          // number of files analyzed
+}
+
+// Run lints the directories matched by the given package patterns (see
+// Load) with every registered check.
+func Run(patterns []string) (Result, error) {
+	pkgs, err := Load(patterns)
+	if err != nil {
+		return Result{}, err
 	}
-	byID := make(map[string]Check, len(all))
-	for _, c := range all {
-		byID[c.ID] = c
+	res := Result{Diags: lint(pkgs, All())}
+	for _, p := range pkgs {
+		res.Files += len(p.Files)
 	}
-	var out []Check
-	for _, id := range ids {
-		c, ok := byID[id]
-		if !ok {
-			return nil, fmt.Errorf("analyzers: unknown check %q", id)
+	return res, nil
+}
+
+// lint runs the checks over loaded packages, applies each file's
+// //lint:ignore directives once, and sorts the survivors.
+func lint(pkgs []*Package, checks []Check) []Diagnostic {
+	pass := &Pass{Pkgs: pkgs, Graph: BuildCallGraph(pkgs)}
+	byFile := map[string][]Diagnostic{}
+	for _, c := range checks {
+		for _, d := range c.Run(pass) {
+			byFile[d.File] = append(byFile[d.File], d)
 		}
-		out = append(out, c)
 	}
-	return out, nil
+	known := knownIDs()
+	var out []Diagnostic
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			dirs, bad := parseIgnores(f, known)
+			out = append(out, bad...)
+			out = append(out, suppress(byFile[f.Path], dirs)...)
+		}
+	}
+	sortDiags(out)
+	return out
 }
-
-// Sort orders diagnostics for stable output (file, line, col, check).
-// The driver uses it after merging the syntactic and typed runs.
-func Sort(ds []Diagnostic) { sortDiags(ds) }
 
 // sortDiags orders diagnostics for stable output: file, line, col,
 // check.

@@ -96,19 +96,3 @@ func funcBodies(root ast.Node, fn func(name string, ftype *ast.FuncType, body *a
 		return true
 	})
 }
-
-// isErrorIdent reports whether a type expression is the predeclared
-// error type.
-func isErrorIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "error"
-}
-
-// lastResult returns the type expression of a function type's final
-// result (nil when it has none).
-func lastResult(ft *ast.FuncType) ast.Expr {
-	if ft.Results == nil || len(ft.Results.List) == 0 {
-		return nil
-	}
-	return ft.Results.List[len(ft.Results.List)-1].Type
-}

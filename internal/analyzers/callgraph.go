@@ -2,13 +2,12 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
 
-// This file is the foundation of the suite's third, interprocedural
-// layer: a call graph over the typed packages the loader produced.
+// This file is the call graph over the typed packages the loader
+// produced, built once per Pass; ctxflow is the check that walks it.
 // Resolution is conservative and static — it never claims an edge it
 // cannot prove, and it resolves dynamic dispatch to every candidate it
 // can see:
@@ -17,9 +16,7 @@ import (
 //     resolve through go/types object identity;
 //   - interface method calls fan out to the same-named method of every
 //     loaded named type that implements the interface (plus the
-//     abstract interface method itself, kept as a body-less node so
-//     checks can classify known-blocking interfaces like
-//     http.RoundTripper);
+//     abstract interface method itself, kept as a body-less node);
 //   - function values are tracked flow-insensitively within the loaded
 //     packages: every function or closure ever assigned to a variable
 //     or struct field is a candidate callee at that variable's or
@@ -29,9 +26,8 @@ import (
 //     nothing — the documented blind spot, see DESIGN.md §10.
 //
 // Functions outside the loaded packages (standard library, unloaded
-// module packages) appear as body-less external nodes, so checks can
-// classify them by qualified name without pretending to know their
-// behavior.
+// module packages) appear as body-less external nodes: the edge is
+// recorded without pretending to know the callee's behavior.
 
 // EdgeKind distinguishes how control reaches a callee.
 type EdgeKind int
@@ -54,13 +50,10 @@ type CallNode struct {
 	// Lit is the literal for closure nodes; nil otherwise.
 	Lit *ast.FuncLit
 
-	// Decl is the declaration for module functions; nil for literals
-	// and externals.
-	Decl *ast.FuncDecl
 	// Body is the analyzed body; nil for externals.
 	Body *ast.BlockStmt
 	// File is the typed file holding Body; nil for externals.
-	File *TypedFile
+	File *File
 	// Enclosing is the node a literal is defined inside; nil for
 	// declared functions and externals.
 	Enclosing *CallNode
@@ -84,18 +77,6 @@ func (n *CallNode) Name() string {
 // External reports whether the node has no loaded body.
 func (n *CallNode) External() bool { return n.Body == nil }
 
-// PkgPath returns the defining package's import path ("" for literals
-// whose package is implied by Enclosing, and for builtins).
-func (n *CallNode) PkgPath() string {
-	if n.Obj != nil && n.Obj.Pkg() != nil {
-		return n.Obj.Pkg().Path()
-	}
-	if n.Enclosing != nil {
-		return n.Enclosing.PkgPath()
-	}
-	return ""
-}
-
 // CallEdge is one resolved call site.
 type CallEdge struct {
 	Caller *CallNode
@@ -118,15 +99,10 @@ type CallGraph struct {
 // deterministic order.
 func (g *CallGraph) Nodes() []*CallNode { return g.nodes }
 
-// NodeFor resolves the node of a declared function (nil when the object
-// was never seen — e.g. a package outside the loaded surface that no
-// loaded code calls).
-func (g *CallGraph) NodeFor(fn *types.Func) *CallNode { return g.Funcs[fn] }
-
 // graphBuilder accumulates state across the two construction passes.
 type graphBuilder struct {
 	g    *CallGraph
-	pkgs []*TypedPackage
+	pkgs []*Package
 
 	// funcValues records, per variable or struct-field object of
 	// function type, every candidate function ever assigned to it.
@@ -138,7 +114,7 @@ type graphBuilder struct {
 }
 
 // BuildCallGraph constructs the call graph over the loaded packages.
-func BuildCallGraph(pkgs []*TypedPackage) *CallGraph {
+func BuildCallGraph(pkgs []*Package) *CallGraph {
 	b := &graphBuilder{
 		g: &CallGraph{
 			Funcs: map[*types.Func]*CallNode{},
@@ -189,7 +165,7 @@ func (b *graphBuilder) collectNamedTypes() {
 // declareFile creates nodes for the file's function declarations,
 // every function literal nested in them, and literals initializing
 // package-level variables (var handler = func(...) {...}).
-func (b *graphBuilder) declareFile(f *TypedFile) {
+func (b *graphBuilder) declareFile(f *File) {
 	info := f.Package.Info
 	for _, decl := range f.AST.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
@@ -206,7 +182,7 @@ func (b *graphBuilder) declareFile(f *TypedFile) {
 		if obj == nil {
 			continue
 		}
-		node := &CallNode{Obj: obj, Decl: fd, Body: fd.Body, File: f}
+		node := &CallNode{Obj: obj, Body: fd.Body, File: f}
 		b.g.Funcs[obj] = node
 		b.g.nodes = append(b.g.nodes, node)
 		b.declareLits(fd.Body, node, f)
@@ -216,7 +192,7 @@ func (b *graphBuilder) declareFile(f *TypedFile) {
 // declareLits creates nodes for function literals under root,
 // attributing each to its innermost enclosing function node (nil for
 // package-level initializers).
-func (b *graphBuilder) declareLits(root ast.Node, enclosing *CallNode, f *TypedFile) {
+func (b *graphBuilder) declareLits(root ast.Node, enclosing *CallNode, f *File) {
 	ast.Inspect(root, func(n ast.Node) bool {
 		lit, ok := n.(*ast.FuncLit)
 		if !ok {
@@ -304,7 +280,7 @@ func (b *graphBuilder) recordFuncValue(target types.Object, candidate *CallNode)
 // collectFuncValues walks one file recording every assignment of a
 // function to a variable or struct field, including composite-literal
 // field initializers.
-func (b *graphBuilder) collectFuncValues(f *TypedFile) {
+func (b *graphBuilder) collectFuncValues(f *File) {
 	info := f.Package.Info
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -340,7 +316,7 @@ func (b *graphBuilder) collectFuncValues(f *TypedFile) {
 }
 
 // resolveFile turns every call site of the file into edges.
-func (b *graphBuilder) resolveFile(f *TypedFile) {
+func (b *graphBuilder) resolveFile(f *File) {
 	info := f.Package.Info
 	for _, decl := range f.AST.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
@@ -485,9 +461,8 @@ func (b *graphBuilder) resolveCall(caller *CallNode, call *ast.CallExpr, kind Ed
 
 // resolveInterfaceCall fans an interface method call out to the
 // same-named method of every loaded named type implementing the
-// interface, plus the abstract method itself as an external node so
-// checks can classify known interfaces (http.RoundTripper & co) even
-// when no loaded type implements them.
+// interface, plus the abstract method itself as an external node, so
+// the call keeps an edge even when no loaded type implements it.
 func (b *graphBuilder) resolveInterfaceCall(caller *CallNode, call *ast.CallExpr, kind EdgeKind, recv types.Type, ifaceMethod *types.Func) {
 	b.addEdge(caller, b.externalNode(ifaceMethod), call, kind)
 	iface, ok := recv.Underlying().(*types.Interface)
@@ -514,27 +489,4 @@ func (b *graphBuilder) resolveInterfaceCall(caller *CallNode, call *ast.CallExpr
 			}
 		}
 	}
-}
-
-// qualifiedName renders a *types.Func as its FullName, the form the
-// checks' classification tables use: "time.Sleep",
-// "(*sync.WaitGroup).Wait", "(net/http.RoundTripper).RoundTrip".
-func qualifiedName(fn *types.Func) string {
-	if fn == nil {
-		return ""
-	}
-	return fn.FullName()
-}
-
-// posOf returns a node's defining position (its body's opening brace
-// for literals, the declaration for functions; token.NoPos for
-// externals).
-func (n *CallNode) posOf() token.Pos {
-	switch {
-	case n.Decl != nil:
-		return n.Decl.Pos()
-	case n.Lit != nil:
-		return n.Lit.Pos()
-	}
-	return token.NoPos
 }

@@ -31,29 +31,85 @@ import (
 // parameters and r.Context() results seed the derived set, and any
 // variable assigned from an expression mentioning a derived value
 // joins it (context.WithTimeout(ctx, ...), sub-contexts, renames).
-func checkCtxFlow() InterCheck {
+func checkCtxFlow() Check {
 	const id = "ctxflow"
-	return InterCheck{
+	return Check{
 		ID: id,
 		Doc: "request contexts must thread end-to-end: no Background()/TODO() below a ctx, " +
 			"no ctx-blind blocking loops, ctx passed to every ctx-accepting callee",
-		Run: func(ic *InterContext) []Diagnostic {
+		Run: func(p *Pass) []Diagnostic {
 			var diags []Diagnostic
-			for _, n := range ic.Graph.Nodes() {
-				if n.External() || !ic.onSurface(n.posOf()) {
+			for _, n := range p.Graph.Nodes() {
+				if n.External() {
 					continue
 				}
 				if nodeCarriesContext(n) {
-					diags = append(diags, ctxRootFindings(ic, id, n)...)
-					diags = append(diags, ctxLoopFindings(ic, id, n)...)
-					diags = append(diags, ctxThreadFindings(ic, id, n)...)
+					diags = append(diags, ctxRootFindings(id, n)...)
+					diags = append(diags, ctxLoopFindings(id, n)...)
+					diags = append(diags, ctxThreadFindings(id, n)...)
 				} else {
-					diags = append(diags, ctxCallerFindings(ic, id, n)...)
+					diags = append(diags, ctxCallerFindings(id, n)...)
 				}
 			}
 			return diags
 		},
 	}
+}
+
+// isContextType reports whether t is context.Context.
+func isContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
+}
+
+// isHTTPRequestPtr reports whether t is *net/http.Request.
+func isHTTPRequestPtr(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "net/http" && obj.Name() == "Request"
+}
+
+// signatureOf returns a node's signature (nil for literals without type
+// info or unresolved externals).
+func signatureOf(n *CallNode) *types.Signature {
+	if n.Obj != nil {
+		sig, _ := n.Obj.Type().(*types.Signature)
+		return sig
+	}
+	if n.Lit != nil && n.File != nil {
+		if tv, ok := n.File.Package.Info.Types[n.Lit]; ok {
+			sig, _ := tv.Type.(*types.Signature)
+			return sig
+		}
+	}
+	return nil
+}
+
+// carriesContext reports whether the node receives a context — a
+// context.Context parameter or an *http.Request (HTTP handler shape).
+func carriesContext(n *CallNode) bool {
+	sig := signatureOf(n)
+	if sig == nil {
+		return false
+	}
+	params := sig.Params()
+	for i := 0; i < params.Len(); i++ {
+		if t := params.At(i).Type(); isContextType(t) || isHTTPRequestPtr(t) {
+			return true
+		}
+	}
+	return false
 }
 
 // nodeCarriesContext extends carriesContext to closures: a literal
@@ -88,10 +144,10 @@ func contextRootCalls(n *CallNode, fn func(call *ast.CallExpr, which string)) {
 }
 
 // ctxRootFindings is rule 1: fresh context roots below a context.
-func ctxRootFindings(ic *InterContext, id string, n *CallNode) []Diagnostic {
+func ctxRootFindings(id string, n *CallNode) []Diagnostic {
 	var diags []Diagnostic
 	contextRootCalls(n, func(call *ast.CallExpr, which string) {
-		diags = append(diags, ic.diagAt(call.Pos(), id, SeverityError,
+		diags = append(diags, n.File.diag(call.Pos(), id,
 			"%s in %s, which already carries a context; derive from it so cancellation reaches this path",
 			which, n.Name()))
 	})
@@ -102,7 +158,7 @@ func ctxRootFindings(ic *InterContext, id string, n *CallNode) []Diagnostic {
 // root while every one of its (known, non-empty) callers carries a
 // context. Closures are skipped — their callers are their definition
 // sites, which rule 1 already covers via scope inheritance.
-func ctxCallerFindings(ic *InterContext, id string, n *CallNode) []Diagnostic {
+func ctxCallerFindings(id string, n *CallNode) []Diagnostic {
 	if n.Lit != nil || len(n.In) == 0 {
 		return nil
 	}
@@ -117,7 +173,7 @@ func ctxCallerFindings(ic *InterContext, id string, n *CallNode) []Diagnostic {
 	}
 	var diags []Diagnostic
 	contextRootCalls(n, func(call *ast.CallExpr, which string) {
-		diags = append(diags, ic.diagAt(call.Pos(), id, SeverityError,
+		diags = append(diags, n.File.diag(call.Pos(), id,
 			"%s in %s, but every caller (%d) carries a context; accept a ctx parameter instead of cutting the chain",
 			which, n.Name(), len(callers)))
 	})
@@ -158,7 +214,7 @@ func calleeFunc(n *CallNode, call *ast.CallExpr) *types.Func {
 
 // ctxLoopFindings is rule 3: blocking channel operations inside for
 // loops with no ctx.Done() escape.
-func ctxLoopFindings(ic *InterContext, id string, n *CallNode) []Diagnostic {
+func ctxLoopFindings(id string, n *CallNode) []Diagnostic {
 	var diags []Diagnostic
 	inspectOwnBody(n, func(node ast.Node) bool {
 		var body *ast.BlockStmt
@@ -170,7 +226,7 @@ func ctxLoopFindings(ic *InterContext, id string, n *CallNode) []Diagnostic {
 		default:
 			return true
 		}
-		diags = append(diags, loopChanFindings(ic, id, n, body)...)
+		diags = append(diags, loopChanFindings(id, n, body)...)
 		return true
 	})
 	return diags
@@ -179,7 +235,7 @@ func ctxLoopFindings(ic *InterContext, id string, n *CallNode) []Diagnostic {
 // loopChanFindings scans one loop body for ctx-blind blocking channel
 // operations. Receives and sends that sit inside a select are judged by
 // the select (Done case or default = fine); raw ones are flagged.
-func loopChanFindings(ic *InterContext, id string, n *CallNode, body *ast.BlockStmt) []Diagnostic {
+func loopChanFindings(id string, n *CallNode, body *ast.BlockStmt) []Diagnostic {
 	var diags []Diagnostic
 	var walk func(node ast.Node, insideSelect bool)
 	walk = func(root ast.Node, insideSelect bool) {
@@ -189,7 +245,7 @@ func loopChanFindings(ic *InterContext, id string, n *CallNode, body *ast.BlockS
 				return false // separate frame
 			case *ast.SelectStmt:
 				if !selectHasDoneOrDefault(node) {
-					diags = append(diags, ic.diagAt(node.Pos(), id, SeverityError,
+					diags = append(diags, n.File.diag(node.Pos(), id,
 						"select in a loop of %s has no ctx.Done() case and no default; cancellation cannot break the loop",
 						n.Name()))
 				}
@@ -203,13 +259,13 @@ func loopChanFindings(ic *InterContext, id string, n *CallNode, body *ast.BlockS
 				return false
 			case *ast.SendStmt:
 				if !insideSelect {
-					diags = append(diags, ic.diagAt(node.Pos(), id, SeverityError,
+					diags = append(diags, n.File.diag(node.Pos(), id,
 						"blocking channel send in a loop of %s with no ctx.Done() escape; wrap in a select with ctx.Done()",
 						n.Name()))
 				}
 			case *ast.UnaryExpr:
 				if node.Op.String() == "<-" && !insideSelect && isChanRecv(n, node) {
-					diags = append(diags, ic.diagAt(node.Pos(), id, SeverityError,
+					diags = append(diags, n.File.diag(node.Pos(), id,
 						"blocking channel receive in a loop of %s with no ctx.Done() escape; wrap in a select with ctx.Done()",
 						n.Name()))
 				}
@@ -272,7 +328,7 @@ func selectHasDoneOrDefault(sel *ast.SelectStmt) bool {
 
 // ctxThreadFindings is rule 4: calls from a context-carrying function
 // to a loaded ctx-accepting callee that pass no derived context.
-func ctxThreadFindings(ic *InterContext, id string, n *CallNode) []Diagnostic {
+func ctxThreadFindings(id string, n *CallNode) []Diagnostic {
 	derived := derivedCtxObjects(n)
 	if len(derived) == 0 {
 		return nil // context exists but is unnamed (e.g. `_ context.Context`)
@@ -292,7 +348,7 @@ func ctxThreadFindings(ic *InterContext, id string, n *CallNode) []Diagnostic {
 		if argsContainFreshRoot(n, e.Site) {
 			continue // rule 1 already flags the Background()/TODO() argument
 		}
-		diags = append(diags, ic.diagAt(e.Site.Pos(), id, SeverityError,
+		diags = append(diags, n.File.diag(e.Site.Pos(), id,
 			"%s calls %s without threading its ctx (the callee accepts a context.Context); cancellation will not propagate",
 			n.Name(), e.Callee.Name()))
 	}

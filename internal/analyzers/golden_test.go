@@ -1,225 +1,227 @@
 package analyzers
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
+	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// parseFixture loads one testdata file as a single-file package, the
-// way the runner would see it if its directory held nothing else.
-func parseFixture(t *testing.T, path string) *File {
+// lintDir loads one testdata directory and runs the named checks over
+// it (every registered check when ids is empty), suppression applied.
+func lintDir(t *testing.T, dir string, ids ...string) []Diagnostic {
 	t.Helper()
-	fset := token.NewFileSet()
-	af, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+	pkgs, err := Load([]string{dir})
 	if err != nil {
-		t.Fatalf("parse %s: %v", path, err)
+		t.Fatalf("Load(%s): %v", dir, err)
 	}
-	return &File{
-		Fset:     fset,
-		AST:      af,
-		Path:     path,
-		Pkg:      af.Name.Name,
-		Siblings: []*ast.File{af},
+	checks := All()
+	if len(ids) > 0 {
+		checks = slices.DeleteFunc(checks, func(c Check) bool { return !slices.Contains(ids, c.ID) })
+		if len(checks) != len(ids) {
+			t.Fatalf("unknown check among %v", ids)
+		}
 	}
+	return lint(pkgs, checks)
 }
 
-// runOn runs a single check (by ID) over one fixture.
-func runOn(t *testing.T, checkID, path string) []Diagnostic {
-	t.Helper()
-	checks, err := Select([]string{checkID})
-	if err != nil {
-		t.Fatalf("Select(%s): %v", checkID, err)
-	}
-	return LintFile(parseFixture(t, path), checks)
+// golden is one fixture directory under testdata, the check its dirty/
+// half exercises, and the findings that check must report there, in
+// order.
+type golden struct {
+	fixture string
+	check   string
+	want    []goldenWant
 }
 
-func TestGoldenDirtyFixtures(t *testing.T) {
-	type want struct {
-		line   int
-		check  string
-		substr string
-	}
-	cases := []struct {
-		check string
-		want  []want
-	}{
-		{check: "nodeterm", want: []want{
-			{12, "nodeterm", "rand.Shuffle"},
-			{16, "nodeterm", "rand.Float64"},
-			{20, "nodeterm", "time.Now"},
-			{21, "nodeterm", "time.Since"},
-			{26, "nodeterm", "order-dependent"},
-			{34, "nodeterm", "order-dependent"},
+type goldenWant struct {
+	file   string
+	line   int
+	substr string
+}
+
+// The golden fixtures, grouped by what of a Pass their check reads: one
+// file's syntax (nodeterm, spanend, and unitflow's naming rules, once
+// the unitsuffix check), types flowing between declarations (unitflow),
+// or the call graph (ctxflow).
+var (
+	syntaxGoldens = []golden{
+		{fixture: "nodeterm", check: "nodeterm", want: []goldenWant{
+			{"dirty.go", 12, "rand.Shuffle"},
+			{"dirty.go", 16, "rand.Float64"},
+			{"dirty.go", 20, "time.Now"},
+			{"dirty.go", 21, "time.Since"},
+			{"dirty.go", 26, "order-dependent"},
+			{"dirty.go", 34, "order-dependent"},
 		}},
-		{check: "unitsuffix", want: []want{
-			{8, "unitsuffix", "Budget.Limit"},
-			{9, "unitsuffix", "Budget.Used"},
-			{14, "unitsuffix", "Transfer.Elapsed"},
-			{23, "unitsuffix", "mixes units"},
-			{27, "unitsuffix", "mixes units"},
-			{31, "unitsuffix", "mixes units"},
+		{fixture: "spanend", check: "spanend", want: []goldenWant{
+			{"dirty.go", 22, "discarded"},
+			{"dirty.go", 26, "discarded"},
+			{"dirty.go", 30, "return path before sp.End"},
+			{"dirty.go", 39, "no End on the fallthrough path"},
 		}},
-		{check: "floateq", want: []want{
-			{8, "floateq", "float operands"},
-			{12, "floateq", "float operands"},
-			{17, "floateq", "float operands"},
-			{21, "floateq", "float operands"},
-		}},
-		{check: "droppederr", want: []want{
-			{12, "droppederr", "discarded with _ ="},
-			{16, "droppederr", "error return of persist ignored"},
-			{20, "droppederr", "os.Open"},
-			{21, "droppederr", "f.Close"},
-		}},
-		{check: "lockbalance", want: []want{
-			{13, "lockbalance", "no defer"},
-			{18, "lockbalance", "escapes before"},
-			{27, "lockbalance", "c.mu.TryLock in tryLeak: the success path never releases"},
-			{35, "lockbalance", "c.mu.TryLock in tryGuardLeak: the success path never releases"},
-		}},
-		{check: "gorleak", want: []want{
-			{6, "gorleak", "no visible join"},
-			{12, "gorleak", "no visible join"},
-		}},
-		{check: "spanend", want: []want{
-			{22, "spanend", "discarded"},
-			{26, "spanend", "discarded"},
-			{30, "spanend", "return path before sp.End"},
-			{39, "spanend", "no End on the fallthrough path"},
+		{fixture: "unitsuffix", check: "unitflow", want: []goldenWant{
+			{"dirty.go", 8, `exported field Envelope.Limit is documented in "dollars" but its name carries no unit suffix`},
+			{"dirty.go", 9, `exported field Envelope.Used is documented in "dollars"`},
+			{"dirty.go", 14, `exported field Transfer.Elapsed is documented in "microseconds"`},
+			{"dirty.go", 23, `"+" mixes units: durS is in s but sizeBytes is in B`},
+			{"dirty.go", 27, `">" mixes time scales: totalS is in s but latencyUS is in us`},
+			{"dirty.go", 31, `"<" mixes time scales: durS is in s but w.SpanMS is in ms`},
 		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.check, func(t *testing.T) {
-			path := filepath.Join("testdata", tc.check, "dirty.go")
-			got := runOn(t, tc.check, path)
-			if len(got) != len(tc.want) {
+	typedGoldens = []golden{
+		{fixture: "unitflow", check: "unitflow", want: []goldenWant{
+			{"dirty.go", 10, `field Sample.WindowMS is suffixed ms but its comment documents "seconds" (s)`},
+			{"dirty.go", 20, `"+" mixes units: wait is in s but payloadBytes is in B`},
+			{"dirty.go", 25, `"-" mixes time scales: t is in s but sliceMS is in ms`},
+			{"dirty.go", 30, "budgetUSD is suffixed USD but is assigned a value in us"},
+			{"dirty.go", 35, "ratioS is suffixed s but stores a dimensionless ratio"},
+			{"dirty.go", 40, "totalS is suffixed s but stores a product of units (time×time)"},
+			{"dirty.go", 45, `"+=" mixes units: totalBytes is in B but extraMS is in ms`},
+			{"dirty.go", 50, "CapUSD is suffixed USD but is assigned a value in s"},
+			{"dirty.go", 58, `call to bill passes elapsedS (s) for parameter "amountUSD", which is in USD`},
+			{"dirty.go", 62, "waitUS declares its result in us but returns a value in s"},
+		}},
+	}
+	interGoldens = []golden{
+		{fixture: "ctxflow", check: "ctxflow", want: []goldenWant{
+			{"dirty.go", 15, "context.Background in repro/internal/analyzers/testdata/ctxflow/dirty.detachedTimeout, which already carries a context"},
+			{"dirty.go", 21, "context.TODO in repro/internal/analyzers/testdata/ctxflow/dirty.handlerTODO, which already carries a context"},
+			{"dirty.go", 32, "but every caller (1) carries a context; accept a ctx parameter"},
+			{"dirty.go", 43, "blocking channel send in a loop of repro/internal/analyzers/testdata/ctxflow/dirty.pump with no ctx.Done() escape"},
+			{"dirty.go", 51, "blocking channel receive in a loop of repro/internal/analyzers/testdata/ctxflow/dirty.drain with no ctx.Done() escape"},
+			{"dirty.go", 60, "select in a loop of repro/internal/analyzers/testdata/ctxflow/dirty.waitLoop has no ctx.Done() case and no default"},
+			{"dirty.go", 75, "calls repro/internal/analyzers/testdata/ctxflow/dirty.process without threading its ctx"},
+		}},
+	}
+)
+
+// testDirty runs each golden's check over its dirty/ fixture and pins
+// the findings: file, line, check and message.
+func testDirty(t *testing.T, goldens []golden) {
+	for _, g := range goldens {
+		t.Run(g.fixture, func(t *testing.T) {
+			dir := filepath.Join("testdata", g.fixture, "dirty")
+			got := lintDir(t, dir, g.check)
+			if len(got) != len(g.want) {
 				t.Fatalf("%s: got %d finding(s), want %d:\n%s",
-					path, len(got), len(tc.want), renderDiags(got))
+					dir, len(got), len(g.want), renderDiags(got))
 			}
-			for i, w := range tc.want {
+			for i, w := range g.want {
 				d := got[i]
-				if d.Line != w.line || d.Check != w.check {
-					t.Errorf("finding %d: got %s:%d [%s], want line %d [%s]",
-						i, d.File, d.Line, d.Check, w.line, w.check)
+				if filepath.Base(d.File) != w.file || d.Line != w.line || d.Check != g.check {
+					t.Errorf("finding %d: got %s:%d [%s], want %s:%d [%s]",
+						i, d.File, d.Line, d.Check, w.file, w.line, g.check)
 				}
 				if !strings.Contains(d.Message, w.substr) {
 					t.Errorf("finding %d: message %q does not contain %q", i, d.Message, w.substr)
 				}
-				if d.Severity != SeverityError {
-					t.Errorf("finding %d: severity %q, want %q", i, d.Severity, SeverityError)
-				}
 			}
 		})
 	}
 }
+
+// testClean requires each golden's clean/ fixture to survive the full
+// suite, not just its own check: a clean idiom that trips a
+// neighboring check is still a false positive.
+func testClean(t *testing.T, goldens []golden) {
+	for _, g := range goldens {
+		t.Run(g.fixture, func(t *testing.T) {
+			dir := filepath.Join("testdata", g.fixture, "clean")
+			if got := lintDir(t, dir); len(got) != 0 {
+				t.Fatalf("%s: want no findings, got:\n%s", dir, renderDiags(got))
+			}
+		})
+	}
+}
+
+func TestGoldenDirtyFixtures(t *testing.T)      { testDirty(t, syntaxGoldens) }
+func TestTypedGoldenDirtyFixtures(t *testing.T) { testDirty(t, typedGoldens) }
+func TestInterGoldenDirtyFixtures(t *testing.T) { testDirty(t, interGoldens) }
 
 func TestGoldenCleanFixtures(t *testing.T) {
-	for _, check := range []string{"nodeterm", "unitsuffix", "floateq", "droppederr", "lockbalance", "gorleak", "spanend"} {
-		t.Run(check, func(t *testing.T) {
-			// Clean fixtures must survive the full suite, not just their
-			// own check: a clean idiom that trips a neighboring check is
-			// still a false positive.
-			path := filepath.Join("testdata", check, "clean.go")
-			got := LintFile(parseFixture(t, path), All())
-			if len(got) != 0 {
-				t.Fatalf("%s: want no findings, got:\n%s", path, renderDiags(got))
-			}
-		})
+	// Every registered check has a golden fixture in some group.
+	for _, c := range All() {
+		if !slices.ContainsFunc(slices.Concat(syntaxGoldens, typedGoldens, interGoldens),
+			func(g golden) bool { return g.check == c.ID }) {
+			t.Errorf("check %s has no golden fixture", c.ID)
+		}
 	}
+	testClean(t, syntaxGoldens)
 }
+
+func TestTypedGoldenCleanFixtures(t *testing.T) { testClean(t, typedGoldens) }
+func TestInterGoldenCleanFixtures(t *testing.T) { testClean(t, interGoldens) }
 
 func TestSuppressionDirectives(t *testing.T) {
-	path := filepath.Join("testdata", "suppress", "file.go")
-	got := runOn(t, "floateq", path)
+	got := lintDir(t, filepath.Join("testdata", "suppress"))
 	// Same-line, line-above, comma-list and wildcard directives silence
-	// their comparisons; only the directive missing a reason leaks: a
-	// badignore for the malformed comment and the floateq it failed to
-	// suppress.
-	if len(got) != 2 {
-		t.Fatalf("want 2 findings, got:\n%s", renderDiags(got))
+	// their wall-clock reads. The directive missing a reason and the one
+	// naming no registered check suppress nothing: each is a badignore,
+	// and the nodeterm below it leaks.
+	want := []struct {
+		line  int
+		check string
+	}{{30, BadIgnoreID}, {31, "nodeterm"}, {35, BadIgnoreID}, {36, "nodeterm"}}
+	if len(got) != len(want) {
+		t.Fatalf("want %d findings, got:\n%s", len(want), renderDiags(got))
 	}
-	if got[0].Check != BadIgnoreID || got[0].Line != 26 {
-		t.Errorf("got %s:%d [%s], want line 26 [%s]", got[0].File, got[0].Line, got[0].Check, BadIgnoreID)
+	for i, w := range want {
+		if got[i].Line != w.line || got[i].Check != w.check {
+			t.Errorf("got %s:%d [%s], want line %d [%s]", got[i].File, got[i].Line, got[i].Check, w.line, w.check)
+		}
 	}
-	if got[1].Check != "floateq" || got[1].Line != 27 {
-		t.Errorf("got %s:%d [%s], want line 27 [floateq]", got[1].File, got[1].Line, got[1].Check)
+	if !strings.Contains(got[2].Message, `unknown check "nosuchcheck"`) {
+		t.Errorf("badignore message %q does not name the unknown check", got[2].Message)
 	}
 }
 
-func TestBaselineRoundTrip(t *testing.T) {
-	diags := []Diagnostic{
-		{File: "a.go", Line: 3, Check: "floateq", Message: "m1", Severity: SeverityError},
-		{File: "a.go", Line: 9, Check: "floateq", Message: "m1", Severity: SeverityError},
-		{File: "b.go", Line: 1, Check: "gorleak", Message: "m2", Severity: SeverityError},
+// TestInterSuppression pins //lint:ignore handling for findings of the
+// call-graph check: the directive in the file a finding lands in
+// silences it.
+func TestInterSuppression(t *testing.T) {
+	if got := lintDir(t, filepath.Join("testdata", "ctxflow", "suppressed"), "ctxflow"); len(got) != 0 {
+		t.Fatalf("want suppressed, got:\n%s", renderDiags(got))
 	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := NewBaseline(diags).Save(path); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := LoadBaseline(path)
+}
+
+// TestEveryCheckHasAStatedReason holds the registry to DESIGN.md §11's
+// table of checks, the way surface_test.go holds cmd/ to §3's: a check
+// needs a row naming the invariant it guards and the evidence that
+// earned it, and a row needs its check. perfbudget is the table's one
+// row that is not a registered check.
+func TestEveryCheckHasAStatedReason(t *testing.T) {
+	design, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
 	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
+		t.Fatal(err)
 	}
-	if len(loaded.Findings) != 3 {
-		t.Fatalf("loaded %d entries, want 3", len(loaded.Findings))
+	_, sec11, ok := strings.Cut(string(design), "\n## 11.")
+	if !ok {
+		t.Fatal("DESIGN.md has no §11")
 	}
-	fresh, stale := loaded.Apply(diags)
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Errorf("round trip: fresh=%d stale=%d, want 0/0", len(fresh), len(stale))
+	sec11, _, _ = strings.Cut(sec11, "\n## ")
+	var rows []string
+	for _, row := range regexp.MustCompile("(?m)^\\| `([a-z]+)` \\|([^|]*)\\|([^|]*)\\|$").FindAllStringSubmatch(sec11, -1) {
+		if strings.TrimSpace(row[2]) == "" || strings.TrimSpace(row[3]) == "" {
+			t.Errorf("DESIGN.md §11: %s states no invariant or no evidence", row[1])
+		}
+		rows = append(rows, row[1])
 	}
-}
-
-func TestBaselineFreshAndStale(t *testing.T) {
-	baseline := NewBaseline([]Diagnostic{
-		{File: "a.go", Line: 3, Check: "floateq", Message: "m1"},
-		{File: "gone.go", Line: 8, Check: "gorleak", Message: "paid down"},
-	})
-	now := []Diagnostic{
-		// Same finding as the baseline's a.go entry, but on a different
-		// line: baselines match on (file, check, message) so a shifted
-		// finding stays grandfathered.
-		{File: "a.go", Line: 7, Check: "floateq", Message: "m1"},
-		{File: "c.go", Line: 2, Check: "droppederr", Message: "new finding"},
+	want := []string{"perfbudget"}
+	for _, c := range All() {
+		want = append(want, c.ID)
 	}
-	fresh, stale := baseline.Apply(now)
-	if len(fresh) != 1 || fresh[0].File != "c.go" {
-		t.Errorf("fresh = %+v, want only the c.go finding", fresh)
-	}
-	if len(stale) != 1 || stale[0].File != "gone.go" {
-		t.Errorf("stale = %+v, want only the gone.go entry", stale)
-	}
-}
-
-func TestBaselineMultisetBudget(t *testing.T) {
-	baseline := NewBaseline([]Diagnostic{
-		{File: "a.go", Check: "floateq", Message: "m1"},
-	})
-	now := []Diagnostic{
-		{File: "a.go", Line: 1, Check: "floateq", Message: "m1"},
-		{File: "a.go", Line: 5, Check: "floateq", Message: "m1"},
-	}
-	fresh, _ := baseline.Apply(now)
-	if len(fresh) != 1 {
-		t.Fatalf("one baseline entry must absorb exactly one of two identical findings; fresh=%d", len(fresh))
-	}
-}
-
-func TestLoadBaselineMissingFile(t *testing.T) {
-	b, err := LoadBaseline(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil {
-		t.Fatalf("missing baseline must not be an error: %v", err)
-	}
-	if len(b.Findings) != 0 {
-		t.Fatalf("missing baseline must be empty, got %d entries", len(b.Findings))
+	slices.Sort(rows)
+	slices.Sort(want)
+	if !slices.Equal(rows, want) {
+		t.Errorf("DESIGN.md §11's check table and the registry differ:\n table: %v\n  want: %v", rows, want)
 	}
 }
 
 func TestRunSkipsTestdata(t *testing.T) {
-	res, err := Run([]string{"./..."}, All())
+	res, err := Run([]string{"./..."})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -233,26 +235,58 @@ func TestRunSkipsTestdata(t *testing.T) {
 	}
 }
 
-func TestRunExplicitDirectory(t *testing.T) {
-	checks, err := Select([]string{"gorleak"})
+// TestRunTypedSkipsTestdata holds the typed load itself to the lint
+// surface: no fixture is type-checked, so none can feed a check's
+// types or the call graph, even one with no findings of its own.
+func TestRunTypedSkipsTestdata(t *testing.T) {
+	pkgs, err := Load([]string{"./..."})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Load: %v", err)
 	}
-	res, err := Run([]string{filepath.Join("testdata", "gorleak")}, checks)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	if len(pkgs) == 0 {
+		t.Fatal("Load returned no packages; expected this package")
 	}
-	if res.Files != 2 {
-		t.Errorf("Files = %d, want 2 (dirty.go and clean.go)", res.Files)
-	}
-	if len(res.Diags) != 2 {
-		t.Errorf("got %d finding(s), want the 2 from dirty.go:\n%s", len(res.Diags), renderDiags(res.Diags))
+	for _, p := range pkgs {
+		if strings.Contains(p.Dir, "testdata") {
+			t.Errorf("testdata package %s (%s) was type-checked", p.Path, p.Dir)
+		}
+		if p.Types == nil || p.Info == nil {
+			t.Errorf("%s: loaded without type information", p.Dir)
+		}
 	}
 }
 
-func TestSelectUnknownCheck(t *testing.T) {
-	if _, err := Select([]string{"nonsense"}); err == nil {
-		t.Fatal("Select must reject unknown check IDs")
+func TestRunExplicitDirectory(t *testing.T) {
+	res, err := Run([]string{filepath.Join("testdata", "nodeterm", "dirty")})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Files != 1 {
+		t.Errorf("Files = %d, want 1", res.Files)
+	}
+	if len(res.Diags) != 6 {
+		t.Errorf("got %d finding(s), want the 6 from dirty.go:\n%s", len(res.Diags), renderDiags(res.Diags))
+	}
+}
+
+// TestRunTypedExplicitDirectory runs the full suite on a fixture whose
+// findings need type information: every one comes through Run.
+func TestRunTypedExplicitDirectory(t *testing.T) {
+	res, err := Run([]string{filepath.Join("testdata", "unitflow", "dirty")})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Files != 1 {
+		t.Errorf("Files = %d, want 1", res.Files)
+	}
+	if len(res.Diags) != len(typedGoldens[0].want) {
+		t.Errorf("got %d finding(s), want the %d from dirty.go:\n%s",
+			len(res.Diags), len(typedGoldens[0].want), renderDiags(res.Diags))
+	}
+	for _, d := range res.Diags {
+		if d.Check != "unitflow" {
+			t.Errorf("unexpected %s finding: %s", d.Check, d)
+		}
 	}
 }
 

@@ -9,122 +9,66 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// This file is the typed half of the suite: a stdlib-only loader that
-// builds full go/types information for every package on the lint
-// surface, and the TypedCheck registration that parallels Check. The
-// loader resolves standard-library imports through the source importer
+// This file is the suite's one load: a stdlib-only loader that builds
+// full go/types information for every package on the lint surface. It
+// resolves standard-library imports through the source importer
 // (importer.ForCompiler(fset, "source", nil)) and module-internal
 // imports itself, by walking up to go.mod, mapping the import path to a
 // directory and type-checking that directory recursively — the piece
 // the source importer cannot do in module mode.
 
-// TypedPackage is one fully type-checked package.
-type TypedPackage struct {
+// Package is one fully type-checked package.
+type Package struct {
 	Dir   string // directory as walked, the prefix of diagnostic paths
 	Path  string // import path within the enclosing module
 	Fset  *token.FileSet
-	Files []*TypedFile
+	Files []*File
 	Types *types.Package
 	Info  *types.Info
 }
 
-// TypedFile is the per-file context handed to semantic checks: the
-// syntactic File plus the type information of its package.
-type TypedFile struct {
-	File
-	Package *TypedPackage
+// File is one loaded file: its syntax and the package it was
+// type-checked in.
+type File struct {
+	Fset    *token.FileSet
+	AST     *ast.File
+	Path    string // path as walked, used verbatim in diagnostics
+	Package *Package
 }
 
-// TypedCheck is a semantic analyzer. It mirrors Check — same ID
-// namespace, same suppression and baseline machinery — but its run
-// function sees full type information.
-type TypedCheck struct {
-	ID  string
-	Doc string
-	Run func(f *TypedFile) []Diagnostic
-}
-
-// AllTyped returns every registered semantic check, sorted by ID.
-func AllTyped() []TypedCheck {
-	cs := []TypedCheck{
-		checkLossyConv(),
-		checkTypeAssert(),
-		checkUnitFlow(),
+// diag builds a Diagnostic at the given position of the file.
+func (f *File) diag(pos token.Pos, check, format string, args ...any) Diagnostic {
+	p := f.Fset.Position(pos)
+	return Diagnostic{
+		File:    f.Path,
+		Line:    p.Line,
+		Col:     p.Column,
+		Check:   check,
+		Message: fmt.Sprintf(format, args...),
 	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].ID < cs[j].ID })
-	return cs
-}
-
-// Selection names the checks of one lint run across all four layers.
-type Selection struct {
-	Syntactic []Check
-	Typed     []TypedCheck
-	Inter     []InterCheck
-	Flow      []FlowCheck
-}
-
-// SelectAll resolves check IDs across the syntactic, typed,
-// interprocedural, and flow-sensitive suites (all checks of every
-// layer when ids is empty), or returns an error naming any unknown ID.
-func SelectAll(ids []string) (Selection, error) {
-	if len(ids) == 0 {
-		return Selection{Syntactic: All(), Typed: AllTyped(), Inter: AllInter(), Flow: AllFlow()}, nil
-	}
-	syn := map[string]Check{}
-	for _, c := range All() {
-		syn[c.ID] = c
-	}
-	typ := map[string]TypedCheck{}
-	for _, c := range AllTyped() {
-		typ[c.ID] = c
-	}
-	inter := map[string]InterCheck{}
-	for _, c := range AllInter() {
-		inter[c.ID] = c
-	}
-	flow := map[string]FlowCheck{}
-	for _, c := range AllFlow() {
-		flow[c.ID] = c
-	}
-	var sel Selection
-	for _, id := range ids {
-		if c, ok := syn[id]; ok {
-			sel.Syntactic = append(sel.Syntactic, c)
-			continue
-		}
-		if c, ok := typ[id]; ok {
-			sel.Typed = append(sel.Typed, c)
-			continue
-		}
-		if c, ok := inter[id]; ok {
-			sel.Inter = append(sel.Inter, c)
-			continue
-		}
-		if c, ok := flow[id]; ok {
-			sel.Flow = append(sel.Flow, c)
-			continue
-		}
-		return Selection{}, fmt.Errorf("analyzers: unknown check %q", id)
-	}
-	return sel, nil
 }
 
 // Load type-checks the directories matched by the given package
-// patterns (same pattern language and skip rules as Run) and returns
-// one TypedPackage per directory, sorted by directory.
-func Load(patterns []string) ([]*TypedPackage, error) {
+// patterns and returns one Package per directory, sorted by directory.
+// A pattern is either a directory path or a path ending in "/..." for a
+// recursive walk (the familiar go-tool spelling); the default is
+// ./.... Test files and testdata, vendor, hidden and underscore
+// directories are skipped: tests legitimately use wall clocks and
+// discarded errors, and testdata holds intentionally dirty fixtures.
+func Load(patterns []string) ([]*Package, error) {
 	dirs, err := expandPatterns(patterns)
 	if err != nil {
 		return nil, err
 	}
 	l := newLoader()
-	var pkgs []*TypedPackage
+	var pkgs []*Package
 	for _, dir := range dirs {
 		p, err := l.loadDir(dir)
 		if err != nil {
@@ -135,38 +79,81 @@ func Load(patterns []string) ([]*TypedPackage, error) {
 	return pkgs, nil
 }
 
-// RunTyped is Run for semantic checks: it loads the matched packages
-// with full type information and lints every file, honoring the same
-// //lint:ignore directives. Malformed directives are not re-reported
-// here; the syntactic run owns badignore.
-func RunTyped(patterns []string, checks []TypedCheck) (Result, error) {
-	pkgs, err := Load(patterns)
-	if err != nil {
-		return Result{}, err
+// expandPatterns resolves patterns into a sorted, de-duplicated list of
+// directories containing at least one non-test Go file.
+func expandPatterns(patterns []string) ([]string, error) {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	var res Result
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			res.Diags = append(res.Diags, LintTypedFile(f, checks)...)
-			res.Files++
+	seen := map[string]bool{}
+	var dirs []string
+	add := func(dir string) {
+		if !seen[dir] && hasGoFiles(dir) {
+			seen[dir] = true
+			dirs = append(dirs, dir)
 		}
 	}
-	sortDiags(res.Diags)
-	return res, nil
+	for _, p := range patterns {
+		if rest, ok := strings.CutSuffix(p, "..."); ok {
+			root := filepath.Clean(strings.TrimSuffix(rest, "/"))
+			if root == "" {
+				root = "."
+			}
+			err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+				if err != nil {
+					return err
+				}
+				if !d.IsDir() {
+					return nil
+				}
+				if skipDir(d.Name()) && path != root {
+					return filepath.SkipDir
+				}
+				add(path)
+				return nil
+			})
+			if err != nil {
+				return nil, fmt.Errorf("analyzers: walking %s: %w", p, err)
+			}
+			continue
+		}
+		info, err := os.Stat(p)
+		if err != nil {
+			return nil, fmt.Errorf("analyzers: %w", err)
+		}
+		if !info.IsDir() {
+			return nil, fmt.Errorf("analyzers: pattern %q is not a directory", p)
+		}
+		add(filepath.Clean(p))
+	}
+	sort.Strings(dirs)
+	return dirs, nil
 }
 
-// LintTypedFile runs the semantic checks over one loaded file and
-// applies its suppression directives. Exposed for the golden tests.
-func LintTypedFile(f *TypedFile, checks []TypedCheck) []Diagnostic {
-	dirs, _ := parseIgnores(&f.File)
-	var diags []Diagnostic
-	for _, c := range checks {
-		c := c
-		timeCheck(c.ID, func() { diags = append(diags, c.Run(f)...) })
+// skipDir reports whether a directory subtree is outside the lint
+// surface.
+func skipDir(name string) bool {
+	return name == "testdata" || name == "vendor" ||
+		strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
+}
+
+// hasGoFiles reports whether dir directly contains a lintable Go file.
+func hasGoFiles(dir string) bool {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return false
 	}
-	diags = suppress(diags, dirs)
-	sortDiags(diags)
-	return diags
+	for _, e := range entries {
+		if !e.IsDir() && lintableFile(e.Name()) {
+			return true
+		}
+	}
+	return false
+}
+
+// lintableFile reports whether a file name is in scope.
+func lintableFile(name string) bool {
+	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
 }
 
 // module is one enclosing module: its root directory and module path.
@@ -175,12 +162,12 @@ type module struct {
 	path string
 }
 
-// loader memoizes type-checked packages across one Load/RunTyped call
-// so shared dependencies are checked once.
+// loader memoizes type-checked packages across one Load call so shared
+// dependencies are checked once.
 type loader struct {
 	fset    *token.FileSet
 	std     types.Importer
-	pkgs    map[string]*TypedPackage // by absolute directory
+	pkgs    map[string]*Package // by absolute directory
 	loading map[string]bool
 	mods    map[string]*module // by absolute directory
 }
@@ -190,7 +177,7 @@ func newLoader() *loader {
 	return &loader{
 		fset:    fset,
 		std:     importer.ForCompiler(fset, "source", nil),
-		pkgs:    map[string]*TypedPackage{},
+		pkgs:    map[string]*Package{},
 		loading: map[string]bool{},
 		mods:    map[string]*module{},
 	}
@@ -237,7 +224,7 @@ func modulePath(gomod []byte) string {
 }
 
 // loadDir parses and type-checks the lintable files of one directory.
-func (l *loader) loadDir(dir string) (*TypedPackage, error) {
+func (l *loader) loadDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, fmt.Errorf("analyzers: %w", err)
@@ -267,8 +254,7 @@ func (l *loader) loadDir(dir string) (*TypedPackage, error) {
 	// Diagnostics carry dir verbatim, so prefer a working-directory-
 	// relative rendering even when the package was first reached through
 	// the importer (which resolves by absolute path): workflow
-	// annotations and baselines need paths that mean something outside
-	// this machine.
+	// annotations need paths that mean something outside this machine.
 	display := dir
 	if filepath.IsAbs(display) {
 		if wd, err := os.Getwd(); err == nil {
@@ -313,18 +299,9 @@ func (l *loader) loadDir(dir string) (*TypedPackage, error) {
 		return nil, fmt.Errorf("analyzers: type-checking %s: %w", dir, err)
 	}
 
-	p := &TypedPackage{Dir: display, Path: importPath, Fset: l.fset, Types: tpkg, Info: info}
+	p := &Package{Dir: display, Path: importPath, Fset: l.fset, Types: tpkg, Info: info}
 	for i := range asts {
-		p.Files = append(p.Files, &TypedFile{
-			File: File{
-				Fset:     l.fset,
-				AST:      asts[i],
-				Path:     paths[i],
-				Pkg:      asts[i].Name.Name,
-				Siblings: asts,
-			},
-			Package: p,
-		})
+		p.Files = append(p.Files, &File{Fset: l.fset, AST: asts[i], Path: paths[i], Package: p})
 	}
 	l.pkgs[abs] = p
 	return p, nil

@@ -37,8 +37,9 @@ func checkNoDeterm() Check {
 	return Check{
 		ID:  id,
 		Doc: "no global math/rand, wall clock, or unsorted map-order output in deterministic packages (fleet, simcloud, perfmodel, cloud, campaign)",
-		Run: func(f *File) []Diagnostic {
-			if !deterministicPkgs[f.Pkg] {
+		Run: eachFile(func(f *File) []Diagnostic {
+			pkgName := f.AST.Name.Name
+			if !deterministicPkgs[pkgName] {
 				return nil
 			}
 			var diags []Diagnostic
@@ -62,16 +63,16 @@ func checkNoDeterm() Check {
 				switch {
 				case (pkg.Name == randName && randName != "") || (pkg.Name == randV2 && randV2 != ""):
 					if !randConstructors[sel.Sel.Name] {
-						diags = append(diags, f.diag(call.Pos(), id, SeverityError,
+						diags = append(diags, f.diag(call.Pos(), id,
 							"call to global %s.%s in deterministic package %s; thread a seeded *rand.Rand instead",
-							pkg.Name, sel.Sel.Name, f.Pkg))
+							pkg.Name, sel.Sel.Name, pkgName))
 					}
 				case pkg.Name == timeName && timeName != "":
 					switch sel.Sel.Name {
 					case "Now", "Since":
-						diags = append(diags, f.diag(call.Pos(), id, SeverityError,
+						diags = append(diags, f.diag(call.Pos(), id,
 							"wall-clock time.%s in deterministic package %s; inject a clock or use simulated time",
-							sel.Sel.Name, f.Pkg))
+							sel.Sel.Name, pkgName))
 					}
 				}
 				return true
@@ -81,7 +82,7 @@ func checkNoDeterm() Check {
 				diags = append(diags, mapOrderFindings(f, id, ftype, body)...)
 			})
 			return diags
-		},
+		}),
 	}
 }
 
@@ -167,7 +168,7 @@ func mapOrderFindings(f *File, id string, ftype *ast.FuncType, body *ast.BlockSt
 		if !escape || (target != "" && sorted[target]) {
 			return true
 		}
-		diags = append(diags, f.diag(rng.Pos(), id, SeverityError,
+		diags = append(diags, f.diag(rng.Pos(), id,
 			"iteration over map %s produces order-dependent output; collect and sort keys first", subj.Name))
 		return true
 	})

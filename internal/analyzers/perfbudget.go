@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -72,6 +73,69 @@ func (b PerfBudget) Save(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// hotDirective is the comment directive marking hot-path code:
+// `//lint:hot` above the package clause marks every function in the
+// file, above (or in the doc comment of) a function declaration marks
+// that function.
+const hotDirective = "lint:hot"
+
+// hotMarks is the resolved //lint:hot annotation state of one file.
+type hotMarks struct {
+	fileHot bool
+	lines   map[int]bool // lines carrying a directive
+}
+
+// hotMarksOf scans a file's comments for //lint:hot directives.
+func hotMarksOf(f *File) hotMarks {
+	m := hotMarks{lines: map[int]bool{}}
+	for _, cg := range f.AST.Comments {
+		for _, c := range cg.List {
+			text := strings.TrimPrefix(c.Text, "//")
+			if strings.TrimSpace(text) != hotDirective {
+				continue
+			}
+			if c.End() <= f.AST.Package {
+				m.fileHot = true
+				continue
+			}
+			m.lines[f.Fset.Position(c.Pos()).Line] = true
+		}
+	}
+	return m
+}
+
+// hot reports whether a declaration is marked hot: the file is hot, a
+// directive sits on the line above the declaration, or one sits inside
+// its doc comment.
+func (m hotMarks) hot(d *ast.FuncDecl, fset *token.FileSet) bool {
+	if m.fileHot {
+		return true
+	}
+	if m.lines[fset.Position(d.Pos()).Line-1] {
+		return true
+	}
+	if d.Doc != nil {
+		start := fset.Position(d.Doc.Pos()).Line
+		end := fset.Position(d.Doc.End()).Line
+		for l := start; l <= end; l++ {
+			if m.lines[l] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// funcDeclName renders a declaration the way budgets key it: "Name" or
+// "(Recv).Name" / "(*Recv).Name".
+func funcDeclName(d *ast.FuncDecl) string {
+	if d.Recv == nil || len(d.Recv.List) == 0 {
+		return d.Name.Name
+	}
+	recv := d.Recv.List[0].Type
+	return "(" + exprString(recv) + ")." + d.Name.Name
+}
+
 // hotFuncRange locates one hot function's lines within a file.
 type hotFuncRange struct {
 	file       string // as parsed (loader-relative)
@@ -81,10 +145,10 @@ type hotFuncRange struct {
 
 // hotFuncRangesOf returns the line ranges of every //lint:hot function
 // of a loaded package (all functions of a file-hot file).
-func hotFuncRangesOf(pkg *TypedPackage) []hotFuncRange {
+func hotFuncRangesOf(pkg *Package) []hotFuncRange {
 	var out []hotFuncRange
 	for _, f := range pkg.Files {
-		marks := hotMarksOf(&f.File)
+		marks := hotMarksOf(f)
 		for _, decl := range f.AST.Decls {
 			d, ok := decl.(*ast.FuncDecl)
 			if !ok || d.Body == nil || !marks.hot(d, f.Fset) {
@@ -103,8 +167,8 @@ func hotFuncRangesOf(pkg *TypedPackage) []hotFuncRange {
 
 // HotPackages filters a loaded surface down to the packages with at
 // least one //lint:hot function.
-func HotPackages(pkgs []*TypedPackage) []*TypedPackage {
-	var out []*TypedPackage
+func HotPackages(pkgs []*Package) []*Package {
+	var out []*Package
 	for _, p := range pkgs {
 		if len(hotFuncRangesOf(p)) > 0 {
 			out = append(out, p)
@@ -154,7 +218,7 @@ func parsePerfDiags(output string) (escapes, bounds []perfDiag) {
 // inventoryFrom buckets parsed diagnostics into the hot functions of a
 // package. Paths are compared cleaned; a diagnostic outside every hot
 // function's range is not budgeted.
-func inventoryFrom(pkg *TypedPackage, escapes, bounds []perfDiag) PerfBudget {
+func inventoryFrom(pkg *Package, escapes, bounds []perfDiag) PerfBudget {
 	ranges := hotFuncRangesOf(pkg)
 	b := PerfBudget{Version: 1, Package: pkg.Path, Functions: map[string]PerfCounts{}}
 	for _, r := range ranges {
@@ -192,7 +256,7 @@ func inventoryFrom(pkg *TypedPackage, escapes, bounds []perfDiag) PerfBudget {
 
 // CollectPerfInventory compiles one hot package with diagnostics on
 // and returns the per-hot-function inventory.
-func CollectPerfInventory(modRoot string, pkg *TypedPackage) (PerfBudget, error) {
+func CollectPerfInventory(modRoot string, pkg *Package) (PerfBudget, error) {
 	cmd := exec.Command("go", "build",
 		"-gcflags="+pkg.Path+"=-m=1 -d=ssa/check_bce/debug=1", pkg.Path)
 	cmd.Dir = modRoot

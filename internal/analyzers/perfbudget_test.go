@@ -1,6 +1,7 @@
 package analyzers
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -149,14 +150,14 @@ func TestDiffPerfBudget(t *testing.T) {
 // diagnostic lands in the hot function whose range covers its line and
 // whose file matches; everything else is unbudgeted.
 func TestInventoryFromBuckets(t *testing.T) {
-	pkgs, err := Load([]string{filepath.Join("testdata", "hotpath", "dirty")})
+	pkgs, err := Load([]string{filepath.Join("testdata", "hot")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pkg := pkgs[0]
 	ranges := hotFuncRangesOf(pkg)
-	if len(ranges) == 0 {
-		t.Fatal("hotpath dirty fixture must have hot functions")
+	if len(ranges) != 2 {
+		t.Fatalf("hot fixture: %d hot function(s), want 2", len(ranges))
 	}
 	r := ranges[0]
 	escapes := []perfDiag{
@@ -191,9 +192,9 @@ func TestInventoryFromBuckets(t *testing.T) {
 }
 
 // seededModule writes a one-package module under dir and returns a
-// hand-built TypedPackage for it (the perfbudget path only needs the
-// parsed AST for hot ranges, not type information).
-func seededModule(t *testing.T, dir, src string) *TypedPackage {
+// hand-built Package for it (the perfbudget path only needs the parsed
+// AST for hot ranges, not type information).
+func seededModule(t *testing.T, dir, src string) *Package {
 	t.Helper()
 	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module tmphot\n\ngo 1.22\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -207,13 +208,11 @@ func seededModule(t *testing.T, dir, src string) *TypedPackage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &TypedPackage{
-		Dir:  dir,
-		Path: "tmphot",
-		Fset: fset,
-		Files: []*TypedFile{{File: File{
-			Fset: fset, AST: af, Path: path, Pkg: "tmphot",
-		}}},
+	return &Package{
+		Dir:   dir,
+		Path:  "tmphot",
+		Fset:  fset,
+		Files: []*File{{Fset: fset, AST: af, Path: path}},
 	}
 }
 
@@ -314,14 +313,62 @@ func TestFindModuleRoot(t *testing.T) {
 
 func TestHotPackagesFilters(t *testing.T) {
 	pkgs, err := Load([]string{
-		filepath.Join("testdata", "hotpath", "dirty"),
-		filepath.Join("testdata", "nilerr", "dirty"),
+		filepath.Join("testdata", "hot"),
+		filepath.Join("testdata", "module", "stat"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hot := HotPackages(pkgs)
-	if len(hot) != 1 || !strings.HasSuffix(hot[0].Dir, filepath.Join("hotpath", "dirty")) {
+	if len(hot) != 1 || !strings.HasSuffix(hot[0].Dir, filepath.Join("testdata", "hot")) {
 		t.Fatalf("HotPackages must keep only the marked package, got %d", len(hot))
+	}
+}
+
+// TestHotMarks pins the //lint:hot directive's resolution rules:
+// file-level above the package clause, function-level on the line
+// above a declaration or inside its doc comment.
+func TestHotMarks(t *testing.T) {
+	src := `//lint:hot
+package p
+
+func everyFn() {}
+`
+	fset := token.NewFileSet()
+	af, err := parser.ParseFile(fset, "hot.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := hotMarksOf(&File{Fset: fset, AST: af, Path: "hot.go"})
+	if !m.fileHot {
+		t.Error("directive above the package clause must mark the whole file")
+	}
+
+	src2 := `package p
+
+//lint:hot
+func marked() {}
+
+// documented is described here.
+//
+//lint:hot
+func documented() {}
+
+func unmarked() {}
+`
+	af2, err := parser.ParseFile(fset, "hot2.go", src2, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2 := hotMarksOf(&File{Fset: fset, AST: af2, Path: "hot2.go"})
+	if m2.fileHot {
+		t.Error("function-level directives must not mark the file")
+	}
+	for _, d := range af2.Decls {
+		fd := d.(*ast.FuncDecl)
+		want := fd.Name.Name != "unmarked"
+		if got := m2.hot(fd, fset); got != want {
+			t.Errorf("hot(%s) = %v, want %v", fd.Name.Name, got, want)
+		}
 	}
 }

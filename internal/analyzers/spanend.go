@@ -31,13 +31,13 @@ func checkSpanEnd() Check {
 	return Check{
 		ID:  id,
 		Doc: "every span returned by Tracer.Start* has a defer End, an End on all paths, or an explicit handoff",
-		Run: func(f *File) []Diagnostic {
+		Run: eachFile(func(f *File) []Diagnostic {
 			var diags []Diagnostic
 			funcBodies(f.AST, func(name string, ftype *ast.FuncType, body *ast.BlockStmt) {
 				diags = append(diags, spanFindings(f, id, name, body)...)
 			})
 			return diags
-		},
+		}),
 	}
 }
 
@@ -189,7 +189,7 @@ func spanFindings(f *File, id, fname string, body *ast.BlockStmt) []Diagnostic {
 
 	var diags []Diagnostic
 	diag := func(n ast.Node, recv, method, format string, args ...any) {
-		diags = append(diags, f.diag(n.Pos(), id, SeverityError,
+		diags = append(diags, f.diag(n.Pos(), id,
 			"span from "+recv+"."+method+" in "+fname+" "+format, args...))
 	}
 

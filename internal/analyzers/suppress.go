@@ -5,7 +5,8 @@ import (
 )
 
 // BadIgnoreID is the pseudo-check ID used for malformed suppression
-// comments, so an ineffective //lint:ignore never fails silently.
+// comments and for ones naming no registered check, so an ineffective
+// //lint:ignore never fails silently.
 const BadIgnoreID = "badignore"
 
 // ignoreDirective is one parsed //lint:ignore comment.
@@ -15,11 +16,23 @@ type ignoreDirective struct {
 	reason string
 }
 
+// knownIDs is the set of IDs a directive may name: every registered
+// check and the wildcard.
+func knownIDs() map[string]bool {
+	known := map[string]bool{"*": true}
+	for _, c := range All() {
+		known[c.ID] = true
+	}
+	return known
+}
+
 // parseIgnores extracts the suppression directives of a file and emits
-// badignore diagnostics for malformed ones (missing check list or
-// missing reason — an ignore without a reason is a convention the suite
-// exists to prevent).
-func parseIgnores(f *File) ([]ignoreDirective, []Diagnostic) {
+// badignore diagnostics for ineffective ones: a missing check list or
+// reason (an ignore without a reason is a convention the suite exists
+// to prevent), or a check ID that is not registered — a typo, or a
+// directive outliving its check. An ineffective directive suppresses
+// nothing.
+func parseIgnores(f *File, known map[string]bool) ([]ignoreDirective, []Diagnostic) {
 	var dirs []ignoreDirective
 	var diags []Diagnostic
 	for _, cg := range f.AST.Comments {
@@ -34,13 +47,23 @@ func parseIgnores(f *File) ([]ignoreDirective, []Diagnostic) {
 			rest := strings.TrimSpace(strings.TrimPrefix(text, "lint:ignore"))
 			fields := strings.Fields(rest)
 			if len(fields) < 2 {
-				diags = append(diags, f.diag(c.Pos(), BadIgnoreID, SeverityError,
+				diags = append(diags, f.diag(c.Pos(), BadIgnoreID,
 					"malformed suppression %q: want //lint:ignore <check>[,<check>] <reason>", c.Text))
 				continue
 			}
 			checks := map[string]bool{}
+			var unknown []string
 			for _, id := range strings.Split(fields[0], ",") {
-				checks[strings.TrimSpace(id)] = true
+				id = strings.TrimSpace(id)
+				if !known[id] {
+					unknown = append(unknown, id)
+				}
+				checks[id] = true
+			}
+			if len(unknown) > 0 {
+				diags = append(diags, f.diag(c.Pos(), BadIgnoreID,
+					"suppression names unknown check %q", unknown[0]))
+				continue
 			}
 			dirs = append(dirs, ignoreDirective{
 				line:   f.Fset.Position(c.Pos()).Line,

@@ -1,7 +1,6 @@
 package analyzers
 
 import (
-	"go/ast"
 	"go/parser"
 	"go/token"
 	"strings"
@@ -10,15 +9,17 @@ import (
 
 // FuzzSuppressDirective throws arbitrary comment text at the
 // //lint:ignore parser and checks its invariants: no panic, every
-// parsed directive is well-formed (non-empty check set, non-empty
-// reason, positive line), every emitted diagnostic is a badignore, and
-// each lint:ignore comment is accounted for exactly once — either
-// parsed or reported malformed, never both, never neither.
+// parsed directive is well-formed (non-empty set of registered check
+// IDs, non-empty reason, positive line), every emitted diagnostic is a
+// badignore, and each lint:ignore comment is accounted for exactly
+// once — either parsed or reported ineffective, never both, never
+// neither.
 func FuzzSuppressDirective(f *testing.F) {
-	f.Add("lint:ignore floateq exact comparison is the point")
-	f.Add("lint:ignore floateq,nodeterm both silenced")
+	f.Add("lint:ignore unitflow exact comparison is the point")
+	f.Add("lint:ignore unitflow,nodeterm both silenced")
 	f.Add("lint:ignore * everything")
-	f.Add("lint:ignore floateq")
+	f.Add("lint:ignore nosuchcheck stale directive")
+	f.Add("lint:ignore unitflow")
 	f.Add("lint:ignore")
 	f.Add("lint:ignoreX not-a-directive trailing")
 	f.Add("  lint:ignore   spaced   out   reason  ")
@@ -38,8 +39,8 @@ func FuzzSuppressDirective(f *testing.F) {
 		if err != nil {
 			t.Skip() // the comment broke the file some other way
 		}
-		file := &File{Fset: fset, AST: af, Path: "fuzz.go", Pkg: "p", Siblings: []*ast.File{af}}
-		dirs, diags := parseIgnores(file)
+		known := knownIDs()
+		dirs, diags := parseIgnores(&File{Fset: fset, AST: af, Path: "fuzz.go"}, known)
 
 		directiveComments := 0
 		for _, cg := range af.Comments {
@@ -57,6 +58,11 @@ func FuzzSuppressDirective(f *testing.F) {
 		for _, d := range dirs {
 			if len(d.checks) == 0 {
 				t.Errorf("directive with empty check set from %q", comment)
+			}
+			for id := range d.checks {
+				if !known[id] {
+					t.Errorf("directive accepted unknown check %q from %q", id, comment)
+				}
 			}
 			if strings.TrimSpace(d.reason) == "" {
 				t.Errorf("directive with empty reason from %q", comment)

@@ -1,28 +1,37 @@
-// Package fixtures exercises //lint:ignore handling: same-line and
-// previous-line suppressions, a comma list, a wildcard, and one
-// malformed directive that must surface as badignore.
-package fixtures
+// Package fleet exercises //lint:ignore handling: same-line and
+// previous-line suppressions, a comma list, a wildcard, and two
+// ineffective directives — one missing its reason, one naming no
+// registered check — that must surface as badignore. The package name
+// places it in nodeterm's deterministic set.
+package fleet
 
-func sameLine(a, b float64) bool {
-	return a == b //lint:ignore floateq fixture: exact comparison is the point
+import "time"
+
+func sameLine() time.Time {
+	return time.Now() //lint:ignore nodeterm fixture: the wall clock is the point
 }
 
-func lineAbove(a, b float64) bool {
-	//lint:ignore floateq fixture: exact comparison is the point
-	return a == b
+func lineAbove() time.Time {
+	//lint:ignore nodeterm fixture: the wall clock is the point
+	return time.Now()
 }
 
-func commaList(a, b float64) bool {
-	//lint:ignore floateq,nodeterm fixture: both checks silenced
-	return a == b
+func commaList() time.Time {
+	//lint:ignore nodeterm,unitflow fixture: both checks silenced
+	return time.Now()
 }
 
-func wildcard(a, b float64) bool {
+func wildcard() time.Time {
 	//lint:ignore * fixture: everything on this line is fine
-	return a == b
+	return time.Now()
 }
 
-func missingReason(a, b float64) bool {
-	//lint:ignore floateq
-	return a == b
+func missingReason() time.Time {
+	//lint:ignore nodeterm
+	return time.Now()
+}
+
+func unknownCheck() time.Time {
+	//lint:ignore nosuchcheck reason
+	return time.Now()
 }

@@ -1,7 +1,7 @@
 // Package unitflowdirty is the golden dirty fixture for the unitflow
 // check: one numbered site per finding family, each reachable only
-// through type-aware propagation (the syntactic unitsuffix check sees
-// none of them).
+// through type-aware propagation (testdata/unitsuffix holds the cases
+// a suffix comparison alone catches).
 package unitflowdirty
 
 // Sample is a record whose field suffix and doc comment disagree.

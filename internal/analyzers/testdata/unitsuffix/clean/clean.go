@@ -1,6 +1,6 @@
-// Package fixtures holds unit-disciplined declarations the unitsuffix
-// check must stay silent on.
-package fixtures
+// Package unitsuffixclean holds unitflow's clean naming cases, once the
+// unitsuffix check's: unit-disciplined declarations it must accept.
+package unitsuffixclean
 
 // Meter is fully suffixed: the documented units appear in the names.
 type Meter struct {

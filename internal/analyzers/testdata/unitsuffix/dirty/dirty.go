@@ -1,10 +1,10 @@
-// Package fixtures exercises the unitsuffix check: mixed-unit
-// arithmetic and exported float fields whose documented unit is
-// missing from the name.
-package fixtures
+// Package unitsuffixdirty holds unitflow's naming cases, once the
+// unitsuffix check's: mixed-unit arithmetic between suffixed operands
+// and exported float fields whose documented unit is not in the name.
+package unitsuffixdirty
 
-// Budget describes a job's spending envelope.
-type Budget struct {
+// Envelope describes a job's spending envelope.
+type Envelope struct {
 	Limit float64 // maximum spend in dollars
 	Used  float64 // dollars already committed
 }
@@ -23,7 +23,7 @@ func mixDimensions(durS, sizeBytes float64) float64 {
 	return durS + sizeBytes
 }
 
-func mixScales(totalS, latencyUS float64) bool {
+func mixSuffixScales(totalS, latencyUS float64) bool {
 	return totalS > latencyUS
 }
 

@@ -9,15 +9,14 @@ import (
 	"strings"
 )
 
-// unitflow is the semantic successor of unitsuffix: instead of only
-// comparing the suffixes two identifiers happen to carry, it infers a
-// unit tag for expressions — from name suffixes, from whole lower-case
-// words (seconds, bytes, usd), from named types like units.Seconds, and
-// from call results such as time.Since(t0).Seconds() — propagates the
-// tags through local assignments, and checks every place a tagged value
-// flows: additive and comparison operators, assignments and composite
-// literals, return statements, call arguments against the callee's
-// parameter names, and struct-field doc comments.
+// unitflow infers a unit tag for expressions — from name suffixes, from
+// whole lower-case words (seconds, bytes, usd), from named types like
+// units.Seconds, and from call results such as
+// time.Since(t0).Seconds() — propagates the tags through local
+// assignments, and checks every place a tagged value flows: additive
+// and comparison operators, assignments and composite literals, return
+// statements, call arguments against the callee's parameter names, and
+// struct-field doc comments.
 //
 // A tag is a (dimension, scale) pair, e.g. (time, us). Cross-dimension
 // combinations are always an error; cross-scale combinations within a
@@ -53,8 +52,78 @@ func (t utag) String() string {
 	return t.dim
 }
 
+// unitSuffixes maps the identifier suffixes this codebase uses for
+// dimensioned quantities to a canonical unit. Two values conflict when
+// their canonical units differ — that covers cross-dimension mistakes
+// (seconds + bytes) and cross-scale mistakes within a dimension
+// (seconds + microseconds), which are equally fatal to a performance
+// model.
+var unitSuffixes = map[string]string{
+	// time
+	"S": "s", "Sec": "s", "Secs": "s", "Seconds": "s",
+	"MS": "ms", "Millis": "ms",
+	"US": "us", "Micros": "us",
+	"NS": "ns", "Nanos": "ns",
+	"Hours": "h",
+	// data volume
+	"Bytes": "B", "Bits": "bit",
+	"KB": "kB", "MB": "MB", "GB": "GB",
+	"KiB": "KiB", "MiB": "MiB", "GiB": "GiB",
+	// data rate
+	"Bps": "B/s", "KBps": "kB/s", "MBps": "MB/s", "GBps": "GB/s",
+	// velocity
+	"Mps": "m/s",
+	// money
+	"USD": "USD", "Cents": "cents",
+	// frequency
+	"Hz": "Hz", "KHz": "kHz", "MHz": "MHz", "GHz": "GHz",
+	// compute throughput
+	"FLOPS": "FLOPS", "GFLOPS": "GFLOPS", "MFLOPS": "MFLOPS",
+	"FLUPS": "FLUPS", "MFLUPS": "MFLUPS", "GFLUPS": "GFLUPS",
+	// counts
+	"Count": "count", "Counts": "count",
+}
+
+// suffixesByLength is unitSuffixes' keys, longest first, so MFLUPS
+// matches before S.
+var suffixesByLength = func() []string {
+	keys := make([]string, 0, len(unitSuffixes))
+	for k := range unitSuffixes {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if len(keys[i]) != len(keys[j]) {
+			return len(keys[i]) > len(keys[j])
+		}
+		return keys[i] < keys[j]
+	})
+	return keys
+}()
+
+// unitOf extracts the canonical unit of an identifier name from its
+// suffix, or "" when the name carries none. The suffix must sit on a
+// camel-case boundary: ComputeS and latencyUS match, MFLUPS does not
+// match S (the preceding rune is upper case, so S is part of a larger
+// word), and Steps does not match anything (lower-case tail).
+func unitOf(name string) string {
+	for _, suf := range suffixesByLength {
+		if !strings.HasSuffix(name, suf) {
+			continue
+		}
+		rest := name[:len(name)-len(suf)]
+		if rest == "" {
+			return unitSuffixes[suf]
+		}
+		last := rest[len(rest)-1]
+		if last >= 'a' && last <= 'z' || last >= '0' && last <= '9' {
+			return unitSuffixes[suf]
+		}
+	}
+	return ""
+}
+
 // unitDims maps every canonical unit the suite knows (the values of
-// unitSuffixes plus the flow-only additions) to its dimension.
+// unitSuffixes) to its dimension.
 var unitDims = map[string]string{
 	"s": "time", "ms": "time", "us": "time", "ns": "time", "h": "time",
 	"B": "data", "bit": "data",
@@ -69,14 +138,6 @@ var unitDims = map[string]string{
 	"count": "count",
 }
 
-// flowOnlySuffixes extends the syntactic vocabulary for the typed
-// check without touching unitsuffix's published table.
-var flowOnlySuffixes = map[string]string{
-	"Mps":    "m/s",
-	"Count":  "count",
-	"Counts": "count",
-}
-
 // flowWords tags whole lower-case identifiers that carry their unit as
 // the entire name (struct fields like estimate.seconds).
 var flowWords = map[string]string{
@@ -86,41 +147,16 @@ var flowWords = map[string]string{
 	"mflups": "MFLUPS",
 }
 
-// flowSuffixTable and flowSuffixesByLength merge the two vocabularies.
-var flowSuffixTable = func() map[string]string {
-	m := make(map[string]string, len(unitSuffixes)+len(flowOnlySuffixes))
-	for k, v := range unitSuffixes {
-		m[k] = v
-	}
-	for k, v := range flowOnlySuffixes {
-		m[k] = v
-	}
-	return m
-}()
-
-var flowSuffixesByLength = func() []string {
-	keys := make([]string, 0, len(flowSuffixTable))
-	for k := range flowSuffixTable {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if len(keys[i]) != len(keys[j]) {
-			return len(keys[i]) > len(keys[j])
-		}
-		return keys[i] < keys[j]
-	})
-	return keys
-}()
-
-// flowUnitOf is unitOf over the extended vocabulary, with one extra
-// rule: a name whose stem contains "Per" is a ratio whose suffix names
-// only the numerator (PricePerNodeHourUSD is dollars per node-hour,
-// bytesPerMB is a pure scale factor), so its suffix is not trusted.
+// flowUnitOf is the unit a name claims: a whole-word name, else its
+// suffix, with one extra rule: a name whose stem contains "Per" is a
+// ratio whose suffix names only the numerator (PricePerNodeHourUSD is
+// dollars per node-hour, bytesPerMB is a pure scale factor), so its
+// suffix is not trusted.
 func flowUnitOf(name string) string {
 	if u, ok := flowWords[name]; ok {
 		return u
 	}
-	u := suffixUnit(name, flowSuffixesByLength, flowSuffixTable)
+	u := unitOf(name)
 	if u == "" {
 		return ""
 	}
@@ -131,10 +167,10 @@ func flowUnitOf(name string) string {
 }
 
 // suffixLenOf recovers the length of the suffix that produced unit u
-// for name (the longest matching suffix, mirroring suffixUnit).
+// for name (the longest matching suffix, mirroring unitOf).
 func suffixLenOf(name, u string) int {
-	for _, suf := range flowSuffixesByLength {
-		if flowSuffixTable[suf] == u && strings.HasSuffix(name, suf) {
+	for _, suf := range suffixesByLength {
+		if unitSuffixes[suf] == u && strings.HasSuffix(name, suf) {
 			return len(suf)
 		}
 	}
@@ -143,8 +179,7 @@ func suffixLenOf(name, u string) int {
 
 // tagFromUnit lifts a canonical unit into a tag. Counts are excluded:
 // a count multiplies into every other quantity (bytes = markers ×
-// bytes-per-marker), so tagging them would flag all such products;
-// lossyconv still recognizes count suffixes via unitDims directly.
+// bytes-per-marker), so tagging them would flag all such products.
 func tagFromUnit(u string) utag {
 	if u == "" {
 		return unknownTag
@@ -173,12 +208,12 @@ func typeTag(t types.Type) utag {
 
 // flowEnv is the per-file inference state.
 type flowEnv struct {
-	f    *TypedFile
+	f    *File
 	info *types.Info
 	vars map[types.Object]utag
 }
 
-func newFlowEnv(f *TypedFile) *flowEnv {
+func newFlowEnv(f *File) *flowEnv {
 	v := &flowEnv{f: f, info: f.Package.Info, vars: map[types.Object]utag{}}
 	v.propagate()
 	return v
@@ -439,31 +474,40 @@ func reportable(t utag) bool {
 	return t.known() && (!t.dimensionless() || t.derived)
 }
 
-// docUnitRe and docUnitCanon spot exact unit vocabulary in field
-// comments for the suffix-vs-doc contradiction finding.
-var docUnitRe = regexp.MustCompile(`(?i)(^|[\s(,])(microseconds|milliseconds|nanoseconds|seconds|megabytes|gigabytes|kilobytes|bytes|dollars|usd|mflups|hertz|hz|mb/s|gb/s|kb/s|b/s|m/s|µs)([\s,.;:)]|$)`)
+// docUnitRe and docUnitCanon spot unit vocabulary in field comments,
+// for the two field findings of checkFieldDocs.
+var docUnitRe = regexp.MustCompile(`(?i)(^|[\s(,])(microseconds|milliseconds|nanoseconds|seconds|megabytes|gigabytes|kilobytes|bytes|dollars|usd|mflups|gflops|flop/s|hertz|hz|[kmg]i?b/s|b/s|m/s|µs)([\s,.;:)]|$)`)
 
 var docUnitCanon = map[string]string{
 	"microseconds": "us", "milliseconds": "ms", "nanoseconds": "ns", "seconds": "s",
 	"megabytes": "MB", "gigabytes": "GB", "kilobytes": "kB", "bytes": "B",
 	"dollars": "USD", "usd": "USD",
-	"mflups": "MFLUPS",
-	"hertz":  "Hz", "hz": "Hz",
+	"mflups": "MFLUPS", "gflops": "GFLOPS", "flop/s": "FLOPS",
+	"hertz": "Hz", "hz": "Hz",
 	"mb/s": "MB/s", "gb/s": "GB/s", "kb/s": "kB/s", "b/s": "B/s",
 	"m/s": "m/s", "µs": "us",
 }
 
+// comparableOps are the binary operators whose operands must share a
+// unit. Multiplication and division legitimately combine units, so
+// only additive and ordering/equality operators are constrained.
+var comparableOps = map[token.Token]bool{
+	token.ADD: true, token.SUB: true,
+	token.LSS: true, token.GTR: true, token.LEQ: true, token.GEQ: true,
+	token.EQL: true, token.NEQ: true,
+}
+
 // checkUnitFlow builds the semantic unit-flow check.
-func checkUnitFlow() TypedCheck {
+func checkUnitFlow() Check {
 	const id = "unitflow"
-	return TypedCheck{
+	return Check{
 		ID:  id,
-		Doc: "semantic unit-flow analysis: propagates s/bytes/MB-s/USD/MFLUPS tags through assignments, arithmetic, returns and calls; flags mixed-unit combinations, contradicted destinations and dimension-changing mul/div stored under an unchanged suffix",
-		Run: func(f *TypedFile) []Diagnostic {
+		Doc: "semantic unit-flow analysis: propagates s/bytes/MB-s/USD/MFLUPS tags through assignments, arithmetic, returns and calls; flags mixed-unit combinations, contradicted destinations, dimension-changing mul/div stored under an unchanged suffix, and documented units missing from exported field names",
+		Run: eachFile(func(f *File) []Diagnostic {
 			v := newFlowEnv(f)
 			var diags []Diagnostic
 			add := func(pos token.Pos, format string, args ...any) {
-				diags = append(diags, f.diag(pos, id, SeverityError, format, args...))
+				diags = append(diags, f.diag(pos, id, format, args...))
 			}
 
 			ast.Inspect(f.AST, func(n ast.Node) bool {
@@ -484,14 +528,12 @@ func checkUnitFlow() TypedCheck {
 				return true
 			})
 			return diags
-		},
+		}),
 	}
 }
 
 // checkBinary flags additive and comparison operators mixing
-// dimensions, or mixing exact scales within a dimension. Conflicts
-// where both operands carry the conflict in their own suffixes are
-// unitsuffix's findings and are not re-reported.
+// dimensions, or mixing exact scales within a dimension.
 func (v *flowEnv) checkBinary(n *ast.BinaryExpr, add func(token.Pos, string, ...any)) {
 	if !comparableOps[n.Op] {
 		return
@@ -499,11 +541,6 @@ func (v *flowEnv) checkBinary(n *ast.BinaryExpr, add func(token.Pos, string, ...
 	lt, rt := v.tagOf(n.X), v.tagOf(n.Y)
 	if !reportable(lt) || !reportable(rt) {
 		return
-	}
-	if lu, _ := operandUnit(n.X); lu != "" {
-		if ru, _ := operandUnit(n.Y); ru != "" && lu != ru {
-			return
-		}
 	}
 	if lt.dim != rt.dim {
 		add(n.OpPos, "%q mixes units: %s is in %s but %s is in %s",
@@ -700,37 +737,55 @@ func (v *flowEnv) checkReturns(fd *ast.FuncDecl, add func(token.Pos, string, ...
 	})
 }
 
-// checkFieldDocs flags struct fields whose suffix and doc comment claim
-// different units — the mistake that motivated this check: a field
-// named in milliseconds and documented in m/s is wrong at least once.
+// checkFieldDocs holds struct fields to the unit their doc comment
+// names. A field whose suffix and comment claim different units is
+// wrong at least once — the mistake that motivated this check: a field
+// named in milliseconds and documented in m/s. An exported float field
+// of an exported type whose comment names a unit must carry it as a
+// suffix, where arithmetic on it can be audited, not only in prose.
 func (v *flowEnv) checkFieldDocs(ts *ast.TypeSpec, add func(token.Pos, string, ...any)) {
 	st, ok := ts.Type.(*ast.StructType)
 	if !ok {
 		return
 	}
 	for _, field := range st.Fields.List {
-		doc := fieldCommentText(field)
-		if doc == "" {
-			continue
-		}
-		m := docUnitRe.FindStringSubmatch(doc)
+		m := docUnitRe.FindStringSubmatch(fieldCommentText(field))
 		if m == nil {
 			continue
 		}
-		docTag := tagFromUnit(docUnitCanon[strings.ToLower(strings.TrimSpace(m[2]))])
-		if !docTag.known() {
-			continue
-		}
+		word := strings.TrimSpace(m[2])
+		docTag := tagFromUnit(docUnitCanon[strings.ToLower(word)])
 		for _, name := range field.Names {
-			nameTag := tagFromUnit(flowUnitOf(name.Name))
-			if !nameTag.known() {
+			if nameTag := tagFromUnit(flowUnitOf(name.Name)); nameTag.known() {
+				if docTag.known() && (nameTag.dim != docTag.dim ||
+					nameTag.scale != "" && docTag.scale != "" && nameTag.scale != docTag.scale) {
+					add(name.Pos(), "field %s.%s is suffixed %s but its comment documents %q (%s)",
+						ts.Name.Name, name.Name, nameTag, word, docTag)
+				}
 				continue
 			}
-			if nameTag.dim != docTag.dim ||
-				nameTag.scale != "" && docTag.scale != "" && nameTag.scale != docTag.scale {
-				add(name.Pos(), "field %s.%s is suffixed %s but its comment documents %q (%s)",
-					ts.Name.Name, name.Name, nameTag, strings.TrimSpace(m[2]), docTag)
+			if unitOf(name.Name) == "" && ts.Name.IsExported() && name.IsExported() && isFloatType(field.Type) {
+				add(name.Pos(), "exported field %s.%s is documented in %q but its name carries no unit suffix",
+					ts.Name.Name, name.Name, word)
 			}
 		}
 	}
+}
+
+// isFloatType reports whether a type expression is float64 or float32.
+func isFloatType(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && (id.Name == "float64" || id.Name == "float32")
+}
+
+// fieldCommentText joins a struct field's doc and line comments.
+func fieldCommentText(field *ast.Field) string {
+	var parts []string
+	if field.Doc != nil {
+		parts = append(parts, field.Doc.Text())
+	}
+	if field.Comment != nil {
+		parts = append(parts, field.Comment.Text())
+	}
+	return strings.Join(parts, " ")
 }

@@ -77,7 +77,7 @@ type Config struct {
 	Jobs      []JobConfig `json:"jobs"`
 
 	// Fleet, when present, selects the concurrent fleet-scheduler
-	// backend (RunFleet) over the sequential runner: jobs are placed
+	// backend (BackendFleet) over the sequential runner: jobs are placed
 	// across this pool of simulated instances by priority and deadline.
 	Fleet *FleetConfig `json:"fleet,omitempty"`
 }
@@ -128,7 +128,6 @@ func (c *Config) Validate() error {
 			if ph.DiameterMM <= 0 || ph.PeakSpeedMps <= 0 || ph.SitesAcross < 8 || ph.Beats <= 0 {
 				return fmt.Errorf("campaign: job %q has incomplete physical spec %+v", j.Name, ph)
 			}
-			//lint:ignore floateq 0 is the documented steady-flow sentinel, never a computed value
 			if ph.HeartRateHz == 0 {
 				// Steady flow: "beats" counts characteristic times D/U.
 			}

@@ -14,7 +14,7 @@ import (
 
 // FleetConfig declares the fleet execution backend inside a campaign
 // configuration: the instance pool and the fault-handling policy. When a
-// campaign carries one, RunFleet schedules all jobs concurrently across
+// campaign carries one, Runner schedules all jobs concurrently across
 // the pool instead of running them one at a time on one instance.
 type FleetConfig struct {
 	Instances             []fleet.InstanceConfig `json:"instances"`
@@ -145,19 +145,14 @@ func fleetSLOObs(atS float64, metrics []obs.Metric) obs.SLOObs {
 	return o
 }
 
-// RunFleet executes the campaign on the fleet backend: every job is
-// prepared through the Figure 1 loop (anatomy, tuned model, per-system
-// predictions), then the whole queue is scheduled concurrently across
-// the declared instance pool. Completed jobs are exported into the
-// framework's monitor, the refinement store.
-func RunFleet(fw *core.Framework, cfg Config) (FleetSummary, error) {
-	return runFleet(context.Background(), fw, cfg)
-}
-
-// runFleet is the fleet engine behind RunFleet and Runner. ctx is
-// checked between job preparations and before the scheduler starts; the
-// discrete-event schedule itself runs to completion once started (it
-// simulates time rather than spending it).
+// runFleet executes the campaign on the fleet backend, the engine
+// behind Runner: every job is prepared through the Figure 1 loop
+// (anatomy, tuned model, per-system predictions), then the whole queue
+// is scheduled concurrently across the declared instance pool.
+// Completed jobs are exported into the framework's monitor, the
+// refinement store. ctx is checked between job preparations and before
+// the scheduler starts; the discrete-event schedule itself runs to
+// completion once started (it simulates time rather than spending it).
 func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary, error) {
 	if cfg.Fleet == nil {
 		return FleetSummary{}, fmt.Errorf("campaign: no fleet declared in config")

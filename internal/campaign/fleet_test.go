@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -50,7 +51,7 @@ func fleetFramework(t *testing.T) (*core.Framework, Config) {
 func runFleetOnce(t *testing.T) (*core.Framework, FleetSummary) {
 	t.Helper()
 	fw, cfg := fleetFramework(t)
-	sum, err := RunFleet(fw, cfg)
+	sum, err := runFleet(context.Background(), fw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestRunFleetSLODisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := RunFleet(fw, cfg)
+	sum, err := runFleet(context.Background(), fw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestRunFleetSLOAlertFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := RunFleet(fw, cfg)
+	sum, err := runFleet(context.Background(), fw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestRunFleetRejectsPinOutsidePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunFleet(fw, cfg); err == nil || !strings.Contains(err.Error(), "pool") {
+	if _, err := runFleet(context.Background(), fw, cfg); err == nil || !strings.Contains(err.Error(), "pool") {
 		t.Fatalf("pin outside pool accepted: %v", err)
 	}
 }
@@ -193,7 +194,7 @@ func TestRunFleetRequiresFleetBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunFleet(fw, cfg); err == nil {
+	if _, err := runFleet(context.Background(), fw, cfg); err == nil {
 		t.Fatal("fleet backend ran without a fleet declaration")
 	}
 }

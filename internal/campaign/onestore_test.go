@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
@@ -66,7 +67,7 @@ func TestObserveThenRunFleetCountsEachRunOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := RunFleet(fw, cfg); err != nil {
+	if _, err := runFleet(context.Background(), fw, cfg); err != nil {
 		t.Fatal(err)
 	}
 	samples := storedSamples(t, &fw.Monitor)
@@ -134,11 +135,11 @@ func TestSecondCampaignOnOneFramework(t *testing.T) {
 
 	t.Run("RunFleet twice", func(t *testing.T) {
 		fw, cfg := fleetFramework(t)
-		if _, err := RunFleet(fw, cfg); err != nil {
+		if _, err := runFleet(context.Background(), fw, cfg); err != nil {
 			t.Fatal(err)
 		}
 		before := snapshot(t, &fw.Monitor)
-		second, err := RunFleet(fw, cfg)
+		second, err := runFleet(context.Background(), fw, cfg)
 		if err != nil {
 			t.Fatalf("second fleet campaign: %v", err)
 		}
@@ -155,7 +156,7 @@ func TestSecondCampaignOnOneFramework(t *testing.T) {
 		if before.Len() != len(serial.Outcomes) || before.Len() == 0 {
 			t.Fatalf("serial campaign stored %d samples for %d outcomes", before.Len(), len(serial.Outcomes))
 		}
-		second, err := RunFleet(fw, cfg)
+		second, err := runFleet(context.Background(), fw, cfg)
 		if err != nil {
 			t.Fatalf("fleet campaign after a serial one: %v", err)
 		}

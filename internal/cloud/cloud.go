@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
-	"strings"
 
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -93,19 +92,6 @@ func (p *Provider) TotalSpend() float64 { return p.spend }
 // Ledger returns a copy of all billing events.
 func (p *Provider) Ledger() []LedgerEntry {
 	return append([]LedgerEntry(nil), p.ledger...)
-}
-
-// RenderLedger formats the billing history as a text statement.
-func (p *Provider) RenderLedger() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %-14s %6s %12s %12s  %s\n",
-		"alloc", "system", "nodes", "seconds", "USD", "description")
-	for _, e := range p.ledger {
-		fmt.Fprintf(&b, "%-6d %-14s %6d %12.4f %12.4f  %s\n",
-			e.AllocationID, e.System, e.Nodes, e.Seconds, e.USD, e.Description)
-	}
-	fmt.Fprintf(&b, "total: $%.4f across %d events\n", p.spend, len(p.ledger))
-	return b.String()
 }
 
 // charge meters one billing event.

@@ -232,17 +232,3 @@ func TestJobsAdvanceClock(t *testing.T) {
 		t.Error("job did not advance simulated time")
 	}
 }
-
-func TestRenderLedger(t *testing.T) {
-	p := newProvider()
-	w := testWorkload(t, 16)
-	if _, err := p.RunJob(JobSpec{Workload: w, System: "CSP-1", Steps: 100}); err != nil {
-		t.Fatal(err)
-	}
-	out := p.RenderLedger()
-	for _, want := range []string{"CSP-1", "total: $", "1 events", "cyl"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("ledger missing %q:\n%s", want, out)
-		}
-	}
-}

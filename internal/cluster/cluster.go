@@ -168,11 +168,6 @@ func (c *Cluster) ScrapeTelemetryNow() *ClusterTelemetryResponse {
 	return c.telemetry.scrape(c.baseCtx)
 }
 
-// Drain marks a replica draining (or healthy again), rebalancing its
-// ring arcs; unknown names report false.
-func (c *Cluster) Drain(name string) bool   { return c.set.setState(name, StateDraining) }
-func (c *Cluster) Undrain(name string) bool { return c.set.setState(name, StateHealthy) }
-
 // Replicas reports the fleet's current states in configured order.
 func (c *Cluster) Replicas() []ReplicaStatus { return c.set.snapshot() }
 

@@ -205,7 +205,6 @@ func (ta *telemetryAggregator) fetch(ctx context.Context, name string) (obs.Tele
 		return snap, err
 	}
 	defer func() {
-		//lint:ignore droppederr the decode error below is the signal; close failure after a full decode has nothing to add
 		_ = resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {

@@ -295,7 +295,6 @@ func Pareto(as []Assessment) []Assessment {
 		}
 	}
 	sort.Slice(frontier, func(i, j int) bool {
-		//lint:ignore floateq exact tie-break keeps the sort deterministic; no arithmetic feeds it
 		if frontier[i].Seconds != frontier[j].Seconds {
 			return frontier[i].Seconds < frontier[j].Seconds
 		}

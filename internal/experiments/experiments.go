@@ -45,8 +45,7 @@ func (r Report) seriesValue(key string, x float64) (float64, error) {
 		return 0, fmt.Errorf("experiments: report %s has no series %q", r.ID, key)
 	}
 	for _, p := range s {
-		//lint:ignore floateq series X values are stored verbatim and looked up verbatim
-		if p.X == x {
+		if p.X == x { // X values are stored verbatim and looked up verbatim
 			return p.Y, nil
 		}
 	}

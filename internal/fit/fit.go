@@ -237,7 +237,6 @@ func twoLineGivenKnee(threads, bw []float64, a3 float64) (TwoLine, bool) {
 	det := s11*s22 - s12*s12
 	var a1, a2 float64
 	switch {
-	//lint:ignore floateq exact singularity test selecting the solver branch; near-zero det is legitimate
 	case det != 0:
 		a1 = (s22*s1y - s12*s2y) / det
 		a2 = (s11*s2y - s12*s1y) / det

@@ -79,11 +79,9 @@ func (c Config) withDefaults() Config {
 	if c.MaxRetries == 0 {
 		c.MaxRetries = DefaultMaxRetries
 	}
-	//lint:ignore floateq 0 is the unset-field sentinel selecting the default
 	if c.BackoffBaseS == 0 {
 		c.BackoffBaseS = DefaultBackoffBaseS
 	}
-	//lint:ignore floateq 0 is the unset-field sentinel selecting the default
 	if c.BackoffMaxS == 0 {
 		c.BackoffMaxS = DefaultBackoffMaxS
 	}

@@ -118,7 +118,6 @@ func (q jobQueue) Less(i, j int) bool {
 }
 func (q jobQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
-//lint:ignore typeassert container/heap hands Push exactly what the typed push below gave it; a panic here is a programming error worth being loud
 func (q *jobQueue) Push(x any) { *q = append(*q, x.(*jobState)) }
 func (q *jobQueue) Pop() any {
 	old := *q
@@ -131,5 +130,4 @@ func (q *jobQueue) Pop() any {
 
 func (q *jobQueue) push(j *jobState) { heap.Push(q, j) }
 
-//lint:ignore typeassert the queue is package-local and only ever holds *jobState; the comma-ok form would hide corruption instead of crashing on it
 func (q *jobQueue) pop() *jobState { return heap.Pop(q).(*jobState) }

@@ -26,7 +26,7 @@ type AccessModel struct {
 	// streams better than rolled SOA, and unrolling recovers most of the
 	// SOA penalty (Herschlag et al., and Figures 4/8 of the paper).
 	// PointBytes folds it in as effective traffic.
-	//lint:ignore unitsuffix dimensionless fraction; the comment mentions bytes only as context
+	//lint:ignore unitflow dimensionless fraction; the comment mentions bytes only as context
 	Efficiency float64
 }
 

@@ -69,7 +69,6 @@ func CollideCell(cell *[NQ]float64, p Params, gx, gy, gz float64) {
 			cell[q] -= omega * (cell[q] - feq[q])
 		}
 	}
-	//lint:ignore floateq exact zero skips the force term entirely; forces are configured, not computed
 	if gx != 0 || gy != 0 || gz != 0 {
 		for q := 0; q < NQ; q++ {
 			cell[q] += 3 * W[q] * (float64(Cx[q])*gx + float64(Cy[q])*gy + float64(Cz[q])*gz)
@@ -96,7 +95,6 @@ func collideBGK(d, c *[NQ]float64, omega, gx, gy, gz float64) {
 	ux := c[1] - c[2] + c[7] - c[8] + c[9] - c[10] + c[11] - c[12] + c[13] - c[14]
 	uy := c[3] - c[4] + c[7] - c[8] - c[9] + c[10] + c[15] - c[16] + c[17] - c[18]
 	uz := c[5] - c[6] + c[11] - c[12] - c[13] + c[14] + c[15] - c[16] - c[17] + c[18]
-	//lint:ignore floateq exact-zero guard before division, as in Moments
 	if rho != 0 {
 		// Division, not a reciprocal multiply: Moments divides.
 		ux /= rho
@@ -142,7 +140,6 @@ func collideBGK(d, c *[NQ]float64, omega, gx, gy, gz float64) {
 	d[17] = c[17] - omega*(c[17]-re*(1+cu+0.5*cu*cu-usq))
 	d[18] = c[18] - omega*(c[18]-re*(1-cu+0.5*cu*cu-usq))
 
-	//lint:ignore floateq exact zero skips the force term entirely; forces are configured, not computed
 	if gx != 0 || gy != 0 || gz != 0 {
 		f3, e3 := 3*wf, 3*we
 		t := f3 * gx

@@ -80,7 +80,6 @@ func Moments(f *[NQ]float64) (rho, ux, uy, uz float64) {
 		uy += f[q] * float64(Cy[q])
 		uz += f[q] * float64(Cz[q])
 	}
-	//lint:ignore floateq exact-zero guard before division; rho is zero only at void sites
 	if rho != 0 {
 		ux /= rho
 		uy /= rho

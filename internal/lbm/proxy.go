@@ -211,7 +211,6 @@ func (p *Proxy) zSlabs(fn func(z0, z1 int)) {
 		z0 := lo + span*t/n
 		z1 := lo + span*(t+1)/n
 		wg.Add(1)
-		//lint:ignore hotpath one closure per worker slab, not per lattice site
 		go func(z0, z1 int) {
 			defer wg.Done()
 			fn(z0, z1)

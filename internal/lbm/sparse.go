@@ -84,7 +84,6 @@ func (s *Sparse) buildBoundaries() {
 			rMax = math.Max(rMax, math.Sqrt(dy*dy+dz*dz))
 		}
 	}
-	//lint:ignore floateq exact zero means the loop found no off-axis site
 	if rMax == 0 {
 		rMax = 1 // single-site inlet: flat profile
 	}

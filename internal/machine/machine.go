@@ -23,9 +23,9 @@ import (
 // per-core limited below the knee A3, memory-subsystem limited above it.
 // All bandwidths are MB/s.
 type MemoryModel struct {
-	//lint:ignore unitsuffix A1/A2/A3 mirror the paper's Eq. 8 parameter names; the unit lives in the struct doc
+	//lint:ignore unitflow A1/A2/A3 mirror the paper's Eq. 8 parameter names; the unit lives in the struct doc
 	A1 float64 // per-thread bandwidth slope below the knee (MB/s per thread)
-	//lint:ignore unitsuffix same Eq. 8 naming convention
+	//lint:ignore unitflow same Eq. 8 naming convention
 	A2 float64 // residual slope above the knee (MB/s per thread)
 	A3 float64 // knee position (threads)
 

@@ -148,7 +148,6 @@ func FitPingPong(pts []PingPongPoint) (machine.LinkModel, fit.Linear, error) {
 	zeroSeen := false
 	var xs, ys []float64
 	for _, p := range pts {
-		//lint:ignore floateq the zero-byte message is the latency sample by definition (paper pins intercept to it)
 		if p.Bytes == 0 {
 			latency = p.TimeUS
 			zeroSeen = true
@@ -279,7 +278,6 @@ func StreamHost(kernel StreamKernel, threads, n, iters int) (float64, error) {
 			best = bw
 		}
 	}
-	//lint:ignore floateq best stays exactly 0 only when every trial was discarded
 	if best == 0 {
 		return 0, fmt.Errorf("mbench: StreamHost measured no usable trial")
 	}

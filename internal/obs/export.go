@@ -123,7 +123,6 @@ func ReadChromeTrace(r io.Reader) ([]SpanRecord, error) {
 				tracks[e.TID] = e.Args["name"]
 			}
 		case "X":
-			//lint:ignore floateq nil-pointer presence test on optional fields, not a value comparison
 			if e.TsUS == nil || e.DurUS == nil {
 				return nil, fmt.Errorf("obs: chrome event %d (%q) is missing ts or dur", i, e.Name)
 			}

@@ -92,7 +92,6 @@ func checkBounds(d, m Metric) error {
 		return fmt.Errorf("obs: merging %q histograms with %d vs %d buckets", m.Name, len(m.BucketLE), len(d.BucketLE))
 	}
 	for j, b := range m.BucketLE {
-		//lint:ignore floateq bucket bounds are configuration constants, copied not computed; inequality means a real layout mismatch
 		if b != d.BucketLE[j] {
 			return fmt.Errorf("obs: merging %q histograms with different bounds at bucket %d (%g vs %g)", m.Name, j, b, d.BucketLE[j])
 		}

@@ -292,7 +292,6 @@ func (c *Characterization) predictGeneral(ws WorkloadSummary, g GeneralModel, ra
 		// Eq. 14 then Eq. 13.
 		w := math.Min(math.Log2(n), MaxNeighbors)
 		pcb := g.PointCommBytes
-		//lint:ignore floateq 0 is the unset-field sentinel selecting the default
 		if pcb == 0 {
 			pcb = DefaultPointCommBytes
 		}

@@ -53,7 +53,7 @@ const tableHeader = "system,kernel,points,ranks,mflups"
 // numbers. Validation is strict — exact header, five fields, positive
 // numerics, rows strictly sorted ascending by (system, kernel, points,
 // ranks) with no duplicates — so that a committed table that drifts is
-// caught by the lint step, not by a bad prediction.
+// caught by tier-1 tests, not by a bad prediction.
 func LoadTable(r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // length-checked per row for line-numbered errors
@@ -116,16 +116,6 @@ func less(a, b [4]string) bool {
 		}
 	}
 	return false
-}
-
-// ValidateTableCSV runs LoadTable's full validation and reports row and
-// group counts; cmd/lint calls it to gate committed tables in CI.
-func ValidateTableCSV(r io.Reader) (rows, groups int, err error) {
-	t, err := LoadTable(r)
-	if err != nil {
-		return 0, 0, err
-	}
-	return len(t.rows), len(t.groups), nil
 }
 
 // Len returns the number of measured rows.
@@ -194,7 +184,8 @@ func (t *Table) Lookup(system, kernel string, points, ranks int) (mflups, dist f
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
 	extrapolated = qp < minP || qp > maxP || qr < minR || qr > maxR
 	dist = cands[0].d
-	//lint:ignore floateq an exact-key hit yields a distance of literally 0 (log2 of equal ints), and 1/d below needs the guard at exactly that value
+	// An exact-key hit is a distance of exactly 0 (log2 of equal ints),
+	// the one value 1/d below cannot take.
 	if dist == 0 {
 		return rows[cands[0].idx].MFLUPS, 0, extrapolated, nil
 	}
@@ -223,7 +214,11 @@ var (
 // DefaultTable returns the table built from the committed CSVs under
 // internal/perfmodel/tables/ (regenerate with `cmd/experiments
 // -gen-tables`). The embedded data is validated once at first use; a
-// corrupt commit surfaces here and in the CI lint gate.
+// corrupt commit surfaces here, and so in tier-1 tests:
+// experiments' TestTiersAccuracyOrdering loads every embedded CSV
+// through this function, and TestGenerateTableDeterministicAndValid
+// requires the committed measured.csv to equal a LoadTable-validated
+// generation byte for byte.
 func DefaultTable() (*Table, error) {
 	defaultTableOnce.Do(func() {
 		names, err := embeddedTables.ReadDir("tables")
