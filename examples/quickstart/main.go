@@ -4,15 +4,17 @@
 //  2. Tune the performance model to an anatomy (a cylindrical vessel).
 //  3. Predict performance per instance and pick one.
 //  4. Run the job with a model-driven budget guard.
-//  5. Feed the measurement back into the model.
+//  5. See the measurement refine the model.
 //
 // Run with: go run ./examples/quickstart
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/dashboard"
 	"repro/internal/geometry"
@@ -53,35 +55,37 @@ func main() {
 	}
 	fmt.Printf("chosen instance: %s\n\n", best.System)
 
-	// 4. Plan the job with a guard and run it. The uncalibrated model
-	// carries a known optimistic bias (it cannot see kernel overheads), so
-	// a first job gets a generous 25% tolerance; after refinement the
-	// tolerance can drop to the paper's 10%.
-	spec, err := fw.PlanJob(anatomy, best.System, ranks, steps, 0.25)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := fw.Provider.RunJob(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("job: %d/%d steps, %.2f MFLUPS, $%.4f (aborted: %v)\n",
-		res.StepsDone, steps, res.Result.MFLUPS, res.USD, res.Aborted)
-
-	// 5. Close the loop: record measured vs predicted. A Query names the
-	// system, the model, the rank count and (when not Tier 1) the tier.
+	// 4. Run the job under the model-driven guard: a one-job campaign
+	// pinned to the chosen instance. The uncalibrated model carries a known
+	// optimistic bias (it cannot see kernel overheads), so a first job gets
+	// a generous 25% tolerance; after refinement the tolerance can drop to
+	// the paper's 10%. The campaign builds the same cylinder by name.
 	q := core.Query{System: best.System, Model: perfmodel.ModelDirect, Ranks: ranks}
 	pred, err := fw.Predict(anatomy, q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := fw.Record(anatomy, pred, res.Result); err != nil {
+	cfg := campaign.Config{
+		Seed: 1, BudgetUSD: 1, Objective: "max-value",
+		Jobs: []campaign.JobConfig{{
+			Name: anatomy.Name, Geometry: "cylinder", Scale: 12, Ranks: ranks, Steps: steps,
+			System: best.System, Tolerance: 0.25,
+		}},
+	}
+	out, err := campaign.Runner{}.Run(context.Background(), fw, cfg)
+	if err != nil {
 		log.Fatal(err)
 	}
+	job := out.Serial.Outcomes[0]
+	fmt.Printf("job: %d/%d steps, %.2f MFLUPS, $%.4f (completed: %v)\n",
+		job.StepsDone, steps, job.MFLUPS, job.USD, job.Completed)
+
+	// 5. The campaign closed the loop: its run is in the monitor, which
+	// refines the next prediction for this system, model and rank count.
 	refined, err := fw.Predict(anatomy, q)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("prediction before refinement: %.2f MFLUPS, after: %.2f (measured %.2f)\n",
-		pred.MFLUPS, refined.MFLUPS, res.Result.MFLUPS)
+		pred.MFLUPS, refined.MFLUPS, job.MFLUPS)
 }

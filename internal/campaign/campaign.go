@@ -13,9 +13,9 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/dashboard"
+	"repro/internal/fleet"
 	"repro/internal/geometry"
 	"repro/internal/lbm"
 	"repro/internal/perfmodel"
@@ -51,9 +51,10 @@ type JobConfig struct {
 	System string `json:"system,omitempty"`
 	// Tolerance for the model-driven time guard (default 0.25).
 	Tolerance float64 `json:"tolerance,omitempty"`
-	// Tier selects the prediction accuracy tier for planning this job
-	// ("tier0", "tier1", "tier2" or "auto"); empty keeps the calibrated
-	// Tier 1 default.
+	// Tier selects the accuracy tier of the prediction this job reports
+	// and records ("tier0", "tier1", "tier2" or "auto"); empty keeps the
+	// calibrated Tier 1 default. Placement and the guards are priced at
+	// Tier 1 whatever the tier, since Tier 1 is what refinement corrects.
 	Tier string `json:"tier,omitempty"`
 	// Spot requests preemptible capacity for this job.
 	Spot bool `json:"spot,omitempty"`
@@ -73,7 +74,7 @@ type Config struct {
 	BudgetUSD float64     `json:"budget_usd"`
 	Objective string      `json:"objective"` // max-throughput|min-cost|min-time|max-value
 	Deadline  float64     `json:"deadline_seconds,omitempty"`
-	Retries   int         `json:"retries,omitempty"` // spot preemption retries
+	Retries   int         `json:"retries,omitempty"` // spot preemption retries; 0 is fleet.DefaultMaxRetries
 	Jobs      []JobConfig `json:"jobs"`
 
 	// Fleet, when present, selects the concurrent fleet-scheduler
@@ -299,19 +300,11 @@ func prepare(ctx context.Context, fw *core.Framework, j JobConfig) (*core.Anatom
 	return anatomy, steps, warnings, nil
 }
 
-// JobOutcome reports one executed job.
-type JobOutcome struct {
-	Name            string
-	System          string
-	Planned         bool // false when skipped for budget
-	Result          cloud.JobResult
-	PredictedMFLUPS float64 // prediction at plan time
-}
-
-// Summary reports a finished campaign.
+// Summary reports a finished campaign: one fleet job report per job the
+// scheduler placed, in campaign order.
 type Summary struct {
-	Outcomes []JobOutcome
-	Skipped  []string
+	Outcomes []fleet.JobReport
+	Skipped  []string // jobs the budget left no room for
 	Warnings []string // units-check findings, prefixed with the job name
 	SpentUSD float64
 }
@@ -323,14 +316,11 @@ func (s Summary) Render() string {
 		"job", "system", "steps", "predicted", "measured", "USD", "status")
 	for _, o := range s.Outcomes {
 		status := "completed"
-		if o.Result.Preempted {
-			status = "preempted"
-		} else if o.Result.Aborted {
-			status = "aborted: " + o.Result.AbortReason
+		if !o.Completed {
+			status = "aborted: " + o.ShedReason
 		}
 		fmt.Fprintf(&b, "%-22s %-12s %10d %12.2f %12.2f %10.4f %s\n",
-			o.Name, o.System, o.Result.StepsDone, o.PredictedMFLUPS, o.Result.Result.MFLUPS,
-			o.Result.USD, status)
+			o.Name, o.System, o.StepsDone, o.PredMFLUPS, o.MFLUPS, o.USD, status)
 	}
 	for _, name := range s.Skipped {
 		fmt.Fprintf(&b, "%-22s %-12s %10s %12s %12s %10s %s\n",
@@ -343,15 +333,14 @@ func (s Summary) Render() string {
 	return b.String()
 }
 
-// Run executes the campaign against a framework (which carries the
-// characterized dashboard and simulated provider).
-func Run(fw *core.Framework, cfg Config) (Summary, error) {
-	return runSerial(context.Background(), fw, cfg)
-}
-
-// runSerial is the sequential engine behind Run and Runner. It checks
-// ctx between jobs: an interruption returns the partial summary under
-// ErrInterrupted with every completed job's spend and telemetry intact.
+// runSerial is the sequential engine behind Runner, the Figure 1 loop one
+// job at a time: prepare, recommend (unless pinned), then run the job as a
+// one-job fleet on a one-instance pool of the chosen system, under what is
+// left of the budget. Each job's report goes into the monitor and the
+// provider's clock moves past it, so the next job is planned on a store
+// that already holds this one. ctx is checked between jobs: an
+// interruption returns the partial summary under ErrInterrupted with
+// every completed job's spend and telemetry intact.
 func runSerial(ctx context.Context, fw *core.Framework, cfg Config) (Summary, error) {
 	if err := cfg.Validate(); err != nil {
 		return Summary{}, err
@@ -360,11 +349,9 @@ func runSerial(ctx context.Context, fw *core.Framework, cfg Config) (Summary, er
 	if err != nil {
 		return Summary{}, err
 	}
-	runner := cloud.Campaign{Provider: fw.Provider, BudgetUSD: cfg.BudgetUSD, MaxRetries: cfg.Retries}
 	var summary Summary
-	for _, j := range cfg.Jobs {
+	for i, j := range cfg.Jobs {
 		if err := interrupted(ctx); err != nil {
-			summary.SpentUSD = fw.Provider.TotalSpend()
 			return summary, err
 		}
 		anatomy, steps, warnings, err := prepare(ctx, fw, j)
@@ -380,37 +367,48 @@ func runSerial(ctx context.Context, fw *core.Framework, cfg Config) (Summary, er
 			}
 			system = best.System
 		}
-		pred, err := fw.Predict(anatomy, core.Query{System: system, Model: perfmodel.ModelDirect, Ranks: j.Ranks, Tier: j.Tier})
-		if err != nil {
-			return Summary{}, err
-		}
-		spec, err := fw.PlanJob(anatomy, system, j.Ranks, steps, j.Tolerance)
-		if err != nil {
-			return Summary{}, fmt.Errorf("campaign: planning %q: %w", j.Name, err)
-		}
-		spec.Spot = j.Spot
-
-		before := len(runner.Results)
-		if err := runner.Run([]cloud.JobSpec{spec}); err != nil {
-			return Summary{}, err
-		}
-		if len(runner.Results) == before {
+		// A fleet budget of 0 is unlimited, so a job with nothing left
+		// gets no scheduler.
+		left := cfg.BudgetUSD - summary.SpentUSD
+		if left <= 0 {
 			summary.Skipped = append(summary.Skipped, j.Name)
 			continue
 		}
-		res := runner.Results[len(runner.Results)-1]
-		summary.Outcomes = append(summary.Outcomes, JobOutcome{
-			Name: j.Name, System: system, Planned: true,
-			Result: res, PredictedMFLUPS: pred.MFLUPS,
+		fj, err := fleetJob(fw, anatomy, j, steps, []string{system})
+		if err != nil {
+			return Summary{}, err
+		}
+		if len(fj.PerStep) == 0 {
+			return Summary{}, fmt.Errorf("campaign: %s cannot run job %q (%d ranks)", system, j.Name, j.Ranks)
+		}
+		fj.OnDemandOnly = false // the sequential runner honours Spot alone
+		sched, err := fleet.NewScheduler(fleet.Config{
+			Seed:       cfg.Seed + int64(i),
+			BudgetUSD:  left,
+			MaxRetries: cfg.Retries,
+			Instances:  []fleet.InstanceConfig{{System: system, Count: 1, Spot: j.Spot}},
 		})
-		// Record completed, unaborted runs — the same measure→model→
-		// refine loop the fleet backend closes by exporting its report.
-		if !res.Aborted && res.StepsDone > 0 {
-			if err := fw.Record(anatomy, pred, res.Result); err != nil {
-				return Summary{}, err
-			}
+		if err != nil {
+			return Summary{}, err
+		}
+		report, err := sched.Run([]*fleet.Job{fj})
+		if err != nil {
+			return Summary{}, err
+		}
+		// The governor sheds a job whose predicted cost exceeds what is
+		// left before it starts: skipped for budget, as above.
+		if r := report.Jobs[0]; r.Attempts > 0 {
+			summary.Outcomes = append(summary.Outcomes, r)
+		} else {
+			summary.Skipped = append(summary.Skipped, j.Name)
+		}
+		summary.SpentUSD += report.SpentUSD
+		if err := report.ExportMonitor(&fw.Monitor, fw.Provider.Clock()); err != nil {
+			return Summary{}, err
+		}
+		if err := fw.Provider.Advance(report.MakespanS); err != nil {
+			return Summary{}, err
 		}
 	}
-	summary.SpentUSD = fw.Provider.TotalSpend()
 	return summary, nil
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -76,7 +77,7 @@ func TestRunCampaignEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := Run(fw, cfg)
+	sum, err := runSerial(context.Background(), fw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +85,13 @@ func TestRunCampaignEndToEnd(t *testing.T) {
 		t.Fatalf("outcomes: %d, want 2 (skipped: %v)", len(sum.Outcomes), sum.Skipped)
 	}
 	for _, o := range sum.Outcomes {
-		if o.Result.Aborted {
-			t.Errorf("job %s aborted: %s", o.Name, o.Result.AbortReason)
+		if !o.Completed {
+			t.Errorf("job %s aborted: %s", o.Name, o.ShedReason)
 		}
-		if o.Result.StepsDone != 500 {
-			t.Errorf("job %s incomplete: %d steps", o.Name, o.Result.StepsDone)
+		if o.StepsDone != 500 {
+			t.Errorf("job %s incomplete: %d steps", o.Name, o.StepsDone)
 		}
-		if o.System == "" || o.PredictedMFLUPS <= 0 {
+		if o.System == "" || o.PredMFLUPS <= 0 {
 			t.Errorf("job %s missing plan info: %+v", o.Name, o)
 		}
 	}
@@ -121,7 +122,7 @@ func TestRunCampaignPinnedSystemAndSpot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := Run(fw, cfg)
+	sum, err := runSerial(context.Background(), fw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +133,8 @@ func TestRunCampaignPinnedSystemAndSpot(t *testing.T) {
 	if o.System != "CSP-2 Small" {
 		t.Errorf("pinned system ignored: %s", o.System)
 	}
-	if o.Result.StepsDone != 300 {
-		t.Errorf("spot job incomplete: %d", o.Result.StepsDone)
+	if o.StepsDone != 300 {
+		t.Errorf("spot job incomplete: %d", o.StepsDone)
 	}
 }
 
@@ -149,7 +150,7 @@ func TestRunCampaignBudgetSkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := Run(fw, cfg)
+	sum, err := runSerial(context.Background(), fw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +197,11 @@ func TestPhysicalJobConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := Run(fw, cfg)
+	sum, err := runSerial(context.Background(), fw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.Outcomes) != 1 || sum.Outcomes[0].Result.StepsDone != steps {
+	if len(sum.Outcomes) != 1 || sum.Outcomes[0].StepsDone != steps {
 		t.Fatalf("physical job did not run to completion: %+v", sum)
 	}
 }
@@ -233,5 +234,94 @@ func TestPhysicalConfigValidation(t *testing.T) {
 	}
 	if steps < 1 {
 		t.Errorf("steady steps = %d", steps)
+	}
+}
+
+// runTwoJobs runs a serial campaign of two cylinder@5 jobs pinned to
+// CSP-1 under the given budget.
+func runTwoJobs(t *testing.T, budget float64) (*core.Framework, Summary) {
+	t.Helper()
+	job := JobConfig{Geometry: "cylinder", Scale: 5, Ranks: 8, Steps: 400, System: "CSP-1", Tolerance: 0.25}
+	first, second := job, job
+	first.Name, second.Name = "first", "second"
+	cfg := Config{Seed: 5, BudgetUSD: budget, Objective: "min-cost", Jobs: []JobConfig{first, second}}
+	fw, err := core.NewFramework(machine.Catalog(), 2, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := runSerial(context.Background(), fw, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fw, sum
+}
+
+// TestSerialBudgetSpentSkipsTheRest: a job that finds the budget used up
+// is skipped, not handed to a scheduler whose zero budget would mean
+// unlimited. The budget here is exactly the first job's bill, which the
+// same seed reproduces.
+func TestSerialBudgetSpentSkipsTheRest(t *testing.T) {
+	_, open := runTwoJobs(t, 1)
+	if len(open.Outcomes) != 2 {
+		t.Fatalf("with room for both, %d jobs ran", len(open.Outcomes))
+	}
+	budget := open.Outcomes[0].USD
+	if open.Outcomes[0].PredMFLUPS < open.Outcomes[0].MFLUPS {
+		t.Fatalf("the model is pessimistic here (predicted %.2f, measured %.2f): the governor would refuse the first job a budget of its own bill",
+			open.Outcomes[0].PredMFLUPS, open.Outcomes[0].MFLUPS)
+	}
+
+	fw, sum := runTwoJobs(t, budget)
+	if len(sum.Outcomes) != 1 || sum.Outcomes[0].Name != "first" || !sum.Outcomes[0].Completed {
+		t.Fatalf("want the first job alone completed: %+v", sum.Outcomes)
+	}
+	if len(sum.Skipped) != 1 || sum.Skipped[0] != "second" {
+		t.Errorf("skipped %v, want [second]", sum.Skipped)
+	}
+	if sum.SpentUSD != budget || fw.Monitor.Len() != 1 {
+		t.Errorf("spent $%v of $%v with %d monitor samples; want exactly the budget and one sample",
+			sum.SpentUSD, budget, fw.Monitor.Len())
+	}
+}
+
+// TestSerialJobsDrawTheirOwnNoise: two identical jobs on one anatomy and
+// system are two runs, each on its own noise stream.
+func TestSerialJobsDrawTheirOwnNoise(t *testing.T) {
+	_, sum := runTwoJobs(t, 1)
+	if len(sum.Outcomes) != 2 {
+		t.Fatalf("%d outcomes, want 2", len(sum.Outcomes))
+	}
+	if a, b := sum.Outcomes[0].MFLUPS, sum.Outcomes[1].MFLUPS; a == b {
+		t.Errorf("both jobs measured %.6f MFLUPS: one noise stream", a)
+	}
+}
+
+// TestFleetTier0JobIsGuardedAtTier1: a job that asks for tier0 reports
+// and records the tier0 prediction but is placed and guarded at Tier 1.
+// Guarded at tier0's spec-sheet estimate, it was shed at 1700/2000 steps.
+func TestFleetTier0JobIsGuardedAtTier1(t *testing.T) {
+	cfg, err := Load(strings.NewReader(`{
+	  "seed": 5, "budget_usd": 1, "objective": "min-cost",
+	  "fleet": {"instances": [{"system": "CSP-1", "count": 1}]},
+	  "jobs": [{"name": "physics", "geometry": "cylinder", "scale": 5, "ranks": 8,
+	            "steps": 2000, "system": "CSP-1", "tier": "tier0"}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := core.NewFramework(machine.Catalog(), 2, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Runner{Backend: BackendFleet}.Run(context.Background(), fw, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := out.Fleet.Report.Jobs[0]
+	if !j.Completed || j.StepsDone != 2000 {
+		t.Fatalf("tier0 job did %d/2000 steps: %s", j.StepsDone, j.ShedReason)
+	}
+	if j.PredTier != "tier0" {
+		t.Errorf("report carries tier %q, want tier0", j.PredTier)
 	}
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -169,10 +170,8 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 	// The distinct pool systems, in declaration order, for per-system
 	// model predictions.
 	var poolSystems []string
-	seen := map[string]bool{}
 	for _, ic := range fcfg.Instances {
-		if !seen[ic.System] {
-			seen[ic.System] = true
+		if !slices.Contains(poolSystems, ic.System) {
 			poolSystems = append(poolSystems, ic.System)
 		}
 	}
@@ -200,47 +199,9 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 			return FleetSummary{}, err
 		}
 		summary.Warnings = append(summary.Warnings, warnings...)
-		w, err := fw.Workload(anatomy, j.Ranks)
+		fj, err := fleetJob(fw, anatomy, j, steps, poolSystems)
 		if err != nil {
-			return FleetSummary{}, fmt.Errorf("campaign: decomposing %q: %w", j.Name, err)
-		}
-
-		fj := &fleet.Job{
-			Name:         j.Name,
-			Workload:     w,
-			Steps:        steps,
-			Priority:     j.Priority,
-			DeadlineS:    j.DeadlineS,
-			Tolerance:    j.Tolerance,
-			OnDemandOnly: j.OnDemandOnly,
-			PerStep:      map[string]float64{},
-			PredMFLUPS:   map[string]float64{},
-			PredTier:     map[string]string{},
-		}
-		if j.System != "" {
-			if !seen[j.System] {
-				return FleetSummary{}, fmt.Errorf(
-					"campaign: job %q pins system %q, which the fleet pool does not offer", j.Name, j.System)
-			}
-			fj.Systems = []string{j.System}
-		}
-		// Model-driven placement: the paper's per-anatomy predictions
-		// priced on every pool system the job fits on.
-		for _, abbrev := range poolSystems {
-			sys, err := fw.Provider.System(abbrev)
-			if err != nil {
-				continue // pool system outside this framework's catalog
-			}
-			if j.Ranks > sys.MaxRanks() {
-				continue
-			}
-			pred, err := fw.Predict(anatomy, core.Query{System: abbrev, Model: perfmodel.ModelDirect, Ranks: j.Ranks, Tier: j.Tier})
-			if err != nil {
-				return FleetSummary{}, fmt.Errorf("campaign: predicting %q on %s: %w", j.Name, abbrev, err)
-			}
-			fj.PerStep[abbrev] = pred.SecondsPerStep
-			fj.PredMFLUPS[abbrev] = pred.MFLUPS
-			fj.PredTier[abbrev] = pred.Tier
+			return FleetSummary{}, err
 		}
 		jobs = append(jobs, fj)
 	}
@@ -280,4 +241,56 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 		return summary, err
 	}
 	return summary, fw.Provider.Advance(report.MakespanS)
+}
+
+// fleetJob is a prepared campaign job as the scheduler takes it: its
+// workload over j.Ranks, its scheduling contract, and the model's
+// prediction on each of systems that the framework offers and that can
+// host it. Placement and the time guard are priced at Tier 1, the tier
+// refinement corrects, whatever the job's tier; the job's own tier
+// predicts the throughput the report shows and the monitor records.
+func fleetJob(fw *core.Framework, anatomy *core.Anatomy, j JobConfig, steps int, systems []string) (*fleet.Job, error) {
+	w, err := fw.Workload(anatomy, j.Ranks)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: decomposing %q: %w", j.Name, err)
+	}
+	fj := &fleet.Job{
+		Name:         j.Name,
+		Workload:     w,
+		Steps:        steps,
+		Priority:     j.Priority,
+		DeadlineS:    j.DeadlineS,
+		Tolerance:    j.Tolerance,
+		OnDemandOnly: j.OnDemandOnly,
+		PerStep:      map[string]float64{},
+		PredMFLUPS:   map[string]float64{},
+		PredTier:     map[string]string{},
+	}
+	if j.System != "" {
+		if !slices.Contains(systems, j.System) {
+			return nil, fmt.Errorf(
+				"campaign: job %q pins system %q, which the fleet pool does not offer", j.Name, j.System)
+		}
+		fj.Systems = []string{j.System}
+	}
+	for _, abbrev := range systems {
+		sys, err := fw.Provider.System(abbrev)
+		if err != nil || j.Ranks > sys.MaxRanks() {
+			continue // outside this framework's catalog, or too small for the job
+		}
+		q := core.Query{System: abbrev, Model: perfmodel.ModelDirect, Ranks: j.Ranks}
+		guard, err := fw.Predict(anatomy, q)
+		pred := guard
+		if err == nil && j.Tier != "" && j.Tier != perfmodel.Tier1Calibrated {
+			q.Tier = j.Tier
+			pred, err = fw.Predict(anatomy, q)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("campaign: predicting %q on %s: %w", j.Name, abbrev, err)
+		}
+		fj.PerStep[abbrev] = guard.SecondsPerStep
+		fj.PredMFLUPS[abbrev] = pred.MFLUPS
+		fj.PredTier[abbrev] = pred.Tier
+	}
+	return fj, nil
 }

@@ -121,9 +121,9 @@ func TestSerialJobsOnASharedLatticeKeepTheirNames(t *testing.T) {
 	}
 	for i, j := range cfg.Jobs {
 		o := out.Serial.Outcomes[i]
-		if o.Name != j.Name || o.Result.Workload != j.Name || o.Result.Ranks != j.Ranks {
-			t.Errorf("job %s: outcome %q ran workload %q over %d ranks, want its own name and %d ranks",
-				j.Name, o.Name, o.Result.Workload, o.Result.Ranks, j.Ranks)
+		if o.Name != j.Name || o.Ranks != j.Ranks || !o.Completed {
+			t.Errorf("job %s: outcome %q over %d ranks (completed %v), want its own name, %d ranks and completion",
+				j.Name, o.Name, o.Ranks, o.Completed, j.Ranks)
 		}
 		if n := len(fw.Monitor.Series(j.Name, o.System, j.Ranks)); n != 1 {
 			t.Errorf("job %s: %d monitor samples under its name on %s at %d ranks, want 1", j.Name, n, o.System, j.Ranks)

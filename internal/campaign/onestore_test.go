@@ -148,7 +148,7 @@ func TestSecondCampaignOnOneFramework(t *testing.T) {
 
 	t.Run("Run then RunFleet", func(t *testing.T) {
 		fw, cfg := fleetFramework(t)
-		serial, err := Run(fw, cfg)
+		serial, err := runSerial(context.Background(), fw, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestOtherTierResidualsDoNotMoveCorrection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := Run(fw, cfg)
+		sum, err := runSerial(context.Background(), fw, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,8 +16,8 @@ const (
 	// BackendAuto picks BackendFleet when the config declares an
 	// instance pool and BackendSerial otherwise.
 	BackendAuto Backend = ""
-	// BackendSerial runs jobs one at a time on one recommended
-	// instance each (the original Figure 1 loop).
+	// BackendSerial runs jobs one at a time, each as a one-job fleet on
+	// one recommended instance (the original Figure 1 loop).
 	BackendSerial Backend = "serial"
 	// BackendFleet schedules all jobs concurrently across the
 	// config's instance pool.

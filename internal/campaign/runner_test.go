@@ -51,9 +51,9 @@ func TestRunnerResolve(t *testing.T) {
 	}
 }
 
-// TestRunnerMatchesRun pins the satellite's contract: the Runner entry
-// produces the same serial summary as the historical Run call on an
-// identically seeded framework.
+// TestRunnerMatchesRun: the Runner entry produces the same serial summary
+// as the sequential engine called directly on an identically seeded
+// framework.
 func TestRunnerMatchesRun(t *testing.T) {
 	cfg, err := Load(strings.NewReader(validConfig))
 	if err != nil {
@@ -68,7 +68,7 @@ func TestRunnerMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := Run(fw1, cfg)
+	want, err := runSerial(context.Background(), fw1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,18 +2,18 @@
 // the paper's Figure 1 framework. Phase one characterizes every candidate
 // cloud instance into a CSP Option Dashboard; phase two tunes the
 // performance model to a specific anatomy, predicts per-instance
-// performance, drives the instance choice, guards the job against cost
-// overruns, and feeds measurements back into the model (iterative
-// refinement).
+// performance, drives the instance choice, and feeds measurements back
+// into the model (iterative refinement). Running a job under the budget
+// guard is internal/campaign's, on internal/fleet's scheduler.
 //
 // Typical use:
 //
 //	fw, _ := core.NewFramework(machine.Catalog(), 5, 1)
 //	anatomy, _ := fw.PrepareAnatomy("aorta", dom, lbm.Params{Tau: 0.9, UMax: 0.02})
-//	pred, _ := fw.Predict(anatomy, core.Query{System: "CSP-2 EC", Model: perfmodel.ModelGeneral, Ranks: 144})
-//	spec, _ := fw.PlanJob(anatomy, "CSP-2 EC", 144, 10000, 0.10)
-//	res, _ := fw.Provider.RunJob(spec)
-//	fw.Record(anatomy, pred, res.Result)
+//	best, _ := fw.Recommend(anatomy, 144, 10000, dashboard.MaxValue, 0)
+//	pred, _ := fw.Predict(anatomy, core.Query{System: best.System, Model: perfmodel.ModelDirect, Ranks: 144})
+//	meas, _ := fw.Measure(anatomy, best.System, 144, 10000)
+//	fw.Record(anatomy, pred, meas)
 package core
 
 import (
@@ -42,9 +42,9 @@ type Framework struct {
 
 	// Monitor is the SONAR-style store of every measured run with the
 	// prediction that preceded it, on the provider's simulated timeline.
-	// Record is its one writer here (a fleet report exports into it
-	// too); baselines, regression detection and the refinement
-	// correction are all read from it.
+	// Campaigns write into it through their fleet report's export, and
+	// Record (behind Observe) writes single runs; baselines, regression
+	// detection and the refinement correction are all read from it.
 	Monitor monitor.Store
 
 	// Anatomies holds what phase two prepared, one entry per distinct
@@ -69,7 +69,7 @@ func NewFramework(systems []*machine.System, samples int, seed int64) (*Framewor
 	}
 	return &Framework{
 		Dashboard: d,
-		Provider:  cloud.NewProvider(systems, seed+1),
+		Provider:  cloud.NewProvider(systems),
 		Anatomies: cache.New[AnatomyKey, *Anatomy](MaxCachedAnatomies, nil),
 		systems:   systems,
 		rng:       rng,
@@ -395,36 +395,6 @@ func (f *Framework) Observe(a *Anatomy, system string, ranks, steps int) (perfmo
 		return perfmodel.Prediction{}, simcloud.Result{}, err
 	}
 	return pred, meas, nil
-}
-
-// PlanJob turns a prediction into a guarded job spec: the predicted
-// runtime bounds the time guard at the given tolerance, and the implied
-// cost (plus the same tolerance) bounds the dollar guard.
-func (f *Framework) PlanJob(a *Anatomy, system string, ranks, steps int, tolerance float64) (cloud.JobSpec, error) {
-	if tolerance < 0 {
-		return cloud.JobSpec{}, fmt.Errorf("core: negative tolerance %g", tolerance)
-	}
-	sys, err := f.Provider.System(system)
-	if err != nil {
-		return cloud.JobSpec{}, err
-	}
-	pred, err := f.PredictDirect(a, system, ranks)
-	if err != nil {
-		return cloud.JobSpec{}, err
-	}
-	w, err := f.Workload(a, ranks)
-	if err != nil {
-		return cloud.JobSpec{}, err
-	}
-	seconds := pred.SecondsPerStep * float64(steps)
-	return cloud.JobSpec{
-		Workload:         w,
-		System:           system,
-		Steps:            steps,
-		PredictedSeconds: seconds,
-		Tolerance:        tolerance,
-		MaxUSD:           sys.JobCost(ranks, seconds) * (1 + tolerance) * 1.05,
-	}, nil
 }
 
 // Assess evaluates every dashboard system for the anatomy at a rank count,

@@ -117,32 +117,6 @@ func TestRefinementConvergesOverRounds(t *testing.T) {
 	}
 }
 
-func TestPlanJobGuardsFromPrediction(t *testing.T) {
-	fw := framework(t)
-	a := anatomy(t, fw)
-	spec, err := fw.PlanJob(a, "CSP-2 Small", 32, 200, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.PredictedSeconds <= 0 || spec.MaxUSD <= 0 {
-		t.Fatalf("plan missing guards: %+v", spec)
-	}
-	if spec.Tolerance != 0.10 {
-		t.Errorf("tolerance %v, want 0.10", spec.Tolerance)
-	}
-	res, err := fw.Provider.RunJob(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With an honest model the job must complete un-aborted.
-	if res.Aborted {
-		t.Errorf("model-planned job aborted: %s", res.AbortReason)
-	}
-	if _, err := fw.PlanJob(a, "CSP-2 Small", 32, 200, -0.1); err == nil {
-		t.Error("want error for negative tolerance")
-	}
-}
-
 func TestRecommendEndToEnd(t *testing.T) {
 	fw := framework(t)
 	a := anatomy(t, fw)
@@ -271,8 +245,8 @@ func TestUnknownSystemErrors(t *testing.T) {
 	if _, err := fw.Measure(a, "nope", 8, 10); err == nil {
 		t.Error("want error for unknown system in Measure")
 	}
-	if _, err := fw.PlanJob(a, "nope", 8, 10, 0.1); err == nil {
-		t.Error("want error for unknown system in PlanJob")
+	if _, err := fw.Predict(a, Query{System: "nope", Ranks: 8}); err == nil {
+		t.Error("want error for unknown system in Predict")
 	}
 }
 

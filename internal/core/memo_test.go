@@ -50,7 +50,7 @@ func TestOneDecompositionPerAnatomyAndRanks(t *testing.T) {
 			len(machine.Catalog()), got)
 	}
 
-	spec, err := fw.PlanJob(a, "CSP-2", 16, 1000, 0.1)
+	w, err := fw.Workload(a, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,15 +58,18 @@ func TestOneDecompositionPerAnatomyAndRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := builds.Load(); got != 1 {
-		t.Errorf("PlanJob and Measure at the predicted rank count brought decompositions to %d, want 1", got)
+		t.Errorf("Workload and Measure at the predicted rank count brought decompositions to %d, want 1", got)
 	}
 
-	// A new rank count is one more; PlanJob predicts and packages from it.
-	if _, err := fw.PlanJob(a, "CSP-2", 36, 1000, 0.1); err != nil {
+	// A new rank count is one more; Predict decomposes and Workload reuses it.
+	if _, err := fw.PredictDirect(a, "CSP-2", 36); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Workload(a, 36); err != nil {
 		t.Fatal(err)
 	}
 	if got := builds.Load(); got != 2 {
-		t.Errorf("PlanJob at a new rank count brought decompositions to %d, want 2", got)
+		t.Errorf("a new rank count brought decompositions to %d, want 2", got)
 	}
 
 	// The memoised workload is the decomposition itself.
@@ -74,8 +77,8 @@ func TestOneDecompositionPerAnatomyAndRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := simcloud.FromPartition(a.Name, a.Lattice.N(), p); !reflect.DeepEqual(spec.Workload, want) {
-		t.Error("PlanJob's memoised workload differs from a fresh decomposition")
+	if want := simcloud.FromPartition(a.Name, a.Lattice.N(), p); !reflect.DeepEqual(w, want) {
+		t.Error("the memoised workload differs from a fresh decomposition")
 	}
 
 	// Errors are reported, not memoised.

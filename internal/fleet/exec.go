@@ -37,8 +37,8 @@ type attempt struct {
 }
 
 // attemptChunks is how many metered slices an attempt is split into; the
-// guards and the spot hazard can only trip at slice boundaries, matching
-// internal/cloud's polling scheduler.
+// guards and the spot hazard can only trip at slice boundaries, like a
+// scheduler polling its jobs.
 const attemptChunks = 20
 
 // worker is the long-lived goroutine of one simulated instance. It owns
@@ -103,7 +103,7 @@ func runAttempt(a assignment, inst *instance, rng *rand.Rand) attempt {
 		}
 		if timeLimit > 0 && res.computeS > timeLimit {
 			res.aborted = true
-			res.reason = fmt.Sprintf("time guard: %.1fs exceeds predicted %.1fs +%.0f%%",
+			res.reason = fmt.Sprintf("time guard: %.3gs exceeds predicted %.3gs +%.0f%%",
 				res.computeS, a.perStepS*float64(remaining), a.tolerance*100)
 			break
 		}

@@ -1,9 +1,10 @@
 // Package fleet is a discrete-event fleet scheduler: it dispatches a
 // queue of simulation jobs across a configurable pool of simulated cloud
 // instances (mixed system types, on-demand and spot capacity) under one
-// campaign budget. It is the layer above internal/cloud's single-instance
-// campaigns that the paper's end goal — a clinical simulation *service*
-// with many patient cases in flight — requires.
+// campaign budget: the paper's end goal, a clinical simulation *service*
+// with many patient cases in flight. It is also the one executor of a
+// guarded job: a sequential campaign runs each job as a one-job fleet on
+// a one-instance pool.
 //
 // The scheduler combines:
 //

@@ -24,8 +24,9 @@ type Job struct {
 	// instance can.
 	DeadlineS float64
 
-	// Tolerance widens the model-driven time guard, as in cloud.JobSpec
-	// (0 inherits nothing — an unguarded job needs no tolerance).
+	// Tolerance widens the model-driven guards: an attempt stops once its
+	// compute time passes the predicted time × (1 + Tolerance), or its
+	// metered cost the predicted cost × (1 + Tolerance) × 1.05.
 	Tolerance float64
 
 	// OnDemandOnly excludes spot instances, for jobs whose deadline
