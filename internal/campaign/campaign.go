@@ -68,6 +68,15 @@ type JobConfig struct {
 	OnDemandOnly bool    `json:"on_demand_only,omitempty"`
 }
 
+// LatticeScale is the geometry scale the job builds at: its Scale, or
+// for a physical job half its sites across the vessel.
+func (j JobConfig) LatticeScale() float64 {
+	if j.Physical != nil {
+		return float64(j.Physical.SitesAcross) / 2
+	}
+	return j.Scale
+}
+
 // Config declares a whole campaign.
 type Config struct {
 	Seed      int64       `json:"seed"`
@@ -128,9 +137,6 @@ func (c *Config) Validate() error {
 			ph := j.Physical
 			if ph.DiameterMM <= 0 || ph.PeakSpeedMps <= 0 || ph.SitesAcross < 8 || ph.Beats <= 0 {
 				return fmt.Errorf("campaign: job %q has incomplete physical spec %+v", j.Name, ph)
-			}
-			if ph.HeartRateHz == 0 {
-				// Steady flow: "beats" counts characteristic times D/U.
 			}
 		} else {
 			if j.Scale <= 0 {
@@ -258,7 +264,7 @@ func resolve(j JobConfig) (scale float64, steps int, params lbm.Params, warnings
 		return 0, 0, params, nil, fmt.Errorf("campaign: job %q units: %w", j.Name, err)
 	}
 	warnings = append(warnings, conv.Check()...)
-	scale = float64(ph.SitesAcross) / 2
+	scale = j.LatticeScale()
 	params.UMax = conv.ULattice
 	if ph.HeartRateHz > 0 {
 		params.Pulsatile = lbm.Waveform{Period: conv.StepsPerBeat, Amplitude: 0.5}

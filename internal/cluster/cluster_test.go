@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,20 +17,28 @@ import (
 	"repro/internal/serve"
 )
 
-// newServeCluster builds n real serve.Server replicas (cheap
-// calibrations: Samples 1) behind a router, all in-process. The
-// returned transports are the kill seam; the servers allow drain tests
-// to exercise serve's own shutdown semantics through the router.
-func newServeCluster(t *testing.T, n int, mutate func(*Config)) (*Cluster, []*HandlerTransport, []*serve.Server, string) {
+// newReplica builds one real serve.Server with cheap calibrations
+// (Samples 1) and LRUs of cacheEntries (0: serve's default).
+func newReplica(t *testing.T, cacheEntries int) *serve.Server {
+	t.Helper()
+	srv, err := serve.New(serve.Config{Samples: 1, DefaultSeed: 7, CacheEntries: cacheEntries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// newServeCluster builds n newReplica servers behind a router, all
+// in-process. The returned transports are the kill seam; the servers
+// allow drain tests to exercise serve's own shutdown semantics through
+// the router.
+func newServeCluster(t *testing.T, n, cacheEntries int, mutate func(*Config)) (*Cluster, []*HandlerTransport, []*serve.Server, string) {
 	t.Helper()
 	transports := make([]*HandlerTransport, n)
 	servers := make([]*serve.Server, n)
 	replicas := make([]Replica, n)
 	for i := range replicas {
-		srv, err := serve.New(serve.Config{Samples: 1, DefaultSeed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := newReplica(t, cacheEntries)
 		servers[i] = srv
 		name := fmt.Sprintf("r%d", i)
 		transports[i] = NewHandlerTransport(srv.Handler())
@@ -49,51 +58,89 @@ func newServeCluster(t *testing.T, n int, mutate func(*Config)) (*Cluster, []*Ha
 	return c, transports, servers, ts.URL
 }
 
+// predictPass posts predictBodyFor(1), …, predictBodyFor(keys) in order:
+// one calibration key each, all on one workload and one system. It
+// returns the pass's cache misses and hits and the X-Replica of each
+// reply, in seed order.
+func predictPass(t *testing.T, url string, keys int) (misses, hits int, replicas []string) {
+	t.Helper()
+	for seed := 1; seed <= keys; seed++ {
+		resp, data := doPost(t, url+"/v1/predict", predictBodyFor(seed), nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: status %d (%s)", seed, resp.StatusCode, data)
+		}
+		var pr serve.PredictResponse
+		if err := json.Unmarshal(data, &pr); err != nil {
+			t.Fatal(err)
+		}
+		misses += pr.CacheMisses
+		hits += pr.CacheHits
+		replicas = append(replicas, resp.Header.Get("X-Replica"))
+	}
+	return misses, hits, replicas
+}
+
 // TestClusterDisjointWarmCaches is the sharding contract end to end:
 // K distinct calibration keys cost exactly K cache misses fleet-wide on
 // the first pass (no key calibrated twice, because exactly one replica
 // owns it) and zero misses on the second (every key warm somewhere).
+//
+// The capacity case is the cluster's whole bet, counted: N replicas are
+// N disjoint caches, not N copies of one. With per-replica LRUs of c
+// entries, K > c keys of which no replica owns more than c stay warm on
+// the fleet, while one server with the same c misses every key of the
+// same cyclic pass: by the time a key comes round again, K − 1 ≥ c other
+// keys have pushed it out of the LRU.
 func TestClusterDisjointWarmCaches(t *testing.T) {
-	_, _, _, url := newServeCluster(t, 3, nil)
+	for _, tc := range []struct {
+		name                      string
+		replicas, cacheEntries, k int
+	}{
+		{"default caches", 3, 0, 8},
+		{"capacity", 4, 4, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, _, url := newServeCluster(t, tc.replicas, tc.cacheEntries, nil)
+			misses, hits, owners := predictPass(t, url, tc.k)
+			if misses != tc.k || hits != 0 {
+				t.Errorf("cold pass: %d misses %d hits, want %d/0", misses, hits, tc.k)
+			}
+			misses, hits, again := predictPass(t, url, tc.k)
+			if misses != 0 || hits != tc.k {
+				t.Errorf("warm pass: %d misses %d hits, want 0/%d", misses, hits, tc.k)
+			}
+			if !slices.Equal(owners, again) {
+				t.Errorf("keys moved between passes: %v -> %v", owners, again)
+			}
+			owned := make(map[string]int)
+			for _, rep := range owners {
+				owned[rep]++
+			}
+			if len(owned) < 2 {
+				t.Errorf("keys did not spread: %v", owners)
+			}
+			if tc.cacheEntries == 0 {
+				return
+			}
 
-	const keys = 8
-	owners := make(map[int]string)
-	misses, hits := 0, 0
-	pass := func(record bool) {
-		for seed := 1; seed <= keys; seed++ {
-			resp, data := doPost(t, url+"/v1/predict", predictBodyFor(seed), nil)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("seed %d: status %d (%s)", seed, resp.StatusCode, data)
+			// The case's preconditions, so that a ring change fails here
+			// instead of quietly making the keyset fit one replica.
+			if tc.k <= tc.cacheEntries {
+				t.Errorf("%d keys fit one replica's %d entries", tc.k, tc.cacheEntries)
 			}
-			var pr serve.PredictResponse
-			if err := json.Unmarshal(data, &pr); err != nil {
-				t.Fatal(err)
+			for rep, n := range owned {
+				if n > tc.cacheEntries {
+					t.Errorf("%s owns %d keys, more than its %d entries", rep, n, tc.cacheEntries)
+				}
 			}
-			misses += pr.CacheMisses
-			hits += pr.CacheHits
-			rep := resp.Header.Get("X-Replica")
-			if record {
-				owners[seed] = rep
-			} else if owners[seed] != rep {
-				t.Errorf("seed %d moved %s -> %s", seed, owners[seed], rep)
+
+			single := httptest.NewServer(newReplica(t, tc.cacheEntries).Handler())
+			defer single.Close()
+			predictPass(t, single.URL, tc.k)
+			if misses, hits, _ := predictPass(t, single.URL, tc.k); misses != tc.k || hits != 0 {
+				t.Errorf("single replica's warm pass: %d misses %d hits, want %d/0", misses, hits, tc.k)
 			}
-		}
-	}
-	pass(true)
-	if misses != keys || hits != 0 {
-		t.Errorf("cold pass: %d misses %d hits, want %d/0", misses, hits, keys)
-	}
-	misses, hits = 0, 0
-	pass(false)
-	if misses != 0 || hits != keys {
-		t.Errorf("warm pass: %d misses %d hits, want 0/%d", misses, hits, keys)
-	}
-	distinct := make(map[string]bool)
-	for _, rep := range owners {
-		distinct[rep] = true
-	}
-	if len(distinct) < 2 {
-		t.Errorf("keys did not spread: %v", owners)
+		})
 	}
 }
 
@@ -103,7 +150,7 @@ func TestClusterDisjointWarmCaches(t *testing.T) {
 // transparent, and health marks the corpse dead so later requests never
 // touch it.
 func TestClusterFailoverE2E(t *testing.T) {
-	c, transports, _, url := newServeCluster(t, 3, nil)
+	c, transports, _, url := newServeCluster(t, 3, 0, nil)
 
 	const keys = 6
 	// Warm every key so the steady-state run is cache-hot.
@@ -183,7 +230,7 @@ func drainAndClose(resp *http.Response) error {
 // carry replica-qualified IDs, and status polls route back to the
 // owner through to completion.
 func TestClusterCampaignLifecycle(t *testing.T) {
-	_, _, _, url := newServeCluster(t, 3, nil)
+	_, _, _, url := newServeCluster(t, 3, 0, nil)
 
 	body := `{"backend":"serial","config":{
 	  "seed": 3, "budget_usd": 1.0, "objective": "min-cost",
@@ -255,7 +302,7 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 // campaign submissions with 503; the router relays it untouched (503 is
 // flow control, not a transport failure — no retry, no masking).
 func TestClusterDrainPropagates503(t *testing.T) {
-	c, _, servers, url := newServeCluster(t, 2, nil)
+	c, _, servers, url := newServeCluster(t, 2, 0, nil)
 
 	// Close both serve servers: wherever the submission routes, the
 	// answer must be the replica's own 503.

@@ -12,8 +12,9 @@ import (
 // HandlerTransport is an http.RoundTripper that serves requests
 // directly through an in-process http.Handler — no sockets, no
 // serialization beyond the body bytes. It is the transport behind
-// single-process clusters (tests, cmd/loadgen -cluster, cmd/cluster's
-// in-process mode); real deployments use *http.Transport instead.
+// single-process clusters (tests, the benchmark's cluster_mixed,
+// cmd/cluster's in-process mode); real deployments use *http.Transport
+// instead.
 //
 // Closed transports refuse with a transport-level error, which is
 // indistinguishable from a dead process to the router — the seam the

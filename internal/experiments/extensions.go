@@ -7,7 +7,6 @@ import (
 	"repro/internal/lbm"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
-	"repro/internal/roofline"
 	"repro/internal/simcloud"
 )
 
@@ -141,8 +140,8 @@ func ExtTermSelection() (Report, error) {
 	}
 	candidates := []perfmodel.Term{
 		perfmodel.FlopTerm(
-			roofline.D3Q19BGK(lbm.HarveyAccess().PointBytes(19)),
-			roofline.Machine{PeakGFLOPS: 1500, PeakBandwidthGBps: c.Mem.Saturation() / 1000},
+			perfmodel.D3Q19BGK(lbm.HarveyAccess().PointBytes(19)),
+			perfmodel.Machine{PeakGFLOPS: 1500, PeakBandwidthGBps: c.Mem.Saturation() / 1000},
 		),
 		perfmodel.OverheadTerm(0.18),
 		perfmodel.ConstantTerm("barrier-1us", 1e-6),

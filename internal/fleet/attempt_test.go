@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // The tests in this file pin the metered attempt: its guards, its bill
@@ -211,6 +212,36 @@ func TestRetryBudgetEnforced(t *testing.T) {
 	}
 	if j.Attempts >= cfg.MaxRetries {
 		t.Errorf("budget did not stop the retry sequence: %d attempts", j.Attempts)
+	}
+}
+
+// TestPreemptionCountedPastTheRetryCap: a preemption is counted whether
+// or not a retry follows it. One retry allowed and every attempt
+// preempted gives two preemptions, one of them requeued.
+func TestPreemptionCountedPastTheRetryCap(t *testing.T) {
+	cfg := solo("CSP-2 Small", true)
+	cfg.PreemptionPerNodeHour = 1e8 // every attempt is preempted
+	cfg.MaxRetries = 1
+	s, err := NewScheduler(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Predict = nil
+	s.Metrics = obs.NewRegistry()
+	r, err := s.Run([]*Job{namedJob(t, "doomed", 16, 400, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := countEvents(r.Events, EvPreempted); got != 2 {
+		t.Errorf("%d preempted events, want 2:\n%s", got, RenderEvents(r.Events))
+	}
+	if got := countEvents(r.Events, EvRequeued); got != 1 {
+		t.Errorf("%d requeued events, want 1:\n%s", got, RenderEvents(r.Events))
+	}
+	pre := s.Metrics.Counter(metricPreemptionsTotal).Value()
+	retries := s.Metrics.Counter(metricRetriesTotal).Value()
+	if pre != 2 || retries != 1 {
+		t.Errorf("%s %v and %s %v, want 2 and 1", metricPreemptionsTotal, pre, metricRetriesTotal, retries)
 	}
 }
 

@@ -92,10 +92,9 @@ func (s *Scheduler) obsAttemptEnd(p *pendingPlacement, att attempt, outcome stri
 	s.Metrics.Histogram(metricAttemptComputeS, fleetTimeBucketsS).Observe(att.computeS)
 }
 
-// obsBackoff records a preemption's requeue gap as an immediately closed
-// span from now until the job's next eligibility.
+// obsBackoff counts a requeued preemption's retry and records its gap as
+// an immediately closed span from now until the job's next eligibility.
 func (s *Scheduler) obsBackoff(j *jobState) {
-	s.Metrics.Counter(metricPreemptionsTotal).Inc()
 	s.Metrics.Counter(metricRetriesTotal).Inc()
 	b := s.Trace.StartChild(j.span, "backoff", s.clock)
 	b.SetAttr("attempt", strconv.Itoa(j.attempts))

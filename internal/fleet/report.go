@@ -19,10 +19,9 @@ type JobReport struct {
 	StepsDone int
 	Attempts  int
 
-	SubmitS float64 // all jobs submit at t=0 today; kept for generality
-	StartS  float64 // first placement, -1 if never placed
-	DoneS   float64 // completion or shed time
-	WaitS   float64 // queue wait before first placement
+	StartS float64 // first placement, -1 if never placed
+	DoneS  float64 // completion or shed time
+	WaitS  float64 // queue wait before first placement; every job submits at 0
 
 	ComputeS   float64
 	ProvisionS float64
@@ -95,7 +94,7 @@ func (s *Scheduler) report() *Report {
 			jr.PredTier = j.PredTier[j.system]
 		}
 		if j.firstStart >= 0 {
-			jr.WaitS = j.firstStart - jr.SubmitS
+			jr.WaitS = j.firstStart
 		}
 		jr.DeadlineMet = jr.Completed && (j.DeadlineS <= 0 || j.finishedAt <= j.DeadlineS)
 		if j.shed {

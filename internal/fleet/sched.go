@@ -323,6 +323,7 @@ func (s *Scheduler) settle(p pendingPlacement) {
 		s.log(EvPreempted, j.Name, p.inst.id,
 			fmt.Sprintf("%s after %d steps ($%.4f billed), %d/%d done",
 				att.reason, att.steps, att.usd, j.done, j.Steps))
+		s.Metrics.Counter(metricPreemptionsTotal).Inc()
 		retriesUsed := j.attempts - 1
 		if retriesUsed >= s.cfg.MaxRetries {
 			s.shed(j, fmt.Sprintf("retry cap %d exhausted at %d/%d steps",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/roofline"
 	"repro/internal/simcloud"
 )
 
@@ -26,14 +25,14 @@ type Term struct {
 // FlopTerm prices the floating-point work of every fluid point against a
 // compute ceiling — the roofline term the Discussion proposes. For
 // bandwidth-bound LBM on CPUs the selector should reject it.
-func FlopTerm(k roofline.Kernel, m roofline.Machine) Term {
+func FlopTerm(k Kernel, m Machine) Term {
 	return Term{
 		Name: "flops",
 		Eval: func(w simcloud.Workload, base Prediction) float64 {
 			// The gating task holds roughly points/ranks of the domain
 			// (imbalance already folded into the base memory term).
 			points := float64(w.Points) / math.Max(1, float64(len(w.Tasks)))
-			return roofline.FlopTimeS(k, m, points)
+			return FlopTimeS(k, m, points)
 		},
 	}
 }

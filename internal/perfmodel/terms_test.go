@@ -6,7 +6,6 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/lbm"
 	"repro/internal/machine"
-	"repro/internal/roofline"
 	"repro/internal/simcloud"
 )
 
@@ -42,8 +41,8 @@ func TestSelectTermsKeepsOverheadRejectsFlops(t *testing.T) {
 
 	overhead := OverheadTerm(simcloud.KernelOverhead - 1)
 	flops := FlopTerm(
-		roofline.D3Q19BGK(lbm.HarveyAccess().PointBytes(19)),
-		roofline.Machine{PeakGFLOPS: 1500, PeakBandwidthGBps: 104},
+		D3Q19BGK(lbm.HarveyAccess().PointBytes(19)),
+		Machine{PeakGFLOPS: 1500, PeakBandwidthGBps: 104},
 	)
 	res, err := c.SelectTerms([]Term{flops, overhead}, obs, 0.01)
 	if err != nil {
@@ -137,4 +136,17 @@ func absRel(pred, meas float64) float64 {
 		return -d
 	}
 	return d
+}
+
+func TestFlopTimeTinyForLBM(t *testing.T) {
+	// The paper drops the FLOP term for CPU LBM; at realistic ceilings the
+	// flop time must be well under the memory time for the same points.
+	m := Machine{PeakGFLOPS: 1200, PeakBandwidthGBps: 60}
+	k := D3Q19BGK(456)
+	const n = 1e6
+	flopT := FlopTimeS(k, m, n)
+	memT := n * k.BytesPerPoint / (m.PeakBandwidthGBps * 1e9)
+	if flopT >= memT/2 {
+		t.Errorf("flop time %v not well below memory time %v", flopT, memT)
+	}
 }

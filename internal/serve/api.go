@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 
 	"repro/internal/httpedge"
 	"repro/internal/perfmodel"
@@ -11,6 +12,19 @@ import (
 // This file defines the versioned JSON vocabulary of the /v1 API. Field
 // names are frozen: additive evolution only — a breaking change means a
 // /v2 prefix, never a mutation of these shapes.
+
+// Request limits: what one request can make a replica build or compute,
+// each answered with a 400 naming it. The largest uses in the tree are
+// scale 10 (the campaign examples; aorta@8 over HTTP) and a batch of 512
+// predictions (one system × ranks 1…512 in the benchmark's predict_warm).
+const (
+	// maxScale bounds a workload's scale, and each campaign job's. A
+	// lattice grows as scale³: aorta@32 is ≈ 1.7 M fluid sites.
+	maxScale = 32
+	// maxPredictions bounds a predict batch, systems × ranks, where no
+	// systems named counts the whole catalog.
+	maxPredictions = 4096
+)
 
 // WorkloadSpec names a simulation domain in the campaign geometry
 // vocabulary at a lattice scale. It is all of the anatomy cache's key
@@ -28,6 +42,18 @@ func (w WorkloadSpec) validate() error {
 	}
 	if w.Scale <= 0 {
 		return fmt.Errorf("workload.scale %g must be positive", w.Scale)
+	}
+	if w.Scale > maxScale {
+		return fmt.Errorf("workload.scale %g exceeds the limit of %d", w.Scale, maxScale)
+	}
+	return nil
+}
+
+// checkBatch rejects a predict batch of more than maxPredictions.
+func checkBatch(systems, ranks int) error {
+	if systems*ranks > maxPredictions {
+		return &apiError{status: http.StatusBadRequest, msg: fmt.Sprintf(
+			"batch of %d systems × %d ranks exceeds the limit of %d predictions", systems, ranks, maxPredictions)}
 	}
 	return nil
 }

@@ -100,6 +100,12 @@ func (m *campaignManager) submit(req CampaignRequest) (CampaignQueuedResponse, e
 		return CampaignQueuedResponse{}, &apiError{status: http.StatusBadRequest,
 			msg: "fleet backend requested but config declares no fleet pool"}
 	}
+	for _, j := range cfg.Jobs {
+		if scale := j.LatticeScale(); scale > maxScale {
+			return CampaignQueuedResponse{}, &apiError{status: http.StatusBadRequest,
+				msg: fmt.Sprintf("job %q scale %g exceeds the limit of %d", j.Name, scale, maxScale)}
+		}
+	}
 
 	m.mu.Lock()
 	if m.closed {

@@ -368,6 +368,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	tier := normalizeTier(req.Tier)
 
 	systems, err := s.resolve(req.Systems)
+	if err == nil {
+		err = checkBatch(len(systems), len(req.Ranks))
+	}
 	if err != nil {
 		writeErr(w, err)
 		return

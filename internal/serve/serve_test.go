@@ -174,6 +174,95 @@ func TestMalformedAndInvalidRequests(t *testing.T) {
 	}
 }
 
+// TestScaleLimit: a workload scale past maxScale is a 400 naming the
+// limit on every endpoint that builds a lattice, campaign jobs included,
+// and nothing is built or started.
+func TestScaleLimit(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	over := maxScale + 1
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		// At the limit the scale passes; the unknown system then answers
+		// 404 before any build.
+		{"predict at the limit", "/v1/predict",
+			fmt.Sprintf(`{"workload":{"geometry":"cylinder","scale":%d},"systems":["VAX-11"],"ranks":[4]}`, maxScale), http.StatusNotFound},
+		{"predict", "/v1/predict",
+			fmt.Sprintf(`{"workload":{"geometry":"cylinder","scale":%d},"ranks":[4]}`, over), http.StatusBadRequest},
+		{"plan", "/v1/plan",
+			fmt.Sprintf(`{"workload":{"geometry":"aorta","scale":%d},"ranks":4,"steps":10}`, over), http.StatusBadRequest},
+		{"campaign job", "/v1/campaigns",
+			fmt.Sprintf(`{"config":{"budget_usd":1,"jobs":[{"name":"big","geometry":"cylinder","scale":%d,"ranks":4,"steps":10}]}}`, over), http.StatusBadRequest},
+		{"physical campaign job", "/v1/campaigns",
+			fmt.Sprintf(`{"config":{"budget_usd":1,"jobs":[{"name":"big","geometry":"cylinder","ranks":4,
+			  "physical":{"diameter_mm":20,"peak_speed_ms":1,"sites_across":%d,"beats":1}}]}}`, 2*over), http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		resp, data := postJSON(t, ts.URL+tc.path, tc.body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.want, data)
+			continue
+		}
+		if tc.want == http.StatusBadRequest && !strings.Contains(string(data), fmt.Sprintf("limit of %d", maxScale)) {
+			t.Errorf("%s: error does not name the limit: %s", tc.name, data)
+		}
+	}
+	if n, c := s.anatomies.Len(), s.campaigns.running(); n != 0 || c != 0 {
+		t.Errorf("rejected requests built %d anatomies and started %d campaigns", n, c)
+	}
+}
+
+// TestBatchLimit: a predict batch of more than maxPredictions — systems ×
+// ranks, no systems meaning the whole catalog — is a 400 naming the
+// limit; a batch at the limit is served.
+func TestBatchLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const catalog = 5 // machine.Catalog()
+	cases := []struct {
+		name            string
+		systems, ranks  int // systems 0: the whole catalog
+		wantPredictions int
+		wantStatus      int
+	}{
+		{"one system at the limit", 1, maxPredictions, maxPredictions, http.StatusOK},
+		{"one system over", 1, maxPredictions + 1, 0, http.StatusBadRequest},
+		{"whole catalog under", 0, maxPredictions / catalog, maxPredictions / catalog * catalog, http.StatusOK},
+		{"whole catalog over", 0, maxPredictions/catalog + 1, 0, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		req := PredictRequest{Workload: WorkloadSpec{Geometry: "cylinder", Scale: 5}}
+		if tc.systems == 1 {
+			req.Systems = []string{"CSP-2"}
+		}
+		for k := 1; k <= tc.ranks; k++ {
+			req.Ranks = append(req.Ranks, k)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := postJSON(t, ts.URL+"/v1/predict", string(body))
+		if resp.StatusCode != tc.wantStatus {
+			t.Errorf("%s: status %d, want %d (%.200s)", tc.name, resp.StatusCode, tc.wantStatus, data)
+			continue
+		}
+		if tc.wantStatus != http.StatusOK {
+			if !strings.Contains(string(data), fmt.Sprintf("limit of %d predictions", maxPredictions)) {
+				t.Errorf("%s: error does not name the limit: %s", tc.name, data)
+			}
+			continue
+		}
+		var pr PredictResponse
+		if err := json.Unmarshal(data, &pr); err != nil {
+			t.Fatal(err)
+		}
+		if len(pr.Predictions) != tc.wantPredictions {
+			t.Errorf("%s: %d predictions, want %d", tc.name, len(pr.Predictions), tc.wantPredictions)
+		}
+	}
+}
+
 // TestDeadlineExceeded: a server whose request ceiling is already
 // expired must answer 504, not hang or 500 — the context checks between
 // calibration stages abandon the cold build.
