@@ -46,8 +46,9 @@ type RouterHealthResponse struct {
 // ErrorResponse is the uniform error body, shared with serve.
 type ErrorResponse = httpedge.ErrorResponse
 
-// TelemetrySourceStatus is one scrape target's row in the aggregated
-// telemetry report: whether its snapshot merged, and why not if not.
+// TelemetrySourceStatus is one polled replica's (or the router's) row
+// in the aggregated telemetry report: whether its snapshot merged, and
+// why not if not — for a dead replica, its poll error.
 type TelemetrySourceStatus struct {
 	Name    string  `json:"name"`
 	OK      bool    `json:"ok"`
@@ -57,7 +58,7 @@ type TelemetrySourceStatus struct {
 
 // REDSummary is the fleet-wide Rate/Errors/Duration view derived from
 // the merged serve metrics: request and error throughput over the last
-// scrape interval, and latency quantiles from the merged histogram
+// poll interval, and latency quantiles from the merged histogram
 // buckets (computed at read time from raw buckets, never merged as
 // quantiles).
 type REDSummary struct {
@@ -66,7 +67,7 @@ type REDSummary struct {
 	Errors   float64 `json:"errors"`
 
 	// IntervalS is the window the rates cover (time since the
-	// previous scrape, or since startup for the first one).
+	// previous poll, or since startup for the first one).
 	IntervalS     float64 `json:"interval_s"`
 	RatePerS      float64 `json:"rate_per_s"`
 	ErrorRatePerS float64 `json:"error_rate_per_s"`

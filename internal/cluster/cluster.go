@@ -44,24 +44,20 @@ type Config struct {
 	// values are dealt deterministically from [1, spread] (default 3).
 	RetryAfterSpreadS int
 
-	// HealthInterval is the background health-poll period; 0 disables
-	// the loop (CheckHealthNow still works — the deterministic path).
+	// HealthInterval is the period of the background replica poll: each
+	// tick GETs every replica's /v1/telemetry once, as health probe and
+	// telemetry scrape together. 0 disables the loop (PollNow and GET
+	// /v1/cluster/telemetry still poll on demand — the deterministic
+	// path).
 	HealthInterval time.Duration
 
 	// HealthFailures is the consecutive-failure threshold that marks a
-	// replica dead (default 2). Forward failures count toward it too.
+	// replica dead (default 2). Failed polls and failed forwards both
+	// count toward it.
 	HealthFailures int
 
-	// HealthTimeout bounds one health probe (default 2s).
+	// HealthTimeout bounds one replica's poll (default 2s).
 	HealthTimeout time.Duration
-
-	// TelemetryInterval is the background telemetry-scrape period; 0
-	// disables the loop (ScrapeTelemetryNow and on-demand scrapes via
-	// GET /v1/cluster/telemetry still work — the deterministic path).
-	TelemetryInterval time.Duration
-
-	// TelemetryTimeout bounds one replica telemetry scrape (default 2s).
-	TelemetryTimeout time.Duration
 
 	// SLOs are the objectives evaluated over the aggregated telemetry
 	// stream. nil takes obs.DefaultSLOs(); an empty non-nil slice
@@ -74,25 +70,22 @@ type Config struct {
 	Tracer   *obs.Tracer
 }
 
-// Cluster owns the router, the ring, and the health machinery over a
-// replica fleet. It holds no planning state: replicas can join a
-// freshly restarted router and every key routes identically.
+// Cluster owns the router, the ring, and the replica poll over a
+// fleet. It holds no planning state: replicas can join a freshly
+// restarted router and every key routes identically.
 type Cluster struct {
-	cfg       Config
-	ring      *Ring
-	set       *replicaSet
-	health    *healthChecker
-	telemetry *telemetryAggregator
-	router    *Router
-	reg       *obs.Registry
+	ring   *Ring
+	set    *replicaSet
+	poller *poller
+	router *Router
 
-	// baseCtx bounds every health probe the cluster issues; Close
-	// cancels it so no probe outlives the cluster.
+	// baseCtx bounds every poll the cluster issues; Close cancels it so
+	// no poll outlives the cluster.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 }
 
-// New builds a Cluster and starts background health polling when
+// New builds a Cluster and starts the background replica poll when
 // configured. Callers must Close it.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.VirtualNodes <= 0 {
@@ -106,6 +99,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.HealthFailures <= 0 {
 		cfg.HealthFailures = 2
+	}
+	if cfg.HealthTimeout <= 0 {
+		cfg.HealthTimeout = 2 * time.Second
 	}
 	if cfg.RetryAfterSpreadS <= 0 {
 		cfg.RetryAfterSpreadS = 3
@@ -123,28 +119,19 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	health := newHealthChecker(set, cfg.HealthFailures, cfg.HealthTimeout)
-	slos := cfg.SLOs
-	if slos == nil {
-		slos = obs.DefaultSLOs()
-	}
-	telemetry := newTelemetryAggregator(set, reg, cfg.TelemetryTimeout, slos)
+	poll := newPoller(set, reg, cfg)
 	// The fresh root is legitimate here: New is the top of the cluster's
 	// lifecycle — no caller context exists to derive from.
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	c := &Cluster{
-		cfg:        cfg,
 		ring:       ring,
 		set:        set,
-		health:     health,
-		telemetry:  telemetry,
-		router:     newRouter(cfg, ring, set, health, telemetry, reg, tracer),
-		reg:        reg,
+		poller:     poll,
+		router:     newRouter(cfg, ring, set, poll, reg, tracer),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
 	}
-	health.start(baseCtx, cfg.HealthInterval)
-	telemetry.start(baseCtx, cfg.TelemetryInterval)
+	poll.start(baseCtx, cfg.HealthInterval)
 	return c, nil
 }
 
@@ -154,33 +141,25 @@ func (c *Cluster) Router() *Router { return c.router }
 // Ring exposes the placement ring (read-mostly; health owns mutation).
 func (c *Cluster) Ring() *Ring { return c.ring }
 
-// CheckHealthNow runs one synchronous health sweep over every replica —
-// the deterministic alternative to background polling. After Close it
-// is a no-op: the base context is cancelled, so the sweep returns
-// without recording bogus probe failures.
-func (c *Cluster) CheckHealthNow() { c.health.checkAll(c.baseCtx) }
-
-// ScrapeTelemetryNow runs one synchronous telemetry aggregation sweep
-// and returns the merged fleet view — the deterministic alternative to
-// the background scrape loop. After Close it returns the last
-// published aggregate without issuing network calls.
-func (c *Cluster) ScrapeTelemetryNow() *ClusterTelemetryResponse {
-	return c.telemetry.scrape(c.baseCtx)
-}
+// PollNow runs one synchronous poll of every replica — the health
+// verdicts and telemetry aggregate of one background tick — and returns
+// the merged fleet view: the deterministic alternative to the loop.
+// After Close it issues no requests and returns the last published
+// aggregate, so a shut-down cluster records no bogus failures.
+func (c *Cluster) PollNow() *ClusterTelemetryResponse { return c.poller.poll(c.baseCtx) }
 
 // Replicas reports the fleet's current states in configured order.
 func (c *Cluster) Replicas() []ReplicaStatus { return c.set.snapshot() }
 
-// Close cancels in-flight health probes, stops background polling, and
-// always returns nil (the error slot matches serve.Server.Close for
-// callers shutting both down). Replica lifecycles belong to their
-// owners — the router never shuts a replica down.
+// Close cancels in-flight polls, stops the poll loop, and always
+// returns nil (the error slot matches serve.Server.Close for callers
+// shutting both down). Replica lifecycles belong to their owners — the
+// router never shuts a replica down.
 func (c *Cluster) Close() error {
-	// Cancel before stop: an in-flight probe against a hung replica
-	// aborts immediately instead of holding the poll loop (and us)
-	// until its timeout.
+	// Cancel before stop: an in-flight poll of a hung replica aborts
+	// immediately instead of holding the loop (and us) until its
+	// timeout.
 	c.baseCancel()
-	c.health.stop()
-	c.telemetry.stop()
+	c.poller.stop()
 	return nil
 }

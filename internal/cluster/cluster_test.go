@@ -337,8 +337,8 @@ func TestClusterDrainPropagates503(t *testing.T) {
 func TestClusterShed429Propagates(t *testing.T) {
 	// A stub replica that always sheds.
 	shed := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/healthz" {
-			fmt.Fprint(w, `{"status":"ok"}`)
+		if r.URL.Path == "/v1/telemetry" {
+			fmt.Fprint(w, `{}`)
 			return
 		}
 		w.Header().Set("Retry-After", "2")

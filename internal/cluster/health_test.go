@@ -7,11 +7,11 @@ import (
 	"time"
 )
 
-// TestCheckHealthNowAfterClose: once the cluster is closed, manual
-// health sweeps are inert. Before probes were rooted in the cluster's
-// base context, a post-Close sweep against a dead transport would
-// record bogus failures and flip healthy replicas dead.
-func TestCheckHealthNowAfterClose(t *testing.T) {
+// TestPollNowAfterClose: once the cluster is closed, manual polls are
+// inert. Before polls were rooted in the cluster's base context, a
+// post-Close sweep against a dead transport would record bogus failures
+// and flip healthy replicas dead.
+func TestPollNowAfterClose(t *testing.T) {
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"status":"ok"}`)
 	})
@@ -26,17 +26,19 @@ func TestCheckHealthNowAfterClose(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr.Close() // probes would now fail, if any still ran
+	tr.Close() // polls would now fail, if any still ran
 	for i := 0; i < 5; i++ {
-		c.CheckHealthNow()
+		if snap := c.PollNow(); snap != nil {
+			t.Fatalf("post-Close poll published an aggregate: %+v", snap)
+		}
 	}
 	if st := c.Replicas()[0].State; st != "healthy" {
 		t.Errorf("replica marked %q by post-Close sweeps, want healthy", st)
 	}
 }
 
-// TestClusterCloseCancelsInflightProbe: Close must not wait out a
-// probe stuck in a hung replica. The base-context cancellation reaches
+// TestClusterCloseCancelsInflightProbe: Close must not wait out a poll
+// stuck in a hung replica. The base-context cancellation reaches
 // through the poll loop into the in-flight RoundTrip, so shutdown is
 // prompt even with a generous HealthTimeout.
 func TestClusterCloseCancelsInflightProbe(t *testing.T) {
@@ -54,7 +56,7 @@ func TestClusterCloseCancelsInflightProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let the poll loop wedge a probe inside the hung handler.
+	// Let the poll loop wedge a request inside the hung handler.
 	time.Sleep(30 * time.Millisecond)
 	done := make(chan struct{})
 	go func() {
@@ -64,6 +66,6 @@ func TestClusterCloseCancelsInflightProbe(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close blocked behind a hung health probe")
+		t.Fatal("Close blocked behind a hung poll")
 	}
 }

@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -17,7 +14,7 @@ import (
 // keep answering what they already hold (campaign status polls, the
 // serve layer's own 503-on-new-campaigns drain semantics) but own no
 // arcs, so no new shard keys land on them; dead replicas are out of the
-// ring entirely until health probes see them recover.
+// ring entirely until a poll sees them answer again.
 type ReplicaState int
 
 const (
@@ -50,10 +47,10 @@ type Replica struct {
 }
 
 // replicaSet is the mutable health view over the cluster's replicas,
-// shared by the router (reads) and the health checker (writes). State
-// transitions drive ring membership: leaving StateHealthy removes the
-// replica's virtual points (its arcs fall to ring successors — the
-// rebalance), re-entering adds them back.
+// shared by the router and the poller. State transitions drive ring
+// membership: leaving StateHealthy removes the replica's virtual points
+// (its arcs fall to ring successors — the rebalance), re-entering adds
+// them back.
 type replicaSet struct {
 	ring *Ring
 	reg  *obs.Registry
@@ -66,7 +63,7 @@ type replicaSet struct {
 type replicaRec struct {
 	Replica
 	state    ReplicaState
-	failures int // consecutive probe failures
+	failures int // consecutive forward/poll failures
 }
 
 func newReplicaSet(replicas []Replica, ring *Ring, reg *obs.Registry) (*replicaSet, error) {
@@ -107,17 +104,6 @@ func (rs *replicaSet) get(name string) (Replica, bool) {
 	return rec.Replica, true
 }
 
-// state reports a replica's current lifecycle state.
-func (rs *replicaSet) state(name string) (ReplicaState, bool) {
-	rs.mu.RLock()
-	defer rs.mu.RUnlock()
-	rec, ok := rs.replicas[name]
-	if !ok {
-		return StateDead, false
-	}
-	return rec.state, true
-}
-
 // setState transitions a replica and keeps the ring consistent:
 // only healthy replicas hold virtual points.
 func (rs *replicaSet) setState(name string, to ReplicaState) bool {
@@ -142,7 +128,7 @@ func (rs *replicaSet) setState(name string, to ReplicaState) bool {
 	return true
 }
 
-// reportFailure records one forward/probe failure against a replica;
+// reportFailure records one forward/poll failure against a replica;
 // past the threshold a healthy replica is declared dead and its ring
 // arcs rebalance to its successors. Draining replicas are left alone —
 // they are already out of the ring and expected to go away.
@@ -201,108 +187,4 @@ func (rs *replicaSet) names() []string {
 	out := append([]string(nil), rs.order...)
 	sort.Strings(out)
 	return out
-}
-
-// healthChecker polls every replica's /v1/healthz and feeds the
-// verdicts into the replicaSet: Failures consecutive misses kill a
-// replica (rebalancing its arcs), one success revives it. Zero
-// Interval disables the background loop — CheckNow remains available,
-// which is how tests drive health deterministically.
-type healthChecker struct {
-	set       *replicaSet
-	threshold int
-	timeout   time.Duration
-
-	cancel context.CancelFunc
-	done   chan struct{}
-}
-
-func newHealthChecker(set *replicaSet, threshold int, timeout time.Duration) *healthChecker {
-	if threshold <= 0 {
-		threshold = 2
-	}
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	return &healthChecker{set: set, threshold: threshold, timeout: timeout}
-}
-
-// start launches the poll loop at interval; no-op when interval <= 0.
-// The loop (and every probe it issues) derives from base, so the
-// owner's shutdown cancels it alongside stop.
-func (hc *healthChecker) start(base context.Context, interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	ctx, cancel := context.WithCancel(base)
-	hc.cancel = cancel
-	hc.done = make(chan struct{})
-	go func() {
-		defer close(hc.done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				hc.checkAll(ctx)
-			}
-		}
-	}()
-}
-
-// stop halts the poll loop and waits for it to exit.
-func (hc *healthChecker) stop() {
-	if hc.cancel == nil {
-		return
-	}
-	hc.cancel()
-	<-hc.done
-	hc.cancel = nil
-}
-
-// checkAll probes every replica once, including dead ones (that is the
-// revival path). Draining replicas are skipped: their state is an
-// operator decision, not a health verdict. A cancelled ctx aborts the
-// sweep before any probe fires — a shut-down cluster must not record
-// spurious failures.
-func (hc *healthChecker) checkAll(ctx context.Context) {
-	if ctx.Err() != nil {
-		return
-	}
-	for _, name := range hc.set.names() {
-		state, ok := hc.set.state(name)
-		if !ok || state == StateDraining {
-			continue
-		}
-		if hc.probe(ctx, name) {
-			hc.set.reportSuccess(name)
-		} else {
-			hc.set.reportFailure(name, hc.threshold)
-		}
-	}
-}
-
-// probe issues one GET /v1/healthz through the replica's transport.
-func (hc *healthChecker) probe(ctx context.Context, name string) bool {
-	rep, ok := hc.set.get(name)
-	if !ok {
-		return false
-	}
-	ctx, cancel := context.WithTimeout(ctx, hc.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.BaseURL+"/v1/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := rep.Transport.RoundTrip(req)
-	if err != nil {
-		return false
-	}
-	_, cerr := io.Copy(io.Discard, resp.Body)
-	if err := resp.Body.Close(); cerr == nil {
-		cerr = err
-	}
-	return cerr == nil && resp.StatusCode == http.StatusOK
 }

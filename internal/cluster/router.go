@@ -24,20 +24,19 @@ import (
 // the key's ring successor, the same replica the ring converges to once
 // health marks the owner dead.
 type Router struct {
-	cfg       Config
-	ring      *Ring
-	set       *replicaSet
-	admit     *admission
-	edge      *httpedge.Edge
-	health    *healthChecker
-	telemetry *telemetryAggregator
+	cfg    Config
+	ring   *Ring
+	set    *replicaSet
+	admit  *admission
+	edge   *httpedge.Edge
+	poller *poller
 
 	reg    *obs.Registry
 	tracer *obs.Tracer
 	mux    *http.ServeMux
 }
 
-func newRouter(cfg Config, ring *Ring, set *replicaSet, health *healthChecker, telemetry *telemetryAggregator, reg *obs.Registry, tracer *obs.Tracer) *Router {
+func newRouter(cfg Config, ring *Ring, set *replicaSet, poll *poller, reg *obs.Registry, tracer *obs.Tracer) *Router {
 	rt := &Router{
 		cfg:   cfg,
 		ring:  ring,
@@ -45,11 +44,10 @@ func newRouter(cfg Config, ring *Ring, set *replicaSet, health *healthChecker, t
 		admit: newAdmission(cfg.TenantRate, cfg.TenantBurst, cfg.MaxInflight, reg),
 		edge: httpedge.New(reg, tracer, "cluster", "router ",
 			httpedge.NewRetryJitter(cfg.Seed, cfg.RetryAfterSpreadS)),
-		health:    health,
-		telemetry: telemetry,
-		reg:       reg,
-		tracer:    tracer,
-		mux:       http.NewServeMux(),
+		poller: poll,
+		reg:    reg,
+		tracer: tracer,
+		mux:    http.NewServeMux(),
 	}
 	rt.mux.HandleFunc("GET /v1/healthz", rt.edge.Route("/v1/healthz", rt.handleHealthz))
 	rt.mux.HandleFunc("GET /v1/metrics", rt.edge.Route("/v1/metrics", rt.edge.Metrics))
@@ -367,14 +365,15 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTelemetry serves the fleet-wide aggregated telemetry view.
-// With no background scrape loop running (or ?refresh=1) it scrapes
-// on demand, so the endpoint always answers with live data; otherwise
-// it returns the loop's last published aggregate. ?format=prom
-// renders the merged metrics as a Prometheus text exposition page.
+// With no background poll loop configured (or ?refresh=1) it polls on
+// demand, so the endpoint always answers with live data; otherwise it
+// returns the loop's last published aggregate. An on-demand poll feeds
+// health exactly as a loop tick does. ?format=prom renders the merged
+// metrics as a Prometheus text exposition page.
 func (rt *Router) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	snap := rt.telemetry.Last()
-	if snap == nil || r.URL.Query().Get("refresh") == "1" {
-		snap = rt.telemetry.scrape(r.Context())
+	snap := rt.poller.Last()
+	if snap == nil || rt.cfg.HealthInterval <= 0 || r.URL.Query().Get("refresh") == "1" {
+		snap = rt.poller.poll(r.Context())
 	}
 	if snap == nil {
 		httpedge.WriteError(w, http.StatusServiceUnavailable, "telemetry aggregation unavailable")

@@ -19,15 +19,33 @@ import (
 // with its own name — enough to observe routing decisions without
 // paying for calibrations.
 func echoReplica(name string) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"status":"ok","replica":%q}`, name)
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"replica":%q,"path":%q}`, name, r.URL.Path)
 	})
-	return mux
+}
+
+// state reports a replica's current lifecycle state.
+func (rs *replicaSet) state(name string) (ReplicaState, bool) {
+	rs.mu.RLock()
+	defer rs.mu.RUnlock()
+	rec, ok := rs.replicas[name]
+	if !ok {
+		return StateDead, false
+	}
+	return rec.state, true
+}
+
+// sourceOK reports whether snap's Sources row for name merged.
+func sourceOK(t *testing.T, snap *ClusterTelemetryResponse, name string) bool {
+	t.Helper()
+	for _, s := range snap.Sources {
+		if s.Name == name {
+			return s.OK
+		}
+	}
+	t.Fatalf("no sources row for %s in %+v", name, snap.Sources)
+	return false
 }
 
 // newEchoCluster builds a cluster of n stub replicas plus its httptest
@@ -234,9 +252,9 @@ func TestRetryJitterDeterministic(t *testing.T) {
 	}
 }
 
-// TestHealthCheckerKillsAndRevives: consecutive probe failures remove a
-// replica from the ring; a successful probe restores it with identical
-// placement (Add is deterministic).
+// TestHealthCheckerKillsAndRevives: consecutive failed polls remove a
+// replica from the ring; one successful poll restores it with identical
+// placement (Add is deterministic) and merges its snapshot again.
 func TestHealthCheckerKillsAndRevives(t *testing.T) {
 	c, transports, _ := newEchoCluster(t, 3, nil)
 
@@ -251,13 +269,16 @@ func TestHealthCheckerKillsAndRevives(t *testing.T) {
 	before := keyOwner()
 
 	transports[2].Close()
-	c.CheckHealthNow() // failure 1
+	c.PollNow() // failure 1
 	if st, _ := c.set.state("r2"); st != StateHealthy {
 		t.Fatalf("r2 dead after one failure (threshold 2): %v", st)
 	}
-	c.CheckHealthNow() // failure 2 -> dead
+	snap := c.PollNow() // failure 2 -> dead
 	if st, _ := c.set.state("r2"); st != StateDead {
 		t.Fatalf("r2 state %v after threshold, want dead", st)
+	}
+	if sourceOK(t, snap, "r2") || !sourceOK(t, snap, "r0") || !sourceOK(t, snap, "r1") {
+		t.Fatalf("sources after kill: %+v", snap.Sources)
 	}
 	if got := c.Ring().Members(); len(got) != 2 {
 		t.Fatalf("ring still has %v", got)
@@ -269,9 +290,12 @@ func TestHealthCheckerKillsAndRevives(t *testing.T) {
 	}
 
 	transports[2].Reopen()
-	c.CheckHealthNow()
+	snap = c.PollNow()
 	if st, _ := c.set.state("r2"); st != StateHealthy {
-		t.Fatalf("r2 state %v after revival probe, want healthy", st)
+		t.Fatalf("r2 state %v after revival poll, want healthy", st)
+	}
+	if !sourceOK(t, snap, "r2") {
+		t.Fatalf("revived r2 not merged: %+v", snap.Sources)
 	}
 	after := keyOwner()
 	for k := range before {
@@ -282,7 +306,7 @@ func TestHealthCheckerKillsAndRevives(t *testing.T) {
 }
 
 // TestHealthBackgroundLoop: a configured interval polls without manual
-// ticks.
+// ticks, and each tick both judges health and publishes the aggregate.
 func TestHealthBackgroundLoop(t *testing.T) {
 	c, transports, _ := newEchoCluster(t, 2, func(cfg *Config) {
 		cfg.HealthInterval = 5 * time.Millisecond
@@ -298,13 +322,23 @@ func TestHealthBackgroundLoop(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	if c.poller.Last() == nil {
+		t.Fatal("background loop published no telemetry aggregate")
+	}
+	// On-demand polls race the loop's ticks (run under -race).
+	for i := 0; i < 5; i++ {
+		if snap := c.PollNow(); sourceOK(t, snap, "r0") || !sourceOK(t, snap, "r1") {
+			t.Fatalf("sources with r0 down: %+v", snap.Sources)
+		}
+	}
 }
 
 // TestDrainEndpointAndTopology: draining via the admin endpoint empties
 // the replica's arcs (new traffic avoids it) while topology and healthz
-// report the state; undrain restores it.
+// report the state; undrain restores it. A drained replica is still
+// polled and merged, and no poll verdict un-drains or kills it.
 func TestDrainEndpointAndTopology(t *testing.T) {
-	_, _, url := newEchoCluster(t, 3, nil)
+	c, transports, url := newEchoCluster(t, 3, nil)
 
 	resp, data := doPost(t, url+"/v1/cluster/drain?replica=r0", "", nil)
 	if resp.StatusCode != http.StatusOK {
@@ -333,6 +367,19 @@ func TestDrainEndpointAndTopology(t *testing.T) {
 	}
 	if share := topo.KeyShare["r1"] + topo.KeyShare["r2"]; share < 0.99 {
 		t.Errorf("drained topology key share %v", topo.KeyShare)
+	}
+
+	if !sourceOK(t, c.PollNow(), "r0") {
+		t.Error("drained replica's snapshot not merged")
+	}
+	transports[0].Close()
+	for i := 0; i < 3; i++ {
+		c.PollNow()
+	}
+	transports[0].Reopen()
+	c.PollNow()
+	if st, _ := c.set.state("r0"); st != StateDraining {
+		t.Fatalf("polls moved drained r0 to %v", st)
 	}
 
 	if resp, data := doPost(t, url+"/v1/cluster/drain?replica=r0&undrain=1", "", nil); resp.StatusCode != http.StatusOK {
@@ -387,7 +434,7 @@ func TestRouterInflightShed(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/healthz" {
+		if r.URL.Path != "/v1/telemetry" {
 			once.Do(func() { close(entered) })
 			<-release
 		}

@@ -143,9 +143,9 @@ func TestClusterTelemetryAggregation(t *testing.T) {
 		}
 	}
 
-	snap := c.ScrapeTelemetryNow()
+	snap := c.PollNow()
 	if snap == nil {
-		t.Fatal("scrape returned nil")
+		t.Fatal("poll returned nil")
 	}
 	if len(snap.Sources) != 4 { // 3 replicas + the router itself
 		t.Fatalf("sources %+v, want 4", snap.Sources)
@@ -186,7 +186,7 @@ func TestClusterTelemetryAggregation(t *testing.T) {
 }
 
 // TestClusterTelemetryEndpoint exercises GET /v1/cluster/telemetry:
-// on-demand scrape with no background loop, JSON and Prometheus forms.
+// on-demand poll with no background loop, JSON and Prometheus forms.
 func TestClusterTelemetryEndpoint(t *testing.T) {
 	_, _, _, url := tracedServeCluster(t, 2)
 
@@ -222,6 +222,37 @@ func TestClusterTelemetryEndpoint(t *testing.T) {
 	}
 }
 
+// TestClusterTelemetryEndpointLive: with no poll loop configured, every
+// GET polls, so traffic between two GETs shows up in the second. The
+// endpoint once answered its first on-demand aggregate forever.
+func TestClusterTelemetryEndpointLive(t *testing.T) {
+	_, _, _, url := tracedServeCluster(t, 2)
+	predicts := func() float64 {
+		t.Helper()
+		var snap ClusterTelemetryResponse
+		if _, data := getBody(t, url+"/v1/cluster/telemetry"); json.Unmarshal(data, &snap) != nil {
+			t.Fatalf("decoding telemetry: %s", data)
+		}
+		for _, m := range snap.Metrics {
+			if m.Name == "serve_requests_total" && m.Label("endpoint") == "/v1/predict" {
+				return m.Value
+			}
+		}
+		return 0
+	}
+	if n := predicts(); n != 0 {
+		t.Fatalf("fresh fleet served %v predicts, want 0", n)
+	}
+	for seed := 1; seed <= 3; seed++ {
+		if resp, data := doPost(t, url+"/v1/predict", predictBodyFor(seed), nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("predict: %d (%s)", resp.StatusCode, data)
+		}
+	}
+	if n := predicts(); n != 3 {
+		t.Fatalf("fleet served %v predicts after 3, want 3 (stale aggregate)", n)
+	}
+}
+
 func readAll(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	data, err := io.ReadAll(resp.Body)
@@ -235,7 +266,7 @@ func readAll(t *testing.T, resp *http.Response) string {
 }
 
 // telemetryStub is a stub replica whose /v1/telemetry body is swappable
-// between scrapes — the seam for injecting latency regressions and
+// between polls — the seam for injecting latency regressions and
 // malformed snapshots.
 type telemetryStub struct {
 	mu   sync.Mutex
@@ -244,9 +275,6 @@ type telemetryStub struct {
 
 func (s *telemetryStub) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{"status":"ok"}`)
-	})
 	mux.HandleFunc("/v1/telemetry", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		body := s.body()
@@ -290,7 +318,7 @@ func stubSnapshot(total float64, latCounts []uint64) obs.TelemetrySnapshot {
 
 // TestClusterSLOBurnRateAlert injects a deterministic latency
 // regression through a stub replica's telemetry and requires the p99
-// burn-rate alert to fire exactly once across repeated scrapes.
+// burn-rate alert to fire exactly once across repeated polls.
 func TestClusterSLOBurnRateAlert(t *testing.T) {
 	stub := &telemetryStub{}
 	stub.set(func() any { return stubSnapshot(100, []uint64{90, 10, 0, 0}) })
@@ -307,23 +335,23 @@ func TestClusterSLOBurnRateAlert(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = c.Close() })
 
-	// Scrape 1: all requests under 250 ms — no alert.
-	snap := c.ScrapeTelemetryNow()
+	// Poll 1: all requests under 250 ms — no alert.
+	snap := c.PollNow()
 	if len(snap.Alerts) != 0 {
 		t.Fatalf("fast traffic alerted: %+v", snap.Alerts)
 	}
 
-	// Scrape 2: 5 of the next 100 requests land in the 1s bucket —
+	// Poll 2: 5 of the next 100 requests land in the 1s bucket —
 	// 2.5% bad against a 1% budget. Fires.
 	stub.set(func() any { return stubSnapshot(200, []uint64{170, 25, 5, 0}) })
-	snap = c.ScrapeTelemetryNow()
+	snap = c.PollNow()
 	if len(snap.Alerts) != 1 || snap.Alerts[0].State != "firing" || snap.Alerts[0].SLO != "latency-p99" {
 		t.Fatalf("expected one firing alert, got %+v", snap.Alerts)
 	}
 
-	// Scrapes 3..5: regression persists — still exactly one alert.
+	// Polls 3..5: regression persists — still exactly one alert.
 	for i := 0; i < 3; i++ {
-		snap = c.ScrapeTelemetryNow()
+		snap = c.PollNow()
 	}
 	if len(snap.Alerts) != 1 {
 		t.Fatalf("alert re-fired: %+v", snap.Alerts)
@@ -335,7 +363,8 @@ func TestClusterSLOBurnRateAlert(t *testing.T) {
 
 // TestClusterTelemetryBadSourceIsolated: a replica serving garbage (or
 // an incompatible bucket layout) is reported in Sources and excluded
-// without poisoning the healthy replicas' aggregate.
+// without poisoning the healthy replicas' aggregate. It answered 200,
+// so it stays healthy: a bad snapshot is not a health strike.
 func TestClusterTelemetryBadSourceIsolated(t *testing.T) {
 	good := &telemetryStub{}
 	good.set(func() any { return stubSnapshot(50, []uint64{50, 0, 0, 0}) })
@@ -354,7 +383,8 @@ func TestClusterTelemetryBadSourceIsolated(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = c.Close() })
 
-	snap := c.ScrapeTelemetryNow()
+	c.PollNow()
+	snap := c.PollNow() // two polls: enough strikes to kill, were it one
 	var goodOK, badFailed bool
 	for _, s := range snap.Sources {
 		if s.Name == "good" && s.OK {
@@ -370,6 +400,9 @@ func TestClusterTelemetryBadSourceIsolated(t *testing.T) {
 	if snap.RED.Requests != 50 {
 		t.Fatalf("aggregate poisoned or lost: RED %+v", snap.RED)
 	}
+	if st, _ := c.set.state("zbad"); st != StateHealthy {
+		t.Fatalf("garbage-body replica %v after two polls, want healthy", st)
+	}
 
 	// Mismatched bucket layout from the bad replica: same isolation.
 	bad.set(func() any {
@@ -377,7 +410,7 @@ func TestClusterTelemetryBadSourceIsolated(t *testing.T) {
 			{Name: "serve_latency_seconds", Type: "histogram", BucketLE: []float64{9}, Counts: []uint64{1, 0}, Count: 1},
 		}}
 	})
-	snap = c.ScrapeTelemetryNow()
+	snap = c.PollNow()
 	for _, s := range snap.Sources {
 		if s.Name == "zbad" && s.OK {
 			t.Fatalf("incompatible layout accepted: %+v", snap.Sources)

@@ -12,13 +12,12 @@ import (
 // HandlerTransport is an http.RoundTripper that serves requests
 // directly through an in-process http.Handler — no sockets, no
 // serialization beyond the body bytes. It is the transport behind
-// single-process clusters (tests, the benchmark's cluster_mixed,
-// cmd/cluster's in-process mode); real deployments use *http.Transport
-// instead.
+// single-process clusters (tests and the benchmark's cluster_mixed);
+// cmd/cluster fronts cmd/serve processes over *http.Transport instead.
 //
 // Closed transports refuse with a transport-level error, which is
 // indistinguishable from a dead process to the router — the seam the
-// failover tests and cmd/cluster's kill path use.
+// failover tests use.
 type HandlerTransport struct {
 	h      http.Handler
 	closed atomic.Bool
@@ -39,7 +38,7 @@ func (t *HandlerTransport) Reopen() { t.closed.Store(false) }
 // the recorded response. Like *http.Transport, it honors the request
 // context: when the handler outlives req.Context(), RoundTrip abandons
 // it and returns ctx.Err() — otherwise a hung replica would stall
-// health probes and forwards past their deadlines forever.
+// polls and forwards past their deadlines forever.
 //
 //lint:hot
 func (t *HandlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {

@@ -11,7 +11,7 @@ import (
 
 // TestHandlerTransportHonorsContext pins the deadline contract that
 // real *http.Transport gives callers: a handler that outlives the
-// request context must not stall RoundTrip — health probes and
+// request context must not stall RoundTrip — replica polls and
 // forwards rely on their WithTimeout actually firing.
 func TestHandlerTransportHonorsContext(t *testing.T) {
 	release := make(chan struct{})
