@@ -8,9 +8,10 @@
 //	experiments -gen-tables  # regenerate the Tier 2 lookup CSV
 //	experiments -tiers       # per-tier MAPE report + BENCH_tiers.json
 //
-// Artifact IDs: table1 fig3 fig4 fig5 table2 fig6 table3 table4 fig7 fig8
-// fig9 fig10 fig11, plus ext-gpu, ext-shared and ext-terms: the end-to-end
-// checks against simcloud of model inputs the service accepts (DESIGN.md §4).
+// Artifact IDs are experiments.Artifacts, in order (-list prints them):
+// the paper's tables and figures, then ext-gpu, ext-shared and
+// ext-terms, the end-to-end checks against simcloud of model inputs the
+// service accepts (DESIGN.md §4).
 //
 // With -tiers, -tiers-baseline FILE compares Tier 1 MAPE against a
 // committed BENCH_tiers.json and exits nonzero on a regression of more
@@ -94,28 +95,6 @@ func runTiers(outPath, baselinePath string) error {
 	return nil
 }
 
-var registry = []struct {
-	id  string
-	run func() (experiments.Report, error)
-}{
-	{"table1", func() (experiments.Report, error) { return experiments.Table1(), nil }},
-	{"fig3", experiments.Fig3},
-	{"fig4", experiments.Fig4},
-	{"fig5", experiments.Fig5},
-	{"table2", experiments.Table2},
-	{"fig6", experiments.Fig6},
-	{"table3", experiments.Table3},
-	{"table4", experiments.Table4},
-	{"fig7", experiments.Fig7},
-	{"fig8", experiments.Fig8},
-	{"fig9", experiments.Fig9},
-	{"fig10", experiments.Fig10},
-	{"fig11", experiments.Fig11},
-	{"ext-gpu", experiments.ExtGPU},
-	{"ext-shared", experiments.ExtSharedNode},
-	{"ext-terms", experiments.ExtTermSelection},
-}
-
 func main() {
 	list := flag.Bool("list", false, "list artifact IDs and exit")
 	genTables := flag.Bool("gen-tables", false, "regenerate the Tier 2 lookup CSV and exit")
@@ -125,8 +104,8 @@ func main() {
 	tiersBaseline := flag.String("tiers-baseline", "", "committed BENCH_tiers.json to gate tier1 MAPE against")
 	flag.Parse()
 	if *list {
-		for _, e := range registry {
-			fmt.Println(e.id)
+		for _, a := range experiments.Artifacts {
+			fmt.Println(a.ID)
 		}
 		return
 	}
@@ -146,18 +125,18 @@ func main() {
 	}
 	ids := flag.Args()
 	if len(ids) == 0 {
-		for _, e := range registry {
-			ids = append(ids, e.id)
+		for _, a := range experiments.Artifacts {
+			ids = append(ids, a.ID)
 		}
 	}
 	for _, id := range ids {
 		found := false
-		for _, e := range registry {
-			if e.id != id {
+		for _, a := range experiments.Artifacts {
+			if a.ID != id {
 				continue
 			}
 			found = true
-			r, err := e.run()
+			r, err := a.Run()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
 				os.Exit(1)

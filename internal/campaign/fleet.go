@@ -245,10 +245,12 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 
 // fleetJob is a prepared campaign job as the scheduler takes it: its
 // workload over j.Ranks, its scheduling contract, and the model's
-// prediction on each of systems that the framework offers and that can
-// host it. Placement and the time guard are priced at Tier 1, the tier
-// refinement corrects, whatever the job's tier; the job's own tier
-// predicts the throughput the report shows and the monitor records.
+// prediction on each of systems that can host it. A system the
+// framework does not offer is an error, since the scheduler could only
+// run the job there unpriced. Placement and the time guard are priced
+// at Tier 1, the tier refinement corrects, whatever the job's tier; the
+// job's own tier predicts the throughput the report shows and the
+// monitor records.
 func fleetJob(fw *core.Framework, anatomy *core.Anatomy, j JobConfig, steps int, systems []string) (*fleet.Job, error) {
 	w, err := fw.Workload(anatomy, j.Ranks)
 	if err != nil {
@@ -275,8 +277,11 @@ func fleetJob(fw *core.Framework, anatomy *core.Anatomy, j JobConfig, steps int,
 	}
 	for _, abbrev := range systems {
 		sys, err := fw.Provider.System(abbrev)
-		if err != nil || j.Ranks > sys.MaxRanks() {
-			continue // outside this framework's catalog, or too small for the job
+		if err != nil {
+			return nil, fmt.Errorf("campaign: job %q: %w (the GPU instance type needs -gpu)", j.Name, err)
+		}
+		if j.Ranks > sys.MaxRanks() {
+			continue // too small for the job
 		}
 		q := core.Query{System: abbrev, Model: perfmodel.ModelDirect, Ranks: j.Ranks}
 		guard, err := fw.Predict(anatomy, q)

@@ -185,6 +185,26 @@ func TestRunFleetRejectsPinOutsidePool(t *testing.T) {
 	}
 }
 
+// TestRunFleetRejectsPoolOutsideCatalog: a pool system the framework was
+// not built with has no model prediction, so the run is refused rather
+// than scheduled unpriced. The GPU instance joins the catalog only on
+// request.
+func TestRunFleetRejectsPoolOutsideCatalog(t *testing.T) {
+	cfg := Config{
+		Seed: 1, BudgetUSD: 1, Objective: "min-cost",
+		Fleet: &FleetConfig{Instances: []fleet.InstanceConfig{{System: "CSP-2 GPU", Count: 1}}},
+		Jobs:  []JobConfig{{Name: "gpu", Geometry: "cylinder", Scale: 5, Ranks: 4, Steps: 100}},
+	}
+	fw, err := core.NewFramework(machine.Catalog(), 2, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = runFleet(context.Background(), fw, cfg)
+	if err == nil || !strings.Contains(err.Error(), `"CSP-2 GPU"`) || !strings.Contains(err.Error(), "-gpu") {
+		t.Fatalf("pool system outside the catalog accepted: %v", err)
+	}
+}
+
 func TestRunFleetRequiresFleetBlock(t *testing.T) {
 	cfg := Config{
 		Seed: 1, BudgetUSD: 1, Objective: "min-cost",

@@ -40,10 +40,6 @@ type Config struct {
 	// the router reads bodies fully to derive shard keys.
 	MaxBodyBytes int64
 
-	// RetryAfterSpreadS bounds the jittered Retry-After on router 429s:
-	// values are dealt deterministically from [1, spread] (default 3).
-	RetryAfterSpreadS int
-
 	// HealthInterval is the period of the background replica poll: each
 	// tick GETs every replica's /v1/telemetry once, as health probe and
 	// telemetry scrape together. 0 disables the loop (PollNow and GET
@@ -58,11 +54,6 @@ type Config struct {
 
 	// HealthTimeout bounds one replica's poll (default 2s).
 	HealthTimeout time.Duration
-
-	// SLOs are the objectives evaluated over the aggregated telemetry
-	// stream. nil takes obs.DefaultSLOs(); an empty non-nil slice
-	// disables SLO tracking.
-	SLOs []obs.SLO
 
 	// Registry and Tracer are the observability sinks; nil values get
 	// private instances (the tracer seeded from Seed).
@@ -102,9 +93,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.HealthTimeout <= 0 {
 		cfg.HealthTimeout = 2 * time.Second
-	}
-	if cfg.RetryAfterSpreadS <= 0 {
-		cfg.RetryAfterSpreadS = 3
 	}
 	reg := cfg.Registry
 	if reg == nil {

@@ -38,12 +38,11 @@ type Router struct {
 
 func newRouter(cfg Config, ring *Ring, set *replicaSet, poll *poller, reg *obs.Registry, tracer *obs.Tracer) *Router {
 	rt := &Router{
-		cfg:   cfg,
-		ring:  ring,
-		set:   set,
-		admit: newAdmission(cfg.TenantRate, cfg.TenantBurst, cfg.MaxInflight, reg),
-		edge: httpedge.New(reg, tracer, "cluster", "router ",
-			httpedge.NewRetryJitter(cfg.Seed, cfg.RetryAfterSpreadS)),
+		cfg:    cfg,
+		ring:   ring,
+		set:    set,
+		admit:  newAdmission(cfg.TenantRate, cfg.TenantBurst, cfg.MaxInflight, reg),
+		edge:   httpedge.New(reg, tracer, "cluster", "router ", httpedge.NewRetryJitter(cfg.Seed)),
 		poller: poll,
 		reg:    reg,
 		tracer: tracer,

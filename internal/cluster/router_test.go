@@ -233,9 +233,9 @@ func TestTenantQuota(t *testing.T) {
 }
 
 // TestRetryJitterDeterministic: two jitters with one seed deal the same
-// backoff sequence; all values stay in [1, spread].
+// backoff sequence; all values stay in [1, 3].
 func TestRetryJitterDeterministic(t *testing.T) {
-	a, b := httpedge.NewRetryJitter(5, 3), httpedge.NewRetryJitter(5, 3)
+	a, b := httpedge.NewRetryJitter(5), httpedge.NewRetryJitter(5)
 	seen := make(map[int]bool)
 	for i := 0; i < 64; i++ {
 		va, vb := a.Next(), b.Next()

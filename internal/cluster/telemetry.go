@@ -62,18 +62,15 @@ type ClusterTelemetryResponse struct {
 	Alerts  []obs.SLOAlert          `json:"alerts,omitempty"`
 }
 
-// newPoller takes cfg with New's defaults applied.
+// newPoller takes cfg with New's defaults applied. It tracks the stock
+// objectives, obs.DefaultSLOs, over the aggregated request stream.
 func newPoller(set *replicaSet, reg *obs.Registry, cfg Config) *poller {
-	slos := cfg.SLOs
-	if slos == nil {
-		slos = obs.DefaultSLOs()
-	}
 	return &poller{
 		set:       set,
 		reg:       reg,
 		threshold: cfg.HealthFailures,
 		timeout:   cfg.HealthTimeout,
-		slos:      obs.NewSLOTracker(slos),
+		slos:      obs.NewSLOTracker(obs.DefaultSLOs()),
 		startWall: time.Now(),
 	}
 }

@@ -317,8 +317,8 @@ func stubSnapshot(total float64, latCounts []uint64) obs.TelemetrySnapshot {
 }
 
 // TestClusterSLOBurnRateAlert injects a deterministic latency
-// regression through a stub replica's telemetry and requires the p99
-// burn-rate alert to fire exactly once across repeated polls.
+// regression through a stub replica's telemetry and requires the stock
+// p99 burn-rate alert to fire exactly once across repeated polls.
 func TestClusterSLOBurnRateAlert(t *testing.T) {
 	stub := &telemetryStub{}
 	stub.set(func() any { return stubSnapshot(100, []uint64{90, 10, 0, 0}) })
@@ -326,9 +326,6 @@ func TestClusterSLOBurnRateAlert(t *testing.T) {
 	c, err := New(Config{
 		Replicas: []Replica{{Name: "r0", BaseURL: "http://r0", Transport: NewHandlerTransport(stub.handler())}},
 		Seed:     11,
-		SLOs: []obs.SLO{
-			{Name: "latency-p99", LatencyQuantile: 0.99, LatencyBoundS: 0.25, WindowS: 300},
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -356,8 +353,15 @@ func TestClusterSLOBurnRateAlert(t *testing.T) {
 	if len(snap.Alerts) != 1 {
 		t.Fatalf("alert re-fired: %+v", snap.Alerts)
 	}
-	if len(snap.SLOs) != 1 || !snap.SLOs[0].Firing {
-		t.Fatalf("SLO status not firing: %+v", snap.SLOs)
+	// Only the latency objective of the two stock ones is firing: every
+	// request answered 200.
+	if len(snap.SLOs) != len(obs.DefaultSLOs()) {
+		t.Fatalf("want the %d stock SLO statuses, got %+v", len(obs.DefaultSLOs()), snap.SLOs)
+	}
+	for _, st := range snap.SLOs {
+		if st.Firing != (st.SLO.Name == "latency-p99") {
+			t.Errorf("SLO %s firing %v: %+v", st.SLO.Name, st.Firing, snap.SLOs)
+		}
 	}
 }
 

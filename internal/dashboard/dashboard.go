@@ -127,19 +127,13 @@ type Assessment struct {
 	Extrapolated bool
 }
 
-// Assess evaluates every characterized system for a workload at the given
-// rank count and job length, using the anatomy-tuned generalized model.
-// Rank counts beyond an instance's size are allowed — the model
-// extrapolates, exactly as Figure 11 rates 2048-core runs on 144-core
-// instance types. Predictions come from the Tier 1 calibrated fit; use
-// AssessTier to pick another accuracy tier.
-func (d *Dashboard) Assess(ws perfmodel.WorkloadSummary, g perfmodel.GeneralModel, ranks, steps int) ([]Assessment, error) {
-	return d.AssessTier(ws, g, ranks, steps, perfmodel.Tier1Calibrated)
-}
-
-// AssessTier is Assess with an explicit accuracy tier ("" or
-// perfmodel.TierAuto picks the best tier each entry's predictor covers;
-// explicit tiers fail for entries lacking that backend's data).
+// AssessTier evaluates every characterized system for a workload at the
+// given rank count and job length, using the anatomy-tuned generalized
+// model at the given accuracy tier ("" or perfmodel.TierAuto picks the
+// best tier each entry's predictor covers; explicit tiers fail for
+// entries lacking that backend's data). Rank counts beyond an instance's
+// size are allowed — the model extrapolates, exactly as Figure 11 rates
+// 2048-core runs on 144-core instance types.
 func (d *Dashboard) AssessTier(ws perfmodel.WorkloadSummary, g perfmodel.GeneralModel, ranks, steps int, tier string) ([]Assessment, error) {
 	if steps <= 0 {
 		return nil, fmt.Errorf("dashboard: steps %d must be positive", steps)

@@ -53,7 +53,7 @@ func TestEntryLookup(t *testing.T) {
 
 func TestAssessProducesAllSystems(t *testing.T) {
 	d, ws, g := buildFixture(t)
-	as, err := d.Assess(ws, g, 2048, 10000)
+	as, err := d.AssessTier(ws, g, 2048, 10000, perfmodel.Tier1Calibrated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +65,14 @@ func TestAssessProducesAllSystems(t *testing.T) {
 			t.Errorf("%s: non-positive assessment %+v", a.System, a)
 		}
 	}
-	if _, err := d.Assess(ws, g, 64, 0); err == nil {
+	if _, err := d.AssessTier(ws, g, 64, 0, perfmodel.Tier1Calibrated); err == nil {
 		t.Error("want error for zero steps")
 	}
 }
 
 func TestRelativeValueProperties(t *testing.T) {
 	d, ws, g := buildFixture(t)
-	as, err := d.Assess(ws, g, 2048, 1000)
+	as, err := d.AssessTier(ws, g, 2048, 1000, perfmodel.Tier1Calibrated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRecommendUnknownObjective(t *testing.T) {
 func TestECOutranksNoECOnBigJobs(t *testing.T) {
 	// Figure 11's ordering: for the 2048-core aorta, CSP-2 EC > CSP-2.
 	d, ws, g := buildFixture(t)
-	as, err := d.Assess(ws, g, 2048, 100)
+	as, err := d.AssessTier(ws, g, 2048, 100, perfmodel.Tier1Calibrated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestParetoTies(t *testing.T) {
 
 func TestParetoOnRealAssessments(t *testing.T) {
 	d, ws, g := buildFixture(t)
-	as, err := d.Assess(ws, g, 256, 1000)
+	as, err := d.AssessTier(ws, g, 256, 1000, perfmodel.Tier1Calibrated)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func Fig11() (Report, error) {
 		BytesSerial: l.BytesSerial(access) * HighResolutionFactor,
 	}
 	const ranks = 2048
-	as, err := d.Assess(ws, g, ranks, benchSteps)
+	as, err := d.AssessTier(ws, g, ranks, benchSteps, perfmodel.Tier1Calibrated)
 	if err != nil {
 		return Report{}, err
 	}
@@ -63,19 +63,4 @@ func Fig11() (Report, error) {
 		Text:   text,
 		Series: series,
 	}, nil
-}
-
-// All runs every experiment in the paper's order.
-func All() ([]Report, error) {
-	reports := []Report{Table1()}
-	for _, f := range []func() (Report, error){
-		Fig3, Fig4, Fig5, Table2, Fig6, Table3, Table4, Fig7, Fig8, Fig9, Fig10, Fig11,
-	} {
-		r, err := f()
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, r)
-	}
-	return reports, nil
 }

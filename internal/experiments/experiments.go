@@ -38,6 +38,35 @@ type Point struct {
 	Y float64
 }
 
+// Artifact is one registered experiment: the ID of its report and the
+// function that regenerates it.
+type Artifact struct {
+	ID  string
+	Run func() (Report, error)
+}
+
+// Artifacts lists the paper's artifacts in the paper's order, then the
+// extension studies: the end-to-end checks against simcloud of model
+// inputs the service accepts.
+var Artifacts = []Artifact{
+	{"table1", func() (Report, error) { return Table1(), nil }},
+	{"fig3", Fig3},
+	{"fig4", Fig4},
+	{"fig5", Fig5},
+	{"table2", Table2},
+	{"fig6", Fig6},
+	{"table3", Table3},
+	{"table4", Table4},
+	{"fig7", Fig7},
+	{"fig8", Fig8},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"ext-gpu", ExtGPU},
+	{"ext-shared", ExtSharedNode},
+	{"ext-terms", ExtTermSelection},
+}
+
 // seriesValue returns the y value at x in a series, or an error.
 func (r Report) seriesValue(key string, x float64) (float64, error) {
 	s, ok := r.Series[key]

@@ -13,22 +13,29 @@ import (
 
 // The tests in this file pin the metered attempt: its guards, its bill
 // and its spot hazard, and what retries and the budget do with it. Each
-// runs jobs on a small pool with no fallback predictor, so a job is
-// guarded by its own PerStep and MaxUSD alone.
+// runs unpriced jobs on a small pool, so a job is guarded by the PerStep
+// it is given and the budget alone.
 
 // solo is a one-instance pool of system.
 func solo(system string, spot bool) Config {
 	return Config{Seed: 42, Instances: []InstanceConfig{{System: system, Count: 1, Spot: spot}}}
 }
 
-// runUnpredicted schedules jobs on cfg's pool without a fallback predictor.
-func runUnpredicted(t *testing.T, cfg Config, jobs ...*Job) *Report {
+// unpriced is a job without model predictions: unguarded, and placed
+// at a predicted cost of zero.
+func unpriced(t *testing.T, name string, ranks, steps int) *Job {
+	j := namedJob(t, name, ranks, steps, 0)
+	j.PerStep = nil
+	return j
+}
+
+// runPool schedules jobs on cfg's pool.
+func runPool(t *testing.T, cfg Config, jobs ...*Job) *Report {
 	t.Helper()
 	s, err := NewScheduler(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Predict = nil
 	r, err := s.Run(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +46,7 @@ func runUnpredicted(t *testing.T, cfg Config, jobs ...*Job) *Report {
 // probe runs the job unguarded on an on-demand instance of system.
 func probe(t *testing.T, system string, steps int) JobReport {
 	t.Helper()
-	return runUnpredicted(t, solo(system, false), namedJob(t, "probe", 16, steps, 0)).Jobs[0]
+	return runPool(t, solo(system, false), unpriced(t, "probe", 16, steps)).Jobs[0]
 }
 
 func TestTimeGuardTripsOnBadPrediction(t *testing.T) {
@@ -49,10 +56,10 @@ func TestTimeGuardTripsOnBadPrediction(t *testing.T) {
 	ref := probe(t, "CSP-2 Small", steps)
 	perStep := ref.ComputeS / steps / 10
 
-	j := namedJob(t, "guarded", 16, steps, 0)
+	j := unpriced(t, "guarded", 16, steps)
 	j.PerStep = map[string]float64{"CSP-2 Small": perStep}
 	j.Tolerance = 0.10
-	r := runUnpredicted(t, solo("CSP-2 Small", false), j).Jobs[0]
+	r := runPool(t, solo("CSP-2 Small", false), j).Jobs[0]
 	if r.Completed {
 		t.Fatal("guard did not trip on a 10x underprediction")
 	}
@@ -80,26 +87,28 @@ func TestTimeGuardTripsOnBadPrediction(t *testing.T) {
 func TestTimeGuardPassesGoodPrediction(t *testing.T) {
 	const steps = 400
 	ref := probe(t, "CSP-2 Small", steps)
-	j := namedJob(t, "guarded", 16, steps, 0)
+	j := unpriced(t, "guarded", 16, steps)
 	j.PerStep = map[string]float64{"CSP-2 Small": ref.ComputeS / steps}
 	j.Tolerance = 0.10
 	cfg := solo("CSP-2 Small", false)
 	cfg.Seed++ // other noise than the probe's
-	if r := runUnpredicted(t, cfg, j).Jobs[0]; !r.Completed {
+	if r := runPool(t, cfg, j).Jobs[0]; !r.Completed {
 		t.Errorf("guard tripped on an accurate prediction: %s", r.ShedReason)
 	}
 }
 
 func TestCostGuard(t *testing.T) {
+	// An unpriced job is admitted at zero predicted cost, so the attempt's
+	// cap is the whole budget: a fifth of what the job would bill.
 	ref := probe(t, "CSP-2 Small", 1000)
-	j := namedJob(t, "capped", 16, 1000, 0)
-	j.MaxUSD = ref.USD / 5
-	r := runUnpredicted(t, solo("CSP-2 Small", false), j).Jobs[0]
+	cfg := solo("CSP-2 Small", false)
+	cfg.BudgetUSD = ref.USD / 5
+	r := runPool(t, cfg, unpriced(t, "capped", 16, 1000)).Jobs[0]
 	if r.Completed || !strings.HasPrefix(r.ShedReason, "cost guard") {
 		t.Fatalf("cost guard did not trip: %+v", r)
 	}
-	if r.USD > j.MaxUSD*1.3 {
-		t.Errorf("billed %v, far above cap %v", r.USD, j.MaxUSD)
+	if r.USD > cfg.BudgetUSD*1.3 {
+		t.Errorf("billed %v, far above cap %v", r.USD, cfg.BudgetUSD)
 	}
 }
 
@@ -111,7 +120,7 @@ func TestOnDemandBillsActualUsage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := runUnpredicted(t, solo("CSP-1", false), namedJob(t, "od", 16, 500, 0))
+	r := runPool(t, solo("CSP-1", false), unpriced(t, "od", 16, 500))
 	od := r.Jobs[0]
 	if !od.Completed || od.StepsDone != 500 {
 		t.Fatalf("unguarded job did %d/500 steps (completed %v): %s", od.StepsDone, od.Completed, od.ShedReason)
@@ -136,7 +145,7 @@ func TestSpotDiscountApplied(t *testing.T) {
 	}
 	cfg := solo("CSP-2 Small", true)
 	cfg.PreemptionPerNodeHour = 1e-12
-	sp := runUnpredicted(t, cfg, namedJob(t, "spot", 16, 300, 0)).Jobs[0]
+	sp := runPool(t, cfg, unpriced(t, "spot", 16, 300)).Jobs[0]
 	if !sp.Completed || sp.Attempts != 1 {
 		t.Fatalf("hazard-free spot job did not complete in one attempt: %+v", sp)
 	}
@@ -148,7 +157,7 @@ func TestSpotDiscountApplied(t *testing.T) {
 func TestOnDemandNeverPreempted(t *testing.T) {
 	cfg := solo("CSP-2 Small", false)
 	cfg.PreemptionPerNodeHour = 1e7
-	r := runUnpredicted(t, cfg, namedJob(t, "od", 16, 200, 0))
+	r := runPool(t, cfg, unpriced(t, "od", 16, 200))
 	if !r.Jobs[0].Completed || r.Jobs[0].Attempts != 1 || countEvents(r.Events, EvPreempted) != 0 {
 		t.Errorf("on-demand job was preempted:\n%s", RenderEvents(r.Events))
 	}
@@ -166,8 +175,8 @@ func TestRetryAggregationConserves(t *testing.T) {
 			PreemptionPerNodeHour: 2e5, // preempts often, completes eventually
 			Instances:             []InstanceConfig{{System: "CSP-2 Small", Count: 2, Spot: true}},
 		}
-		r := runUnpredicted(t, cfg,
-			namedJob(t, "a", 16, 400, 0), namedJob(t, "b", 16, 300, 0), namedJob(t, "c", 8, 400, 0))
+		r := runPool(t, cfg,
+			unpriced(t, "a", 16, 400), unpriced(t, "b", 16, 300), unpriced(t, "c", 8, 400))
 		var jobUSD, jobS, instUSD, instS float64
 		for _, j := range r.Jobs {
 			jobUSD += j.USD
@@ -202,7 +211,7 @@ func TestRetryBudgetEnforced(t *testing.T) {
 	cfg.PreemptionPerNodeHour = 1e8 // every attempt is preempted
 	cfg.MaxRetries = 1000
 	cfg.BudgetUSD = ref.USD * cloud.SpotDiscount / 2
-	r := runUnpredicted(t, cfg, namedJob(t, "doomed", 16, 400, 0))
+	r := runPool(t, cfg, unpriced(t, "doomed", 16, 400))
 	j := r.Jobs[0]
 	if j.Completed || j.StepsDone == 0 {
 		t.Fatalf("want a shed job with its partial work kept: %+v", j)
@@ -226,9 +235,8 @@ func TestPreemptionCountedPastTheRetryCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Predict = nil
 	s.Metrics = obs.NewRegistry()
-	r, err := s.Run([]*Job{namedJob(t, "doomed", 16, 400, 0)})
+	r, err := s.Run([]*Job{unpriced(t, "doomed", 16, 400)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +260,7 @@ func TestSpotCheaperDespiteRetries(t *testing.T) {
 	cfg := solo("CSP-2 Small", true)
 	cfg.PreemptionPerNodeHour = 1e5 // occasional preemption
 	cfg.MaxRetries = 50
-	r := runUnpredicted(t, cfg, namedJob(t, "spot", 16, 400, 0))
+	r := runPool(t, cfg, unpriced(t, "spot", 16, 400))
 	if sp := r.Jobs[0]; !sp.Completed || sp.Attempts < 2 {
 		t.Fatalf("want a spot job completed across preemptions: %+v", sp)
 	}

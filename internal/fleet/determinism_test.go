@@ -45,8 +45,8 @@ func fullJobs(t testing.TB) []*Job {
 }
 
 // TestSameSeedByteIdenticalEventLogs is the reproducibility contract:
-// despite the real goroutine worker pool, two runs with one seed must
-// produce byte-identical structured event logs (and identical reports).
+// two runs with one seed must produce byte-identical structured event
+// logs (and identical reports).
 func TestSameSeedByteIdenticalEventLogs(t *testing.T) {
 	run := func() (*Report, string) {
 		s, err := NewScheduler(fullConfig(17))
@@ -95,9 +95,9 @@ func TestDifferentSeedDiverges(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolParallelism sanity-checks that a wide pool still yields
+// TestWidePoolDeterministic sanity-checks that a wide pool still yields
 // one deterministic schedule when every instance is busy at once.
-func TestWorkerPoolParallelism(t *testing.T) {
+func TestWidePoolDeterministic(t *testing.T) {
 	cfg := Config{
 		Seed: 23,
 		Instances: []InstanceConfig{

@@ -22,14 +22,15 @@
 //     requeued, completed, shed — all stamped with simulated time) whose
 //     completion records export as telemetry samples into
 //     internal/monitor;
-//   - a real goroutine worker pool, one worker per simulated instance
-//     with its own seeded RNG, so large campaigns parallelize on real
-//     hardware while two runs with the same seed produce byte-identical
-//     event logs.
+//   - one goroutine: each attempt runs inline on the event loop when it
+//     is placed and is booked when the simulated clock reaches its end.
+//     Every instance draws from its own seeded RNG, so two runs with the
+//     same seed produce byte-identical event logs.
 package fleet
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/cloud"
 	"repro/internal/machine"
@@ -127,21 +128,19 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// instance is one simulated machine in the pool. The main event loop owns
-// all fields; the instance's worker goroutine only ever sees immutable
-// assignment payloads and its own RNG.
+// instance is one simulated machine in the pool.
 type instance struct {
-	id    string
-	index int
-	sys   *machine.System
-	spot  bool
+	id   string
+	sys  *machine.System
+	spot bool
 
-	cmd chan assignment
+	// rng draws this instance's provisioning jitter, run noise and spot
+	// hazard. The event loop fixes the sequence of attempts an instance
+	// runs, so the draws replay exactly under one seed.
+	rng *rand.Rand
 
-	// Simulated-time occupancy.
-	busy           bool
-	freeAt         float64
-	pendingAttempt attempt // collected outcome, processed when the clock reaches freeAt
+	// running is the attempt occupying the instance, nil while idle.
+	running *placement
 
 	// Lifetime statistics.
 	jobs      int
@@ -150,7 +149,7 @@ type instance struct {
 }
 
 // buildInstances expands the instance groups into the concrete pool,
-// in declaration order (which fixes worker RNG seeding).
+// in declaration order (which fixes each instance's RNG seed).
 func buildInstances(cfg Config) ([]*instance, error) {
 	var out []*instance
 	for _, ic := range cfg.Instances {
@@ -160,10 +159,10 @@ func buildInstances(cfg Config) ([]*instance, error) {
 		}
 		for k := 0; k < ic.Count; k++ {
 			out = append(out, &instance{
-				id:    fmt.Sprintf("%s#%d", ic.System, k),
-				index: len(out),
-				sys:   sys,
-				spot:  ic.Spot,
+				id:   fmt.Sprintf("%s#%d", ic.System, k),
+				sys:  sys,
+				spot: ic.Spot,
+				rng:  rand.New(rand.NewSource(cfg.Seed + 0x9E3779B9*int64(len(out)+1))),
 			})
 		}
 	}

@@ -45,10 +45,28 @@ func testWorkload(t testing.TB, ranks int) simcloud.Workload {
 	return w
 }
 
+// namedJob is a job priced on every catalog system that can host it at
+// one noiseless simulated timestep: a perfect model's seconds-per-step.
 func namedJob(t testing.TB, name string, ranks, steps, priority int) *Job {
 	w := testWorkload(t, ranks)
 	w.Name = name
-	return &Job{Name: name, Workload: w, Steps: steps, Priority: priority}
+	perStep := map[string]float64{}
+	for _, sys := range machine.FullCatalog() {
+		if ranks <= sys.MaxRanks() {
+			perStep[sys.Abbrev] = noiselessStepS(t, w, sys)
+		}
+	}
+	return &Job{Name: name, Workload: w, Steps: steps, Priority: priority, PerStep: perStep}
+}
+
+// noiselessStepS is one noiseless simulated timestep of w on sys.
+func noiselessStepS(t testing.TB, w simcloud.Workload, sys *machine.System) float64 {
+	t.Helper()
+	r, err := simcloud.Run(w, sys, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.StepS
 }
 
 func onDemandPool(seed int64) Config {
@@ -247,11 +265,7 @@ func TestBudgetGovernorDefersThenAdmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := testWorkload(t, 8)
-	base, err := NoiselessPredict(w, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := noiselessStepS(t, testWorkload(t, 8), sys)
 	const steps = 200
 	actual := sys.JobCost(8, base*steps)
 	cfg.BudgetUSD = 2.6 * actual
@@ -260,13 +274,11 @@ func TestBudgetGovernorDefersThenAdmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Predict = func(w simcloud.Workload, sys *machine.System) (float64, error) {
-		return base * 1.5, nil // reservation overshoots the metered bill
+	first, second := namedJob(t, "first", 8, steps, 1), namedJob(t, "second", 8, steps, 0)
+	for _, j := range []*Job{first, second} {
+		j.PerStep = map[string]float64{"CSP-2 Small": base * 1.5} // reservation overshoots the metered bill
 	}
-	r, err := s.Run([]*Job{
-		namedJob(t, "first", 8, steps, 1),
-		namedJob(t, "second", 8, steps, 0),
-	})
+	r, err := s.Run([]*Job{first, second})
 	if err != nil {
 		t.Fatal(err)
 	}

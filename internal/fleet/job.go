@@ -37,12 +37,10 @@ type Job struct {
 	// empty allows every pool system large enough for the workload.
 	Systems []string
 
-	// MaxUSD caps this job's cumulative spend across attempts; 0 = none.
-	MaxUSD float64
-
 	// PerStep carries the performance model's predicted seconds-per-step
-	// keyed by system abbreviation. Systems missing from the map fall
-	// back to the scheduler's Predict function.
+	// keyed by system abbreviation: it prices placement and arms the
+	// guards. On a system missing from the map the job runs unguarded
+	// and unpriced, capped by the campaign budget alone.
 	PerStep map[string]float64
 
 	// PredMFLUPS optionally carries predicted throughput per system for
@@ -53,8 +51,7 @@ type Job struct {
 	PredTier   map[string]string
 }
 
-// jobState wraps a Job with the scheduler's bookkeeping. All fields are
-// owned by the main event loop.
+// jobState wraps a Job with the scheduler's bookkeeping.
 type jobState struct {
 	*Job
 	seq   int // submission order, the final tie-breaker

@@ -8,9 +8,9 @@ import (
 
 // This file wires the observability layer into the scheduler. Every
 // hook is a no-op when Trace/Metrics are left nil (obs instruments are
-// nil-safe), and every span operation happens on the single event-loop
-// goroutine, so the span start sequence — and with it the deterministic
-// span IDs — replays exactly under one seed.
+// nil-safe), and the scheduler runs on one goroutine, so the span start
+// sequence — and with it the deterministic span IDs — replays exactly
+// under one seed.
 //
 // Span topology: a "fleet.run" span (child of the caller's Root, e.g. a
 // campaign span) parents one "job" span per submission on its own
@@ -53,7 +53,7 @@ func (s *Scheduler) obsWaitStart(j *jobState) {
 
 // obsPlace closes the queue-wait phase and opens the attempt span on the
 // instance's track.
-func (s *Scheduler) obsPlace(p *pendingPlacement) {
+func (s *Scheduler) obsPlace(p *placement) {
 	j, inst := p.job, p.inst
 	if j.waitSpan != nil {
 		j.waitSpan.SetAttr("instance", inst.id)
@@ -74,7 +74,8 @@ func (s *Scheduler) obsPlace(p *pendingPlacement) {
 
 // obsAttemptEnd books the attempt's provision/compute phases as child
 // spans and closes the attempt span with its outcome.
-func (s *Scheduler) obsAttemptEnd(p *pendingPlacement, att attempt, outcome string) {
+func (s *Scheduler) obsAttemptEnd(p *placement, outcome string) {
+	att := p.att
 	if p.span != nil {
 		if att.provisionS > 0 {
 			prov := s.Trace.StartChild(p.span, "provision", p.start)

@@ -7,33 +7,12 @@ import (
 	"strconv"
 
 	"repro/internal/cloud"
-	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/simcloud"
 )
-
-// Predictor estimates a workload's seconds-per-step on a system. The
-// scheduler consults it for pool systems a job carries no model
-// prediction for.
-type Predictor func(w simcloud.Workload, sys *machine.System) (float64, error)
-
-// NoiselessPredict is the default predictor: one noiseless simulated
-// timestep — the testbed's stand-in for a calibrated performance model.
-func NoiselessPredict(w simcloud.Workload, sys *machine.System) (float64, error) {
-	r, err := simcloud.Run(w, sys, 1, nil)
-	if err != nil {
-		return 0, err
-	}
-	return r.StepS, nil
-}
 
 // Scheduler runs job queues over the instance pool. Create one with
 // NewScheduler; a Scheduler is single-use (Run consumes it).
 type Scheduler struct {
-	// Predict supplies seconds-per-step estimates for placement; defaults
-	// to NoiselessPredict. Replace it to wire in perfmodel predictions.
-	Predict Predictor
-
 	// Trace and Metrics optionally attach observability; set them before
 	// Run. Nil values disable instrumentation (every obs call site is a
 	// nil-safe no-op). Root, when set, parents the fleet span — a
@@ -55,8 +34,6 @@ type Scheduler struct {
 	parked     []*jobState
 	states     []*jobState
 	unfinished int
-
-	predCache map[string]float64
 }
 
 // NewScheduler validates the config and builds the instance pool.
@@ -70,12 +47,10 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		return nil, err
 	}
 	return &Scheduler{
-		Predict:   NoiselessPredict,
-		cfg:       cfg,
-		insts:     insts,
-		gov:       governor{budget: cfg.BudgetUSD},
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		predCache: make(map[string]float64),
+		cfg:   cfg,
+		insts: insts,
+		gov:   governor{budget: cfg.BudgetUSD},
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}, nil
 }
 
@@ -87,28 +62,9 @@ func (s *Scheduler) log(t EventType, job, inst, detail string) {
 	s.eseq++
 }
 
-// perStepFor returns the predicted seconds-per-step for a job on a
-// system: the job's own model prediction when present, otherwise the
-// scheduler's Predictor (cached per job/system pair).
-func (s *Scheduler) perStepFor(j *jobState, sys *machine.System) float64 {
-	if v, ok := j.PerStep[sys.Abbrev]; ok && v > 0 {
-		return v
-	}
-	key := j.Name + "\x00" + sys.Abbrev
-	if v, ok := s.predCache[key]; ok {
-		return v
-	}
-	v := 0.0
-	if s.Predict != nil {
-		if p, err := s.Predict(j.Workload, sys); err == nil {
-			v = p
-		}
-	}
-	s.predCache[key] = v
-	return v
-}
-
-// estimate is the model's view of one candidate placement.
+// estimate is the model's view of one candidate placement. A system the
+// job carries no prediction for prices at zero: unguarded, and placed
+// as if free.
 type estimate struct {
 	perStep  float64
 	seconds  float64 // predicted compute time for the remaining steps
@@ -119,7 +75,7 @@ type estimate struct {
 
 // estimateOn prices the job's remaining steps on an instance.
 func (s *Scheduler) estimateOn(j *jobState, inst *instance) estimate {
-	e := estimate{perStep: s.perStepFor(j, inst.sys)}
+	e := estimate{perStep: j.PerStep[inst.sys.Abbrev]}
 	e.seconds = e.perStep * float64(j.remaining())
 	e.finishAt = s.clock + inst.sys.ProvisionDelayS + e.seconds
 	rate := 1.0
@@ -177,7 +133,7 @@ func (s *Scheduler) choose(j *jobState) (*instance, estimate, bool) {
 		return false
 	}
 	for _, inst := range s.insts {
-		if inst.busy || !j.compatible(inst) {
+		if inst.running != nil || !j.compatible(inst) {
 			continue
 		}
 		e := s.estimateOn(j, inst)
@@ -189,8 +145,8 @@ func (s *Scheduler) choose(j *jobState) (*instance, estimate, bool) {
 }
 
 // attemptCap bounds one attempt's metered cost: the uncommitted budget
-// (plus this job's own reservation), the job's lifetime cap, and the
-// predicted-cost overrun guard, whichever is tightest.
+// (plus this job's own reservation) and the predicted-cost overrun
+// guard, whichever is tighter.
 func (s *Scheduler) attemptCap(j *jobState, e estimate) float64 {
 	cap := 0.0
 	tighten := func(c float64) {
@@ -201,32 +157,28 @@ func (s *Scheduler) attemptCap(j *jobState, e estimate) float64 {
 	if s.gov.budget > 0 {
 		tighten(s.gov.free() + e.usd)
 	}
-	if j.MaxUSD > 0 {
-		tighten(j.MaxUSD - j.usd)
-	}
 	if e.usd > 0 {
 		tighten(e.usd * (1 + j.Tolerance) * 1.05)
 	}
 	return cap
 }
 
-// pendingPlacement records one dispatched assignment awaiting its
-// outcome.
-type pendingPlacement struct {
+// placement is one attempt on an instance. Its outcome is computed when
+// it is placed and booked by settle when the simulated clock reaches
+// endS.
+type placement struct {
 	inst  *instance
 	job   *jobState
 	est   estimate
 	start float64
-	reply chan attempt
+	endS  float64
+	att   attempt
 	span  *obs.Span // attempt span, open until settle
 }
 
 // placeRound places queued, eligible jobs on idle instances at the
-// current clock — in queue order (priority, deadline, submission) — and
-// dispatches each to its instance's worker. All placements of a round
-// execute concurrently on real goroutines.
-func (s *Scheduler) placeRound() []pendingPlacement {
-	var round []pendingPlacement
+// current clock, in queue order (priority, deadline, submission).
+func (s *Scheduler) placeRound() error {
 	var skipped []*jobState
 	for s.queue.Len() > 0 {
 		j := s.queue.pop()
@@ -249,18 +201,20 @@ func (s *Scheduler) placeRound() []pendingPlacement {
 			}
 			skipped = append(skipped, j)
 		case decideAdmit:
-			round = append(round, s.place(j, inst, est))
+			if err := s.place(j, inst, est); err != nil {
+				return err
+			}
 		}
 	}
 	for _, j := range skipped {
 		s.queue.push(j)
 	}
-	return round
+	return nil
 }
 
-// place commits the governor reservation, logs the event, and hands the
-// attempt to the instance's worker.
-func (s *Scheduler) place(j *jobState, inst *instance, est estimate) pendingPlacement {
+// place commits the governor reservation, logs the event, runs the
+// attempt and occupies the instance until the attempt's end.
+func (s *Scheduler) place(j *jobState, inst *instance, est estimate) error {
 	j.attempts++
 	j.system = inst.sys.Abbrev
 	j.deferred = false
@@ -268,28 +222,19 @@ func (s *Scheduler) place(j *jobState, inst *instance, est estimate) pendingPlac
 		j.firstStart = s.clock
 	}
 	s.gov.commit(est.usd)
-	inst.busy = true
 	inst.jobs++
 	s.log(EvPlaced, j.Name, inst.id,
 		fmt.Sprintf("attempt %d, %d steps, est %.1fs $%.4f", j.attempts, j.remaining(), est.seconds, est.usd))
 
-	rec := pendingPlacement{inst: inst, job: j, est: est, start: s.clock,
-		reply: make(chan attempt, 1)}
-	s.obsPlace(&rec)
-	hazard := 0.0
-	if inst.spot {
-		hazard = s.cfg.PreemptionPerNodeHour
+	p := &placement{inst: inst, job: j, est: est, start: s.clock}
+	s.obsPlace(p)
+	att, err := s.runAttempt(j, inst, est)
+	if err != nil {
+		return fmt.Errorf("fleet: job %q on %s: %w", j.Name, inst.id, err)
 	}
-	inst.cmd <- assignment{
-		job:        j.Job,
-		startSteps: j.done,
-		perStepS:   est.perStep,
-		tolerance:  j.Tolerance,
-		costCapUSD: s.attemptCap(j, est),
-		hazard:     hazard,
-		reply:      rec.reply,
-	}
-	return rec
+	p.att, p.endS = att, p.start+att.provisionS+att.computeS
+	inst.running = p
+	return nil
 }
 
 // shed finalizes a job without completing it.
@@ -303,13 +248,13 @@ func (s *Scheduler) shed(j *jobState, reason string) {
 	s.obsShed(j, reason)
 }
 
-// settle books a collected attempt when the simulated clock reaches the
-// instance's release time.
-func (s *Scheduler) settle(p pendingPlacement) {
-	att := p.inst.pendingAttempt
+// settle books a placement's attempt when the simulated clock reaches
+// its end, freeing the instance.
+func (s *Scheduler) settle(p *placement) {
+	att := p.att
 	j := p.job
 	s.gov.settle(p.est.usd, att.usd)
-	p.inst.busy = false
+	p.inst.running = nil
 	p.inst.busyS += att.provisionS + att.computeS
 	p.inst.earnedUSD += att.usd
 	j.done += att.steps
@@ -319,7 +264,7 @@ func (s *Scheduler) settle(p pendingPlacement) {
 
 	switch {
 	case att.preempted && j.remaining() > 0:
-		s.obsAttemptEnd(&p, att, "preempted")
+		s.obsAttemptEnd(p, "preempted")
 		s.log(EvPreempted, j.Name, p.inst.id,
 			fmt.Sprintf("%s after %d steps ($%.4f billed), %d/%d done",
 				att.reason, att.steps, att.usd, j.done, j.Steps))
@@ -341,10 +286,10 @@ func (s *Scheduler) settle(p pendingPlacement) {
 			fmt.Sprintf("retry %d/%d, backoff %.1fs", retriesUsed+1, s.cfg.MaxRetries, backoff))
 		s.obsBackoff(j)
 	case att.aborted:
-		s.obsAttemptEnd(&p, att, "aborted")
+		s.obsAttemptEnd(p, "aborted")
 		s.shed(j, att.reason)
 	default:
-		s.obsAttemptEnd(&p, att, "completed")
+		s.obsAttemptEnd(p, "completed")
 		j.finished = true
 		j.finishedAt = s.clock
 		s.unfinished--
@@ -384,18 +329,6 @@ func (s *Scheduler) Run(jobs []*Job) (*Report, error) {
 	fleetSpan.SetAttr("jobs", strconv.Itoa(len(jobs)))
 	defer func() { fleetSpan.End(s.clock) }()
 
-	// Start the worker pool: one goroutine per instance, each with its
-	// own deterministic RNG stream derived from the fleet seed.
-	for _, inst := range s.insts {
-		inst.cmd = make(chan assignment)
-		go worker(inst, rand.New(rand.NewSource(s.cfg.Seed+0x9E3779B9*int64(inst.index+1))))
-	}
-	defer func() {
-		for _, inst := range s.insts {
-			close(inst.cmd)
-		}
-	}()
-
 	// Submission: log every job, shed the ones no pool instance can ever
 	// host, queue the rest.
 	for i, j := range jobs {
@@ -424,7 +357,6 @@ func (s *Scheduler) Run(jobs []*Job) (*Report, error) {
 		s.obsWaitStart(st)
 	}
 
-	pending := map[int]pendingPlacement{} // keyed by instance index; never iterated
 	for s.unfinished > 0 {
 		// Promote parked jobs whose backoff has elapsed.
 		var stillParked []*jobState
@@ -438,25 +370,16 @@ func (s *Scheduler) Run(jobs []*Job) (*Report, error) {
 		}
 		s.parked = stillParked
 
-		// Place and dispatch; every placement of the round runs
-		// concurrently on its instance's worker while we wait.
-		round := s.placeRound()
-		for _, rec := range round {
-			att := <-rec.reply
-			if att.err != nil {
-				return nil, fmt.Errorf("fleet: job %q on %s: %w", rec.job.Name, rec.inst.id, att.err)
-			}
-			rec.inst.pendingAttempt = att
-			rec.inst.freeAt = rec.start + att.provisionS + att.computeS
-			pending[rec.inst.index] = rec
+		if err := s.placeRound(); err != nil {
+			return nil, err
 		}
 
-		// Advance to the next simulated event: the earliest instance
-		// release or parked-job eligibility.
+		// Advance to the next simulated event: the earliest attempt end
+		// or parked-job eligibility.
 		next := math.Inf(1)
 		for _, inst := range s.insts {
-			if inst.busy && inst.freeAt < next {
-				next = inst.freeAt
+			if p := inst.running; p != nil && p.endS < next {
+				next = p.endS
 			}
 		}
 		for _, j := range s.parked {
@@ -480,13 +403,11 @@ func (s *Scheduler) Run(jobs []*Job) (*Report, error) {
 			s.clock = next
 		}
 
-		// Settle every instance released by now, in pool order (equal
+		// Settle every attempt ended by now, in pool order (equal
 		// timestamps resolve deterministically).
 		for _, inst := range s.insts {
-			if inst.busy && inst.freeAt <= s.clock {
-				rec := pending[inst.index]
-				delete(pending, inst.index)
-				s.settle(rec)
+			if p := inst.running; p != nil && p.endS <= s.clock {
+				s.settle(p)
 			}
 		}
 	}

@@ -181,26 +181,28 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, ErrorResponse{Error: msg})
 }
 
-// RetryJitter deals deterministic Retry-After backoffs in [1, spread]
-// seconds from a seeded SplitMix64 stream. Shedding a fleet of clients
-// with one constant backoff synchronizes their retries into a
-// thundering herd one second later; per-process seeded jitter de-phases
-// them while keeping test runs reproducible.
+// retrySpreadS is the widest Retry-After a RetryJitter deals, in seconds.
+const retrySpreadS = 3
+
+// RetryJitter deals deterministic Retry-After backoffs in [1,
+// retrySpreadS] seconds from a seeded SplitMix64 stream. Shedding a
+// fleet of clients with one constant backoff synchronizes their retries
+// into a thundering herd one second later; per-process seeded jitter
+// de-phases them while keeping test runs reproducible.
 type RetryJitter struct {
-	spread uint64
-	mu     sync.Mutex
-	state  uint64
+	mu    sync.Mutex
+	state uint64
 }
 
-// NewRetryJitter seeds a stream over [1, spreadS] seconds.
-func NewRetryJitter(seed int64, spreadS int) *RetryJitter {
-	return &RetryJitter{spread: uint64(max(spreadS, 1)), state: uint64(seed)}
+// NewRetryJitter seeds a stream.
+func NewRetryJitter(seed int64) *RetryJitter {
+	return &RetryJitter{state: uint64(seed)}
 }
 
-// Next returns the following backoff in whole seconds, 1..spread.
+// Next returns the following backoff in whole seconds, 1..retrySpreadS.
 func (j *RetryJitter) Next() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state += 0x9e3779b97f4a7c15
-	return int(obs.Mix64(j.state)%j.spread) + 1
+	return int(obs.Mix64(j.state)%retrySpreadS) + 1
 }

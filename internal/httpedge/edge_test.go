@@ -15,7 +15,7 @@ import (
 // the span's trace ID.
 func TestRouteRecordsSpanAndMetrics(t *testing.T) {
 	reg, tracer := obs.NewRegistry(), obs.NewTracer(3)
-	e := New(reg, tracer, "edge", "hop ", NewRetryJitter(3, 3))
+	e := New(reg, tracer, "edge", "hop ", NewRetryJitter(3))
 	h := e.Route("/v1/thing", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("missing") != "" {
 			WriteError(w, http.StatusNotFound, "no such thing")
@@ -56,14 +56,14 @@ func TestRouteRecordsSpanAndMetrics(t *testing.T) {
 // leaves the stream where it was, so the edge's own sequence is the same
 // whatever it relays.
 func TestRetryAfterOnlyWhereMissing(t *testing.T) {
-	e := New(obs.NewRegistry(), obs.NewTracer(5), "edge", "hop ", NewRetryJitter(5, 3))
+	e := New(obs.NewRegistry(), obs.NewTracer(5), "edge", "hop ", NewRetryJitter(5))
 	h := e.Route("/v1/busy", func(w http.ResponseWriter, r *http.Request) {
 		if v := r.URL.Query().Get("upstream"); v != "" {
 			w.Header().Set("Retry-After", v)
 		}
 		WriteError(w, http.StatusTooManyRequests, "busy")
 	})
-	want := NewRetryJitter(5, 3)
+	want := NewRetryJitter(5)
 	for i, target := range []string{"/v1/busy", "/v1/busy?upstream=9", "/v1/busy", "/v1/busy?upstream=7", "/v1/busy"} {
 		rec := httptest.NewRecorder()
 		h(rec, httptest.NewRequest(http.MethodPost, target, nil))

@@ -64,9 +64,8 @@ func (s SLO) burnThreshold() float64 {
 	return 1
 }
 
-// DefaultSLOs returns the stock objectives the cluster router tracks
-// when none are configured: three-nines availability and a 250 ms p99,
-// both over 5-minute windows.
+// DefaultSLOs returns the stock objectives the cluster router tracks:
+// three-nines availability and a 250 ms p99, both over 5-minute windows.
 func DefaultSLOs() []SLO {
 	return []SLO{
 		{Name: "availability", TargetAvailability: 0.999, WindowS: 300},

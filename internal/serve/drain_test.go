@@ -104,7 +104,7 @@ func TestConcurrentDrain(t *testing.T) {
 // per-server seeded stream — deterministic for a seed, varying across
 // responses so shed clients don't retry in lockstep.
 func TestRetryAfterJitter(t *testing.T) {
-	a, b := httpedge.NewRetryJitter(9, 3), httpedge.NewRetryJitter(9, 3)
+	a, b := httpedge.NewRetryJitter(9), httpedge.NewRetryJitter(9)
 	seen := make(map[int]bool)
 	for i := 0; i < 64; i++ {
 		va, vb := a.Next(), b.Next()

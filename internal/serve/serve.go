@@ -161,7 +161,7 @@ func New(cfg Config) (*Server, error) {
 		anatomies: cache.New[core.AnatomyKey, *core.Anatomy](cfg.CacheEntries, lookupCounter(reg, "serve_anatomy_cache_total")),
 		entries:   cache.New[string, dashboard.Entry](cfg.CacheEntries, lookupCounter(reg, "serve_cache_total")),
 		sem:       make(chan struct{}, cfg.MaxInflight),
-		edge:      httpedge.New(reg, tracer, "serve", "http ", httpedge.NewRetryJitter(cfg.DefaultSeed, 3)),
+		edge:      httpedge.New(reg, tracer, "serve", "http ", httpedge.NewRetryJitter(cfg.DefaultSeed)),
 		reg:       reg,
 		mux:       http.NewServeMux(),
 	}
