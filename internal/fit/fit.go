@@ -2,9 +2,13 @@
 // performance models are built on: ordinary least squares for linear
 // relations (the communication model, Eq. 12 of the paper), a continuous
 // two-line ("broken stick") fit for node memory bandwidth (Eq. 8), and
-// logarithmic-law fits for the load-imbalance and message-count models
-// (Eqs. 11 and 15). All fitting minimizes the sum of squared errors (SSE)
-// exactly as the paper describes.
+// a logarithmic-law fit for the load-imbalance model (Eq. 11). All
+// fitting minimizes the sum of squared errors (SSE), as the paper
+// describes. The linear and two-line fits reach the global minimum in
+// closed form — the two-line fit by Hudson's (1966) exact method for
+// continuous segmented regression. The log-law fit, and the message-event
+// fit (Eq. 15) in internal/perfmodel, scan a grid and refine it with
+// GoldenMin.
 //
 // Everything operates on plain float64 slices; the only dependency
 // beyond the standard library is the repository's own internal/units,
@@ -12,9 +16,11 @@
 package fit
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/units"
 )
@@ -166,73 +172,134 @@ func (t TwoLine) String() string {
 }
 
 // TwoLineLSQ fits Eq. 8 to (threads, bandwidth) observations by minimizing
-// SSE. For a candidate knee a3 the conditional optimum of (a1, a2) is a
-// linear least-squares problem, so the fit scans knee candidates over a
-// dense grid spanning the observed thread range and refines the best
-// candidate with golden-section search. This mirrors the paper's "adjusting
-// the parameters a1, a2, and a3 to minimize the SSE".
+// SSE over every knee a3 in [min(threads), max(threads)], exactly: the
+// continuous segmented regression of Hudson (1966). With the points in
+// thread order, a knee strictly between two neighbouring distinct thread
+// counts fixes which points lie on which line. The best fit for that split
+// is a slope through the origin on the left and an ordinary least-squares
+// line on the right; it is the split's optimum when the knee it implies,
+// where the two lines meet, lies in the gap. When it does not, the split's
+// optimum has its knee on an edge of the gap, so a fit with the knee at
+// every distinct thread count completes the candidates. Running sums make
+// each candidate and its SSE O(1), so the fit is one sort, skipped for a
+// sweep already in thread order, and linear passes; the winner's SSE and
+// R² are then recomputed from its residuals.
 func TwoLineLSQ(threads, bw []float64) (TwoLine, error) {
 	if err := checkSeries(threads, bw, 3); err != nil {
 		return TwoLine{}, err
 	}
-	lo, hi := minMax(threads)
-	if lo <= 0 {
+	xs, ys := threads, bw
+	if !slices.IsSorted(xs) {
+		xs, ys = sortedByX(xs, ys)
+	}
+	if xs[0] <= 0 {
 		return TwoLine{}, fmt.Errorf("%w: thread counts must be positive", ErrBadInput)
 	}
-	// Dense scan for the knee. Allow knees slightly beyond the data so a
-	// pure single-regime dataset degrades gracefully.
-	const gridSteps = 400
-	bestSSE := math.Inf(1)
-	var best TwoLine
-	for i := 0; i <= gridSteps; i++ {
-		a3 := lo + (hi-lo)*float64(i)/gridSteps
-		cand, ok := twoLineGivenKnee(threads, bw, a3)
-		if ok && cand.SSE < bestSSE {
-			bestSSE = cand.SSE
-			best = cand
+	var total, left sums
+	for i := range xs {
+		total.add(xs[i], ys[i])
+	}
+	best, bestSSE := TwoLine{}, math.Inf(1)
+	for i := 0; i < len(xs); {
+		// Points [i, j) share the thread count u; left holds every point
+		// below it.
+		u := xs[i]
+		j := i + 1
+		for j < len(xs) && xs[j] == u {
+			j++
+		}
+		right := total.minus(left)
+		last := j == len(xs)
+		if i > 0 && !last {
+			if t, sse, ok := splitFit(left, right, xs[i-1], u); ok && sse < bestSSE {
+				best, bestSSE = t, sse
+			}
+		}
+		if t, sse, ok := kneeFit(left, right, u, last); ok && sse < bestSSE {
+			best, bestSSE = t, sse
+		}
+		for ; i < j; i++ {
+			left.add(xs[i], ys[i])
 		}
 	}
 	if math.IsInf(bestSSE, 1) {
 		return TwoLine{}, fmt.Errorf("%w: no valid knee candidate", ErrBadInput)
 	}
-	// Golden-section refinement around the best grid knee.
-	step := (hi - lo) / gridSteps
-	a, b := math.Max(lo, best.A3-2*step), math.Min(hi, best.A3+2*step)
-	refined := GoldenMin(a, b, 1e-6, func(a3 float64) float64 {
-		cand, ok := twoLineGivenKnee(threads, bw, a3)
-		if !ok {
-			return math.Inf(1)
-		}
-		return cand.SSE
-	})
-	if cand, ok := twoLineGivenKnee(threads, bw, refined); ok && cand.SSE <= best.SSE {
-		best = cand
-	}
-	_, best.R2 = quality(threads, bw, best.Eval)
+	best.SSE, best.R2 = quality(threads, bw, best.Eval)
 	best.N = len(threads)
 	return best, nil
 }
 
-// twoLineGivenKnee solves the conditionally linear subproblem: with the
-// knee a3 fixed, B(n) = a1*f1(n) + a2*f2(n) where f1(n) = min(n, a3) ...
-// actually f1(n) = n for n<a3 and a3 for n>=a3; f2(n) = 0 for n<a3 and
-// (n-a3) for n>=a3. Ordinary 2-parameter least squares in (a1, a2).
-func twoLineGivenKnee(threads, bw []float64, a3 float64) (TwoLine, bool) {
-	var s11, s12, s22, s1y, s2y float64
-	nLeft := 0
-	for i, n := range threads {
-		var f1, f2 float64
-		if n < a3 {
-			f1, f2 = n, 0
-			nLeft++
-		} else {
-			f1, f2 = a3, n-a3
-		}
-		s11 += f1 * f1
-		s12 += f1 * f2
-		s22 += f2 * f2
-		s1y += f1 * bw[i]
-		s2y += f2 * bw[i]
+// sortedByX returns copies of xs and ys reordered by ascending x; points
+// with equal x keep their input order.
+func sortedByX(xs, ys []float64) ([]float64, []float64) {
+	type point struct{ x, y float64 }
+	pts := make([]point, len(xs))
+	for i := range xs {
+		pts[i] = point{xs[i], ys[i]}
+	}
+	slices.SortStableFunc(pts, func(a, b point) int { return cmp.Compare(a.x, b.x) })
+	buf := make([]float64, 2*len(pts))
+	sx, sy := buf[:len(pts)], buf[len(pts):]
+	for i, p := range pts {
+		sx[i], sy[i] = p.x, p.y
+	}
+	return sx, sy
+}
+
+// sums holds the count and the running sums of x, y, x², xy and y² of a
+// set of points: everything a least-squares line over them needs.
+type sums struct{ n, x, y, xx, xy, yy float64 }
+
+func (s *sums) add(x, y float64) {
+	s.n++
+	s.x += x
+	s.y += y
+	s.xx += x * x
+	s.xy += x * y
+	s.yy += y * y
+}
+
+func (s sums) minus(o sums) sums {
+	return sums{s.n - o.n, s.x - o.x, s.y - o.y, s.xx - o.xx, s.xy - o.xy, s.yy - o.yy}
+}
+
+// splitFit is the best fit for one split of the points, with l left of
+// the knee and r right of it (r spanning at least two distinct x): a
+// slope a1 through the origin over l, an OLS line a2*x + b2 over r. It is
+// a TwoLine only if the knee where the lines meet, b2/(a1-a2), lies in
+// (lo, hi], the gap between l's largest x and r's smallest. It also
+// returns the fit's SSE.
+func splitFit(l, r sums, lo, hi float64) (TwoLine, float64, bool) {
+	a1 := l.xy / l.xx
+	rxx := r.xx - r.x*r.x/r.n
+	rxy := r.xy - r.x*r.y/r.n
+	a2 := rxy / rxx
+	b2 := (r.y - a2*r.x) / r.n
+	a3 := b2 / (a1 - a2)
+	if !(a3 > lo && a3 <= hi) { // also false for the NaN of parallel lines
+		return TwoLine{}, 0, false
+	}
+	sse := (l.yy - a1*l.xy) + (r.yy - r.y*r.y/r.n - a2*rxy)
+	return TwoLine{A1: a1, A2: a2, A3: a3}, sse, true
+}
+
+// kneeFit solves the conditionally linear subproblem with the knee fixed
+// at a3, a point x of the data: l holds the points below a3, r the rest,
+// and last says every point of r sits at a3 itself. Eq. 8 is then
+// B(n) = a1*f1(n) + a2*f2(n) with f1(n) = n, f2(n) = 0 for n < a3 and
+// f1(n) = a3, f2(n) = n - a3 for n >= a3: two-parameter least squares in
+// (a1, a2), assembled from the sums. With no point beyond the knee a2 is
+// undetermined, and the fit is the single slope a1 = a2. It also returns
+// the fit's SSE.
+func kneeFit(l, r sums, a3 float64, last bool) (TwoLine, float64, bool) {
+	s11 := l.xx + a3*a3*r.n
+	s1y := l.xy + a3*r.y
+	var s12, s22, s2y float64
+	if !last {
+		s12 = a3 * (r.x - a3*r.n)
+		s22 = r.xx - 2*a3*r.x + a3*a3*r.n
+		s2y = r.xy - a3*r.y
 	}
 	det := s11*s22 - s12*s12
 	var a1, a2 float64
@@ -241,15 +308,13 @@ func twoLineGivenKnee(threads, bw []float64, a3 float64) (TwoLine, bool) {
 		a1 = (s22*s1y - s12*s2y) / det
 		a2 = (s11*s2y - s12*s1y) / det
 	case !units.ApproxEqual(s11, 0, degenTol):
-		// All points on one side of the knee: single-slope fit.
 		a1 = s1y / s11
 		a2 = a1
 	default:
-		return TwoLine{}, false
+		return TwoLine{}, 0, false
 	}
-	t := TwoLine{A1: a1, A2: a2, A3: a3}
-	t.SSE, _ = quality(threads, bw, t.Eval)
-	return t, true
+	sse := l.yy + r.yy - a1*s1y - a2*s2y
+	return TwoLine{A1: a1, A2: a2, A3: a3}, sse, true
 }
 
 // LogLaw holds the parameters of y = c1*ln(c2*(x-1) + 1) + 1, the paper's

@@ -3,8 +3,11 @@ package fit
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/units"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -94,6 +97,7 @@ func TestLinearThroughPointAllZeroX(t *testing.T) {
 }
 
 func TestTwoLineExactRecovery(t *testing.T) {
+	// Noise-free data: the exact fit recovers the generating parameters.
 	truth := TwoLine{A1: 6768.24, A2: 369.16, A3: 6.39} // TRC row of Table III
 	var threads, bw []float64
 	for n := 1; n <= 40; n++ {
@@ -104,14 +108,13 @@ func TestTwoLineExactRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TwoLineLSQ: %v", err)
 	}
-	if !almostEqual(got.A1, truth.A1, 1e-3) {
-		t.Errorf("a1 = %v, want %v", got.A1, truth.A1)
-	}
-	if !almostEqual(got.A2, truth.A2, 1e-2) {
-		t.Errorf("a2 = %v, want %v", got.A2, truth.A2)
-	}
-	if math.Abs(got.A3-truth.A3) > 0.25 {
-		t.Errorf("a3 = %v, want %v", got.A3, truth.A3)
+	for _, p := range []struct {
+		name      string
+		got, want float64
+	}{{"a1", got.A1, truth.A1}, {"a2", got.A2, truth.A2}, {"a3", got.A3, truth.A3}} {
+		if math.Abs(p.got-p.want) > 1e-9*math.Abs(p.want) {
+			t.Errorf("%s = %v, want %v", p.name, p.got, p.want)
+		}
 	}
 }
 
@@ -250,4 +253,178 @@ func TestGoldenMin(t *testing.T) {
 	if math.Abs(got+1) > 1e-6 {
 		t.Errorf("goldenMin = %v, want -1", got)
 	}
+}
+
+// twoLineGridOracle is the Eq. 8 fit TwoLineLSQ replaced, kept as its
+// oracle: 401 knees on a grid over [lo, hi], each solved by
+// twoLineGivenKnee, then golden-section refinement around the best. It
+// finds a local minimum near the best grid knee, so its SSE bounds the
+// exact fit's from above.
+func twoLineGridOracle(threads, bw []float64) (TwoLine, error) {
+	if err := checkSeries(threads, bw, 3); err != nil {
+		return TwoLine{}, err
+	}
+	lo, hi := slices.Min(threads), slices.Max(threads)
+	if lo <= 0 {
+		return TwoLine{}, ErrBadInput
+	}
+	const gridSteps = 400
+	bestSSE := math.Inf(1)
+	var best TwoLine
+	for i := 0; i <= gridSteps; i++ {
+		a3 := lo + (hi-lo)*float64(i)/gridSteps
+		cand, ok := twoLineGivenKnee(threads, bw, a3)
+		if ok && cand.SSE < bestSSE {
+			bestSSE = cand.SSE
+			best = cand
+		}
+	}
+	if math.IsInf(bestSSE, 1) {
+		return TwoLine{}, ErrBadInput
+	}
+	step := (hi - lo) / gridSteps
+	a, b := math.Max(lo, best.A3-2*step), math.Min(hi, best.A3+2*step)
+	refined := GoldenMin(a, b, 1e-6, func(a3 float64) float64 {
+		cand, ok := twoLineGivenKnee(threads, bw, a3)
+		if !ok {
+			return math.Inf(1)
+		}
+		return cand.SSE
+	})
+	if cand, ok := twoLineGivenKnee(threads, bw, refined); ok && cand.SSE <= best.SSE {
+		best = cand
+	}
+	_, best.R2 = quality(threads, bw, best.Eval)
+	best.N = len(threads)
+	return best, nil
+}
+
+// twoLineGivenKnee solves the conditionally linear subproblem with the
+// knee a3 fixed by one pass over the points: B(n) = a1*f1(n) + a2*f2(n)
+// with f1(n) = n, f2(n) = 0 for n < a3 and f1(n) = a3, f2(n) = n - a3 for
+// n >= a3, ordinary two-parameter least squares in (a1, a2).
+func twoLineGivenKnee(threads, bw []float64, a3 float64) (TwoLine, bool) {
+	var s11, s12, s22, s1y, s2y float64
+	for i, n := range threads {
+		var f1, f2 float64
+		if n < a3 {
+			f1, f2 = n, 0
+		} else {
+			f1, f2 = a3, n-a3
+		}
+		s11 += f1 * f1
+		s12 += f1 * f2
+		s22 += f2 * f2
+		s1y += f1 * bw[i]
+		s2y += f2 * bw[i]
+	}
+	det := s11*s22 - s12*s12
+	var a1, a2 float64
+	switch {
+	case det != 0:
+		a1 = (s22*s1y - s12*s2y) / det
+		a2 = (s11*s2y - s12*s1y) / det
+	case !units.ApproxEqual(s11, 0, degenTol):
+		// All points on one side of the knee: single-slope fit.
+		a1 = s1y / s11
+		a2 = a1
+	default:
+		return TwoLine{}, false
+	}
+	t := TwoLine{A1: a1, A2: a2, A3: a3}
+	t.SSE, _ = quality(threads, bw, t.Eval)
+	return t, true
+}
+
+// twoLineInput builds one fit input from a fuzzer's choices: xb gives the
+// thread counts (halves from 0.5 to 32, in xb's order, ties wherever xb
+// repeats itself) and seed draws the bandwidths in one of five modes: a
+// noisy two-line curve, a noiseless one, a single regime, all-equal
+// values and structureless noise.
+func twoLineInput(xb []byte, mode uint8, seed int64) (xs, ys []float64) {
+	if len(xb) > 142 {
+		xb = xb[:142]
+	}
+	rng := rand.New(rand.NewSource(seed))
+	truth := TwoLine{A1: 1000 + 20000*rng.Float64(), A3: 1 + 31*rng.Float64()}
+	truth.A2 = truth.A1 * (1.2*rng.Float64() - 0.2)
+	noise := 0.1 * rng.Float64()
+	for _, b := range xb {
+		x := float64(1+b%64) / 2
+		var y float64
+		switch mode % 5 {
+		case 0:
+			y = truth.Eval(x) * (1 + noise*rng.NormFloat64())
+		case 1:
+			y = truth.Eval(x)
+		case 2:
+			y = truth.A1 * x * (1 + noise*rng.NormFloat64())
+		case 3:
+			y = truth.A1
+		default:
+			y = 1e4 * rng.NormFloat64()
+		}
+		xs = append(xs, x)
+		ys = append(ys, y)
+	}
+	return xs, ys
+}
+
+// checkNotAboveOracle asserts that TwoLineLSQ fails exactly when the
+// oracle does, otherwise reaches an SSE no larger than the oracle's, and
+// leaves its inputs untouched.
+func checkNotAboveOracle(t *testing.T, xs, ys []float64) {
+	t.Helper()
+	xs0, ys0 := slices.Clone(xs), slices.Clone(ys)
+	got, gotErr := TwoLineLSQ(xs, ys)
+	if !slices.Equal(xs, xs0) || !slices.Equal(ys, ys0) {
+		t.Fatalf("TwoLineLSQ modified its input")
+	}
+	want, wantErr := twoLineGridOracle(xs, ys)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("x=%v y=%v: TwoLineLSQ error %v, oracle error %v", xs, ys, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if got.SSE > want.SSE*(1+1e-9)+1e-9 {
+		t.Fatalf("x=%v y=%v: exact SSE %v (%+v) above the oracle's %v (%+v)", xs, ys, got.SSE, got, want.SSE, want)
+	}
+}
+
+// TestTwoLineLSQNotAboveOracle runs the fuzz property over seeded inputs
+// of every kind: sorted sweeps 1..n and unsorted resamples of them with
+// ties, n from 3 to 142, in each of twoLineInput's modes.
+func TestTwoLineLSQNotAboveOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for i := 0; i < 2000; i++ {
+		n := 3 + rng.Intn(140)
+		xb := make([]byte, n)
+		for j := range xb {
+			if i%4 == 0 {
+				xb[j] = byte(rng.Intn(n))
+			} else {
+				xb[j] = byte(2*j + 1)
+			}
+		}
+		xs, ys := twoLineInput(xb, uint8(i), rng.Int63())
+		checkNotAboveOracle(t, xs, ys)
+	}
+}
+
+func FuzzTwoLineLSQ(f *testing.F) {
+	sweep := make([]byte, 36)
+	for i := range sweep {
+		sweep[i] = byte(2*i + 1)
+	}
+	for mode := uint8(0); mode < 5; mode++ {
+		f.Add(sweep, mode, int64(mode))
+		f.Add([]byte{5, 1, 5, 9, 1, 20, 3}, mode, int64(7+mode))
+		f.Add([]byte{1, 3, 5}, mode, int64(11))
+		f.Add([]byte{4, 4, 4, 4}, mode, int64(13))
+	}
+	f.Fuzz(func(t *testing.T, xb []byte, mode uint8, seed int64) {
+		xs, ys := twoLineInput(xb, mode, seed)
+		checkNotAboveOracle(t, xs, ys)
+	})
 }

@@ -106,16 +106,6 @@ func MAPE(pred, obs []float64) float64 {
 	return sum / float64(n)
 }
 
-// minMax returns the smallest and largest values in xs.
-func minMax(xs []float64) (lo, hi float64) {
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	return lo, hi
-}
-
 // GeoMean returns the geometric mean of xs. All values must be positive.
 func GeoMean(xs []float64) float64 {
 	if len(xs) == 0 {

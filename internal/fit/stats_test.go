@@ -113,10 +113,3 @@ func TestGeoMean(t *testing.T) {
 	}()
 	GeoMean([]float64{1, -2})
 }
-
-func TestMinMax(t *testing.T) {
-	lo, hi := minMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Errorf("minMax = %v,%v, want -1,7", lo, hi)
-	}
-}

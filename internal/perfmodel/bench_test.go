@@ -2,6 +2,7 @@ package perfmodel_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/campaign"
@@ -11,7 +12,28 @@ import (
 	"repro/internal/perfmodel"
 )
 
-var sinkGeneral perfmodel.GeneralModel
+var (
+	sinkGeneral perfmodel.GeneralModel
+	sinkChar    *perfmodel.Characterization
+)
+
+// BenchmarkCharacterize is a serving cold fill's phase one (the bench
+// ladder's perfmodel.characterize rung): STREAM and PingPong sweeps of
+// one catalog system at 5 samples a point, each fitted. Every iteration
+// draws a fresh seed, as a never-seen key does.
+func BenchmarkCharacterize(b *testing.B) {
+	for _, sys := range machine.Catalog() {
+		b.Run(sys.Abbrev, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if sinkChar, err = perfmodel.Characterize(sys, 5, rand.New(rand.NewSource(int64(i)))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkCalibrateGeneral is the serving cold path's dominant stage
 // (the bench ladder's perfmodel.calibrate_general rung), called the way

@@ -62,6 +62,7 @@ func CharacterizeHost(arrayLen, iters int) (*Characterization, error) {
 	}
 	c.Intra = link
 	c.Inter = link
+	sortByBytes(pts)
 	c.RawIntra = pts
 	c.RawInter = pts
 	c.FitQuality.IntraR2 = line.R2

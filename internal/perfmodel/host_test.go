@@ -20,6 +20,9 @@ func TestCharacterizeHost(t *testing.T) {
 	if len(c.RawIntra) == 0 || len(c.RawInter) == 0 {
 		t.Error("raw sweeps missing")
 	}
+	if !sweepSorted(c.RawIntra) || !sweepSorted(c.RawInter) {
+		t.Errorf("host sweeps not sorted by size: %v", c.RawIntra)
+	}
 	// The wrapped system is usable by the simulator's placement logic.
 	sys := HostSystem(c)
 	if sys.MaxRanks() != c.TotalCores || sys.PricePerNodeHourUSD != 0 {

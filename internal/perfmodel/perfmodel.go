@@ -20,10 +20,11 @@
 package perfmodel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/fit"
 	"repro/internal/machine"
@@ -47,13 +48,14 @@ type Characterization struct {
 		MemR2, InterR2, IntraR2 float64
 	}
 
-	// Raw PingPong sweeps, kept for the direct model's interpolation.
+	// Raw PingPong sweeps, kept for the direct model's interpolation and
+	// sorted by Bytes, as interpolateUS requires.
 	RawInter []mbench.PingPongPoint
 	RawIntra []mbench.PingPongPoint
 
 	// PCIe is the fitted host-device link on accelerator instances (nil
-	// for CPU systems); RawPCIe the sweep behind it. They price Eq. 2's
-	// t_CPU-GPU term.
+	// for CPU systems); RawPCIe the sweep behind it, sorted by Bytes. They
+	// price Eq. 2's t_CPU-GPU term.
 	PCIe    *machine.LinkModel
 	RawPCIe []mbench.PingPongPoint
 }
@@ -101,31 +103,40 @@ func Characterize(sys *machine.System, samples int, rng *rand.Rand) (*Characteri
 		}
 		c.PCIe = &pcie
 	}
+	sortByBytes(c.RawInter)
+	sortByBytes(c.RawIntra)
+	sortByBytes(c.RawPCIe)
 	return c, nil
+}
+
+// sortByBytes orders a PingPong sweep by message size, once, for
+// interpolateUS. It runs after the fits, which read the sweep in the
+// order it was measured.
+func sortByBytes(pts []mbench.PingPongPoint) {
+	slices.SortStableFunc(pts, func(a, b mbench.PingPongPoint) int { return cmp.Compare(a.Bytes, b.Bytes) })
 }
 
 // interpolateUS returns the message time in µs for a payload of m bytes from
 // raw PingPong points by piecewise-linear interpolation, extrapolating the
 // last segment beyond the sweep — how the paper's direct model uses
-// "PingPong measurement raw data".
+// "PingPong measurement raw data". pts must be sorted by Bytes (the
+// Characterization's sweeps are); they are read in place.
 func interpolateUS(pts []mbench.PingPongPoint, m float64) float64 {
 	if len(pts) == 0 {
 		return 0
 	}
-	sorted := append([]mbench.PingPongPoint(nil), pts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Bytes < sorted[j].Bytes })
-	if m <= sorted[0].Bytes {
-		return sorted[0].TimeUS
+	if m <= pts[0].Bytes {
+		return pts[0].TimeUS
 	}
-	for i := 1; i < len(sorted); i++ {
-		if m <= sorted[i].Bytes {
-			a, b := sorted[i-1], sorted[i]
+	for i := 1; i < len(pts); i++ {
+		if m <= pts[i].Bytes {
+			a, b := pts[i-1], pts[i]
 			frac := (m - a.Bytes) / (b.Bytes - a.Bytes)
 			return a.TimeUS + frac*(b.TimeUS-a.TimeUS)
 		}
 	}
 	// Extrapolate from the last two points.
-	a, b := sorted[len(sorted)-2], sorted[len(sorted)-1]
+	a, b := pts[len(pts)-2], pts[len(pts)-1]
 	slope := (b.TimeUS - a.TimeUS) / (b.Bytes - a.Bytes)
 	return b.TimeUS + slope*(m-b.Bytes)
 }
@@ -178,15 +189,12 @@ func (c *Characterization) predictDirect(w simcloud.Workload, occupancy float64)
 		return Prediction{}, fmt.Errorf("perfmodel: occupancy %g outside [0,1]", occupancy)
 	}
 	nodeOf := func(task int) int { return task / c.CoresPerNode }
-	// Tasks per node under the same block placement the runs use.
-	perNode := make(map[int]int)
-	for t := 0; t < ranks; t++ {
-		perNode[nodeOf(t)]++
-	}
 
 	var maxMem, maxComm, maxIntra, maxInter, maxPCIe float64
 	for t := range w.Tasks {
-		k := float64(perNode[nodeOf(t)])
+		// Tasks on t's node under the same block placement the runs use:
+		// full nodes, then the remainder on the last.
+		k := float64(min(c.CoresPerNode, ranks-nodeOf(t)*c.CoresPerNode))
 		total := k + occupancy*float64(c.CoresPerNode-int(k))
 		share := units.MBpsToBps(c.Mem.Eval(total) / total) // bytes/s available to this task
 		memS := w.Tasks[t].Bytes / share

@@ -1,8 +1,10 @@
 package perfmodel
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/decomp"
@@ -63,6 +65,63 @@ func TestCharacterizeNoisy(t *testing.T) {
 	}
 	if rel := math.Abs(c.Inter.LatencyUS-sys.InterNode.LatencyUS) / sys.InterNode.LatencyUS; rel > 0.15 {
 		t.Errorf("noisy latency fit %v too far from %v", c.Inter.LatencyUS, sys.InterNode.LatencyUS)
+	}
+}
+
+// sweepSorted reports whether a PingPong sweep is in Bytes order, the
+// order interpolateUS reads it in.
+func sweepSorted(pts []mbench.PingPongPoint) bool {
+	return slices.IsSortedFunc(pts, func(a, b mbench.PingPongPoint) int {
+		return cmp.Compare(a.Bytes, b.Bytes)
+	})
+}
+
+// TestCharacterizeSweepsSorted checks that every raw sweep a
+// characterization keeps is sorted by message size, the precondition
+// interpolateUS relies on: a CPU system's two PingPong sweeps and a GPU
+// instance's PCIe sweep.
+func TestCharacterizeSweepsSorted(t *testing.T) {
+	cpu, err := Characterize(machine.NewCSP2EC(), 5, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu := characterizeNoiseless(t, machine.NewCSP2GPU())
+	for _, sweep := range []struct {
+		name string
+		pts  []mbench.PingPongPoint
+	}{
+		{"CSP-2 EC RawInter", cpu.RawInter},
+		{"CSP-2 EC RawIntra", cpu.RawIntra},
+		{"CSP-2 GPU RawInter", gpu.RawInter},
+		{"CSP-2 GPU RawIntra", gpu.RawIntra},
+		{"CSP-2 GPU RawPCIe", gpu.RawPCIe},
+	} {
+		if len(sweep.pts) == 0 || !sweepSorted(sweep.pts) {
+			t.Errorf("%s not a sorted sweep: %v", sweep.name, sweep.pts)
+		}
+	}
+}
+
+// TestPredictDirectZeroAllocs pins the direct model's per-message path as
+// arithmetic: a Tier 1 direct prediction at 32 ranks allocates nothing.
+func TestPredictDirectZeroAllocs(t *testing.T) {
+	s := cylinderSolver(t)
+	c := characterizeNoiseless(t, machine.NewCSP2())
+	p, err := decomp.RCB(s, 32, lbm.HarveyAccess())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := simcloud.FromPartition("cyl", s.N(), p)
+	req := Request{Model: ModelDirect, Workload: &w}
+	if _, err := c.Predict(req); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := c.Predict(req); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("direct Predict at 32 ranks made %v allocations, want 0", allocs)
 	}
 }
 
