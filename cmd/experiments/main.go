@@ -13,9 +13,10 @@
 // ext-terms, the end-to-end checks against simcloud of model inputs the
 // service accepts (DESIGN.md §4).
 //
-// With -tiers, -tiers-baseline FILE compares Tier 1 MAPE against a
-// committed BENCH_tiers.json and exits nonzero on a regression of more
-// than tier1MAPETolerancePts percentage points — the CI accuracy gate.
+// With -tiers, -tiers-baseline FILE compares every tier's overall MAPE
+// against a committed BENCH_tiers.json and exits nonzero when any tier
+// regresses by more than mapeTolerancePts percentage points — the CI
+// accuracy gate.
 package main
 
 import (
@@ -28,9 +29,9 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// tier1MAPETolerancePts is how many percentage points Tier 1 MAPE may
+// mapeTolerancePts is how many percentage points any tier's MAPE may
 // drift above the committed baseline before the gate fails.
-const tier1MAPETolerancePts = 2.0
+const mapeTolerancePts = 2.0
 
 // runGenTables writes the regenerated Tier 2 lookup table to path.
 func runGenTables(path string) error {
@@ -50,7 +51,7 @@ func runGenTables(path string) error {
 }
 
 // runTiers evaluates all tiers, prints the report, writes the bench
-// JSON, and (with a baseline) gates Tier 1 MAPE.
+// JSON, and (with a baseline) gates every tier's MAPE.
 func runTiers(outPath, baselinePath string) error {
 	tbl, err := perfmodel.DefaultTable()
 	if err != nil {
@@ -75,22 +76,27 @@ func runTiers(outPath, baselinePath string) error {
 		fmt.Printf("wrote %s\n", outPath)
 	}
 	if baselinePath != "" {
-		base, err := os.ReadFile(baselinePath)
+		raw, err := os.ReadFile(baselinePath)
 		if err != nil {
 			return fmt.Errorf("baseline: %v", err)
 		}
 		var baseline experiments.TierBench
-		if err := json.Unmarshal(base, &baseline); err != nil {
+		if err := json.Unmarshal(raw, &baseline); err != nil {
 			return fmt.Errorf("baseline %s: %v", baselinePath, err)
 		}
-		baseMAPE := baseline.Tiers[perfmodel.Tier1Calibrated].MAPEPct
-		gotMAPE := bench.Tiers[perfmodel.Tier1Calibrated].MAPEPct
-		if gotMAPE > baseMAPE+tier1MAPETolerancePts {
-			return fmt.Errorf("tier1 MAPE regression: %.2f%% vs baseline %.2f%% (tolerance %.1f points)",
-				gotMAPE, baseMAPE, tier1MAPETolerancePts)
+		for _, tier := range []string{perfmodel.Tier0Physics, perfmodel.Tier1Calibrated, perfmodel.Tier2Measured} {
+			base, ok := baseline.Tiers[tier]
+			if !ok {
+				return fmt.Errorf("baseline %s has no %s block", baselinePath, tier)
+			}
+			got := bench.Tiers[tier].MAPEPct
+			if got > base.MAPEPct+mapeTolerancePts {
+				return fmt.Errorf("%s MAPE regression: %.2f%% vs baseline %.2f%% (tolerance %.1f points)",
+					tier, got, base.MAPEPct, mapeTolerancePts)
+			}
+			fmt.Printf("%s MAPE %.2f%% within %.1f points of baseline %.2f%%\n",
+				tier, got, mapeTolerancePts, base.MAPEPct)
 		}
-		fmt.Printf("tier1 MAPE %.2f%% within %.1f points of baseline %.2f%%\n",
-			gotMAPE, tier1MAPETolerancePts, baseMAPE)
 	}
 	return nil
 }
@@ -101,7 +107,7 @@ func main() {
 	genTablesOut := flag.String("gen-tables-out", "internal/perfmodel/tables/measured.csv", "output path for -gen-tables")
 	tiers := flag.Bool("tiers", false, "run the per-tier MAPE evaluation")
 	tiersOut := flag.String("tiers-out", "BENCH_tiers.json", "bench JSON output path for -tiers (empty to skip)")
-	tiersBaseline := flag.String("tiers-baseline", "", "committed BENCH_tiers.json to gate tier1 MAPE against")
+	tiersBaseline := flag.String("tiers-baseline", "", "committed BENCH_tiers.json to gate every tier's MAPE against")
 	flag.Parse()
 	if *list {
 		for _, a := range experiments.Artifacts {

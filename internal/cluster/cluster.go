@@ -131,8 +131,8 @@ func (c *Cluster) Ring() *Ring { return c.ring }
 
 // PollNow runs one synchronous poll of every replica — the health
 // verdicts and telemetry aggregate of one background tick — and returns
-// the merged fleet view: the deterministic alternative to the loop.
-// After Close it issues no requests and returns the last published
+// the merged fleet view: the deterministic alternative to the loop. A
+// sweep already in flight is joined, not repeated. After Close it issues no requests and returns the last published
 // aggregate, so a shut-down cluster records no bogus failures.
 func (c *Cluster) PollNow() *ClusterTelemetryResponse { return c.poller.poll(c.baseCtx) }
 

@@ -367,7 +367,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // With no background poll loop configured (or ?refresh=1) it polls on
 // demand, so the endpoint always answers with live data; otherwise it
 // returns the loop's last published aggregate. An on-demand poll feeds
-// health exactly as a loop tick does. ?format=prom renders the merged
+// health exactly as a loop tick does, and concurrent ones share a single
+// sweep. ?format=prom renders the merged
 // metrics as a Prometheus text exposition page.
 func (rt *Router) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	snap := rt.poller.Last()

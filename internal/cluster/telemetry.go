@@ -29,10 +29,15 @@ import (
 //     the replica is up, only its snapshot is unusable.
 //
 // poll is the synchronous sweep tests and on-demand handlers drive
-// directly; start/stop wrap it in the optional background loop.
+// directly; start/stop wrap it in the optional background loop. At most
+// one sweep is in flight: a poll that arrives mid-sweep waits for that
+// sweep's aggregate and fires no requests of its own, so concurrent
+// callers add one health strike per replica, not one each, and RED rates
+// are never taken over a microsecond interval.
 //
 // Locking discipline: all network I/O happens before the mutex is
-// taken; the lock only guards the published snapshot and rate state.
+// taken; the lock only guards the in-flight sweep, the published
+// snapshot and rate state.
 type poller struct {
 	set       *replicaSet
 	reg       *obs.Registry // the router's own registry, merged as "router"
@@ -45,10 +50,17 @@ type poller struct {
 	done   chan struct{}
 
 	mu       sync.Mutex
+	inflight *sweep // the sweep under way, nil between sweeps
 	last     *ClusterTelemetryResponse
 	prevAtS  float64
 	prevReq  float64
 	prevErrs float64
+}
+
+// sweep is one poll in flight; resp is set before done closes.
+type sweep struct {
+	done chan struct{}
+	resp *ClusterTelemetryResponse
 }
 
 // ClusterTelemetryResponse is the GET /v1/cluster/telemetry body: the
@@ -114,10 +126,41 @@ func (p *poller) stop() {
 	p.cancel = nil
 }
 
-// poll performs one sweep: every replica, in any state, is fetched once
+// poll returns the aggregate of one sweep: a new one, or the one already
+// in flight, which it joins (counted in cluster_poll_coalesced_total). A
+// cancelled ctx returns the last aggregate before any request fires, as
+// does a joiner whose ctx ends before the sweep does.
+func (p *poller) poll(ctx context.Context) *ClusterTelemetryResponse {
+	if ctx.Err() != nil {
+		return p.Last()
+	}
+	p.mu.Lock()
+	if sw := p.inflight; sw != nil {
+		p.mu.Unlock()
+		p.reg.Counter("cluster_poll_coalesced_total").Inc()
+		select {
+		case <-sw.done:
+			return sw.resp
+		case <-ctx.Done():
+			return p.Last()
+		}
+	}
+	sw := &sweep{done: make(chan struct{})}
+	p.inflight = sw
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.inflight = nil
+		p.mu.Unlock()
+		close(sw.done)
+	}()
+	sw.resp = p.sweep(ctx)
+	return sw.resp
+}
+
+// sweep performs one poll: every replica, in any state, is fetched once
 // (dead ones included — that is the revival path), its health verdict
-// recorded, and the result published. A cancelled ctx returns the last
-// aggregate before any request fires, and a request cut short by ctx
+// recorded, and the result published. A request cut short by ctx
 // records no strike: a shut-down cluster or a departed client proves
 // nothing about a replica. Every polled replica gets a Sources row; one
 // whose snapshot fails to fetch, decode, or merge carries the error and
@@ -126,10 +169,7 @@ func (p *poller) stop() {
 // its bucket layout and later deviants are the ones rejected —
 // deterministic, if arbitrary; in practice every replica runs the same
 // serve build and the layouts agree.
-func (p *poller) poll(ctx context.Context) *ClusterTelemetryResponse {
-	if ctx.Err() != nil {
-		return p.Last()
-	}
+func (p *poller) sweep(ctx context.Context) *ClusterTelemetryResponse {
 	atS := p.simNow()
 
 	// Phase 1: fetch everything and record health (network, no lock).

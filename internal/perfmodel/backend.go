@@ -13,8 +13,10 @@ import (
 var ErrNoData = errors.New("perfmodel: no data for requested tier")
 
 // Backend serves predictions at one accuracy tier. Implementations are
-// PhysicsBackend (Tier 0), CalibratedBackend (Tier 1) and LookupBackend
-// (Tier 2); a Predictor composes them behind the tier selector.
+// ModelBackend — Tier 0 (NewPhysicsBackend, the model on a SpecSheet) and
+// Tier 1 (NewCalibratedBackend, the model on the fits) — and
+// LookupBackend (Tier 2); a Predictor composes them behind the tier
+// selector.
 type Backend interface {
 	// Tier returns the backend's tier name (Tier0Physics, ...).
 	Tier() string

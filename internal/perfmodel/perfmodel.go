@@ -16,7 +16,10 @@
 //     communication with the linear model (Eqs. 12, 16).
 //
 // Both combine memory and communication as T = max_j(t_mem) + max_j(t_comm)
-// (Eq. 6) and report throughput in MFLUPS (Eq. 7).
+// (Eq. 6) and report throughput in MFLUPS (Eq. 7). The formula is written
+// once; the analytical tiers differ only in where a Characterization's
+// parameters come from: the microbenchmark fits (Characterize, Tier 1) or
+// the catalog row's spec sheet (SpecSheet, Tier 0).
 package perfmodel
 
 import (
@@ -34,8 +37,9 @@ import (
 )
 
 // Characterization holds everything the models know about one system —
-// all of it obtained from microbenchmarks, never from the machine's
-// ground-truth parameters.
+// all of it obtained from microbenchmarks (Characterize) or from the
+// published catalog row (SpecSheet), never from the machine's
+// ground-truth behavioural models.
 type Characterization struct {
 	System       string
 	CoresPerNode int
@@ -58,6 +62,11 @@ type Characterization struct {
 	// price Eq. 2's t_CPU-GPU term.
 	PCIe    *machine.LinkModel
 	RawPCIe []mbench.PingPongPoint
+
+	// PeakGFLOPS is the per-rank compute ceiling, GFLOP/s: a rank's step
+	// lasts at least its points' D3Q19 operations at this rate. SpecSheet
+	// sets it from the clock; Characterize leaves it 0, no ceiling.
+	PeakGFLOPS float64
 }
 
 // Characterize benchmarks a modeled system: a STREAM thread sweep fitted
@@ -120,10 +129,11 @@ func sortByBytes(pts []mbench.PingPongPoint) {
 // raw PingPong points by piecewise-linear interpolation, extrapolating the
 // last segment beyond the sweep — how the paper's direct model uses
 // "PingPong measurement raw data". pts must be sorted by Bytes (the
-// Characterization's sweeps are); they are read in place.
-func interpolateUS(pts []mbench.PingPongPoint, m float64) float64 {
+// Characterization's sweeps are); they are read in place. Without points
+// (a spec sheet has no sweeps) the message is priced on link, Eq. 12.
+func interpolateUS(pts []mbench.PingPongPoint, link machine.LinkModel, m float64) float64 {
 	if len(pts) == 0 {
-		return 0
+		return link.TimeUS(m)
 	}
 	if m <= pts[0].Bytes {
 		return pts[0].TimeUS
@@ -189,6 +199,8 @@ func (c *Characterization) predictDirect(w simcloud.Workload, occupancy float64)
 		return Prediction{}, fmt.Errorf("perfmodel: occupancy %g outside [0,1]", occupancy)
 	}
 	nodeOf := func(task int) int { return task / c.CoresPerNode }
+	// Points are assumed spread evenly over tasks for the compute ceiling.
+	flopS := c.flopS(float64(w.Points) / float64(ranks))
 
 	var maxMem, maxComm, maxIntra, maxInter, maxPCIe float64
 	for t := range w.Tasks {
@@ -202,14 +214,14 @@ func (c *Characterization) predictDirect(w simcloud.Workload, occupancy float64)
 		var intraS, interS, pcieS float64
 		for _, msg := range w.Tasks[t].Sends {
 			if nodeOf(msg.Peer) == nodeOf(t) {
-				intraS += 2 * units.MicrosToSeconds(interpolateUS(c.RawIntra, msg.Bytes))
+				intraS += 2 * units.MicrosToSeconds(interpolateUS(c.RawIntra, c.Intra, msg.Bytes))
 			} else {
-				interS += 2 * units.MicrosToSeconds(interpolateUS(c.RawInter, msg.Bytes))
+				interS += 2 * units.MicrosToSeconds(interpolateUS(c.RawInter, c.Inter, msg.Bytes))
 			}
 			if c.PCIe != nil {
 				// Eq. 2's t_CPU-GPU: every halo message is staged through
 				// host memory on the way out and back in.
-				pcieS += 2 * units.MicrosToSeconds(interpolateUS(c.RawPCIe, msg.Bytes))
+				pcieS += 2 * units.MicrosToSeconds(interpolateUS(c.RawPCIe, *c.PCIe, msg.Bytes))
 			}
 		}
 		maxMem = math.Max(maxMem, memS)
@@ -219,8 +231,8 @@ func (c *Characterization) predictDirect(w simcloud.Workload, occupancy float64)
 		maxPCIe = math.Max(maxPCIe, pcieS)
 	}
 	p := Prediction{
-		Model: "direct", System: c.System, Ranks: ranks,
-		SecondsPerStep: maxMem + maxComm,
+		Model: ModelDirect, System: c.System, Ranks: ranks,
+		SecondsPerStep: math.Max(maxMem, flopS) + maxComm,
 		MemS:           maxMem, IntraS: maxIntra, InterS: maxInter, CPUGPUs: maxPCIe,
 	}
 	p.MFLUPS = float64(w.Points) / p.SecondsPerStep / 1e6
@@ -288,6 +300,7 @@ func (c *Characterization) predictGeneral(ws WorkloadSummary, g GeneralModel, ra
 	}
 	n := float64(ranks)
 	z := g.Z.Eval(n)
+	maxPoints := z * float64(ws.Points) / n
 
 	// Eq. 10: busiest task's bytes; memory time at its bandwidth share.
 	maxBytes := z * ws.BytesSerial / n
@@ -303,14 +316,13 @@ func (c *Characterization) predictGeneral(ws WorkloadSummary, g GeneralModel, ra
 		if pcb == 0 {
 			pcb = DefaultPointCommBytes
 		}
-		mMaxTotal := w / MaxNeighbors * math.Pow(z*float64(ws.Points)/n, 2.0/3.0) * 2 * pcb
+		mMaxTotal := w / MaxNeighbors * math.Pow(maxPoints, 2.0/3.0) * 2 * pcb
 		nn := math.Ceil(n / float64(c.CoresPerNode))
 		if c.PCIe != nil {
 			// Eq. 2's t_CPU-GPU: the whole halo is staged through host
 			// memory on the way out and back in, priced on the fitted
 			// PCIe link with one staging event per neighbor pair.
-			w2 := math.Min(math.Log2(n), MaxNeighbors)
-			pcieS = 2*mMaxTotal/units.MBpsToBps(c.PCIe.BandwidthMBps) + 2*w2*units.MicrosToSeconds(c.PCIe.LatencyUS)
+			pcieS = 2*mMaxTotal/units.MBpsToBps(c.PCIe.BandwidthMBps) + 2*w*units.MicrosToSeconds(c.PCIe.LatencyUS)
 		}
 		if nn >= 2 {
 			// Eq. 15 event count, then Eq. 16 split into its bandwidth and
@@ -331,8 +343,8 @@ func (c *Characterization) predictGeneral(ws WorkloadSummary, g GeneralModel, ra
 	}
 
 	p := Prediction{
-		Model: "generalized", System: c.System, Ranks: ranks,
-		SecondsPerStep: memS + commBW + commLat + pcieS,
+		Model: ModelGeneral, System: c.System, Ranks: ranks,
+		SecondsPerStep: math.Max(memS, c.flopS(maxPoints)) + commBW + commLat + pcieS,
 		MemS:           memS,
 		CPUGPUs:        pcieS,
 		CommBandwidthS: commBW,
@@ -340,4 +352,13 @@ func (c *Characterization) predictGeneral(ws WorkloadSummary, g GeneralModel, ra
 	}
 	p.MFLUPS = float64(ws.Points) / p.SecondsPerStep / 1e6
 	return p, nil
+}
+
+// flopS is the compute-ceiling time of a rank updating n points: the
+// D3Q19 BGK operation count at PeakGFLOPS, or 0 when no ceiling is set.
+func (c *Characterization) flopS(n float64) float64 {
+	if c.PeakGFLOPS <= 0 {
+		return 0
+	}
+	return FlopTimeS(D3Q19BGK(0), Machine{PeakGFLOPS: c.PeakGFLOPS}, n)
 }

@@ -103,25 +103,28 @@ func TestCharacterizeSweepsSorted(t *testing.T) {
 }
 
 // TestPredictDirectZeroAllocs pins the direct model's per-message path as
-// arithmetic: a Tier 1 direct prediction at 32 ranks allocates nothing.
+// arithmetic: a direct prediction at 32 ranks allocates nothing, on the
+// fitted sweeps (Tier 1) and on the spec sheet's link lines (Tier 0).
 func TestPredictDirectZeroAllocs(t *testing.T) {
 	s := cylinderSolver(t)
-	c := characterizeNoiseless(t, machine.NewCSP2())
+	sys := machine.NewCSP2()
 	p, err := decomp.RCB(s, 32, lbm.HarveyAccess())
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := simcloud.FromPartition("cyl", s.N(), p)
 	req := Request{Model: ModelDirect, Workload: &w}
-	if _, err := c.Predict(req); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		if _, err := c.Predict(req); err != nil {
+	for _, b := range []Backend{NewCalibratedBackend(characterizeNoiseless(t, sys)), NewPhysicsBackend(sys)} {
+		if _, err := b.Predict(req); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Errorf("direct Predict at 32 ranks made %v allocations, want 0", allocs)
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := b.Predict(req); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s direct Predict at 32 ranks made %v allocations, want 0", b.Tier(), allocs)
+		}
 	}
 }
 
@@ -131,18 +134,20 @@ func TestInterpolate(t *testing.T) {
 		{Bytes: 100, TimeUS: 20},
 		{Bytes: 200, TimeUS: 40},
 	}
+	link := machine.LinkModel{BandwidthMBps: 1000, LatencyUS: 2}
 	cases := []struct{ m, want float64 }{
 		{0, 10}, {50, 15}, {100, 20}, {150, 30}, {200, 40},
 		{300, 60}, // extrapolation continues the last slope
 		{-10, 10}, // clamp below
 	}
 	for _, c := range cases {
-		if got := interpolateUS(pts, c.m); math.Abs(got-c.want) > 1e-12 {
+		if got := interpolateUS(pts, link, c.m); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("interpolateUS(%v) = %v, want %v", c.m, got, c.want)
 		}
 	}
-	if got := interpolateUS(nil, 5); got != 0 {
-		t.Errorf("interpolateUS(nil) = %v, want 0", got)
+	// No sweep (a spec sheet): the link line, 5000 B at 1000 MB/s + 2 µs.
+	if got := interpolateUS(nil, link, 5000); math.Abs(got-7) > 1e-12 {
+		t.Errorf("interpolateUS(nil) = %v, want the link line's 7", got)
 	}
 }
 

@@ -4,16 +4,15 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/machine"
 	"repro/internal/simcloud"
 )
 
-// This file is the calibrated (Tier 1) prediction entrypoint. The four
-// historical entrypoints (PredictDirect, PredictDirectShared,
-// PredictGeneral, PredictWithTerms) are gone; every caller — campaign,
-// fleet placement, the dashboard, the experiment harness, and the HTTP
-// planning service — goes through Predict, either directly on a
-// Characterization or via a tiered Predictor (backend.go), so a
-// behavior change lands in exactly one place.
+// This file is the prediction entrypoint of the two analytical tiers.
+// Every caller goes through Predict, on a Characterization or via a
+// tiered Predictor (backend.go), and Tiers 0 and 1 evaluate the same
+// predictDirect/predictGeneral pair, so a behavior change lands in
+// exactly one place.
 
 // Model names for Request.Model and Prediction.Model.
 const (
@@ -51,7 +50,8 @@ type Request struct {
 	Summary *WorkloadSummary
 
 	// General carries the anatomy-tuned empirical laws (z-law, event
-	// law, per-point comm bytes) the generalized model needs.
+	// law, per-point comm bytes) the generalized model needs. Tier 0
+	// ignores it: it assumes GeneralModel{}, zero fitted laws.
 	General GeneralModel
 
 	// Ranks is the task count for the generalized model. For the direct
@@ -119,9 +119,26 @@ func (c *Characterization) Predict(req Request) (Prediction, error) {
 		return Prediction{}, fmt.Errorf("perfmodel: a bare characterization serves tier %q only (requested %q); use a Predictor for other tiers",
 			Tier1Calibrated, req.Tier)
 	}
+	return c.predict(req, Tier1Calibrated)
+}
+
+// predict evaluates req on c's parameters and stamps the provenance of
+// tier, Tier0Physics or Tier1Calibrated. Tier 1 carries its fit residual
+// and flags generalized predictions past the characterized instance.
+// Tier 0 carries a fixed band, takes no Terms, and prices the generalized
+// model with GeneralModel{} — z ≡ 1, no event law, DefaultPointCommBytes
+// — whatever laws the request carries.
+func (c *Characterization) predict(req Request, tier string) (Prediction, error) {
 	model, err := req.model()
 	if err != nil {
 		return Prediction{}, err
+	}
+	g := req.General
+	if tier == Tier0Physics {
+		if len(req.Terms) > 0 {
+			return Prediction{}, fmt.Errorf("perfmodel: terms apply to the calibrated tier only")
+		}
+		g = GeneralModel{}
 	}
 	var p Prediction
 	if model == ModelDirect {
@@ -137,17 +154,19 @@ func (c *Characterization) Predict(req Request) (Prediction, error) {
 		if len(req.Terms) > 0 {
 			return Prediction{}, fmt.Errorf("perfmodel: terms apply to the direct model only")
 		}
-		p, err = c.predictGeneral(*req.Summary, req.General, req.Ranks)
-		if err == nil && req.Ranks > c.TotalCores {
-			// Figure 11 territory: ranks beyond the characterized
-			// instance — the fits are being stretched past their data.
-			p.Extrapolated = true
-		}
+		p, err = c.predictGeneral(*req.Summary, g, req.Ranks)
+		// Figure 11 territory: ranks beyond the characterized instance —
+		// the fits are being stretched past their data.
+		p.Extrapolated = tier == Tier1Calibrated && req.Ranks > c.TotalCores
 	}
 	if err != nil {
 		return Prediction{}, err
 	}
-	p.Tier = Tier1Calibrated
+	p.Tier = tier
+	if tier == Tier0Physics {
+		p.Confidence = band(p.MFLUPS, Tier0ConfidenceRel)
+		return p, nil
+	}
 	p.FitResidual = c.fitResidual()
 	p.Confidence = band(p.MFLUPS, Tier1BaseConfidenceRel+p.FitResidual)
 	return p, nil
@@ -162,44 +181,54 @@ const Tier1BaseConfidenceRel = 0.15
 // fitResidual is 1 − min(R²) over the three calibrated fits.
 func (c *Characterization) fitResidual() float64 {
 	r2 := math.Min(c.FitQuality.MemR2, math.Min(c.FitQuality.InterR2, c.FitQuality.IntraR2))
-	if r2 > 1 {
-		r2 = 1
-	}
-	if r2 < 0 {
-		r2 = 0
-	}
-	return 1 - r2
+	return 1 - math.Max(0, math.Min(1, r2))
 }
 
-// CalibratedBackend adapts a Characterization to the Backend interface:
-// it is Tier 1 of a Predictor. The zero-config and measured tiers live
-// in tier0.go and tier2.go.
-type CalibratedBackend struct {
+// Tier0ConfidenceRel is the fixed relative half-width of Tier 0's
+// confidence band: the structural uncertainty of predicting from
+// published specs alone, bracketed by the spread the paper reports
+// between published and sustained bandwidth.
+const Tier0ConfidenceRel = 0.40
+
+// ModelBackend serves Tier 0 or Tier 1 of a Predictor: the one model
+// formula (Eqs. 6–16) on one Characterization. The tiers differ only in
+// where its parameters come from — the catalog row (SpecSheet) or the
+// microbenchmark fits (Characterize) — and in the provenance stamped on
+// each prediction.
+type ModelBackend struct {
 	Char *Characterization
+	tier string
 }
 
-// NewCalibratedBackend wraps a characterization as the Tier 1 backend.
-func NewCalibratedBackend(c *Characterization) *CalibratedBackend {
-	return &CalibratedBackend{Char: c}
+// NewPhysicsBackend is Tier 0: the model on a catalog row's spec sheet.
+// With zero fitted parameters it serves every system and never needs
+// recalibration, which makes it the TierAuto floor.
+func NewPhysicsBackend(sys *machine.System) *ModelBackend {
+	return &ModelBackend{Char: SpecSheet(sys), tier: Tier0Physics}
 }
 
-// Tier returns Tier1Calibrated.
-func (b *CalibratedBackend) Tier() string { return Tier1Calibrated }
+// NewCalibratedBackend is Tier 1: the model on a characterization's fits.
+func NewCalibratedBackend(c *Characterization) *ModelBackend {
+	return &ModelBackend{Char: c, tier: Tier1Calibrated}
+}
 
-// Covers reports whether the calibrated fits can serve the request —
-// any decomposed workload or summary, including terms and occupancy.
-func (b *CalibratedBackend) Covers(req Request) bool {
-	if b.Char == nil {
+// Tier returns Tier0Physics or Tier1Calibrated.
+func (b *ModelBackend) Tier() string { return b.tier }
+
+// Covers reports whether the backend can serve the request: any
+// decomposed workload or summary. Terms come out of the measured
+// feedback loop, so only Tier 1 takes them.
+func (b *ModelBackend) Covers(req Request) bool {
+	if b.Char == nil || b.tier == Tier0Physics && len(req.Terms) > 0 {
 		return false
 	}
 	return req.Workload != nil || req.Summary != nil
 }
 
-// Predict evaluates the request at Tier 1.
-func (b *CalibratedBackend) Predict(req Request) (Prediction, error) {
+// Predict evaluates the request at the backend's tier.
+func (b *ModelBackend) Predict(req Request) (Prediction, error) {
 	if b.Char == nil {
-		return Prediction{}, fmt.Errorf("%w: no characterization for tier %q", ErrNoData, Tier1Calibrated)
+		return Prediction{}, fmt.Errorf("%w: no characterization for tier %q", ErrNoData, b.tier)
 	}
-	req.Tier = Tier1Calibrated
-	return b.Char.Predict(req)
+	return b.Char.predict(req, b.tier)
 }

@@ -197,6 +197,39 @@ func TestPredictValidation(t *testing.T) {
 	}
 }
 
+// TestTier0DirectCommIsMaxOverTasks pins Eq. 6 on the spec sheet: the
+// step's communication is the largest task's total, not the largest
+// on-node time plus the largest off-node time. Tier 0 once summed the
+// two maxima. On CSP-1 (16 cores a node) 17 equal tasks span two nodes;
+// task 0 sends only on-node and task 16 only off-node.
+func TestTier0DirectCommIsMaxOverTasks(t *testing.T) {
+	sys := machine.NewCSP1()
+	cores := sys.CoresPerNode
+	w := simcloud.Workload{Name: "hand", Points: 100 * (cores + 1), Tasks: make([]simcloud.TaskSpec, cores+1)}
+	for i := range w.Tasks {
+		w.Tasks[i].Bytes = 1e6
+	}
+	const onNodeBytes, offNodeBytes = 68e4, 1e4
+	w.Tasks[0].Sends = []simcloud.Message{{Peer: 1, Bytes: onNodeBytes}}
+	w.Tasks[cores].Sends = []simcloud.Message{{Peer: 0, Bytes: offNodeBytes}}
+
+	p, err := NewPhysicsBackend(sys).Predict(Request{Workload: &w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodalBps := sys.PublishedMemBWMBps * 1e6
+	maxMem := w.Tasks[0].Bytes / (nodalBps / float64(cores)) // a full node's share
+	intra0 := 2 * onNodeBytes / nodalBps
+	inter1 := 2 * offNodeBytes / (sys.InterconnectGbps * 1e9 / 8)
+	closeTo(t, "MemS", p.MemS, maxMem)
+	closeTo(t, "IntraS", p.IntraS, intra0)
+	closeTo(t, "InterS", p.InterS, inter1)
+	closeTo(t, "SecondsPerStep", p.SecondsPerStep, maxMem+math.Max(intra0, inter1))
+	if summed := maxMem + intra0 + inter1; math.Abs(p.SecondsPerStep-summed) < 0.1*math.Min(intra0, inter1) {
+		t.Errorf("SecondsPerStep %v adds both tasks' communication (%v)", p.SecondsPerStep, summed)
+	}
+}
+
 // TestPredictRanksConsistent accepts an explicit rank count that agrees
 // with the decomposition.
 func TestPredictRanksConsistent(t *testing.T) {

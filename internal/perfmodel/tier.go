@@ -6,12 +6,14 @@ import "fmt"
 // (DESIGN.md §13). A prediction can be served at three accuracy tiers
 // that trade calibration effort for error:
 //
-//   - Tier 0 ("tier0") is pure physics: published catalog specs and
-//     roofline arithmetic, zero fitted parameters. Available for every
-//     system, never recalibrated, worst error.
-//   - Tier 1 ("tier1") is the calibrated path: the paper's fitted
-//     microbenchmark models (Characterization) plus the anatomy-tuned
-//     empirical laws. Needs one characterization run per system.
+//   - Tier 0 ("tier0") is pure physics: the paper's model with its
+//     parameters read off the published catalog row (SpecSheet), zero
+//     fitted parameters. Available for every system, never
+//     recalibrated, worst error.
+//   - Tier 1 ("tier1") is the calibrated path: the same model with its
+//     parameters fitted from microbenchmarks (Characterize) plus the
+//     anatomy-tuned empirical laws. Needs one characterization run per
+//     system.
 //   - Tier 2 ("tier2") is measured lookup: per-(system, kernel,
 //     size-regime) throughput tables from real (here: simulated-
 //     measured) runs, nearest-neighbor interpolated. Best error, but
