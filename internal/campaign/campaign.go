@@ -7,11 +7,15 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dashboard"
@@ -280,30 +284,131 @@ func resolve(j JobConfig) (scale float64, steps int, params lbm.Params, warnings
 	return scale, steps, params, warnings, nil
 }
 
-// prepare takes a job through phase two of Figure 1 up to its tuned
-// anatomy: resolve the lattice quantities, then fetch the anatomy of that
-// geometry, scale and parameter set from the framework's cache under the
-// job's name — building the geometry and calibrating the generalized
-// model only for the first job to ask, which also keeps the job's rank
-// count from the calibration sweep if the sweep passes through it. It
-// also returns the resolved step count and the units-check warnings,
+// prepared is a job after phase two of Figure 1: its tuned anatomy under
+// its own name, its resolved step count, and its units-check warnings,
 // prefixed with the job name.
-func prepare(ctx context.Context, fw *core.Framework, j JobConfig) (*core.Anatomy, int, []string, error) {
-	scale, steps, params, warnings, err := resolve(j)
+type prepared struct {
+	anatomy  *core.Anatomy
+	steps    int
+	warnings []string
+}
+
+// latticeKey is what a campaign lattice is built from.
+type latticeKey struct {
+	geometry string
+	scale    float64
+	params   lbm.Params
+}
+
+// lattice is one distinct anatomy of a campaign: its key, the jobs on it
+// in campaign order, and the union of their rank counts.
+type lattice struct {
+	latticeKey
+	jobs  []int
+	ranks []int
+}
+
+// prepareAll takes every job of a campaign through phase two before any
+// of them runs, and returns them in campaign order. Jobs sharing a
+// geometry, scale and parameter set share one lattice, built once with
+// all their rank counts so its calibration sweep memoises every count it
+// passes through. The distinct lattices are built at most
+// min(GOMAXPROCS, lattices) at a time, largest scale first (ties in
+// campaign order), so the two biggest transients overlap while few
+// lattices are held and a small build ends the pass. Each job's
+// decomposition is taken right after its lattice, so a rank count the
+// lattice cannot take fails here, before anything is spent.
+//
+// ctx is checked before each build starts; builds already running finish
+// (a build is uninterruptible), and then the pass returns ErrInterrupted.
+// Of several failing jobs, the error is that of the earliest in campaign
+// order, whichever build finished first. Anatomies are pure functions of
+// their lattice, so the result does not depend on the order builds end
+// in, and holding it keeps the anatomies whatever the cache evicts.
+func prepareAll(ctx context.Context, fw *core.Framework, jobs []JobConfig) ([]prepared, error) {
+	out := make([]prepared, len(jobs))
+	errs := make([]error, len(jobs))
+	index := map[latticeKey]*lattice{}
+	var lattices []*lattice
+	for i, j := range jobs {
+		scale, steps, params, warnings, err := resolve(j)
+		if err != nil {
+			// No job after this one can be the earliest failure.
+			errs[i] = err
+			break
+		}
+		for k, w := range warnings {
+			warnings[k] = j.Name + ": " + w
+		}
+		out[i] = prepared{steps: steps, warnings: warnings}
+		k := latticeKey{j.Geometry, scale, params}
+		l := index[k]
+		if l == nil {
+			l = &lattice{latticeKey: k}
+			index[k] = l
+			lattices = append(lattices, l)
+		}
+		l.jobs = append(l.jobs, i)
+		if !slices.Contains(l.ranks, j.Ranks) {
+			l.ranks = append(l.ranks, j.Ranks)
+		}
+	}
+	slices.SortStableFunc(lattices, func(a, b *lattice) int { return cmp.Compare(b.scale, a.scale) })
+
+	workers := make(chan struct{}, min(runtime.GOMAXPROCS(0), len(lattices)))
+	var wg sync.WaitGroup
+	var stopped error
+	for _, l := range lattices {
+		select {
+		case workers <- struct{}{}: // a worker is free
+		case <-ctx.Done():
+		}
+		if stopped = interrupted(ctx); stopped != nil {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer func() { <-workers; wg.Done() }()
+			for _, i := range l.jobs {
+				a, err := prepare(ctx, fw, jobs[i], l)
+				if err != nil {
+					// The lattice's later jobs come after this one.
+					errs[i] = err
+					return
+				}
+				out[i].anatomy = a
+			}
+		}()
+	}
+	wg.Wait()
+	if stopped != nil {
+		return nil, stopped
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// prepare fetches job j's anatomy of lattice l from the framework's cache
+// under the job's name, and decomposes it over the job's ranks. The first
+// job of a lattice builds it — the geometry, then the generalized model
+// calibrated with every rank count of l — and the lattice's other jobs hit.
+// The build runs to its end whatever happens to ctx: a campaign stops at
+// the clean points prepareAll and the backends check, never inside a
+// build, so the preparation keeps ctx's values and drops its cancellation.
+func prepare(ctx context.Context, fw *core.Framework, j JobConfig, l *lattice) (*core.Anatomy, error) {
+	anatomy, err := fw.CachedAnatomy(context.WithoutCancel(ctx), j.Name, l.geometry, l.scale, l.params,
+		func() (*geometry.Domain, error) { return BuildGeometry(l.geometry, l.scale) }, l.ranks...)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, fmt.Errorf("campaign: preparing %q: %w", j.Name, err)
 	}
-	for i, w := range warnings {
-		warnings[i] = j.Name + ": " + w
+	if _, err := anatomy.Workload(j.Ranks); err != nil {
+		return nil, fmt.Errorf("campaign: decomposing %q: %w", j.Name, err)
 	}
-	// A campaign stops at clean points between jobs, never inside one:
-	// the preparation keeps ctx's values and drops its cancellation.
-	anatomy, err := fw.CachedAnatomy(context.WithoutCancel(ctx), j.Name, j.Geometry, scale, params,
-		func() (*geometry.Domain, error) { return BuildGeometry(j.Geometry, scale) }, j.Ranks)
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("campaign: preparing %q: %w", j.Name, err)
-	}
-	return anatomy, steps, warnings, nil
+	return anatomy, nil
 }
 
 // Summary reports a finished campaign: one fleet job report per job the
@@ -340,11 +445,13 @@ func (s Summary) Render() string {
 }
 
 // runSerial is the sequential engine behind Runner, the Figure 1 loop one
-// job at a time: prepare, recommend (unless pinned), then run the job as a
-// one-job fleet on a one-instance pool of the chosen system, under what is
-// left of the budget. Each job's report goes into the monitor and the
-// provider's clock moves past it, so the next job is planned on a store
-// that already holds this one. ctx is checked between jobs: an
+// job at a time: every job is prepared first (prepareAll), so a campaign
+// with a job that cannot be prepared spends nothing; then each job in
+// turn is recommended a system (unless pinned) and run as a one-job fleet
+// on a one-instance pool of it, under what is left of the budget. Each
+// job's report goes into the monitor and the provider's clock moves past
+// it, so the next job is planned on a store that already holds this one.
+// ctx is checked before each lattice build and between jobs: an
 // interruption returns the partial summary under ErrInterrupted with
 // every completed job's spend and telemetry intact.
 func runSerial(ctx context.Context, fw *core.Framework, cfg Config) (Summary, error) {
@@ -356,15 +463,16 @@ func runSerial(ctx context.Context, fw *core.Framework, cfg Config) (Summary, er
 		return Summary{}, err
 	}
 	var summary Summary
+	ready, err := prepareAll(ctx, fw, cfg.Jobs)
+	if err != nil {
+		return summary, err
+	}
 	for i, j := range cfg.Jobs {
 		if err := interrupted(ctx); err != nil {
 			return summary, err
 		}
-		anatomy, steps, warnings, err := prepare(ctx, fw, j)
-		if err != nil {
-			return Summary{}, err
-		}
-		summary.Warnings = append(summary.Warnings, warnings...)
+		anatomy, steps := ready[i].anatomy, ready[i].steps
+		summary.Warnings = append(summary.Warnings, ready[i].warnings...)
 		system := j.System
 		if system == "" {
 			best, err := fw.Recommend(anatomy, j.Ranks, steps, obj, cfg.Deadline)

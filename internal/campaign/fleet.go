@@ -148,10 +148,11 @@ func fleetSLOObs(atS float64, metrics []obs.Metric) obs.SLOObs {
 
 // runFleet executes the campaign on the fleet backend, the engine
 // behind Runner: every job is prepared through the Figure 1 loop
-// (anatomy, tuned model, per-system predictions), then the whole queue
-// is scheduled concurrently across the declared instance pool.
+// (prepareAll's anatomies and tuned models, then per-system predictions
+// on this goroutine in campaign order), then the whole queue is
+// scheduled concurrently across the declared instance pool.
 // Completed jobs are exported into the framework's monitor, the
-// refinement store. ctx is checked between job preparations and before
+// refinement store. ctx is checked before each lattice build and before
 // the scheduler starts; the discrete-event schedule itself runs to
 // completion once started (it simulates time rather than spending it).
 func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary, error) {
@@ -189,17 +190,14 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 
 	prep := summary.Trace.StartChild(root, "prepare", 0)
 	defer prep.End(0) // closes the span on early error returns; the first End below wins otherwise
+	ready, err := prepareAll(ctx, fw, cfg.Jobs)
+	if err != nil {
+		return FleetSummary{}, err
+	}
 	jobs := make([]*fleet.Job, 0, len(cfg.Jobs))
-	for _, j := range cfg.Jobs {
-		if err := interrupted(ctx); err != nil {
-			return FleetSummary{}, err
-		}
-		anatomy, steps, warnings, err := prepare(ctx, fw, j)
-		if err != nil {
-			return FleetSummary{}, err
-		}
-		summary.Warnings = append(summary.Warnings, warnings...)
-		fj, err := fleetJob(fw, anatomy, j, steps, poolSystems)
+	for i, j := range cfg.Jobs {
+		summary.Warnings = append(summary.Warnings, ready[i].warnings...)
+		fj, err := fleetJob(fw, ready[i].anatomy, j, ready[i].steps, poolSystems)
 		if err != nil {
 			return FleetSummary{}, err
 		}

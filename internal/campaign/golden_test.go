@@ -2,7 +2,10 @@ package campaign
 
 import (
 	"context"
+	"fmt"
 	"os"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cache"
@@ -25,9 +28,34 @@ var goldenDocs = []struct {
 	{"fleet_shared_lattice", 5},
 }
 
-// goldenRun loads testdata/<name>.json and runs it on a fresh framework,
-// as cmd/fleet does, counting the anatomies the run builds.
-func goldenRun(t *testing.T, name string, backend Backend) (*core.Framework, Config, Outcome, int) {
+// goldenProcs are the GOMAXPROCS settings the goldens are rendered
+// under: the lattices of a campaign are built concurrently, one at a time
+// to eight at once, and no byte of a report may tell which.
+var goldenProcs = []int{1, 2, 8}
+
+// underProcs runs f with GOMAXPROCS set to procs, restoring it after.
+func underProcs(t *testing.T, procs int, f func(t *testing.T)) {
+	t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		f(t)
+	})
+}
+
+// countBuilds gives fw a fresh anatomy cache whose misses — the anatomies
+// built — are counted in the returned counter.
+func countBuilds(fw *core.Framework) *atomic.Int64 {
+	builds := new(atomic.Int64)
+	fw.Anatomies = cache.New[core.AnatomyKey, *core.Anatomy](core.MaxCachedAnatomies, func(r cache.Result) {
+		if r == cache.Miss {
+			builds.Add(1)
+		}
+	})
+	return builds
+}
+
+// goldenConfig loads testdata/<name>.json and a fresh framework for it,
+// as cmd/fleet does, counting the anatomies built on it.
+func goldenConfig(t *testing.T, name string) (*core.Framework, Config, *atomic.Int64) {
 	t.Helper()
 	f, err := os.Open("testdata/" + name + ".json")
 	if err != nil {
@@ -42,17 +70,19 @@ func goldenRun(t *testing.T, name string, backend Backend) (*core.Framework, Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds := 0
-	fw.Anatomies = cache.New[core.AnatomyKey, *core.Anatomy](core.MaxCachedAnatomies, func(r cache.Result) {
-		if r == cache.Miss {
-			builds++
-		}
-	})
+	return fw, cfg, countBuilds(fw)
+}
+
+// goldenRun runs testdata/<name>.json on a fresh framework and returns
+// the number of anatomies the run built.
+func goldenRun(t *testing.T, name string, backend Backend) (*core.Framework, Config, Outcome, int) {
+	t.Helper()
+	fw, cfg, builds := goldenConfig(t, name)
 	out, err := Runner{Backend: backend}.Run(context.Background(), fw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fw, cfg, out, builds
+	return fw, cfg, out, int(builds.Load())
 }
 
 func checkGolden(t *testing.T, file, got string) {
@@ -66,33 +96,39 @@ func checkGolden(t *testing.T, file, got string) {
 	}
 }
 
-// TestFleetReportsMatchGolden: sharing prepared lattices between jobs
-// changes no byte of a fleet report, and prepares each lattice once.
+// TestFleetReportsMatchGolden: sharing prepared lattices between jobs and
+// building them concurrently changes no byte of a fleet report, and
+// prepares each lattice once.
 func TestFleetReportsMatchGolden(t *testing.T) {
-	for _, doc := range goldenDocs {
-		_, _, out, builds := goldenRun(t, doc.name, BackendFleet)
-		checkGolden(t, doc.name+".golden", out.Fleet.Render())
-		if builds != doc.lattices {
-			t.Errorf("%s: %d anatomies built for %d distinct lattices", doc.name, builds, doc.lattices)
-		}
+	for _, procs := range goldenProcs {
+		underProcs(t, procs, func(t *testing.T) {
+			for _, doc := range goldenDocs {
+				_, _, out, builds := goldenRun(t, doc.name, BackendFleet)
+				checkGolden(t, doc.name+".golden", out.Fleet.Render())
+				if builds != doc.lattices {
+					t.Errorf("%s: %d anatomies built for %d distinct lattices", doc.name, builds, doc.lattices)
+				}
+			}
+		})
 	}
 }
 
-// TestFleetTakesItsDecompositionsFromTheSweep: a job whose rank count is
-// a calibration level and who is first on its lattice gets its workload
-// out of the sweep that tuned the model. In fleet_shared_lattice every
-// rank count is such a level, so the only decompositions left are those
-// of jobs arriving at a lattice already prepared: at most jobs − lattices.
+// TestFleetTakesItsDecompositionsFromTheSweep: a lattice is built once
+// with the rank counts of all its jobs, so a job whose rank count is a
+// calibration level gets its workload out of the sweep that tuned the
+// model, whichever job of the lattice comes first. In
+// fleet_shared_lattice every rank count is such a level, so no job
+// decomposes anything outside a sweep.
 func TestFleetTakesItsDecompositionsFromTheSweep(t *testing.T) {
 	fw, cfg, out, builds := goldenRun(t, "fleet_shared_lattice", BackendFleet)
 	checkGolden(t, "fleet_shared_lattice.golden", out.Fleet.Render())
+	ready, err := prepareAll(context.Background(), fw, cfg.Jobs) // all hits: the run prepared them
+	if err != nil {
+		t.Fatal(err)
+	}
 	lattices := map[*lbm.Lattice]int64{}
-	for _, j := range cfg.Jobs {
-		a, _, _, err := prepare(context.Background(), fw, j) // a hit: the run prepared it
-		if err != nil {
-			t.Fatal(err)
-		}
-		lattices[a.Lattice] = a.Decompositions()
+	for _, p := range ready {
+		lattices[p.anatomy.Lattice] = p.anatomy.Decompositions()
 	}
 	if len(lattices) != builds {
 		t.Fatalf("%d lattices behind the jobs, %d anatomies built", len(lattices), builds)
@@ -101,9 +137,9 @@ func TestFleetTakesItsDecompositionsFromTheSweep(t *testing.T) {
 	for _, n := range lattices {
 		outside += n
 	}
-	if limit := int64(len(cfg.Jobs) - len(lattices)); outside > limit {
-		t.Errorf("%d decompositions outside the calibration sweeps for %d jobs on %d lattices, want at most %d",
-			outside, len(cfg.Jobs), len(lattices), limit)
+	if outside != 0 {
+		t.Errorf("%d decompositions outside the calibration sweeps for %d jobs on %d lattices, want 0",
+			outside, len(cfg.Jobs), len(lattices))
 	}
 }
 
@@ -111,6 +147,12 @@ func TestFleetTakesItsDecompositionsFromTheSweep(t *testing.T) {
 // predicts, plans, runs and records each job under its own name when two
 // of them share a prepared lattice.
 func TestSerialJobsOnASharedLatticeKeepTheirNames(t *testing.T) {
+	for _, procs := range goldenProcs {
+		underProcs(t, procs, testSerialJobsOnASharedLattice)
+	}
+}
+
+func testSerialJobsOnASharedLattice(t *testing.T) {
 	fw, cfg, out, builds := goldenRun(t, "fleet_shared_lattice", BackendSerial)
 	checkGolden(t, "fleet_shared_lattice.serial.golden", out.Serial.Render())
 	if builds != 5 {

@@ -38,8 +38,9 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // ErrInterrupted reports that context cancellation stopped a campaign at
-// a clean point between jobs. The Outcome accompanying the error carries
-// everything finished before the interruption.
+// a clean point: before a lattice build or between jobs. The Outcome
+// accompanying the error carries everything finished before the
+// interruption.
 var ErrInterrupted = errors.New("campaign: interrupted")
 
 // Runner is the options struct behind the single campaign entrypoint:
@@ -100,10 +101,14 @@ func (r Runner) resolve(cfg Config) (Backend, error) {
 	return "", fmt.Errorf("campaign: unknown backend %q", r.Backend)
 }
 
-// Run executes the campaign on the selected backend. Cancelling ctx
-// stops the run at the next clean point between jobs and returns the
-// partial Outcome with an error wrapping ErrInterrupted; determinism is
-// unaffected because cancellation only truncates the job sequence.
+// Run executes the campaign on the selected backend. Both prepare every
+// job before running any, building the campaign's distinct lattices
+// concurrently; everything after that runs on the calling goroutine.
+// Cancelling ctx stops the run at the next clean point — before a
+// lattice build starts, between serial jobs, or before the fleet
+// schedule — and returns the partial Outcome with an error wrapping
+// ErrInterrupted; determinism is unaffected because cancellation only
+// truncates the job sequence.
 func (r Runner) Run(ctx context.Context, fw *core.Framework, cfg Config) (Outcome, error) {
 	be, err := r.resolve(cfg)
 	if err != nil {

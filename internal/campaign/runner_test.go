@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/machine"
 )
 
@@ -126,5 +127,72 @@ func TestRunFleetInterrupted(t *testing.T) {
 	_, err = Runner{Backend: BackendFleet}.Run(ctx, fw, cfg)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+}
+
+// TestPreCancelledCampaignBuildsNothing: a campaign cancelled before it
+// starts builds no lattice on either backend.
+func TestPreCancelledCampaignBuildsNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, be := range []Backend{BackendSerial, BackendFleet} {
+		fw, cfg, builds := goldenConfig(t, "fleet_shared_lattice")
+		if _, err := (Runner{Backend: be}).Run(ctx, fw, cfg); !errors.Is(err, ErrInterrupted) {
+			t.Errorf("%s: err = %v, want ErrInterrupted", be, err)
+		}
+		if n := builds.Load(); n != 0 {
+			t.Errorf("%s: a cancelled campaign built %d anatomies", be, n)
+		}
+	}
+}
+
+// badRanks is a rank count no test lattice has fluid sites for.
+const badRanks = 1 << 20
+
+// TestSerialCampaignThatCannotPrepareRunsNothing: a job whose lattice
+// cannot take its rank count stops the serial campaign before the job
+// ahead of it runs, so the framework records no run and no time for a
+// campaign that reports no spend.
+func TestSerialCampaignThatCannotPrepareRunsNothing(t *testing.T) {
+	cfg := Config{Seed: 5, BudgetUSD: 1, Objective: "min-cost", Jobs: []JobConfig{
+		{Name: "fine", Geometry: "cylinder", Scale: 5, Ranks: 8, Steps: 400, System: "CSP-1"},
+		{Name: "too-wide", Geometry: "cylinder", Scale: 3, Ranks: badRanks, Steps: 400, System: "CSP-1"},
+	}}
+	fw, err := core.NewFramework(machine.Catalog(), 2, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := runSerial(context.Background(), fw, cfg)
+	if err == nil || !strings.Contains(err.Error(), `"too-wide"`) {
+		t.Fatalf("err = %v, want the error of job too-wide", err)
+	}
+	if len(sum.Outcomes) != 0 || sum.SpentUSD != 0 {
+		t.Errorf("summary %+v, want nothing run", sum)
+	}
+	if n, c := fw.Monitor.Len(), fw.Provider.Clock(); n != 0 || c != 0 {
+		t.Errorf("the framework holds %d runs and its clock reads %g s, want 0 and 0", n, c)
+	}
+}
+
+// TestPrepareNamesTheEarliestFailingJob: of two jobs that cannot be
+// prepared, both backends report the first in campaign order, though the
+// second's larger lattice is built first. Run it with -count=20.
+func TestPrepareNamesTheEarliestFailingJob(t *testing.T) {
+	cfg := Config{Seed: 5, BudgetUSD: 1, Objective: "min-cost",
+		Fleet: &FleetConfig{Instances: []fleet.InstanceConfig{{System: "CSP-1", Count: 1}}},
+		Jobs: []JobConfig{
+			{Name: "fine", Geometry: "cylinder", Scale: 4, Ranks: 8, Steps: 400},
+			{Name: "first-bad", Geometry: "cylinder", Scale: 3, Ranks: badRanks, Steps: 400},
+			{Name: "second-bad", Geometry: "aorta", Scale: 6, Ranks: badRanks, Steps: 400},
+		}}
+	for _, be := range []Backend{BackendSerial, BackendFleet} {
+		fw, err := core.NewFramework(machine.Catalog(), 2, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Runner{Backend: be}.Run(context.Background(), fw, cfg)
+		if err == nil || !strings.Contains(err.Error(), `"first-bad"`) {
+			t.Errorf("%s: err = %v, want the error of job first-bad", be, err)
+		}
 	}
 }
