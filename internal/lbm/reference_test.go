@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/geometry"
 )
@@ -52,18 +53,36 @@ func referenceInletProfile(s *Sparse) []float64 {
 	return inletU
 }
 
+// referenceState is the flow referenceStep advances on a solver's lattice:
+// two arrays, both in the natural layout, and the step count.
+type referenceState struct {
+	f, fnew []float64
+	steps   int
+}
+
+// newReference copies the state of s.
+func newReference(s *Sparse) *referenceState {
+	r := &referenceState{f: make([]float64, s.n*NQ), fnew: make([]float64, s.n*NQ), steps: s.steps}
+	for si := 0; si < s.n; si++ {
+		c := s.Cell(si)
+		copy(r.f[si*NQ:], c[:])
+	}
+	return r
+}
+
 // referenceStep is Sparse.Step as it was before the fused step body,
 // verbatim but for the inlet profile, which the solver no longer keeps per
-// site and the caller hands in (referenceInletProfile): collide in place
+// site and the caller hands in (referenceInletProfile), and the two
+// arrays, which the solver no longer keeps and r holds: collide in place
 // through the rolled CollideCell, pull-stream into fnew with halfway
 // bounce-back, then override inlets and outlets by scanning every site's
-// type. It is the oracle CollideStream, ApplyBoundaries and the boundary
-// list are held to, slot by slot.
-func referenceStep(s *Sparse, inletU []float64) {
+// type. It is the oracle CollideStream, ApplyBoundaries, the boundary list
+// and every readout are held to, slot by slot.
+func referenceStep(s *Sparse, r *referenceState, inletU []float64) {
 	fx, fy, fz := s.Params.Force[0], s.Params.Force[1], s.Params.Force[2]
 
-	// Collision, in place on s.f, one window per site.
-	f := s.f
+	// Collision, in place on r.f, one window per site.
+	f := r.f
 	w := f
 	for len(w) >= NQ {
 		cell := (*[NQ]float64)(w[:NQ])
@@ -71,10 +90,10 @@ func referenceStep(s *Sparse, inletU []float64) {
 		CollideCell(cell, s.Params, fx, fy, fz)
 	}
 
-	// Pull streaming into s.fnew: f_q(x, t+1) = f*_q(x - c_q, t); when the
+	// Pull streaming into r.fnew: f_q(x, t+1) = f*_q(x - c_q, t); when the
 	// upstream site is solid, halfway bounce-back reads the opposite
 	// distribution of the local cell.
-	fnew := s.fnew
+	fnew := r.fnew
 	fw, nw, ww := f, fnew, s.neigh
 	for len(fw) >= NQ && len(nw) >= NQ && len(ww) >= NQ {
 		lw := (*[NQ]float64)(fw[:NQ])
@@ -105,7 +124,7 @@ func referenceStep(s *Sparse, inletU []float64) {
 	// Boundary conditions by equilibrium override.
 	if !s.Params.PeriodicX {
 		var bc [NQ]float64
-		scale := s.Params.Pulsatile.Scale(s.steps)
+		scale := s.Params.Pulsatile.Scale(r.steps)
 		w := fnew
 		for si, t := range s.types {
 			if len(w) < NQ || si >= len(inletU) {
@@ -125,8 +144,8 @@ func referenceStep(s *Sparse, inletU []float64) {
 		}
 	}
 
-	s.f, s.fnew = s.fnew, s.f
-	s.steps++
+	r.f, r.fnew = r.fnew, r.f
+	r.steps++
 }
 
 func referencePull(out, lw *[NQ]float64, f []float64, nb *[NQ]int32, q, oq int) {
@@ -168,11 +187,49 @@ func closeEnough(got, want, scale float64, ulps int) bool {
 	return math.Abs(got-want) <= float64(ulps)*m*0x1p-52
 }
 
-// TestStepMatchesReference holds the fused step to the two-pass one on
-// every slot after every step, over the cases that between them reach
-// every arm of the body: bulk, wall (bounce-back), inlets and outlets,
-// TRT, pulsation, periodic wrap with forcing in all three components, and
-// a single-site inlet's flat profile.
+// matchReference compares every readout of s with the reference state r
+// on the same lattice: every slot through Cell, and Macro, TotalMass and
+// MaxSpeed, each summed in the order the solver documents. tol is the ulp
+// bound of closeEnough, used only by a build that fuses.
+func matchReference(t *testing.T, s *Sparse, r *referenceState, tol int) {
+	t.Helper()
+	if s.Steps() != r.steps {
+		t.Fatalf("step counts differ: %d, reference %d", s.Steps(), r.steps)
+	}
+	var mass, vmax float64
+	for si := 0; si < s.N(); si++ {
+		got := s.Cell(si)
+		want := (*[NQ]float64)(r.f[si*NQ : si*NQ+NQ])
+		for q := range want {
+			if !closeEnough(got[q], want[q], 1, tol) {
+				t.Fatalf("step %d site %d q %d: got %v (%#x), reference %v (%#x)", r.steps, si, q,
+					got[q], math.Float64bits(got[q]), want[q], math.Float64bits(want[q]))
+			}
+			mass += want[q]
+		}
+		rho, ux, uy, uz := Moments(want)
+		vmax = math.Max(vmax, math.Sqrt(ux*ux+uy*uy+uz*uz))
+		gr, gx, gy, gz := s.Macro(si)
+		for k, pair := range [][2]float64{{gr, rho}, {gx, ux}, {gy, uy}, {gz, uz}} {
+			if !closeEnough(pair[0], pair[1], 1, tol) {
+				t.Fatalf("step %d site %d: Macro component %d is %v, reference %v", r.steps, si, k, pair[0], pair[1])
+			}
+		}
+	}
+	if got := s.TotalMass(); !closeEnough(got, mass, mass, tol) {
+		t.Fatalf("step %d: TotalMass %v, reference %v", r.steps, got, mass)
+	}
+	if got := s.MaxSpeed(); !closeEnough(got, vmax, 1, tol) {
+		t.Fatalf("step %d: MaxSpeed %v, reference %v", r.steps, got, vmax)
+	}
+}
+
+// TestStepMatchesReference holds the AA step to the two-pass one after
+// every step, even and odd, over the cases that between them reach every
+// arm of both passes: bulk, wall (bounce-back), inlets and outlets after
+// either pass, BGK and TRT each with and without a body force, pulsation,
+// periodic wrap with forcing in all three components, and a single-site
+// inlet's flat profile.
 func TestStepMatchesReference(t *testing.T) {
 	pipe := func() (*geometry.Domain, error) {
 		// One inlet site, a bulk site, one outlet site, solid around.
@@ -189,8 +246,12 @@ func TestStepMatchesReference(t *testing.T) {
 			Params{Tau: 0.9, UMax: 0.02}},
 		{"aorta-pulsatile-trt", func() (*geometry.Domain, error) { return geometry.Aorta(4) },
 			Params{Tau: 0.8, UMax: 0.02, Collision: TRT, Pulsatile: Waveform{Period: 25, Amplitude: 0.5}}},
+		{"aorta-pulsatile-bgk-force", func() (*geometry.Domain, error) { return geometry.Aorta(4) },
+			Params{Tau: 0.9, UMax: 0.02, Force: [3]float64{2e-6, 0, -1e-6}, Pulsatile: Waveform{Period: 7, Amplitude: 0.5}}},
 		{"periodic-cylinder-force3", func() (*geometry.Domain, error) { return geometry.Cylinder(12, 4) },
 			Params{Tau: 0.9, PeriodicX: true, Force: [3]float64{1e-5, -3e-6, 2e-6}}},
+		{"periodic-cylinder-trt-force", func() (*geometry.Domain, error) { return geometry.Cylinder(12, 4) },
+			Params{Tau: 0.7, PeriodicX: true, Collision: TRT, Force: [3]float64{1e-5, 2e-6, 0}}},
 		{"single-inlet-site", pipe, Params{Tau: 0.9, UMax: 0.05}},
 	}
 	const steps = 60
@@ -204,27 +265,59 @@ func TestStepMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := NewSparse(dom, tc.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inletU := referenceInletProfile(want)
+			want := newReference(got)
+			inletU := referenceInletProfile(got)
 			for step := 1; step <= steps; step++ {
 				got.Step()
-				referenceStep(want, inletU)
-				for i := range want.f {
-					// Each step re-collides: the bound is per step, on
-					// states kept from drifting by comparing every step.
-					if !closeEnough(got.f[i], want.f[i], 1, fmaUlps*step) {
-						t.Fatalf("step %d site %d q %d: got %v (%#x), reference %v (%#x)", step, i/NQ, i%NQ,
-							got.f[i], math.Float64bits(got.f[i]), want.f[i], math.Float64bits(want.f[i]))
-					}
-				}
-			}
-			if got.Steps() != want.Steps() {
-				t.Fatalf("step counts differ: %d, reference %d", got.Steps(), want.Steps())
+				referenceStep(got, want, inletU)
+				// Each step re-collides: the bound is per step, on states
+				// kept from drifting by comparing every step.
+				matchReference(t, got, want, fmaUlps*step)
 			}
 		})
+	}
+}
+
+// TestSetCellAtEitherParity: SetCell then Cell returns the cell written,
+// at an odd step count as at an even one; a state so edited steps on as
+// the reference does from the same edit; and SetSteps moves the count
+// without moving any cell Cell reads.
+func TestSetCellAtEitherParity(t *testing.T) {
+	dom, err := geometry.Aorta(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSparse(dom, Params{Tau: 0.9, UMax: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newReference(s)
+	inletU := referenceInletProfile(s)
+	rng := rand.New(rand.NewSource(5))
+	for step := 1; step <= 6; step++ {
+		s.Step()
+		referenceStep(s, ref, inletU)
+		for k := 0; k < 25; k++ {
+			si := rng.Intn(s.N())
+			var c [NQ]float64
+			Equilibrium(1+0.01*rng.NormFloat64(), 0.01*rng.NormFloat64(), 0.01*rng.NormFloat64(), 0, &c)
+			s.SetCell(si, c)
+			copy(ref.f[si*NQ:], c[:])
+			if got := s.Cell(si); got != c {
+				t.Fatalf("step %d site %d: Cell after SetCell is %v, want %v", step, si, got, c)
+			}
+		}
+		matchReference(t, s, ref, fmaUlps*step)
+	}
+	for _, n := range []int{7, 10, 10, 3, 0} {
+		s.SetSteps(n)
+		ref.steps = n
+		matchReference(t, s, ref, 0)
+	}
+	for step := 1; step <= 3; step++ {
+		s.Step()
+		referenceStep(s, ref, inletU)
+		matchReference(t, s, ref, fmaUlps*(6+step))
 	}
 }
 
@@ -333,31 +426,58 @@ func BenchmarkCollide(b *testing.B) {
 
 // BenchmarkSparseStep times a whole timestep on the benchmark's lattice
 // (aorta@16, 207k sites: out of cache), the two-pass reference beside the
-// fused step, and reports it per site.
+// AA step, and reports it per site; the AA step also reports its even and
+// its odd pass apart, as even-ns/site and odd-ns/site.
 func BenchmarkSparseStep(b *testing.B) {
 	dom, err := geometry.Aorta(16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name string
-		step func(s *Sparse, inletU []float64)
-	}{{"reference", referenceStep}, {"fused", func(s *Sparse, _ []float64) { s.Step() }}} {
-		b.Run(bc.name, func(b *testing.B) {
-			s, err := NewSparse(dom, Params{Tau: 0.9, UMax: 0.02})
-			if err != nil {
-				b.Fatal(err)
-			}
-			inletU := referenceInletProfile(s)
-			bc.step(s, inletU) // touch both arrays
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bc.step(s, inletU)
-			}
-			perSite := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(s.N())
-			b.ReportMetric(perSite, "ns/site")
-			b.ReportMetric(1e3/perSite, "MFLUPS")
-		})
+	newSparse := func(b *testing.B) *Sparse {
+		s, err := NewSparse(dom, Params{Tau: 0.9, UMax: 0.02})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s
 	}
+	perSite := func(d time.Duration, steps, sites int) float64 {
+		return float64(d.Nanoseconds()) / float64(steps) / float64(sites)
+	}
+	b.Run("reference", func(b *testing.B) {
+		s := newSparse(b)
+		r, inletU := newReference(s), referenceInletProfile(s)
+		referenceStep(s, r, inletU) // touch both arrays
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			referenceStep(s, r, inletU)
+		}
+		ns := perSite(b.Elapsed(), b.N, s.N())
+		b.ReportMetric(ns, "ns/site")
+		b.ReportMetric(1e3/ns, "MFLUPS")
+	})
+	b.Run("aa", func(b *testing.B) {
+		s := newSparse(b)
+		s.Run(2) // touch the array through both passes
+		var spent [2]time.Duration
+		var made [2]int
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pass := s.Steps() & 1
+			t0 := time.Now()
+			s.Step()
+			spent[pass] += time.Since(t0)
+			made[pass]++
+		}
+		b.StopTimer()
+		ns := perSite(b.Elapsed(), b.N, s.N())
+		b.ReportMetric(ns, "ns/site")
+		b.ReportMetric(1e3/ns, "MFLUPS")
+		for pass, name := range []string{"even-ns/site", "odd-ns/site"} {
+			if made[pass] > 0 {
+				b.ReportMetric(perSite(spent[pass], made[pass], s.N()), name)
+			}
+		}
+	})
 }

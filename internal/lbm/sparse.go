@@ -8,18 +8,21 @@ import (
 )
 
 // Sparse is the HARVEY-like engine: it stores only fluid sites, addresses
-// neighbors through an index table (indirect addressing), and runs the AB
-// propagation pattern (two arrays; collision fused with push streaming,
-// see CollideStream) with an array-of-structures layout — the production
-// configuration the paper benchmarks. It is a Lattice plus the state of a
-// flow on it. The zero value is not usable; create instances with
-// NewSparse.
+// neighbors through an index table (indirect addressing), and runs the AA
+// propagation pattern (one array updated in place, collision fused with
+// streaming, see CollideStream) with an array-of-structures layout — the
+// production configuration the paper benchmarks. It is a Lattice plus the
+// state of a flow on it. The zero value is not usable; create instances
+// with NewSparse.
 type Sparse struct {
 	*Lattice
 	Dom    *geometry.Domain
 	Params Params
 
-	f, fnew []float64 // n*NQ distributions, AOS layout
+	// n*NQ distributions, AOS: in the natural layout after an even
+	// number of steps, in the swapped one after an odd number (see
+	// CollideStream), so a readout goes through LoadCell and StoreCell.
+	f []float64
 
 	// Boundary machinery: the inlet sites, each with its prescribed
 	// Poiseuille velocity, and the outlet sites, which are relaxed to
@@ -42,7 +45,6 @@ func NewSparse(dom *geometry.Domain, p Params) (*Sparse, error) {
 
 	// Rest-state initialization.
 	s.f = make([]float64, s.n*NQ)
-	s.fnew = make([]float64, s.n*NQ)
 	var feq [NQ]float64
 	Equilibrium(1, 0, 0, 0, &feq)
 	for si := 0; si < s.n; si++ {
@@ -107,8 +109,29 @@ func (s *Sparse) Steps() int { return s.steps }
 
 // SetSteps sets the timestep count, which is where a pulsatile inflow
 // stands in its cycle: for handing back a state advanced elsewhere
-// (par.Runner.WriteBack), together with SetCell.
-func (s *Sparse) SetSteps(n int) { s.steps = n }
+// (par.Runner.WriteBack), together with SetCell. The distributions Cell
+// reads do not change.
+func (s *Sparse) SetSteps(n int) {
+	if (n^s.steps)&1 != 0 {
+		s.swapLayout()
+	}
+	s.steps = n
+}
+
+// swapLayout moves the state between the natural and the swapped layout.
+// The two differ by swaps of slot pairs: for each fluid link (i, q) to the
+// cell nb at x + c_q, slot opp(q) of cell i trades with slot q of cell nb.
+// Values on solid links and at rest stay put.
+func (s *Sparse) swapLayout() {
+	f := s.f
+	for slot, nb := range s.neigh {
+		q := slot % NQ
+		a, b := slot-q+Opp[q], int(nb)*NQ+q
+		if nb >= 0 && a < b { // each pair once, from its lower end
+			f[a], f[b] = f[b], f[a]
+		}
+	}
+}
 
 // Boundaries returns the inlet and outlet sites in ascending order (none
 // in a periodic run, where they are bulk fluid). The slice aliases the
@@ -117,12 +140,11 @@ func (s *Sparse) Boundaries() []BoundarySite { return s.bounds }
 
 // Step advances the simulation one timestep: one CollideStream pass over
 // all sites (BGK or TRT collision with optional first-order body forcing,
-// push streaming with halfway bounce-back on solid links), then the
+// streaming with halfway bounce-back on solid links), then the
 // boundary-condition overrides at inlets and outlets.
 func (s *Sparse) Step() {
-	CollideStream(s.f, s.fnew, s.neigh, nil, s.Params)
-	ApplyBoundaries(s.fnew, s.bounds, s.Params.Pulsatile.Scale(s.steps))
-	s.f, s.fnew = s.fnew, s.f
+	CollideStream(s.f, s.neigh, nil, s.Params, s.steps)
+	ApplyBoundaries(s.f, s.neigh, nil, s.bounds, s.Params, s.steps)
 	s.steps++
 }
 
@@ -135,18 +157,19 @@ func (s *Sparse) Run(steps int) {
 
 // Macro returns density and velocity at local site si.
 func (s *Sparse) Macro(si int) (rho, ux, uy, uz float64) {
-	var cell [NQ]float64
-	copy(cell[:], s.f[si*NQ:si*NQ+NQ])
+	cell := s.Cell(si)
 	return Moments(&cell)
 }
 
-// TotalMass returns the sum of density over all fluid sites. In periodic
-// force-driven runs mass is conserved to round-off; with open boundaries
-// it approaches a steady value.
+// TotalMass returns the sum of density over all fluid sites, in (site,
+// direction) order. In periodic force-driven runs mass is conserved to
+// round-off; with open boundaries it approaches a steady value.
 func (s *Sparse) TotalMass() float64 {
 	var m float64
-	for i := range s.f {
-		m += s.f[i]
+	for si := 0; si < s.n; si++ {
+		for _, v := range s.Cell(si) {
+			m += v
+		}
 	}
 	return m
 }
@@ -164,15 +187,10 @@ func (s *Sparse) MaxSpeed() float64 {
 }
 
 // Cell returns a copy of the distribution at local site si.
-func (s *Sparse) Cell(si int) (c [NQ]float64) {
-	copy(c[:], s.f[si*NQ:si*NQ+NQ])
-	return c
-}
+func (s *Sparse) Cell(si int) [NQ]float64 { return LoadCell(s.f, s.neigh, nil, si, s.steps) }
 
 // SetCell overwrites the distribution at local site si.
-func (s *Sparse) SetCell(si int, c [NQ]float64) {
-	copy(s.f[si*NQ:si*NQ+NQ], c[:])
-}
+func (s *Sparse) SetCell(si int, c [NQ]float64) { StoreCell(s.f, s.neigh, nil, si, s.steps, &c) }
 
 // MFLUPS returns millions of fluid lattice-point updates per second for a
 // run of the given number of steps and wall-clock seconds (Eq. 7).

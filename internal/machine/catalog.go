@@ -18,7 +18,7 @@ import "fmt"
 // NewTRC returns the traditional compute cluster: dual-socket Broadwell
 // nodes on 56 Gbit/s InfiniBand.
 func NewTRC() *System {
-	return &System{
+	return withNoise(&System{
 		Name:                "Traditional Compute Cluster",
 		Abbrev:              "TRC",
 		CPU:                 "Intel Xeon E5-2699 v4",
@@ -36,13 +36,13 @@ func NewTRC() *System {
 		PricePerNodeHourUSD: 2.20,  // amortized allocation-equivalent rate
 		ProvisionDelayS:     14400, // queue wait at a busy center (≈4 h median)
 		Dedicated:           true,
-	}
+	})
 }
 
 // NewCSP1 returns Cloud 1, the dedicated 16-core-node instance on a
 // 10 Gbit/s fabric used for the noise study.
 func NewCSP1() *System {
-	return &System{
+	return withNoise(&System{
 		Name:                "Cloud 1 - Dedicated",
 		Abbrev:              "CSP-1",
 		CPU:                 "Intel Xeon E5-2667 v3",
@@ -60,13 +60,13 @@ func NewCSP1() *System {
 		PricePerNodeHourUSD: 1.60,
 		ProvisionDelayS:     95,
 		Dedicated:           true,
-	}
+	})
 }
 
 // NewCSP2Small returns the small 8-core on-demand node type of Cloud 2
 // used in the noise-variability study.
 func NewCSP2Small() *System {
-	return &System{
+	return withNoise(&System{
 		Name:                "Cloud 2 - Small",
 		Abbrev:              "CSP-2 Small",
 		CPU:                 "Intel Xeon E5-2666 v3",
@@ -83,13 +83,13 @@ func NewCSP2Small() *System {
 		NoiseCV:             0.013,
 		PricePerNodeHourUSD: 0.40,
 		ProvisionDelayS:     70,
-	}
+	})
 }
 
 // NewCSP2 returns Cloud 2's large 36-core node type on the provider's
 // unnamed slower (25 Gbit/s) interconnect.
 func NewCSP2() *System {
-	return &System{
+	return withNoise(&System{
 		Name:                "Cloud 2 - No EC",
 		Abbrev:              "CSP-2",
 		CPU:                 "Intel Xeon Platinum 8124M",
@@ -106,13 +106,13 @@ func NewCSP2() *System {
 		NoiseCV:             0.012,
 		PricePerNodeHourUSD: 3.06,
 		ProvisionDelayS:     80,
-	}
+	})
 }
 
 // NewCSP2EC returns Cloud 2's large node type with the proprietary
 // Enhanced Communicator 100 Gbit/s interconnect.
 func NewCSP2EC() *System {
-	return &System{
+	return withNoise(&System{
 		Name:                "Cloud 2 - With EC",
 		Abbrev:              "CSP-2 EC",
 		CPU:                 "Intel Xeon Platinum 8124M",
@@ -129,7 +129,7 @@ func NewCSP2EC() *System {
 		NoiseCV:             0.012,
 		PricePerNodeHourUSD: 3.89,
 		ProvisionDelayS:     85,
-	}
+	})
 }
 
 // Catalog returns all Table I systems in the paper's column order.

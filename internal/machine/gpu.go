@@ -29,7 +29,7 @@ type GPUSpec struct {
 // For the CPU-side fields, cores back the host processes; rank placement
 // is per GPU via PerNode.
 func NewCSP2GPU() *System {
-	return &System{
+	return withNoise(&System{
 		Name:               "Cloud 2 - GPU",
 		Abbrev:             "CSP-2 GPU",
 		CPU:                "Intel Xeon E5-2686 v4 + 4x V100-class GPU",
@@ -58,7 +58,7 @@ func NewCSP2GPU() *System {
 		NoiseCV:             0.012,
 		PricePerNodeHourUSD: 12.24,
 		ProvisionDelayS:     140,
-	}
+	})
 }
 
 // SamplePCIeTimeUS returns one noisy host-device transfer observation in
@@ -68,5 +68,5 @@ func (s *System) SamplePCIeTimeUS(bytes float64, rng *rand.Rand) float64 {
 	if s.GPU == nil {
 		panic("machine: SamplePCIeTimeUS on a CPU-only system")
 	}
-	return s.GPU.PCIe.TimeUS(bytes) * lognormalFactor(rng, 0.03)
+	return s.GPU.PCIe.TimeUS(bytes) * messageNoise.factor(rng)
 }

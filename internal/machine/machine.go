@@ -111,6 +111,17 @@ type System struct {
 	PricePerNodeHourUSD float64 // USD per node-hour
 	ProvisionDelayS     float64 // seconds from request to usable nodes
 	Dedicated           bool    // dedicated (allocation) vs on-demand
+
+	// The noise distribution of Mem.PostKneeCV, computed once by
+	// withNoise. A system built or changed otherwise computes it per
+	// draw (lognormal.of).
+	postKneeDist lognormal
+}
+
+// withNoise computes the system's post-knee noise distribution from its CV.
+func withNoise(s *System) *System {
+	s.postKneeDist = newLognormal(s.Mem.PostKneeCV)
+	return s
 }
 
 // Nodes returns how many nodes are needed to host the given number of
@@ -144,11 +155,11 @@ func (s *System) SampleBandwidth(threads int, hyperthreaded bool, rng *rand.Rand
 			bw *= math.Pow(s.Mem.HTEfficiency, over)
 		}
 	}
-	cv := 0.005 // baseline measurement jitter on any system
-	if n >= s.Mem.A3 && s.Mem.PostKneeCV > cv {
-		cv = s.Mem.PostKneeCV
+	noise := jitterNoise
+	if n >= s.Mem.A3 && s.Mem.PostKneeCV > jitterNoise.cv {
+		noise = s.postKneeDist.of(s.Mem.PostKneeCV)
 	}
-	return bw * lognormalFactor(rng, cv)
+	return bw * noise.factor(rng)
 }
 
 // SampleMessageTimeUS returns one noisy PingPong observation in
@@ -159,14 +170,14 @@ func (s *System) SampleMessageTimeUS(bytes float64, intra bool, rng *rand.Rand) 
 	if intra {
 		link = s.IntraNode
 	}
-	return link.TimeUS(bytes) * lognormalFactor(rng, 0.03)
+	return link.TimeUS(bytes) * messageNoise.factor(rng)
 }
 
 // RunNoise returns a multiplicative noise factor for one whole-application
 // run, reproducing the Table IV variability study. The factor has unit
 // mean and coefficient of variation NoiseCV.
 func (s *System) RunNoise(rng *rand.Rand) float64 {
-	return lognormalFactor(rng, s.NoiseCV)
+	return newLognormal(s.NoiseCV).factor(rng)
 }
 
 // JobCost returns the USD cost of holding the nodes needed for the given
@@ -180,14 +191,39 @@ func (s *System) JobCost(ranks int, seconds float64) float64 {
 // String returns the abbreviation, the identity used in all tables.
 func (s *System) String() string { return s.Abbrev }
 
-// lognormalFactor draws a multiplicative noise factor with mean 1 and the
-// given coefficient of variation. A lognormal keeps performance strictly
-// positive, matching how throughput noise behaves in practice.
-func lognormalFactor(rng *rand.Rand, cv float64) float64 {
+// lognormal is a multiplicative noise distribution with mean 1 and
+// coefficient of variation cv, its mu and sigma computed once. A lognormal
+// keeps performance strictly positive, matching how throughput noise
+// behaves in practice.
+type lognormal struct {
+	cv, mu, sigma float64
+}
+
+// The fixed noise levels: measurement jitter on any STREAM sample, and
+// the spread of a message or host-device transfer time.
+var jitterNoise, messageNoise = newLognormal(0.005), newLognormal(0.03)
+
+func newLognormal(cv float64) lognormal {
 	if cv <= 0 {
-		return 1
+		return lognormal{cv: cv}
 	}
 	sigma2 := math.Log(1 + cv*cv)
-	mu := -sigma2 / 2
-	return math.Exp(mu + math.Sqrt(sigma2)*rng.NormFloat64())
+	return lognormal{cv: cv, mu: -sigma2 / 2, sigma: math.Sqrt(sigma2)}
+}
+
+// of returns l when it is the distribution of cv, else computes that one.
+func (l lognormal) of(cv float64) lognormal {
+	if l.cv == cv {
+		return l
+	}
+	return newLognormal(cv)
+}
+
+// factor draws one noise factor; a cv of zero or below draws nothing and
+// returns 1.
+func (l lognormal) factor(rng *rand.Rand) float64 {
+	if l.cv <= 0 {
+		return 1
+	}
+	return math.Exp(l.mu + l.sigma*rng.NormFloat64())
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -231,8 +232,70 @@ func TestJobCost(t *testing.T) {
 }
 
 func TestLognormalFactorZeroCV(t *testing.T) {
-	if got := lognormalFactor(rand.New(rand.NewSource(1)), 0); got != 1 {
-		t.Errorf("lognormalFactor(cv=0) = %v, want 1", got)
+	if got := newLognormal(0).factor(rand.New(rand.NewSource(1))); got != 1 {
+		t.Errorf("factor at cv=0 = %v, want 1", got)
+	}
+}
+
+// TestLognormalMatchesPerDrawFormula: a distribution computed once draws
+// bit for bit what the per-draw formula it replaced draws, over 10^4
+// seeded draws for every CV the catalog samples with — the fixed jitter
+// and message levels, and each system's PostKneeCV and NoiseCV through
+// the methods that draw them — and for a zero, a negative and a tiny CV.
+func TestLognormalMatchesPerDrawFormula(t *testing.T) {
+	perDraw := func(rng *rand.Rand, cv float64) float64 {
+		if cv <= 0 {
+			return 1
+		}
+		sigma2 := math.Log(1 + cv*cv)
+		mu := -sigma2 / 2
+		return math.Exp(mu + math.Sqrt(sigma2)*rng.NormFloat64())
+	}
+	const draws = 10000
+	seed := int64(0)
+	check := func(name string, got, want func(*rand.Rand) float64) {
+		t.Helper()
+		seed++
+		gr, wr := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for i := 0; i < draws; i++ {
+			if g, w := got(gr), want(wr); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s draw %d: %v, per-draw formula %v", name, i, g, w)
+			}
+		}
+	}
+	formula := func(cv float64) func(*rand.Rand) float64 {
+		return func(rng *rand.Rand) float64 { return perDraw(rng, cv) }
+	}
+	check("jitter", jitterNoise.factor, formula(0.005))
+	check("message", messageNoise.factor, formula(0.03))
+	for _, cv := range []float64{0, -1, 1e-9} {
+		check(fmt.Sprintf("cv %v", cv), newLognormal(cv).factor, formula(cv))
+	}
+	for _, s := range FullCatalog() {
+		if s.postKneeDist != newLognormal(s.Mem.PostKneeCV) {
+			t.Fatalf("%s: post-knee noise distribution not computed from its CV", s.Abbrev)
+		}
+		check(s.Abbrev+" RunNoise", s.RunNoise, formula(s.NoiseCV))
+		above := int(math.Ceil(s.Mem.A3)) // a STREAM sample past the knee
+		bw := s.Mem.Bandwidth(float64(above))
+		cv := math.Max(0.005, s.Mem.PostKneeCV)
+		check(s.Abbrev+" SampleBandwidth",
+			func(rng *rand.Rand) float64 { return s.SampleBandwidth(above, false, rng) },
+			func(rng *rand.Rand) float64 { return bw * perDraw(rng, cv) })
+	}
+	// A system built without its constructor, or with a post-knee CV
+	// changed since, draws from its CV as it stands.
+	host := &System{Mem: NewCSP2().Mem}
+	host.Mem.PostKneeCV = 0.02
+	changed := NewCSP2()
+	changed.Mem.PostKneeCV = 0.07
+	for _, s := range []*System{host, changed} {
+		above := int(math.Ceil(s.Mem.A3))
+		bw := s.Mem.Bandwidth(float64(above))
+		cv := s.Mem.PostKneeCV
+		check(fmt.Sprintf("post-knee cv %v", cv),
+			func(rng *rand.Rand) float64 { return s.SampleBandwidth(above, false, rng) },
+			func(rng *rand.Rand) float64 { return bw * perDraw(rng, cv) })
 	}
 }
 

@@ -1,15 +1,16 @@
 // Package par executes a decomposed LBM simulation in parallel: one
 // goroutine per task ("rank"), halo values exchanged over channels, no
 // shared mutable state between ranks. It is the MPI-substrate of this
-// reproduction — the same owner-computes structure, pairwise halo
-// messages, and double-buffered communication a distributed HARVEY run
-// uses, so the per-task byte and message counts the performance models
-// consume are exercised by real concurrent execution.
+// reproduction — the same owner-computes structure and pairwise halo
+// messages a distributed HARVEY run uses, so the per-task byte and message
+// counts the performance models consume are exercised by real concurrent
+// execution.
 //
 // Each rank steps its block with the step body the serial lbm.Sparse
-// engine steps the whole lattice with (lbm.CollideStream), so a parallel
-// run reproduces the serial result bitwise regardless of rank count — the
-// key correctness oracle.
+// engine steps the whole lattice with (lbm.CollideStream: the AA pattern
+// on one distribution array per rank, plus a halo of one value per remote
+// link), so a parallel run reproduces the serial result bitwise regardless
+// of rank count — the key correctness oracle.
 package par
 
 import (
@@ -53,15 +54,21 @@ type rank struct {
 	computeNS int64 // accumulated compute time
 	commNS    int64 // accumulated communication time
 
-	f, fnew []float64 // nOwn*NQ distributions, AOS
+	// nOwn*NQ distributions, AOS, in the layout of the runner's step
+	// count (lbm.CollideStream); read and written through lbm.LoadCell
+	// and lbm.StoreCell.
+	f []float64
 
-	// links holds the block's link rows: for flat slot (i*NQ+q), where the
-	// post-collision value of cell i along q goes:
+	// links holds the block's link rows: for flat slot (i*NQ+q), where
+	// cell i's value along q is kept between steps (lbm.CollideStream):
 	//   >= 0   the local cell at x + c_q
-	//   -1     nowhere: the link is solid (bounce back into cell i)
-	//   <= -2  lbm.RemoteLink(k): slot k of send, the cell is another rank's
+	//   -1     the link is solid (cell i's own opposite slot)
+	//   <= -2  lbm.RemoteLink(k): slot k of halo, the cell is another rank's
 	links []int32
-	send  []float64 // flat send space, one slot per outgoing link, edge after edge
+	// halo has one slot per remote link, edge after edge. After an even
+	// step the exchange fills it with the values that arrived; the odd
+	// step reads them and leaves the values to send in their place.
+	halo []float64
 
 	bounds []lbm.BoundarySite // the block's inlet and outlet cells, ascending
 
@@ -70,20 +77,25 @@ type rank struct {
 	recvFrom []recvPlan // incoming edges, sorted by peer
 }
 
-// sendPlan is one outgoing edge: its segment of the rank's send space,
-// which the step body has filled in the edge's canonical link order.
+// sendPlan is one outgoing edge, whose message holds the edge's links in
+// its canonical order. After an odd step the message is the edge's
+// segment of the halo, which the step body has filled; after an even step
+// value k is gathered from flat slot srcFlat[k] of f.
 type sendPlan struct {
-	peer int
-	e    *edge
-	seg  []float64
+	peer    int
+	e       *edge
+	seg     []float64
+	srcFlat []int32
 }
 
-// recvPlan scatters an incoming message into fnew: value k of the message
-// belongs in flat slot dstFlat[k].
+// recvPlan scatters an incoming message: value k belongs in flat slot
+// dstFlat[k] of f after an odd step, and in slot ghost[k] of the halo
+// after an even one.
 type recvPlan struct {
 	peer    int
 	e       *edge
 	dstFlat []int32
+	ghost   []int32
 }
 
 // Clock abstracts the wall clock behind the per-rank timing split.
@@ -153,13 +165,10 @@ func NewRunner(s *lbm.Sparse, p *decomp.Partition) (*Runner, error) {
 	for t, rk := range r.ranks {
 		n := len(own[t])
 		rk.f = make([]float64, n*lbm.NQ)
-		rk.fnew = make([]float64, n*lbm.NQ)
 		rk.links = make([]int32, n*lbm.NQ)
 		out := make(map[int32][]link) // receiver -> links
 		remote := 0
 		for i, si := range own[t] {
-			cell := s.Cell(int(si))
-			copy(rk.f[i*lbm.NQ:(i+1)*lbm.NQ], cell[:])
 			for q := 0; q < lbm.NQ; q++ {
 				slot := int32(i*lbm.NQ + q)
 				nb := s.Neighbor(int(si), q)
@@ -180,7 +189,7 @@ func NewRunner(s *lbm.Sparse, p *decomp.Partition) (*Runner, error) {
 		// rank's incoming plans come out sorted by peer too. Within an
 		// edge the canonical link order, shared by both ends, is
 		// ascending (receiving site, direction): ascending arrival slot.
-		rk.send = make([]float64, remote)
+		rk.halo = make([]float64, remote)
 		peers := make([]int32, 0, len(out))
 		for peer := range out {
 			peers = append(peers, peer)
@@ -193,15 +202,37 @@ func NewRunner(s *lbm.Sparse, p *decomp.Partition) (*Runner, error) {
 			e := &edge{ch: make(chan []float64, 1)}
 			e.bufs[0] = make([]float64, len(ls))
 			e.bufs[1] = make([]float64, len(ls))
+			srcFlat := make([]int32, len(ls))
 			dstFlat := make([]int32, len(ls))
 			for k, l := range ls {
 				rk.links[l.src] = lbm.RemoteLink(base + k)
+				q := l.src % lbm.NQ
+				srcFlat[k] = l.src - q + int32(lbm.Opp[q]) // where the even pass leaves it
 				dstFlat[k] = l.dst
 			}
-			rk.sendTo = append(rk.sendTo, sendPlan{peer: int(peer), e: e, seg: rk.send[base : base+len(ls)]})
+			rk.sendTo = append(rk.sendTo, sendPlan{peer: int(peer), e: e, seg: rk.halo[base : base+len(ls)], srcFlat: srcFlat})
 			receiver := r.ranks[peer]
 			receiver.recvFrom = append(receiver.recvFrom, recvPlan{peer: t, e: e, dstFlat: dstFlat})
 			base += len(ls)
+		}
+	}
+
+	// With every link row wired: an arriving value bound for slot q of
+	// cell y is the receiver's own link (y, opp q), whose halo slot it
+	// fills after an even step. Then the state, in the layout of its step
+	// count.
+	for t, rk := range r.ranks {
+		for k := range rk.recvFrom {
+			rp := &rk.recvFrom[k]
+			rp.ghost = make([]int32, len(rp.dstFlat))
+			for j, dst := range rp.dstFlat {
+				q := dst % lbm.NQ
+				rp.ghost[j] = lbm.RemoteLink(0) - rk.links[dst-q+int32(lbm.Opp[q])] // k of RemoteLink(k)
+			}
+		}
+		for i, si := range own[t] {
+			cell := s.Cell(int(si))
+			lbm.StoreCell(rk.f, rk.links, rk.halo, i, r.steps, &cell)
 		}
 	}
 	return r, nil
@@ -225,36 +256,65 @@ func (r *Runner) Run(steps int) {
 }
 
 // step is one rank-local timestep: the step body of lbm.Sparse.Step over
-// the rank's block (collide, push-stream; values bound for other ranks
-// land in the send space), the halo exchange, then the boundary
-// conditions, which need every streamed value in place.
+// the rank's block, the halo exchange, then the boundary conditions, which
+// need every streamed value in place.
 func (rk *rank) step(p lbm.Params, stepIndex int, now Clock) {
 	tick := now()
-	lbm.CollideStream(rk.f, rk.fnew, rk.links, rk.send, p)
+	lbm.CollideStream(rk.f, rk.links, rk.halo, p, stepIndex)
 	rk.computeNS += now().Sub(tick).Nanoseconds()
 	tick = now()
 
-	// Post-collision halo exchange: one contiguous copy out per edge, one
-	// scatter into fnew per message.
+	// Post-collision halo exchange, one message per edge. After an odd
+	// step the values to send are the edge's segment of the halo and
+	// arrive in f; after an even one they are gathered from f and arrive
+	// in the halo.
+	odd := stepIndex&1 != 0
 	for _, sp := range rk.sendTo {
 		buf := sp.e.nextBuf()
-		copy(buf, sp.seg)
+		if odd {
+			copy(buf, sp.seg)
+		} else {
+			gather(buf, rk.f, sp.srcFlat)
+		}
 		sp.e.ch <- buf
 	}
-	fnew := rk.fnew
 	for _, rp := range rk.recvFrom {
 		msg := <-rp.e.ch
-		for k, dst := range rp.dstFlat {
-			fnew[dst] = msg[k]
+		if odd {
+			scatter(rk.f, rp.dstFlat, msg)
+		} else {
+			scatter(rk.halo, rp.ghost, msg)
 		}
 	}
 
 	rk.commNS += now().Sub(tick).Nanoseconds()
 	tick = now()
 
-	lbm.ApplyBoundaries(rk.fnew, rk.bounds, p.Pulsatile.Scale(stepIndex))
-	rk.f, rk.fnew = rk.fnew, rk.f
+	lbm.ApplyBoundaries(rk.f, rk.links, rk.halo, rk.bounds, p, stepIndex)
 	rk.computeNS += now().Sub(tick).Nanoseconds()
+}
+
+// gather fills buf[k] from src[idx[k]]. An index out of range, which
+// NewRunner never builds, is skipped: the compare is the bounds proof.
+//
+//lint:hot
+func gather(buf, src []float64, idx []int32) {
+	for k := 0; k < len(buf) && k < len(idx); k++ {
+		if j := int(idx[k]); uint(j) < uint(len(src)) {
+			buf[k] = src[j]
+		}
+	}
+}
+
+// scatter stores msg[k] in dst[idx[k]], as gather skips what it skips.
+//
+//lint:hot
+func scatter(dst []float64, idx []int32, msg []float64) {
+	for k := 0; k < len(msg) && k < len(idx); k++ {
+		if j := int(idx[k]); uint(j) < uint(len(dst)) {
+			dst[j] = msg[k]
+		}
+	}
 }
 
 // Stats returns the measured per-rank compute/communication split since
@@ -276,18 +336,18 @@ func (r *Runner) Stats() []RankStats {
 func (r *Runner) Steps() int { return r.steps }
 
 // Cell returns the distribution at serial site si after the last Run.
-func (r *Runner) Cell(si int) (c [lbm.NQ]float64) {
+func (r *Runner) Cell(si int) [lbm.NQ]float64 {
 	rk := r.ranks[r.ownerOf[si]]
-	base := int(r.localOf[si]) * lbm.NQ
-	copy(c[:], rk.f[base:base+lbm.NQ])
-	return c
+	return lbm.LoadCell(rk.f, rk.links, rk.halo, int(r.localOf[si]), r.steps)
 }
 
-// TotalMass sums density across all ranks.
+// TotalMass sums density across all ranks in the serial engine's (site,
+// direction) order, so a state equal to the serial one has its mass bit
+// for bit.
 func (r *Runner) TotalMass() float64 {
 	var m float64
-	for _, rk := range r.ranks {
-		for _, v := range rk.f {
+	for si := range r.ownerOf {
+		for _, v := range r.Cell(si) {
 			m += v
 		}
 	}

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -90,10 +91,13 @@ func TestRunnerMassMatchesSerial(t *testing.T) {
 	}
 	p := lbm.Params{Tau: 0.9, PeriodicX: true, Force: [3]float64{1e-5, 0, 0}}
 	serial, runner := setup(t, dom, p, 8)
-	serial.Run(30)
-	runner.Run(30)
-	if d := math.Abs(serial.TotalMass() - runner.TotalMass()); d > 1e-9 {
-		t.Errorf("mass differs by %v", d)
+	for _, steps := range []int{30, 1} { // an even, then an odd count
+		serial.Run(steps)
+		runner.Run(steps)
+		// Summed in the serial engine's order, the mass is the serial one.
+		if got, want := runner.TotalMass(), serial.TotalMass(); got != want {
+			t.Errorf("after %d steps: runner mass %v, serial %v", serial.Steps(), got, want)
+		}
 	}
 }
 
@@ -125,18 +129,61 @@ func TestRunnerIncrementalRuns(t *testing.T) {
 	}
 }
 
-func TestWriteBack(t *testing.T) {
-	dom, err := geometry.Cylinder(12, 4)
-	if err != nil {
-		t.Fatal(err)
+// runSplits are the ways the handover tests advance a runner: one call, and
+// two calls that end at an odd and then an even count.
+var runSplits = [][]int{{10}, {3, 5}}
+
+func runAll(r *Runner, calls []int) (total int) {
+	for _, n := range calls {
+		r.Run(n)
+		total += n
 	}
-	p := lbm.Params{Tau: 0.9, UMax: 0.02}
-	serial, runner := setup(t, dom, p, 4)
-	runner.Run(15)
-	runner.WriteBack(serial)
-	for si := 0; si < serial.N(); si++ {
-		if serial.Cell(si) != runner.Cell(si) {
-			t.Fatal("WriteBack did not copy state")
+	return total
+}
+
+// TestWriteBack hands a parallel state back to a solver that made an even
+// or an odd number of steps before the runner was built, and one more
+// since, so the two stand at either parity: the solver must then read the
+// runner's cells and step on as the runner does.
+func TestWriteBack(t *testing.T) {
+	for _, pre := range []int{0, 3} {
+		for _, calls := range runSplits {
+			dom, err := geometry.Cylinder(12, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := lbm.Params{Tau: 0.9, UMax: 0.02}
+			serial, err := lbm.NewSparse(dom, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial.Run(pre)
+			part, err := decomp.RCB(serial, 4, lbm.HarveyAccess())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner, err := NewRunner(serial, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial.Step()
+			runAll(runner, calls)
+			runner.WriteBack(serial)
+			if serial.Steps() != runner.Steps() {
+				t.Fatalf("pre %d runs %v: solver at step %d after WriteBack, runner at %d", pre, calls, serial.Steps(), runner.Steps())
+			}
+			for si := 0; si < serial.N(); si++ {
+				if serial.Cell(si) != runner.Cell(si) {
+					t.Fatalf("pre %d runs %v: WriteBack did not copy state", pre, calls)
+				}
+			}
+			serial.Run(3)
+			runner.Run(3)
+			for si := 0; si < serial.N(); si++ {
+				if serial.Cell(si) != runner.Cell(si) {
+					t.Fatalf("pre %d runs %v: solver diverges from the runner after WriteBack", pre, calls)
+				}
+			}
 		}
 	}
 }
@@ -158,30 +205,38 @@ func TestNewRunnerRejectsMismatchedPartition(t *testing.T) {
 
 func TestRunnerStartsFromCurrentState(t *testing.T) {
 	// The runner must pick up the serial engine's evolved state, not the
-	// initial condition.
-	dom, err := geometry.Cylinder(12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := lbm.Params{Tau: 0.9, UMax: 0.02}
-	serial, err := lbm.NewSparse(dom, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial.Run(10) // evolve before decomposing
-	part, err := decomp.RCB(serial, 4, lbm.HarveyAccess())
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := NewRunner(serial, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial.Run(10)
-	runner.Run(10)
-	for si := 0; si < serial.N(); si++ {
-		if serial.Cell(si) != runner.Cell(si) {
-			t.Fatal("runner did not start from evolved state")
+	// initial condition, at an even or an odd step count.
+	for _, pre := range []int{10, 9} {
+		for _, calls := range runSplits {
+			dom, err := geometry.Cylinder(12, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := lbm.Params{Tau: 0.9, UMax: 0.02}
+			serial, err := lbm.NewSparse(dom, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial.Run(pre) // evolve before decomposing
+			part, err := decomp.RCB(serial, 4, lbm.HarveyAccess())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner, err := NewRunner(serial, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for si := 0; si < serial.N(); si++ {
+				if serial.Cell(si) != runner.Cell(si) {
+					t.Fatalf("pre %d: runner did not start from the solver's cells", pre)
+				}
+			}
+			serial.Run(runAll(runner, calls))
+			for si := 0; si < serial.N(); si++ {
+				if serial.Cell(si) != runner.Cell(si) {
+					t.Fatalf("pre %d runs %v: runner did not start from evolved state", pre, calls)
+				}
+			}
 		}
 	}
 }
@@ -322,7 +377,7 @@ func TestParallelTRTMatchesSerial(t *testing.T) {
 // cardiac cycle stands, so a runner built from an evolved solver must
 // continue from the solver's step count, and WriteBack must hand the
 // count back with the cells. Serial, parallel and serial again is then
-// bitwise one serial run.
+// bitwise one serial run, from an even or an odd count.
 func TestRunnerHandsOverTheStepCount(t *testing.T) {
 	p := lbm.Params{Tau: 0.9, UMax: 0.03, Pulsatile: lbm.Waveform{Period: 40, Amplitude: 0.5}}
 	build := func() *lbm.Sparse {
@@ -336,42 +391,49 @@ func TestRunnerHandsOverTheStepCount(t *testing.T) {
 		}
 		return s
 	}
-	want := build()
-	want.Run(7 + 9 + 5)
-
-	s := build()
-	s.Run(7)
-	part, err := decomp.RCB(s, 4, lbm.HarveyAccess())
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := NewRunner(s, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner.Run(9)
-	if runner.Steps() != 16 {
-		t.Errorf("runner at step %d after 7 serial and 9 parallel steps, want 16", runner.Steps())
-	}
-	runner.WriteBack(s)
-	if s.Steps() != 16 {
-		t.Errorf("solver at step %d after WriteBack, want 16", s.Steps())
-	}
-	s.Run(5)
-	for si := 0; si < want.N(); si++ {
-		if s.Cell(si) != want.Cell(si) {
-			t.Fatalf("site %d: serial/parallel/serial diverges from one serial run\n got %v\nwant %v", si, s.Cell(si), want.Cell(si))
+	for _, pre := range []int{7, 8} {
+		for _, calls := range runSplits {
+			s := build()
+			s.Run(pre)
+			part, err := decomp.RCB(s, 4, lbm.HarveyAccess())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner, err := NewRunner(s, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mid := pre + runAll(runner, calls)
+			if runner.Steps() != mid {
+				t.Errorf("runner at step %d after %d serial and %v parallel steps, want %d", runner.Steps(), pre, calls, mid)
+			}
+			runner.WriteBack(s)
+			if s.Steps() != mid {
+				t.Errorf("solver at step %d after WriteBack, want %d", s.Steps(), mid)
+			}
+			s.Run(5)
+			want := build()
+			want.Run(mid + 5)
+			for si := 0; si < want.N(); si++ {
+				if s.Cell(si) != want.Cell(si) {
+					t.Fatalf("pre %d runs %v site %d: serial/parallel/serial diverges from one serial run\n got %v\nwant %v",
+						pre, calls, si, s.Cell(si), want.Cell(si))
+				}
+			}
 		}
 	}
 }
 
-// TestLinkRowsCoverEverySlotOnce is the invariant push streaming rests
-// on: within a rank, the local link targets, the bounce-back targets and
-// the arrival slots of the incoming edges together hit each of the rank's
-// n*NQ slots of fnew exactly once, and the remote links hit each slot of
-// the send space exactly once — so a step writes every value of the next
-// state, and none twice.
-func TestLinkRowsCoverEverySlotOnce(t *testing.T) {
+// TestOddPassCoversEverySlotOnce is the invariant the AA step rests on.
+// Over a rank's odd pass the loc table — the local link targets, the
+// solid links' own opposite slots and the remote links' halo slots —
+// together with the arrival slots of the incoming edges hits each of the
+// rank's n*NQ slots of f exactly once and each halo slot exactly once, so
+// the pass and the exchange after it write every value of the next state,
+// and none twice. After an even pass the incoming edges' ghost tables hit
+// each halo slot exactly once, and every value an edge gathers from f is
+// the one the even pass left for the link the halo slot belongs to.
+func TestOddPassCoversEverySlotOnce(t *testing.T) {
 	shapes := []struct {
 		name string
 		dom  func() (*geometry.Domain, error)
@@ -387,8 +449,9 @@ func TestLinkRowsCoverEverySlotOnce(t *testing.T) {
 			}
 			_, runner := setup(t, dom, lbm.Params{Tau: 0.9, UMax: 0.02}, ntasks)
 			for _, rk := range runner.ranks {
-				hits := make([]int, len(rk.fnew))
-				sendHits := make([]int, len(rk.send))
+				name := fmt.Sprintf("%s/%d rank %d", shape.name, ntasks, rk.id)
+				hits := make([]int, len(rk.f))
+				haloHits := make([]int, len(rk.halo))
 				for slot, to := range rk.links {
 					i, q := slot/lbm.NQ, slot%lbm.NQ
 					switch {
@@ -397,38 +460,54 @@ func TestLinkRowsCoverEverySlotOnce(t *testing.T) {
 					case to == -1:
 						hits[i*lbm.NQ+lbm.Opp[q]]++
 					default:
-						sendHits[-2-int(to)]++
+						haloHits[-2-int(to)]++
 					}
 				}
+				ghostHits := make([]int, len(rk.halo))
 				for _, rp := range rk.recvFrom {
-					if len(rp.dstFlat) != len(rp.e.bufs[0]) {
-						t.Fatalf("%s/%d rank %d: edge from %d scatters %d values of a %d-value message",
-							shape.name, ntasks, rk.id, rp.peer, len(rp.dstFlat), len(rp.e.bufs[0]))
+					if len(rp.dstFlat) != len(rp.e.bufs[0]) || len(rp.ghost) != len(rp.e.bufs[0]) {
+						t.Fatalf("%s: edge from %d scatters %d and %d values of a %d-value message",
+							name, rp.peer, len(rp.dstFlat), len(rp.ghost), len(rp.e.bufs[0]))
 					}
-					for _, dst := range rp.dstFlat {
+					for j, dst := range rp.dstFlat {
 						hits[dst]++
+						k := rp.ghost[j]
+						ghostHits[k]++
+						// The arrival for slot q of cell y is the link (y, opp q).
+						y, q := int(dst)/lbm.NQ, int(dst)%lbm.NQ
+						if rk.links[y*lbm.NQ+lbm.Opp[q]] != lbm.RemoteLink(int(k)) {
+							t.Fatalf("%s: arrival at (cell %d, q %d) kept in halo slot %d, not its link's", name, y, q, k)
+						}
 					}
 				}
 				segs := 0
 				for _, sp := range rk.sendTo {
-					if len(sp.seg) != len(sp.e.bufs[0]) {
-						t.Fatalf("%s/%d rank %d: edge to %d copies %d values into a %d-value message",
-							shape.name, ntasks, rk.id, sp.peer, len(sp.seg), len(sp.e.bufs[0]))
+					if len(sp.seg) != len(sp.e.bufs[0]) || len(sp.srcFlat) != len(sp.e.bufs[0]) {
+						t.Fatalf("%s: edge to %d sends %d and %d values in a %d-value message",
+							name, sp.peer, len(sp.seg), len(sp.srcFlat), len(sp.e.bufs[0]))
+					}
+					for j, src := range sp.srcFlat {
+						// Halo slot base+j is link (i, q), whose value the
+						// even pass leaves in cell i's slot opp(q).
+						k := segs + j
+						i, oq := int(src)/lbm.NQ, int(src)%lbm.NQ
+						if rk.links[i*lbm.NQ+lbm.Opp[oq]] != lbm.RemoteLink(k) {
+							t.Fatalf("%s: halo slot %d gathered from (cell %d, q %d), not its link's", name, k, i, oq)
+						}
 					}
 					segs += len(sp.seg)
 				}
-				if segs != len(rk.send) {
-					t.Fatalf("%s/%d rank %d: edges cover %d of %d send slots", shape.name, ntasks, rk.id, segs, len(rk.send))
+				if segs != len(rk.halo) {
+					t.Fatalf("%s: edges cover %d of %d halo slots", name, segs, len(rk.halo))
 				}
 				for slot, h := range hits {
 					if h != 1 {
-						t.Fatalf("%s/%d rank %d: slot (cell %d, q %d) written %d times per step",
-							shape.name, ntasks, rk.id, slot/lbm.NQ, slot%lbm.NQ, h)
+						t.Fatalf("%s: slot (cell %d, q %d) written %d times per odd step", name, slot/lbm.NQ, slot%lbm.NQ, h)
 					}
 				}
-				for k, h := range sendHits {
-					if h != 1 {
-						t.Fatalf("%s/%d rank %d: send slot %d written %d times per step", shape.name, ntasks, rk.id, k, h)
+				for k := range haloHits {
+					if haloHits[k] != 1 || ghostHits[k] != 1 {
+						t.Fatalf("%s: halo slot %d is %d links' location and %d arrivals' ghost", name, k, haloHits[k], ghostHits[k])
 					}
 				}
 			}
