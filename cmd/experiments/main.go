@@ -9,9 +9,10 @@
 //	experiments -tiers       # per-tier MAPE report + BENCH_tiers.json
 //
 // Artifact IDs are experiments.Artifacts, in order (-list prints them):
-// the paper's tables and figures, then ext-gpu, ext-shared and
-// ext-terms, the end-to-end checks against simcloud of model inputs the
-// service accepts (DESIGN.md §4).
+// the paper's tables and figures, then ext-gpu and ext-shared, the
+// end-to-end checks against simcloud of model inputs the service accepts,
+// and ext-terms, the per-term re-fit of the model against measurements
+// (DESIGN.md §4).
 //
 // With -tiers, -tiers-baseline FILE compares every tier's overall MAPE
 // against a committed BENCH_tiers.json and exits nonzero when any tier

@@ -47,7 +47,7 @@ type Artifact struct {
 
 // Artifacts lists the paper's artifacts in the paper's order, then the
 // extension studies: the end-to-end checks against simcloud of model
-// inputs the service accepts.
+// inputs the service accepts, and the per-term re-fit.
 var Artifacts = []Artifact{
 	{"table1", func() (Report, error) { return Table1(), nil }},
 	{"fig3", Fig3},
@@ -64,7 +64,7 @@ var Artifacts = []Artifact{
 	{"fig11", Fig11},
 	{"ext-gpu", ExtGPU},
 	{"ext-shared", ExtSharedNode},
-	{"ext-terms", ExtTermSelection},
+	{"ext-terms", ExtTermRefit},
 }
 
 // seriesValue returns the y value at x in a series, or an error.

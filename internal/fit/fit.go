@@ -1,11 +1,13 @@
 // Package fit provides the curve-fitting and statistics primitives the
 // performance models are built on: ordinary least squares for linear
-// relations (the communication model, Eq. 12 of the paper), a continuous
-// two-line ("broken stick") fit for node memory bandwidth (Eq. 8), and
-// a logarithmic-law fit for the load-imbalance model (Eq. 11). All
-// fitting minimizes the sum of squared errors (SSE), as the paper
-// describes. The linear and two-line fits reach the global minimum in
-// closed form — the two-line fit by Hudson's (1966) exact method for
+// relations (the communication model, Eq. 12 of the paper), a
+// two-regressor fit through the origin (the per-term re-fit of a
+// prediction against measurements), a continuous two-line ("broken
+// stick") fit for node memory bandwidth (Eq. 8), and a logarithmic-law
+// fit for the load-imbalance model (Eq. 11). All fitting minimizes the
+// sum of squared errors (SSE), as the paper describes. The linear,
+// two-regressor and two-line fits reach the global minimum in closed
+// form — the two-line fit by Hudson's (1966) exact method for
 // continuous segmented regression. The log-law fit, and the message-event
 // fit (Eq. 15) in internal/perfmodel, scan a grid and refine it with
 // GoldenMin.
@@ -115,6 +117,54 @@ func LinearThroughPoint(xs, ys []float64, intercept float64) (Linear, error) {
 	l := Linear{Slope: num / den, Intercept: intercept, N: len(xs)}
 	l.SSE, l.R2 = quality(xs, ys, l.Eval)
 	return l, nil
+}
+
+// Pair holds the parameters of y = B1*x1 + B2*x2, a plane through the
+// origin in two regressors, with each coefficient's standard error.
+type Pair struct {
+	B1, B2   float64
+	SE1, SE2 float64 // standard errors of B1 and B2
+	SSE      float64 // sum of squared errors at the optimum
+	N        int     // number of observations
+}
+
+// PairLSQ fits y = b1*x1 + b2*x2 with no intercept by ordinary least
+// squares, solving the 2×2 normal equations in closed form. The standard
+// errors are the square roots of the diagonal of s²·(XᵀX)⁻¹, where s² is
+// the residual variance SSE/(n−2). It needs three points, one more than
+// the coefficients, so that s² is defined, and fails with ErrBadInput
+// when the two columns are collinear (either one all zero included).
+func PairLSQ(x1, x2, ys []float64) (Pair, error) {
+	if err := checkSeries(x1, ys, 3); err != nil {
+		return Pair{}, err
+	}
+	if err := checkSeries(x2, ys, 3); err != nil {
+		return Pair{}, err
+	}
+	var s11, s12, s22, r1, r2 float64
+	for i := range ys {
+		s11 += x1[i] * x1[i]
+		s12 += x1[i] * x2[i]
+		s22 += x2[i] * x2[i]
+		r1 += x1[i] * ys[i]
+		r2 += x2[i] * ys[i]
+	}
+	// The determinant is compared with s11·s22, its value for orthogonal
+	// columns, so the test is independent of the columns' scale; the
+	// negated form also rejects sums that overflowed to NaN.
+	det := s11*s22 - s12*s12
+	if !(det > degenTol*s11*s22) {
+		return Pair{}, fmt.Errorf("%w: collinear regressors", ErrBadInput)
+	}
+	p := Pair{B1: (s22*r1 - s12*r2) / det, B2: (s11*r2 - s12*r1) / det, N: len(ys)}
+	for i := range ys {
+		r := ys[i] - p.B1*x1[i] - p.B2*x2[i]
+		p.SSE += r * r
+	}
+	s2 := p.SSE / float64(p.N-2)
+	p.SE1 = math.Sqrt(s2 * s22 / det)
+	p.SE2 = math.Sqrt(s2 * s11 / det)
+	return p, nil
 }
 
 // quality computes SSE and R² of model f over the observations.

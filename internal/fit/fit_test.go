@@ -1,6 +1,7 @@
 package fit
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -93,6 +94,68 @@ func TestLinearThroughPoint(t *testing.T) {
 func TestLinearThroughPointAllZeroX(t *testing.T) {
 	if _, err := LinearThroughPoint([]float64{0, 0}, []float64{1, 2}, 0); err == nil {
 		t.Error("want error when all x are zero")
+	}
+}
+
+func TestPairLSQExact(t *testing.T) {
+	x1 := []float64{1, 2, 3, 4, 5}
+	x2 := []float64{0.5, 0.1, 2, 0, 1}
+	ys := make([]float64, len(x1))
+	for i := range ys {
+		ys[i] = 1.18*x1[i] + 0.7*x2[i]
+	}
+	p, err := PairLSQ(x1, x2, ys)
+	if err != nil {
+		t.Fatalf("PairLSQ: %v", err)
+	}
+	if !almostEqual(p.B1, 1.18, 1e-12) || !almostEqual(p.B2, 0.7, 1e-12) {
+		t.Errorf("got b1=%v b2=%v, want 1.18, 0.7", p.B1, p.B2)
+	}
+	if p.SSE > 1e-20 || p.SE1 > 1e-9 || p.SE2 > 1e-9 || p.N != 5 {
+		t.Errorf("noiseless fit: %v, SSE %v", p, p.SSE)
+	}
+}
+
+func TestPairLSQNoisyRecovery(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	const b1, b2 = 1.18, 0.95
+	n := 40
+	x1, x2, ys := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range ys {
+		x1[i] = rng.Float64()
+		x2[i] = rng.Float64()
+		ys[i] = b1*x1[i] + b2*x2[i] + rng.NormFloat64()*0.02
+	}
+	p, err := PairLSQ(x1, x2, ys)
+	if err != nil {
+		t.Fatalf("PairLSQ: %v", err)
+	}
+	if p.SE1 <= 0 || p.SE2 <= 0 {
+		t.Fatalf("noisy data must yield positive standard errors: %v", p)
+	}
+	if math.Abs(p.B1-b1) > 3*p.SE1 || math.Abs(p.B2-b2) > 3*p.SE2 {
+		t.Errorf("%v: truth (%v, %v) not within 3 SE", p, b1, b2)
+	}
+}
+
+func TestPairLSQErrors(t *testing.T) {
+	x := []float64{1, 2, 3, 4}
+	y := []float64{2, 3, 5, 4}
+	for _, tc := range []struct {
+		name       string
+		x1, x2, ys []float64
+		want       error
+	}{
+		{"collinear", x, []float64{2, 4, 6, 8}, y, ErrBadInput},
+		{"zero column", x, []float64{0, 0, 0, 0}, y, ErrBadInput},
+		{"two points", x[:2], []float64{1, 0}, y[:2], ErrInsufficientData},
+		{"mismatched lengths", x, x[:3], y, ErrBadInput},
+		{"NaN", x, []float64{1, math.NaN(), 0, 1}, y, ErrBadInput},
+		{"Inf", x, []float64{1, 0, 1, 0}, []float64{1, math.Inf(-1), 2, 3}, ErrBadInput},
+	} {
+		if _, err := PairLSQ(tc.x1, tc.x2, tc.ys); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

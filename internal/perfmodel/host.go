@@ -34,7 +34,6 @@ func CharacterizeHost(arrayLen, iters int) (*Characterization, error) {
 			return nil, fmt.Errorf("perfmodel: host STREAM fit: %w", err)
 		}
 		c.Mem = mem
-		c.FitQuality.MemR2 = mem.R2
 	} else {
 		// Too few points for the two-line fit: degenerate single-slope
 		// model from the measured point(s).
@@ -42,8 +41,9 @@ func CharacterizeHost(arrayLen, iters int) (*Characterization, error) {
 		c.Mem.A1 = bw / float64(sweep[len(sweep)-1].Threads)
 		c.Mem.A2 = c.Mem.A1
 		c.Mem.A3 = float64(maxThreads + 1)
-		c.FitQuality.MemR2 = 1
+		c.Mem.R2 = 1
 	}
+	c.FitQuality.MemR2 = c.Mem.R2
 
 	// Intra-"node" message timing from the goroutine PingPong over a size
 	// sweep; a single host has no inter-node link, so the intra link

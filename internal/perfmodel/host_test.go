@@ -14,6 +14,11 @@ func TestCharacterizeHost(t *testing.T) {
 	if bw := c.Mem.Eval(1); bw < 100 || bw > 1e9 {
 		t.Errorf("implausible host bandwidth %v MB/s", bw)
 	}
+	// Both fit branches report the fit's R² in the model and in
+	// FitQuality; with fewer than 3 threads the single-slope branch runs.
+	if c.Mem.R2 != c.FitQuality.MemR2 {
+		t.Errorf("c.Mem.R2 = %v, FitQuality.MemR2 = %v", c.Mem.R2, c.FitQuality.MemR2)
+	}
 	if c.Intra.LatencyUS <= 0 || c.Intra.BandwidthMBps <= 0 {
 		t.Errorf("host link degenerate: %+v", c.Intra)
 	}

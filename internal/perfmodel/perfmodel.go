@@ -360,5 +360,5 @@ func (c *Characterization) flopS(n float64) float64 {
 	if c.PeakGFLOPS <= 0 {
 		return 0
 	}
-	return FlopTimeS(D3Q19BGK(0), Machine{PeakGFLOPS: c.PeakGFLOPS}, n)
+	return n * flopsPerPoint / (c.PeakGFLOPS * 1e9)
 }

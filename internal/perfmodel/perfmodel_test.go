@@ -215,6 +215,23 @@ func TestPredictDirectTracksSimulatedTruth(t *testing.T) {
 	}
 }
 
+// TestFlopTimeTinyForLBM checks why the paper could drop the FLOP term
+// for CPU LBM: on every catalog spec sheet, a fully populated node's rank
+// spends far less time on its points' operations than on their memory
+// traffic at the published bandwidth.
+func TestFlopTimeTinyForLBM(t *testing.T) {
+	const n = 1e6
+	bytesPerPoint := lbm.HarveyAccess().PointBytes(19)
+	for _, sys := range machine.Catalog() {
+		c := SpecSheet(sys)
+		perRankBps := c.Mem.A1 * 1e6 / float64(c.CoresPerNode)
+		flopT, memT := c.flopS(n), n*bytesPerPoint/perRankBps
+		if flopT <= 0 || flopT >= memT/2 {
+			t.Errorf("%s: flop time %v not well below memory time %v", sys.Abbrev, flopT, memT)
+		}
+	}
+}
+
 func TestCalibrateGeneral(t *testing.T) {
 	s := cylinderSolver(t)
 	g, err := CalibrateGeneral(s, lbm.HarveyAccess(), []int{1, 2, 4, 8, 16, 32, 64}, 36)

@@ -41,10 +41,6 @@ type Request struct {
 	// in [0,1]. Zero models the paper's node-exclusive allocation.
 	Occupancy float64
 
-	// Terms (direct model only) are extra runtime components from the
-	// model-growth feedback loop, added on top of the base prediction.
-	Terms []Term
-
 	// Summary is the scalar workload description the generalized model
 	// works from.
 	Summary *WorkloadSummary
@@ -125,9 +121,9 @@ func (c *Characterization) Predict(req Request) (Prediction, error) {
 // predict evaluates req on c's parameters and stamps the provenance of
 // tier, Tier0Physics or Tier1Calibrated. Tier 1 carries its fit residual
 // and flags generalized predictions past the characterized instance.
-// Tier 0 carries a fixed band, takes no Terms, and prices the generalized
-// model with GeneralModel{} — z ≡ 1, no event law, DefaultPointCommBytes
-// — whatever laws the request carries.
+// Tier 0 carries a fixed band and prices the generalized model with
+// GeneralModel{} — z ≡ 1, no event law, DefaultPointCommBytes — whatever
+// laws the request carries.
 func (c *Characterization) predict(req Request, tier string) (Prediction, error) {
 	model, err := req.model()
 	if err != nil {
@@ -135,25 +131,12 @@ func (c *Characterization) predict(req Request, tier string) (Prediction, error)
 	}
 	g := req.General
 	if tier == Tier0Physics {
-		if len(req.Terms) > 0 {
-			return Prediction{}, fmt.Errorf("perfmodel: terms apply to the calibrated tier only")
-		}
 		g = GeneralModel{}
 	}
 	var p Prediction
 	if model == ModelDirect {
 		p, err = c.predictDirect(*req.Workload, req.Occupancy)
-		if err == nil && len(req.Terms) > 0 {
-			base := p
-			for _, term := range req.Terms {
-				p.SecondsPerStep += term.Eval(*req.Workload, base)
-			}
-			p.MFLUPS = float64(req.Workload.Points) / p.SecondsPerStep / 1e6
-		}
 	} else {
-		if len(req.Terms) > 0 {
-			return Prediction{}, fmt.Errorf("perfmodel: terms apply to the direct model only")
-		}
 		p, err = c.predictGeneral(*req.Summary, g, req.Ranks)
 		// Figure 11 territory: ranks beyond the characterized instance —
 		// the fits are being stretched past their data.
@@ -216,13 +199,9 @@ func NewCalibratedBackend(c *Characterization) *ModelBackend {
 func (b *ModelBackend) Tier() string { return b.tier }
 
 // Covers reports whether the backend can serve the request: any
-// decomposed workload or summary. Terms come out of the measured
-// feedback loop, so only Tier 1 takes them.
+// decomposed workload or summary.
 func (b *ModelBackend) Covers(req Request) bool {
-	if b.Char == nil || b.tier == Tier0Physics && len(req.Terms) > 0 {
-		return false
-	}
-	return req.Workload != nil || req.Summary != nil
+	return b.Char != nil && (req.Workload != nil || req.Summary != nil)
 }
 
 // Predict evaluates the request at the backend's tier.

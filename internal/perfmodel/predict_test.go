@@ -164,10 +164,6 @@ func TestPredictInfersModel(t *testing.T) {
 func TestPredictValidation(t *testing.T) {
 	c := characterizeNoiseless(t, machine.NewCSP2())
 	s, w := testWorkload(t, 8)
-	g, err := CalibrateGeneral(s, lbm.HarveyAccess(), []int{1, 2, 4, 8}, 36)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ws := WorkloadSummary{Name: "cyl", Points: s.N(), BytesSerial: s.BytesSerial(lbm.HarveyAccess())}
 
 	cases := []struct {
@@ -178,7 +174,6 @@ func TestPredictValidation(t *testing.T) {
 		{"empty", Request{}, "neither"},
 		{"ambiguous", Request{Workload: &w, Summary: &ws}, "disambiguate"},
 		{"ranks disagree", Request{Workload: &w, Ranks: 99}, "decomposes into"},
-		{"terms on general", Request{Summary: &ws, General: g, Ranks: 8, Terms: []Term{OverheadTerm(0.1)}}, "direct model only"},
 		{"direct without workload", Request{Model: ModelDirect}, "needs a decomposed workload"},
 		{"general without summary", Request{Model: ModelGeneral}, "needs a workload summary"},
 		{"unknown model", Request{Model: "quantum", Workload: &w}, "unknown model"},

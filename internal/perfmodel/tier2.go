@@ -278,9 +278,9 @@ func (b *LookupBackend) requestShape(req Request) (points, ranks int, ok bool) {
 }
 
 // Covers reports whether the table can serve the request: a measured
-// (system, kernel) group exists, no occupancy sharing, no terms.
+// (system, kernel) group exists and no occupancy sharing.
 func (b *LookupBackend) Covers(req Request) bool {
-	if b.Table == nil || req.Occupancy > 0 || len(req.Terms) > 0 {
+	if b.Table == nil || req.Occupancy > 0 {
 		return false
 	}
 	points, ranks, ok := b.requestShape(req)
@@ -305,9 +305,6 @@ func (b *LookupBackend) Predict(req Request) (Prediction, error) {
 	}
 	if req.Occupancy > 0 {
 		return Prediction{}, fmt.Errorf("perfmodel: measured tier does not model occupancy sharing")
-	}
-	if len(req.Terms) > 0 {
-		return Prediction{}, fmt.Errorf("perfmodel: terms apply to the calibrated tier only")
 	}
 	points, ranks, ok := b.requestShape(req)
 	if !ok {

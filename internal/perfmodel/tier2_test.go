@@ -167,9 +167,6 @@ func TestLookupBackendPredict(t *testing.T) {
 	if b.Covers(Request{Summary: ws, Ranks: 4, Occupancy: 0.5}) {
 		t.Error("covers occupancy sharing")
 	}
-	if b.Covers(Request{Summary: ws, Ranks: 4, Terms: []Term{OverheadTerm(0.1)}}) {
-		t.Error("covers calibrated terms")
-	}
 	if NewLookupBackend("TRC", tbl).Covers(req) {
 		t.Error("covers a system with no rows")
 	}
