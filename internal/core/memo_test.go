@@ -254,10 +254,11 @@ func TestCachedAnatomySharesLatticeNotName(t *testing.T) {
 	}
 }
 
-// TestAnatomyHoldsNoDistributions: a prepared anatomy is topology. What
-// it keeps alive is less than one of the two distribution arrays a solver
-// over its lattice would hold (152 bytes a site each; the link table is
-// 76).
+// TestAnatomyHoldsNoDistributions: a prepared anatomy is topology, and
+// no solver state. What it keeps alive is less than the distribution
+// array a solver over its lattice would hold (152 bytes a site), and less
+// than the solver's link table (76 bytes a site): the lattice derives
+// link rows on demand and stores none.
 func TestAnatomyHoldsNoDistributions(t *testing.T) {
 	fw := framework(t)
 	dom, err := geometry.Cylinder(64, 8)
@@ -280,6 +281,10 @@ func TestAnatomyHoldsNoDistributions(t *testing.T) {
 	if one := int64(a.Lattice.N() * lbm.NQ * 8); held >= one {
 		t.Errorf("a prepared anatomy of %d sites keeps %d bytes alive; one distribution array is %d",
 			a.Lattice.N(), held, one)
+	}
+	if table := int64(a.Lattice.N() * lbm.NQ * 4); held >= table {
+		t.Errorf("a prepared anatomy of %d sites keeps %d bytes alive; one link table is %d",
+			a.Lattice.N(), held, table)
 	}
 	runtime.KeepAlive(a)
 }

@@ -128,7 +128,8 @@ func RCBSweep(t Topology, counts []int, m lbm.AccessModel) ([]*Partition, error)
 		}
 	}
 	slices.SortStableFunc(nested, func(i, j int) int { return counts[j] - counts[i] })
-	b, w := newBisector(l), newTally(l, m, maxCount)
+	b := newBisector(l)
+	w := newTally(l, m, maxCount, b.siteCoords)
 	parts := make([]*Partition, len(counts))
 
 	// The depth-d nodes of the finest tree are the tasks of the 2^d-way
@@ -166,28 +167,38 @@ func levelsBelow(p, finer *Partition) int {
 	return bits.TrailingZeros(uint(finer.NTasks / p.NTasks))
 }
 
+// siteCoords holds every site's lattice coordinates, indexed by site:
+// what bisection splits on, and where a link scan derives each site's
+// links from.
+type siteCoords struct{ xs, ys, zs []int32 }
+
+func newSiteCoords(l *lbm.Lattice) siteCoords {
+	n := l.N()
+	c := siteCoords{xs: make([]int32, n), ys: make([]int32, n), zs: make([]int32, n)}
+	for si := 0; si < n; si++ {
+		x, y, z := l.SiteCoords(si)
+		c.xs[si], c.ys[si], c.zs[si] = int32(x), int32(y), int32(z)
+	}
+	return c
+}
+
 // bisector is the scratch the bisections of one RCB call, or of a whole
 // sweep, work in.
 type bisector struct {
-	xs, ys, zs []int32 // site coordinates
-	sites      []int32 // every tree node's sites: contiguous, ascending
-	right      []int32 // the right half of the split under way
-	hist       []int32 // sites per coordinate along the split axis
+	siteCoords
+	sites []int32 // every tree node's sites: contiguous, ascending
+	right []int32 // the right half of the split under way
+	hist  []int32 // sites per coordinate along the split axis
 }
 
 func newBisector(s *lbm.Lattice) *bisector {
 	n := s.N()
-	b := &bisector{
-		xs: make([]int32, n), ys: make([]int32, n), zs: make([]int32, n),
-		sites: make([]int32, n),
-		right: make([]int32, n),
-		hist:  make([]int32, max(s.NX, s.NY, s.NZ)),
+	return &bisector{
+		siteCoords: newSiteCoords(s),
+		sites:      make([]int32, n),
+		right:      make([]int32, n),
+		hist:       make([]int32, max(s.NX, s.NY, s.NZ)),
 	}
-	for si := 0; si < n; si++ {
-		x, y, z := s.SiteCoords(si)
-		b.xs[si], b.ys[si], b.zs[si] = int32(x), int32(y), int32(z)
-	}
-	return b
 }
 
 // decompose fills owner with the ntasks-way RCB partition.
@@ -279,6 +290,7 @@ func (b *bisector) bisect(sites []int32, task0, k int, owner []int32) {
 // count it will see.
 type tally struct {
 	l          *lbm.Lattice
+	siteCoords                      // where scanTask derives each site's links
 	pointBytes [lbm.NQ + 1]float64  // the access model's PointBytes by stored-vector count
 	kinds      []geometry.PointType // the point types the lattice has, ascending
 	order      []int32              // sites grouped by owner, ascending within each
@@ -290,14 +302,15 @@ type tally struct {
 	sends      []Halo               // every task's halos, back to back
 }
 
-func newTally(l *lbm.Lattice, m lbm.AccessModel, maxTasks int) *tally {
+func newTally(l *lbm.Lattice, m lbm.AccessModel, maxTasks int, c siteCoords) *tally {
 	w := &tally{
-		l:     l,
-		order: make([]int32, l.N()),
-		start: make([]int32, maxTasks+2),
-		links: make([]int32, maxTasks),
-		peers: make([]int32, maxTasks),
-		bytes: make([]float64, maxTasks),
+		l:          l,
+		siteCoords: c,
+		order:      make([]int32, l.N()),
+		start:      make([]int32, maxTasks+2),
+		links:      make([]int32, maxTasks),
+		peers:      make([]int32, maxTasks),
+		bytes:      make([]float64, maxTasks),
 	}
 	for v := range w.pointBytes {
 		w.pointBytes[v] = m.PointBytes(v)
@@ -403,16 +416,20 @@ func (w *tally) groupByOwner(p *Partition) {
 	}
 }
 
-// scanTask walks the links of task t's sites. It leaves the crossing-link
-// counts in w.links with the peers they are non-zero for in
-// w.peers[:npeers], and the site composition in w.byType; the caller
-// zeroes what it reads.
+// scanTask walks the links of task t's sites, deriving each site's row
+// from the lattice's index at the coordinates the sweep already holds. It
+// leaves the crossing-link counts in w.links with the peers they are
+// non-zero for in w.peers[:npeers], and the site composition in
+// w.byType; the caller zeroes what it reads.
 //
 //lint:hot
 func (w *tally) scanTask(owner []int32, t int) (npeers int) {
 	l, links, peers := w.l, w.links, w.peers
+	xs, ys, zs := w.xs, w.ys, w.zs
+	var row [lbm.NQ]int32
 	for _, si := range w.order[w.start[t]:w.start[t+1]] {
-		for _, nb := range l.Links(int(si)) {
+		l.LinkRow(&row, int(si), int(xs[si]), int(ys[si]), int(zs[si]))
+		for _, nb := range row[1:] {
 			if nb < 0 {
 				continue
 			}

@@ -23,15 +23,15 @@ func Grid(t Topology, px, py, pz int, m lbm.AccessModel) (*Partition, error) {
 		return nil, fmt.Errorf("decomp: grid of %d blocks exceeds %d fluid sites", ntasks, s.N())
 	}
 	nx, ny, nz := s.NX, s.NY, s.NZ
+	c := newSiteCoords(s)
 	p := &Partition{NTasks: ntasks, Owner: make([]int32, s.N())}
-	for si := 0; si < s.N(); si++ {
-		x, y, z := s.SiteCoords(si)
-		bx := x * px / nx
-		by := y * py / ny
-		bz := z * pz / nz
+	for si := range p.Owner {
+		bx := int(c.xs[si]) * px / nx
+		by := int(c.ys[si]) * py / ny
+		bz := int(c.zs[si]) * pz / nz
 		p.Owner[si] = int32((bz*py+by)*px + bx)
 	}
-	newTally(s, m, ntasks).computeStats(p, nil)
+	newTally(s, m, ntasks, c).computeStats(p, nil)
 	return p, nil
 }
 

@@ -75,7 +75,8 @@ func referenceBisect(sites []int32, task0, k int, xs, ys, zs []int32, owner []in
 }
 
 // referenceStats fills p.Tasks from p.Owner in one pass over the sites in
-// ascending order, the map-based way.
+// ascending order, the map-based way, finding each link's far end by its
+// coordinates (SiteAt) rather than through any link row.
 func referenceStats(p *decomp.Partition, s *lbm.Sparse, m lbm.AccessModel) {
 	p.Tasks = make([]decomp.Task, p.NTasks)
 	for t := range p.Tasks {
@@ -92,8 +93,13 @@ func referenceStats(p *decomp.Partition, s *lbm.Sparse, m lbm.AccessModel) {
 		task.Points++
 		task.ByType[s.Type(si)]++
 		task.Bytes += m.PointBytes(s.Vectors(si))
+		x, y, z := s.SiteCoords(si)
 		for q := 1; q < lbm.NQ; q++ {
-			nb := s.Neighbor(si, q)
+			nx := x + lbm.Cx[q]
+			if s.Params.PeriodicX {
+				nx = (nx + s.NX) % s.NX
+			}
+			nb := s.SiteAt(nx, y+lbm.Cy[q], z+lbm.Cz[q])
 			if nb < 0 {
 				continue
 			}

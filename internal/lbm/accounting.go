@@ -95,16 +95,6 @@ const CommBytesPerLink = 8
 // sparse engine: the rest vector plus one per fluid link.
 func (l *Lattice) Vectors(si int) int { return int(l.nvec[si]) }
 
-// Neighbor exposes the local index of the site one lattice link along q
-// from si, or -1 when that link leaves the fluid. The decomposition
-// package uses this to count halo crossings exactly.
-func (l *Lattice) Neighbor(si, q int) int { return int(l.neigh[si*NQ+q]) }
-
-// Links returns the NQ-1 moving-direction entries of site si's neighbor
-// row: Links(si)[q-1] == Neighbor(si, q). The slice aliases the lattice's
-// table; read only.
-func (l *Lattice) Links(si int) []int32 { return l.neigh[si*NQ+1 : si*NQ+NQ : si*NQ+NQ] }
-
 // BytesSerial returns the total bytes accessed per timestep by a serial
 // run under access model m — the n_bytes-serial input of Eq. 10.
 func (l *Lattice) BytesSerial(m AccessModel) float64 {

@@ -9,40 +9,43 @@ import (
 )
 
 // Lattice is what a sparse lattice is, apart from any flow on it: the
-// fluid sites of a domain in global scan order, their classification, the
-// indirect-addressing link table and the box the global indices refer
-// to. It is everything decomposition, calibration and byte accounting
-// read, it is immutable once built, and every array but the site index
-// is sized by fluid sites, so it is what a cache of prepared anatomies
-// holds. Solver state — distributions, inlet profile — lives in Sparse,
-// which embeds a Lattice.
+// fluid sites of a domain in global scan order, their classification and
+// stored-vector counts, and the box the global indices refer to, with a
+// global -> local index over it. It is everything decomposition,
+// calibration and byte accounting read, and it is immutable once built.
+// It stores no link table: LinkRow derives any site's row from the index,
+// and the solver engines, which read every row every other step, keep
+// their own. So a lattice costs 6 bytes per fluid site plus 1.5 bits per
+// box voxel, and that is what a cache of prepared anatomies holds.
+// Solver state — link table, distributions, inlet profile — lives in
+// Sparse, which embeds a Lattice.
 type Lattice struct {
 	NX, NY, NZ int // the bounding box global indices are linear in
 
 	n     int                  // number of fluid sites
 	gidx  []int32              // local site -> global linear index (ascending)
 	types []geometry.PointType // local site -> classification
-
-	// neigh[s*NQ+q] is the local index of the site at x + c_q, or solidNeighbor
-	// when that site is solid (bounce-back), for every fluid site s.
-	neigh []int32
-	nvec  []uint8 // local site -> stored vectors: rest + fluid links
+	nvec  []uint8              // local site -> stored vectors: rest + fluid links
 
 	// The global -> local index, for spatial queries: one bit per box
 	// site, set where it is fluid, and the number of fluid sites before
 	// each 64-site word. A site's local index is its word's count plus
-	// the set bits below its own — 3 bits per box site where a dense
+	// the set bits below its own — 1.5 bits per box site where a dense
 	// table took 32.
 	fluid []uint64
 	below []int32
+
+	periodicX bool    // links wrap across the x faces of the box
+	offset    [NQ]int // global-index step along each c_q, for sites off the faces
 }
 
 const solidNeighbor = int32(-1)
 
 // NewLattice indexes the fluid sites of dom in one pass over its voxels
-// and wires their links, wrapping across the x faces when p.PeriodicX. A
-// lattice is built for a parameter set because a driven flow (p.UMax > 0,
-// not periodic) needs inlet sites to be driven from.
+// and counts their links, wrapping across the x faces when p.PeriodicX. A
+// lattice is built for a parameter set because links depend on the wrap
+// and a driven flow (p.UMax > 0, not periodic) needs inlet sites to be
+// driven from.
 func NewLattice(dom *geometry.Domain, p Params) (*Lattice, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -50,7 +53,10 @@ func NewLattice(dom *geometry.Domain, p Params) (*Lattice, error) {
 	if len(dom.Types) != dom.Sites() {
 		return nil, fmt.Errorf("lbm: domain %q has %d voxels for a %dx%dx%d box", dom.Name, len(dom.Types), dom.NX, dom.NY, dom.NZ)
 	}
-	l := &Lattice{NX: dom.NX, NY: dom.NY, NZ: dom.NZ}
+	l := &Lattice{NX: dom.NX, NY: dom.NY, NZ: dom.NZ, periodicX: p.PeriodicX}
+	for q := range l.offset {
+		l.offset[q] = (Cz[q]*l.NY+Cy[q])*l.NX + Cx[q]
+	}
 	words := (len(dom.Types) + 63) / 64
 	l.fluid = make([]uint64, words)
 	l.below = make([]int32, words)
@@ -87,67 +93,121 @@ func NewLattice(dom *geometry.Domain, p Params) (*Lattice, error) {
 	if inlets == 0 && p.UMax > 0 && !p.PeriodicX {
 		return nil, fmt.Errorf("lbm: UMax set but domain %q has no inlet sites", dom.Name)
 	}
-	l.wire(p.PeriodicX)
-	return l, nil
-}
-
-// wire fills the link table and the vector counts. Sites come in global
-// scan order, so their coordinates advance row by row without a division;
-// a site off the faces of the box finds its 18 neighbours at fixed global
-// offsets, each one bit test and one popcount away.
-func (l *Lattice) wire(periodicX bool) {
-	l.neigh = make([]int32, l.n*NQ)
-	l.nvec = make([]uint8, l.n)
-	var offset [NQ]int
-	for q := range offset {
-		offset[q] = (Cz[q]*l.NY+Cy[q])*l.NX + Cx[q]
-	}
-	fluid, below := l.fluid, l.below
-	row := l.neigh
-	y, z, rowStart := 0, 0, 0
-	for si, g32 := range l.gidx {
-		g := int(g32)
-		for g >= rowStart+l.NX {
-			rowStart += l.NX
-			if y++; y == l.NY {
-				y, z = 0, z+1
-			}
-		}
-		x := g - rowStart
-		cell := (*[NQ]int32)(row[:NQ])
-		row = row[NQ:]
-		cell[0] = int32(si)
+	gidx := l.gidx
+	nvec := make([]uint8, len(gidx))
+	var at scanCursor
+	for si, g := range gidx {
+		x, y, z := at.coords(l, int(g))
 		vectors := uint8(1) // rest
-		if x > 0 && x < l.NX-1 && y > 0 && y < l.NY-1 && z > 0 && z < l.NZ-1 {
+		if l.offFaces(x, y, z) {
 			for q := 1; q < NQ; q++ {
-				t := g + offset[q]
-				w, bit := t>>6, uint(t&63)
-				nb := solidNeighbor
-				if word := fluid[w]; word>>bit&1 != 0 {
-					nb = below[w] + int32(bits.OnesCount64(word&(1<<bit-1)))
+				if l.isFluid(int(g) + l.offset[q]) {
 					vectors++
 				}
-				cell[q] = nb
 			}
 		} else {
 			for q := 1; q < NQ; q++ {
-				nx := x + Cx[q]
-				if periodicX {
-					if nx < 0 {
-						nx += l.NX
-					} else if nx >= l.NX {
-						nx -= l.NX
-					}
-				}
-				nb := int32(l.SiteAt(nx, y+Cy[q], z+Cz[q]))
-				if nb != solidNeighbor {
+				if g, in := l.boxIndex(l.wrapX(x+Cx[q]), y+Cy[q], z+Cz[q]); in && l.isFluid(g) {
 					vectors++
 				}
-				cell[q] = nb
 			}
 		}
-		l.nvec[si] = vectors
+		nvec[si] = vectors
 	}
+	l.nvec = nvec
+	return l, nil
+}
+
+// LinkRow fills row with the links of local site si, whose coordinates
+// (x, y, z) the caller passes — SiteCoords(si), or a walk that tracks
+// them: row[0] is si, and row[q] the local index of the site at x + c_q,
+// or -1 when that site is solid (bounce-back), wrapping across the x
+// faces in a periodic lattice. A site off the faces of the box finds its
+// 18 neighbours at fixed global offsets, each one bit test and one
+// popcount away. It is the one derivation of links: decomposition calls
+// it per site as it scans, and NewSparse once per site for its table.
+func (l *Lattice) LinkRow(row *[NQ]int32, si, x, y, z int) {
+	row[0] = int32(si)
+	if l.offFaces(x, y, z) {
+		g := (z*l.NY+y)*l.NX + x
+		for q := 1; q < NQ; q++ {
+			row[q] = l.local(g + l.offset[q])
+		}
+		return
+	}
+	for q := 1; q < NQ; q++ {
+		row[q] = int32(l.SiteAt(l.wrapX(x+Cx[q]), y+Cy[q], z+Cz[q]))
+	}
+}
+
+// linkTable returns every site's LinkRow back to back, n*NQ entries:
+// entry si*NQ+q is row[q] of site si. Sites come in global scan order,
+// so their coordinates advance row by row without a division.
+func (l *Lattice) linkTable() []int32 {
+	table := make([]int32, l.n*NQ)
+	var at scanCursor
+	rows := table
+	for si, g := range l.gidx {
+		x, y, z := at.coords(l, int(g))
+		l.LinkRow((*[NQ]int32)(rows[:NQ]), si, x, y, z)
+		rows = rows[NQ:]
+	}
+	return table
+}
+
+// scanCursor recovers the coordinates of global indices visited in
+// ascending order, advancing a row at a time instead of dividing.
+type scanCursor struct{ y, z, rowStart int }
+
+func (c *scanCursor) coords(l *Lattice, g int) (x, y, z int) {
+	for g >= c.rowStart+l.NX {
+		c.rowStart += l.NX
+		if c.y++; c.y == l.NY {
+			c.y, c.z = 0, c.z+1
+		}
+	}
+	return g - c.rowStart, c.y, c.z
+}
+
+// offFaces reports whether (x, y, z) lies off every face of the box, so
+// that all 18 of its neighbours are inside it at l.offset.
+func (l *Lattice) offFaces(x, y, z int) bool {
+	return x > 0 && x < l.NX-1 && y > 0 && y < l.NY-1 && z > 0 && z < l.NZ-1
+}
+
+// wrapX folds an x one site off the box back onto it in a periodic
+// lattice.
+func (l *Lattice) wrapX(x int) int {
+	if l.periodicX {
+		if x < 0 {
+			return x + l.NX
+		} else if x >= l.NX {
+			return x - l.NX
+		}
+	}
+	return x
+}
+
+// isFluid reports whether box site g is fluid.
+func (l *Lattice) isFluid(g int) bool {
+	w, fluid := uint(g)>>6, l.fluid
+	return w < uint(len(fluid)) && fluid[w]>>(uint(g)&63)&1 != 0
+}
+
+// local returns the local index of box site g, or solidNeighbor when it
+// is solid. One unsigned compare per array is range test and bounds
+// proof at once.
+func (l *Lattice) local(g int) int32 {
+	w, bit := uint(g)>>6, uint(g)&63
+	fluid, below := l.fluid, l.below
+	if w >= uint(len(fluid)) || w >= uint(len(below)) {
+		return solidNeighbor
+	}
+	word := fluid[w]
+	if word>>bit&1 == 0 {
+		return solidNeighbor
+	}
+	return below[w] + int32(bits.OnesCount64(word&(1<<bit-1)))
 }
 
 // Topology returns the lattice itself. Anything that embeds a *Lattice
@@ -175,21 +235,21 @@ func (l *Lattice) coords(si int) (x, y, z int) {
 func (l *Lattice) SiteCoords(si int) (x, y, z int) { return l.coords(si) }
 
 // SiteAt returns the local index of the fluid site at lattice coordinates
-// (x, y, z), or -1 when the site is solid or outside the domain: how the
-// link table finds a site's neighbors.
+// (x, y, z), or -1 when the site is solid or outside the domain: how
+// LinkRow finds the neighbours of a site on a face of the box.
 func (l *Lattice) SiteAt(x, y, z int) int {
+	g, in := l.boxIndex(x, y, z)
+	if !in {
+		return -1
+	}
+	return int(l.local(g))
+}
+
+// boxIndex returns the global index of (x, y, z), and whether it is
+// inside the box at all.
+func (l *Lattice) boxIndex(x, y, z int) (g int, in bool) {
 	if x < 0 || x >= l.NX || y < 0 || y >= l.NY || z < 0 || z >= l.NZ {
-		return -1
+		return 0, false
 	}
-	g := uint((z*l.NY+y)*l.NX + x)
-	w, bit := g>>6, g&63
-	fluid, below := l.fluid, l.below
-	if w >= uint(len(fluid)) || w >= uint(len(below)) {
-		return -1
-	}
-	word := fluid[w]
-	if word>>bit&1 == 0 {
-		return -1
-	}
-	return int(below[w]) + bits.OnesCount64(word&(1<<bit-1))
+	return (z*l.NY+y)*l.NX + x, true
 }

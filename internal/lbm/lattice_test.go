@@ -62,27 +62,37 @@ func TestSiteAtMatchesDomainScan(t *testing.T) {
 	}
 }
 
-// TestLinksMatchDomainScan: every link row is what the domain says about
+// TestLinksMatchDomainScan: every link row — derived on demand by
+// LinkRow and stored in Sparse's table — is what the domain says about
 // the 18 neighbours, with and without the periodic wrap, and Vectors is
 // the count of its fluid links plus the rest vector.
 func TestLinksMatchDomainScan(t *testing.T) {
 	for _, dom := range latticeShapes(t) {
 		for _, periodic := range []bool{false, true} {
-			l, err := lbm.NewLattice(dom, lbm.Params{Tau: 0.9, PeriodicX: periodic})
+			s, err := lbm.NewSparse(dom, lbm.Params{Tau: 0.9, PeriodicX: periodic})
 			if err != nil {
 				t.Fatalf("%s: %v", dom.Name, err)
 			}
+			l := s.Lattice
+			var row [lbm.NQ]int32
 			for si := 0; si < l.N(); si++ {
 				x, y, z := l.SiteCoords(si)
+				l.LinkRow(&row, si, x, y, z)
 				vectors := 1
 				for q := 0; q < lbm.NQ; q++ {
 					nx := x + lbm.Cx[q]
 					if periodic {
 						nx = (nx + dom.NX) % dom.NX
 					}
-					want := l.SiteAt(nx, y+lbm.Cy[q], z+lbm.Cz[q])
-					if got := l.Neighbor(si, q); got != want {
-						t.Fatalf("%s periodic=%v: Neighbor(%d,%d) = %d, want %d", dom.Name, periodic, si, q, got, want)
+					want := -1
+					if dom.At(nx, y+lbm.Cy[q], z+lbm.Cz[q]).IsFluid() {
+						want = l.SiteAt(nx, y+lbm.Cy[q], z+lbm.Cz[q])
+					}
+					if got := int(row[q]); got != want {
+						t.Fatalf("%s periodic=%v: LinkRow(%d)[%d] = %d, want %d", dom.Name, periodic, si, q, got, want)
+					}
+					if got := s.Neighbor(si, q); got != want {
+						t.Fatalf("%s periodic=%v: Sparse.Neighbor(%d,%d) = %d, want %d", dom.Name, periodic, si, q, got, want)
 					}
 					if q > 0 && want >= 0 {
 						vectors++
@@ -96,30 +106,45 @@ func TestLinksMatchDomainScan(t *testing.T) {
 	}
 }
 
-// TestLatticeAllocatesByFluidSites is the byte bound of the compact
-// index: cerebral@6 is a 3.5 M-voxel box around 7.5 k fluid sites, and its
-// lattice — site tables, link rows and the index — allocates under 3 MB
-// where the dense int32 lookup alone took 14 MB.
+// TestLatticeAllocatesByFluidSites is the byte bound of a lattice, in a
+// sparse box and a dense one. cerebral@6 is a 3.5 M-voxel box around
+// 7.5 k fluid sites, and its lattice — site tables and the index —
+// allocates under 3 MB where the dense int32 lookup alone took 14 MB.
+// aorta@8 fills much more of its box, and its lattice allocates less
+// than one link table of NQ int32 a site: it stores no rows.
 func TestLatticeAllocatesByFluidSites(t *testing.T) {
-	dom, err := campaign.BuildGeometry("cerebral", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dom.Sites() < 3e6 {
-		t.Fatalf("cerebral@6 has a %d-voxel box; the bound below is stated for ≥ 3 M", dom.Sites())
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	l, err := lbm.NewLattice(dom, lbm.Params{Tau: 0.9, UMax: 0.02})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const bound = 3 << 20
-	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
-		t.Errorf("NewLattice allocated %d bytes for %d fluid sites in a %d-voxel box, bound %d",
-			got, l.N(), dom.Sites(), bound)
+	for _, c := range []struct {
+		shape string
+		scale float64
+		bound func(dom *geometry.Domain, l *lbm.Lattice) uint64
+	}{
+		{"cerebral", 6, func(dom *geometry.Domain, _ *lbm.Lattice) uint64 {
+			if dom.Sites() < 3e6 {
+				t.Fatalf("cerebral@6 has a %d-voxel box; the bound below is stated for ≥ 3 M", dom.Sites())
+			}
+			return 3 << 20
+		}},
+		{"aorta", 8, func(_ *geometry.Domain, l *lbm.Lattice) uint64 {
+			return uint64(l.N() * lbm.NQ * 4)
+		}},
+	} {
+		dom, err := campaign.BuildGeometry(c.shape, c.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		l, err := lbm.NewLattice(dom, lbm.Params{Tau: 0.9, UMax: 0.02})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := c.bound(dom, l)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
+			t.Errorf("NewLattice allocated %d bytes for %s@%g's %d fluid sites in a %d-voxel box, bound %d",
+				got, c.shape, c.scale, l.N(), dom.Sites(), bound)
+		}
 	}
 }
 

@@ -12,12 +12,18 @@ import (
 // propagation pattern (one array updated in place, collision fused with
 // streaming, see CollideStream) with an array-of-structures layout — the
 // production configuration the paper benchmarks. It is a Lattice plus the
-// state of a flow on it. The zero value is not usable; create instances
-// with NewSparse.
+// link table its steps read and the state of a flow on it. The zero value
+// is not usable; create instances with NewSparse.
 type Sparse struct {
 	*Lattice
 	Dom    *geometry.Domain
 	Params Params
+
+	// neigh[s*NQ+q] is the local index of the site at x + c_q, or
+	// solidNeighbor when that site is solid (bounce-back), for every
+	// fluid site s: the lattice's LinkRows, stored because every odd
+	// step reads all of them.
+	neigh []int32
 
 	// n*NQ distributions, AOS: in the natural layout after an even
 	// number of steps, in the swapped one after an odd number (see
@@ -32,15 +38,15 @@ type Sparse struct {
 	steps int // timesteps completed
 }
 
-// NewSparse builds a solver for the domain: its lattice (NewLattice),
-// the boundary sites with the inlet profile, and the fluid at rest with
-// unit density.
+// NewSparse builds a solver for the domain: its lattice (NewLattice) and
+// link table, the boundary sites with the inlet profile, and the fluid at
+// rest with unit density.
 func NewSparse(dom *geometry.Domain, p Params) (*Sparse, error) {
 	l, err := NewLattice(dom, p)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sparse{Lattice: l, Dom: dom, Params: p}
+	s := &Sparse{Lattice: l, Dom: dom, Params: p, neigh: l.linkTable()}
 	s.buildBoundaries()
 
 	// Rest-state initialization.
@@ -132,6 +138,12 @@ func (s *Sparse) swapLayout() {
 		}
 	}
 }
+
+// Neighbor returns the local index of the site one lattice link along q
+// from si, or -1 when that link leaves the fluid: entry q of si's row in
+// the solver's link table. par.NewRunner builds its ranks' link rows from
+// it.
+func (s *Sparse) Neighbor(si, q int) int { return int(s.neigh[si*NQ+q]) }
 
 // Boundaries returns the inlet and outlet sites in ascending order (none
 // in a periodic run, where they are bulk fluid). The slice aliases the

@@ -32,7 +32,8 @@ func RemoteLink(k int) int32 { return remoteLink - int32(k) }
 // place, and a cell's value along q after a step is the value push
 // streaming with halfway bounce-back leaves there, bit for bit. On an odd
 // step halo[k] holds the value that arrived from the other rank and
-// receives the value to send; Sparse passes Lattice.neigh and no halo.
+// receives the value to send; Sparse passes its own link table and no
+// halo.
 //
 // The loops are shaped for the compiler's prover (gated by cmd/lint
 // -perfbudget): NQ-wide windows advance over the arrays, and every

@@ -114,9 +114,15 @@ func FitEvents(ntasks, nnodes, events []float64) (EventsLaw, error) {
 		return sse
 	}
 	best := EventsLaw{SSE: math.Inf(1)}
+	// The 65 K2 values are the same on every row of the grid: exponentiate
+	// them once, stepping lg2 exactly as the inner loop would.
+	var k2s [65]float64
+	for i, lg2 := 0, -8.0; lg2 <= 8.0; i, lg2 = i+1, lg2+0.25 {
+		k2s[i] = math.Exp(lg2)
+	}
 	for lg1 := -8.0; lg1 <= 8.0; lg1 += 0.25 {
-		for lg2 := -8.0; lg2 <= 8.0; lg2 += 0.25 {
-			k1, k2 := math.Exp(lg1), math.Exp(lg2)
+		k1 := math.Exp(lg1)
+		for _, k2 := range k2s {
 			if sse := sseFor(k1, k2); sse < best.SSE {
 				best = EventsLaw{K1: k1, K2: k2, SSE: sse}
 			}
