@@ -8,6 +8,7 @@
 package httpedge
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -161,10 +162,28 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 }
 
 // WriteJSON writes v as the JSON body of a reply with the given status.
+// v is encoded before anything is written, so a value encoding/json
+// refuses (a NaN or ±Inf float) becomes a 500 with an ErrorResponse
+// body instead of the caller's status with an empty one.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		// An ErrorResponse always encodes.
+		_ = json.NewEncoder(&buf).Encode(ErrorResponse{Error: "encoding the reply: " + err.Error()})
+	}
+	WriteJSONBytes(w, status, buf.Bytes())
+}
+
+// WriteJSONBytes writes body, already-encoded JSON, as the reply with the
+// given status and its Content-Length.
+func WriteJSONBytes(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if _, err := w.Write(body); err != nil {
 		// Headers are gone; the route's instrumented status already
 		// recorded the reply.
 		return

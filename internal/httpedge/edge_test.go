@@ -1,9 +1,12 @@
 package httpedge
 
 import (
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -74,5 +77,32 @@ func TestRetryAfterOnlyWhereMissing(t *testing.T) {
 		if got := rec.Header().Get("Retry-After"); got != expect {
 			t.Errorf("reply %d (%s): Retry-After %q, want %q", i, target, got, expect)
 		}
+	}
+}
+
+// TestWriteJSONRefusesNonFinite: a value encoding/json cannot carry (a
+// NaN field) is encoded before the header goes out, so the reply is a
+// 500 whose body is an ErrorResponse, never the caller's status with an
+// empty body; every reply carries its Content-Length.
+func TestWriteJSONRefusesNonFinite(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, struct {
+		X float64 `json:"x"`
+	}{math.NaN()})
+	var body ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d body %q (%v), want 500 and an ErrorResponse", rec.Code, rec.Body, err)
+	}
+	if !strings.Contains(body.Error, "NaN") {
+		t.Errorf("error %q does not name the NaN", body.Error)
+	}
+	if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+		t.Errorf("Content-Length %q, body is %s bytes", got, want)
+	}
+
+	rec = httptest.NewRecorder()
+	WriteJSON(rec, http.StatusCreated, map[string]int{"n": 1})
+	if rec.Code != http.StatusCreated || rec.Body.String() != "{\"n\":1}\n" || rec.Header().Get("Content-Length") != "8" {
+		t.Errorf("status %d body %q Content-Length %q", rec.Code, rec.Body, rec.Header().Get("Content-Length"))
 	}
 }

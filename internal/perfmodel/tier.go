@@ -60,10 +60,12 @@ type Band struct {
 }
 
 // band builds the confidence band around a central MFLUPS value with the
-// given relative half-width.
+// given relative half-width. A half-width past 1 (Tier 2 far from its
+// table) would put the lower edge below zero, which no run can measure,
+// so the lower edge stops at 0.
 func band(mflups, rel float64) Band {
 	if rel < 0 {
 		rel = 0
 	}
-	return Band{LoMFLUPS: mflups * (1 - rel), HiMFLUPS: mflups * (1 + rel)}
+	return Band{LoMFLUPS: max(0, mflups*(1-rel)), HiMFLUPS: mflups * (1 + rel)}
 }

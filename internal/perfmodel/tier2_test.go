@@ -259,3 +259,29 @@ func TestNewPredictorValidation(t *testing.T) {
 		t.Error("duplicate tier accepted")
 	}
 }
+
+// TestBandLowerEdgeNeverNegative: Tier 2's half-width grows with table
+// distance and passes 1 far from the table (on cylinder@5's 3240 points,
+// CSP-2, the unclamped lower edge was −39 MFLUPS at 65 536 ranks and
+// −103 at 2^20); the band's lower edge stops at 0 while the upper edge
+// keeps widening.
+func TestBandLowerEdgeNeverNegative(t *testing.T) {
+	tbl, err := DefaultTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewLookupBackend("CSP-2", tbl)
+	ws := &WorkloadSummary{Name: "cylinder@5", Points: 3240, BytesSerial: 1}
+	for _, ranks := range []int{8, 128, 4096, 65536, 1 << 20} {
+		p, err := b.Predict(Request{Summary: ws, Ranks: ranks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lo, hi := p.Confidence.LoMFLUPS, p.Confidence.HiMFLUPS; lo < 0 || lo > p.MFLUPS || hi <= p.MFLUPS {
+			t.Errorf("%d ranks: band [%v, %v] around %v MFLUPS", ranks, lo, hi, p.MFLUPS)
+		}
+	}
+	if got := band(50, 3); got != (Band{LoMFLUPS: 0, HiMFLUPS: 200}) {
+		t.Errorf("band(50, 3) = %+v, want [0, 200]", got)
+	}
+}

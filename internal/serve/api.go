@@ -163,6 +163,8 @@ type PredictionJSON struct {
 	Extrapolated bool            `json:"extrapolated,omitempty"`
 }
 
+// predictionJSON is a prediction's row in struct form: the reference
+// that appendPrediction's bytes are tested against.
 func predictionJSON(p perfmodel.Prediction) PredictionJSON {
 	return PredictionJSON{
 		System:         p.System,
@@ -184,7 +186,11 @@ func predictionJSON(p perfmodel.Prediction) PredictionJSON {
 
 // PredictResponse carries the batch plus this request's cache activity:
 // how many calibrations were served from cache, how many it had to run,
-// and how many rode on another in-flight request's work.
+// and how many rode on another in-flight request's work. It is the
+// /v1/predict schema clients decode; the server does not build one but
+// appends each row as it is computed (encode.go), and
+// FuzzPredictionEncoding pins those bytes to encoding/json's for
+// predictionJSON.
 type PredictResponse struct {
 	Predictions    []PredictionJSON `json:"predictions"`
 	CacheHits      int              `json:"cache_hits"`

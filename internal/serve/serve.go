@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -384,7 +385,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	resp := PredictResponse{Predictions: make([]PredictionJSON, 0, len(systems)*len(req.Ranks))}
+	// The reply is appended row by row into one pooled buffer (encode.go)
+	// and written once; an error on the way discards it.
+	bp := replyBuffers.Get().(*[]byte)
+	defer replyBuffers.Put(bp)
+	b := (*bp)[:0]
+	if need := len(systems)*len(req.Ranks)*rowBytes + 128; cap(b) < need {
+		b = make([]byte, 0, need)
+	}
+	b = append(b, `{"predictions":[`...)
+	var rows, hits, misses, coalesced int
 	for _, sys := range systems {
 		e, res, err := s.entryFor(ctx, sys, seed, tier)
 		if err != nil {
@@ -393,20 +403,38 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		switch res {
 		case cache.Hit:
-			resp.CacheHits++
+			hits++
 		case cache.Miss:
-			resp.CacheMisses++
+			misses++
 		case cache.Coalesced:
-			resp.CacheCoalesced++
+			coalesced++
 		}
 		for _, ranks := range req.Ranks {
 			pred, err := predict(a, e, model, tier, ranks, req.Occupancy)
+			if err == nil {
+				if rows > 0 {
+					b = append(b, ',')
+				}
+				b, err = appendPrediction(b, &pred)
+				rows++
+			}
 			if err != nil {
 				writeErr(w, err)
 				return
 			}
-			resp.Predictions = append(resp.Predictions, predictionJSON(pred))
 		}
 	}
-	httpedge.WriteJSON(w, http.StatusOK, resp)
+	b = append(b, `],"cache_hits":`...)
+	b = strconv.AppendInt(b, int64(hits), 10)
+	b = append(b, `,"cache_misses":`...)
+	b = strconv.AppendInt(b, int64(misses), 10)
+	b = append(b, `,"cache_coalesced":`...)
+	b = strconv.AppendInt(b, int64(coalesced), 10)
+	b = append(b, "}\n"...)
+	*bp = b
+	httpedge.WriteJSONBytes(w, http.StatusOK, b)
 }
+
+// replyBuffers recycles /v1/predict reply buffers: a 512-rank batch's
+// reply is about 170 KB.
+var replyBuffers = sync.Pool{New: func() any { return new([]byte) }}
