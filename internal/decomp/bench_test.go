@@ -1,7 +1,7 @@
 package decomp_test
 
 import (
-	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -12,14 +12,27 @@ import (
 // The benchmarks decompose cylinder@6 (5 424 sites), the lattice the
 // serving cold path calibrates most: RCB/32 is the bench ladder's
 // decomp.rcb_cold rung, RCBSweep the whole calibration sweep 1…512.
+// BenchmarkRCB also decomposes aorta@16 (207 k sites, above
+// lbm.SetupFloor, so split across goroutines) at one task per CPU and at
+// 128: the solve's decomp.rcb_nproc and decomp.rcb_128 rungs.
 
 var sinkPartitions []*decomp.Partition
 
 func BenchmarkRCB(b *testing.B) {
-	s := buildSolver(b, "cylinder", 6)
 	m := lbm.HarveyAccess()
-	for _, k := range []int{32, 512} {
-		b.Run(fmt.Sprint(k), func(b *testing.B) {
+	cylinder, aorta := buildSolver(b, "cylinder", 6), buildSolver(b, "aorta", 16)
+	for _, c := range []struct {
+		s    *lbm.Sparse
+		name string
+		k    int
+	}{
+		{cylinder, "32", 32},
+		{cylinder, "512", 512},
+		{aorta, "aorta@16/nproc", runtime.GOMAXPROCS(0)},
+		{aorta, "aorta@16/128", 128},
+	} {
+		s, k := c.s, c.k
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p, err := decomp.RCB(s, k, m)

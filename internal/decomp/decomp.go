@@ -22,9 +22,18 @@
 // union of its subtree's tasks, so its halos, points and composition are
 // theirs merged. Bytes are summed per task in ascending site order at
 // every level, so results are reproducible to the bit.
-// DESIGN.md §14 states the invariants; reference_test.go keeps the
-// sort-based decomposer these replaced as the oracle the tests compare
-// whole partitions against.
+//
+// A lattice of at least twice lbm.SetupFloor sites is decomposed on up to
+// GOMAXPROCS goroutines (lbm.SetupWorkers): site coordinates are filled
+// over site ranges, the two halves of a split node are bisected at once
+// in disjoint windows of the scratch arrays, and the link scan gives each
+// goroutine a contiguous run of tasks and counters of its own, its halos
+// concatenated in task order. Every goroutine writes only slots no other
+// one reads and every sum keeps its order, so a partition is the same to
+// the bit for any GOMAXPROCS; smaller lattices run on the caller's
+// goroutine alone. DESIGN.md §14 states the invariants; reference_test.go
+// keeps the sort-based decomposer these replaced as the oracle the tests
+// compare whole partitions against.
 package decomp
 
 import (
@@ -175,10 +184,12 @@ type siteCoords struct{ xs, ys, zs []int32 }
 func newSiteCoords(l *lbm.Lattice) siteCoords {
 	n := l.N()
 	c := siteCoords{xs: make([]int32, n), ys: make([]int32, n), zs: make([]int32, n)}
-	for si := 0; si < n; si++ {
-		x, y, z := l.SiteCoords(si)
-		c.xs[si], c.ys[si], c.zs[si] = int32(x), int32(y), int32(z)
-	}
+	lbm.ForRanges(n, lbm.SetupWorkers(n), func(_, lo, hi int) {
+		for si := lo; si < hi; si++ {
+			x, y, z := l.SiteCoords(si)
+			c.xs[si], c.ys[si], c.zs[si] = int32(x), int32(y), int32(z)
+		}
+	})
 	return c
 }
 
@@ -187,7 +198,7 @@ func newSiteCoords(l *lbm.Lattice) siteCoords {
 type bisector struct {
 	siteCoords
 	sites []int32 // every tree node's sites: contiguous, ascending
-	right []int32 // the right half of the split under way
+	right []int32 // each node's right half while it splits, in the node's window
 	hist  []int32 // sites per coordinate along the split axis
 }
 
@@ -206,22 +217,26 @@ func (b *bisector) decompose(ntasks int, owner []int32) {
 	for i := range b.sites {
 		b.sites[i] = int32(i)
 	}
-	b.bisect(b.sites, 0, ntasks, owner)
+	b.bisect(b.sites, b.right, 0, ntasks, owner, lbm.SetupWorkers(len(b.sites)))
 }
 
 // bisect assigns tasks [task0, task0+k) to sites, a window of b.sites in
-// ascending site order. The sites are split along the longest axis of
-// their bounding box: ordered by (coordinate, site number), the first cut
-// go left. Because the window is ascending, one stable pass makes that
-// split — every site below the cut coordinate, then the lowest-numbered
-// sites on it — and leaves both halves ascending for the next level.
+// ascending site order, splitting in right, the same window of b.right.
+// The sites are split along the longest axis of their bounding box:
+// ordered by (coordinate, site number), the first cut go left. Because
+// the window is ascending, one stable pass makes that split — every site
+// below the cut coordinate, then the lowest-numbered sites on it — and
+// leaves both halves ascending for the next level.
 //
 // When k is a power of two, cut is len(sites)/2 whatever k is, so a node
 // splits the same way in every power-of-two tree that reaches it: those
 // trees nest. For other k the cut moves with k and they do not.
 //
+// With workers > 1 the two halves are bisected concurrently (see
+// bisectApart), sharing the workers between them.
+//
 //lint:hot
-func (b *bisector) bisect(sites []int32, task0, k int, owner []int32) {
+func (b *bisector) bisect(sites, right []int32, task0, k int, owner []int32, workers int) {
 	if k == 1 {
 		for _, si := range sites {
 			owner[si] = int32(task0)
@@ -263,7 +278,8 @@ func (b *bisector) bisect(sites []int32, task0, k int, owner []int32) {
 	}
 	cutCoord, ties := lo+int32(at), cut-below
 
-	right := b.right[:len(sites)-cut]
+	right = right[:len(sites)]
+	upper := right[cut:]
 	nl, nr := 0, 0
 	for _, si := range sites {
 		c := coord[si]
@@ -276,14 +292,34 @@ func (b *bisector) bisect(sites []int32, task0, k int, owner []int32) {
 			sites[nl] = si
 			nl++
 		default:
-			right[nr] = si
+			upper[nr] = si
 			nr++
 		}
 	}
-	copy(sites[cut:], right)
+	copy(sites[cut:], upper)
 
-	b.bisect(sites[:cut], task0, kLeft, owner)
-	b.bisect(sites[cut:], task0+kLeft, k-kLeft, owner)
+	if workers > 1 {
+		b.bisectApart(sites, right, cut, task0, k, owner, workers)
+		return
+	}
+	b.bisect(sites[:cut], right[:cut], task0, kLeft, owner, 1)
+	b.bisect(sites[cut:], right[cut:], task0+kLeft, k-kLeft, owner, 1)
+}
+
+// bisectApart bisects the two halves of a split node, sites[:cut] and
+// sites[cut:], on two goroutines, half of workers under each. The halves'
+// windows of sites, right and owner are disjoint, and the second gets a
+// histogram of its own, so each splits exactly as it would alone.
+func (b *bisector) bisectApart(sites, right []int32, cut, task0, k int, owner []int32, workers int) {
+	kLeft := k / 2
+	apart := &bisector{siteCoords: b.siteCoords, hist: make([]int32, len(b.hist))}
+	lbm.ForRanges(2, 2, func(half, _, _ int) {
+		if half == 0 {
+			b.bisect(sites[:cut], right[:cut], task0, kLeft, owner, workers/2)
+		} else {
+			apart.bisect(sites[cut:], right[cut:], task0+kLeft, k-kLeft, owner, workers-workers/2)
+		}
+	})
 }
 
 // tally is the scratch computeStats works in, sized for the largest task
@@ -295,11 +331,18 @@ type tally struct {
 	kinds      []geometry.PointType // the point types the lattice has, ascending
 	order      []int32              // sites grouped by owner, ascending within each
 	start      []int32              // order[start[t]:start[t+1]] are task t's sites (one spare slot)
-	links      []int32              // crossing links per peer, for the task under way
-	peers      []int32              // the peers links is non-zero for
-	byType     [256]int32           // sites per point type, for the task under way
+	counters   []counters           // one per goroutine a link scan runs on
 	bytes      []float64            // bytes per task
-	sends      []Halo               // every task's halos, back to back
+}
+
+// counters is what the statistics of one task accumulate in, and the halos
+// of the tasks emitted so far: one goroutine's share of a link scan, or
+// the whole of a merge.
+type counters struct {
+	links  []int32    // crossing links per peer, for the task under way
+	peers  []int32    // the peers links is non-zero for
+	byType [256]int32 // sites per point type, for the task under way
+	sends  []Halo     // the emitted tasks' halos, back to back
 }
 
 func newTally(l *lbm.Lattice, m lbm.AccessModel, maxTasks int, c siteCoords) *tally {
@@ -308,9 +351,12 @@ func newTally(l *lbm.Lattice, m lbm.AccessModel, maxTasks int, c siteCoords) *ta
 		siteCoords: c,
 		order:      make([]int32, l.N()),
 		start:      make([]int32, maxTasks+2),
-		links:      make([]int32, maxTasks),
-		peers:      make([]int32, maxTasks),
+		counters:   make([]counters, min(lbm.SetupWorkers(l.N()), maxTasks)),
 		bytes:      make([]float64, maxTasks),
+	}
+	for i := range w.counters {
+		w.counters[i].links = make([]int32, maxTasks)
+		w.counters[i].peers = make([]int32, maxTasks)
 	}
 	for v := range w.pointBytes {
 		w.pointBytes[v] = m.PointBytes(v)
@@ -329,51 +375,45 @@ func newTally(l *lbm.Lattice, m lbm.AccessModel, maxTasks int, c siteCoords) *ta
 
 // computeStats fills per-task points, bytes, composition and halos from
 // p.Owner, one task at a time so a single dense per-peer counter serves
-// them all. With finer nil the tasks' links are scanned; otherwise finer
-// is a partition of the same bisection tree with 2^d times the tasks,
-// and each task is merged from its 2^d descendants there.
+// them all. With finer nil the tasks' links are scanned, contiguous runs
+// of tasks on goroutines of their own, each with its own counters;
+// otherwise finer is a partition of the same bisection tree with 2^d
+// times the tasks, and each task is merged from its 2^d descendants there.
 func (w *tally) computeStats(p, finer *Partition) {
-	shift := 0
+	p.Tasks = make([]Task, p.NTasks)
+	for i := range w.counters {
+		w.counters[i].sends = w.counters[i].sends[:0]
+	}
 	if finer == nil {
 		w.groupByOwner(p)
-	} else {
-		shift = levelsBelow(p, finer)
-	}
-	w.sends = w.sends[:0]
-	p.Tasks = make([]Task, p.NTasks)
-	for t := range p.Tasks {
-		task := &p.Tasks[t]
-		task.ID = t
-		var npeers int
-		if finer == nil {
-			task.Points = int(w.start[t+1] - w.start[t])
-			npeers = w.scanTask(p.Owner, t)
-		} else {
-			task.Points, npeers = w.mergeTask(finer.Tasks[t<<shift:(t+1)<<shift], t, shift)
-		}
-
-		task.ByType = make(map[geometry.PointType]int, 4)
-		for _, typ := range w.kinds {
-			if c := w.byType[typ]; c > 0 {
-				task.ByType[typ] = int(c)
-				w.byType[typ] = 0
+		lbm.ForRanges(p.NTasks, len(w.counters), func(i, lo, hi int) {
+			c := &w.counters[i]
+			for t := lo; t < hi; t++ {
+				task := &p.Tasks[t]
+				task.Points = int(w.start[t+1] - w.start[t])
+				w.emit(c, task, t, w.scanTask(c, p.Owner, t))
 			}
-		}
-
-		peers := w.peers[:npeers]
-		slices.Sort(peers)
-		mark := len(w.sends)
-		for _, peer := range peers {
-			w.sends = append(w.sends, Halo{Peer: int(peer), Links: int(w.links[peer])})
-			w.links[peer] = 0
-		}
-		if npeers > 0 {
-			task.Sends = w.sends[mark:] // only its length survives, see below
+		})
+	} else {
+		shift := levelsBelow(p, finer)
+		c := &w.counters[0]
+		for t := range p.Tasks {
+			task := &p.Tasks[t]
+			var npeers int
+			task.Points, npeers = w.mergeTask(c, finer.Tasks[t<<shift:(t+1)<<shift], t, shift)
+			w.emit(c, task, t, npeers)
 		}
 	}
-	// One exact-size allocation holds every task's halos; each task gets
-	// its window of it.
-	all := slices.Clone(w.sends)
+	// One exact-size allocation holds every task's halos, in task order;
+	// each task gets its window of it.
+	total := 0
+	for i := range w.counters {
+		total += len(w.counters[i].sends)
+	}
+	all := make([]Halo, 0, total)
+	for i := range w.counters {
+		all = append(all, w.counters[i].sends...)
+	}
 	for t := range p.Tasks {
 		if n := len(p.Tasks[t].Sends); n > 0 {
 			p.Tasks[t].Sends, all = all[:n:n], all[n:]
@@ -390,6 +430,29 @@ func (w *tally) computeStats(p, finer *Partition) {
 	}
 	for t := range p.Tasks {
 		p.Tasks[t].Bytes = bytes[t]
+	}
+}
+
+// emit records task t's composition and halos from the counters a scan
+// or a merge left in c, npeers peers of them, and zeroes what it reads.
+func (w *tally) emit(c *counters, task *Task, t, npeers int) {
+	task.ID = t
+	task.ByType = make(map[geometry.PointType]int, 4)
+	for _, typ := range w.kinds {
+		if n := c.byType[typ]; n > 0 {
+			task.ByType[typ] = int(n)
+			c.byType[typ] = 0
+		}
+	}
+	peers := c.peers[:npeers]
+	slices.Sort(peers)
+	mark := len(c.sends)
+	for _, peer := range peers {
+		c.sends = append(c.sends, Halo{Peer: int(peer), Links: int(c.links[peer])})
+		c.links[peer] = 0
+	}
+	if npeers > 0 {
+		task.Sends = c.sends[mark:] // only its length survives, see computeStats
 	}
 }
 
@@ -418,13 +481,13 @@ func (w *tally) groupByOwner(p *Partition) {
 
 // scanTask walks the links of task t's sites, deriving each site's row
 // from the lattice's index at the coordinates the sweep already holds. It
-// leaves the crossing-link counts in w.links with the peers they are
-// non-zero for in w.peers[:npeers], and the site composition in
-// w.byType; the caller zeroes what it reads.
+// leaves the crossing-link counts in c.links with the peers they are
+// non-zero for in c.peers[:npeers], and the site composition in
+// c.byType; the caller zeroes what it reads.
 //
 //lint:hot
-func (w *tally) scanTask(owner []int32, t int) (npeers int) {
-	l, links, peers := w.l, w.links, w.peers
+func (w *tally) scanTask(c *counters, owner []int32, t int) (npeers int) {
+	l, links, peers := w.l, c.links, c.peers
 	xs, ys, zs := w.xs, w.ys, w.zs
 	var row [lbm.NQ]int32
 	for _, si := range w.order[w.start[t]:w.start[t+1]] {
@@ -441,7 +504,7 @@ func (w *tally) scanTask(owner []int32, t int) (npeers int) {
 				links[peer]++
 			}
 		}
-		w.byType[l.Type(int(si))]++
+		c.byType[l.Type(int(si))]++
 	}
 	return npeers
 }
@@ -455,13 +518,13 @@ func (w *tally) scanTask(owner []int32, t int) (npeers int) {
 // ancestor stay inside t and drop out; points and composition add.
 //
 //lint:hot
-func (w *tally) mergeTask(children []Task, t, shift int) (points, npeers int) {
-	links, peers := w.links, w.peers
-	for c := range children {
-		child := &children[c]
+func (w *tally) mergeTask(c *counters, children []Task, t, shift int) (points, npeers int) {
+	links, peers := c.links, c.peers
+	for i := range children {
+		child := &children[i]
 		points += child.Points
 		for _, typ := range w.kinds {
-			w.byType[typ] += int32(child.ByType[typ])
+			c.byType[typ] += int32(child.ByType[typ])
 		}
 		for _, h := range child.Sends {
 			peer := int32(h.Peer >> shift)

@@ -3,8 +3,10 @@ package decomp_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/campaign"
@@ -128,6 +130,75 @@ func TestMergedLevelsMatchReference(t *testing.T) {
 				}
 				for i, k := range counts {
 					checkAgainstReference(t, fmt.Sprintf("%s@6 %s sweep%v[%d]", shape, name, counts, i), s, k, m, parts[i])
+				}
+			}
+		}
+	}
+}
+
+// samePartition reports the first difference between two partitions,
+// Bytes compared by their bits, or "" when there is none.
+func samePartition(got, want *decomp.Partition) string {
+	if !reflect.DeepEqual(got.Owner, want.Owner) || len(got.Tasks) != len(want.Tasks) {
+		return firstDifference(got, want)
+	}
+	for i := range want.Tasks {
+		g, w := got.Tasks[i], want.Tasks[i]
+		if math.Float64bits(g.Bytes) != math.Float64bits(w.Bytes) {
+			return fmt.Sprintf(": task %d bytes %v, want %v", i, g.Bytes, w.Bytes)
+		}
+		if g.ID != w.ID || g.Points != w.Points || !reflect.DeepEqual(g.ByType, w.ByType) || !reflect.DeepEqual(g.Sends, w.Sends) {
+			return fmt.Sprintf(": task %d is\n%+v, want\n%+v", i, g, w)
+		}
+	}
+	return ""
+}
+
+// TestRCBIndependentOfGOMAXPROCS decomposes aorta@16 (207 k sites, above
+// lbm.SetupFloor: site coordinates, subtrees of the bisection and the
+// link scan run on several goroutines) and cylinder@6 (below it: one)
+// under GOMAXPROCS 1, 2 and 8. Every partition — RCB at counts that do
+// and do not nest, and the calibration sweep, merged levels included —
+// must equal the one-goroutine one, and aorta@16's RCBs under GOMAXPROCS
+// 8 the sort-based reference.
+func TestRCBIndependentOfGOMAXPROCS(t *testing.T) {
+	m := lbm.HarveyAccess()
+	counts := []int{2, 3, 128}
+	for _, c := range []struct {
+		shape string
+		scale float64
+	}{{"aorta", 16}, {"cylinder", 6}} {
+		s := buildSolver(t, c.shape, c.scale)
+		sweep := core.CalibrationCounts(s.N())
+		var want []*decomp.Partition
+		for _, procs := range []int{1, 2, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			var got []*decomp.Partition
+			for _, k := range counts {
+				p, err := decomp.RCB(s, k, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, p)
+			}
+			parts, err := decomp.RCBSweep(s, sweep, m)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, parts...)
+			if procs == 8 && c.scale > 8 { // the small lattice is held to the reference elsewhere
+				for i, k := range counts {
+					checkAgainstReference(t, fmt.Sprintf("%s@%g RCB(%d)", c.shape, c.scale, k), s, k, m, got[i])
+				}
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range want {
+				if d := samePartition(got[i], want[i]); d != "" {
+					t.Errorf("%s@%g GOMAXPROCS %d: %d-task partition differs from GOMAXPROCS 1%s", c.shape, c.scale, procs, want[i].NTasks, d)
 				}
 			}
 		}

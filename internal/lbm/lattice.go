@@ -93,10 +93,17 @@ func NewLattice(dom *geometry.Domain, p Params) (*Lattice, error) {
 	if inlets == 0 && p.UMax > 0 && !p.PeriodicX {
 		return nil, fmt.Errorf("lbm: UMax set but domain %q has no inlet sites", dom.Name)
 	}
-	gidx := l.gidx
-	nvec := make([]uint8, len(gidx))
-	var at scanCursor
-	for si, g := range gidx {
+	l.nvec = make([]uint8, l.n)
+	ForRanges(l.n, SetupWorkers(l.n), func(_, lo, hi int) { l.countVectors(lo, hi) })
+	return l, nil
+}
+
+// countVectors records the stored-vector count of sites [lo, hi): the
+// rest vector and one per fluid link.
+func (l *Lattice) countVectors(lo, hi int) {
+	nvec := l.nvec[lo:hi]
+	at := l.cursorAt(lo)
+	for i, g := range l.gidx[lo:hi] {
 		x, y, z := at.coords(l, int(g))
 		vectors := uint8(1) // rest
 		if l.offFaces(x, y, z) {
@@ -112,10 +119,10 @@ func NewLattice(dom *geometry.Domain, p Params) (*Lattice, error) {
 				}
 			}
 		}
-		nvec[si] = vectors
+		if i < len(nvec) {
+			nvec[i] = vectors
+		}
 	}
-	l.nvec = nvec
-	return l, nil
 }
 
 // LinkRow fills row with the links of local site si, whose coordinates
@@ -142,22 +149,40 @@ func (l *Lattice) LinkRow(row *[NQ]int32, si, x, y, z int) {
 
 // linkTable returns every site's LinkRow back to back, n*NQ entries:
 // entry si*NQ+q is row[q] of site si. Sites come in global scan order,
-// so their coordinates advance row by row without a division.
+// so their coordinates advance row by row without a division; each range
+// of sites (ForRanges) starts its walk at its first site's row.
 func (l *Lattice) linkTable() []int32 {
 	table := make([]int32, l.n*NQ)
-	var at scanCursor
-	rows := table
-	for si, g := range l.gidx {
+	ForRanges(l.n, SetupWorkers(l.n), func(_, lo, hi int) { l.linkRows(table[lo*NQ:hi*NQ], lo, hi) })
+	return table
+}
+
+// linkRows fills rows with the LinkRows of sites [lo, hi), back to back.
+func (l *Lattice) linkRows(rows []int32, lo, hi int) {
+	at := l.cursorAt(lo)
+	for i, g := range l.gidx[lo:hi] {
+		if len(rows) < NQ {
+			return
+		}
 		x, y, z := at.coords(l, int(g))
-		l.LinkRow((*[NQ]int32)(rows[:NQ]), si, x, y, z)
+		l.LinkRow((*[NQ]int32)(rows[:NQ]), lo+i, x, y, z)
 		rows = rows[NQ:]
 	}
-	return table
 }
 
 // scanCursor recovers the coordinates of global indices visited in
 // ascending order, advancing a row at a time instead of dividing.
 type scanCursor struct{ y, z, rowStart int }
+
+// cursorAt returns a cursor on the row of local site si, for a walk that
+// starts there; past the last site it is the zero cursor.
+func (l *Lattice) cursorAt(si int) scanCursor {
+	if si >= l.n {
+		return scanCursor{}
+	}
+	row := int(l.gidx[si]) / l.NX
+	return scanCursor{y: row % l.NY, z: row / l.NY, rowStart: row * l.NX}
+}
 
 func (c *scanCursor) coords(l *Lattice, g int) (x, y, z int) {
 	for g >= c.rowStart+l.NX {

@@ -2,6 +2,7 @@ package lbm_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -106,6 +107,71 @@ func TestLinksMatchDomainScan(t *testing.T) {
 	}
 }
 
+// setupProcs are the GOMAXPROCS settings set-up must not depend on: one
+// goroutine, this host's two, and more than a lattice of aorta@16's size
+// is split into.
+var setupProcs = []int{1, 2, 8}
+
+// TestNewSparseIndependentOfGOMAXPROCS builds each solver under every
+// setupProcs: aorta@16 (207 k sites) is above lbm.SetupFloor and its
+// link table, vector counts and rest state are filled over site ranges
+// on several goroutines; cylinder@6 is below it and built on one. Every
+// build must hold exactly the rows LinkRow derives site by site, the
+// same vector counts and bitwise the same cells as the one-goroutine
+// build.
+func TestNewSparseIndependentOfGOMAXPROCS(t *testing.T) {
+	for _, c := range []struct {
+		shape    string
+		scale    float64
+		periodic bool
+	}{{"aorta", 16, false}, {"aorta", 16, true}, {"cylinder", 6, false}} {
+		dom, err := campaign.BuildGeometry(c.shape, c.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := lbm.Params{Tau: 0.9, UMax: 0.02, PeriodicX: c.periodic}
+		if c.periodic {
+			p.UMax = 0
+		}
+		label := fmt.Sprintf("%s@%g periodic=%v", c.shape, c.scale, c.periodic)
+		var want *lbm.Sparse
+		for _, procs := range setupProcs {
+			prev := runtime.GOMAXPROCS(procs)
+			got, err := lbm.NewSparse(dom, p)
+			split := lbm.SetupWorkers(got.N()) > 1
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if above := got.N() >= 2*lbm.SetupFloor; split != (above && procs > 1) {
+				t.Fatalf("%s: %d sites at GOMAXPROCS %d split=%v", label, got.N(), procs, split)
+			}
+			if want == nil {
+				want = got
+			}
+			var row [lbm.NQ]int32
+			for si := 0; si < got.N(); si++ {
+				x, y, z := got.SiteCoords(si)
+				got.LinkRow(&row, si, x, y, z)
+				for q := 0; q < lbm.NQ; q++ {
+					if nb := got.Neighbor(si, q); nb != int(row[q]) {
+						t.Fatalf("%s GOMAXPROCS %d: Neighbor(%d,%d) = %d, LinkRow says %d", label, procs, si, q, nb, row[q])
+					}
+				}
+				if got.Vectors(si) != want.Vectors(si) {
+					t.Fatalf("%s GOMAXPROCS %d: Vectors(%d) = %d, want %d", label, procs, si, got.Vectors(si), want.Vectors(si))
+				}
+				a, b := got.Cell(si), want.Cell(si)
+				for q := range a {
+					if math.Float64bits(a[q]) != math.Float64bits(b[q]) {
+						t.Fatalf("%s GOMAXPROCS %d: cell %d slot %d = %v, want %v", label, procs, si, q, a[q], b[q])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestLatticeAllocatesByFluidSites is the byte bound of a lattice, in a
 // sparse box and a dense one. cerebral@6 is a 3.5 M-voxel box around
 // 7.5 k fluid sites, and its lattice — site tables and the index —
@@ -187,7 +253,7 @@ func BenchmarkNewSparse(b *testing.B) {
 	for _, c := range []struct {
 		shape string
 		scale float64
-	}{{"cylinder", 8}, {"aorta", 8}, {"cerebral", 8}} {
+	}{{"cylinder", 8}, {"aorta", 8}, {"cerebral", 8}, {"aorta", 16}} {
 		name := fmt.Sprintf("%s@%g", c.shape, c.scale)
 		dom, err := campaign.BuildGeometry(c.shape, c.scale)
 		if err != nil {

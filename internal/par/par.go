@@ -11,6 +11,13 @@
 // on one distribution array per rank, plus a halo of one value per remote
 // link), so a parallel run reproduces the serial result bitwise regardless
 // of rank count — the key correctness oracle.
+//
+// As MPI ranks build their own blocks, NewRunner builds each rank on a
+// goroutine of its own once a lattice reaches twice lbm.SetupFloor sites
+// (fewer goroutines than ranks share them in rank order); the only serial
+// work is the pass that lists each rank's sites and the wiring of edges
+// to their receivers in rank order. No rank's build reads another's, so
+// the runner does not depend on GOMAXPROCS.
 package par
 
 import (
@@ -127,10 +134,17 @@ func (r *Runner) SetClock(c Clock) {
 
 // NewRunner builds per-rank state from the serial engine s (its current
 // distributions and step count become the initial condition) and
-// partition p.
+// partition p. One serial pass checks the owners and lists each rank's
+// sites and boundaries; then every rank builds its arrays, link rows and
+// outgoing edges (buildRank), the edges are wired to their receivers in
+// rank order, and every rank fills its ghost tables and state (fill), the
+// ranks of each stage on their own goroutines (lbm.ForRanges).
 func NewRunner(s *lbm.Sparse, p *decomp.Partition) (*Runner, error) {
 	if len(p.Owner) != s.N() {
 		return nil, fmt.Errorf("par: partition covers %d sites, lattice has %d", len(p.Owner), s.N())
+	}
+	if p.NTasks < 1 {
+		return nil, fmt.Errorf("par: partition has %d tasks", p.NTasks)
 	}
 	r := &Runner{
 		params:  s.Params,
@@ -141,14 +155,17 @@ func NewRunner(s *lbm.Sparse, p *decomp.Partition) (*Runner, error) {
 	}
 	copy(r.ownerOf, p.Owner)
 
-	// Owned-site lists in serial order.
+	// Owned-site lists in serial order, checking every owner before any
+	// rank is built.
 	r.ranks = make([]*rank, p.NTasks)
 	for t := range r.ranks {
 		r.ranks[t] = &rank{id: t}
 	}
 	own := make([][]int32, p.NTasks)
-	for si := 0; si < s.N(); si++ {
-		t := p.Owner[si]
+	for si, t := range p.Owner {
+		if t < 0 || int(t) >= p.NTasks {
+			return nil, fmt.Errorf("par: site %d is owned by task %d, outside [0, %d)", si, t, p.NTasks)
+		}
 		r.localOf[si] = int32(len(own[t]))
 		own[t] = append(own[t], int32(si))
 	}
@@ -158,84 +175,116 @@ func NewRunner(s *lbm.Sparse, p *decomp.Partition) (*Runner, error) {
 		rk.bounds = append(rk.bounds, b)
 	}
 
-	// Per-rank arrays, link rows and outgoing edges. A link into another
-	// rank's block is collected under the receiving rank with the flat
-	// slot it leaves from and the flat slot it arrives in.
-	type link struct{ src, dst int32 }
-	for t, rk := range r.ranks {
-		n := len(own[t])
-		rk.f = make([]float64, n*lbm.NQ)
-		rk.links = make([]int32, n*lbm.NQ)
-		out := make(map[int32][]link) // receiver -> links
-		remote := 0
-		for i, si := range own[t] {
-			for q := 0; q < lbm.NQ; q++ {
-				slot := int32(i*lbm.NQ + q)
-				nb := s.Neighbor(int(si), q)
-				switch {
-				case nb < 0:
-					rk.links[slot] = -1
-				case p.Owner[nb] == int32(t):
-					rk.links[slot] = r.localOf[nb]
-				default:
-					peer := p.Owner[nb]
-					out[peer] = append(out[peer], link{src: slot, dst: r.localOf[nb]*lbm.NQ + int32(q)})
-					remote++
-				}
-			}
+	// Each rank's block and outgoing edges. Ranks are wired in order, so
+	// every rank's incoming plans come out sorted by peer, as its
+	// outgoing ones are.
+	workers := lbm.SetupWorkers(s.N())
+	wires := make([][]wire, p.NTasks)
+	lbm.ForRanges(p.NTasks, workers, func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			wires[t] = r.buildRank(s, p.Owner, own[t], t)
 		}
-
-		// Edges in peer order; ranks are visited in order, so every
-		// rank's incoming plans come out sorted by peer too. Within an
-		// edge the canonical link order, shared by both ends, is
-		// ascending (receiving site, direction): ascending arrival slot.
-		rk.halo = make([]float64, remote)
-		peers := make([]int32, 0, len(out))
-		for peer := range out {
-			peers = append(peers, peer)
-		}
-		sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-		base := 0
-		for _, peer := range peers {
-			ls := out[peer]
-			sort.Slice(ls, func(i, j int) bool { return ls[i].dst < ls[j].dst })
-			e := &edge{ch: make(chan []float64, 1)}
-			e.bufs[0] = make([]float64, len(ls))
-			e.bufs[1] = make([]float64, len(ls))
-			srcFlat := make([]int32, len(ls))
-			dstFlat := make([]int32, len(ls))
-			for k, l := range ls {
-				rk.links[l.src] = lbm.RemoteLink(base + k)
-				q := l.src % lbm.NQ
-				srcFlat[k] = l.src - q + int32(lbm.Opp[q]) // where the even pass leaves it
-				dstFlat[k] = l.dst
-			}
-			rk.sendTo = append(rk.sendTo, sendPlan{peer: int(peer), e: e, seg: rk.halo[base : base+len(ls)], srcFlat: srcFlat})
-			receiver := r.ranks[peer]
-			receiver.recvFrom = append(receiver.recvFrom, recvPlan{peer: t, e: e, dstFlat: dstFlat})
-			base += len(ls)
+	})
+	for _, ws := range wires {
+		for _, w := range ws {
+			receiver := r.ranks[w.to]
+			receiver.recvFrom = append(receiver.recvFrom, w.plan)
 		}
 	}
-
-	// With every link row wired: an arriving value bound for slot q of
-	// cell y is the receiver's own link (y, opp q), whose halo slot it
-	// fills after an even step. Then the state, in the layout of its step
-	// count.
-	for t, rk := range r.ranks {
-		for k := range rk.recvFrom {
-			rp := &rk.recvFrom[k]
-			rp.ghost = make([]int32, len(rp.dstFlat))
-			for j, dst := range rp.dstFlat {
-				q := dst % lbm.NQ
-				rp.ghost[j] = lbm.RemoteLink(0) - rk.links[dst-q+int32(lbm.Opp[q])] // k of RemoteLink(k)
-			}
+	lbm.ForRanges(p.NTasks, workers, func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			r.ranks[t].fill(s, own[t], r.steps)
 		}
-		for i, si := range own[t] {
-			cell := s.Cell(int(si))
-			lbm.StoreCell(rk.f, rk.links, rk.halo, i, r.steps, &cell)
-		}
-	}
+	})
 	return r, nil
+}
+
+// wire is an edge as its sender builds it: the receiving rank and the
+// plan it receives the edge's messages by.
+type wire struct {
+	to   int32
+	plan recvPlan
+}
+
+// buildRank allocates rank t's arrays and derives its link rows and its
+// outgoing edges from s's link table; own lists its sites in serial
+// order. A link into another rank's block is collected under the
+// receiving rank with the flat slot it leaves from and the flat slot it
+// arrives in. It returns the edges for their receivers.
+func (r *Runner) buildRank(s *lbm.Sparse, owner, own []int32, t int) []wire {
+	type link struct{ src, dst int32 }
+	rk := r.ranks[t]
+	n := len(own)
+	rk.f = make([]float64, n*lbm.NQ)
+	rk.links = make([]int32, n*lbm.NQ)
+	out := make(map[int32][]link) // receiver -> links
+	remote := 0
+	for i, si := range own {
+		for q := 0; q < lbm.NQ; q++ {
+			slot := int32(i*lbm.NQ + q)
+			nb := s.Neighbor(int(si), q)
+			switch {
+			case nb < 0:
+				rk.links[slot] = -1
+			case owner[nb] == int32(t):
+				rk.links[slot] = r.localOf[nb]
+			default:
+				peer := owner[nb]
+				out[peer] = append(out[peer], link{src: slot, dst: r.localOf[nb]*lbm.NQ + int32(q)})
+				remote++
+			}
+		}
+	}
+
+	// Edges in peer order. Within an edge the canonical link order, shared
+	// by both ends, is ascending (receiving site, direction): ascending
+	// arrival slot.
+	rk.halo = make([]float64, remote)
+	peers := make([]int32, 0, len(out))
+	for peer := range out {
+		peers = append(peers, peer)
+	}
+	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	wires := make([]wire, 0, len(peers))
+	base := 0
+	for _, peer := range peers {
+		ls := out[peer]
+		sort.Slice(ls, func(i, j int) bool { return ls[i].dst < ls[j].dst })
+		e := &edge{ch: make(chan []float64, 1)}
+		e.bufs[0] = make([]float64, len(ls))
+		e.bufs[1] = make([]float64, len(ls))
+		srcFlat := make([]int32, len(ls))
+		dstFlat := make([]int32, len(ls))
+		for k, l := range ls {
+			rk.links[l.src] = lbm.RemoteLink(base + k)
+			q := l.src % lbm.NQ
+			srcFlat[k] = l.src - q + int32(lbm.Opp[q]) // where the even pass leaves it
+			dstFlat[k] = l.dst
+		}
+		rk.sendTo = append(rk.sendTo, sendPlan{peer: int(peer), e: e, seg: rk.halo[base : base+len(ls)], srcFlat: srcFlat})
+		wires = append(wires, wire{to: peer, plan: recvPlan{peer: t, e: e, dstFlat: dstFlat}})
+		base += len(ls)
+	}
+	return wires
+}
+
+// fill builds the rank's ghost tables, once every link row is wired, and
+// stores its sites' state from s in the layout of the step count steps.
+// An arriving value bound for slot q of cell y is the rank's own link
+// (y, opp q), whose halo slot it fills after an even step.
+func (rk *rank) fill(s *lbm.Sparse, own []int32, steps int) {
+	for k := range rk.recvFrom {
+		rp := &rk.recvFrom[k]
+		rp.ghost = make([]int32, len(rp.dstFlat))
+		for j, dst := range rp.dstFlat {
+			q := dst % lbm.NQ
+			rp.ghost[j] = lbm.RemoteLink(0) - rk.links[dst-q+int32(lbm.Opp[q])] // k of RemoteLink(k)
+		}
+	}
+	for i, si := range own {
+		cell := s.Cell(int(si))
+		lbm.StoreCell(rk.f, rk.links, rk.halo, i, steps, &cell)
+	}
 }
 
 // Run advances all ranks by the given number of timesteps concurrently.

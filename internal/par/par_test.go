@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/decomp"
 	"repro/internal/geometry"
 	"repro/internal/lbm"
@@ -200,6 +201,81 @@ func TestNewRunnerRejectsMismatchedPartition(t *testing.T) {
 	bad := &decomp.Partition{NTasks: 2, Owner: make([]int32, 3)}
 	if _, err := NewRunner(s, bad); err == nil {
 		t.Error("want error for mismatched partition")
+	}
+}
+
+// TestNewRunnerRejectsBadOwners: an owner outside [0, NTasks), or a
+// partition of no tasks, is an error from the serial pass, before any
+// rank is built on a goroutine where it would take the process down.
+func TestNewRunnerRejectsBadOwners(t *testing.T) {
+	dom, err := geometry.Cylinder(12, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := lbm.NewSparse(dom, lbm.Params{Tau: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		ntasks int
+		owner  int32
+	}{{2, 5}, {2, 2}, {2, -1}, {0, 0}, {-1, 0}} {
+		bad := &decomp.Partition{NTasks: c.ntasks, Owner: make([]int32, s.N())}
+		bad.Owner[0] = c.owner
+		if _, err := NewRunner(s, bad); err == nil {
+			t.Errorf("%d tasks, site 0 owned by %d: want an error", c.ntasks, c.owner)
+		}
+	}
+}
+
+// TestNewRunnerIndependentOfGOMAXPROCS builds runners under GOMAXPROCS
+// 1, 2 and 8 and steps each three times: on aorta@16 (above
+// lbm.SetupFloor, the ranks are built on several goroutines) and
+// cylinder@6 (below it, on one), at two ranks and at five. Every cell
+// must be bitwise what the one-goroutine build reaches.
+func TestNewRunnerIndependentOfGOMAXPROCS(t *testing.T) {
+	for _, c := range []struct {
+		shape string
+		scale float64
+	}{{"aorta", 16}, {"cylinder", 6}} {
+		dom, err := campaign.BuildGeometry(c.shape, c.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := lbm.NewSparse(dom, lbm.Params{Tau: 0.9, UMax: 0.02})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run(1) // start from an odd step count, off the rest state
+		for _, ntasks := range []int{2, 5} {
+			part, err := decomp.RCB(s, ntasks, lbm.HarveyAccess())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want *Runner
+			for _, procs := range []int{1, 2, 8} {
+				prev := runtime.GOMAXPROCS(procs)
+				got, err := NewRunner(s, part)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.Run(3)
+				if want == nil {
+					want = got
+					continue
+				}
+				for si := 0; si < s.N(); si++ {
+					a, b := got.Cell(si), want.Cell(si)
+					for q := range a {
+						if math.Float64bits(a[q]) != math.Float64bits(b[q]) {
+							t.Fatalf("%s@%g, %d ranks, GOMAXPROCS %d: cell %d slot %d = %v, want %v",
+								c.shape, c.scale, ntasks, procs, si, q, a[q], b[q])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -540,4 +616,29 @@ func BenchmarkRunnerRun(b *testing.B) {
 	perSite := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(s.N())
 	b.ReportMetric(perSite, "ns/site")
 	b.ReportMetric(1e3/perSite, "MFLUPS")
+}
+
+// BenchmarkNewRunner times building a runner for aorta@16 (207 k sites)
+// over a one-rank-per-CPU RCB, from the engine's rest state: the set-up
+// stage par adds to a solve.
+func BenchmarkNewRunner(b *testing.B) {
+	dom, err := geometry.Aorta(16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := lbm.NewSparse(dom, lbm.Params{Tau: 0.9, UMax: 0.02})
+	if err != nil {
+		b.Fatal(err)
+	}
+	part, err := decomp.RCB(s, runtime.GOMAXPROCS(0), lbm.HarveyAccess())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewRunner(s, part); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
