@@ -41,6 +41,12 @@ func main() {
 		coll   = flag.String("collision", "bgk", "collision operator: bgk or trt")
 	)
 	flag.Parse()
+	if *steps < 0 {
+		fatal(fmt.Errorf("-steps %d: want 0 or more", *steps))
+	}
+	if *ranks < 1 {
+		fatal(fmt.Errorf("-ranks %d: want 1 or more", *ranks))
+	}
 
 	dom, err := campaign.BuildGeometry(*geom, *scale)
 	fatal(err)

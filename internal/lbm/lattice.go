@@ -147,29 +147,6 @@ func (l *Lattice) LinkRow(row *[NQ]int32, si, x, y, z int) {
 	}
 }
 
-// linkTable returns every site's LinkRow back to back, n*NQ entries:
-// entry si*NQ+q is row[q] of site si. Sites come in global scan order,
-// so their coordinates advance row by row without a division; each range
-// of sites (ForRanges) starts its walk at its first site's row.
-func (l *Lattice) linkTable() []int32 {
-	table := make([]int32, l.n*NQ)
-	ForRanges(l.n, SetupWorkers(l.n), func(_, lo, hi int) { l.linkRows(table[lo*NQ:hi*NQ], lo, hi) })
-	return table
-}
-
-// linkRows fills rows with the LinkRows of sites [lo, hi), back to back.
-func (l *Lattice) linkRows(rows []int32, lo, hi int) {
-	at := l.cursorAt(lo)
-	for i, g := range l.gidx[lo:hi] {
-		if len(rows) < NQ {
-			return
-		}
-		x, y, z := at.coords(l, int(g))
-		l.LinkRow((*[NQ]int32)(rows[:NQ]), lo+i, x, y, z)
-		rows = rows[NQ:]
-	}
-}
-
 // scanCursor recovers the coordinates of global indices visited in
 // ascending order, advancing a row at a time instead of dividing.
 type scanCursor struct{ y, z, rowStart int }

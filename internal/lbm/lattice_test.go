@@ -75,10 +75,11 @@ func TestLinksMatchDomainScan(t *testing.T) {
 				t.Fatalf("%s: %v", dom.Name, err)
 			}
 			l := s.Lattice
-			var row [lbm.NQ]int32
+			var row, stored [lbm.NQ]int32
 			for si := 0; si < l.N(); si++ {
 				x, y, z := l.SiteCoords(si)
 				l.LinkRow(&row, si, x, y, z)
+				s.Links().Row(si, &stored)
 				vectors := 1
 				for q := 0; q < lbm.NQ; q++ {
 					nx := x + lbm.Cx[q]
@@ -92,8 +93,8 @@ func TestLinksMatchDomainScan(t *testing.T) {
 					if got := int(row[q]); got != want {
 						t.Fatalf("%s periodic=%v: LinkRow(%d)[%d] = %d, want %d", dom.Name, periodic, si, q, got, want)
 					}
-					if got := s.Neighbor(si, q); got != want {
-						t.Fatalf("%s periodic=%v: Sparse.Neighbor(%d,%d) = %d, want %d", dom.Name, periodic, si, q, got, want)
+					if got := int(stored[q]); got != want {
+						t.Fatalf("%s periodic=%v: Links.Row(%d)[%d] = %d, want %d", dom.Name, periodic, si, q, got, want)
 					}
 					if q > 0 && want >= 0 {
 						vectors++
@@ -117,8 +118,8 @@ var setupProcs = []int{1, 2, 8}
 // link table, vector counts and rest state are filled over site ranges
 // on several goroutines; cylinder@6 is below it and built on one. Every
 // build must hold exactly the rows LinkRow derives site by site, the
-// same vector counts and bitwise the same cells as the one-goroutine
-// build.
+// same table — runs and rows — as the one-goroutine build, the same
+// vector counts and bitwise the same cells.
 func TestNewSparseIndependentOfGOMAXPROCS(t *testing.T) {
 	for _, c := range []struct {
 		shape    string
@@ -149,14 +150,16 @@ func TestNewSparseIndependentOfGOMAXPROCS(t *testing.T) {
 			if want == nil {
 				want = got
 			}
-			var row [lbm.NQ]int32
+			if !lbm.SameLinks(got.Links(), want.Links()) {
+				t.Fatalf("%s GOMAXPROCS %d: the link table differs from the one-goroutine build's", label, procs)
+			}
+			var row, stored [lbm.NQ]int32
 			for si := 0; si < got.N(); si++ {
 				x, y, z := got.SiteCoords(si)
 				got.LinkRow(&row, si, x, y, z)
-				for q := 0; q < lbm.NQ; q++ {
-					if nb := got.Neighbor(si, q); nb != int(row[q]) {
-						t.Fatalf("%s GOMAXPROCS %d: Neighbor(%d,%d) = %d, LinkRow says %d", label, procs, si, q, nb, row[q])
-					}
+				got.Links().Row(si, &stored)
+				if stored != row {
+					t.Fatalf("%s GOMAXPROCS %d: Links.Row(%d) = %v, LinkRow says %v", label, procs, si, stored, row)
 				}
 				if got.Vectors(si) != want.Vectors(si) {
 					t.Fatalf("%s GOMAXPROCS %d: Vectors(%d) = %d, want %d", label, procs, si, got.Vectors(si), want.Vectors(si))
@@ -169,6 +172,25 @@ func TestNewSparseIndependentOfGOMAXPROCS(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSparseLinksBytes is the byte bound of a solver's link table on the
+// benchmark's lattice, aorta@16: at most 20 bytes a fluid site, counted
+// from the table's capacities, where one NQ-int32 row a site is 76. Bulk
+// runs keep one offset vector for tens of sites.
+func TestSparseLinksBytes(t *testing.T) {
+	dom, err := campaign.BuildGeometry("aorta", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := lbm.NewSparse(dom, lbm.Params{Tau: 0.9, UMax: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, bound := s.Links().Bytes(), 20*s.N(); got > bound {
+		t.Errorf("aorta@16's link table holds %d bytes for %d fluid sites (%.1f a site), bound %d",
+			got, s.N(), float64(got)/float64(s.N()), bound)
 	}
 }
 

@@ -54,18 +54,23 @@ func referenceInletProfile(s *Sparse) []float64 {
 }
 
 // referenceState is the flow referenceStep advances on a solver's lattice:
-// two arrays, both in the natural layout, and the step count.
+// two arrays, both in the natural layout, the step count, and the flat
+// link table the step read before runs: every site's Lattice.LinkRow, back
+// to back, derived here and not taken from the solver's Links.
 type referenceState struct {
 	f, fnew []float64
 	steps   int
+	neigh   []int32
 }
 
 // newReference copies the state of s.
 func newReference(s *Sparse) *referenceState {
-	r := &referenceState{f: make([]float64, s.n*NQ), fnew: make([]float64, s.n*NQ), steps: s.steps}
+	r := &referenceState{f: make([]float64, s.n*NQ), fnew: make([]float64, s.n*NQ), steps: s.steps, neigh: make([]int32, s.n*NQ)}
 	for si := 0; si < s.n; si++ {
 		c := s.Cell(si)
 		copy(r.f[si*NQ:], c[:])
+		x, y, z := s.SiteCoords(si)
+		s.LinkRow((*[NQ]int32)(r.neigh[si*NQ:]), si, x, y, z)
 	}
 	return r
 }
@@ -73,10 +78,10 @@ func newReference(s *Sparse) *referenceState {
 // referenceStep is Sparse.Step as it was before the fused step body,
 // verbatim but for the inlet profile, which the solver no longer keeps per
 // site and the caller hands in (referenceInletProfile), and the two
-// arrays, which the solver no longer keeps and r holds: collide in place
-// through the rolled CollideCell, pull-stream into fnew with halfway
-// bounce-back, then override inlets and outlets by scanning every site's
-// type. It is the oracle CollideStream, ApplyBoundaries, the boundary list
+// arrays and the flat link table, which the solver no longer keeps and r
+// holds: collide in place through the rolled CollideCell, pull-stream
+// into fnew with halfway bounce-back, then override inlets and outlets by
+// scanning every site's type. It is the oracle CollideStream, ApplyBoundaries, the boundary list
 // and every readout are held to, slot by slot.
 func referenceStep(s *Sparse, r *referenceState, inletU []float64) {
 	fx, fy, fz := s.Params.Force[0], s.Params.Force[1], s.Params.Force[2]
@@ -94,7 +99,7 @@ func referenceStep(s *Sparse, r *referenceState, inletU []float64) {
 	// upstream site is solid, halfway bounce-back reads the opposite
 	// distribution of the local cell.
 	fnew := r.fnew
-	fw, nw, ww := f, fnew, s.neigh
+	fw, nw, ww := f, fnew, r.neigh
 	for len(fw) >= NQ && len(nw) >= NQ && len(ww) >= NQ {
 		lw := (*[NQ]float64)(fw[:NQ])
 		out := (*[NQ]float64)(nw[:NQ])

@@ -19,11 +19,10 @@ type Sparse struct {
 	Dom    *geometry.Domain
 	Params Params
 
-	// neigh[s*NQ+q] is the local index of the site at x + c_q, or
-	// solidNeighbor when that site is solid (bounce-back), for every
-	// fluid site s: the lattice's LinkRows, stored because every odd
-	// step reads all of them.
-	neigh []int32
+	// The lattice's LinkRow of every fluid site, stored because every odd
+	// step reads all of them: in runs where a stretch of bulk sites
+	// shares its offsets, as explicit rows elsewhere (Links).
+	links Links
 
 	// n*NQ distributions, AOS: in the natural layout after an even
 	// number of steps, in the swapped one after an odd number (see
@@ -46,7 +45,7 @@ func NewSparse(dom *geometry.Domain, p Params) (*Sparse, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sparse{Lattice: l, Dom: dom, Params: p, neigh: l.linkTable()}
+	s := &Sparse{Lattice: l, Dom: dom, Params: p, links: l.linkTable()}
 	s.buildBoundaries()
 
 	// Rest-state initialization, over the ranges the link table was built
@@ -133,20 +132,23 @@ func (s *Sparse) SetSteps(n int) {
 // Values on solid links and at rest stay put.
 func (s *Sparse) swapLayout() {
 	f := s.f
-	for slot, nb := range s.neigh {
-		q := slot % NQ
-		a, b := slot-q+Opp[q], int(nb)*NQ+q
-		if nb >= 0 && a < b { // each pair once, from its lower end
-			f[a], f[b] = f[b], f[a]
+	rows := s.links.Cursor()
+	var row [NQ]int32
+	for i := 0; i < s.n; i++ {
+		rows.Row(i, &row)
+		for q := 1; q < NQ; q++ {
+			a, b := i*NQ+Opp[q], int(row[q])*NQ+q
+			if row[q] >= 0 && a < b { // each pair once, from its lower end
+				f[a], f[b] = f[b], f[a]
+			}
 		}
 	}
 }
 
-// Neighbor returns the local index of the site one lattice link along q
-// from si, or -1 when that link leaves the fluid: entry q of si's row in
-// the solver's link table. par.NewRunner builds its ranks' link rows from
-// it.
-func (s *Sparse) Neighbor(si, q int) int { return int(s.neigh[si*NQ+q]) }
+// Links returns the solver's link table: the lattice's LinkRow of every
+// fluid site, in the form CollideStream steps. par.NewRunner builds its
+// ranks' tables from it. Read only.
+func (s *Sparse) Links() *Links { return &s.links }
 
 // Boundaries returns the inlet and outlet sites in ascending order (none
 // in a periodic run, where they are bulk fluid). The slice aliases the
@@ -158,8 +160,8 @@ func (s *Sparse) Boundaries() []BoundarySite { return s.bounds }
 // streaming with halfway bounce-back on solid links), then the
 // boundary-condition overrides at inlets and outlets.
 func (s *Sparse) Step() {
-	CollideStream(s.f, s.neigh, nil, s.Params, s.steps)
-	ApplyBoundaries(s.f, s.neigh, nil, s.bounds, s.Params, s.steps)
+	CollideStream(s.f, &s.links, nil, s.Params, s.steps)
+	ApplyBoundaries(s.f, &s.links, nil, s.bounds, s.Params, s.steps)
 	s.steps++
 }
 
@@ -210,10 +212,10 @@ func (s *Sparse) MaxSpeed() float64 {
 }
 
 // Cell returns a copy of the distribution at local site si.
-func (s *Sparse) Cell(si int) [NQ]float64 { return LoadCell(s.f, s.neigh, nil, si, s.steps) }
+func (s *Sparse) Cell(si int) [NQ]float64 { return LoadCell(s.f, &s.links, nil, si, s.steps) }
 
 // SetCell overwrites the distribution at local site si.
-func (s *Sparse) SetCell(si int, c [NQ]float64) { StoreCell(s.f, s.neigh, nil, si, s.steps, &c) }
+func (s *Sparse) SetCell(si int, c [NQ]float64) { StoreCell(s.f, &s.links, nil, si, s.steps, &c) }
 
 // MFLUPS returns millions of fluid lattice-point updates per second for a
 // run of the given number of steps and wall-clock seconds (Eq. 7).

@@ -186,14 +186,16 @@ func TestSparseNoFluid(t *testing.T) {
 func TestSparseNeighborTableSymmetry(t *testing.T) {
 	// If site a sees site b along q, then b must see a along Opp[q].
 	s := poiseuilleCase(t, 10, 4, 0)
+	var row, back [NQ]int32
 	for si := 0; si < s.N(); si++ {
+		s.Links().Row(si, &row)
 		for q := 0; q < NQ; q++ {
-			nb := s.Neighbor(si, q)
+			nb := int(row[q])
 			if nb < 0 {
 				continue
 			}
-			if back := s.Neighbor(nb, Opp[q]); back != si {
-				t.Fatalf("neighbor asymmetry: %d --%d--> %d --%d--> %d", si, q, nb, Opp[q], back)
+			if s.Links().Row(nb, &back); int(back[Opp[q]]) != si {
+				t.Fatalf("neighbor asymmetry: %d --%d--> %d --%d--> %d", si, q, nb, Opp[q], back[Opp[q]])
 			}
 		}
 	}

@@ -26,7 +26,9 @@ func RemoteLink(k int) int32 { return remoteLink - int32(k) }
 //     q of the cell at x + c_q, the cell's own opposite slot when the link
 //     is solid, halo[k] when it is RemoteLink(k). The pass reads the
 //     cell's value along opp(q) from loc(i,q), collides, and writes c[q]
-//     back to loc(i,q). It ends in the natural layout.
+//     back to loc(i,q). It ends in the natural layout. Inside a run of
+//     links (Links) loc(i,q) − i*NQ is the same for every cell, and no
+//     row is read.
 //
 // Each cell touches only its own NQ locations, so both passes are in
 // place, and a cell's value along q after a step is the value push
@@ -36,10 +38,11 @@ func RemoteLink(k int) int32 { return remoteLink - int32(k) }
 // halo.
 //
 // The loops are shaped for the compiler's prover (gated by cmd/lint
-// -perfbudget): NQ-wide windows advance over the arrays, and every
-// scattered load and store is guarded by one unsigned compare that is
-// range test and bounds proof at once.
-func CollideStream(f []float64, links []int32, halo []float64, p Params, step int) {
+// -perfbudget): NQ-wide windows advance over the arrays, every scattered
+// load and store outside a run is guarded by one unsigned compare that is
+// range test and bounds proof at once, and a run's windows share the one
+// length its loop compares against.
+func CollideStream(f []float64, links *Links, halo []float64, p Params, step int) {
 	if step&1 == 0 {
 		collideSwap(f, p)
 	} else {
@@ -74,15 +77,29 @@ func collideSwap(f []float64, p Params) {
 	}
 }
 
-// collideLinked is the odd pass: find each cell's NQ locations through
-// its link row, gather the cell from them, collide it, and scatter it
-// back to the same locations.
-func collideLinked(f []float64, links []int32, halo []float64, p Params) {
+// collideLinked is the odd pass, in ascending cell order: the cells
+// between runs through their explicit rows (collideRows), each run
+// through its fixed offsets (collideRun).
+func collideLinked(f []float64, links *Links, halo []float64, p Params) {
+	rows, next := links.rows, 0
+	for k := range links.runs {
+		r := &links.runs[k]
+		rows = collideRows(f, f[next*NQ:int(r.lo)*NQ], rows, halo, p)
+		collideRun(f, r, p)
+		next = int(r.hi)
+	}
+	collideRows(f, f[next*NQ:], rows, halo, p)
+}
+
+// collideRows is the odd pass over the consecutive cells whose windows
+// fw holds, one row of lw each: find each cell's NQ locations through its
+// row, gather the cell from them, collide it, and scatter it back to the
+// same locations. It returns the rows it did not read.
+func collideRows(f, fw []float64, lw []int32, halo []float64, p Params) []int32 {
 	gx, gy, gz := p.Force[0], p.Force[1], p.Force[2]
 	omega := 1 / p.Tau
 	bgk := p.Collision == BGK
 	var in, c [NQ]float64
-	fw, lw := f, links
 	for len(fw) >= NQ && len(lw) >= NQ {
 		own := (*[NQ]float64)(fw[:NQ])
 		nb := (*[NQ]int32)(lw[:NQ])
@@ -135,6 +152,68 @@ func collideLinked(f []float64, links []int32, halo []float64, p Params) {
 		*l15, *l16 = c[15], c[16]
 		*l17, *l18 = c[17], c[18]
 	}
+	return lw
+}
+
+// collideRun is the odd pass over a run. Cell lo+k keeps its value along
+// q in slot q of cell lo+k+d[q], so direction q reads and writes one
+// window of f, from slot q of cell lo's neighbour along q, that advances
+// NQ slots a cell: no row is loaded and no location is tested. The
+// windows share one length, m, which the loop compares j against, so no
+// access in it carries a bounds check.
+func collideRun(f []float64, r *bulkRun, p Params) {
+	gx, gy, gz := p.Force[0], p.Force[1], p.Force[2]
+	omega := 1 / p.Tau
+	bgk := p.Collision == BGK
+	var in, c [NQ]float64
+	m := int(r.hi-r.lo-1)*NQ + 1
+	w0 := f[int(r.lo)*NQ:][:m]
+	w1 := f[int(r.lo+r.d[1])*NQ+1:][:m]
+	w2 := f[int(r.lo+r.d[2])*NQ+2:][:m]
+	w3 := f[int(r.lo+r.d[3])*NQ+3:][:m]
+	w4 := f[int(r.lo+r.d[4])*NQ+4:][:m]
+	w5 := f[int(r.lo+r.d[5])*NQ+5:][:m]
+	w6 := f[int(r.lo+r.d[6])*NQ+6:][:m]
+	w7 := f[int(r.lo+r.d[7])*NQ+7:][:m]
+	w8 := f[int(r.lo+r.d[8])*NQ+8:][:m]
+	w9 := f[int(r.lo+r.d[9])*NQ+9:][:m]
+	w10 := f[int(r.lo+r.d[10])*NQ+10:][:m]
+	w11 := f[int(r.lo+r.d[11])*NQ+11:][:m]
+	w12 := f[int(r.lo+r.d[12])*NQ+12:][:m]
+	w13 := f[int(r.lo+r.d[13])*NQ+13:][:m]
+	w14 := f[int(r.lo+r.d[14])*NQ+14:][:m]
+	w15 := f[int(r.lo+r.d[15])*NQ+15:][:m]
+	w16 := f[int(r.lo+r.d[16])*NQ+16:][:m]
+	w17 := f[int(r.lo+r.d[17])*NQ+17:][:m]
+	w18 := f[int(r.lo+r.d[18])*NQ+18:][:m]
+	for j := uint(0); j < uint(m); j += NQ {
+		in[0] = w0[j]
+		in[2], in[1] = w1[j], w2[j]
+		in[4], in[3] = w3[j], w4[j]
+		in[6], in[5] = w5[j], w6[j]
+		in[8], in[7] = w7[j], w8[j]
+		in[10], in[9] = w9[j], w10[j]
+		in[12], in[11] = w11[j], w12[j]
+		in[14], in[13] = w13[j], w14[j]
+		in[16], in[15] = w15[j], w16[j]
+		in[18], in[17] = w17[j], w18[j]
+		if bgk {
+			collideBGK(&c, &in, omega, gx, gy, gz)
+		} else {
+			c = in
+			CollideCell(&c, p, gx, gy, gz)
+		}
+		w0[j] = c[0]
+		w1[j], w2[j] = c[1], c[2]
+		w3[j], w4[j] = c[3], c[4]
+		w5[j], w6[j] = c[5], c[6]
+		w7[j], w8[j] = c[7], c[8]
+		w9[j], w10[j] = c[9], c[10]
+		w11[j], w12[j] = c[11], c[12]
+		w13[j], w14[j] = c[13], c[14]
+		w15[j], w16[j] = c[15], c[16]
+		w17[j], w18[j] = c[17], c[18]
+	}
 }
 
 // loc returns loc(i,q) of the cell whose window is own and whose link
@@ -154,12 +233,13 @@ func loc(f, halo []float64, own *[NQ]float64, nb int32, q, oq int) *float64 {
 // LoadCell returns cell i of a block whose state has made steps
 // timesteps: its window of f after an even number (the natural layout),
 // gathered through its link row and halo after an odd one.
-func LoadCell(f []float64, links []int32, halo []float64, i, steps int) (c [NQ]float64) {
+func LoadCell(f []float64, links *Links, halo []float64, i, steps int) (c [NQ]float64) {
 	own := (*[NQ]float64)(f[i*NQ : i*NQ+NQ])
 	if steps&1 == 0 {
 		return *own
 	}
-	nb := (*[NQ]int32)(links[i*NQ : i*NQ+NQ])
+	var nb [NQ]int32
+	links.Row(i, &nb)
 	c[0] = own[0]
 	for q := 1; q < NQ-1; q += 2 {
 		c[q+1] = *loc(f, halo, own, nb[q], q, q+1)
@@ -170,13 +250,14 @@ func LoadCell(f []float64, links []int32, halo []float64, i, steps int) (c [NQ]f
 
 // StoreCell overwrites cell i of a block whose state has made steps
 // timesteps, where LoadCell reads it.
-func StoreCell(f []float64, links []int32, halo []float64, i, steps int, c *[NQ]float64) {
+func StoreCell(f []float64, links *Links, halo []float64, i, steps int, c *[NQ]float64) {
 	own := (*[NQ]float64)(f[i*NQ : i*NQ+NQ])
 	if steps&1 == 0 {
 		*own = *c
 		return
 	}
-	nb := (*[NQ]int32)(links[i*NQ : i*NQ+NQ])
+	var nb [NQ]int32
+	links.Row(i, &nb)
 	own[0] = c[0]
 	for q := 1; q < NQ-1; q += 2 {
 		*loc(f, halo, own, nb[q], q, q+1) = c[q+1]
@@ -199,7 +280,7 @@ type BoundarySite struct {
 // the halo exchange, when every value is in place — over the ascending
 // list built once per engine. After an even pass a cell is read and
 // written through its link row and halo, as the odd pass reads it.
-func ApplyBoundaries(f []float64, links []int32, halo []float64, sites []BoundarySite, p Params, step int) {
+func ApplyBoundaries(f []float64, links *Links, halo []float64, sites []BoundarySite, p Params, step int) {
 	scale := p.Pulsatile.Scale(step)
 	var bc [NQ]float64
 	for _, b := range sites {

@@ -71,3 +71,95 @@ func FuzzRunnerMatchesSerial(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLinksMatchLinkRow draws a small vessel — a cylinder or a stenosis,
+// open or periodic — and an RCB of 1 to 8 ranks, and holds every rank's
+// link table to the serial lattice: entry q of each cell's Links.Row is
+// what the site's Lattice.LinkRow says through the owners and localOf —
+// -1 for a solid link, the local index of a neighbour the rank owns, and
+// for another rank's neighbour a halo slot whose edge leaves from the
+// cell's slot opp(q) for that rank and arrives at the neighbour's slot q.
+func FuzzLinksMatchLinkRow(f *testing.F) {
+	f.Add(uint8(0), uint8(3), false, uint8(2))
+	f.Add(uint8(1), uint8(4), true, uint8(5))
+	f.Add(uint8(2), uint8(0), true, uint8(7))
+	f.Add(uint8(3), uint8(9), false, uint8(0))
+	f.Fuzz(func(t *testing.T, shape, scale uint8, periodic bool, ranks uint8) {
+		n := 8 + int(scale)%9
+		var dom *geometry.Domain
+		var err error
+		if shape%2 == 0 {
+			dom, err = geometry.Cylinder(n, 2.5+float64(scale%5)/2)
+		} else {
+			dom, err = geometry.StenosedCylinder(n, 3+float64(scale%3)/2, 0.2+0.1*float64(shape%5), 1.5)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := lbm.Params{Tau: 0.8, UMax: 0.02}
+		if periodic {
+			p.PeriodicX, p.UMax = true, 0
+		}
+		serial, err := lbm.NewSparse(dom, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := decomp.RCB(serial, 1+int(ranks)%8, lbm.HarveyAccess())
+		if err != nil {
+			t.Fatal(err)
+		}
+		runner, err := NewRunner(serial, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner, localOf := runner.ownerOf, runner.localOf
+		for _, rk := range runner.ranks {
+			// Each halo slot's edge: the peer, the slot the value leaves
+			// from after an even pass, and the slot it arrives in.
+			type edgeSlot struct{ peer, src, dst int32 }
+			slots := make([]edgeSlot, 0, len(rk.halo))
+			for _, sp := range rk.sendTo {
+				var arrive []int32
+				for _, rp := range runner.ranks[sp.peer].recvFrom {
+					if rp.peer == rk.id {
+						arrive = rp.dstFlat
+					}
+				}
+				if len(arrive) != len(sp.srcFlat) {
+					t.Fatalf("rank %d: edge to %d leaves from %d slots and arrives in %d", rk.id, sp.peer, len(sp.srcFlat), len(arrive))
+				}
+				for j, src := range sp.srcFlat {
+					slots = append(slots, edgeSlot{int32(sp.peer), src, arrive[j]})
+				}
+			}
+			if len(slots) != len(rk.halo) {
+				t.Fatalf("rank %d: edges cover %d of %d halo slots", rk.id, len(slots), len(rk.halo))
+			}
+			var want, got [lbm.NQ]int32
+			for si, t0 := range owner {
+				if int(t0) != rk.id {
+					continue
+				}
+				i := int(localOf[si])
+				x, y, z := serial.SiteCoords(si)
+				serial.LinkRow(&want, si, x, y, z)
+				rk.links.Row(i, &got)
+				for q, nb := range want {
+					ok := false
+					switch k := int(lbm.RemoteLink(0) - got[q]); {
+					case nb < 0:
+						ok = got[q] == -1
+					case int(owner[nb]) == rk.id:
+						ok = got[q] == localOf[nb]
+					case k >= 0 && k < len(slots):
+						e := slots[k]
+						ok = e.peer == owner[nb] && e.src == int32(i*lbm.NQ+lbm.Opp[q]) && e.dst == localOf[nb]*lbm.NQ+int32(q)
+					}
+					if !ok {
+						t.Fatalf("%d ranks, rank %d cell %d (site %d) q %d: Links.Row says %d, LinkRow %d", part.NTasks, rk.id, i, si, q, got[q], nb)
+					}
+				}
+			}
+		}
+	})
+}

@@ -66,12 +66,14 @@ type rank struct {
 	// and lbm.StoreCell.
 	f []float64
 
-	// links holds the block's link rows: for flat slot (i*NQ+q), where
-	// cell i's value along q is kept between steps (lbm.CollideStream):
+	// links holds the block's link rows (lbm.Links): entry q of cell
+	// i's row is where the cell's value along q is kept between steps
+	// (lbm.CollideStream):
 	//   >= 0   the local cell at x + c_q
 	//   -1     the link is solid (cell i's own opposite slot)
 	//   <= -2  lbm.RemoteLink(k): slot k of halo, the cell is another rank's
-	links []int32
+	// A cell with a remote link keeps an explicit row.
+	links lbm.Links
 	// halo has one slot per remote link, edge after edge. After an even
 	// step the exchange fills it with the values that arrived; the odd
 	// step reads them and leaves the values to send in their place.
@@ -206,40 +208,47 @@ type wire struct {
 	plan recvPlan
 }
 
-// buildRank allocates rank t's arrays and derives its link rows and its
-// outgoing edges from s's link table; own lists its sites in serial
-// order. A link into another rank's block is collected under the
-// receiving rank with the flat slot it leaves from and the flat slot it
-// arrives in. It returns the edges for their receivers.
+// buildRank allocates rank t's arrays and derives its link table and
+// its outgoing edges from s's, walked in ascending serial order; own
+// lists the rank's sites in that order. A link into another rank's block
+// is collected under the receiving rank with the flat slot it leaves
+// from and the flat slot it arrives in, and held in its row as
+// RemoteLink(d), d counting remote links as they are met, until the
+// edges are sorted and d's halo slot is known. It returns the edges for
+// their receivers.
 func (r *Runner) buildRank(s *lbm.Sparse, owner, own []int32, t int) []wire {
-	type link struct{ src, dst int32 }
+	type link struct{ src, dst, d int32 }
 	rk := r.ranks[t]
-	n := len(own)
-	rk.f = make([]float64, n*lbm.NQ)
-	rk.links = make([]int32, n*lbm.NQ)
+	rk.f = make([]float64, len(own)*lbm.NQ)
 	out := make(map[int32][]link) // receiver -> links
 	remote := 0
+	serial := s.Links().Cursor()
+	var b lbm.LinkBuilder
+	var row [lbm.NQ]int32
 	for i, si := range own {
-		for q := 0; q < lbm.NQ; q++ {
-			slot := int32(i*lbm.NQ + q)
-			nb := s.Neighbor(int(si), q)
-			switch {
-			case nb < 0:
-				rk.links[slot] = -1
+		serial.Row(int(si), &row)
+		row[0] = int32(i)
+		for q := 1; q < lbm.NQ; q++ {
+			switch nb := row[q]; {
+			case nb < 0: // solid: -1 in either table
 			case owner[nb] == int32(t):
-				rk.links[slot] = r.localOf[nb]
+				row[q] = r.localOf[nb]
 			default:
 				peer := owner[nb]
-				out[peer] = append(out[peer], link{src: slot, dst: r.localOf[nb]*lbm.NQ + int32(q)})
+				out[peer] = append(out[peer], link{src: int32(i*lbm.NQ + q), dst: r.localOf[nb]*lbm.NQ + int32(q), d: int32(remote)})
+				row[q] = lbm.RemoteLink(remote)
 				remote++
 			}
 		}
+		b.Add(i, &row)
 	}
+	rk.links = b.Links()
 
 	// Edges in peer order. Within an edge the canonical link order, shared
 	// by both ends, is ascending (receiving site, direction): ascending
 	// arrival slot.
 	rk.halo = make([]float64, remote)
+	slotOf := make([]int32, remote) // d -> halo slot
 	peers := make([]int32, 0, len(out))
 	for peer := range out {
 		peers = append(peers, peer)
@@ -256,7 +265,7 @@ func (r *Runner) buildRank(s *lbm.Sparse, owner, own []int32, t int) []wire {
 		srcFlat := make([]int32, len(ls))
 		dstFlat := make([]int32, len(ls))
 		for k, l := range ls {
-			rk.links[l.src] = lbm.RemoteLink(base + k)
+			slotOf[l.d] = int32(base + k)
 			q := l.src % lbm.NQ
 			srcFlat[k] = l.src - q + int32(lbm.Opp[q]) // where the even pass leaves it
 			dstFlat[k] = l.dst
@@ -265,6 +274,7 @@ func (r *Runner) buildRank(s *lbm.Sparse, owner, own []int32, t int) []wire {
 		wires = append(wires, wire{to: peer, plan: recvPlan{peer: t, e: e, dstFlat: dstFlat}})
 		base += len(ls)
 	}
+	rk.links.RelabelRemote(slotOf)
 	return wires
 }
 
@@ -273,22 +283,28 @@ func (r *Runner) buildRank(s *lbm.Sparse, owner, own []int32, t int) []wire {
 // An arriving value bound for slot q of cell y is the rank's own link
 // (y, opp q), whose halo slot it fills after an even step.
 func (rk *rank) fill(s *lbm.Sparse, own []int32, steps int) {
+	var row [lbm.NQ]int32
 	for k := range rk.recvFrom {
 		rp := &rk.recvFrom[k]
 		rp.ghost = make([]int32, len(rp.dstFlat))
 		for j, dst := range rp.dstFlat {
-			q := dst % lbm.NQ
-			rp.ghost[j] = lbm.RemoteLink(0) - rk.links[dst-q+int32(lbm.Opp[q])] // k of RemoteLink(k)
+			y, q := int(dst)/lbm.NQ, int(dst)%lbm.NQ
+			rk.links.Row(y, &row)
+			rp.ghost[j] = lbm.RemoteLink(0) - row[lbm.Opp[q]] // k of RemoteLink(k)
 		}
 	}
 	for i, si := range own {
 		cell := s.Cell(int(si))
-		lbm.StoreCell(rk.f, rk.links, rk.halo, i, steps, &cell)
+		lbm.StoreCell(rk.f, &rk.links, rk.halo, i, steps, &cell)
 	}
 }
 
-// Run advances all ranks by the given number of timesteps concurrently.
+// Run advances all ranks by the given number of timesteps concurrently;
+// a count below one changes nothing.
 func (r *Runner) Run(steps int) {
+	if steps < 1 {
+		return
+	}
 	base := r.steps
 	var wg sync.WaitGroup
 	for _, rk := range r.ranks {
@@ -309,7 +325,7 @@ func (r *Runner) Run(steps int) {
 // need every streamed value in place.
 func (rk *rank) step(p lbm.Params, stepIndex int, now Clock) {
 	tick := now()
-	lbm.CollideStream(rk.f, rk.links, rk.halo, p, stepIndex)
+	lbm.CollideStream(rk.f, &rk.links, rk.halo, p, stepIndex)
 	rk.computeNS += now().Sub(tick).Nanoseconds()
 	tick = now()
 
@@ -339,7 +355,7 @@ func (rk *rank) step(p lbm.Params, stepIndex int, now Clock) {
 	rk.commNS += now().Sub(tick).Nanoseconds()
 	tick = now()
 
-	lbm.ApplyBoundaries(rk.f, rk.links, rk.halo, rk.bounds, p, stepIndex)
+	lbm.ApplyBoundaries(rk.f, &rk.links, rk.halo, rk.bounds, p, stepIndex)
 	rk.computeNS += now().Sub(tick).Nanoseconds()
 }
 
@@ -387,7 +403,7 @@ func (r *Runner) Steps() int { return r.steps }
 // Cell returns the distribution at serial site si after the last Run.
 func (r *Runner) Cell(si int) [lbm.NQ]float64 {
 	rk := r.ranks[r.ownerOf[si]]
-	return lbm.LoadCell(rk.f, rk.links, rk.halo, int(r.localOf[si]), r.steps)
+	return lbm.LoadCell(rk.f, &rk.links, rk.halo, int(r.localOf[si]), r.steps)
 }
 
 // TotalMass sums density across all ranks in the serial engine's (site,

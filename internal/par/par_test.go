@@ -130,6 +130,55 @@ func TestRunnerIncrementalRuns(t *testing.T) {
 	}
 }
 
+// TestRunBelowOneChangesNothing: Run with a count of zero or less leaves
+// the step count and every cell as they were, at an odd count, where a
+// count taken off the parity would read every cell through the wrong
+// layout.
+func TestRunBelowOneChangesNothing(t *testing.T) {
+	dom, err := geometry.Cylinder(24, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, r := setup(t, dom, lbm.Params{Tau: 0.9, UMax: 0.02}, 2)
+	r.Run(3)
+	want := make([][lbm.NQ]float64, len(r.ownerOf))
+	for si := range want {
+		want[si] = r.Cell(si)
+	}
+	for _, n := range []int{-1, 0, -4} {
+		r.Run(n)
+		if r.Steps() != 3 {
+			t.Fatalf("Run(%d) after 3 steps leaves Steps() = %d", n, r.Steps())
+		}
+		for si := range want {
+			if got := r.Cell(si); got != want[si] {
+				t.Fatalf("Run(%d): cell %d is %v, was %v", n, si, got, want[si])
+			}
+		}
+	}
+}
+
+// TestRunnerLinksBytes is the byte bound of a runner's link tables on the
+// benchmark's lattice, aorta@16, over two ranks: together at most 20
+// bytes a fluid site, counted from the tables' capacities, as the serial
+// engine's one table is (lbm's TestSparseLinksBytes). The cells on the
+// cut keep explicit rows; the bulk runs either side of it do not.
+func TestRunnerLinksBytes(t *testing.T) {
+	dom, err := campaign.BuildGeometry("aorta", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, r := setup(t, dom, lbm.Params{Tau: 0.9, UMax: 0.02}, 2)
+	got := 0
+	for _, rk := range r.ranks {
+		got += rk.links.Bytes()
+	}
+	if n := len(r.ownerOf); got > 20*n {
+		t.Errorf("2 ranks on aorta@16 hold %d bytes of link tables for %d fluid sites (%.1f a site), bound %d",
+			got, n, float64(got)/float64(n), 20*n)
+	}
+}
+
 // runSplits are the ways the handover tests advance a runner: one call, and
 // two calls that end at an odd and then an even count.
 var runSplits = [][]int{{10}, {3, 5}}
@@ -528,15 +577,19 @@ func TestOddPassCoversEverySlotOnce(t *testing.T) {
 				name := fmt.Sprintf("%s/%d rank %d", shape.name, ntasks, rk.id)
 				hits := make([]int, len(rk.f))
 				haloHits := make([]int, len(rk.halo))
-				for slot, to := range rk.links {
-					i, q := slot/lbm.NQ, slot%lbm.NQ
-					switch {
-					case to >= 0:
-						hits[int(to)*lbm.NQ+q]++
-					case to == -1:
-						hits[i*lbm.NQ+lbm.Opp[q]]++
-					default:
-						haloHits[-2-int(to)]++
+				var row [lbm.NQ]int32
+				rows := rk.links.Cursor()
+				for i := 0; i < len(rk.f)/lbm.NQ; i++ {
+					rows.Row(i, &row)
+					for q, to := range row {
+						switch {
+						case to >= 0:
+							hits[int(to)*lbm.NQ+q]++
+						case to == -1:
+							hits[i*lbm.NQ+lbm.Opp[q]]++
+						default:
+							haloHits[-2-int(to)]++
+						}
 					}
 				}
 				ghostHits := make([]int, len(rk.halo))
@@ -551,7 +604,7 @@ func TestOddPassCoversEverySlotOnce(t *testing.T) {
 						ghostHits[k]++
 						// The arrival for slot q of cell y is the link (y, opp q).
 						y, q := int(dst)/lbm.NQ, int(dst)%lbm.NQ
-						if rk.links[y*lbm.NQ+lbm.Opp[q]] != lbm.RemoteLink(int(k)) {
+						if rk.links.Row(y, &row); row[lbm.Opp[q]] != lbm.RemoteLink(int(k)) {
 							t.Fatalf("%s: arrival at (cell %d, q %d) kept in halo slot %d, not its link's", name, y, q, k)
 						}
 					}
@@ -567,7 +620,7 @@ func TestOddPassCoversEverySlotOnce(t *testing.T) {
 						// even pass leaves in cell i's slot opp(q).
 						k := segs + j
 						i, oq := int(src)/lbm.NQ, int(src)%lbm.NQ
-						if rk.links[i*lbm.NQ+lbm.Opp[oq]] != lbm.RemoteLink(k) {
+						if rk.links.Row(i, &row); row[lbm.Opp[oq]] != lbm.RemoteLink(k) {
 							t.Fatalf("%s: halo slot %d gathered from (cell %d, q %d), not its link's", name, k, i, oq)
 						}
 					}
