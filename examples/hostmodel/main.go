@@ -67,10 +67,9 @@ func main() {
 
 	// Close the loop: one recorded run calibrates the host model.
 	var store monitor.Store
-	if err := store.Add(monitor.Sample{
-		Workload: "proxy", System: char.System, Model: pred.Model, Tier: pred.Tier,
-		Ranks: 1, Predicted: pred.MFLUPS, MFLUPS: measured,
-	}); err != nil {
+	sample := monitor.FromPrediction(pred)
+	sample.Workload, sample.MFLUPS = "proxy", measured
+	if err := store.Add(sample); err != nil {
 		log.Fatal(err)
 	}
 	refined := store.Refine(pred)

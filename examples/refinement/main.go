@@ -40,11 +40,7 @@ func main() {
 	rankSchedule := []int{18, 36, 72, 144, 36, 72, 144, 18}
 	var firstErr, lastErr float64
 	for round, ranks := range rankSchedule {
-		pred, err := fw.PredictDirect(anatomy, system, ranks)
-		if err != nil {
-			log.Fatal(err)
-		}
-		meas, err := fw.Measure(anatomy, system, ranks, 50)
+		pred, meas, err := fw.Observe(anatomy, system, ranks, 50)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,9 +51,6 @@ func main() {
 			firstErr = abs(relErr)
 		}
 		lastErr = abs(relErr)
-		if err := fw.Record(anatomy, pred, meas); err != nil {
-			log.Fatal(err)
-		}
 	}
 
 	before, after, n := fw.Monitor.MAPE(system, "direct")

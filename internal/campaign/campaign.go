@@ -431,7 +431,7 @@ func (s Summary) Render() string {
 			status = "aborted: " + o.ShedReason
 		}
 		fmt.Fprintf(&b, "%-22s %-12s %10d %12.2f %12.2f %10.4f %s\n",
-			o.Name, o.System, o.StepsDone, o.PredMFLUPS, o.MFLUPS, o.USD, status)
+			o.Name, o.System, o.StepsDone, o.Pred.MFLUPS, o.MFLUPS, o.USD, status)
 	}
 	for _, name := range s.Skipped {
 		fmt.Fprintf(&b, "%-22s %-12s %10s %12s %12s %10s %s\n",

@@ -91,7 +91,7 @@ func TestRunCampaignEndToEnd(t *testing.T) {
 		if o.StepsDone != 500 {
 			t.Errorf("job %s incomplete: %d steps", o.Name, o.StepsDone)
 		}
-		if o.System == "" || o.PredMFLUPS <= 0 {
+		if o.System == "" || o.Pred.MFLUPS <= 0 {
 			t.Errorf("job %s missing plan info: %+v", o.Name, o)
 		}
 	}
@@ -266,9 +266,9 @@ func TestSerialBudgetSpentSkipsTheRest(t *testing.T) {
 		t.Fatalf("with room for both, %d jobs ran", len(open.Outcomes))
 	}
 	budget := open.Outcomes[0].USD
-	if open.Outcomes[0].PredMFLUPS < open.Outcomes[0].MFLUPS {
+	if open.Outcomes[0].Pred.MFLUPS < open.Outcomes[0].MFLUPS {
 		t.Fatalf("the model is pessimistic here (predicted %.2f, measured %.2f): the governor would refuse the first job a budget of its own bill",
-			open.Outcomes[0].PredMFLUPS, open.Outcomes[0].MFLUPS)
+			open.Outcomes[0].Pred.MFLUPS, open.Outcomes[0].MFLUPS)
 	}
 
 	fw, sum := runTwoJobs(t, budget)
@@ -321,7 +321,7 @@ func TestFleetTier0JobIsGuardedAtTier1(t *testing.T) {
 	if !j.Completed || j.StepsDone != 2000 {
 		t.Fatalf("tier0 job did %d/2000 steps: %s", j.StepsDone, j.ShedReason)
 	}
-	if j.PredTier != "tier0" {
-		t.Errorf("report carries tier %q, want tier0", j.PredTier)
+	if j.Pred.Tier != "tier0" {
+		t.Errorf("report carries tier %q, want tier0", j.Pred.Tier)
 	}
 }

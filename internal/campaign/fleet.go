@@ -246,9 +246,9 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 // prediction on each of systems that can host it. A system the
 // framework does not offer is an error, since the scheduler could only
 // run the job there unpriced. Placement and the time guard are priced
-// at Tier 1, the tier refinement corrects, whatever the job's tier; the
-// job's own tier predicts the throughput the report shows and the
-// monitor records.
+// at Tier 1, refined, whatever the job's tier; the job's own tier,
+// unrefined, predicts the throughput the report shows and the monitor
+// learns from.
 func fleetJob(fw *core.Framework, anatomy *core.Anatomy, j JobConfig, steps int, systems []string) (*fleet.Job, error) {
 	w, err := fw.Workload(anatomy, j.Ranks)
 	if err != nil {
@@ -263,8 +263,7 @@ func fleetJob(fw *core.Framework, anatomy *core.Anatomy, j JobConfig, steps int,
 		Tolerance:    j.Tolerance,
 		OnDemandOnly: j.OnDemandOnly,
 		PerStep:      map[string]float64{},
-		PredMFLUPS:   map[string]float64{},
-		PredTier:     map[string]string{},
+		Pred:         map[string]perfmodel.Prediction{},
 	}
 	if j.System != "" {
 		if !slices.Contains(systems, j.System) {
@@ -282,18 +281,17 @@ func fleetJob(fw *core.Framework, anatomy *core.Anatomy, j JobConfig, steps int,
 			continue // too small for the job
 		}
 		q := core.Query{System: abbrev, Model: perfmodel.ModelDirect, Ranks: j.Ranks}
-		guard, err := fw.Predict(anatomy, q)
-		pred := guard
+		tier1, err := fw.Unrefined(anatomy, q)
+		pred := tier1
 		if err == nil && j.Tier != "" && j.Tier != perfmodel.Tier1Calibrated {
 			q.Tier = j.Tier
-			pred, err = fw.Predict(anatomy, q)
+			pred, err = fw.Unrefined(anatomy, q)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("campaign: predicting %q on %s: %w", j.Name, abbrev, err)
 		}
-		fj.PerStep[abbrev] = guard.SecondsPerStep
-		fj.PredMFLUPS[abbrev] = pred.MFLUPS
-		fj.PredTier[abbrev] = pred.Tier
+		fj.PerStep[abbrev] = fw.Monitor.Refine(tier1).SecondsPerStep
+		fj.Pred[abbrev] = pred
 	}
 	return fj, nil
 }

@@ -71,7 +71,7 @@ func TestRunFleetEndToEnd(t *testing.T) {
 		if j.StepsDone != j.Steps {
 			t.Errorf("job %s incomplete: %d/%d", j.Name, j.StepsDone, j.Steps)
 		}
-		if j.MFLUPS <= 0 || j.PredMFLUPS <= 0 {
+		if j.MFLUPS <= 0 || j.Pred.MFLUPS <= 0 {
 			t.Errorf("job %s missing measured/predicted throughput: %+v", j.Name, j)
 		}
 	}

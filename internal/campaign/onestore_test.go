@@ -76,24 +76,65 @@ func TestObserveThenRunFleetCountsEachRunOnce(t *testing.T) {
 	}
 	var ratios []float64
 	for _, s := range samples {
-		if s.System == "CSP-1" && s.Model == "direct" && s.Ranks == 8 {
+		if s.System == "CSP-1" && s.Model == "direct" {
 			ratios = append(ratios, s.MFLUPS/s.Predicted)
 		}
 	}
 	if len(ratios) < 4 {
-		t.Fatalf("only %d CSP-1 runs at 8 ranks; the fleet placed none there", len(ratios))
+		t.Fatalf("only %d CSP-1 runs; the fleet placed none there", len(ratios))
 	}
 	want := fit.GeoMean(ratios)
-	if got := fw.Monitor.Correction("CSP-1", "direct", 8); math.Abs(got-want) > 1e-12 {
-		t.Errorf("CSP-1 correction = %.6f, want %.6f from the %d stored runs", got, want, len(ratios))
+	got := fw.Monitor.Correction("CSP-1", "direct")
+	if math.Abs(got.Scalar-want) > 1e-12 || got.Terms.N != 0 && got.Terms.N != len(ratios) {
+		t.Errorf("CSP-1 correction = %+v, want the scalar %.6f and a fit over the %d stored runs", got, want, len(ratios))
 	}
 }
 
-// checkSecondCampaign asserts what a fleet campaign on a used framework
-// owes the one before it: one non-decreasing timeline, and Tier 1
-// predictions scaled by the correction the store held when the second
-// campaign was prepared. first is the same config run on an empty store,
-// so its PredMFLUPS are the raw model outputs.
+// checkPricedRefined asserts what a fleet campaign prepared on a used
+// framework owes the one before it: each job is priced by its Tier 1
+// prediction refined by the correction the store holds, and reports and
+// exports the unrefined one, so the store keeps learning against the
+// model's own output.
+func checkPricedRefined(t *testing.T, fw *core.Framework, cfg Config) {
+	t.Helper()
+	ready, err := prepareAll(context.Background(), fw, cfg.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := []string{"CSP-2 Small", "CSP-1"}
+	corrected := 0
+	for i, j := range cfg.Jobs {
+		fj, err := fleetJob(fw, ready[i].anatomy, j, ready[i].steps, systems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sys := range systems {
+			raw, err := fw.Unrefined(ready[i].anatomy, core.Query{System: sys, Model: "direct", Ranks: j.Ranks})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := fw.Monitor.Correction(sys, "direct")
+			if c.Scalar != 1 {
+				corrected++
+			}
+			if fj.Pred[sys] != raw {
+				t.Errorf("job %s on %s carries %+v, want the unrefined %+v", j.Name, sys, fj.Pred[sys], raw)
+			}
+			if want := c.Apply(raw).SecondsPerStep; fj.PerStep[sys] != want {
+				t.Errorf("job %s on %s priced at %g s/step, want raw %g corrected by %+v = %g",
+					j.Name, sys, fj.PerStep[sys], raw.SecondsPerStep, c, want)
+			}
+		}
+	}
+	if corrected == 0 {
+		t.Fatal("no system holds a correction after a whole campaign; nothing compared")
+	}
+}
+
+// checkSecondCampaign asserts that a second fleet campaign on fw, run
+// after before was snapshot, keeps one non-decreasing timeline and
+// reports the same unrefined predictions as first, the same config run
+// on an empty store.
 func checkSecondCampaign(t *testing.T, fw *core.Framework, before *monitor.Store, first, second *fleet.Report) {
 	t.Helper()
 	samples := storedSamples(t, &fw.Monitor)
@@ -105,24 +146,10 @@ func checkSecondCampaign(t *testing.T, fw *core.Framework, before *monitor.Store
 			t.Fatalf("sample %d at t=%g precedes sample %d at t=%g", i, samples[i].TimeS, i-1, samples[i-1].TimeS)
 		}
 	}
-	compared := 0
 	for i, j := range second.Jobs {
-		raw := first.Jobs[i]
-		if j.System != raw.System {
-			continue // placed elsewhere this time; the report keeps one system's prediction
+		if raw := first.Jobs[i]; j.System == raw.System && j.Pred != raw.Pred {
+			t.Errorf("job %s reports %+v, want the unrefined %+v", j.Name, j.Pred, raw.Pred)
 		}
-		c := before.Correction(j.System, "direct", j.Ranks)
-		if c == 1 {
-			t.Errorf("no correction for %s at %d ranks after a whole campaign", j.System, j.Ranks)
-		}
-		if want := raw.PredMFLUPS * c; math.Abs(j.PredMFLUPS-want) > 1e-9*want {
-			t.Errorf("job %s predicted %.6f, want raw %.6f x correction %.6f = %.6f",
-				j.Name, j.PredMFLUPS, raw.PredMFLUPS, c, want)
-		}
-		compared++
-	}
-	if compared == 0 {
-		t.Fatal("no job kept its system between the campaigns; nothing compared")
 	}
 }
 
@@ -138,6 +165,7 @@ func TestSecondCampaignOnOneFramework(t *testing.T) {
 		if _, err := runFleet(context.Background(), fw, cfg); err != nil {
 			t.Fatal(err)
 		}
+		checkPricedRefined(t, fw, cfg)
 		before := snapshot(t, &fw.Monitor)
 		second, err := runFleet(context.Background(), fw, cfg)
 		if err != nil {
@@ -156,6 +184,7 @@ func TestSecondCampaignOnOneFramework(t *testing.T) {
 		if before.Len() != len(serial.Outcomes) || before.Len() == 0 {
 			t.Fatalf("serial campaign stored %d samples for %d outcomes", before.Len(), len(serial.Outcomes))
 		}
+		checkPricedRefined(t, fw, cfg)
 		second, err := runFleet(context.Background(), fw, cfg)
 		if err != nil {
 			t.Fatalf("fleet campaign after a serial one: %v", err)
@@ -188,12 +217,12 @@ func TestOtherTierResidualsDoNotMoveCorrection(t *testing.T) {
 	physics := calibrated
 	physics.Name, physics.Tier = "physics", "tier0"
 
-	without := run(calibrated).Monitor.Correction("CSP-1", "direct", 8)
+	without := run(calibrated).Monitor.Correction("CSP-1", "direct")
 	fw := run(calibrated, physics)
-	if with := fw.Monitor.Correction("CSP-1", "direct", 8); with != without {
-		t.Errorf("correction = %.3f with the tier0 job, %.3f without it", with, without)
+	if with := fw.Monitor.Correction("CSP-1", "direct"); with != without {
+		t.Errorf("correction = %+v with the tier0 job, %+v without it", with, without)
 	}
-	if without == 1 {
+	if without.Scalar == 1 {
 		t.Error("the tier1 job left no correction")
 	}
 	samples := storedSamples(t, &fw.Monitor)

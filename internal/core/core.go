@@ -285,18 +285,6 @@ func (f *Framework) AttachTable(tbl *perfmodel.Table) error {
 	return f.Dashboard.AttachTable(tbl)
 }
 
-// refine applies iterative-refinement feedback to a prediction. The
-// monitor's correction is taken over measured-vs-Tier-1 residuals, so it
-// is only meaningful on Tier 1 output: scaling a Tier 2 table value (or
-// a Tier 0 spec-sheet estimate) by a Tier 1 bias factor would
-// contaminate the other tiers' provenance.
-func (f *Framework) refine(pred perfmodel.Prediction) perfmodel.Prediction {
-	if pred.Tier != perfmodel.Tier1Calibrated {
-		return pred
-	}
-	return f.Monitor.Refine(pred)
-}
-
 // Query asks for one prediction: a system of the dashboard, one of
 // perfmodel's two models ("" is ModelGeneral), a rank count, and an
 // accuracy tier ("" is Tier 1; perfmodel.TierAuto picks the best tier
@@ -315,11 +303,27 @@ func tierOr1(tier string) string {
 	return tier
 }
 
-// Predict evaluates q for the anatomy, filling the request with what the
-// anatomy knows: its decomposition over q.Ranks for the direct model, its
-// summary and tuned laws for the generalized one, whose rank counts may
-// exceed the instance size (extrapolation). Tier 1 output is refined.
+// Predict evaluates q for the anatomy and refines Tier 1 output by the
+// monitor's correction, which is learned from measured-vs-Tier-1
+// residuals: scaling a Tier 2 table value or a Tier 0 spec-sheet
+// estimate by it would contaminate the other tiers' provenance.
 func (f *Framework) Predict(a *Anatomy, q Query) (perfmodel.Prediction, error) {
+	pred, err := f.Unrefined(a, q)
+	switch {
+	case err != nil:
+		return perfmodel.Prediction{}, err
+	case pred.Tier != perfmodel.Tier1Calibrated:
+		return pred, nil
+	}
+	return f.Monitor.Refine(pred), nil
+}
+
+// Unrefined is Predict without the correction: the model's own answer,
+// which is what the monitor records and learns from. It fills the
+// request with what the anatomy knows: its decomposition over q.Ranks
+// for the direct model, its summary and tuned laws for the generalized
+// one, whose rank counts may exceed the instance size (extrapolation).
+func (f *Framework) Unrefined(a *Anatomy, q Query) (perfmodel.Prediction, error) {
 	e, err := f.Dashboard.Entry(q.System)
 	if err != nil {
 		return perfmodel.Prediction{}, err
@@ -334,11 +338,7 @@ func (f *Framework) Predict(a *Anatomy, q Query) (perfmodel.Prediction, error) {
 	} else {
 		req.Summary, req.General, req.Ranks = &a.Summary, a.General, q.Ranks
 	}
-	pred, err := e.Predict(req)
-	if err != nil {
-		return perfmodel.Prediction{}, err
-	}
-	return f.refine(pred), nil
+	return e.Predict(req)
 }
 
 // PredictDirect is Predict with the direct model at Tier 1, kept as a
@@ -362,24 +362,22 @@ func (f *Framework) Measure(a *Anatomy, system string, ranks, steps int) (simclo
 	return simcloud.Run(w, sys, steps, f.rng)
 }
 
-// Record stores a prediction/measurement pair in the monitor, stamped
-// with the provider's simulated clock and the tier that predicted. Tier 1
-// pairs improve subsequent predictions (the feedback arrow of Figure 1).
+// Record stores a measurement in the monitor, stamped with the
+// provider's simulated clock, beside the unrefined prediction of pred's
+// query: the monitor learns against the model's own output, and a
+// refined pred would teach it the residual of an older correction. Tier
+// 1 pairs improve subsequent predictions (the feedback arrow of Figure 1).
 func (f *Framework) Record(a *Anatomy, pred perfmodel.Prediction, measured simcloud.Result) error {
 	if pred.MFLUPS <= 0 {
 		return fmt.Errorf("core: prediction for %s/%s has non-positive throughput", pred.System, a.Name)
 	}
-	return f.Monitor.Add(monitor.Sample{
-		TimeS:     f.Provider.Clock(),
-		Workload:  a.Name,
-		System:    pred.System,
-		Model:     pred.Model,
-		Tier:      pred.Tier,
-		Ranks:     pred.Ranks,
-		MFLUPS:    measured.MFLUPS,
-		Predicted: pred.MFLUPS,
-		CostUSD:   measured.CostUSD,
-	})
+	raw, err := f.Unrefined(a, Query{System: pred.System, Model: pred.Model, Ranks: pred.Ranks, Tier: pred.Tier})
+	if err != nil {
+		return err
+	}
+	s := monitor.FromPrediction(raw)
+	s.TimeS, s.Workload, s.MFLUPS, s.CostUSD = f.Provider.Clock(), a.Name, measured.MFLUPS, measured.CostUSD
+	return f.Monitor.Add(s)
 }
 
 // Observe runs one full predict-measure-track cycle for an anatomy on a

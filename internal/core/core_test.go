@@ -286,20 +286,16 @@ func TestObserveFeedsMonitor(t *testing.T) {
 	if _, _, n := fw.Monitor.MAPE("CSP-2", "direct"); n != 4 {
 		t.Errorf("refinement reads %d of the 4 samples", n)
 	}
-	base, err := fw.Monitor.Baseline("cylinder", "CSP-2", 36)
+	// Record stores the unrefined Tier 1 prediction with its terms, even
+	// after the first run has put a correction in the store.
+	raw, err := fw.Unrefined(a, Query{System: "CSP-2", Model: perfmodel.ModelDirect, Ranks: 36})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.N != 4 || base.Mean <= 0 {
-		t.Errorf("baseline wrong: %+v", base)
-	}
-	// No regression in a healthy series.
-	regs, err := fw.Monitor.DetectRegressions(2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Errorf("false regression: %+v", regs)
+	for _, s := range fw.Monitor.Series("cylinder", "CSP-2", 36) {
+		if s.Predicted != raw.MFLUPS || s.MemS != raw.MemS || s.CommS != raw.SecondsPerStep-raw.MemS {
+			t.Errorf("sample %+v, want the unrefined prediction %+v", s, raw)
+		}
 	}
 }
 

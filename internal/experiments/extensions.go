@@ -8,6 +8,7 @@ import (
 	"repro/internal/fit"
 	"repro/internal/lbm"
 	"repro/internal/machine"
+	"repro/internal/monitor"
 	"repro/internal/perfmodel"
 	"repro/internal/simcloud"
 )
@@ -113,18 +114,18 @@ func ExtSharedNode() (Report, error) {
 	}, nil
 }
 
-// ExtTermRefit is the paper's add-and-check loop done as a regression:
-// per system, it re-fits measured seconds per step on the Tier 1 direct
-// prediction's own terms, the memory time MemS and the communication
-// remainder SecondsPerStep − MemS, with fit.PairLSQ. Each row is scaled
-// by 1/measured, so every cell weighs as a relative error. The fit trains
-// on the cylinder and aorta cells of the Table-I suite (tiers.go) and is
-// scored on the cerebral cells, which it never sees, against the raw
-// prediction and the system-level scalar correction: the geometric mean
-// of the training cells' measured/predicted MFLUPS, as
-// monitor.Store.Correction computes it. The memory coefficient should
-// recover simcloud.KernelOverhead, which the model omits. Series per
-// system: "<system>/coef" and "<system>/se" at x=0 (memory) and x=1
+// ExtTermRefit is the paper's add-and-check loop done as a regression,
+// through the one refinement store: per system, the Tier 1 direct
+// predictions of the cylinder and aorta cells of the Table-I suite
+// (tiers.go) go into a monitor.Store beside their measurements, whose
+// Correction re-fits measured seconds per step on the prediction's own
+// terms, the memory time MemS and the communication remainder
+// SecondsPerStep − MemS. The cerebral cells, which the store never sees,
+// are scored through Refine against the raw prediction and the store's
+// scalar fallback, the geometric mean of the training cells'
+// measured/predicted MFLUPS. The memory coefficient should recover
+// simcloud.KernelOverhead, which the model omits. Series per system:
+// "<system>/coef" and "<system>/se" at x=0 (memory) and x=1
 // (communication); "<system>/mape" at x=0 (raw), x=1 (scalar) and x=2
 // (per-term), as fractions.
 func ExtTermRefit() (Report, error) {
@@ -135,10 +136,10 @@ func ExtTermRefit() (Report, error) {
 	type cell struct {
 		pred     perfmodel.Prediction
 		measured float64 // MFLUPS
-		points   float64
 	}
 	var systems []string
-	train, heldOut := map[string][]cell{}, map[string][]cell{}
+	var store monitor.Store
+	heldOut := map[string][]cell{}
 	chars := map[string]*perfmodel.Characterization{}
 	cache := newWorkloadCache()
 	rng := rand.New(rand.NewSource(tierEvalSeed))
@@ -164,11 +165,14 @@ func ExtTermRefit() (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		x := cell{pred: pred, measured: measured, points: float64(w.Points)}
 		if cfg.dom.Name == "cerebral" {
-			heldOut[sys] = append(heldOut[sys], x)
-		} else {
-			train[sys] = append(train[sys], x)
+			heldOut[sys] = append(heldOut[sys], cell{pred: pred, measured: measured})
+			continue
+		}
+		s := monitor.FromPrediction(pred)
+		s.Workload, s.MFLUPS = cfg.dom.Name, measured
+		if err := store.Add(s); err != nil {
+			return Report{}, err
 		}
 	}
 
@@ -179,25 +183,16 @@ func ExtTermRefit() (Report, error) {
 	fmt.Fprintf(&text, "%-12s %17s %17s %4s | %23s\n", "", "", "", "", "held-out MAPE (%)")
 	fmt.Fprintf(&text, "%-12s %17s %17s %4s | %7s %7s %7s\n", "system", "memory coef", "comm coef", "n", "raw", "scalar", "term")
 	for _, sys := range systems {
-		var mem, comm, ones, ratios []float64
-		for _, x := range train[sys] {
-			measuredS := x.points / (x.measured * 1e6)
-			mem = append(mem, x.pred.MemS/measuredS)
-			comm = append(comm, (x.pred.SecondsPerStep-x.pred.MemS)/measuredS)
-			ones = append(ones, 1)
-			ratios = append(ratios, x.measured/x.pred.MFLUPS)
+		corr := store.Correction(sys, perfmodel.ModelDirect)
+		pair := corr.Terms
+		if pair.N == 0 {
+			return Report{}, fmt.Errorf("%s: the per-term fit fell back to the scalar correction", sys)
 		}
-		pair, err := fit.PairLSQ(mem, comm, ones)
-		if err != nil {
-			return Report{}, fmt.Errorf("%s: %w", sys, err)
-		}
-		scalar := fit.GeoMean(ratios)
 		var raw, scaled, term, obs []float64
 		for _, x := range heldOut[sys] {
-			refit := pair.B1*x.pred.MemS + pair.B2*(x.pred.SecondsPerStep-x.pred.MemS)
 			raw = append(raw, x.pred.MFLUPS)
-			scaled = append(scaled, x.pred.MFLUPS*scalar)
-			term = append(term, x.points/refit/1e6)
+			scaled = append(scaled, x.pred.MFLUPS*corr.Scalar)
+			term = append(term, store.Refine(x.pred).MFLUPS)
 			obs = append(obs, x.measured)
 		}
 		mapes := []float64{fit.MAPE(raw, obs), fit.MAPE(scaled, obs), fit.MAPE(term, obs)}

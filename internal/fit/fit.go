@@ -128,12 +128,53 @@ type Pair struct {
 	N        int     // number of observations
 }
 
+// PairSums are the normal equations of PairLSQ: the row count and the
+// five sums of products. A fit that leaves one row out costs O(1) once
+// the sums over every row are known.
+type PairSums struct {
+	N                     int
+	S11, S12, S22, R1, R2 float64
+}
+
+// Add accumulates the row y = b1*x1 + b2*x2 n times; n = −1 takes away
+// a row added before.
+func (s *PairSums) Add(x1, x2, y float64, n int) {
+	s.N += n
+	w := float64(n)
+	s.S11 += w * x1 * x1
+	s.S12 += w * x1 * x2
+	s.S22 += w * x2 * x2
+	s.R1 += w * x1 * y
+	s.R2 += w * x2 * y
+}
+
+// det is the determinant of XᵀX.
+func (s PairSums) det() float64 { return s.S11*s.S22 - s.S12*s.S12 }
+
+// Solve returns the coefficients and row count of the fit the sums
+// describe, without the standard errors, which need the rows. It needs
+// three rows and fails with ErrBadInput when the columns are collinear.
+func (s PairSums) Solve() (Pair, error) {
+	if s.N < 3 {
+		return Pair{}, fmt.Errorf("%w: need at least 3 points, have %d", ErrInsufficientData, s.N)
+	}
+	// The determinant is compared with S11·S22, its value for orthogonal
+	// columns, so the test is independent of the columns' scale; the
+	// negated form also rejects sums that overflowed to NaN.
+	det := s.det()
+	if !(det > degenTol*s.S11*s.S22) {
+		return Pair{}, fmt.Errorf("%w: collinear regressors", ErrBadInput)
+	}
+	return Pair{B1: (s.S22*s.R1 - s.S12*s.R2) / det, B2: (s.S11*s.R2 - s.S12*s.R1) / det, N: s.N}, nil
+}
+
 // PairLSQ fits y = b1*x1 + b2*x2 with no intercept by ordinary least
-// squares, solving the 2×2 normal equations in closed form. The standard
-// errors are the square roots of the diagonal of s²·(XᵀX)⁻¹, where s² is
-// the residual variance SSE/(n−2). It needs three points, one more than
-// the coefficients, so that s² is defined, and fails with ErrBadInput
-// when the two columns are collinear (either one all zero included).
+// squares, solving the 2×2 normal equations (PairSums) in closed form.
+// The standard errors are the square roots of the diagonal of
+// s²·(XᵀX)⁻¹, where s² is the residual variance SSE/(n−2). It needs
+// three points, one more than the coefficients, so that s² is defined,
+// and fails with ErrBadInput when the two columns are collinear (either
+// one all zero included).
 func PairLSQ(x1, x2, ys []float64) (Pair, error) {
 	if err := checkSeries(x1, ys, 3); err != nil {
 		return Pair{}, err
@@ -141,29 +182,21 @@ func PairLSQ(x1, x2, ys []float64) (Pair, error) {
 	if err := checkSeries(x2, ys, 3); err != nil {
 		return Pair{}, err
 	}
-	var s11, s12, s22, r1, r2 float64
+	var sums PairSums
 	for i := range ys {
-		s11 += x1[i] * x1[i]
-		s12 += x1[i] * x2[i]
-		s22 += x2[i] * x2[i]
-		r1 += x1[i] * ys[i]
-		r2 += x2[i] * ys[i]
+		sums.Add(x1[i], x2[i], ys[i], 1)
 	}
-	// The determinant is compared with s11·s22, its value for orthogonal
-	// columns, so the test is independent of the columns' scale; the
-	// negated form also rejects sums that overflowed to NaN.
-	det := s11*s22 - s12*s12
-	if !(det > degenTol*s11*s22) {
-		return Pair{}, fmt.Errorf("%w: collinear regressors", ErrBadInput)
+	p, err := sums.Solve()
+	if err != nil {
+		return Pair{}, err
 	}
-	p := Pair{B1: (s22*r1 - s12*r2) / det, B2: (s11*r2 - s12*r1) / det, N: len(ys)}
 	for i := range ys {
 		r := ys[i] - p.B1*x1[i] - p.B2*x2[i]
 		p.SSE += r * r
 	}
 	s2 := p.SSE / float64(p.N-2)
-	p.SE1 = math.Sqrt(s2 * s22 / det)
-	p.SE2 = math.Sqrt(s2 * s11 / det)
+	p.SE1 = math.Sqrt(s2 * sums.S22 / sums.det())
+	p.SE2 = math.Sqrt(s2 * sums.S11 / sums.det())
 	return p, nil
 }
 

@@ -138,6 +138,47 @@ func TestPairLSQNoisyRecovery(t *testing.T) {
 	}
 }
 
+// TestPairSumsLeaveOneOut: removing a row from the sums gives the fit of
+// the other rows, and sums too short or collinear fail as PairLSQ does.
+func TestPairSumsLeaveOneOut(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	x1, x2, ys := make([]float64, 6), make([]float64, 6), make([]float64, 6)
+	var all PairSums
+	for i := range ys {
+		x1[i], x2[i] = rng.Float64(), rng.Float64()
+		ys[i] = 1.18*x1[i] + 0.9*x2[i] + 0.01*rng.NormFloat64()
+		all.Add(x1[i], x2[i], ys[i], 1)
+	}
+	for i := range ys {
+		rest := all
+		rest.Add(x1[i], x2[i], ys[i], -1)
+		got, err := rest.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		without := func(xs []float64) []float64 { return append(append([]float64{}, xs[:i]...), xs[i+1:]...) }
+		want, err := PairLSQ(without(x1), without(x2), without(ys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.N != 5 || !almostEqual(got.B1, want.B1, 1e-9) || !almostEqual(got.B2, want.B2, 1e-9) {
+			t.Errorf("without row %d: %+v, want %+v", i, got, want)
+		}
+	}
+	var short, collinear PairSums
+	short.Add(1, 2, 3, 1)
+	short.Add(2, 1, 3, 1)
+	for _, x := range []float64{1, 2, 3} {
+		collinear.Add(x, 2*x, 1, 1)
+	}
+	if _, err := short.Solve(); !errors.Is(err, ErrInsufficientData) {
+		t.Errorf("two rows: err = %v", err)
+	}
+	if _, err := collinear.Solve(); !errors.Is(err, ErrBadInput) {
+		t.Errorf("collinear rows: err = %v", err)
+	}
+}
+
 func TestPairLSQErrors(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{2, 3, 5, 4}

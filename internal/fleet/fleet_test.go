@@ -11,6 +11,7 @@ import (
 	"repro/internal/lbm"
 	"repro/internal/machine"
 	"repro/internal/monitor"
+	"repro/internal/perfmodel"
 	"repro/internal/simcloud"
 )
 
@@ -431,10 +432,13 @@ func TestExportMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := namedJob(t, "a", 8, 200, 0)
-	a.PredMFLUPS = map[string]float64{"CSP-2 Small": 123, "CSP-1": 99}
+	pred := func(tier, system string, mflups float64) perfmodel.Prediction {
+		return perfmodel.Prediction{Model: "direct", System: system, Ranks: 8, Tier: tier,
+			MFLUPS: mflups, SecondsPerStep: 2e-3, MemS: 1.5e-3}
+	}
+	a.Pred = map[string]perfmodel.Prediction{"CSP-2 Small": pred("tier1", "CSP-2 Small", 123), "CSP-1": pred("tier1", "CSP-1", 99)}
 	b := namedJob(t, "b", 8, 250, 0)
-	b.PredMFLUPS = map[string]float64{"CSP-2 Small": 400, "CSP-1": 300}
-	b.PredTier = map[string]string{"CSP-2 Small": "tier0", "CSP-1": "tier0"}
+	b.Pred = map[string]perfmodel.Prediction{"CSP-2 Small": pred("tier0", "CSP-2 Small", 400), "CSP-1": pred("tier0", "CSP-1", 300)}
 	r, err := s.Run([]*Job{a, b, namedJob(t, "c", 8, 250, 0)})
 	if err != nil {
 		t.Fatal(err)
@@ -453,9 +457,18 @@ func TestExportMonitor(t *testing.T) {
 	}
 	for _, j := range r.Jobs {
 		got := st.Series(j.Name, j.System, j.Ranks)
-		if len(got) != 1 || got[0].TimeS != 1000+j.DoneS || got[0].Predicted != j.PredMFLUPS || got[0].Tier != j.PredTier {
-			t.Errorf("job %s exported as %+v, report %+v", j.Name, got, j)
+		want := monitor.FromPrediction(j.Pred)
+		want.TimeS, want.Workload, want.System, want.Ranks = 1000+j.DoneS, j.Name, j.System, j.Ranks
+		want.MFLUPS, want.CostUSD, want.WaitS = j.MFLUPS, j.USD, j.WaitS
+		if j.Pred.Tier == "tier1" {
+			want.Tier = "" // the store's one spelling of Tier 1
 		}
+		if len(got) != 1 || got[0] != want {
+			t.Errorf("job %s exported as %+v, want %+v", j.Name, got, want)
+		}
+	}
+	if s := st.Series("a", r.Jobs[0].System, 8); len(s) != 1 || s[0].MemS != 1.5e-3 || math.Abs(s[0].CommS-0.5e-3) > 1e-18 {
+		t.Errorf("job a exported without its prediction's terms: %+v", s)
 	}
 	// Only the Tier 1 prediction refines: job a's, not b's tier0 one or
 	// the prediction-less c.
@@ -463,11 +476,11 @@ func TestExportMonitor(t *testing.T) {
 	if _, _, n := st.MAPE(sysA, "direct"); n != 1 {
 		t.Errorf("refinement reads %d samples on %s, want job a's alone", n, sysA)
 	}
-	if got, want := st.Correction(sysA, "direct", 8), r.Jobs[0].MFLUPS/r.Jobs[0].PredMFLUPS; math.Abs(got-want) > 1e-12 {
+	if got, want := st.Correction(sysA, "direct").Scalar, r.Jobs[0].MFLUPS/r.Jobs[0].Pred.MFLUPS; math.Abs(got-want) > 1e-12 {
 		t.Errorf("correction on %s = %v, want %v", sysA, got, want)
 	}
-	if r.Jobs[1].PredTier != "tier0" {
-		t.Errorf("job b reports tier %q, want tier0", r.Jobs[1].PredTier)
+	if r.Jobs[1].Pred.Tier != "tier0" {
+		t.Errorf("job b reports tier %q, want tier0", r.Jobs[1].Pred.Tier)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/obs"
+	"repro/internal/perfmodel"
 	"repro/internal/simcloud"
 )
 
@@ -43,12 +44,14 @@ type Job struct {
 	// and unpriced, capped by the campaign budget alone.
 	PerStep map[string]float64
 
-	// PredMFLUPS optionally carries predicted throughput per system for
-	// telemetry export (monitor samples gain a Predicted field, feeding
-	// the refinement loop), and PredTier the accuracy tier that produced
-	// each; a system missing from PredTier was predicted at Tier 1.
+	// Pred optionally carries the model's prediction per system for
+	// telemetry export: the report keeps the final system's, and
+	// ExportMonitor turns it into the sample the refinement loop learns
+	// from.
+	Pred map[string]perfmodel.Prediction
+
+	// Deprecated: read by nothing; kept while the benchmark sets it.
 	PredMFLUPS map[string]float64
-	PredTier   map[string]string
 }
 
 // jobState wraps a Job with the scheduler's bookkeeping.

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/monitor"
+	"repro/internal/perfmodel"
 )
 
 // JobReport is one job's final accounting.
@@ -34,8 +35,7 @@ type JobReport struct {
 	Completed  bool
 	ShedReason string // empty when completed
 
-	PredMFLUPS float64 // model prediction on the final system, 0 if unknown
-	PredTier   string  // tier that produced PredMFLUPS, "" for Tier 1
+	Pred perfmodel.Prediction // model prediction on the final system, zero if unknown
 }
 
 // InstanceReport is one pool instance's utilization accounting.
@@ -90,8 +90,7 @@ func (s *Scheduler) report() *Report {
 		}
 		if j.system != "" {
 			jr.System = j.system
-			jr.PredMFLUPS = j.PredMFLUPS[j.system]
-			jr.PredTier = j.PredTier[j.system]
+			jr.Pred = j.Pred[j.system]
 		}
 		if j.firstStart >= 0 {
 			jr.WaitS = j.firstStart
@@ -170,34 +169,22 @@ func (r *Report) RenderUtilization() string {
 }
 
 // ExportMonitor appends a telemetry sample per completed job — carrying
-// the model prediction and its tier when one drove the placement — into
-// a monitor store, feeding the regression tracking and refinement loop
-// the paper's Discussion sketches. The fleet clock starts at zero every
-// run while the store keeps one timeline, so startS, the store owner's
-// clock when the run began, is added to each completion time. Samples
-// arrive in completion order, ties broken on the configuration key.
+// the model prediction when one drove the placement — into a monitor
+// store, feeding the refinement loop the paper's Discussion sketches.
+// The fleet clock starts at zero every run while the store keeps one
+// timeline, so startS, the store owner's clock when the run began, is
+// added to each completion time. Samples arrive in completion order,
+// ties broken on the configuration key.
 func (r *Report) ExportMonitor(st *monitor.Store, startS float64) error {
 	var done []monitor.Sample
 	for _, j := range r.Jobs {
 		if !j.Completed || j.MFLUPS <= 0 {
 			continue
 		}
-		model := ""
-		if j.PredMFLUPS > 0 {
-			model = "direct"
-		}
-		done = append(done, monitor.Sample{
-			TimeS:     startS + j.DoneS,
-			Workload:  j.Name,
-			System:    j.System,
-			Model:     model,
-			Tier:      j.PredTier,
-			Ranks:     j.Ranks,
-			MFLUPS:    j.MFLUPS,
-			Predicted: j.PredMFLUPS,
-			CostUSD:   j.USD,
-			WaitS:     j.WaitS,
-		})
+		s := monitor.FromPrediction(j.Pred) // all zero for a job run without one
+		s.TimeS, s.Workload, s.System, s.Ranks = startS+j.DoneS, j.Name, j.System, j.Ranks
+		s.MFLUPS, s.CostUSD, s.WaitS = j.MFLUPS, j.USD, j.WaitS
+		done = append(done, s)
 	}
 	sort.SliceStable(done, func(i, k int) bool {
 		if done[i].TimeS < done[k].TimeS {

@@ -2,11 +2,11 @@
 // Discussion anticipates ("performance monitoring projects such as SONAR
 // are expected to be extremely useful in helping to automate and track
 // the measured performance against model predictions"): the one
-// append-only store of completed runs with their predictions. Baselines
-// and regression detection per configuration, and the iterative-
-// refinement correction ("storing all measured performance along with
-// the estimated performance model prediction will be critical to
-// iteratively refining the performance models"), are views over it.
+// append-only store of completed runs with their predictions. The
+// iterative-refinement correction ("storing all measured performance
+// along with the estimated performance model prediction will be critical
+// to iteratively refining the performance models") is a view over it,
+// learned per term of the model.
 package monitor
 
 import (
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/fit"
@@ -35,6 +34,23 @@ type Sample struct {
 	// WaitS is the queue wait before the run first started, reported by
 	// fleet-scheduled jobs (0 for directly submitted runs).
 	WaitS float64 `json:"wait_s,omitempty"`
+	// MemS and CommS split a Tier 1 prediction's seconds per step into
+	// its memory term and the communication remainder SecondsPerStep −
+	// MemS, the two terms Correction fits. Both are 0 for other tiers and
+	// in files written before the fields existed.
+	MemS  float64 `json:"mem_s,omitempty"`
+	CommS float64 `json:"comm_s,omitempty"`
+}
+
+// FromPrediction is the one way a prediction enters a Sample: its
+// system, model, tier, rank count and throughput, and for Tier 1 its two
+// terms. The caller adds the run's time, workload and measurement.
+func FromPrediction(p perfmodel.Prediction) Sample {
+	s := Sample{System: p.System, Model: p.Model, Tier: p.Tier, Ranks: p.Ranks, Predicted: p.MFLUPS}
+	if p.Tier == "" || p.Tier == perfmodel.Tier1Calibrated {
+		s.MemS, s.CommS = p.MemS, max(p.SecondsPerStep-p.MemS, 0)
+	}
+	return s
 }
 
 // escapeKeyPart makes a name safe for embedding in a "|"-separated
@@ -58,6 +74,20 @@ func (s Sample) Key() string {
 // store for per-(system, tier) drift telemetry.
 func (s Sample) refines() bool { return s.Predicted > 0 && s.Tier == "" }
 
+// row is the sample's row of the per-term fit: the predicted memory time
+// and communication remainder over the measured time, fitted to 1, so
+// every run weighs as a relative error. The measured time is the
+// predicted one scaled by predicted/measured MFLUPS. ok is false for a
+// sample without terms.
+func (s Sample) row() (mem, comm float64, ok bool) {
+	predS := s.MemS + s.CommS
+	if predS <= 0 {
+		return 0, 0, false
+	}
+	measuredS := predS * s.Predicted / s.MFLUPS
+	return s.MemS / measuredS, s.CommS / measuredS, true
+}
+
 // Store is an append-only telemetry store.
 type Store struct {
 	samples []Sample
@@ -78,7 +108,7 @@ func (st *Store) Add(s Sample) error {
 		v    float64
 	}{
 		{"time", s.TimeS}, {"MFLUPS", s.MFLUPS}, {"predicted MFLUPS", s.Predicted},
-		{"cost", s.CostUSD}, {"wait", s.WaitS},
+		{"cost", s.CostUSD}, {"wait", s.WaitS}, {"memory time", s.MemS}, {"communication time", s.CommS},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("monitor: sample for %s has non-finite %s (%g)", s.Key(), f.name, f.v)
@@ -87,8 +117,8 @@ func (st *Store) Add(s Sample) error {
 	if s.MFLUPS <= 0 {
 		return fmt.Errorf("monitor: sample for %s has non-positive MFLUPS", s.Key())
 	}
-	if s.Predicted < 0 {
-		return fmt.Errorf("monitor: sample for %s has negative predicted MFLUPS", s.Key())
+	if s.Predicted < 0 || s.MemS < 0 || s.CommS < 0 {
+		return fmt.Errorf("monitor: sample for %s has a negative prediction", s.Key())
 	}
 	if s.Workload == "" || s.System == "" {
 		return fmt.Errorf("monitor: sample missing workload or system")
@@ -103,185 +133,143 @@ func (st *Store) Add(s Sample) error {
 // Len returns the number of stored samples.
 func (st *Store) Len() int { return len(st.samples) }
 
-// grouped splits the store by configuration in one pass: the sorted
-// configuration keys, and under each key its samples in arrival order.
-// Configurations are told apart by their fields; the escaped key is
-// built once per configuration.
-func (st *Store) grouped() ([]string, map[string][]Sample) {
-	byConfig := map[Sample][]Sample{}
-	for _, s := range st.samples {
-		c := Sample{Workload: s.Workload, System: s.System, Ranks: s.Ranks}
-		byConfig[c] = append(byConfig[c], s)
-	}
-	keys := make([]string, 0, len(byConfig))
-	series := make(map[string][]Sample, len(byConfig))
-	for c, g := range byConfig {
-		key := c.Key()
-		keys = append(keys, key)
-		series[key] = g
-	}
-	sort.Strings(keys)
-	return keys, series
-}
-
 // Series returns the samples of one configuration in arrival order.
 func (st *Store) Series(workload, system string, ranks int) []Sample {
-	_, series := st.grouped()
-	return series[Sample{Workload: workload, System: system, Ranks: ranks}.Key()]
-}
-
-// Configurations lists the distinct monitored configurations, sorted.
-func (st *Store) Configurations() []string {
-	keys, _ := st.grouped()
-	return keys
-}
-
-// summarize takes the throughput statistics of a series.
-func summarize(series []Sample) fit.Summary {
-	vals := make([]float64, len(series))
-	for i, s := range series {
-		vals[i] = s.MFLUPS
-	}
-	return fit.Summarize(vals)
-}
-
-// Baseline summarizes a configuration's throughput history.
-func (st *Store) Baseline(workload, system string, ranks int) (fit.Summary, error) {
-	series := st.Series(workload, system, ranks)
-	if len(series) == 0 {
-		return fit.Summary{}, fmt.Errorf("monitor: no samples for %s/%s/%d", workload, system, ranks)
-	}
-	return summarize(series), nil
-}
-
-// Regression flags a configuration whose latest run fell significantly
-// below its historical baseline.
-type Regression struct {
-	Workload       string
-	System         string
-	Ranks          int
-	BaselineMFLUPS float64 // historical mean (excluding the latest run)
-	LatestMFLUPS   float64
-	Sigmas         float64 // how many baseline standard deviations below mean
-}
-
-// DetectRegressions scans every configuration with at least minHistory+1
-// samples and reports those whose latest throughput sits more than
-// threshold standard deviations below the mean of the preceding history.
-func (st *Store) DetectRegressions(minHistory int, threshold float64) ([]Regression, error) {
-	if minHistory < 2 {
-		return nil, fmt.Errorf("monitor: need at least 2 history samples, got %d", minHistory)
-	}
-	if threshold <= 0 {
-		return nil, fmt.Errorf("monitor: non-positive threshold %g", threshold)
-	}
-	var out []Regression
-	keys, grouped := st.grouped()
-	for _, key := range keys {
-		series := grouped[key]
-		if len(series) < minHistory+1 {
-			continue
-		}
-		latest := series[len(series)-1]
-		sum := summarize(series[:len(series)-1])
-		if sum.StdDev == 0 {
-			continue // a perfectly flat history cannot grade deviations
-		}
-		sigmas := (sum.Mean - latest.MFLUPS) / sum.StdDev
-		if sigmas > threshold {
-			out = append(out, Regression{
-				Workload:       latest.Workload,
-				System:         latest.System,
-				Ranks:          latest.Ranks,
-				BaselineMFLUPS: sum.Mean,
-				LatestMFLUPS:   latest.MFLUPS,
-				Sigmas:         sigmas,
-			})
-		}
-	}
-	return out, nil
-}
-
-// Correction returns the multiplicative calibration factor for a system
-// and model at a rank count: the geometric mean of measured/predicted over
-// the matching Tier 1 samples. Both of the paper's models "overpredicted
-// ... by a consistent amount in all cases", which is exactly the bias a
-// multiplicative correction removes. The bias is regime-dependent
-// (memory-dominated small runs versus latency-dominated large ones), so
-// samples at the same rank count are preferred; the fallbacks widen to
-// the system, then the model, then 1 when nothing matches yet (an
-// uncalibrated model is used as-is). ranks <= 0 skips the rank-specific
-// level.
-func (st *Store) Correction(system, model string, ranks int) float64 {
-	var atRanks, onSystem, ofModel []float64
+	var out []Sample
 	for _, s := range st.samples {
-		if !s.refines() || s.Model != model {
-			continue
+		if s.Workload == workload && s.System == system && s.Ranks == ranks {
+			out = append(out, s)
 		}
-		ratio := s.MFLUPS / s.Predicted
-		ofModel = append(ofModel, ratio)
-		if s.System == system {
-			onSystem = append(onSystem, ratio)
-			if ranks > 0 && s.Ranks == ranks {
-				atRanks = append(atRanks, ratio)
-			}
-		}
-	}
-	for _, ratios := range [][]float64{atRanks, onSystem, ofModel} {
-		if len(ratios) > 0 {
-			return fit.GeoMean(ratios)
-		}
-	}
-	return 1
-}
-
-// Refine applies the current calibration to a prediction, returning the
-// corrected copy. Time-like components scale inversely with throughput.
-func (st *Store) Refine(p perfmodel.Prediction) perfmodel.Prediction {
-	c := st.Correction(p.System, p.Model, p.Ranks)
-	out := p
-	out.MFLUPS = p.MFLUPS * c
-	if c > 0 {
-		out.SecondsPerStep = p.SecondsPerStep / c
 	}
 	return out
 }
 
-// MAPE reports the mean absolute percentage error of a system's Tier 1
-// samples before and after calibration — the feedback metric that decides
-// whether a model term earns its place (the paper's "system of adding and
-// checking").
-func (st *Store) MAPE(system, model string) (before, after float64, n int) {
-	var sumB, sumA float64
-	for _, s := range st.samples {
-		if !s.refines() || s.System != system || s.Model != model {
-			continue
-		}
-		c := st.Correction(system, model, s.Ranks)
-		sumB += math.Abs(s.Predicted-s.MFLUPS) / s.MFLUPS
-		sumA += math.Abs(s.Predicted*c-s.MFLUPS) / s.MFLUPS
-		n++
-	}
-	if n == 0 {
-		return 0, 0, 0
-	}
-	return sumB / float64(n), sumA / float64(n), n
+// Correction is what the store has learned about one (system, model)
+// from its Tier 1 samples. Terms is the per-term fit of the measured
+// time on the prediction's memory term (B1) and communication remainder
+// (B2); its N is 0 when the fit could not be used, and Scalar, the
+// geometric mean of measured/predicted MFLUPS, scales the whole
+// prediction instead (1 with no samples: an uncalibrated model is used
+// as-is).
+type Correction struct {
+	Terms  fit.Pair
+	Scalar float64
 }
 
-// Render formats a status report: every monitored configuration with its
-// baseline statistics and latest observation.
-func (st *Store) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-40s %8s %12s %10s %12s\n",
-		"configuration", "samples", "mean MFLUPS", "cv", "latest")
-	keys, grouped := st.grouped()
-	for _, key := range keys {
-		series := grouped[key]
-		sum := summarize(series)
-		fmt.Fprintf(&b, "%-40s %8d %12.2f %10.3f %12.2f\n",
-			key, sum.N, sum.Mean, sum.CV, series[len(series)-1].MFLUPS)
+// correction assembles a Correction from n samples' sum of log ratios
+// and their per-term fit, which it keeps only with both coefficients
+// finite and positive.
+func correction(logSum float64, n int, terms fit.Pair, err error) Correction {
+	c := Correction{Scalar: 1}
+	if n > 0 {
+		c.Scalar = math.Exp(logSum / float64(n))
 	}
-	return b.String()
+	if err == nil && positive(terms.B1) && positive(terms.B2) {
+		c.Terms = terms
+	}
+	return c
+}
+
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// refining returns the Tier 1 samples of a system and model.
+func (st *Store) refining(system, model string) []Sample {
+	var out []Sample
+	for _, s := range st.samples {
+		if s.refines() && s.System == system && s.Model == model {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// Correction fits the model's two terms to a system's Tier 1 samples
+// with fit.PairLSQ. Both of the paper's models "overpredicted ... by a
+// consistent amount in all cases", but not by one factor: the memory
+// term misses the kernel overhead, the communication terms their own
+// share, so each term earns its own coefficient. Fewer than three
+// samples with terms, collinear ones (repeated runs of one cell) or a
+// coefficient that is not positive leave the scalar correction.
+func (st *Store) Correction(system, model string) Correction {
+	samples := st.refining(system, model)
+	var logSum float64
+	var mem, comm, ones []float64
+	for _, s := range samples {
+		logSum += math.Log(s.MFLUPS / s.Predicted)
+		if x1, x2, ok := s.row(); ok {
+			mem, comm, ones = append(mem, x1), append(comm, x2), append(ones, 1)
+		}
+	}
+	terms, err := fit.PairLSQ(mem, comm, ones)
+	return correction(logSum, len(samples), terms, err)
+}
+
+// Apply corrects a prediction: the memory time scales by Terms.B1 and
+// every communication term by Terms.B2 — or, without a usable fit, every
+// time by 1/Scalar — and the throughput and both edges of its confidence
+// band by the ratio of raw to corrected time.
+func (c Correction) Apply(p perfmodel.Prediction) perfmodel.Prediction {
+	mem, comm, speed := 1/c.Scalar, 1/c.Scalar, c.Scalar
+	if c.Terms.N > 0 {
+		t := p.MemS*c.Terms.B1 + (p.SecondsPerStep-p.MemS)*c.Terms.B2
+		// A prediction without terms, or a fit too extreme for this
+		// one, keeps the scalar.
+		if s := p.SecondsPerStep / t; positive(p.MFLUPS * s) {
+			mem, comm, speed = c.Terms.B1, c.Terms.B2, s
+		}
+	}
+	out := p
+	out.SecondsPerStep /= speed
+	out.MemS *= mem
+	out.IntraS *= comm
+	out.InterS *= comm
+	out.CPUGPUs *= comm
+	out.CommBandwidthS *= comm
+	out.CommLatencyS *= comm
+	out.MFLUPS *= speed
+	out.Confidence.LoMFLUPS *= speed
+	out.Confidence.HiMFLUPS *= speed
+	return out
+}
+
+// Refine applies the current correction of the prediction's system and
+// model to it.
+func (st *Store) Refine(p perfmodel.Prediction) perfmodel.Prediction {
+	return st.Correction(p.System, p.Model).Apply(p)
+}
+
+// MAPE reports the mean absolute percentage error of a system's Tier 1
+// samples before and after correction — the feedback metric that decides
+// whether a model term earns its place (the paper's "system of adding and
+// checking"). Each sample is scored leave-one-out, by the correction the
+// store's other samples give, so the figure is what the correction does
+// for a run it has not seen; downdating one set of sums keeps it O(n).
+func (st *Store) MAPE(system, model string) (before, after float64, n int) {
+	samples := st.refining(system, model)
+	if len(samples) == 0 {
+		return 0, 0, 0
+	}
+	var all fit.PairSums
+	var logSum float64
+	for _, s := range samples {
+		logSum += math.Log(s.MFLUPS / s.Predicted)
+		if x1, x2, ok := s.row(); ok {
+			all.Add(x1, x2, 1, 1)
+		}
+	}
+	for _, s := range samples {
+		rest := all
+		if x1, x2, ok := s.row(); ok {
+			rest.Add(x1, x2, 1, -1)
+		}
+		terms, err := rest.Solve()
+		c := correction(logSum-math.Log(s.MFLUPS/s.Predicted), len(samples)-1, terms, err)
+		before += math.Abs(s.Predicted-s.MFLUPS) / s.MFLUPS
+		// A sample without terms has no time, so only the scalar applies.
+		p := perfmodel.Prediction{MFLUPS: s.Predicted, MemS: s.MemS, SecondsPerStep: s.MemS + s.CommS}
+		after += math.Abs(c.Apply(p).MFLUPS-s.MFLUPS) / s.MFLUPS
+	}
+	return before / float64(len(samples)), after / float64(len(samples)), len(samples)
 }
 
 // Save serializes the store as JSON.
