@@ -1,6 +1,6 @@
 // Command harveysim runs the HARVEY-like sparse LBM engine on one of the
-// Figure 2 geometries, either directly on the host (optionally in
-// parallel across goroutine ranks with real halo exchange) or as a
+// Figure 2 geometries, either directly on the host (on one goroutine rank,
+// or in parallel across several with real halo exchange) or as a
 // simulated job on a modeled cloud system.
 //
 // Examples:
@@ -50,7 +50,8 @@ func main() {
 
 	dom, err := campaign.BuildGeometry(*geom, *scale)
 	fatal(err)
-	params := lbm.Params{Tau: *tau, UMax: *umax}
+	// A negative period fails the lattice's Params.Validate.
+	params := lbm.Params{Tau: *tau, UMax: *umax, Pulsatile: lbm.Waveform{Period: *period, Amplitude: *amp}}
 	switch *coll {
 	case "bgk":
 		params.Collision = lbm.BGK
@@ -59,20 +60,20 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown collision operator %q", *coll))
 	}
-	if *period > 0 {
-		params.Pulsatile = lbm.Waveform{Period: *period, Amplitude: *amp}
-	}
 	stats := dom.Stats()
 	fmt.Printf("geometry %s: %d fluid points (bulk %d, wall %d, inlet %d, outlet %d)\n",
 		dom.Name, stats.Fluid, stats.Bulk, stats.Wall, stats.Inlet, stats.Outlet)
 
+	// Build first, then time the steps alone: the printed MFLUPS is the
+	// kernel's, and set-up has its own line. A simulated run never steps:
+	// the lattice and its decomposition alone, no distributions.
+	start := time.Now()
+	l, err := lbm.NewLattice(dom, params)
+	fatal(err)
+	p, err := decomp.RCB(l, *ranks, lbm.HarveyAccess())
+	fatal(err)
 	if *system != "" {
-		// A simulated run never steps: the lattice alone, no distributions.
-		l, err := lbm.NewLattice(dom, params)
-		fatal(err)
 		sys, err := machine.ByAbbrev(*system)
-		fatal(err)
-		p, err := decomp.RCB(l, *ranks, lbm.HarveyAccess())
 		fatal(err)
 		w := simcloud.FromPartition(dom.Name, l.N(), p)
 		res, err := simcloud.Run(w, sys, *steps, rand.New(rand.NewSource(*seed)))
@@ -85,26 +86,15 @@ func main() {
 		return
 	}
 
-	// Build first, then time the steps alone: the printed MFLUPS is the
-	// kernel's, and set-up has its own line.
-	start := time.Now()
-	s, err := lbm.NewSparse(dom, params)
+	runner, err := par.New(l, p)
 	fatal(err)
-	run, finish := s.Run, func() {}
-	if *ranks > 1 {
-		p, err := decomp.RCB(s, *ranks, lbm.HarveyAccess())
-		fatal(err)
-		runner, err := par.NewRunner(s, p)
-		fatal(err)
-		run, finish = runner.Run, func() { runner.WriteBack(s) }
-	}
 	fmt.Printf("set-up: %.3f s\n", time.Since(start).Seconds())
 	start = time.Now()
-	run(*steps)
+	runner.Run(*steps)
 	elapsed := time.Since(start).Seconds()
-	finish()
 	fmt.Printf("host run: %d steps on %d rank(s) in %.3f s = %.2f MFLUPS (max speed %.4g)\n",
-		*steps, *ranks, elapsed, lbm.MFLUPS(s.N(), *steps, elapsed), s.MaxSpeed())
+		*steps, *ranks, elapsed, lbm.MFLUPS(l.N(), *steps, elapsed), runner.MaxSpeed())
+	fmt.Printf("total mass: %.17g\n", runner.TotalMass())
 }
 
 func fatal(err error) {

@@ -96,7 +96,7 @@ func referenceStats(p *decomp.Partition, s *lbm.Sparse, m lbm.AccessModel) {
 		x, y, z := s.SiteCoords(si)
 		for q := 1; q < lbm.NQ; q++ {
 			nx := x + lbm.Cx[q]
-			if s.Params.PeriodicX {
+			if s.Params().PeriodicX {
 				nx = (nx + s.NX) % s.NX
 			}
 			nb := s.SiteAt(nx, y+lbm.Cy[q], z+lbm.Cz[q])

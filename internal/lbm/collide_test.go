@@ -109,7 +109,7 @@ func TestTRTPoiseuilleViscosity(t *testing.T) {
 			t.Fatal(err)
 		}
 		nuFit := -g / (4 * line.Slope)
-		return math.Abs(nuFit-s.Params.Viscosity()) / s.Params.Viscosity()
+		return math.Abs(nuFit-s.Params().Viscosity()) / s.Params().Viscosity()
 	}
 	bgkErr := run(BGK)
 	trtErr := run(TRT)

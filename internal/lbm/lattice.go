@@ -3,6 +3,7 @@ package lbm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/geometry"
@@ -17,8 +18,9 @@ import (
 // and the solver engines, which read every row every other step, keep
 // their own. So a lattice costs 6 bytes per fluid site plus 1.5 bits per
 // box voxel, and that is what a cache of prepared anatomies holds.
-// Solver state — link table, distributions, inlet profile — lives in
-// Sparse, which embeds a Lattice.
+// It keeps the parameter set it was built for, so that the engines built
+// on it step the flow its links were derived for. Solver state — link
+// table, distributions, boundary sites — lives in a Block.
 type Lattice struct {
 	NX, NY, NZ int // the bounding box global indices are linear in
 
@@ -35,8 +37,8 @@ type Lattice struct {
 	fluid []uint64
 	below []int32
 
-	periodicX bool    // links wrap across the x faces of the box
-	offset    [NQ]int // global-index step along each c_q, for sites off the faces
+	params Params  // what the lattice was built for; PeriodicX wraps its links
+	offset [NQ]int // global-index step along each c_q, for sites off the faces
 }
 
 const solidNeighbor = int32(-1)
@@ -53,7 +55,7 @@ func NewLattice(dom *geometry.Domain, p Params) (*Lattice, error) {
 	if len(dom.Types) != dom.Sites() {
 		return nil, fmt.Errorf("lbm: domain %q has %d voxels for a %dx%dx%d box", dom.Name, len(dom.Types), dom.NX, dom.NY, dom.NZ)
 	}
-	l := &Lattice{NX: dom.NX, NY: dom.NY, NZ: dom.NZ, periodicX: p.PeriodicX}
+	l := &Lattice{NX: dom.NX, NY: dom.NY, NZ: dom.NZ, params: p}
 	for q := range l.offset {
 		l.offset[q] = (Cz[q]*l.NY+Cy[q])*l.NX + Cx[q]
 	}
@@ -102,9 +104,9 @@ func NewLattice(dom *geometry.Domain, p Params) (*Lattice, error) {
 // rest vector and one per fluid link.
 func (l *Lattice) countVectors(lo, hi int) {
 	nvec := l.nvec[lo:hi]
-	at := l.cursorAt(lo)
+	at := l.Cursor()
 	for i, g := range l.gidx[lo:hi] {
-		x, y, z := at.coords(l, int(g))
+		x, y, z := at.coords(int(g))
 		vectors := uint8(1) // rest
 		if l.offFaces(x, y, z) {
 			for q := 1; q < NQ; q++ {
@@ -132,7 +134,8 @@ func (l *Lattice) countVectors(lo, hi int) {
 // faces in a periodic lattice. A site off the faces of the box finds its
 // 18 neighbours at fixed global offsets, each one bit test and one
 // popcount away. It is the one derivation of links: decomposition calls
-// it per site as it scans, and NewSparse once per site for its table.
+// it per site as it scans, and the engines once per site for their
+// tables, through a LatticeCursor.
 func (l *Lattice) LinkRow(row *[NQ]int32, si, x, y, z int) {
 	row[0] = int32(si)
 	if l.offFaces(x, y, z) {
@@ -147,26 +150,31 @@ func (l *Lattice) LinkRow(row *[NQ]int32, si, x, y, z int) {
 	}
 }
 
-// scanCursor recovers the coordinates of global indices visited in
-// ascending order, advancing a row at a time instead of dividing.
-type scanCursor struct{ y, z, rowStart int }
-
-// cursorAt returns a cursor on the row of local site si, for a walk that
-// starts there; past the last site it is the zero cursor.
-func (l *Lattice) cursorAt(si int) scanCursor {
-	if si >= l.n {
-		return scanCursor{}
-	}
-	row := int(l.gidx[si]) / l.NX
-	return scanCursor{y: row % l.NY, z: row / l.NY, rowStart: row * l.NX}
+// LatticeCursor derives the link rows of local sites visited in ascending
+// order, LinkRow's, with the shape of a RowCursor over a lattice that
+// stores none. It recovers each site's coordinates without a division
+// while the walk stays on a box row.
+type LatticeCursor struct {
+	l              *Lattice
+	y, z, rowStart int
 }
 
-func (c *scanCursor) coords(l *Lattice, g int) (x, y, z int) {
-	for g >= c.rowStart+l.NX {
-		c.rowStart += l.NX
-		if c.y++; c.y == l.NY {
-			c.y, c.z = 0, c.z+1
-		}
+// Cursor returns a LatticeCursor for a walk from any site.
+func (l *Lattice) Cursor() LatticeCursor { return LatticeCursor{l: l} }
+
+// Row fills row with the link row of local site si, which is no lower
+// than the last site the cursor visited.
+func (c *LatticeCursor) Row(si int, row *[NQ]int32) {
+	x, y, z := c.coords(int(c.l.gidx[si]))
+	c.l.LinkRow(row, si, x, y, z)
+}
+
+// coords returns the coordinates of box site g, no lower than the last
+// one the cursor visited.
+func (c *LatticeCursor) coords(g int) (x, y, z int) {
+	if nx := c.l.NX; g >= c.rowStart+nx {
+		row := g / nx
+		c.rowStart, c.y, c.z = row*nx, row%c.l.NY, row/c.l.NY
 	}
 	return g - c.rowStart, c.y, c.z
 }
@@ -180,7 +188,7 @@ func (l *Lattice) offFaces(x, y, z int) bool {
 // wrapX folds an x one site off the box back onto it in a periodic
 // lattice.
 func (l *Lattice) wrapX(x int) int {
-	if l.periodicX {
+	if l.params.PeriodicX {
 		if x < 0 {
 			return x + l.NX
 		} else if x >= l.NX {
@@ -216,6 +224,9 @@ func (l *Lattice) local(g int) int32 {
 // — a Sparse solver — has the method too, so functions that read only
 // topology take either through a one-method interface.
 func (l *Lattice) Topology() *Lattice { return l }
+
+// Params returns the parameter set the lattice was built for.
+func (l *Lattice) Params() Params { return l.params }
 
 // N returns the number of fluid sites.
 func (l *Lattice) N() int { return l.n }
@@ -254,4 +265,57 @@ func (l *Lattice) boxIndex(x, y, z int) (g int, in bool) {
 		return 0, false
 	}
 	return (z*l.NY+y)*l.NX + x, true
+}
+
+// BoundarySites lists the inlet and outlet sites in ascending order, each
+// inlet with its Poiseuille velocity u(r) = UMax * (1 - (r/R)^2) about the
+// inlet centroid: the boundary list of an engine over the whole lattice,
+// which a block over some of its sites takes its own from. A periodic
+// lattice has none: its inlet and outlet sites are bulk fluid.
+func (l *Lattice) BoundarySites() []BoundarySite {
+	if l.params.PeriodicX {
+		return nil
+	}
+	var cy, cz float64
+	inlets, outlets := 0, 0
+	for si := 0; si < l.n; si++ {
+		switch l.types[si] {
+		case geometry.Inlet:
+			_, y, z := l.coords(si)
+			cy += float64(y)
+			cz += float64(z)
+			inlets++
+		case geometry.Outlet:
+			outlets++
+		}
+	}
+	if inlets > 0 {
+		cy /= float64(inlets)
+		cz /= float64(inlets)
+	}
+	var rMax float64
+	for si := 0; si < l.n; si++ {
+		if l.types[si] == geometry.Inlet {
+			_, y, z := l.coords(si)
+			dy, dz := float64(y)-cy, float64(z)-cz
+			rMax = math.Max(rMax, math.Sqrt(dy*dy+dz*dz))
+		}
+	}
+	if rMax == 0 {
+		rMax = 1 // single-site inlet: flat profile
+	}
+	// R is half a site beyond the outermost fluid site (the true wall).
+	r2 := (rMax + 0.5) * (rMax + 0.5)
+	sites := make([]BoundarySite, 0, inlets+outlets)
+	for si := 0; si < l.n; si++ {
+		switch l.types[si] {
+		case geometry.Inlet:
+			_, y, z := l.coords(si)
+			dy, dz := float64(y)-cy, float64(z)-cz
+			sites = append(sites, BoundarySite{Cell: int32(si), InletU: l.params.UMax * (1 - (dy*dy+dz*dz)/r2)})
+		case geometry.Outlet:
+			sites = append(sites, BoundarySite{Cell: int32(si), Outlet: true})
+		}
+	}
+	return sites
 }

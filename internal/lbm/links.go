@@ -259,11 +259,10 @@ func (l *Lattice) linkRange(lo, hi int) *LinkBuilder {
 	b := new(LinkBuilder)
 	started := false
 	from := max(lo-1, 0)
-	at := l.cursorAt(from)
+	rows := l.Cursor()
 	var row [NQ]int32
-	for i := from; i < len(l.gidx); i++ {
-		x, y, z := at.coords(l, int(l.gidx[i]))
-		l.LinkRow(&row, i, x, y, z)
+	for i := from; i < l.n; i++ {
+		rows.Row(i, &row)
 		if b.extends(i, &row) {
 			b.run.hi++
 			continue

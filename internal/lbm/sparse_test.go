@@ -44,7 +44,7 @@ func TestSparsePoiseuilleProfile(t *testing.T) {
 	// u against r^2 must recover the solver's viscosity.
 	const g = 2e-6
 	s := poiseuilleCase(t, 8, 9, g)
-	nu := s.Params.Viscosity()
+	nu := s.Params().Viscosity()
 
 	// Run to steady state: monitor the peak velocity until it stalls.
 	prev := -1.0
@@ -63,9 +63,9 @@ func TestSparsePoiseuilleProfile(t *testing.T) {
 
 	// Collect (r^2, u) over the interior of the mid-length cross-section,
 	// away from the staircase wall.
-	cy := float64(s.Dom.NY-1) / 2
-	cz := float64(s.Dom.NZ-1) / 2
-	midX := s.Dom.NX / 2
+	cy := float64(s.NY-1) / 2
+	cz := float64(s.NZ-1) / 2
+	midX := s.NX / 2
 	var r2s, us []float64
 	for si := 0; si < s.N(); si++ {
 		x, y, z := s.SiteCoords(si)

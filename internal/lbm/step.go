@@ -1,6 +1,8 @@
 //lint:hot
 package lbm
 
+import "math"
+
 // remoteLink is the first link-row entry below solidNeighbor. A link row
 // holds, for each direction q of one cell, where the cell's value along q
 // is kept between steps: the index of the cell at x + c_q within the
@@ -9,14 +11,69 @@ package lbm
 // itself.
 const remoteLink = int32(-2)
 
-// RemoteLink is the link-row entry that keeps a value in slot k of the
-// halo handed to CollideStream.
+// RemoteLink is the link-row entry that keeps a value in slot k of a
+// block's halo.
 func RemoteLink(k int) int32 { return remoteLink - int32(k) }
 
-// CollideStream is the step body of the HARVEY engine, the one pass over
-// a block of cells both lbm.Sparse and par.Runner make each timestep. It
-// runs Bailey's AA pattern on the one array f, in place, and step, the
-// index of the timestep, picks the pass:
+// Block is the HARVEY engine over a set of cells: the whole lattice for
+// Sparse, one rank's share of it for each rank of a par.Runner. It holds
+// the cells' distributions, their link rows, a halo of one value per
+// remote link, the inlet and outlet cells, and the number of timesteps
+// the state has made. A timestep is its two passes, CollideStream and
+// then ApplyBoundaries, with a rank's halo exchange between them. The
+// zero value is a block of no cells; create one with NewBlock.
+type Block struct {
+	// NQ distributions a cell, AOS: in the natural layout after an even
+	// number of steps, in the swapped one after an odd number (see
+	// CollideStream), so a readout goes through Cell and SetCell.
+	f []float64
+
+	links Links // the cells' link rows, entries as remoteLink says
+	// halo has one slot per remote link. After an even step a halo
+	// exchange fills it with the values that arrived; the odd step reads
+	// them and leaves the values to send in their place.
+	halo []float64
+
+	bounds []BoundarySite // inlet and outlet cells, ascending
+	steps  int            // timesteps completed
+}
+
+// NewBlock returns the block of the len(f)/NQ cells whose distributions f
+// will hold, with the link table links, halo remote links and the
+// boundary cells bounds. The caller allocates f, before or after it
+// builds the table, whichever keeps the peak heap lower (par's ranks
+// allocate it first). The fluid is at rest with unit density at step 0;
+// or, when from is not nil, the step count is from's and cell i is from's
+// cell sites[i]. The cells are stored over ForRanges ranges, so each
+// range's goroutine is the first to touch its pages.
+func NewBlock(f []float64, links Links, halo int, bounds []BoundarySite, from *Block, sites []int32) Block {
+	n := len(f) / NQ
+	b := Block{f: f, links: links, halo: make([]float64, halo), bounds: bounds}
+	if from != nil {
+		b.steps = from.steps
+	}
+	ForRanges(n, SetupWorkers(n), func(_, lo, hi int) {
+		if from == nil {
+			var rest [NQ]float64
+			Equilibrium(1, 0, 0, 0, &rest)
+			for w := b.f[lo*NQ : hi*NQ]; len(w) >= NQ; w = w[NQ:] {
+				*(*[NQ]float64)(w[:NQ]) = rest
+			}
+			return
+		}
+		// Each slot and halo slot is the location of one cell at either
+		// parity (CollideStream), so no two ranges store to the same one.
+		for i, si := range sites[lo:hi] {
+			c := from.Cell(int(si))
+			b.store(lo+i, b.steps, &c)
+		}
+	})
+	return b
+}
+
+// CollideStream is the step body of the HARVEY engine, the first pass of
+// a timestep over the block. It runs Bailey's AA pattern on the one array
+// f, in place, and the parity of the step count picks the pass:
 //
 //   - Even step, f in the natural layout (slot i*NQ+q holds cell i's
 //     value along q): collide each cell and write c[q] to the cell's own
@@ -33,20 +90,19 @@ func RemoteLink(k int) int32 { return remoteLink - int32(k) }
 // Each cell touches only its own NQ locations, so both passes are in
 // place, and a cell's value along q after a step is the value push
 // streaming with halfway bounce-back leaves there, bit for bit. On an odd
-// step halo[k] holds the value that arrived from the other rank and
-// receives the value to send; Sparse passes its own link table and no
-// halo.
+// step halo[k] holds the value that arrived from the other block and
+// receives the value to send.
 //
 // The loops are shaped for the compiler's prover (gated by cmd/lint
 // -perfbudget): NQ-wide windows advance over the arrays, every scattered
 // load and store outside a run is guarded by one unsigned compare that is
 // range test and bounds proof at once, and a run's windows share the one
 // length its loop compares against.
-func CollideStream(f []float64, links *Links, halo []float64, p Params, step int) {
-	if step&1 == 0 {
-		collideSwap(f, p)
+func (b *Block) CollideStream(p Params) {
+	if b.steps&1 == 0 {
+		collideSwap(b.f, p)
 	} else {
-		collideLinked(f, links, halo, p)
+		collideLinked(b.f, &b.links, b.halo, p)
 	}
 }
 
@@ -230,38 +286,38 @@ func loc(f, halo []float64, own *[NQ]float64, nb int32, q, oq int) *float64 {
 	return &own[oq]
 }
 
-// LoadCell returns cell i of a block whose state has made steps
-// timesteps: its window of f after an even number (the natural layout),
-// gathered through its link row and halo after an odd one.
-func LoadCell(f []float64, links *Links, halo []float64, i, steps int) (c [NQ]float64) {
-	own := (*[NQ]float64)(f[i*NQ : i*NQ+NQ])
+// load returns cell i of the block's state after steps timesteps: its
+// window of f after an even number (the natural layout), gathered through
+// its link row and halo after an odd one.
+func (b *Block) load(i, steps int) (c [NQ]float64) {
+	own := (*[NQ]float64)(b.f[i*NQ : i*NQ+NQ])
 	if steps&1 == 0 {
 		return *own
 	}
 	var nb [NQ]int32
-	links.Row(i, &nb)
+	b.links.Row(i, &nb)
 	c[0] = own[0]
 	for q := 1; q < NQ-1; q += 2 {
-		c[q+1] = *loc(f, halo, own, nb[q], q, q+1)
-		c[q] = *loc(f, halo, own, nb[q+1], q+1, q)
+		c[q+1] = *loc(b.f, b.halo, own, nb[q], q, q+1)
+		c[q] = *loc(b.f, b.halo, own, nb[q+1], q+1, q)
 	}
 	return c
 }
 
-// StoreCell overwrites cell i of a block whose state has made steps
-// timesteps, where LoadCell reads it.
-func StoreCell(f []float64, links *Links, halo []float64, i, steps int, c *[NQ]float64) {
-	own := (*[NQ]float64)(f[i*NQ : i*NQ+NQ])
+// store overwrites cell i of the block's state after steps timesteps,
+// where load reads it.
+func (b *Block) store(i, steps int, c *[NQ]float64) {
+	own := (*[NQ]float64)(b.f[i*NQ : i*NQ+NQ])
 	if steps&1 == 0 {
 		*own = *c
 		return
 	}
 	var nb [NQ]int32
-	links.Row(i, &nb)
+	b.links.Row(i, &nb)
 	own[0] = c[0]
 	for q := 1; q < NQ-1; q += 2 {
-		*loc(f, halo, own, nb[q], q, q+1) = c[q+1]
-		*loc(f, halo, own, nb[q+1], q+1, q) = c[q]
+		*loc(b.f, b.halo, own, nb[q], q, q+1) = c[q+1]
+		*loc(b.f, b.halo, own, nb[q+1], q+1, q) = c[q]
 	}
 }
 
@@ -272,26 +328,86 @@ type BoundarySite struct {
 	InletU float64 // prescribed axial velocity at an inlet, before pulsation
 }
 
-// ApplyBoundaries overrides the streamed distributions at a block's inlet
-// and outlet cells with equilibria: the prescribed velocity times the
-// pulsation of the step (Waveform.Scale) at unit density for an inlet,
-// the cell's own velocity at unit density (zero pressure) for an outlet.
-// It runs after CollideStream's pass of the same step — for a rank, after
-// the halo exchange, when every value is in place — over the ascending
-// list built once per engine. After an even pass a cell is read and
-// written through its link row and halo, as the odd pass reads it.
-func ApplyBoundaries(f []float64, links *Links, halo []float64, sites []BoundarySite, p Params, step int) {
-	scale := p.Pulsatile.Scale(step)
+// ApplyBoundaries is the second pass of a timestep, and ends it: it
+// overrides the streamed distributions at the block's inlet and outlet
+// cells with equilibria — the prescribed velocity times the pulsation of
+// the step (Waveform.Scale) at unit density for an inlet, the cell's own
+// velocity at unit density (zero pressure) for an outlet — and advances
+// the step count. It runs after CollideStream's pass of the same step —
+// for a rank, after the halo exchange, when every value is in place —
+// over the ascending list built once per block. After an even pass a cell
+// is read and written through its link row and halo, as the odd pass
+// reads it.
+func (b *Block) ApplyBoundaries(p Params) {
+	scale := p.Pulsatile.Scale(b.steps)
+	next := b.steps + 1
 	var bc [NQ]float64
-	for _, b := range sites {
-		i := int(b.Cell)
-		if b.Outlet {
-			cell := LoadCell(f, links, halo, i, step+1)
+	for _, s := range b.bounds {
+		i := int(s.Cell)
+		if s.Outlet {
+			cell := b.load(i, next)
 			_, ux, uy, uz := Moments(&cell)
 			Equilibrium(1, ux, uy, uz, &bc) // zero-pressure: rho pinned to 1
 		} else {
-			Equilibrium(1, b.InletU*scale, 0, 0, &bc)
+			Equilibrium(1, s.InletU*scale, 0, 0, &bc)
 		}
-		StoreCell(f, links, halo, i, step+1, &bc)
+		b.store(i, next, &bc)
 	}
+	b.steps = next
 }
+
+// Steps returns the number of completed timesteps.
+func (b *Block) Steps() int { return b.steps }
+
+// Cell returns a copy of the distribution at cell i.
+func (b *Block) Cell(i int) [NQ]float64 { return b.load(i, b.steps) }
+
+// SetCell overwrites the distribution at cell i.
+func (b *Block) SetCell(i int, c [NQ]float64) { b.store(i, b.steps, &c) }
+
+// Macro returns density and velocity at cell i.
+func (b *Block) Macro(i int) (rho, ux, uy, uz float64) {
+	cell := b.Cell(i)
+	return Moments(&cell)
+}
+
+// TotalMass returns the sum of density over the block's cells, in (cell,
+// direction) order. In periodic force-driven runs mass is conserved to
+// round-off; with open boundaries it approaches a steady value. After an
+// even number of steps the state is in that order already (the natural
+// layout), and the sum runs straight down the array.
+func (b *Block) TotalMass() float64 {
+	var m float64
+	if b.steps&1 == 0 {
+		for _, v := range b.f {
+			m += v
+		}
+		return m
+	}
+	for i := 0; i < len(b.f)/NQ; i++ {
+		for _, v := range b.Cell(i) {
+			m += v
+		}
+	}
+	return m
+}
+
+// MaxSpeed returns the largest velocity magnitude over the block's cells,
+// a cheap stability probe (blow-ups show up as speeds near or above 1).
+func (b *Block) MaxSpeed() float64 {
+	var vmax float64
+	for i := 0; i < len(b.f)/NQ; i++ {
+		_, ux, uy, uz := b.Macro(i)
+		vmax = math.Max(vmax, math.Sqrt(ux*ux+uy*uy+uz*uz))
+	}
+	return vmax
+}
+
+// Links returns the block's link table. par.NewRunner builds its ranks'
+// tables from a Sparse's. Read only.
+func (b *Block) Links() *Links { return &b.links }
+
+// Slots returns the block's distribution array and halo, in the layout of
+// its step count (CollideStream), for a halo exchange to read and write
+// between a step's two passes.
+func (b *Block) Slots() (f, halo []float64) { return b.f, b.halo }

@@ -1,7 +1,7 @@
 package par
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"repro/internal/decomp"
@@ -11,8 +11,9 @@ import (
 
 // FuzzRunnerMatchesSerial draws a small vessel — a cylinder or a stenosis,
 // open or periodic — a rank count from 1 to 8, 0 to 9 steps split over two
-// Run calls, BGK or TRT, and a body force or none, and holds par.Runner to
-// lbm.Sparse bit for bit on every cell and on TotalMass.
+// Run calls, BGK or TRT, and a body force or none, and holds par.Runner,
+// built from the lattice (New) and from the engine (NewRunner), to
+// lbm.Sparse bit for bit on every cell, TotalMass and MaxSpeed.
 func FuzzRunnerMatchesSerial(f *testing.F) {
 	f.Add(uint8(0), uint8(8), uint8(2), uint8(9), uint8(4), uint8(0))
 	f.Add(uint8(1), uint8(9), uint8(3), uint8(7), uint8(3), uint8(1|2))
@@ -48,33 +49,21 @@ func FuzzRunnerMatchesSerial(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner, err := NewRunner(serial, part)
-		if err != nil {
-			t.Fatal(err)
-		}
+		runners := buildBoth(t, serial, part)
 		total := int(steps) % 10
 		first := int(split) % (total + 1)
-		runner.Run(first)
-		runner.Run(total - first)
 		serial.Run(total)
-		for si := 0; si < serial.N(); si++ {
-			want, got := serial.Cell(si), runner.Cell(si)
-			for q := range want {
-				if math.Float64bits(got[q]) != math.Float64bits(want[q]) {
-					t.Fatalf("%d ranks, %d+%d steps, site %d q %d: runner %v, serial %v",
-						part.NTasks, first, total-first, si, q, got[q], want[q])
-				}
-			}
-		}
-		if got, want := runner.TotalMass(), serial.TotalMass(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%d ranks, %d steps: runner mass %v, serial %v", part.NTasks, total, got, want)
+		for k, runner := range runners {
+			runner.Run(first)
+			runner.Run(total - first)
+			sameBits(t, fmt.Sprintf("runner %d, %d ranks, %d+%d steps", k, part.NTasks, first, total-first), serial, runner)
 		}
 	})
 }
 
 // FuzzLinksMatchLinkRow draws a small vessel — a cylinder or a stenosis,
 // open or periodic — and an RCB of 1 to 8 ranks, and holds every rank's
-// link table to the serial lattice: entry q of each cell's Links.Row is
+// link table, in a runner built either way, to the serial lattice: entry q of each cell's Links.Row is
 // what the site's Lattice.LinkRow says through the owners and localOf —
 // -1 for a solid link, the local index of a neighbour the rank owns, and
 // for another rank's neighbour a halo slot whose edge leaves from the
@@ -108,55 +97,54 @@ func FuzzLinksMatchLinkRow(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner, err := NewRunner(serial, part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		owner, localOf := runner.ownerOf, runner.localOf
-		for _, rk := range runner.ranks {
-			// Each halo slot's edge: the peer, the slot the value leaves
-			// from after an even pass, and the slot it arrives in.
-			type edgeSlot struct{ peer, src, dst int32 }
-			slots := make([]edgeSlot, 0, len(rk.halo))
-			for _, sp := range rk.sendTo {
-				var arrive []int32
-				for _, rp := range runner.ranks[sp.peer].recvFrom {
-					if rp.peer == rk.id {
-						arrive = rp.dstFlat
+		for _, runner := range buildBoth(t, serial, part) {
+			owner, localOf := runner.ownerOf, runner.localOf
+			for id, rk := range runner.ranks {
+				// Each halo slot's edge: the peer, the slot the value leaves
+				// from after an even pass, and the slot it arrives in.
+				type edgeSlot struct{ peer, src, dst int32 }
+				_, halo := rk.Slots()
+				slots := make([]edgeSlot, 0, len(halo))
+				for _, sp := range rk.sendTo {
+					var arrive []int32
+					for _, rp := range runner.ranks[sp.peer].recvFrom {
+						if rp.peer == id {
+							arrive = rp.dstFlat
+						}
+					}
+					if len(arrive) != len(sp.srcFlat) {
+						t.Fatalf("rank %d: edge to %d leaves from %d slots and arrives in %d", id, sp.peer, len(sp.srcFlat), len(arrive))
+					}
+					for j, src := range sp.srcFlat {
+						slots = append(slots, edgeSlot{int32(sp.peer), src, arrive[j]})
 					}
 				}
-				if len(arrive) != len(sp.srcFlat) {
-					t.Fatalf("rank %d: edge to %d leaves from %d slots and arrives in %d", rk.id, sp.peer, len(sp.srcFlat), len(arrive))
+				if len(slots) != len(halo) {
+					t.Fatalf("rank %d: edges cover %d of %d halo slots", id, len(slots), len(halo))
 				}
-				for j, src := range sp.srcFlat {
-					slots = append(slots, edgeSlot{int32(sp.peer), src, arrive[j]})
-				}
-			}
-			if len(slots) != len(rk.halo) {
-				t.Fatalf("rank %d: edges cover %d of %d halo slots", rk.id, len(slots), len(rk.halo))
-			}
-			var want, got [lbm.NQ]int32
-			for si, t0 := range owner {
-				if int(t0) != rk.id {
-					continue
-				}
-				i := int(localOf[si])
-				x, y, z := serial.SiteCoords(si)
-				serial.LinkRow(&want, si, x, y, z)
-				rk.links.Row(i, &got)
-				for q, nb := range want {
-					ok := false
-					switch k := int(lbm.RemoteLink(0) - got[q]); {
-					case nb < 0:
-						ok = got[q] == -1
-					case int(owner[nb]) == rk.id:
-						ok = got[q] == localOf[nb]
-					case k >= 0 && k < len(slots):
-						e := slots[k]
-						ok = e.peer == owner[nb] && e.src == int32(i*lbm.NQ+lbm.Opp[q]) && e.dst == localOf[nb]*lbm.NQ+int32(q)
+				var want, got [lbm.NQ]int32
+				for si, t0 := range owner {
+					if int(t0) != id {
+						continue
 					}
-					if !ok {
-						t.Fatalf("%d ranks, rank %d cell %d (site %d) q %d: Links.Row says %d, LinkRow %d", part.NTasks, rk.id, i, si, q, got[q], nb)
+					i := int(localOf[si])
+					x, y, z := serial.SiteCoords(si)
+					serial.LinkRow(&want, si, x, y, z)
+					rk.Links().Row(i, &got)
+					for q, nb := range want {
+						ok := false
+						switch k := int(lbm.RemoteLink(0) - got[q]); {
+						case nb < 0:
+							ok = got[q] == -1
+						case int(owner[nb]) == id:
+							ok = got[q] == localOf[nb]
+						case k >= 0 && k < len(slots):
+							e := slots[k]
+							ok = e.peer == owner[nb] && e.src == int32(i*lbm.NQ+lbm.Opp[q]) && e.dst == localOf[nb]*lbm.NQ+int32(q)
+						}
+						if !ok {
+							t.Fatalf("%d ranks, rank %d cell %d (site %d) q %d: Links.Row says %d, LinkRow %d", part.NTasks, id, i, si, q, got[q], nb)
+						}
 					}
 				}
 			}

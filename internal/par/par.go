@@ -6,22 +6,23 @@
 // counts the performance models consume are exercised by real concurrent
 // execution.
 //
-// Each rank steps its block with the step body the serial lbm.Sparse
-// engine steps the whole lattice with (lbm.CollideStream: the AA pattern
-// on one distribution array per rank, plus a halo of one value per remote
-// link), so a parallel run reproduces the serial result bitwise regardless
-// of rank count — the key correctness oracle.
+// Each rank is an lbm.Block, the engine the serial lbm.Sparse is over the
+// whole lattice (the AA pattern on one distribution array, plus a halo of
+// one value per remote link), so a parallel run reproduces the serial
+// result bitwise regardless of rank count — the key correctness oracle.
 //
-// As MPI ranks build their own blocks, NewRunner builds each rank on a
-// goroutine of its own once a lattice reaches twice lbm.SetupFloor sites
-// (fewer goroutines than ranks share them in rank order); the only serial
-// work is the pass that lists each rank's sites and the wiring of edges
-// to their receivers in rank order. No rank's build reads another's, so
-// the runner does not depend on GOMAXPROCS.
+// As MPI ranks build their own blocks, New derives each rank's link rows
+// from the lattice over its own sites, each rank on a goroutine of its
+// own once a lattice reaches twice lbm.SetupFloor sites (fewer goroutines
+// than ranks share them in rank order); the only serial work is the pass
+// that lists each rank's sites and the wiring of edges to their receivers
+// in rank order. No rank's build reads another's, so the runner does not
+// depend on GOMAXPROCS.
 package par
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -53,47 +54,27 @@ type RankStats struct {
 	CommS    float64 // halo gather, send, receive, scatter (incl. waiting)
 }
 
-// rank is the per-goroutine state of one task: a block of cells in the
-// form lbm.CollideStream steps.
+// rank is the per-goroutine state of one task: its block of cells, its
+// edges, and its time split.
 type rank struct {
-	id int
-
-	computeNS int64 // accumulated compute time
-	commNS    int64 // accumulated communication time
-
-	// nOwn*NQ distributions, AOS, in the layout of the runner's step
-	// count (lbm.CollideStream); read and written through lbm.LoadCell
-	// and lbm.StoreCell.
-	f []float64
-
-	// links holds the block's link rows (lbm.Links): entry q of cell
-	// i's row is where the cell's value along q is kept between steps
-	// (lbm.CollideStream):
-	//   >= 0   the local cell at x + c_q
-	//   -1     the link is solid (cell i's own opposite slot)
-	//   <= -2  lbm.RemoteLink(k): slot k of halo, the cell is another rank's
-	// A cell with a remote link keeps an explicit row.
-	links lbm.Links
-	// halo has one slot per remote link, edge after edge. After an even
-	// step the exchange fills it with the values that arrived; the odd
-	// step reads them and leaves the values to send in their place.
-	halo []float64
-
-	bounds []lbm.BoundarySite // the block's inlet and outlet cells, ascending
+	lbm.Block
 
 	// Communication schedule.
 	sendTo   []sendPlan // outgoing edges, sorted by peer
 	recvFrom []recvPlan // incoming edges, sorted by peer
+
+	computeNS int64 // accumulated compute time
+	commNS    int64 // accumulated communication time
 }
 
 // sendPlan is one outgoing edge, whose message holds the edge's links in
 // its canonical order. After an odd step the message is the edge's
-// segment of the halo, which the step body has filled; after an even step
-// value k is gathered from flat slot srcFlat[k] of f.
+// segment of the halo, from slot seg on, which the step body has filled;
+// after an even step value k is gathered from flat slot srcFlat[k] of f.
 type sendPlan struct {
 	peer    int
 	e       *edge
-	seg     []float64
+	seg     int
 	srcFlat []int32
 }
 
@@ -117,7 +98,6 @@ type Clock func() time.Time
 type Runner struct {
 	ranks  []*rank
 	params lbm.Params
-	steps  int
 	now    Clock
 
 	// site lookup for result readback: serial site -> (rank, local index)
@@ -134,35 +114,58 @@ func (r *Runner) SetClock(c Clock) {
 	r.now = c
 }
 
-// NewRunner builds per-rank state from the serial engine s (its current
-// distributions and step count become the initial condition) and
-// partition p. One serial pass checks the owners and lists each rank's
-// sites and boundaries; then every rank builds its arrays, link rows and
-// outgoing edges (buildRank), the edges are wired to their receivers in
-// rank order, and every rank fills its ghost tables and state (fill), the
-// ranks of each stage on their own goroutines (lbm.ForRanges).
+// New builds a runner for lattice l under partition p, the fluid at rest
+// with unit density: each rank derives its link rows from l.LinkRow over
+// its own sites (build).
+func New(l *lbm.Lattice, p *decomp.Partition) (*Runner, error) {
+	return build(l, p, func() rowCursor {
+		c := l.Cursor()
+		return &c
+	}, nil)
+}
+
+// NewRunner builds a runner for the serial engine's lattice under
+// partition p whose initial condition is s's current state, distributions
+// and step count. Its ranks read their rows from s's link table, which is
+// quicker than deriving them again.
 func NewRunner(s *lbm.Sparse, p *decomp.Partition) (*Runner, error) {
-	if len(p.Owner) != s.N() {
-		return nil, fmt.Errorf("par: partition covers %d sites, lattice has %d", len(p.Owner), s.N())
+	return build(s.Lattice, p, func() rowCursor {
+		c := s.Links().Cursor()
+		return &c
+	}, &s.Block)
+}
+
+// rowCursor reads the link rows of serial sites visited in ascending
+// order: an lbm.LatticeCursor, or an lbm.RowCursor over a stored table.
+type rowCursor interface {
+	Row(si int, row *[lbm.NQ]int32)
+}
+
+// build is New and NewRunner: one serial pass checks the owners and lists
+// each rank's sites and boundaries; then every rank builds its link rows,
+// outgoing edges and block from its own cursor (buildRank), the edges are
+// wired to their receivers in rank order, and every rank fills its ghost
+// tables, the ranks of each stage on their own goroutines
+// (lbm.ForRanges). cursor returns a new cursor; from, when not nil, is
+// the serial engine's block whose state the runner starts from, and the
+// rest state otherwise.
+func build(l *lbm.Lattice, p *decomp.Partition, cursor func() rowCursor, from *lbm.Block) (*Runner, error) {
+	if len(p.Owner) != l.N() {
+		return nil, fmt.Errorf("par: partition covers %d sites, lattice has %d", len(p.Owner), l.N())
 	}
 	if p.NTasks < 1 {
 		return nil, fmt.Errorf("par: partition has %d tasks", p.NTasks)
 	}
 	r := &Runner{
-		params:  s.Params,
-		steps:   s.Steps(),
+		params:  l.Params(),
 		now:     time.Now,
-		ownerOf: make([]int32, s.N()),
-		localOf: make([]int32, s.N()),
+		ownerOf: make([]int32, l.N()),
+		localOf: make([]int32, l.N()),
 	}
 	copy(r.ownerOf, p.Owner)
 
 	// Owned-site lists in serial order, checking every owner before any
 	// rank is built.
-	r.ranks = make([]*rank, p.NTasks)
-	for t := range r.ranks {
-		r.ranks[t] = &rank{id: t}
-	}
 	own := make([][]int32, p.NTasks)
 	for si, t := range p.Owner {
 		if t < 0 || int(t) >= p.NTasks {
@@ -171,20 +174,22 @@ func NewRunner(s *lbm.Sparse, p *decomp.Partition) (*Runner, error) {
 		r.localOf[si] = int32(len(own[t]))
 		own[t] = append(own[t], int32(si))
 	}
-	for _, b := range s.Boundaries() {
-		rk := r.ranks[p.Owner[b.Cell]]
+	bounds := make([][]lbm.BoundarySite, p.NTasks)
+	for _, b := range l.BoundarySites() {
+		t := p.Owner[b.Cell]
 		b.Cell = r.localOf[b.Cell]
-		rk.bounds = append(rk.bounds, b)
+		bounds[t] = append(bounds[t], b)
 	}
 
 	// Each rank's block and outgoing edges. Ranks are wired in order, so
 	// every rank's incoming plans come out sorted by peer, as its
 	// outgoing ones are.
-	workers := lbm.SetupWorkers(s.N())
+	r.ranks = make([]*rank, p.NTasks)
+	workers := lbm.SetupWorkers(l.N())
 	wires := make([][]wire, p.NTasks)
 	lbm.ForRanges(p.NTasks, workers, func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
-			wires[t] = r.buildRank(s, p.Owner, own[t], t)
+			r.ranks[t], wires[t] = r.buildRank(cursor(), p.Owner, own[t], t, bounds[t], from)
 		}
 	})
 	for _, ws := range wires {
@@ -195,7 +200,7 @@ func NewRunner(s *lbm.Sparse, p *decomp.Partition) (*Runner, error) {
 	}
 	lbm.ForRanges(p.NTasks, workers, func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
-			r.ranks[t].fill(s, own[t], r.steps)
+			r.ranks[t].ghosts()
 		}
 	})
 	return r, nil
@@ -208,25 +213,25 @@ type wire struct {
 	plan recvPlan
 }
 
-// buildRank allocates rank t's arrays and derives its link table and
-// its outgoing edges from s's, walked in ascending serial order; own
-// lists the rank's sites in that order. A link into another rank's block
-// is collected under the receiving rank with the flat slot it leaves
-// from and the flat slot it arrives in, and held in its row as
-// RemoteLink(d), d counting remote links as they are met, until the
-// edges are sorted and d's halo slot is known. It returns the edges for
-// their receivers.
-func (r *Runner) buildRank(s *lbm.Sparse, owner, own []int32, t int) []wire {
+// buildRank builds rank t: its link table and outgoing edges from the
+// serial rows rows reads, walked in ascending serial order (own lists the
+// rank's sites in that order), then its block over them with the
+// boundary cells bounds, at rest or a copy of from's (lbm.NewBlock). A link
+// into another rank's block is collected under the receiving rank with
+// the flat slot it leaves from and the flat slot it arrives in, and held
+// in its row as RemoteLink(d), d counting remote links as they are met,
+// until the edges are sorted and d's halo slot is known. It returns the
+// rank and the edges for their receivers.
+func (r *Runner) buildRank(rows rowCursor, owner, own []int32, t int, bounds []lbm.BoundarySite, from *lbm.Block) (*rank, []wire) {
 	type link struct{ src, dst, d int32 }
-	rk := r.ranks[t]
-	rk.f = make([]float64, len(own)*lbm.NQ)
-	out := make(map[int32][]link) // receiver -> links
+	rk := &rank{}
+	f := make([]float64, len(own)*lbm.NQ) // before the walk's garbage (lbm.NewBlock)
+	out := make(map[int32][]link)         // receiver -> links
 	remote := 0
-	serial := s.Links().Cursor()
 	var b lbm.LinkBuilder
 	var row [lbm.NQ]int32
 	for i, si := range own {
-		serial.Row(int(si), &row)
+		rows.Row(int(si), &row)
 		row[0] = int32(i)
 		for q := 1; q < lbm.NQ; q++ {
 			switch nb := row[q]; {
@@ -242,12 +247,11 @@ func (r *Runner) buildRank(s *lbm.Sparse, owner, own []int32, t int) []wire {
 		}
 		b.Add(i, &row)
 	}
-	rk.links = b.Links()
+	links := b.Links()
 
 	// Edges in peer order. Within an edge the canonical link order, shared
 	// by both ends, is ascending (receiving site, direction): ascending
 	// arrival slot.
-	rk.halo = make([]float64, remote)
 	slotOf := make([]int32, remote) // d -> halo slot
 	peers := make([]int32, 0, len(out))
 	for peer := range out {
@@ -270,32 +274,28 @@ func (r *Runner) buildRank(s *lbm.Sparse, owner, own []int32, t int) []wire {
 			srcFlat[k] = l.src - q + int32(lbm.Opp[q]) // where the even pass leaves it
 			dstFlat[k] = l.dst
 		}
-		rk.sendTo = append(rk.sendTo, sendPlan{peer: int(peer), e: e, seg: rk.halo[base : base+len(ls)], srcFlat: srcFlat})
+		rk.sendTo = append(rk.sendTo, sendPlan{peer: int(peer), e: e, seg: base, srcFlat: srcFlat})
 		wires = append(wires, wire{to: peer, plan: recvPlan{peer: t, e: e, dstFlat: dstFlat}})
 		base += len(ls)
 	}
-	rk.links.RelabelRemote(slotOf)
-	return wires
+	links.RelabelRemote(slotOf)
+	rk.Block = lbm.NewBlock(f, links, remote, bounds, from, own)
+	return rk, wires
 }
 
-// fill builds the rank's ghost tables, once every link row is wired, and
-// stores its sites' state from s in the layout of the step count steps.
-// An arriving value bound for slot q of cell y is the rank's own link
+// ghosts builds the rank's ghost tables, once every link row is wired. An
+// arriving value bound for slot q of cell y is the rank's own link
 // (y, opp q), whose halo slot it fills after an even step.
-func (rk *rank) fill(s *lbm.Sparse, own []int32, steps int) {
+func (rk *rank) ghosts() {
 	var row [lbm.NQ]int32
 	for k := range rk.recvFrom {
 		rp := &rk.recvFrom[k]
 		rp.ghost = make([]int32, len(rp.dstFlat))
 		for j, dst := range rp.dstFlat {
 			y, q := int(dst)/lbm.NQ, int(dst)%lbm.NQ
-			rk.links.Row(y, &row)
+			rk.Links().Row(y, &row)
 			rp.ghost[j] = lbm.RemoteLink(0) - row[lbm.Opp[q]] // k of RemoteLink(k)
 		}
-	}
-	for i, si := range own {
-		cell := s.Cell(int(si))
-		lbm.StoreCell(rk.f, &rk.links, rk.halo, i, steps, &cell)
 	}
 }
 
@@ -305,27 +305,25 @@ func (r *Runner) Run(steps int) {
 	if steps < 1 {
 		return
 	}
-	base := r.steps
 	var wg sync.WaitGroup
 	for _, rk := range r.ranks {
 		wg.Add(1)
 		go func(rk *rank) {
 			defer wg.Done()
 			for k := 0; k < steps; k++ {
-				rk.step(r.params, base+k, r.now)
+				rk.step(r.params, r.now)
 			}
 		}(rk)
 	}
 	wg.Wait()
-	r.steps += steps
 }
 
-// step is one rank-local timestep: the step body of lbm.Sparse.Step over
+// step is one rank-local timestep: the first pass of lbm.Sparse.Step over
 // the rank's block, the halo exchange, then the boundary conditions, which
 // need every streamed value in place.
-func (rk *rank) step(p lbm.Params, stepIndex int, now Clock) {
+func (rk *rank) step(p lbm.Params, now Clock) {
 	tick := now()
-	lbm.CollideStream(rk.f, &rk.links, rk.halo, p, stepIndex)
+	rk.CollideStream(p)
 	rk.computeNS += now().Sub(tick).Nanoseconds()
 	tick = now()
 
@@ -333,29 +331,30 @@ func (rk *rank) step(p lbm.Params, stepIndex int, now Clock) {
 	// step the values to send are the edge's segment of the halo and
 	// arrive in f; after an even one they are gathered from f and arrive
 	// in the halo.
-	odd := stepIndex&1 != 0
+	odd := rk.Steps()&1 != 0
+	f, halo := rk.Slots()
 	for _, sp := range rk.sendTo {
 		buf := sp.e.nextBuf()
 		if odd {
-			copy(buf, sp.seg)
+			copy(buf, halo[sp.seg:])
 		} else {
-			gather(buf, rk.f, sp.srcFlat)
+			gather(buf, f, sp.srcFlat)
 		}
 		sp.e.ch <- buf
 	}
 	for _, rp := range rk.recvFrom {
 		msg := <-rp.e.ch
 		if odd {
-			scatter(rk.f, rp.dstFlat, msg)
+			scatter(f, rp.dstFlat, msg)
 		} else {
-			scatter(rk.halo, rp.ghost, msg)
+			scatter(halo, rp.ghost, msg)
 		}
 	}
 
 	rk.commNS += now().Sub(tick).Nanoseconds()
 	tick = now()
 
-	lbm.ApplyBoundaries(rk.f, &rk.links, rk.halo, rk.bounds, p, stepIndex)
+	rk.ApplyBoundaries(p)
 	rk.computeNS += now().Sub(tick).Nanoseconds()
 }
 
@@ -388,7 +387,7 @@ func (r *Runner) Stats() []RankStats {
 	out := make([]RankStats, len(r.ranks))
 	for i, rk := range r.ranks {
 		out[i] = RankStats{
-			Rank:     rk.id,
+			Rank:     i,
 			ComputeS: float64(rk.computeNS) / 1e9,
 			CommS:    float64(rk.commNS) / 1e9,
 		}
@@ -396,14 +395,13 @@ func (r *Runner) Stats() []RankStats {
 	return out
 }
 
-// Steps returns the timestep count of the state: the serial engine's when
-// the runner was built plus the parallel steps since.
-func (r *Runner) Steps() int { return r.steps }
+// Steps returns the timestep count of the state: the initial condition's
+// plus the parallel steps since.
+func (r *Runner) Steps() int { return r.ranks[0].Steps() }
 
 // Cell returns the distribution at serial site si after the last Run.
 func (r *Runner) Cell(si int) [lbm.NQ]float64 {
-	rk := r.ranks[r.ownerOf[si]]
-	return lbm.LoadCell(rk.f, &rk.links, rk.halo, int(r.localOf[si]), r.steps)
+	return r.ranks[r.ownerOf[si]].Cell(int(r.localOf[si]))
 }
 
 // TotalMass sums density across all ranks in the serial engine's (site,
@@ -419,12 +417,12 @@ func (r *Runner) TotalMass() float64 {
 	return m
 }
 
-// WriteBack copies the parallel state — distributions and step count —
-// into the serial engine s, which must be the engine the runner was built
-// from (or an identically shaped one).
-func (r *Runner) WriteBack(s *lbm.Sparse) {
-	for si := 0; si < len(r.ownerOf); si++ {
-		s.SetCell(si, r.Cell(si))
+// MaxSpeed returns the largest velocity magnitude over all ranks' cells,
+// the serial engine's MaxSpeed of the same state.
+func (r *Runner) MaxSpeed() float64 {
+	var vmax float64
+	for _, rk := range r.ranks {
+		vmax = math.Max(vmax, rk.MaxSpeed())
 	}
-	s.SetSteps(r.steps)
+	return vmax
 }
