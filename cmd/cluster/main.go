@@ -21,11 +21,14 @@
 //
 // Every forwarded request carries a traceparent header, so replica
 // spans nest under the router's forward spans. -trace exports the
-// router's span log as JSONL at shutdown; with each replica's own
-// cmd/serve -trace export, cmd/trace -merge -format=tree stitches them
-// into one tree per request. Every process needs its own -trace-seed so
-// span IDs stay distinct. -debug-addr exposes net/http/pprof on a
-// separate listener.
+// router's retained traces as JSONL at shutdown (the open ones, the most
+// recent completed ones and the tail set of failed and slow requests
+// that obs.Tracer keeps, not every request routed); with each replica's
+// own cmd/serve -trace export, cmd/trace -merge -format=tree stitches
+// them into one tree per request. Every process needs its own
+// -trace-seed so span IDs stay distinct. -debug-addr exposes
+// net/http/pprof and GET /debug/traces (the same retained traces, live)
+// on a separate listener.
 //
 // SIGINT/SIGTERM drain the router; the replicas keep running.
 //
@@ -65,8 +68,8 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 256, "concurrently forwarded planning requests before shedding 429s")
 	healthEvery := flag.Duration("health-interval", 2*time.Second, "replica poll period: health probe and telemetry scrape (0 disables; GET /v1/cluster/telemetry then polls on demand)")
 	healthFails := flag.Int("health-failures", 2, "consecutive failures marking a replica dead")
-	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (off when empty; never on -addr)")
-	traceFile := flag.String("trace", "", "write the router's span log as JSONL here at shutdown")
+	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof and /debug/traces (off when empty; never on -addr)")
+	traceFile := flag.String("trace", "", "write the router's retained traces (recent, failed and slow requests; not every request) as JSONL here at shutdown")
 	traceSeed := flag.Int64("trace-seed", 0, "span-ID seed (default -seed; every replica needs a different one)")
 	flag.Parse()
 
@@ -93,7 +96,7 @@ func main() {
 		Tracer:         routerTracer,
 	})
 	fatal(err)
-	startDebugServer(*debugAddr)
+	startDebugServer(*debugAddr, routerTracer)
 
 	hs := &http.Server{
 		Addr:              *addr,
@@ -161,23 +164,24 @@ func newFleetTransport() *http.Transport {
 	return &http.Transport{MaxIdleConnsPerHost: 64, IdleConnTimeout: 30 * time.Second}
 }
 
-// startDebugServer exposes the pprof mux on its own listener; the
-// router mux never carries the debug endpoints. The listener lives
+// startDebugServer exposes the debug mux (pprof and the router's
+// retained traces) on its own listener; the router mux never carries
+// the debug endpoints. The listener lives
 // until process exit: profiling must stay reachable through shutdown.
-func startDebugServer(addr string) {
+func startDebugServer(addr string, tracer *obs.Tracer) {
 	if addr == "" {
 		return
 	}
-	hs := &http.Server{Addr: addr, Handler: serve.DebugHandler(), ReadHeaderTimeout: 10 * time.Second}
+	hs := &http.Server{Addr: addr, Handler: serve.DebugHandler(tracer), ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "cluster: debug listener:", err)
 		}
 	}()
-	fmt.Printf("cluster: pprof on %s (debug only; not on the router mux)\n", addr)
+	fmt.Printf("cluster: pprof and /debug/traces on %s (debug only; not on the router mux)\n", addr)
 }
 
-// writeTrace exports a tracer's span log as JSONL for cmd/trace.
+// writeTrace exports a tracer's retained spans as JSONL for cmd/trace.
 func writeTrace(path string, tracer *obs.Tracer) {
 	if path == "" {
 		return

@@ -15,10 +15,13 @@
 // requests finish, async campaigns drain (interrupted at their next clean
 // point past -drain), and the process exits non-zero.
 //
-// -debug-addr exposes net/http/pprof on a separate listener (never on
-// the API mux); -trace exports the request span log as JSONL at
-// shutdown, with -trace-seed giving each replica distinct span IDs so
-// multi-process exports merge cleanly (cmd/trace -merge).
+// -debug-addr exposes net/http/pprof and GET /debug/traces (the
+// retained traces as JSONL) on a separate listener, never on the API
+// mux. -trace writes the retained traces as JSONL at shutdown: the open
+// ones, the most recent completed ones and the tail set of failed and
+// slow requests that obs.Tracer keeps, not every request served.
+// -trace-seed gives each replica distinct span IDs so multi-process
+// exports merge cleanly (cmd/trace -merge).
 //
 // Usage:
 //
@@ -53,8 +56,8 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline ceiling")
 	maxBody := flag.Int64("max-body", 1<<20, "request body cap in bytes")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget before campaigns are interrupted")
-	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (off when empty; never on -addr)")
-	traceFile := flag.String("trace", "", "write the request span log as JSONL here at shutdown")
+	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof and /debug/traces (off when empty; never on -addr)")
+	traceFile := flag.String("trace", "", "write the retained traces (recent, failed and slow requests; not every request) as JSONL here at shutdown")
 	traceSeed := flag.Int64("trace-seed", 0, "span-ID seed (default -seed; give each replica its own for merged traces)")
 	flag.Parse()
 
@@ -78,7 +81,7 @@ func main() {
 		Tracer:         tracer,
 	})
 	fatal(err)
-	startDebugServer(*debugAddr)
+	startDebugServer(*debugAddr, tracer)
 
 	hs := &http.Server{
 		Addr:              *addr,
@@ -121,23 +124,24 @@ func main() {
 	os.Exit(1)
 }
 
-// startDebugServer exposes the pprof mux on its own listener; the main
-// API mux never carries the debug endpoints. The listener lives until
+// startDebugServer exposes the debug mux (pprof and the tracer's
+// retained traces) on its own listener; the main API mux never carries
+// the debug endpoints. The listener lives until
 // process exit: profiling must stay reachable through shutdown.
-func startDebugServer(addr string) {
+func startDebugServer(addr string, tracer *obs.Tracer) {
 	if addr == "" {
 		return
 	}
-	hs := &http.Server{Addr: addr, Handler: serve.DebugHandler(), ReadHeaderTimeout: 10 * time.Second}
+	hs := &http.Server{Addr: addr, Handler: serve.DebugHandler(tracer), ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "serve: debug listener:", err)
 		}
 	}()
-	fmt.Printf("serve: pprof on %s (debug only; not on the API mux)\n", addr)
+	fmt.Printf("serve: pprof and /debug/traces on %s (debug only; not on the API mux)\n", addr)
 }
 
-// writeTrace exports the tracer's span log as JSONL for cmd/trace.
+// writeTrace exports the tracer's retained spans as JSONL for cmd/trace.
 func writeTrace(path string, tracer *obs.Tracer) {
 	if path == "" {
 		return

@@ -189,8 +189,10 @@ func (p *poller) sweep(ctx context.Context) *ClusterTelemetryResponse {
 		snaps = append(snaps, fetched{name: name, snap: snap, err: err})
 	}
 
-	// Phase 2: merge. The router's own registry joins as one more
-	// source so the page is the whole data plane, not just replicas.
+	// Phase 2: merge. The router's own registry and runtime gauges join
+	// as one more source so the page is the whole data plane, not just
+	// replicas; the runtime gauges (heap, goroutines, GC pause) sum over
+	// processes like any other gauge.
 	var merged []obs.Metric
 	var sources []TelemetrySourceStatus
 	for _, f := range snaps {
@@ -206,10 +208,13 @@ func (p *poller) sweep(ctx context.Context) *ClusterTelemetryResponse {
 		merged = next
 		sources = append(sources, TelemetrySourceStatus{Name: f.name, OK: true, UptimeS: f.snap.UptimeS})
 	}
-	if next, err := obs.MergeMetrics(merged, p.reg.Snapshot()); err != nil {
+	router, err := obs.MergeMetrics(p.reg.Snapshot(), obs.RuntimeMetrics())
+	if err == nil {
+		merged, err = obs.MergeMetrics(merged, router)
+	}
+	if err != nil {
 		sources = append(sources, TelemetrySourceStatus{Name: "router", Error: err.Error()})
 	} else {
-		merged = next
 		sources = append(sources, TelemetrySourceStatus{Name: "router", OK: true, UptimeS: atS})
 	}
 

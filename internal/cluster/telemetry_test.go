@@ -168,6 +168,17 @@ func TestClusterTelemetryAggregation(t *testing.T) {
 	if predictOK != requests {
 		t.Errorf("fleet-wide predict 200s = %v, want %d", predictOK, requests)
 	}
+	// The runtime gauges sum over the four sources: each has at least
+	// one goroutine and a heap.
+	runtime := map[string]float64{}
+	for _, m := range snap.Metrics {
+		if strings.HasPrefix(m.Name, "go_") {
+			runtime[m.Name] = m.Value
+		}
+	}
+	if len(runtime) != 3 || runtime["go_goroutines"] < 4 || runtime["go_heap_inuse_bytes"] <= 0 {
+		t.Errorf("merged runtime gauges %v, want heap, goroutines (≥ 4) and GC pause", runtime)
+	}
 	if latCount != requests {
 		t.Errorf("fleet-wide latency count = %d, want %d", latCount, requests)
 	}
@@ -429,7 +440,7 @@ func TestClusterTelemetryBadSourceIsolated(t *testing.T) {
 // router mux, mirroring serve's test.
 func TestRouterDebugEndpointsAbsent(t *testing.T) {
 	_, _, url := newEchoCluster(t, 1, nil)
-	for _, p := range []string{"/debug/pprof/", "/debug/pprof/heap"} {
+	for _, p := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/traces"} {
 		resp, err := http.Get(url + p)
 		if err != nil {
 			t.Fatal(err)

@@ -81,7 +81,10 @@ func (e *Edge) instruments(rt *route, endpoint string, code int) (codeInstrument
 // Route wraps a handler with the span and the request/latency metrics.
 // A valid traceparent header makes the span a child of the remote span
 // — one stitched tree per client request; the span's trace ID echoes
-// back in X-Trace-Id and the span rides the request context.
+// back in X-Trace-Id and the span rides the request context. A reply
+// of 500 or above (a deadline hit answers 504) or a 429 marks its trace
+// to keep (obs.Span.Keep), so the tracer's tail set holds it past any
+// number of fast successes.
 func (e *Edge) Route(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	name := e.spanPrefix + endpoint
 	rt := &route{}
@@ -100,6 +103,9 @@ func (e *Edge) Route(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 			}
 			ci, latency := e.instruments(rt, endpoint, code)
 			sp.SetAttr("code", ci.label)
+			if code >= http.StatusInternalServerError || code == http.StatusTooManyRequests {
+				sp.Keep()
+			}
 			sp.End(e.Now())
 			ci.requests.Inc()
 			latency.Observe(time.Since(start).Seconds())

@@ -53,6 +53,47 @@ func TestRouteRecordsSpanAndMetrics(t *testing.T) {
 	}
 }
 
+// TestRouteKeepsFailedTraces: a 500, a 429 and a deadline hit's 504 stay
+// retained after two rings' worth of fast 200s; a 404 does not. Two,
+// because the slow sample of the 404's window outlives one ring.
+func TestRouteKeepsFailedTraces(t *testing.T) {
+	tracer := obs.NewTracer(4)
+	e := New(obs.NewRegistry(), tracer, "edge", "hop ", NewRetryJitter(4))
+	h := e.Route("/v1/thing", func(w http.ResponseWriter, r *http.Request) {
+		status, _ := strconv.Atoi(r.URL.Query().Get("status"))
+		if status == 0 {
+			status = http.StatusOK
+		}
+		WriteJSON(w, status, map[string]int{"n": 1})
+	})
+	serve := func(target string) string {
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		return rec.Header().Get("X-Trace-Id")
+	}
+	kept := []string{
+		serve("/v1/thing?status=500"),
+		serve("/v1/thing?status=429"),
+		serve("/v1/thing?status=504"),
+	}
+	dropped := serve("/v1/thing?status=404")
+	for i := 0; i < 2*obs.RecentTraces; i++ {
+		serve("/v1/thing")
+	}
+	retained := map[string]bool{}
+	for _, sp := range tracer.Spans() {
+		retained[sp.TraceID] = true
+	}
+	for i, id := range kept {
+		if !retained[id] {
+			t.Errorf("kept request %d (trace %s) evicted by fast 200s", i, id)
+		}
+	}
+	if retained[dropped] {
+		t.Errorf("a 404's trace was kept")
+	}
+}
+
 // TestRetryAfterOnlyWhereMissing: a 429 written without a Retry-After
 // gets the next value of the edge's jitter stream; one that already
 // carries a value — a replica's 429 relayed by the router — keeps it and

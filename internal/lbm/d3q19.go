@@ -153,12 +153,14 @@ func (p Params) Validate() error {
 	if p.Pulsatile.Period < 0 {
 		return fmt.Errorf("lbm: pulsatile period %g negative", p.Pulsatile.Period)
 	}
+	// Amplitudes above 1 reverse the inflow for part of the cycle, as
+	// physiological flow does in diastole; 2 bounds the magnitude. The
+	// range holds on a steady run too, where the amplitude is unused, so
+	// a bad value is an error whatever the period.
+	if a := p.Pulsatile.Amplitude; !(a >= 0 && a <= 2) {
+		return fmt.Errorf("lbm: pulsatile amplitude %g outside [0, 2]", a)
+	}
 	if p.Pulsatile.Period > 0 {
-		// Amplitudes above 1 reverse the inflow for part of the cycle, as
-		// physiological flow does in diastole; 2 bounds the magnitude.
-		if p.Pulsatile.Amplitude < 0 || p.Pulsatile.Amplitude > 2 {
-			return fmt.Errorf("lbm: pulsatile amplitude %g outside [0, 2]", p.Pulsatile.Amplitude)
-		}
 		if peak := p.UMax * (1 + p.Pulsatile.Amplitude); peak > 0.3 {
 			return fmt.Errorf("lbm: peak pulsatile velocity %g exceeds 0.3", peak)
 		}

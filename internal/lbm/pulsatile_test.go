@@ -36,15 +36,22 @@ func TestPulsatileValidation(t *testing.T) {
 		{Tau: 0.9, UMax: 0.05, Pulsatile: Waveform{Period: 100, Amplitude: -0.1}},
 		{Tau: 0.9, UMax: 0.05, Pulsatile: Waveform{Period: 100, Amplitude: 2.5}},
 		{Tau: 0.9, UMax: 0.2, Pulsatile: Waveform{Period: 100, Amplitude: 0.9}}, // peak 0.38
+		{Tau: 0.9, UMax: 0.05, Pulsatile: Waveform{Amplitude: 5}},               // steady, amplitude still checked
+		{Tau: 0.9, UMax: 0.05, Pulsatile: Waveform{Amplitude: -1}},
+		{Tau: 0.9, UMax: 0.05, Pulsatile: Waveform{Amplitude: math.NaN()}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("bad pulsatile params %d accepted", i)
 		}
 	}
-	good := Params{Tau: 0.9, UMax: 0.05, Pulsatile: Waveform{Period: 200, Amplitude: 0.5}}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid pulsatile params rejected: %v", err)
+	for _, good := range []Params{
+		{Tau: 0.9, UMax: 0.05, Pulsatile: Waveform{Period: 200, Amplitude: 0.5}},
+		{Tau: 0.9, UMax: 0.25, Pulsatile: Waveform{Amplitude: 0.5}}, // steady: no peak check
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("valid pulsatile params rejected: %v", err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -198,5 +199,28 @@ func TestExpBuckets(t *testing.T) {
 		if !units.ApproxEqual(b[i], want[i], 1e-15) {
 			t.Fatalf("bucket %d = %g, want %g", i, b[i], want[i])
 		}
+	}
+}
+
+// TestRuntimeMetrics: the runtime gauges read live values, in Snapshot
+// order, and merge as gauges.
+func TestRuntimeMetrics(t *testing.T) {
+	ms := RuntimeMetrics()
+	names := make([]string, len(ms))
+	for i, m := range ms {
+		names[i] = m.Name
+		if m.Type != "gauge" {
+			t.Errorf("%s is a %s, want a gauge", m.Name, m.Type)
+		}
+	}
+	if want := []string{"go_gc_pause_cpu_seconds", "go_goroutines", "go_heap_inuse_bytes"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("runtime gauges %v, want %v", names, want)
+	}
+	if ms[1].Value < 1 || ms[2].Value <= 0 {
+		t.Fatalf("goroutines %v, heap in use %v: want live readings", ms[1].Value, ms[2].Value)
+	}
+	merged, err := MergeMetrics(RuntimeMetrics(), ms)
+	if err != nil || len(merged) != len(ms) {
+		t.Fatalf("two processes' runtime gauges merged into %d metrics (%v)", len(merged), err)
 	}
 }

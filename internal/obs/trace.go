@@ -14,13 +14,26 @@
 // byte-identical traces — the fleet scheduler's reproducibility contract
 // extended to telemetry.
 //
+// A Tracer keeps spans by local trace: a span opened by Start or
+// StartRemote roots one, and StartChild spans join their root's. Every
+// open trace is held whole. A trace whose root has ended enters a ring
+// of the RecentTraces most recently completed ones, and eviction drops
+// a whole trace, never an open one. The tail set, TailTraces in all,
+// also holds traces marked by (*Span).Keep and the slowest few of each
+// window of RecentTraces completions, so a burst of fast requests
+// cannot push the interesting ones out. A long-lived server therefore
+// retains at most (RecentTraces + TailTraces + open traces) × spans per
+// trace, and Spans returns what is retained in start order.
+//
 // Traces export as Chrome trace-event JSON (loadable in Perfetto or
 // chrome://tracing), JSONL dumps, or a fixed-width text summary; see
 // export.go and cmd/trace.
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -92,20 +105,73 @@ type Attr struct {
 	Value string `json:"v"`
 }
 
-// Tracer collects spans. A nil *Tracer is a valid no-op: every method is
+// Retention sizes, in traces. A window of the slow sample is counted in
+// completed traces, not wall time, so a run under a virtual clock
+// retains the same traces every time.
+const (
+	// RecentTraces is the capacity of the ring of recently completed
+	// traces, and the length of one slow-sample window.
+	RecentTraces = 1024
+	// TailTraces is the capacity of the tail set: the keptTraces most
+	// recently Keep-marked traces, and the slowTraces slowest of the
+	// current window and of the last one.
+	TailTraces = keptTraces + 2*slowTraces
+
+	slowTraces = 8
+	keptTraces = 48
+)
+
+// Which retained sets hold a completed trace (Span.held, on its root).
+const (
+	heldRecent uint8 = 1 << iota
+	heldKept
+	heldSlow
+)
+
+// traceRing is a fixed-capacity ring of completed traces' roots: when
+// it is full, each push evicts the oldest.
+type traceRing struct {
+	roots []*Span
+	next  int // the oldest slot once the ring is full
+	bit   uint8
+}
+
+func (r *traceRing) push(root *Span, capacity int) {
+	root.held |= r.bit
+	if len(r.roots) < capacity {
+		r.roots = append(r.roots, root)
+		return
+	}
+	r.roots[r.next].held &^= r.bit
+	r.roots[r.next] = root
+	r.next = (r.next + 1) % capacity
+}
+
+// Tracer collects spans, and retains them by trace as the package
+// comment sets out. A nil *Tracer is a valid no-op: every method is
 // nil-safe, so instrumented code needs no conditionals when tracing is
 // off.
 type Tracer struct {
-	mu    sync.Mutex
-	seed  int64
-	seq   uint64
-	now   Clock
-	spans []*Span
+	mu   sync.Mutex
+	seed int64
+	seq  uint64
+	now  Clock
+
+	open   []*Span // roots of open traces, in no order (Span.slot)
+	recent traceRing
+	kept   traceRing
+
+	// The slow sample: the slowest roots of the current window, which
+	// has seen windowN completions, and of the last one. slowMin indexes
+	// the fastest entry of slow once slow is full.
+	slow, lastSlow []*Span
+	slowMin        int
+	windowN        int
 }
 
 // NewTracer creates a tracer whose span IDs derive from the seed.
 func NewTracer(seed int64) *Tracer {
-	return &Tracer{seed: seed, now: time.Now}
+	return &Tracer{seed: seed, now: time.Now, recent: traceRing{bit: heldRecent}, kept: traceRing{bit: heldKept}}
 }
 
 // SetClock replaces the wall clock behind span wall timestamps. Passing
@@ -127,9 +193,11 @@ func (t *Tracer) SetClock(c Clock) {
 // nil *Span (the no-op span a nil Tracer hands out).
 type Span struct {
 	t         *Tracer
+	root      *Span // the local root of the span's trace; itself on a root
 	id        SpanID
 	parent    SpanID
 	trace     TraceID
+	seq       uint64 // start order
 	name      string
 	track     string
 	simStart  float64 // simulated seconds
@@ -137,39 +205,50 @@ type Span struct {
 	wallStart time.Time
 	wallEnd   time.Time
 	attrs     []Attr
-	ended     bool
+
+	// Root-only trace state, guarded by t.mu.
+	members []*Span // the trace's other spans in start order; nil until it has one
+	slot    int32   // index in t.open while the trace is open
+	held    uint8   // the retained sets holding the completed trace
+	keep    bool    // Keep was called on a span of the trace
+
+	ended bool
 }
 
 // Start opens a root span at the given simulated time. The span roots a
 // fresh trace whose ID derives from the span's own deterministic ID.
 func (t *Tracer) Start(name string, simS float64) *Span {
-	return t.start(0, TraceID{}, "", name, simS)
+	return t.start(nil, 0, TraceID{}, "", name, simS)
 }
 
 // StartChild opens a span under parent (nil parent makes a root span).
 // The child inherits the parent's track until SetTrack overrides it,
-// and the parent's trace identity always.
+// and the parent's trace identity always. It joins the parent's local
+// trace when the parent is this tracer's; a parent from another tracer
+// is a remote parent, as in StartRemote.
 func (t *Tracer) StartChild(parent *Span, name string, simS float64) *Span {
-	var pid SpanID
-	var trace TraceID
-	track := ""
-	if parent != nil {
-		pid = parent.id
-		trace = parent.trace
-		track = parent.track
+	if parent == nil {
+		return t.start(nil, 0, TraceID{}, "", name, simS)
 	}
-	return t.start(pid, trace, track, name, simS)
+	var root *Span
+	if parent.t == t {
+		root = parent.root
+	}
+	return t.start(root, parent.id, parent.trace, parent.track, name, simS)
 }
 
 // StartRemote opens a span whose parent lives in another process, as
 // carried by a traceparent header: the new span's parent link is the
 // remote span ID and its trace identity is the propagated trace ID, so
 // multi-process exports stitch into one tree (see cmd/trace -merge).
+// The span roots a local trace.
 func (t *Tracer) StartRemote(tp TraceParent, name string, simS float64) *Span {
-	return t.start(tp.SpanID, tp.TraceID, "", name, simS)
+	return t.start(nil, tp.SpanID, tp.TraceID, "", name, simS)
 }
 
-func (t *Tracer) start(parent SpanID, trace TraceID, track, name string, simS float64) *Span {
+// start opens a span in root's local trace, or roots a new one when
+// root is nil.
+func (t *Tracer) start(root *Span, parent SpanID, trace TraceID, track, name string, simS float64) *Span {
 	if t == nil {
 		return nil
 	}
@@ -181,9 +260,11 @@ func (t *Tracer) start(parent SpanID, trace TraceID, track, name string, simS fl
 	}
 	s := &Span{
 		t:         t,
+		root:      root,
 		id:        id,
 		parent:    parent,
 		trace:     trace,
+		seq:       t.seq,
 		name:      name,
 		track:     track,
 		simStart:  simS,
@@ -191,7 +272,13 @@ func (t *Tracer) start(parent SpanID, trace TraceID, track, name string, simS fl
 		wallStart: t.now(),
 	}
 	t.seq++
-	t.spans = append(t.spans, s)
+	if root != nil {
+		root.members = append(root.members, s)
+	} else {
+		s.root = s
+		s.slot = int32(len(t.open))
+		t.open = append(t.open, s)
+	}
 	return s
 }
 
@@ -263,6 +350,102 @@ func (s *Span) End(simS float64) {
 	s.ended = true
 	s.simEnd = simS
 	s.wallEnd = s.t.now()
+	if s.root == s {
+		s.t.complete(s)
+	}
+}
+
+// Keep marks the span's trace as worth keeping: once it completes it
+// joins the tail set, where completions of unmarked traces cannot evict
+// it. Keep on a trace that has already completed does nothing.
+func (s *Span) Keep() {
+	if s == nil {
+		return
+	}
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	s.root.keep = true
+}
+
+// complete moves an ended root's trace from the open set into the
+// retained sets. Called with t.mu held.
+func (t *Tracer) complete(root *Span) {
+	last := len(t.open) - 1
+	moved := t.open[last]
+	t.open[root.slot], moved.slot = moved, root.slot
+	t.open[last] = nil
+	t.open = t.open[:last]
+
+	t.recent.push(root, RecentTraces)
+	if root.keep {
+		t.kept.push(root, keptTraces)
+	}
+	t.sampleSlow(root)
+}
+
+// sampleSlow offers a completed root to the current window's slow
+// sample, and closes the window after RecentTraces completions. Called
+// with t.mu held.
+func (t *Tracer) sampleSlow(root *Span) {
+	switch {
+	case len(t.slow) < slowTraces:
+		root.held |= heldSlow
+		t.slow = append(t.slow, root)
+		if len(t.slow) == slowTraces {
+			t.slowMin = fastest(t.slow)
+		}
+	case wallDur(root) > wallDur(t.slow[t.slowMin]):
+		t.slow[t.slowMin].held &^= heldSlow
+		root.held |= heldSlow
+		t.slow[t.slowMin] = root
+		t.slowMin = fastest(t.slow)
+	}
+	if t.windowN++; t.windowN == RecentTraces {
+		for _, r := range t.lastSlow {
+			r.held &^= heldSlow
+		}
+		clear(t.lastSlow)
+		t.slow, t.lastSlow = t.lastSlow[:0], t.slow
+		t.windowN = 0
+	}
+}
+
+// fastest returns the index of the root with the shortest wall
+// duration; the first on a tie.
+func fastest(roots []*Span) int {
+	best := 0
+	for i, r := range roots {
+		if wallDur(r) < wallDur(roots[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+func wallDur(s *Span) time.Duration { return s.wallEnd.Sub(s.wallStart) }
+
+// retained calls visit once for the root of every retained trace: the
+// open ones, then the completed ones in the sets that hold them.
+// Called with t.mu held.
+func (t *Tracer) retained(visit func(root *Span)) {
+	for _, r := range t.open {
+		visit(r)
+	}
+	for _, r := range t.recent.roots {
+		visit(r)
+	}
+	for _, r := range t.kept.roots {
+		if r.held&heldRecent == 0 {
+			visit(r)
+		}
+	}
+	for _, set := range [2][]*Span{t.slow, t.lastSlow} {
+		for _, r := range set {
+			if r.held&(heldRecent|heldKept) == 0 {
+				visit(r)
+			}
+		}
+	}
 }
 
 // SpanRecord is the exportable snapshot of one span.
@@ -294,16 +477,24 @@ func (r SpanRecord) Attr(key string) string {
 	return ""
 }
 
-// Spans snapshots every span in start order. Unended spans report
-// SimEndS == SimStartS and Ended == false. A nil tracer yields nil.
+// Spans snapshots every retained span in start order: each open trace
+// and each completed trace still in the ring of recent traces or the
+// tail set, whole. Unended spans report SimEndS == SimStartS and Ended
+// == false. A nil tracer yields nil.
 func (t *Tracer) Spans() []SpanRecord {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanRecord, len(t.spans))
-	for i, s := range t.spans {
+	var spans []*Span
+	t.retained(func(root *Span) {
+		spans = append(spans, root)
+		spans = append(spans, root.members...)
+	})
+	slices.SortFunc(spans, func(a, b *Span) int { return cmp.Compare(a.seq, b.seq) })
+	out := make([]SpanRecord, len(spans))
+	for i, s := range spans {
 		r := SpanRecord{
 			ID:          s.id.String(),
 			Parent:      s.parent.String(),
@@ -324,12 +515,14 @@ func (t *Tracer) Spans() []SpanRecord {
 	return out
 }
 
-// Len returns the number of started spans.
+// Len returns the number of retained spans, len(Spans()).
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.spans)
+	n := 0
+	t.retained(func(root *Span) { n += 1 + len(root.members) })
+	return n
 }

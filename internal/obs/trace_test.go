@@ -128,6 +128,7 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	s.SetTrack("t")
 	s.SetAttr("k", "v")
 	s.SetAttrF("f", 1.5)
+	s.Keep()
 	s.End(1)
 	c.End(2)
 	if s.ID() != 0 {

@@ -24,7 +24,23 @@ const (
 	// maxPredictions bounds a predict batch, systems × ranks, where no
 	// systems named counts the whole catalog.
 	maxPredictions = 4096
+	// maxRanks bounds one rank count, a predict ranks entry or a plan's
+	// ranks: 512 times Figure 11's largest run, and far below where a
+	// node count (ranks rounded up to whole nodes) overflows an int.
+	maxRanks = 1 << 20
 )
+
+// checkRanks rejects a rank count outside [1, maxRanks]; name is the
+// request field it came from.
+func checkRanks(name string, ranks int) error {
+	if ranks < 1 {
+		return fmt.Errorf("%s %d must be positive", name, ranks)
+	}
+	if ranks > maxRanks {
+		return fmt.Errorf("%s %d exceeds the limit of %d", name, ranks, maxRanks)
+	}
+	return nil
+}
 
 // WorkloadSpec names a simulation domain in the campaign geometry
 // vocabulary at a lattice scale. It is all of the anatomy cache's key
@@ -97,8 +113,8 @@ func (r PredictRequest) validate() error {
 		return fmt.Errorf("ranks is required (one prediction per rank count)")
 	}
 	for _, k := range r.Ranks {
-		if k < 1 {
-			return fmt.Errorf("ranks entry %d must be positive", k)
+		if err := checkRanks("ranks entry", k); err != nil {
+			return err
 		}
 	}
 	switch r.Model {
@@ -228,8 +244,8 @@ func (r PlanRequest) validate() error {
 	if err := r.Workload.validate(); err != nil {
 		return err
 	}
-	if r.Ranks < 1 {
-		return fmt.Errorf("ranks %d must be positive", r.Ranks)
+	if err := checkRanks("ranks", r.Ranks); err != nil {
+		return err
 	}
 	if r.Steps < 1 {
 		return fmt.Errorf("steps %d must be positive", r.Steps)

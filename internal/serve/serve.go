@@ -24,7 +24,8 @@
 //	GET  /v1/campaigns/{id} campaign status and report
 //	GET  /v1/healthz        liveness + cache occupancy
 //	GET  /v1/metrics        metrics snapshot (text exposition or JSON)
-//	GET  /v1/telemetry      mergeable telemetry snapshot for aggregation
+//	GET  /v1/telemetry      mergeable telemetry snapshot for aggregation,
+//	                        with heap, goroutine and GC-pause gauges
 //
 // Distributed tracing: every request that carries a traceparent header
 // (injected by the cluster router) starts its handler span under that
@@ -37,6 +38,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -321,9 +323,11 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // withTimeoutMS tightens ctx by a request's timeout_ms field. The
-// server ceiling already bounds ctx, so this can only shorten.
+// server ceiling already bounds ctx, so this can only shorten; a value
+// too large for a time.Duration inherits the ceiling rather than
+// overflowing into an already-passed deadline.
 func withTimeoutMS(ctx context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
-	if timeoutMS <= 0 {
+	if timeoutMS <= 0 || timeoutMS > math.MaxInt64/int64(time.Millisecond) {
 		return context.WithCancel(ctx)
 	}
 	return context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
@@ -341,12 +345,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleTelemetry serves the raw mergeable metric state — counter sums
 // and histogram buckets, never quantiles — that the cluster router
-// scrapes and folds into fleet-wide aggregates (obs.MergeMetrics).
+// scrapes and folds into fleet-wide aggregates (obs.MergeMetrics),
+// plus the Go runtime's gauges (obs.RuntimeMetrics), read for this
+// request.
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	httpedge.WriteJSON(w, http.StatusOK, obs.TelemetrySnapshot{
-		UptimeS: s.edge.Now(),
-		Metrics: s.reg.Snapshot(),
-	})
+	metrics, err := obs.MergeMetrics(s.reg.Snapshot(), obs.RuntimeMetrics())
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	httpedge.WriteJSON(w, http.StatusOK, obs.TelemetrySnapshot{UptimeS: s.edge.Now(), Metrics: metrics})
 }
 
 //lint:hot

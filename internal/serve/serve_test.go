@@ -156,6 +156,8 @@ func TestMalformedAndInvalidRequests(t *testing.T) {
 		// The system is checked before the geometry is built, as it always was.
 		{"unknown system and bad geometry", "/v1/predict", `{"workload":{"geometry":"spleen","scale":5},"systems":["VAX-11"],"ranks":[4]}`, http.StatusNotFound},
 		{"plan unknown system and bad geometry", "/v1/plan", `{"workload":{"geometry":"spleen","scale":5},"systems":["VAX-11"],"ranks":4,"steps":10}`, http.StatusNotFound},
+		{"ranks entry over the limit", "/v1/predict", fmt.Sprintf(`{"workload":{"geometry":"cylinder","scale":5},"ranks":[4,%d]}`, maxRanks+1), http.StatusBadRequest},
+		{"plan ranks over the limit", "/v1/plan", `{"workload":{"geometry":"cylinder","scale":5},"ranks":9223372036854775807,"steps":10}`, http.StatusBadRequest},
 		{"bad objective", "/v1/plan", `{"workload":{"geometry":"cylinder","scale":5},"ranks":4,"steps":10,"objective":"wat"}`, http.StatusBadRequest},
 		{"bad backend", "/v1/campaigns", `{"backend":"mainframe","config":{}}`, http.StatusBadRequest},
 		{"campaign bad config", "/v1/campaigns", `{"config":{"budget_usd":0,"jobs":[]}}`, http.StatusBadRequest},
@@ -170,6 +172,22 @@ func TestMalformedAndInvalidRequests(t *testing.T) {
 		var er ErrorResponse
 		if err := json.Unmarshal(data, &er); err != nil || er.Error == "" {
 			t.Errorf("%s: error body malformed: %s", tc.name, data)
+		}
+	}
+}
+
+// TestHugeTimeoutInheritsCeiling: a timeout_ms too large for a
+// time.Duration is no tighter than the server's ceiling, not an
+// overflow into a deadline already passed (a 504).
+func TestHugeTimeoutInheritsCeiling(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/predict", "/v1/plan"} {
+		body := `{"workload":{"geometry":"cylinder","scale":5},"systems":["CSP-2"],"ranks":[8],"timeout_ms":9223372036854775807}`
+		if path == "/v1/plan" {
+			body = `{"workload":{"geometry":"cylinder","scale":5},"ranks":8,"steps":10,"timeout_ms":9223372036854775807}`
+		}
+		if resp, data := postJSON(t, ts.URL+path, body); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s with timeout_ms MaxInt64: %d (%s)", path, resp.StatusCode, data)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -45,6 +46,26 @@ func TestTelemetryEndpointRoundTrip(t *testing.T) {
 	// The wire state must merge cleanly into an empty aggregate.
 	if _, err := obs.MergeMetrics(nil, snap.Metrics); err != nil {
 		t.Fatalf("snapshot does not merge: %v", err)
+	}
+}
+
+// TestTelemetryRuntimeGauges: every telemetry reply carries the runtime
+// gauges, in Snapshot order, and merges cleanly.
+func TestTelemetryRuntimeGauges(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var snap obs.TelemetrySnapshot
+	getJSON(t, ts.URL+"/v1/telemetry", &snap)
+	if _, err := obs.MergeMetrics(nil, snap.Metrics); err != nil {
+		t.Fatalf("snapshot does not merge: %v", err)
+	}
+	var g []obs.Metric
+	for _, m := range snap.Metrics {
+		if strings.HasPrefix(m.Name, "go_") {
+			g = append(g, m)
+		}
+	}
+	if len(g) != 3 || g[2].Name != "go_heap_inuse_bytes" || g[2].Value <= 0 || g[1].Value < 1 {
+		t.Fatalf("runtime gauges %+v, want GC pause, goroutines and heap in use", g)
 	}
 }
 
@@ -119,7 +140,7 @@ func TestMalformedTraceParentFallsBackToRoot(t *testing.T) {
 
 func TestDebugEndpointsAbsentFromMainMux(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, p := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/cmdline"} {
+	for _, p := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/cmdline", "/debug/traces"} {
 		resp := getJSON(t, ts.URL+p, nil)
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET %s on the main mux: %d, want 404 (pprof must be opt-in)", p, resp.StatusCode)
@@ -128,10 +149,40 @@ func TestDebugEndpointsAbsentFromMainMux(t *testing.T) {
 }
 
 func TestDebugHandlerServesPprof(t *testing.T) {
-	ts := httptest.NewServer(DebugHandler())
+	ts := httptest.NewServer(DebugHandler(obs.NewTracer(1)))
 	t.Cleanup(ts.Close)
 	resp := getJSON(t, ts.URL+"/debug/pprof/", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof index on the debug mux: %d", resp.StatusCode)
+	}
+}
+
+// TestDebugHandlerServesTraces: GET /debug/traces answers the tracer's
+// retained spans as JSONL that obs.ReadSpans (cmd/trace's reader)
+// parses back to the same records.
+func TestDebugHandlerServesTraces(t *testing.T) {
+	tracer := obs.NewTracer(5)
+	_, api := newTestServer(t, Config{Tracer: tracer})
+	for i := 0; i < 3; i++ {
+		if resp, data := postJSON(t, api.URL+"/v1/predict", predictBody); resp.StatusCode != http.StatusOK {
+			t.Fatalf("predict: %d: %s", resp.StatusCode, data)
+		}
+	}
+	ts := httptest.NewServer(DebugHandler(tracer))
+	t.Cleanup(ts.Close)
+	resp, err := http.Get(ts.URL + "/debug/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/x-ndjson" {
+		t.Fatalf("GET /debug/traces: %d %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	got, err := obs.ReadSpans(resp.Body)
+	if err != nil {
+		t.Fatalf("reading the served trace: %v", err)
+	}
+	if want := tracer.Spans(); len(got) != 3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("served %d spans, tracer holds %d:\n got %+v\nwant %+v", len(got), len(want), got, want)
 	}
 }
