@@ -92,7 +92,7 @@ func main() {
 	anatomy, err := fw.PrepareAnatomy(dom.Name, dom, lbm.Params{Tau: 0.9, UMax: 0.02})
 	fatal(err)
 
-	// Tier 2 and auto need the measured-lookup tables; tier1/tier0 (and
+	// Tier 2 and auto need the measured efficiency table; tier1/tier0 (and
 	// the legacy default) run without them.
 	if *tier == perfmodel.Tier2Measured || *tier == perfmodel.TierAuto {
 		tbl, err := perfmodel.DefaultTable()

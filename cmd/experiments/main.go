@@ -5,7 +5,7 @@
 //	experiments              # run everything, in the paper's order
 //	experiments fig7 fig9    # run selected artifacts
 //	experiments -list        # list artifact IDs
-//	experiments -gen-tables  # regenerate the Tier 2 lookup CSV
+//	experiments -gen-tables  # regenerate the Tier 2 efficiency CSV
 //	experiments -tiers       # per-tier MAPE report + BENCH_tiers.json
 //
 // Artifact IDs are experiments.Artifacts, in order (-list prints them):
@@ -14,10 +14,10 @@
 // and ext-terms, the per-term re-fit of the model against measurements
 // (DESIGN.md §4).
 //
-// With -tiers, -tiers-baseline FILE compares every tier's overall MAPE
-// against a committed BENCH_tiers.json and exits nonzero when any tier
-// regresses by more than mapeTolerancePts percentage points — the CI
-// accuracy gate.
+// With -tiers, -tiers-baseline FILE compares the overall MAPE of every
+// tier and of each held-out Tier 2 score, for the direct and the
+// generalized model, against a committed BENCH_tiers.json and exits nonzero when any regresses by more than
+// mapeTolerancePts percentage points — the CI accuracy gate.
 package main
 
 import (
@@ -25,16 +25,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"repro/internal/experiments"
 	"repro/internal/perfmodel"
 )
 
-// mapeTolerancePts is how many percentage points any tier's MAPE may
-// drift above the committed baseline before the gate fails.
+// mapeTolerancePts is how many percentage points any tier's MAPE, held
+// out or not, may drift above the committed baseline before the gate
+// fails.
 const mapeTolerancePts = 2.0
 
-// runGenTables writes the regenerated Tier 2 lookup table to path.
+// runGenTables writes the regenerated Tier 2 efficiency table to path.
 func runGenTables(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -52,11 +54,12 @@ func runGenTables(path string) error {
 }
 
 // runTiers evaluates all tiers, prints the report, writes the bench
-// JSON, and (with a baseline) gates every tier's MAPE.
+// JSON, and (with a baseline) gates every entry's MAPE: each tier's and
+// each held-out Tier 2 score's, of either model.
 func runTiers(outPath, baselinePath string) error {
 	tbl, err := perfmodel.DefaultTable()
 	if err != nil {
-		return fmt.Errorf("embedded lookup table: %v", err)
+		return fmt.Errorf("embedded Tier 2 table: %v", err)
 	}
 	report, bench, err := experiments.Tiers(tbl)
 	if err != nil {
@@ -64,7 +67,7 @@ func runTiers(outPath, baselinePath string) error {
 	}
 	fmt.Printf("==== %s — %s ====\n%s\n", report.ID, report.Title, report.Text)
 	if !bench.OrderingOK {
-		return fmt.Errorf("accuracy ordering violated: want tier2 <= tier1 <= tier0 MAPE")
+		return fmt.Errorf("accuracy ordering violated: want %s <= tier1 <= tier0 MAPE for either model", experiments.Tier2LeaveOneOut)
 	}
 	if outPath != "" {
 		buf, err := json.MarshalIndent(bench, "", "  ")
@@ -85,7 +88,12 @@ func runTiers(outPath, baselinePath string) error {
 		if err := json.Unmarshal(raw, &baseline); err != nil {
 			return fmt.Errorf("baseline %s: %v", baselinePath, err)
 		}
-		for _, tier := range []string{perfmodel.Tier0Physics, perfmodel.Tier1Calibrated, perfmodel.Tier2Measured} {
+		tiers := make([]string, 0, len(bench.Tiers))
+		for tier := range bench.Tiers {
+			tiers = append(tiers, tier)
+		}
+		sort.Strings(tiers)
+		for _, tier := range tiers {
 			base, ok := baseline.Tiers[tier]
 			if !ok {
 				return fmt.Errorf("baseline %s has no %s block", baselinePath, tier)
@@ -104,7 +112,7 @@ func runTiers(outPath, baselinePath string) error {
 
 func main() {
 	list := flag.Bool("list", false, "list artifact IDs and exit")
-	genTables := flag.Bool("gen-tables", false, "regenerate the Tier 2 lookup CSV and exit")
+	genTables := flag.Bool("gen-tables", false, "regenerate the Tier 2 efficiency CSV and exit")
 	genTablesOut := flag.String("gen-tables-out", "internal/perfmodel/tables/measured.csv", "output path for -gen-tables")
 	tiers := flag.Bool("tiers", false, "run the per-tier MAPE evaluation")
 	tiersOut := flag.String("tiers-out", "BENCH_tiers.json", "bench JSON output path for -tiers (empty to skip)")

@@ -279,7 +279,7 @@ func (f *Framework) Workload(a *Anatomy, ranks int) (simcloud.Workload, error) {
 	return a.Workload(ranks)
 }
 
-// AttachTable enables the Tier 2 measured-lookup backend on every
+// AttachTable enables the Tier 2 measured-efficiency backend on every
 // dashboard entry (see Dashboard.AttachTable).
 func (f *Framework) AttachTable(tbl *perfmodel.Table) error {
 	return f.Dashboard.AttachTable(tbl)

@@ -17,8 +17,8 @@ import (
 )
 
 // Entry is one characterized instance type in the dashboard. Predictor
-// is its tiered prediction front door; build entries with NewEntry so
-// it is always populated (a zero Predictor falls back to Char).
+// is its tiered prediction front door; build entries with NewEntry, or
+// set it: an entry without one predicts nothing.
 type Entry struct {
 	System    *machine.System
 	Char      *perfmodel.Characterization
@@ -27,7 +27,7 @@ type Entry struct {
 
 // NewEntry composes a dashboard row's tiered predictor: Tier 0 physics
 // always, Tier 1 when a characterization is supplied, Tier 2 when a
-// measured lookup table is.
+// measured efficiency table is.
 func NewEntry(sys *machine.System, char *perfmodel.Characterization, tbl *perfmodel.Table) (Entry, error) {
 	backends := []perfmodel.Backend{perfmodel.NewPhysicsBackend(sys)}
 	if char != nil {
@@ -43,18 +43,12 @@ func NewEntry(sys *machine.System, char *perfmodel.Characterization, tbl *perfmo
 	return Entry{System: sys, Char: char, Predictor: p}, nil
 }
 
-// Predict routes through the entry's tiered predictor, falling back to
-// the bare Tier 1 characterization for entries constructed literally
-// (tests, old callers).
+// Predict routes through the entry's tiered predictor.
 func (e Entry) Predict(req perfmodel.Request) (perfmodel.Prediction, error) {
-	if e.Predictor != nil {
-		return e.Predictor.Predict(req)
+	if e.Predictor == nil {
+		return perfmodel.Prediction{}, fmt.Errorf("dashboard: entry %s has no predictor", e.System.Abbrev)
 	}
-	if e.Char != nil {
-		req.Tier = perfmodel.Tier1Calibrated
-		return e.Char.Predict(req)
-	}
-	return perfmodel.Prediction{}, fmt.Errorf("dashboard: entry %s has no predictor", e.System.Abbrev)
+	return e.Predictor.Predict(req)
 }
 
 // Dashboard holds phase one of the framework: all instance types
@@ -84,9 +78,9 @@ func Build(systems []*machine.System, samples int, rng *rand.Rand) (*Dashboard, 
 	return d, nil
 }
 
-// AttachTable rebuilds every entry's predictor with a Tier 2 measured
-// lookup backend over tbl, enabling TierAuto and explicit tier2
-// assessments on in-table systems.
+// AttachTable rebuilds every entry's predictor with a Tier 2 backend over
+// tbl, enabling TierAuto and explicit tier2 assessments on in-table
+// systems.
 func (d *Dashboard) AttachTable(tbl *perfmodel.Table) error {
 	for i, e := range d.Entries {
 		ne, err := NewEntry(e.System, e.Char, tbl)

@@ -49,6 +49,11 @@ func TestEntryLookup(t *testing.T) {
 	if _, err := d.Entry("nope"); err == nil {
 		t.Error("want error for unknown entry")
 	}
+	// An entry without a predictor predicts nothing, whatever it holds.
+	bare := Entry{System: d.Entries[0].System, Char: d.Entries[0].Char}
+	if _, err := bare.Predict(perfmodel.Request{}); err == nil || !strings.Contains(err.Error(), "no predictor") {
+		t.Errorf("entry without a predictor: %v, want a no-predictor error", err)
+	}
 }
 
 func TestAssessProducesAllSystems(t *testing.T) {

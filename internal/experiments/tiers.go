@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -16,7 +18,7 @@ import (
 )
 
 // This file is the tiered-prediction evaluation (DESIGN.md §13): it
-// generates the committed Tier 2 lookup tables from simulated-measured
+// generates the committed Tier 2 efficiency table from simulated-measured
 // runs and scores all three tiers against fresh measurements over the
 // Table-I suite. Two independent seeds keep the exercise honest — the
 // table is harvested with tableGenSeed, the evaluation measures with
@@ -75,17 +77,26 @@ func measure(w simcloud.Workload, sys *machine.System, runs int, rng *rand.Rand)
 }
 
 // GenerateTable measures the whole Table-I suite and writes the Tier 2
-// lookup CSV (schema: system,kernel,points,ranks,mflups; sorted by that
-// key) to w. This is the regeneration workflow behind the committed
+// table CSV (schema: system,kernel,points,ranks,efficiency,
+// general_efficiency; sorted by the key) to w. A row's efficiency is its
+// measured MFLUPS over the direct model's on the same workload, and its
+// general efficiency the measured MFLUPS over the generalized model's on
+// perfmodel.Tier2Laws, both priced on the system's reference
+// characterization (perfmodel.ReferenceSamples, noiseless). This is the
+// regeneration workflow behind the committed
 // internal/perfmodel/tables/measured.csv: `cmd/experiments -gen-tables`.
 func GenerateTable(w io.Writer) error {
+	return generateTable(w, newWorkloadCache())
+}
+
+func generateTable(w io.Writer, cache *workloadCache) error {
 	cfgs, err := tierSuite()
 	if err != nil {
 		return err
 	}
-	cache := newWorkloadCache()
 	rng := rand.New(rand.NewSource(tableGenSeed))
 	access := lbm.HarveyAccess()
+	refs := map[string]*perfmodel.Characterization{}
 	var rows []perfmodel.TableRow
 	for _, cfg := range cfgs {
 		wl, err := cache.workload(cfg.dom, cfg.ranks, access, "harvey")
@@ -96,29 +107,37 @@ func GenerateTable(w io.Writer) error {
 		if err != nil {
 			return err
 		}
+		ref := refs[cfg.sys.Abbrev]
+		if ref == nil {
+			if ref, err = perfmodel.Characterize(cfg.sys, perfmodel.ReferenceSamples, nil); err != nil {
+				return err
+			}
+			refs[cfg.sys.Abbrev] = ref
+		}
+		direct, err := ref.Predict(perfmodel.Request{Model: perfmodel.ModelDirect, Workload: &wl})
+		if err != nil {
+			return err
+		}
+		l := cache.lattices[cfg.dom.Name] // built by workload
+		ws := perfmodel.WorkloadSummary{Name: cfg.dom.Name, Points: l.N(), BytesSerial: l.BytesSerial(access)}
+		general, err := ref.Predict(perfmodel.Request{Model: perfmodel.ModelGeneral, Summary: &ws, General: perfmodel.Tier2Laws(), Ranks: cfg.ranks})
+		if err != nil {
+			return err
+		}
 		rows = append(rows, perfmodel.TableRow{
-			System: cfg.sys.Abbrev, Kernel: perfmodel.DefaultKernel,
-			Points: wl.Points, Ranks: cfg.ranks, MFLUPS: mflups,
+			System: cfg.sys.Abbrev, Kernel: perfmodel.DefaultKernel, Points: wl.Points, Ranks: cfg.ranks,
+			Efficiency: mflups / direct.MFLUPS, GeneralEfficiency: mflups / general.MFLUPS,
 		})
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.System != b.System {
-			return a.System < b.System
-		}
-		if a.Kernel != b.Kernel {
-			return a.Kernel < b.Kernel
-		}
-		if a.Points != b.Points {
-			return a.Points < b.Points
-		}
-		return a.Ranks < b.Ranks
+	slices.SortFunc(rows, func(a, b perfmodel.TableRow) int {
+		return cmp.Or(cmp.Compare(a.System, b.System), cmp.Compare(a.Kernel, b.Kernel),
+			cmp.Compare(a.Points, b.Points), cmp.Compare(a.Ranks, b.Ranks))
 	})
-	if _, err := fmt.Fprintln(w, "system,kernel,points,ranks,mflups"); err != nil {
+	if _, err := fmt.Fprintln(w, "system,kernel,points,ranks,efficiency,general_efficiency"); err != nil {
 		return err
 	}
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%s,%d,%d,%.6g\n", r.System, r.Kernel, r.Points, r.Ranks, r.MFLUPS); err != nil {
+		if _, err := fmt.Fprintf(w, "%s,%s,%d,%d,%.6g,%.6g\n", r.System, r.Kernel, r.Points, r.Ranks, r.Efficiency, r.GeneralEfficiency); err != nil {
 			return err
 		}
 	}
@@ -134,23 +153,51 @@ type SystemStats struct {
 
 // TierStats aggregates a tier's error over the whole suite.
 type TierStats struct {
-	MAPEPct  float64                `json:"mape_pct"`
-	BiasPct  float64                `json:"bias_pct"`
-	N        int                    `json:"n"`
+	SystemStats
 	BySystem map[string]SystemStats `json:"by_system"`
 }
 
 // TierBench is the machine-readable result behind BENCH_tiers.json; CI
-// gates Tier 1 MAPE regressions against the committed copy.
+// gates every entry's MAPE, each tier and each held-out Tier 2 score, of
+// either model, against the committed copy.
 type TierBench struct {
+	// Tiers holds a score per tier (and held-out Tier 2 score) of the
+	// direct model, keyed by its name, and of the generalized model,
+	// keyed by generalized(name).
 	Tiers map[string]TierStats `json:"tiers"`
-	// OrderingOK asserts the acceptance property: on in-table systems,
-	// Tier 2 MAPE ≤ Tier 1 MAPE ≤ Tier 0 MAPE.
+	// OrderingOK asserts the acceptance property for either model: Tier 2
+	// held out (leave one row out) ≤ Tier 1 ≤ Tier 0 on MAPE.
 	OrderingOK bool `json:"ordering_ok"`
 	// Anomalies lists systematic residual biases exceeding
 	// BiasAnomalyPct, formatted "tier/system: +12.3% (overprediction)".
 	Anomalies []string `json:"anomalies"`
 }
+
+// The held-out Tier 2 scores: each prices a cell on a table that does not
+// hold it, so they read how Tier 2 does where a user's query falls off
+// the table, which the in-sample "tier2" score cannot show.
+const (
+	// Tier2LeaveOneOut scores each suite cell on the table minus its row.
+	Tier2LeaveOneOut = perfmodel.Tier2Measured + "_leave_one_out"
+	// Tier2LeaveOneAnatomyOut scores each suite cell on the table minus
+	// every row of its anatomy.
+	Tier2LeaveOneAnatomyOut = perfmodel.Tier2Measured + "_leave_one_anatomy_out"
+	// Tier2OffGrid scores the whole table on offGridRanks cells.
+	Tier2OffGrid = perfmodel.Tier2Measured + "_off_grid"
+)
+
+// generalized names score's generalized-model counterpart. The direct
+// model's scores take the plain name; each cell is also priced from its
+// workload summary, on the anatomy's laws (which Tiers 0 and 2 ignore).
+func generalized(score string) string { return score + "_" + perfmodel.ModelGeneral }
+
+// offGridRanks are rank counts between the suite's powers of two, scored
+// on every system whose MaxRanks reaches them, for each anatomy. They
+// are measured with offGridSeed, so the suite's own measurements draw
+// the same noise with or without them.
+var offGridRanks = []int{3, 6, 12, 24, 48, 96}
+
+const offGridSeed = 2025
 
 type residual struct {
 	system string
@@ -194,8 +241,11 @@ func summarize(rs []residual) TierStats {
 }
 
 // Tiers scores the three prediction tiers against fresh simulated
-// measurements over the Table-I suite. tbl supplies Tier 2 data (nil
-// evaluates only the analytical tiers). The report carries per-tier,
+// measurements over the Table-I suite, each on the direct and on the
+// generalized model. tbl supplies Tier 2 data (nil evaluates only the
+// analytical tiers). With a table, Tier 2 is also scored held out: each
+// held-out table is the generated CSV minus the held-out rows, loaded
+// through LoadTable like the committed one. The report carries per-tier,
 // per-system MAPE and signed bias plus residual-bias anomaly lines.
 func Tiers(tbl *perfmodel.Table) (Report, *TierBench, error) {
 	cfgs, err := tierSuite()
@@ -205,90 +255,122 @@ func Tiers(tbl *perfmodel.Table) (Report, *TierBench, error) {
 	cache := newWorkloadCache()
 	access := lbm.HarveyAccess()
 	evalRNG := rand.New(rand.NewSource(tierEvalSeed))
+	offGridRNG := rand.New(rand.NewSource(offGridSeed))
 
 	tiers := []string{perfmodel.Tier0Physics, perfmodel.Tier1Calibrated}
+	offGrid := map[tierConfig]bool{}
+	var generated strings.Builder // the table CSV the held-out tables are cut from
 	if tbl != nil {
-		tiers = append(tiers, perfmodel.Tier2Measured)
+		tiers = append(tiers, perfmodel.Tier2Measured, Tier2LeaveOneOut, Tier2LeaveOneAnatomyOut, Tier2OffGrid)
+		if err := generateTable(&generated, cache); err != nil {
+			return Report{}, nil, err
+		}
+		for _, cfg := range cfgs { // rank 1 opens each (system, anatomy)'s cells
+			for _, ranks := range offGridRanks {
+				if cfg.ranks == 1 && ranks <= cfg.sys.MaxRanks() {
+					off := tierConfig{sys: cfg.sys, dom: cfg.dom, ranks: ranks}
+					offGrid[off] = true
+					cfgs = append(cfgs, off)
+				}
+			}
+		}
+	}
+	var scores []string // each tier's direct score, then its generalized one
+	for _, tier := range tiers {
+		scores = append(scores, tier, generalized(tier))
 	}
 	resids := map[string][]residual{}
 
-	predictors := map[string]*perfmodel.Predictor{}
+	chars := map[string]*perfmodel.Characterization{}
 	for _, sys := range machine.Catalog() {
-		char, err := perfmodel.Characterize(sys, streamSamples, newRNG())
-		if err != nil {
+		if chars[sys.Abbrev], err = perfmodel.Characterize(sys, streamSamples, newRNG()); err != nil {
 			return Report{}, nil, err
 		}
-		backends := []perfmodel.Backend{
-			perfmodel.NewPhysicsBackend(sys),
-			perfmodel.NewCalibratedBackend(char),
-		}
-		if tbl != nil {
-			backends = append(backends, perfmodel.NewLookupBackend(sys.Abbrev, tbl))
-		}
-		p, err := perfmodel.NewPredictor(backends...)
-		if err != nil {
-			return Report{}, nil, err
-		}
-		predictors[sys.Abbrev] = p
 	}
+	generals := map[string]perfmodel.Request{} // by anatomy and node width, which Tier 1's laws are fitted at
+	anatomyOut := map[int]*perfmodel.Table{}   // leave-one-anatomy-out tables by points
 
 	series := map[string][]Point{}
 	for _, cfg := range cfgs {
+		sys := cfg.sys.Abbrev
 		wl, err := cache.workload(cfg.dom, cfg.ranks, access, "harvey")
 		if err != nil {
 			return Report{}, nil, err
 		}
-		actual, err := measure(wl, cfg.sys, tierEvalRuns, evalRNG)
+		key := fmt.Sprintf("%s/%d", cfg.dom.Name, cfg.sys.CoresPerNode)
+		general, ok := generals[key]
+		if !ok {
+			l := cache.lattices[cfg.dom.Name] // built by workload
+			general = perfmodel.Request{Model: perfmodel.ModelGeneral,
+				Summary: &perfmodel.WorkloadSummary{Name: cfg.dom.Name, Points: l.N(), BytesSerial: l.BytesSerial(access)}}
+			if general.General, err = perfmodel.CalibrateGeneral(l, access, []int{1, 2, 4, 8, 16, 32, 64, 128}, cfg.sys.CoresPerNode); err != nil {
+				return Report{}, nil, err
+			}
+			generals[key] = general
+		}
+		general.Ranks = cfg.ranks
+		requests := []perfmodel.Request{{Model: perfmodel.ModelDirect, Workload: &wl}, general}
+		rng := evalRNG
+		if offGrid[cfg] {
+			rng = offGridRNG
+		}
+		actual, err := measure(wl, cfg.sys, tierEvalRuns, rng)
 		if err != nil {
 			return Report{}, nil, err
 		}
-		for _, tier := range tiers {
-			pred, err := predictors[cfg.sys.Abbrev].Predict(perfmodel.Request{
-				Model: perfmodel.ModelDirect, Workload: &wl, Tier: tier,
-			})
-			if err != nil {
-				return Report{}, nil, fmt.Errorf("%s on %s/%s/%d: %w", tier, cfg.sys.Abbrev, cfg.dom.Name, cfg.ranks, err)
+		tables := map[string]*perfmodel.Table{perfmodel.Tier2Measured: tbl, Tier2OffGrid: tbl}
+		if tbl != nil && !offGrid[cfg] {
+			if tables[Tier2LeaveOneOut], err = without(generated.String(), fmt.Sprintf("%s,%s,%d,%d,", sys, perfmodel.DefaultKernel, wl.Points, cfg.ranks)); err != nil {
+				return Report{}, nil, err
 			}
-			rel := (pred.MFLUPS - actual) / actual
-			resids[tier] = append(resids[tier], residual{system: cfg.sys.Abbrev, rel: rel})
-			series[tier+"/"+cfg.sys.Abbrev] = append(series[tier+"/"+cfg.sys.Abbrev],
-				Point{X: float64(cfg.ranks), Y: 100 * math.Abs(rel)})
+			if anatomyOut[wl.Points] == nil {
+				if anatomyOut[wl.Points], err = without(generated.String(), fmt.Sprintf(",%s,%d,", perfmodel.DefaultKernel, wl.Points)); err != nil {
+					return Report{}, nil, err
+				}
+			}
+			tables[Tier2LeaveOneAnatomyOut] = anatomyOut[wl.Points]
+		}
+		for _, tier := range tiers {
+			if offGrid[cfg] != (tier == Tier2OffGrid) {
+				continue
+			}
+			var b perfmodel.Backend
+			switch tier {
+			case perfmodel.Tier0Physics:
+				b = perfmodel.NewPhysicsBackend(cfg.sys)
+			case perfmodel.Tier1Calibrated:
+				b = perfmodel.NewCalibratedBackend(chars[sys])
+			default:
+				b = perfmodel.NewLookupBackend(sys, tables[tier])
+			}
+			for _, req := range requests {
+				pred, err := b.Predict(req)
+				if err != nil {
+					return Report{}, nil, fmt.Errorf("%s %s on %s/%s/%d: %w", tier, req.Model, sys, cfg.dom.Name, cfg.ranks, err)
+				}
+				score := tier
+				if req.Model == perfmodel.ModelGeneral {
+					score = generalized(tier)
+				}
+				rel := (pred.MFLUPS - actual) / actual
+				resids[score] = append(resids[score], residual{system: sys, rel: rel})
+				series[score+"/"+sys] = append(series[score+"/"+sys], Point{X: float64(cfg.ranks), Y: 100 * math.Abs(rel)})
+			}
 		}
 	}
 
 	bench := &TierBench{Tiers: map[string]TierStats{}}
-	for _, tier := range tiers {
-		bench.Tiers[tier] = summarize(resids[tier])
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-40s %10s %10s %6s\n", "tier", "MAPE (%)", "bias (%)", "n")
+	for _, score := range scores {
+		st := summarize(resids[score])
+		bench.Tiers[score] = st
+		fmt.Fprintf(&b, "%-40s %10.2f %10.2f %6d\n", score, st.MAPEPct, st.BiasPct, st.N)
 	}
 	bench.OrderingOK = orderingOK(bench.Tiers)
-	for _, tier := range tiers {
-		systems := make([]string, 0, len(bench.Tiers[tier].BySystem))
-		for sys := range bench.Tiers[tier].BySystem {
-			systems = append(systems, sys)
-		}
-		sort.Strings(systems)
-		for _, sys := range systems {
-			st := bench.Tiers[tier].BySystem[sys]
-			if math.Abs(st.BiasPct) > BiasAnomalyPct {
-				dir := "overprediction"
-				if st.BiasPct < 0 {
-					dir = "underprediction"
-				}
-				bench.Anomalies = append(bench.Anomalies,
-					fmt.Sprintf("%s/%s: %+.1f%% (systematic %s)", tier, sys, st.BiasPct, dir))
-			}
-		}
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %10s %10s %6s\n", "tier", "MAPE (%)", "bias (%)", "n")
-	for _, tier := range tiers {
-		st := bench.Tiers[tier]
-		fmt.Fprintf(&b, "%-8s %10.2f %10.2f %6d\n", tier, st.MAPEPct, st.BiasPct, st.N)
-	}
 	b.WriteString("\nper-system breakdown\n")
-	for _, tier := range tiers {
-		st := bench.Tiers[tier]
+	for _, score := range scores {
+		st := bench.Tiers[score]
 		systems := make([]string, 0, len(st.BySystem))
 		for sys := range st.BySystem {
 			systems = append(systems, sys)
@@ -296,7 +378,15 @@ func Tiers(tbl *perfmodel.Table) (Report, *TierBench, error) {
 		sort.Strings(systems)
 		for _, sys := range systems {
 			ss := st.BySystem[sys]
-			fmt.Fprintf(&b, "  %-8s %-12s MAPE %7.2f%%  bias %+7.2f%%  n=%d\n", tier, sys, ss.MAPEPct, ss.BiasPct, ss.N)
+			fmt.Fprintf(&b, "  %-40s %-12s MAPE %7.2f%%  bias %+7.2f%%  n=%d\n", score, sys, ss.MAPEPct, ss.BiasPct, ss.N)
+			if math.Abs(ss.BiasPct) > BiasAnomalyPct {
+				dir := "overprediction"
+				if ss.BiasPct < 0 {
+					dir = "underprediction"
+				}
+				bench.Anomalies = append(bench.Anomalies,
+					fmt.Sprintf("%s/%s: %+.1f%% (systematic %s)", score, sys, ss.BiasPct, dir))
+			}
 		}
 	}
 	if len(bench.Anomalies) > 0 {
@@ -305,7 +395,7 @@ func Tiers(tbl *perfmodel.Table) (Report, *TierBench, error) {
 			b.WriteString("  " + a + "\n")
 		}
 	}
-	fmt.Fprintf(&b, "\naccuracy ordering tier2 <= tier1 <= tier0: %v\n", bench.OrderingOK)
+	fmt.Fprintf(&b, "\naccuracy ordering %s <= tier1 <= tier0, for either model: %v\n", Tier2LeaveOneOut, bench.OrderingOK)
 
 	return Report{
 		ID:     "tiers",
@@ -315,17 +405,28 @@ func Tiers(tbl *perfmodel.Table) (Report, *TierBench, error) {
 	}, bench, nil
 }
 
-// orderingOK checks Tier 2 ≤ Tier 1 ≤ Tier 0 on overall MAPE, skipping
-// tiers that were not evaluated.
-func orderingOK(tiers map[string]TierStats) bool {
-	t0, ok0 := tiers[perfmodel.Tier0Physics]
-	t1, ok1 := tiers[perfmodel.Tier1Calibrated]
-	t2, ok2 := tiers[perfmodel.Tier2Measured]
-	if ok1 && ok0 && t1.MAPEPct > t0.MAPEPct {
-		return false
+// without loads the table CSV minus the rows whose line holds key.
+func without(csv, key string) (*perfmodel.Table, error) {
+	var kept strings.Builder
+	for _, line := range strings.SplitAfter(csv, "\n") {
+		if !strings.Contains(line, key) {
+			kept.WriteString(line)
+		}
 	}
-	if ok2 && ok1 && t2.MAPEPct > t1.MAPEPct {
-		return false
+	return perfmodel.LoadTable(strings.NewReader(kept.String()))
+}
+
+// orderingOK checks Tier 2 held out (leave one row out) ≤ Tier 1 ≤
+// Tier 0 on overall MAPE, for the direct and the generalized model,
+// skipping tiers that were not evaluated.
+func orderingOK(tiers map[string]TierStats) bool {
+	for _, suffix := range []string{"", generalized("")} {
+		t0, ok0 := tiers[perfmodel.Tier0Physics+suffix]
+		t1, ok1 := tiers[perfmodel.Tier1Calibrated+suffix]
+		t2, ok2 := tiers[Tier2LeaveOneOut+suffix]
+		if ok1 && ok0 && t1.MAPEPct > t0.MAPEPct || ok2 && ok1 && t2.MAPEPct > t1.MAPEPct {
+			return false
+		}
 	}
 	return true
 }

@@ -43,9 +43,14 @@ func TestGenerateTableDeterministicAndValid(t *testing.T) {
 }
 
 // TestTiersAccuracyOrdering runs the per-tier evaluation on the embedded
-// table and asserts the acceptance property: measured lookup beats the
-// calibrated fit, which beats pure physics, and Tier 1's known
+// table and asserts the acceptance property: Tier 2 scored on cells its
+// table does not hold beats the calibrated fit, which beats pure physics,
+// for the direct and for the generalized model, and Tier 1's known
 // kernel-overhead overprediction is surfaced as a residual-bias anomaly.
+// The direct model's held-out Tier 2 scores are also held to 5 %. The
+// generalized model's are held to Tier 1's only: it prices no
+// decomposition, so a rank count whose decomposition runs unlike its
+// neighbours' is off by tens of percent whatever its laws.
 func TestTiersAccuracyOrdering(t *testing.T) {
 	tbl, err := perfmodel.DefaultTable()
 	if err != nil {
@@ -58,7 +63,8 @@ func TestTiersAccuracyOrdering(t *testing.T) {
 	if !bench.OrderingOK {
 		t.Errorf("accuracy ordering violated: %+v", bench.Tiers)
 	}
-	for _, tier := range []string{perfmodel.Tier0Physics, perfmodel.Tier1Calibrated, perfmodel.Tier2Measured} {
+	for _, tier := range []string{perfmodel.Tier0Physics, perfmodel.Tier1Calibrated, perfmodel.Tier2Measured,
+		generalized(perfmodel.Tier0Physics), generalized(perfmodel.Tier1Calibrated), generalized(perfmodel.Tier2Measured)} {
 		st, ok := bench.Tiers[tier]
 		if !ok || st.N == 0 {
 			t.Errorf("tier %s not evaluated", tier)
@@ -68,8 +74,25 @@ func TestTiersAccuracyOrdering(t *testing.T) {
 			t.Errorf("tier %s covers %d systems, want 5", tier, len(st.BySystem))
 		}
 	}
-	if m := bench.Tiers[perfmodel.Tier2Measured].MAPEPct; m > 5 {
-		t.Errorf("tier2 MAPE %.2f%% exceeds the noise floor budget of 5%%", m)
+	tier1 := bench.Tiers[perfmodel.Tier1Calibrated].MAPEPct
+	tier1General := bench.Tiers[generalized(perfmodel.Tier1Calibrated)].MAPEPct
+	for _, heldOut := range []string{Tier2LeaveOneOut, Tier2LeaveOneAnatomyOut, Tier2OffGrid} {
+		st := bench.Tiers[heldOut]
+		if st.N == 0 || st.MAPEPct > 5 || st.MAPEPct >= tier1 {
+			t.Errorf("%s MAPE %.2f%% over %d cells, want some cells, at most 5%% and below tier1's %.2f%%",
+				heldOut, st.MAPEPct, st.N, tier1)
+		}
+		st = bench.Tiers[generalized(heldOut)]
+		if st.N == 0 || st.MAPEPct >= tier1General {
+			t.Errorf("%s MAPE %.2f%% over %d cells, want some cells and below %s's %.2f%%",
+				generalized(heldOut), st.MAPEPct, st.N, generalized(perfmodel.Tier1Calibrated), tier1General)
+		}
+	}
+	// On the rows it holds, Tier 2 answers either model as well.
+	for _, tier := range []string{perfmodel.Tier2Measured, generalized(perfmodel.Tier2Measured)} {
+		if st := bench.Tiers[tier]; st.MAPEPct > 5 {
+			t.Errorf("%s MAPE %.2f%%, want at most 5%%", tier, st.MAPEPct)
+		}
 	}
 	// The simulator's KernelOverhead makes Tier 1 overpredict
 	// systematically; the anomaly check must catch it.

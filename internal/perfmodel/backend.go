@@ -6,17 +6,17 @@ import (
 )
 
 // ErrNoData reports that the backend a request explicitly asked for does
-// not have the data to serve it — e.g. a Tier 2 lookup on a system the
-// tables do not cover, or a Tier 1 request without a characterization.
+// not have the data to serve it — e.g. a Tier 2 request on a system the
+// table does not cover, or a Tier 1 request without a characterization.
 // TierAuto never returns it (Tier 0 covers everything); serving layers
 // map it to a client error rather than a server fault.
 var ErrNoData = errors.New("perfmodel: no data for requested tier")
 
-// Backend serves predictions at one accuracy tier. Implementations are
-// ModelBackend — Tier 0 (NewPhysicsBackend, the model on a SpecSheet) and
-// Tier 1 (NewCalibratedBackend, the model on the fits) — and
-// LookupBackend (Tier 2); a Predictor composes them behind the tier
-// selector.
+// Backend serves predictions at one accuracy tier. The implementation is
+// ModelBackend — Tier 0 (NewPhysicsBackend, the model on a SpecSheet),
+// Tier 1 (NewCalibratedBackend, the model on the fits) and Tier 2
+// (NewLookupBackend, the model times a measured efficiency); a Predictor
+// composes them behind the tier selector.
 type Backend interface {
 	// Tier returns the backend's tier name (Tier0Physics, ...).
 	Tier() string
@@ -24,8 +24,8 @@ type Backend interface {
 	// the availability test behind TierAuto's 2 → 1 → 0 fallback.
 	Covers(req Request) bool
 	// Predict evaluates the request. The returned Prediction carries
-	// the backend's tier and provenance (confidence band, table
-	// distance or fit residual, extrapolation flag).
+	// the backend's tier and provenance (confidence band, fit
+	// residual, extrapolation flag).
 	Predict(req Request) (Prediction, error)
 }
 

@@ -17,9 +17,10 @@
 //
 // Both combine memory and communication as T = max_j(t_mem) + max_j(t_comm)
 // (Eq. 6) and report throughput in MFLUPS (Eq. 7). The formula is written
-// once; the analytical tiers differ only in where a Characterization's
-// parameters come from: the microbenchmark fits (Characterize, Tier 1) or
-// the catalog row's spec sheet (SpecSheet, Tier 0).
+// once; the tiers differ only in where a Characterization's parameters
+// come from — the microbenchmark fits (Characterize, Tier 1), the catalog
+// row's spec sheet (SpecSheet, Tier 0) or a table's noiseless reference,
+// whose output a measured efficiency scales (Table, Tier 2).
 package perfmodel
 
 import (
@@ -176,12 +177,9 @@ type Prediction struct {
 	// All fields are comparable, so Prediction keeps struct equality.
 	Tier string
 	// Extrapolated is set when the prediction leaves the backend's
-	// data: outside the measured hull (Tier 2) or past the
+	// data: outside the box its rows span (Tier 2) or past the
 	// characterized instance's core count (Tier 1 generalized model).
 	Extrapolated bool
-	// TableDistance (Tier 2 only) is the log2-space distance to the
-	// nearest measured row; 0 on an exact hit.
-	TableDistance float64
 	// FitResidual (Tier 1 only) is 1 − min(R²) over the calibrated
 	// fits — the worst fit's unexplained variance.
 	FitResidual float64

@@ -104,7 +104,8 @@ func TestCharacterizeSweepsSorted(t *testing.T) {
 
 // TestPredictDirectZeroAllocs pins the direct model's per-message path as
 // arithmetic: a direct prediction at 32 ranks allocates nothing, on the
-// fitted sweeps (Tier 1) and on the spec sheet's link lines (Tier 0).
+// fitted sweeps (Tier 1), on the spec sheet's link lines (Tier 0) and on
+// the table's reference scaled by its interpolated efficiency (Tier 2).
 func TestPredictDirectZeroAllocs(t *testing.T) {
 	s := cylinderSolver(t)
 	sys := machine.NewCSP2()
@@ -114,7 +115,11 @@ func TestPredictDirectZeroAllocs(t *testing.T) {
 	}
 	w := simcloud.FromPartition("cyl", s.N(), p)
 	req := Request{Model: ModelDirect, Workload: &w}
-	for _, b := range []Backend{NewCalibratedBackend(characterizeNoiseless(t, sys)), NewPhysicsBackend(sys)} {
+	tbl, err := DefaultTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []Backend{NewCalibratedBackend(characterizeNoiseless(t, sys)), NewPhysicsBackend(sys), NewLookupBackend(sys.Abbrev, tbl)} {
 		if _, err := b.Predict(req); err != nil {
 			t.Fatal(err)
 		}

@@ -8,9 +8,9 @@ import (
 	"repro/internal/simcloud"
 )
 
-// This file is the prediction entrypoint of the two analytical tiers.
-// Every caller goes through Predict, on a Characterization or via a
-// tiered Predictor (backend.go), and Tiers 0 and 1 evaluate the same
+// This file is the prediction entrypoint of every tier. Every caller
+// goes through Predict, on a Characterization or via a tiered Predictor
+// (backend.go), and all three tiers evaluate the same
 // predictDirect/predictGeneral pair, so a behavior change lands in
 // exactly one place.
 
@@ -46,8 +46,9 @@ type Request struct {
 	Summary *WorkloadSummary
 
 	// General carries the anatomy-tuned empirical laws (z-law, event
-	// law, per-point comm bytes) the generalized model needs. Tier 0
-	// ignores it: it assumes GeneralModel{}, zero fitted laws.
+	// law, per-point comm bytes) the generalized model needs. Tiers 0
+	// and 2 ignore it: Tier 0 assumes GeneralModel{}, zero fitted laws,
+	// and Tier 2 Tier2Laws.
 	General GeneralModel
 
 	// Ranks is the task count for the generalized model. For the direct
@@ -60,8 +61,8 @@ type Request struct {
 	// Characterization serves "" and Tier1Calibrated only.
 	Tier string
 
-	// Kernel names the compute kernel for Tier 2 table lookups
-	// (DefaultKernel when empty). The analytical tiers ignore it: their
+	// Kernel names the compute kernel whose Tier 2 efficiency rows
+	// apply (DefaultKernel when empty). Tiers 0 and 1 ignore it: their
 	// byte counts already encode the access pattern.
 	Kernel string
 }
@@ -119,19 +120,24 @@ func (c *Characterization) Predict(req Request) (Prediction, error) {
 }
 
 // predict evaluates req on c's parameters and stamps the provenance of
-// tier, Tier0Physics or Tier1Calibrated. Tier 1 carries its fit residual
-// and flags generalized predictions past the characterized instance.
-// Tier 0 carries a fixed band and prices the generalized model with
-// GeneralModel{} — z ≡ 1, no event law, DefaultPointCommBytes — whatever
-// laws the request carries.
+// tier. Tier 1 carries its fit residual and flags generalized predictions
+// past the characterized instance. Tier 0 carries a fixed band. Tiers 0
+// and 2 price the generalized model on fixed laws whatever laws the
+// request carries: Tier 0 on GeneralModel{} — z ≡ 1, no event law,
+// DefaultPointCommBytes — and Tier 2 on Tier2Laws, the laws its table's
+// general efficiencies were measured against; Table.scale then sets
+// Tier 2's band.
 func (c *Characterization) predict(req Request, tier string) (Prediction, error) {
 	model, err := req.model()
 	if err != nil {
 		return Prediction{}, err
 	}
 	g := req.General
-	if tier == Tier0Physics {
+	switch tier {
+	case Tier0Physics:
 		g = GeneralModel{}
+	case Tier2Measured:
+		g = Tier2Laws()
 	}
 	var p Prediction
 	if model == ModelDirect {
@@ -146,12 +152,13 @@ func (c *Characterization) predict(req Request, tier string) (Prediction, error)
 		return Prediction{}, err
 	}
 	p.Tier = tier
-	if tier == Tier0Physics {
+	switch tier {
+	case Tier0Physics:
 		p.Confidence = band(p.MFLUPS, Tier0ConfidenceRel)
-		return p, nil
+	case Tier1Calibrated:
+		p.FitResidual = c.fitResidual()
+		p.Confidence = band(p.MFLUPS, Tier1BaseConfidenceRel+p.FitResidual)
 	}
-	p.FitResidual = c.fitResidual()
-	p.Confidence = band(p.MFLUPS, Tier1BaseConfidenceRel+p.FitResidual)
 	return p, nil
 }
 
@@ -173,14 +180,15 @@ func (c *Characterization) fitResidual() float64 {
 // between published and sustained bandwidth.
 const Tier0ConfidenceRel = 0.40
 
-// ModelBackend serves Tier 0 or Tier 1 of a Predictor: the one model
-// formula (Eqs. 6–16) on one Characterization. The tiers differ only in
-// where its parameters come from — the catalog row (SpecSheet) or the
-// microbenchmark fits (Characterize) — and in the provenance stamped on
-// each prediction.
+// ModelBackend serves one tier of a Predictor: the one model formula
+// (Eqs. 6–16) on one Characterization. The tiers differ only in where its
+// parameters come from — the catalog row (SpecSheet), the microbenchmark
+// fits (Characterize) or a table's noiseless reference times a measured
+// efficiency — and in the provenance stamped on each prediction.
 type ModelBackend struct {
-	Char *Characterization
-	tier string
+	Char  *Characterization
+	tier  string
+	table *Table // Tier 2's efficiencies; nil on Tiers 0 and 1
 }
 
 // NewPhysicsBackend is Tier 0: the model on a catalog row's spec sheet.
@@ -195,13 +203,29 @@ func NewCalibratedBackend(c *Characterization) *ModelBackend {
 	return &ModelBackend{Char: c, tier: Tier1Calibrated}
 }
 
-// Tier returns Tier0Physics or Tier1Calibrated.
+// NewLookupBackend is Tier 2: the model on table's reference
+// characterization of system, scaled by the efficiency the table
+// measured. It covers nothing on a system the table has no rows for.
+func NewLookupBackend(system string, table *Table) *ModelBackend {
+	b := &ModelBackend{tier: Tier2Measured, table: table}
+	if table != nil {
+		b.Char = table.refs[system]
+	}
+	return b
+}
+
+// Tier returns the backend's tier.
 func (b *ModelBackend) Tier() string { return b.tier }
 
 // Covers reports whether the backend can serve the request: any
-// decomposed workload or summary.
+// decomposed workload or summary, and at Tier 2 only with rows for
+// (system, kernel) and no occupancy sharing, which the table never
+// measured.
 func (b *ModelBackend) Covers(req Request) bool {
-	return b.Char != nil && (req.Workload != nil || req.Summary != nil)
+	if b.Char == nil || (req.Workload == nil && req.Summary == nil) {
+		return false
+	}
+	return b.table == nil || req.Occupancy == 0 && b.table.Covers(b.Char.System, req.Kernel)
 }
 
 // Predict evaluates the request at the backend's tier.
@@ -209,5 +233,12 @@ func (b *ModelBackend) Predict(req Request) (Prediction, error) {
 	if b.Char == nil {
 		return Prediction{}, fmt.Errorf("%w: no characterization for tier %q", ErrNoData, b.tier)
 	}
-	return b.Char.predict(req, b.tier)
+	if b.table != nil && req.Occupancy > 0 {
+		return Prediction{}, fmt.Errorf("perfmodel: measured tier does not model occupancy sharing")
+	}
+	p, err := b.Char.predict(req, b.tier)
+	if err != nil || b.table == nil {
+		return p, err
+	}
+	return b.table.scale(p, req)
 }

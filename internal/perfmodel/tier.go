@@ -14,10 +14,11 @@ import "fmt"
 //     parameters fitted from microbenchmarks (Characterize) plus the
 //     anatomy-tuned empirical laws. Needs one characterization run per
 //     system.
-//   - Tier 2 ("tier2") is measured lookup: per-(system, kernel,
-//     size-regime) throughput tables from real (here: simulated-
-//     measured) runs, nearest-neighbor interpolated. Best error, but
-//     only where the tables have data.
+//   - Tier 2 ("tier2") is the same model on a noiseless reference
+//     characterization times a measured efficiency: per-(system,
+//     kernel) rows of measured over modeled MFLUPS from real (here:
+//     simulated-measured) runs, interpolated over problem size and
+//     ranks. Best error, but only for systems the table has rows for.
 //
 // TierAuto asks the Predictor to fall back Tier 2 → Tier 1 → Tier 0 by
 // data availability.
@@ -44,25 +45,25 @@ func checkTier(tier string) error {
 	return fmt.Errorf("perfmodel: unknown tier %q (valid: %v)", tier, ValidTiers())
 }
 
-// DefaultKernel is the kernel name Tier 2 lookups use when a request
+// DefaultKernel is the kernel name Tier 2 reads rows of when a request
 // does not name one: the HARVEY D3Q19 access pattern every serving-path
 // workload runs.
 const DefaultKernel = "harvey"
 
 // Band is a deterministic confidence interval on predicted MFLUPS. It is
 // provenance, not statistics: each backend derives it from its own error
-// model (fit residuals for Tier 1, table distance for Tier 2, a fixed
-// structural margin for Tier 0), so equal requests always yield equal
-// bands.
+// model (fit residuals for Tier 1, a noise floor widened off its rows'
+// box for Tier 2, a fixed structural margin for Tier 0), so equal
+// requests always yield equal bands.
 type Band struct {
 	LoMFLUPS float64
 	HiMFLUPS float64
 }
 
 // band builds the confidence band around a central MFLUPS value with the
-// given relative half-width. A half-width past 1 (Tier 2 far from its
-// table) would put the lower edge below zero, which no run can measure,
-// so the lower edge stops at 0.
+// given relative half-width. A half-width past 1 (Tier 1 on a poor fit)
+// would put the lower edge below zero, which no run can measure, so the
+// lower edge stops at 0.
 func band(mflups, rel float64) Band {
 	if rel < 0 {
 		rel = 0

@@ -88,7 +88,7 @@ type PredictRequest struct {
 	Model string `json:"model,omitempty"`
 
 	// Tier selects the accuracy tier: "tier0" (physics), "tier1"
-	// (calibrated), "tier2" (measured lookup), or "auto" (best
+	// (calibrated), "tier2" (measured efficiency), or "auto" (best
 	// available). Empty keeps the pre-tier behavior, the calibrated
 	// Tier 1 path — old clients see the responses they always did.
 	Tier string `json:"tier,omitempty"`

@@ -31,7 +31,7 @@ import (
 //     tiered predictor — anatomy-independent.
 //
 // Equal keys always yield byte-identical state (Samples, the node width
-// and the lookup table are server constants), so neither cache can serve
+// and the Tier 2 table are server constants), so neither cache can serve
 // a stale or divergent value, and a reply is anatomy × entry whatever
 // order the two were built in.
 
@@ -46,7 +46,7 @@ func normalizeTier(tier string) string {
 
 // needsCharacterization reports whether the tier's entry pays for the
 // microbenchmark fit: the calibrated tier and auto (which may serve
-// tier1 predictions). Pure physics and measured lookup skip it — that
+// tier1 predictions). Pure physics and Tier 2's reference skip it — that
 // skip is the point of the cheap tiers.
 func needsCharacterization(tier string) bool {
 	return tier == perfmodel.Tier1Calibrated || tier == perfmodel.TierAuto

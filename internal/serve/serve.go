@@ -63,7 +63,7 @@ type Config struct {
 	// point (default 5, matching the CLIs).
 	Samples int
 
-	// Table is the Tier 2 measured-lookup table. Nil loads the embedded
+	// Table is the Tier 2 efficiency table. Nil loads the embedded
 	// default (internal/perfmodel/tables); if that fails, Tier 2 is
 	// simply unavailable and explicit tier2 requests answer 400.
 	Table *perfmodel.Table

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/perfmodel"
 )
 
@@ -112,10 +115,10 @@ func TestPredictExplicitTiers(t *testing.T) {
 	}{
 		{"tier0", "tier0", "generalized"},
 		{"tier1", "tier1", "generalized"},
-		{"tier2", "tier2", perfmodel.ModelMeasured},
+		{"tier2", "tier2", "generalized"},
 		// Auto resolves to the measured tier: the embedded table covers
 		// every catalog system.
-		{"auto", "tier2", perfmodel.ModelMeasured},
+		{"auto", "tier2", "generalized"},
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/predict", predictBodyTier(tc.tier))
 		if resp.StatusCode != http.StatusOK {
@@ -136,6 +139,59 @@ func TestPredictExplicitTiers(t *testing.T) {
 			t.Errorf("tier %s: missing confidence band", tc.tier)
 		} else if p.Confidence.LoMFLUPS >= p.MFLUPS || p.Confidence.HiMFLUPS <= p.MFLUPS {
 			t.Errorf("tier %s: band %+v does not bracket %g", tc.tier, p.Confidence, p.MFLUPS)
+		}
+	}
+}
+
+// TestTier2MatchesOracle pins what the benchmark's oracle assumes of a
+// Tier 2 reply: an explicit tier2 generalized prediction is, bit for bit,
+// NewLookupBackend over DefaultTable on the anatomy's summary without its
+// laws, and auto, whose entry also holds a calibrated backend, gives the
+// same Tier 2 answer, as does a predictor built with one.
+func TestTier2MatchesOracle(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	a, err := s.anatomyFor(context.Background(), WorkloadSpec{Geometry: "cylinder", Scale: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := perfmodel.DefaultTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := machine.ByAbbrev("CSP-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	char, err := perfmodel.Characterize(sys, 1, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := perfmodel.NewLookupBackend(sys.Abbrev, tbl)
+	calibrated, err := perfmodel.NewPredictor(perfmodel.NewPhysicsBackend(sys), perfmodel.NewCalibratedBackend(char), oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks := []int{8, 64}
+	for _, tier := range []string{"tier2", "auto"} {
+		_, data := postJSON(t, ts.URL+"/v1/predict", `{"workload":{"geometry":"cylinder","scale":5},"systems":["CSP-2"],`+
+			`"ranks":[8,64],"model":"generalized","tier":"`+tier+`"}`)
+		var pr PredictResponse
+		if err := json.Unmarshal(data, &pr); err != nil || len(pr.Predictions) != len(ranks) {
+			t.Fatalf("%s: reply %s (%v)", tier, data, err)
+		}
+		for i, r := range ranks {
+			want, err := oracle.Predict(perfmodel.Request{Model: perfmodel.ModelGeneral, Summary: &a.Summary, Ranks: r, Tier: perfmodel.Tier2Measured})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pr.Predictions[i]; got.Tier != perfmodel.Tier2Measured || got.MFLUPS != want.MFLUPS {
+				t.Errorf("%s at %d ranks: served %s %v MFLUPS, the oracle's backend gives tier2 %v", tier, r, got.Tier, got.MFLUPS, want.MFLUPS)
+			}
+			got, err := calibrated.Predict(perfmodel.Request{Model: perfmodel.ModelGeneral, Summary: &a.Summary, General: a.General,
+				Ranks: r, Tier: perfmodel.Tier2Measured})
+			if err != nil || got != want {
+				t.Errorf("%d ranks: Tier 2 beside a calibrated backend gives %+v (%v), alone %+v", r, got, err, want)
+			}
 		}
 	}
 }
@@ -172,11 +228,11 @@ func TestPredictCrossTierCacheIsolation(t *testing.T) {
 }
 
 // TestPredictTier2NoDataIs400: an explicit tier2 request for a system
-// the lookup table does not cover is the client's problem (ErrNoData →
+// the Tier 2 table does not cover is the client's problem (ErrNoData →
 // 400), never a 500.
 func TestPredictTier2NoDataIs400(t *testing.T) {
 	tbl, err := perfmodel.LoadTable(strings.NewReader(
-		"system,kernel,points,ranks,mflups\nCSP-2,harvey,22069,8,100\n"))
+		"system,kernel,points,ranks,efficiency,general_efficiency\nCSP-2,harvey,22069,8,0.9,0.9\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
