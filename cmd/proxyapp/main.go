@@ -1,7 +1,7 @@
-// Command proxyapp runs the lbm-proxy-app equivalent: dense fluid-only
-// LBM kernels in a periodic cylinder, with the layout (AOS/SOA),
-// propagation pattern (AB/AA) and loop structure (rolled/unrolled) the
-// paper's Figures 4 and 8 sweep.
+// Command proxyapp runs the lbm-proxy-app equivalent: the LBM engine on
+// a periodic cylinder in the kernel variants the paper's Figures 4 and 8
+// sweep — layout (AOS/SOA), propagation pattern (AB/AA) and collision
+// loops (rolled/unrolled).
 //
 // Examples:
 //
@@ -74,7 +74,7 @@ func main() {
 	var (
 		layout   = flag.String("layout", "aos", "data layout: aos or soa")
 		pattern  = flag.String("pattern", "ab", "propagation pattern: ab or aa")
-		unrolled = flag.Bool("unrolled", false, "use the hand-unrolled kernel (SOA only)")
+		unrolled = flag.Bool("unrolled", false, "use the unrolled collision (SOA only)")
 		all      = flag.Bool("all", false, "run every kernel variant")
 		nx       = flag.Int("nx", 96, "cylinder length in lattice sites")
 		radius   = flag.Float64("radius", 12, "cylinder radius in lattice sites")

@@ -37,16 +37,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Describe the same lattice for the model via the sparse indexer.
-	ref, err := lbm.NewLattice(proxy.Dom, lbm.Params{Tau: 0.9, PeriodicX: true})
+	// Describe the kernel's own lattice to the model.
+	part, err := decomp.RCB(proxy, 1, lbm.ProxyAccess(cfg))
 	if err != nil {
 		log.Fatal(err)
 	}
-	part, err := decomp.RCB(ref, 1, lbm.ProxyAccess(cfg))
-	if err != nil {
-		log.Fatal(err)
-	}
-	w := simcloud.FromPartition("proxy", ref.N(), part)
+	w := simcloud.FromPartition("proxy", proxy.N(), part)
 
 	pred, err := char.Predict(perfmodel.Request{Model: perfmodel.ModelDirect, Workload: &w})
 	if err != nil {

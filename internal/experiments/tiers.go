@@ -81,7 +81,7 @@ func measure(w simcloud.Workload, sys *machine.System, runs int, rng *rand.Rand)
 // general_efficiency; sorted by the key) to w. A row's efficiency is its
 // measured MFLUPS over the direct model's on the same workload, and its
 // general efficiency the measured MFLUPS over the generalized model's on
-// perfmodel.Tier2Laws, both priced on the system's reference
+// perfmodel.FixedLaws, both priced on the system's reference
 // characterization (perfmodel.ReferenceSamples, noiseless). This is the
 // regeneration workflow behind the committed
 // internal/perfmodel/tables/measured.csv: `cmd/experiments -gen-tables`.
@@ -120,7 +120,7 @@ func generateTable(w io.Writer, cache *workloadCache) error {
 		}
 		l := cache.lattices[cfg.dom.Name] // built by workload
 		ws := perfmodel.WorkloadSummary{Name: cfg.dom.Name, Points: l.N(), BytesSerial: l.BytesSerial(access)}
-		general, err := ref.Predict(perfmodel.Request{Model: perfmodel.ModelGeneral, Summary: &ws, General: perfmodel.Tier2Laws(), Ranks: cfg.ranks})
+		general, err := ref.Predict(perfmodel.Request{Model: perfmodel.ModelGeneral, Summary: &ws, General: perfmodel.FixedLaws(), Ranks: cfg.ranks})
 		if err != nil {
 			return err
 		}

@@ -30,13 +30,23 @@ type AccessModel struct {
 	Efficiency float64
 }
 
-// HarveyAccess returns the access model of the sparse production engine:
-// AB pattern, AOS layout, indirect addressing with 4-byte indices.
+// HarveyAccess returns the access model of the paper's HARVEY: AB
+// pattern, AOS layout, indirect addressing with 4-byte indices. It is the
+// price of HARVEY on the simulated systems, which decomposition, the
+// model and simcloud read. This repository's engine (Block) is a
+// different kernel — AA in place, its index read on odd passes only and
+// not at all inside a run — whose own price from its link table is
+// ROADMAP.md item 17(a).
 func HarveyAccess() AccessModel {
 	return AccessModel{DataSize: 8, IndexSize: 4, ReadsPerVector: 1, WritesPerVector: 1, IndexFraction: 1, Efficiency: 1}
 }
 
-// ProxyAccess returns the access model for a proxy-app kernel variant.
+// ProxyAccess returns the access model for a variant of the paper's
+// lbm-proxy-app, its price on the simulated systems (Figures 4 and 8). It
+// prices the paper's dense kernels. This repository's six variants run on
+// the engine's link table (NewProxy) and are different kernels, whose
+// price from that table is ROADMAP.md item 17(a).
+//
 // Dense kernels have no per-direction index table, but the AB pattern
 // writes into a second array whose cache lines are read on store miss
 // (write-allocate), counted as an extra read per vector; the AA pattern's

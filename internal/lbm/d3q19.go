@@ -2,8 +2,9 @@
 // a HARVEY-like sparse production engine (indirect addressing over complex
 // vascular geometries, D3Q19, BGK collision, Poiseuille inlets,
 // zero-pressure outlets, halo-exchange parallelism via internal/par) and an
-// lbm-proxy-app equivalent (dense cylinder-only kernels in AOS and SOA
-// layouts with AB and AA propagation patterns, rolled and unrolled).
+// lbm-proxy-app equivalent (the same engine on a cylinder, in its six
+// kernel variants: AOS and SOA layouts, AB and AA propagation patterns,
+// rolled and unrolled collision).
 //
 // Besides running real fluid dynamics, every engine counts its memory
 // accesses per fluid point exactly as Eq. 9 of the paper requires, which is

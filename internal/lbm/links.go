@@ -60,6 +60,27 @@ func (l *Links) Row(i int, row *[NQ]int32) {
 	l.rowAt(lo, i, row)
 }
 
+// from returns where the links of the cells from i on begin: k, the index
+// of the first run that ends after i, found by a walk over the runs
+// before it, and row, the index in rows of the first explicit row at or
+// after i.
+func (l *Links) from(i int) (k, row int) {
+	runs := l.runs
+	for len(runs) > 0 && int(runs[0].hi) <= i {
+		runs = runs[1:]
+	}
+	k = len(l.runs) - len(runs)
+	if len(runs) > 0 {
+		r := &runs[0]
+		return k, (min(i, int(r.lo)) - int(r.before)) * NQ
+	}
+	if n := len(l.runs); n > 0 {
+		r := &l.runs[n-1]
+		i -= int(r.before + r.hi - r.lo)
+	}
+	return k, i * NQ
+}
+
 // rowAt fills row with the link row of cell i, given k, the index of the
 // first run that ends after i. Cells in earlier runs have no row, so an
 // explicit row's index is i less the cells of runs[:k].

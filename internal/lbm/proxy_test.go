@@ -1,7 +1,11 @@
 package lbm
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"runtime/debug"
 	"testing"
 )
 
@@ -9,25 +13,42 @@ func proxyParams(g float64) Params {
 	return Params{Tau: 0.9, Force: [3]float64{g, 0, 0}}
 }
 
+// kernels lists the six variants cmd/proxyapp -all runs, in its order.
+var kernels = []KernelConfig{
+	{Layout: AOS, Pattern: AB},
+	{Layout: AOS, Pattern: AA},
+	{Layout: SOA, Pattern: AB},
+	{Layout: SOA, Pattern: AA},
+	{Layout: SOA, Pattern: AB, Unrolled: true},
+	{Layout: SOA, Pattern: AA, Unrolled: true},
+}
+
 // fieldDiff returns the largest absolute difference in macroscopic fields
-// between two proxy runs over all fluid sites.
+// between two proxy runs on the same lattice, over all fluid sites.
 func fieldDiff(a, b *Proxy) float64 {
 	var maxDiff float64
-	for z := 1; z < a.nz-1; z++ {
-		for y := 1; y < a.ny-1; y++ {
-			for x := 0; x < a.nx; x++ {
-				if !a.fluid[a.idx(x, y, z)] {
-					continue
-				}
-				r0, u0, v0, w0 := a.Macro(x, y, z)
-				r1, u1, v1, w1 := b.Macro(x, y, z)
-				for _, d := range []float64{r1 - r0, u1 - u0, v1 - v0, w1 - w0} {
-					maxDiff = math.Max(maxDiff, math.Abs(d))
-				}
-			}
+	for si := 0; si < a.N(); si++ {
+		r0, u0, v0, w0 := a.Macro(si)
+		r1, u1, v1, w1 := b.Macro(si)
+		for _, d := range []float64{r1 - r0, u1 - u0, v1 - v0, w1 - w0} {
+			maxDiff = math.Max(maxDiff, math.Abs(d))
 		}
 	}
 	return maxDiff
+}
+
+// stateHash is the SHA-256 of a proxy's state, the float64 bits of every
+// site's value along every direction, in (site, q) order.
+func stateHash(p *Proxy) string {
+	h := sha256.New()
+	var b [8]byte
+	for si := 0; si < p.N(); si++ {
+		for _, v := range p.Cell(si) {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 func runVariant(t *testing.T, cfg KernelConfig, steps int) *Proxy {
@@ -40,34 +61,106 @@ func runVariant(t *testing.T, cfg KernelConfig, steps int) *Proxy {
 	return p
 }
 
-func TestProxyVariantsSamePatternIdentical(t *testing.T) {
-	// Within one propagation pattern all layout/unroll variants apply the
-	// same per-site operator, so fields must agree to round-off.
-	const steps = 20
-	refAB := runVariant(t, KernelConfig{Layout: AOS, Pattern: AB}, steps)
-	for _, cfg := range []KernelConfig{
-		{Layout: SOA, Pattern: AB},
-		{Layout: SOA, Pattern: AB, Unrolled: true},
-	} {
-		if d := fieldDiff(refAB, runVariant(t, cfg, steps)); d > 1e-9 {
-			t.Errorf("%v diverges from AOS-AB by %v", cfg, d)
+// TestProxyMatchesDenseGoldens holds every variant to the states the
+// dense proxy solver computed before the variants became kernels of the
+// engine, bit for bit, stepped serially and on four threads: the hash of
+// the whole state after 10 steps on cylinder(24, 6) (2 712 sites, the
+// dense solver's fluid set), and the centerline speed after 100 steps on
+// the nx 96, radius 12 cylinder cmd/proxyapp runs (42 336 sites). The
+// three AA variants share one state and the three AB variants another:
+// within a pattern the layouts and collision routines agree bitwise.
+func TestProxyMatchesDenseGoldens(t *testing.T) {
+	if fuses() {
+		t.Skip("the goldens were computed without fused multiply-adds")
+	}
+	const (
+		aaHash = "92b2d97569e71211448eb5b957fb594c3eee63ec7d1b6622d16542966b97250c"
+		abHash = "2441aa3df99e4a5574607404a86982445c7a372e2e555f25aa19558d1ea24ba2"
+		aaLine = 0x3f4fb07384e86aa6
+		abLine = 0x3f4fbbf44158c11a
+	)
+	for _, cfg := range kernels {
+		wantHash, wantLine := aaHash, uint64(aaLine)
+		if cfg.Pattern == AB {
+			wantHash, wantLine = abHash, abLine
+		}
+		for _, threads := range []int{1, 4} {
+			p, err := NewProxy(cfg, 24, 6, proxyParams(1e-5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.SetThreads(threads)
+			p.Run(10)
+			if p.FluidPoints() != 2712 {
+				t.Fatalf("%v: %d fluid points, the dense solver had 2712", cfg, p.FluidPoints())
+			}
+			if got := stateHash(p); got != wantHash {
+				t.Errorf("%v on %d threads: state after 10 steps hashes to %s, want %s", cfg, threads, got, wantHash)
+			}
+			if testing.Short() || raceDetector() {
+				continue // 100 steps on 42 336 sites, twelve times: minutes under -race
+			}
+			p, err = NewProxy(cfg, 96, 12, proxyParams(1e-5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.SetThreads(threads)
+			p.Run(100)
+			if p.FluidPoints() != 42336 {
+				t.Fatalf("%v: %d fluid points, the dense solver had 42336", cfg, p.FluidPoints())
+			}
+			if got := math.Float64bits(p.CenterlineSpeed()); got != wantLine {
+				t.Errorf("%v on %d threads: centerline speed after 100 steps %v (%#x), want %v (%#x)",
+					cfg, threads, math.Float64frombits(got), got, math.Float64frombits(wantLine), wantLine)
+			}
 		}
 	}
-	refAA := runVariant(t, KernelConfig{Layout: AOS, Pattern: AA}, steps)
-	for _, cfg := range []KernelConfig{
-		{Layout: SOA, Pattern: AA},
-		{Layout: SOA, Pattern: AA, Unrolled: true},
-	} {
-		if d := fieldDiff(refAA, runVariant(t, cfg, steps)); d > 1e-9 {
-			t.Errorf("%v diverges from AOS-AA by %v", cfg, d)
+}
+
+// raceDetector reports whether the test binary was built with -race.
+func raceDetector() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+func TestProxyVariantsSamePatternIdentical(t *testing.T) {
+	// Within one propagation pattern all layout/collision variants apply
+	// the same per-site operator, so every readout agrees bit for bit, at
+	// an odd step count as at an even one.
+	for _, steps := range []int{19, 20} {
+		ref := map[Pattern]*Proxy{}
+		for _, cfg := range kernels {
+			p := runVariant(t, cfg, steps)
+			r, ok := ref[cfg.Pattern]
+			if !ok {
+				ref[cfg.Pattern] = p
+				continue
+			}
+			for si := 0; si < p.N(); si++ {
+				if got, want := p.Cell(si), r.Cell(si); got != want {
+					t.Fatalf("%v after %d steps: site %d is %v, %v-%v has %v", cfg, steps, si, got, AOS, cfg.Pattern, want)
+				}
+			}
+			if d := fieldDiff(r, p); d != 0 {
+				t.Errorf("%v diverges from %v-%v by %v", cfg, AOS, cfg.Pattern, d)
+			}
 		}
 	}
 }
 
 func TestProxyAAMatchesABPhysically(t *testing.T) {
-	// AA and AB trajectories are phase-shifted by one streaming operator
-	// (after 2n steps the AA array holds the AB state streamed once), so
-	// they agree physically, not bitwise: compare near steady state.
+	// AA and AB trajectories are phase-shifted by one collision (the AB
+	// state is stored after its pass's collision, the AA state before the
+	// next one), so they agree physically, not bitwise: compare near
+	// steady state.
 	const steps = 600
 	ab := runVariant(t, KernelConfig{Layout: AOS, Pattern: AB}, steps)
 	aa := runVariant(t, KernelConfig{Layout: AOS, Pattern: AA}, steps)
@@ -83,12 +176,7 @@ func TestProxyAAMatchesABPhysically(t *testing.T) {
 }
 
 func TestProxyMassConservation(t *testing.T) {
-	for _, cfg := range []KernelConfig{
-		{Layout: AOS, Pattern: AB},
-		{Layout: SOA, Pattern: AA},
-		{Layout: SOA, Pattern: AB, Unrolled: true},
-		{Layout: SOA, Pattern: AA, Unrolled: true},
-	} {
+	for _, cfg := range kernels {
 		// Without forcing, bounce-back + BGK conserve mass to round-off.
 		p, err := NewProxy(cfg, 8, 3.5, proxyParams(0))
 		if err != nil {

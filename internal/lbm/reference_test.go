@@ -1,6 +1,7 @@
 package lbm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -234,7 +235,8 @@ func matchReference(t *testing.T, s *Sparse, r *referenceState, tol int) {
 // arm of both passes: bulk, wall (bounce-back), inlets and outlets after
 // either pass, BGK and TRT each with and without a body force, pulsation,
 // periodic wrap with forcing in all three components, and a single-site
-// inlet's flat profile.
+// inlet's flat profile; and the proxy's three AA variants on the periodic
+// case, serially and split across threads.
 func TestStepMatchesReference(t *testing.T) {
 	pipe := func() (*geometry.Domain, error) {
 		// One inlet site, a bulk site, one outlet site, solid around.
@@ -253,8 +255,7 @@ func TestStepMatchesReference(t *testing.T) {
 			Params{Tau: 0.8, UMax: 0.02, Collision: TRT, Pulsatile: Waveform{Period: 25, Amplitude: 0.5}}},
 		{"aorta-pulsatile-bgk-force", func() (*geometry.Domain, error) { return geometry.Aorta(4) },
 			Params{Tau: 0.9, UMax: 0.02, Force: [3]float64{2e-6, 0, -1e-6}, Pulsatile: Waveform{Period: 7, Amplitude: 0.5}}},
-		{"periodic-cylinder-force3", func() (*geometry.Domain, error) { return geometry.Cylinder(12, 4) },
-			Params{Tau: 0.9, PeriodicX: true, Force: [3]float64{1e-5, -3e-6, 2e-6}}},
+		{"periodic-cylinder-force3", func() (*geometry.Domain, error) { return geometry.Cylinder(12, 4) }, periodicForce3},
 		{"periodic-cylinder-trt-force", func() (*geometry.Domain, error) { return geometry.Cylinder(12, 4) },
 			Params{Tau: 0.7, PeriodicX: true, Collision: TRT, Force: [3]float64{1e-5, 2e-6, 0}}},
 		{"single-inlet-site", pipe, Params{Tau: 0.9, UMax: 0.05}},
@@ -270,22 +271,59 @@ func TestStepMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := newReference(got)
-			inletU := referenceInletProfile(got)
-			for step := 1; step <= steps; step++ {
-				got.Step()
-				referenceStep(got, want, inletU)
-				// Each step re-collides: the bound is per step, on states
-				// kept from drifting by comparing every step.
-				matchReference(t, got, want, fmaUlps*step)
-			}
+			matchSteps(t, got, got.Step, steps)
 		})
 	}
+	for _, cfg := range kernels {
+		if cfg.Pattern != AA {
+			continue // an AB state is one collision away from the reference's
+		}
+		for _, threads := range []int{1, 4} {
+			t.Run(fmt.Sprintf("proxy-%v-%d-threads", cfg, threads), func(t *testing.T) {
+				got, step := proxyStepper(t, cfg, threads, periodicForce3)
+				matchSteps(t, got, step, steps)
+			})
+		}
+	}
+}
+
+// matchSteps steps got and a reference from its state, comparing them
+// after each step.
+func matchSteps(t *testing.T, got *Sparse, step func(), steps int) {
+	t.Helper()
+	want := newReference(got)
+	inletU := referenceInletProfile(got)
+	for i := 1; i <= steps; i++ {
+		step()
+		referenceStep(got, want, inletU)
+		// Each step re-collides: the bound is per step, on states kept
+		// from drifting by comparing every step.
+		matchReference(t, got, want, fmaUlps*i)
+	}
+}
+
+// periodicForce3 is the periodic case of TestStepMatchesReference: flow
+// driven by a force with all three components.
+var periodicForce3 = Params{Tau: 0.9, PeriodicX: true, Force: [3]float64{1e-5, -3e-6, 2e-6}}
+
+// proxyStepper builds the proxy's variant cfg, stepping on threads
+// threads, on the lattice of NewSparse(Cylinder(12, 4), p) for a periodic
+// p: the solver the reference reads, and its step.
+func proxyStepper(t *testing.T, cfg KernelConfig, threads int, p Params) (*Sparse, func()) {
+	t.Helper()
+	pr, err := NewProxy(cfg, 12, 4, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.SetThreads(threads)
+	return &pr.Sparse, pr.Step
 }
 
 // TestSetCellAtEitherParity: SetCell then Cell returns the cell written,
 // at an odd step count as at an even one, and a state so edited steps on
-// as the reference does from the same edit.
+// as the reference does from the same edit; on the aorta and on the
+// proxy's six variants (the AB ones without a reference, which their
+// states are one collision away from).
 func TestSetCellAtEitherParity(t *testing.T) {
 	dom, err := geometry.Aorta(4)
 	if err != nil {
@@ -295,28 +333,52 @@ func TestSetCellAtEitherParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newReference(s)
-	inletU := referenceInletProfile(s)
+	t.Run("aorta", func(t *testing.T) { editAndStep(t, s, s.Step, true) })
+	for _, cfg := range kernels {
+		t.Run("proxy-"+cfg.String(), func(t *testing.T) {
+			got, step := proxyStepper(t, cfg, 1, periodicForce3)
+			editAndStep(t, got, step, cfg.Pattern == AA)
+		})
+	}
+}
+
+// editAndStep steps s six times, overwriting 25 seeded cells after each
+// step, then three more, and holds it to the reference from the same edits
+// after each step when reference is set.
+func editAndStep(t *testing.T, s *Sparse, step func(), reference bool) {
+	var ref *referenceState
+	var inletU []float64
+	if reference {
+		ref, inletU = newReference(s), referenceInletProfile(s)
+	}
+	advance := func(i int) {
+		step()
+		if ref != nil {
+			referenceStep(s, ref, inletU)
+			matchReference(t, s, ref, fmaUlps*i)
+		}
+	}
 	rng := rand.New(rand.NewSource(5))
-	for step := 1; step <= 6; step++ {
-		s.Step()
-		referenceStep(s, ref, inletU)
+	for i := 1; i <= 6; i++ {
+		advance(i)
 		for k := 0; k < 25; k++ {
 			si := rng.Intn(s.N())
 			var c [NQ]float64
 			Equilibrium(1+0.01*rng.NormFloat64(), 0.01*rng.NormFloat64(), 0.01*rng.NormFloat64(), 0, &c)
 			s.SetCell(si, c)
-			copy(ref.f[si*NQ:], c[:])
+			if ref != nil {
+				copy(ref.f[si*NQ:], c[:])
+			}
 			if got := s.Cell(si); got != c {
-				t.Fatalf("step %d site %d: Cell after SetCell is %v, want %v", step, si, got, c)
+				t.Fatalf("step %d site %d: Cell after SetCell is %v, want %v", i, si, got, c)
 			}
 		}
-		matchReference(t, s, ref, fmaUlps*step)
+		if ref != nil {
+			matchReference(t, s, ref, fmaUlps*i)
+		}
 	}
-	for step := 1; step <= 3; step++ {
-		s.Step()
-		referenceStep(s, ref, inletU)
-		matchReference(t, s, ref, fmaUlps*(6+step))
+	for i := 7; i <= 9; i++ {
+		advance(i)
 	}
 }
 

@@ -23,10 +23,14 @@ func RemoteLink(k int) int32 { return remoteLink - int32(k) }
 // then ApplyBoundaries, with a rank's halo exchange between them. The
 // zero value is a block of no cells; create one with NewBlock.
 type Block struct {
-	// NQ distributions a cell, AOS: in the natural layout after an even
-	// number of steps, in the swapped one after an odd number (see
-	// CollideStream), so a readout goes through Cell and SetCell.
+	// NQ distributions a cell, where the kernel keeps them: for AA in the
+	// natural layout after an even number of steps, in the swapped one
+	// after an odd number (see CollideStream), so a readout goes through
+	// Cell and SetCell.
 	f []float64
+	g []float64 // an AB kernel's second array, which each pass fills from f
+
+	kernel KernelConfig // the step body: harvey for NewBlock's
 
 	links Links // the cells' link rows, entries as remoteLink says
 	// halo has one slot per remote link. After an even step a halo
@@ -48,7 +52,7 @@ type Block struct {
 // range's goroutine is the first to touch its pages.
 func NewBlock(f []float64, links Links, halo int, bounds []BoundarySite, from *Block, sites []int32) Block {
 	n := len(f) / NQ
-	b := Block{f: f, links: links, halo: make([]float64, halo), bounds: bounds}
+	b := Block{f: f, kernel: harvey, links: links, halo: make([]float64, halo), bounds: bounds}
 	if from != nil {
 		b.steps = from.steps
 	}
@@ -98,10 +102,18 @@ func NewBlock(f []float64, links Links, halo int, bounds []BoundarySite, from *B
 // load and store outside a run is guarded by one unsigned compare that is
 // range test and bounds proof at once, and a run's windows share the one
 // length its loop compares against.
+//
+// That is the HARVEY kernel, AOS-AA with the collision unrolled. A block
+// of another kernel (NewProxy's) runs its pass over all of its cells
+// through collideSpan.
 func (b *Block) CollideStream(p Params) {
-	if b.steps&1 == 0 {
+	switch {
+	case b.kernel != harvey:
+		b.collideSpan(0, len(b.f)/NQ, p)
+		b.swap()
+	case b.steps&1 == 0:
 		collideSwap(b.f, p)
-	} else {
+	default:
 		collideLinked(b.f, &b.links, b.halo, p)
 	}
 }
@@ -287,11 +299,18 @@ func loc(f, halo []float64, own *[NQ]float64, nb int32, q, oq int) *float64 {
 }
 
 // load returns cell i of the block's state after steps timesteps: its
-// window of f after an even number (the natural layout), gathered through
-// its link row and halo after an odd one.
+// window of f in the natural layout (an AB block's, or an AA block's
+// after an even number), gathered through its link row and halo after an
+// odd one, and from its planes in an SOA block (planeSlots).
 func (b *Block) load(i, steps int) (c [NQ]float64) {
+	if b.kernel.Layout == SOA {
+		for q, at := range b.planeSlots(i, steps) {
+			c[q] = *at
+		}
+		return c
+	}
 	own := (*[NQ]float64)(b.f[i*NQ : i*NQ+NQ])
-	if steps&1 == 0 {
+	if b.natural(steps) {
 		return *own
 	}
 	var nb [NQ]int32
@@ -307,8 +326,14 @@ func (b *Block) load(i, steps int) (c [NQ]float64) {
 // store overwrites cell i of the block's state after steps timesteps,
 // where load reads it.
 func (b *Block) store(i, steps int, c *[NQ]float64) {
+	if b.kernel.Layout == SOA {
+		for q, at := range b.planeSlots(i, steps) {
+			*at = c[q]
+		}
+		return
+	}
 	own := (*[NQ]float64)(b.f[i*NQ : i*NQ+NQ])
-	if steps&1 == 0 {
+	if b.natural(steps) {
 		*own = *c
 		return
 	}
@@ -319,6 +344,31 @@ func (b *Block) store(i, steps int, c *[NQ]float64) {
 		*loc(b.f, b.halo, own, nb[q], q, q+1) = c[q+1]
 		*loc(b.f, b.halo, own, nb[q+1], q+1, q) = c[q]
 	}
+}
+
+// natural reports whether the block's state after steps timesteps is in
+// the natural layout, each cell's value along q in the cell's own slot q:
+// an AB block's always, an AA block's after an even number.
+func (b *Block) natural(steps int) bool {
+	return steps&1 == 0 || b.kernel.Pattern == AB
+}
+
+// planeSlots returns where an SOA block keeps cell i's value along each
+// direction after steps timesteps (offsets).
+func (b *Block) planeSlots(i, steps int) (at [NQ]*float64) {
+	var nb [NQ]int32
+	var r, w [NQ]int
+	if !b.natural(steps) {
+		b.links.Row(i, &nb)
+	}
+	b.offsets(i, steps, &nb, &r, &w)
+	if b.kernel.Pattern == AB {
+		r = w
+	}
+	for q, o := range r {
+		at[q] = &b.f[i+o]
+	}
+	return at
 }
 
 // BoundarySite is one inlet or outlet cell of a block.
@@ -373,12 +423,12 @@ func (b *Block) Macro(i int) (rho, ux, uy, uz float64) {
 
 // TotalMass returns the sum of density over the block's cells, in (cell,
 // direction) order. In periodic force-driven runs mass is conserved to
-// round-off; with open boundaries it approaches a steady value. After an
-// even number of steps the state is in that order already (the natural
-// layout), and the sum runs straight down the array.
+// round-off; with open boundaries it approaches a steady value. An AOS
+// block in the natural layout holds its state in that order already, and
+// the sum runs straight down the array.
 func (b *Block) TotalMass() float64 {
 	var m float64
-	if b.steps&1 == 0 {
+	if b.kernel.Layout == AOS && b.natural(b.steps) {
 		for _, v := range b.f {
 			m += v
 		}

@@ -47,8 +47,7 @@ type Request struct {
 
 	// General carries the anatomy-tuned empirical laws (z-law, event
 	// law, per-point comm bytes) the generalized model needs. Tiers 0
-	// and 2 ignore it: Tier 0 assumes GeneralModel{}, zero fitted laws,
-	// and Tier 2 Tier2Laws.
+	// and 2 ignore it and run on FixedLaws.
 	General GeneralModel
 
 	// Ranks is the task count for the generalized model. For the direct
@@ -122,22 +121,18 @@ func (c *Characterization) Predict(req Request) (Prediction, error) {
 // predict evaluates req on c's parameters and stamps the provenance of
 // tier. Tier 1 carries its fit residual and flags generalized predictions
 // past the characterized instance. Tier 0 carries a fixed band. Tiers 0
-// and 2 price the generalized model on fixed laws whatever laws the
-// request carries: Tier 0 on GeneralModel{} — z ≡ 1, no event law,
-// DefaultPointCommBytes — and Tier 2 on Tier2Laws, the laws its table's
-// general efficiencies were measured against; Table.scale then sets
-// Tier 2's band.
+// and 2 price the generalized model on FixedLaws whatever laws the
+// request carries — the laws Tier 2's table's general efficiencies were
+// measured against; at Tier 0 the event law adds nothing, since SpecSheet
+// prices every link at zero latency. Table.scale then sets Tier 2's band.
 func (c *Characterization) predict(req Request, tier string) (Prediction, error) {
 	model, err := req.model()
 	if err != nil {
 		return Prediction{}, err
 	}
 	g := req.General
-	switch tier {
-	case Tier0Physics:
-		g = GeneralModel{}
-	case Tier2Measured:
-		g = Tier2Laws()
+	if tier != Tier1Calibrated {
+		g = FixedLaws()
 	}
 	var p Prediction
 	if model == ModelDirect {

@@ -28,16 +28,16 @@ import (
 // count, so a table's efficiencies hold for this one value.
 const ReferenceSamples = 1
 
-// Tier2Laws are the laws the generalized model runs on at Tier 2,
+// FixedLaws are the laws the generalized model runs on at Tiers 0 and 2,
 // whatever laws a request carries: z ≡ 1, DefaultPointCommBytes and
 // FitGeneral's fallback event law, so a run across nodes pays message
-// latency. A table's general efficiencies are measured against the model
-// on these laws.
-func Tier2Laws() GeneralModel { return GeneralModel{Events: DefaultEventsLaw()} }
+// latency wherever a link has any. A table's general efficiencies are
+// measured against the model on these laws.
+func FixedLaws() GeneralModel { return GeneralModel{Events: DefaultEventsLaw()} }
 
 // TableRow is one measured sample of kernel on system at a problem size
 // and rank count: its measured MFLUPS over the direct model's
-// (Efficiency) and over the generalized model's on Tier2Laws
+// (Efficiency) and over the generalized model's on FixedLaws
 // (GeneralEfficiency).
 type TableRow struct {
 	System            string

@@ -164,7 +164,7 @@ func TestLookupExtrapolationFlag(t *testing.T) {
 // TestLookupBackendPredict: Tier 2 is the model on the table's noiseless
 // reference with every term scaled by the model's efficiency, so on a
 // row the table holds it is the reference's prediction times that row's
-// value — for the generalized model, on Tier2Laws and the general
+// value — for the generalized model, on FixedLaws and the general
 // efficiency column.
 func TestLookupBackendPredict(t *testing.T) {
 	tbl := mustTable(t, tinyTable)
@@ -181,7 +181,7 @@ func TestLookupBackendPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := characterizeNoiseless(t, machine.NewCSP2()).predictGeneral(*ws, Tier2Laws(), 4)
+	ref, err := characterizeNoiseless(t, machine.NewCSP2()).predictGeneral(*ws, FixedLaws(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestBandLowerEdgeNeverNegative(t *testing.T) {
 }
 
 // TestTier2GeneralizedPaysLatency: across nodes the generalized model at
-// Tier 2 prices message latency on Tier2Laws' event law, so its answer
+// Tier 2 prices message latency on FixedLaws' event law, so its answer
 // stays near the direct model's on the same workload. With no event law
 // a 64-rank run on two CSP-2 nodes read tens of times too fast.
 func TestTier2GeneralizedPaysLatency(t *testing.T) {
