@@ -311,8 +311,11 @@ type lattice struct {
 // prepareAll takes every job of a campaign through phase two before any
 // of them runs, and returns them in campaign order. Jobs sharing a
 // geometry, scale and parameter set share one lattice, built once with
-// all their rank counts so its calibration sweep memoises every count it
-// passes through. The distinct lattices are built at most
+// all their rank counts, which it decomposes in one sweep. With recommend
+// set — the serial backend picks an unpinned job's system from the
+// generalized model — a lattice with an unpinned job also fits that
+// model here, beside the other builds, rather than one lattice at a time
+// when the job's turn comes. The distinct lattices are built at most
 // min(GOMAXPROCS, lattices) at a time, largest scale first (ties in
 // campaign order), so the two biggest transients overlap while few
 // lattices are held and a small build ends the pass. Each job's
@@ -325,7 +328,7 @@ type lattice struct {
 // order, whichever build finished first. Anatomies are pure functions of
 // their lattice, so the result does not depend on the order builds end
 // in, and holding it keeps the anatomies whatever the cache evicts.
-func prepareAll(ctx context.Context, fw *core.Framework, jobs []JobConfig) ([]prepared, error) {
+func prepareAll(ctx context.Context, fw *core.Framework, jobs []JobConfig, recommend bool) ([]prepared, error) {
 	out := make([]prepared, len(jobs))
 	errs := make([]error, len(jobs))
 	index := map[latticeKey]*lattice{}
@@ -370,7 +373,7 @@ func prepareAll(ctx context.Context, fw *core.Framework, jobs []JobConfig) ([]pr
 		go func() {
 			defer func() { <-workers; wg.Done() }()
 			for _, i := range l.jobs {
-				a, err := prepare(ctx, fw, jobs[i], l)
+				a, err := prepare(ctx, fw, jobs[i], l, recommend && jobs[i].System == "")
 				if err != nil {
 					// The lattice's later jobs come after this one.
 					errs[i] = err
@@ -393,15 +396,19 @@ func prepareAll(ctx context.Context, fw *core.Framework, jobs []JobConfig) ([]pr
 }
 
 // prepare fetches job j's anatomy of lattice l from the framework's cache
-// under the job's name, and decomposes it over the job's ranks. The first
-// job of a lattice builds it — the geometry, then the generalized model
-// calibrated with every rank count of l — and the lattice's other jobs hit.
-// The build runs to its end whatever happens to ctx: a campaign stops at
-// the clean points prepareAll and the backends check, never inside a
-// build, so the preparation keeps ctx's values and drops its cancellation.
-func prepare(ctx context.Context, fw *core.Framework, j JobConfig, l *lattice) (*core.Anatomy, error) {
+// under the job's name, fits its generalized model if calibrate is set,
+// and decomposes it over the job's ranks. The first job of a lattice
+// builds it — the geometry, then the lattice decomposed over every rank
+// count of l — and the lattice's other jobs hit. The build runs to its
+// end whatever happens to ctx: a campaign stops at the clean points
+// prepareAll and the backends check, never inside a build, so the
+// preparation keeps ctx's values and drops its cancellation.
+func prepare(ctx context.Context, fw *core.Framework, j JobConfig, l *lattice, calibrate bool) (*core.Anatomy, error) {
 	anatomy, err := fw.CachedAnatomy(context.WithoutCancel(ctx), j.Name, l.geometry, l.scale, l.params,
 		func() (*geometry.Domain, error) { return BuildGeometry(l.geometry, l.scale) }, l.ranks...)
+	if err == nil && calibrate {
+		_, err = anatomy.General()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("campaign: preparing %q: %w", j.Name, err)
 	}
@@ -463,7 +470,7 @@ func runSerial(ctx context.Context, fw *core.Framework, cfg Config) (Summary, er
 		return Summary{}, err
 	}
 	var summary Summary
-	ready, err := prepareAll(ctx, fw, cfg.Jobs)
+	ready, err := prepareAll(ctx, fw, cfg.Jobs, true)
 	if err != nil {
 		return summary, err
 	}

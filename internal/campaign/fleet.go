@@ -148,9 +148,9 @@ func fleetSLOObs(atS float64, metrics []obs.Metric) obs.SLOObs {
 
 // runFleet executes the campaign on the fleet backend, the engine
 // behind Runner: every job is prepared through the Figure 1 loop
-// (prepareAll's anatomies and tuned models, then per-system predictions
-// on this goroutine in campaign order), then the whole queue is
-// scheduled concurrently across the declared instance pool.
+// (prepareAll's anatomies and decompositions, then per-system direct
+// predictions on this goroutine in campaign order), then the whole queue
+// is scheduled concurrently across the declared instance pool.
 // Completed jobs are exported into the framework's monitor, the
 // refinement store. ctx is checked before each lattice build and before
 // the scheduler starts; the discrete-event schedule itself runs to
@@ -190,7 +190,7 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 
 	prep := summary.Trace.StartChild(root, "prepare", 0)
 	defer prep.End(0) // closes the span on early error returns; the first End below wins otherwise
-	ready, err := prepareAll(ctx, fw, cfg.Jobs)
+	ready, err := prepareAll(ctx, fw, cfg.Jobs, false)
 	if err != nil {
 		return FleetSummary{}, err
 	}

@@ -114,15 +114,13 @@ func TestFleetReportsMatchGolden(t *testing.T) {
 }
 
 // TestFleetTakesItsDecompositionsFromTheSweep: a lattice is built once
-// with the rank counts of all its jobs, so a job whose rank count is a
-// calibration level gets its workload out of the sweep that tuned the
-// model, whichever job of the lattice comes first. In
-// fleet_shared_lattice every rank count is such a level, so no job
-// decomposes anything outside a sweep.
+// with the rank counts of all its jobs and decomposes them all in one
+// sweep, so every job gets its workload out of that sweep, whichever job
+// of the lattice comes first, and no job decomposes anything outside it.
 func TestFleetTakesItsDecompositionsFromTheSweep(t *testing.T) {
 	fw, cfg, out, builds := goldenRun(t, "fleet_shared_lattice", BackendFleet)
 	checkGolden(t, "fleet_shared_lattice.golden", out.Fleet.Render())
-	ready, err := prepareAll(context.Background(), fw, cfg.Jobs) // all hits: the run prepared them
+	ready, err := prepareAll(context.Background(), fw, cfg.Jobs, false) // all hits: the run prepared them
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +136,7 @@ func TestFleetTakesItsDecompositionsFromTheSweep(t *testing.T) {
 		outside += n
 	}
 	if outside != 0 {
-		t.Errorf("%d decompositions outside the calibration sweeps for %d jobs on %d lattices, want 0",
+		t.Errorf("%d decompositions outside the build sweeps for %d jobs on %d lattices, want 0",
 			outside, len(cfg.Jobs), len(lattices))
 	}
 }

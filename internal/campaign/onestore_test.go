@@ -97,7 +97,7 @@ func TestObserveThenRunFleetCountsEachRunOnce(t *testing.T) {
 // model's own output.
 func checkPricedRefined(t *testing.T, fw *core.Framework, cfg Config) {
 	t.Helper()
-	ready, err := prepareAll(context.Background(), fw, cfg.Jobs)
+	ready, err := prepareAll(context.Background(), fw, cfg.Jobs, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,9 @@
 // into the model (iterative refinement). Running a job under the budget
 // guard is internal/campaign's, on internal/fleet's scheduler.
 //
-// Typical use:
+// Typical use — Recommend reads the generalized model, which the anatomy
+// fits on that first use; Predict with the direct model and Measure share
+// one decomposition at 144 ranks:
 //
 //	fw, _ := core.NewFramework(machine.Catalog(), 5, 1)
 //	anatomy, _ := fw.PrepareAnatomy("aorta", dom, lbm.Params{Tau: 0.9, UMax: 0.02})
@@ -21,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/cache"
@@ -78,9 +81,9 @@ func NewFramework(systems []*machine.System, samples int, seed int64) (*Framewor
 
 // Anatomy bundles a prepared simulation target: the lattice of its
 // geometry, the byte-access accounting, the scalar workload summary, and
-// the anatomy-tuned generalized model (phase two of Figure 1). It holds
-// topology only — no distribution array, no link table — so it is cheap
-// to keep.
+// the anatomy-tuned generalized model (phase two of Figure 1), fitted the
+// first time General is called. It holds topology only — no distribution
+// array, no link table — so it is cheap to keep.
 //
 // Name labels the workloads, predictions and records made from it, and
 // nothing else: anatomies of one lattice under different names (see
@@ -90,7 +93,8 @@ type Anatomy struct {
 	Lattice *lbm.Lattice
 	Access  lbm.AccessModel
 	Summary perfmodel.WorkloadSummary
-	General perfmodel.GeneralModel
+
+	general func() (perfmodel.GeneralModel, error) // the calibration, run once
 
 	// workloads memoises the lattice's decompositions by rank count, so
 	// predicting, measuring and planning the same (anatomy, ranks) run RCB
@@ -122,31 +126,42 @@ func CalibrationCounts(n int) []int {
 	return counts
 }
 
-// NewAnatomy builds the lattice of a domain and tunes the generalized
-// model to it by decomposing over a task sweep (the paper's "anatomy-
-// specific predictions"). Nothing in it depends on a machine but
-// coresPerNode, the node width the sweep is calibrated at: pass the
-// widest node among the candidate systems so one tuning serves them all.
+// calibrations counts the generalized-model fits every anatomy has run.
+var calibrations atomic.Int64
+
+// NewAnatomy builds the lattice of a domain and readies the generalized
+// model's tuning to it (the paper's "anatomy-specific predictions"): the
+// first call to General decomposes over a task sweep and fits the laws,
+// so an anatomy only ever predicted with the direct model never sweeps.
+// Nothing in it depends on a machine but coresPerNode, the node width the
+// sweep is calibrated at: pass the widest node among the candidate
+// systems so one tuning serves them all.
 //
-// ranks are the rank counts the caller is about to ask Workload for:
-// those the sweep decomposed anyway are memoised from it, so asking costs
-// nothing more. The sweep's other levels are dropped — a level is a halo
-// list per task, and an anatomy that kept all of them for every lattice
-// held measurably more than the decompositions it saved.
+// ranks are the rank counts the caller is about to ask Workload for.
+// Those the lattice can take (one to its fluid-site count) are decomposed
+// here in one sweep, where power-of-two counts share one bisection tree
+// and one link scan, and memoised, up to MaxMemoizedWorkloads of them;
+// any other count is decomposed when Workload asks for it.
 func NewAnatomy(name string, dom *geometry.Domain, p lbm.Params, coresPerNode int, ranks ...int) (*Anatomy, error) {
 	l, err := lbm.NewLattice(dom, p)
 	if err != nil {
 		return nil, err
 	}
+	return newAnatomy(name, l, coresPerNode, ranks)
+}
+
+// newAnatomy is NewAnatomy on a lattice already built.
+func newAnatomy(name string, l *lbm.Lattice, coresPerNode int, ranks []int) (*Anatomy, error) {
 	access := lbm.HarveyAccess()
-	counts := CalibrationCounts(l.N())
-	var g perfmodel.GeneralModel
-	parts, err := decomp.RCBSweep(l, counts, access)
-	if err == nil {
-		g, err = perfmodel.FitGeneral(parts, l.N(), coresPerNode)
+	var counts []int
+	for _, k := range ranks {
+		if k >= 1 && k <= l.N() && !slices.Contains(counts, k) && len(counts) < MaxMemoizedWorkloads {
+			counts = append(counts, k)
+		}
 	}
+	parts, err := decomp.RCBSweep(l, counts, access)
 	if err != nil {
-		return nil, fmt.Errorf("core: calibrating %q: %w", name, err)
+		return nil, fmt.Errorf("core: decomposing %q: %w", name, err)
 	}
 	lazy := new(atomic.Int64)
 	a := &Anatomy{
@@ -158,7 +173,14 @@ func NewAnatomy(name string, dom *geometry.Domain, p lbm.Params, coresPerNode in
 			Points:      l.N(),
 			BytesSerial: l.BytesSerial(access),
 		},
-		General: g,
+		general: sync.OnceValues(func() (perfmodel.GeneralModel, error) {
+			calibrations.Add(1)
+			g, err := perfmodel.CalibrateGeneral(l, access, CalibrationCounts(l.N()), coresPerNode)
+			if err != nil {
+				return perfmodel.GeneralModel{}, fmt.Errorf("core: calibrating %q: %w", name, err)
+			}
+			return g, nil
+		}),
 		workloads: cache.New[int, simcloud.Workload](MaxMemoizedWorkloads, func(r cache.Result) {
 			if r == cache.Miss {
 				lazy.Add(1)
@@ -167,12 +189,16 @@ func NewAnatomy(name string, dom *geometry.Domain, p lbm.Params, coresPerNode in
 		lazy: lazy,
 	}
 	for i, k := range counts {
-		if slices.Contains(ranks, k) {
-			a.workloads.Add(k, simcloud.FromPartition("", l.N(), parts[i]))
-		}
+		a.workloads.Add(k, simcloud.FromPartition("", l.N(), parts[i]))
 	}
 	return a, nil
 }
+
+// General returns the generalized model tuned to the anatomy. The first
+// call, on any name of the lattice, decomposes it over CalibrationCounts
+// and fits the laws (perfmodel.CalibrateGeneral); every later one, and
+// every one that waited on it, gets that model or that error.
+func (a *Anatomy) General() (perfmodel.GeneralModel, error) { return a.general() }
 
 // as returns the anatomy under another name: a copy sharing the lattice
 // and the memo, or the receiver when the name is already its own.
@@ -201,35 +227,63 @@ type AnatomyCache = cache.LRU[AnatomyKey, *Anatomy]
 // MaxCachedAnatomies bounds a Framework's anatomy cache: a prepared
 // anatomy retains 6–8 bytes per fluid site plus 1.5 bits per box voxel
 // (measured after GC: 7.3 B a site for aorta@16's 207 k sites, 1.5 MB in
-// all; 79 B a site for cerebral@8, whose box is 380 voxels a site), and
-// a campaign revisits few of them.
+// all; 79 B a site for cerebral@8, whose box is 380 voxels a site), its
+// memoised workloads (a few bytes a task each) and, once fitted, the
+// generalized model's handful of coefficients — no sweep's partitions —
+// and a campaign revisits few of them.
 const MaxCachedAnatomies = 64
+
+// denseBuilds admits one domain at a time into a cached build, from the
+// domain's construction to the end of its lattice's: a domain is a byte
+// per voxel of its box (8.4 MB for cerebral@8, whose box is 380 voxels a
+// fluid site), and two of them alive at once set the garbage collector's
+// next heap goal, and so the process's peak RSS, by their sum. The
+// decompositions that follow run concurrently.
+var denseBuilds = make(chan struct{}, 1)
 
 // CachedAnatomy is phase two evaluated once per distinct lattice: it
 // returns the anatomy of key from c under the given name, and on a miss
-// builds the domain with dom and tunes the model to it (NewAnatomy) —
-// once, however many callers ask for the key at the same time. ctx is
-// checked between the two stages and bounds the wait for another
-// caller's build; the stages themselves are uninterruptible. ranks go to
-// NewAnatomy with a build; a key already prepared ignores them.
+// builds the domain with dom and the anatomy from it (NewAnatomy) — once,
+// however many callers ask for the key at the same time. The domain and
+// its lattice are built while no other cached build holds a domain (see
+// denseBuilds). ctx bounds the wait for that turn and for another
+// caller's build, and is checked between the stages; the stages
+// themselves are uninterruptible. ranks go to NewAnatomy with a build; a
+// key already prepared ignores them.
 func CachedAnatomy(ctx context.Context, c *AnatomyCache, key AnatomyKey, name string, dom func() (*geometry.Domain, error), ranks ...int) (*Anatomy, error) {
 	a, _, err := c.Get(ctx, key, func() (*Anatomy, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		d, err := dom()
+		l, err := denseBuild(ctx, dom, key.Params)
 		if err != nil {
 			return nil, err
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return NewAnatomy(key.Geometry, d, key.Params, key.CoresPerNode, ranks...)
+		return newAnatomy(key.Geometry, l, key.CoresPerNode, ranks)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return a.as(name), nil
+}
+
+// denseBuild builds the domain with dom and the lattice of it under p, in
+// its turn at denseBuilds, checking ctx before each.
+func denseBuild(ctx context.Context, dom func() (*geometry.Domain, error), p lbm.Params) (*lbm.Lattice, error) {
+	select {
+	case denseBuilds <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-denseBuilds }()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	d, err := dom()
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return lbm.NewLattice(d, p)
 }
 
 // CachedAnatomy is the package function on the framework's own cache, at
@@ -271,7 +325,8 @@ func (a *Anatomy) Workload(ranks int) (simcloud.Workload, error) {
 func (a *Anatomy) MemoizedWorkloads() int { return a.workloads.Len() }
 
 // Decompositions returns how many times Workload has had to decompose the
-// anatomy's lattice. The levels of the calibration sweep are not counted.
+// anatomy's lattice. The counts NewAnatomy decomposed, and the levels of
+// the calibration sweep, are not counted.
 func (a *Anatomy) Decompositions() int64 { return a.lazy.Load() }
 
 // Workload is a.Workload(ranks).
@@ -336,7 +391,11 @@ func (f *Framework) Unrefined(a *Anatomy, q Query) (perfmodel.Prediction, error)
 		}
 		req.Workload = &w
 	} else {
-		req.Summary, req.General, req.Ranks = &a.Summary, a.General, q.Ranks
+		g, err := a.General()
+		if err != nil {
+			return perfmodel.Prediction{}, err
+		}
+		req.Summary, req.General, req.Ranks = &a.Summary, g, q.Ranks
 	}
 	return e.Predict(req)
 }
@@ -403,7 +462,11 @@ func (f *Framework) Observe(a *Anatomy, system string, ranks, steps int) (perfmo
 // job length and accuracy tier ("" is Tier 1; perfmodel.TierAuto picks the
 // best tier with data per system).
 func (f *Framework) Assess(a *Anatomy, ranks, steps int, tier string) ([]dashboard.Assessment, error) {
-	return f.Dashboard.AssessTier(a.Summary, a.General, ranks, steps, tierOr1(tier))
+	g, err := a.General()
+	if err != nil {
+		return nil, err
+	}
+	return f.Dashboard.AssessTier(a.Summary, g, ranks, steps, tierOr1(tier))
 }
 
 // Recommend picks the best system under an objective, optionally subject

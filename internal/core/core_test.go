@@ -170,9 +170,13 @@ func TestPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, err := a.General()
+	if err != nil {
+		t.Fatal(err)
+	}
 	unrefined := func(model, tier string) perfmodel.Prediction {
 		t.Helper()
-		req := perfmodel.Request{Model: model, Tier: tier, Summary: &a.Summary, General: a.General, Ranks: ranks}
+		req := perfmodel.Request{Model: model, Tier: tier, Summary: &a.Summary, General: g, Ranks: ranks}
 		if model == direct {
 			req = perfmodel.Request{Model: model, Tier: tier, Workload: &w}
 		}

@@ -2,9 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
-	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/lbm"
 	"repro/internal/machine"
+	"repro/internal/perfmodel"
 	"repro/internal/simcloud"
 )
 
@@ -206,8 +208,14 @@ func TestCachedAnatomySharesLatticeNotName(t *testing.T) {
 	if domains != 1 || lookups != [3]int{cache.Miss: 1, cache.Hit: 1} {
 		t.Errorf("two names on one lattice: %d domains built, lookups %v; want one build and one hit", domains, lookups)
 	}
-	if a.Lattice != b.Lattice || a.General != b.General {
-		t.Error("the two anatomies do not share one lattice and one tuned model")
+	before := calibrations.Load()
+	ga, errA := a.General()
+	gb, errB := b.General()
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if a.Lattice != b.Lattice || ga != gb || calibrations.Load() != before+1 {
+		t.Errorf("the two anatomies do not share one lattice and one tuned model (%d calibrations)", calibrations.Load()-before)
 	}
 	if a.Name != "patient-a" || b.Name != "patient-b" || a.Summary.Name != "patient-a" || b.Summary.Name != "patient-b" {
 		t.Errorf("names %q/%q, summaries %q/%q", a.Name, b.Name, a.Summary.Name, b.Summary.Name)
@@ -289,44 +297,48 @@ func TestAnatomyHoldsNoDistributions(t *testing.T) {
 	runtime.KeepAlive(a)
 }
 
-// TestAnatomyKeepsTheSweepLevelsAskedFor: the calibration sweep decomposes
-// the lattice at every calibration count anyway, so an anatomy built for a
-// caller who says which counts it wants hands those over without another
-// decomposition — and keeps no level nobody asked for.
+// TestAnatomyKeepsTheSweepLevelsAskedFor: an anatomy built for a caller
+// who says which rank counts it wants decomposes exactly those, in one
+// sweep, and memoises each: asking for one later costs no decomposition,
+// and no other count is decomposed before it is asked for. The build
+// runs no calibration.
 func TestAnatomyKeepsTheSweepLevelsAskedFor(t *testing.T) {
 	fw := framework(t)
 	dom := func() (*geometry.Domain, error) { return geometry.Cylinder(40, 5) }
 	p := lbm.Params{Tau: 0.9, UMax: 0.02}
 	ctx := context.Background()
-	a, err := fw.CachedAnatomy(ctx, "patient-a", "cylinder", 5, p, dom, 8, 36)
+	before := calibrations.Load()
+	a, err := fw.CachedAnatomy(ctx, "patient-a", "cylinder", 5, p, dom, 8, 36, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Contains(CalibrationCounts(a.Lattice.N()), 8) || slices.Contains(CalibrationCounts(a.Lattice.N()), 36) {
-		t.Fatalf("the test wants 8 among the calibration counts and 36 not: %v", CalibrationCounts(a.Lattice.N()))
+	if n := calibrations.Load() - before; n != 0 {
+		t.Errorf("building the anatomy ran %d calibrations, want 0", n)
 	}
-	if n := a.MemoizedWorkloads(); n != 1 {
-		t.Fatalf("asked for ranks 8 and 36, the new anatomy holds %d workloads; want the one calibration level", n)
+	if n := a.MemoizedWorkloads(); n != 2 {
+		t.Fatalf("asked for ranks 8, 36 and 8 again, the new anatomy holds %d workloads; want 2", n)
 	}
-	w, err := a.Workload(8)
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range []int{8, 36} {
+		w, err := a.Workload(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := a.Decompositions(); n != 0 {
+			t.Errorf("Workload(%d) decomposed %d times; the build had that count", k, n)
+		}
+		part, err := decomp.RCB(a.Lattice, k, a.Access)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := simcloud.FromPartition("patient-a", a.Lattice.N(), part); !reflect.DeepEqual(w, want) {
+			t.Errorf("the build's workload at %d ranks differs from a fresh RCB(%d)", k, k)
+		}
 	}
-	if n := a.Decompositions(); n != 0 {
-		t.Errorf("Workload(8) decomposed %d times; the sweep had that level", n)
-	}
-	part, err := decomp.RCB(a.Lattice, 8, a.Access)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := simcloud.FromPartition("patient-a", a.Lattice.N(), part); !reflect.DeepEqual(w, want) {
-		t.Error("the sweep's workload differs from a fresh RCB(8)")
-	}
-	if _, err := a.Workload(36); err != nil {
+	if _, err := a.Workload(32); err != nil {
 		t.Fatal(err)
 	}
 	if n := a.Decompositions(); n != 1 {
-		t.Errorf("%d decompositions after Workload(36), want 1: 36 is no calibration level", n)
+		t.Errorf("%d decompositions after Workload(32), want 1: 32 was not asked for", n)
 	}
 
 	// A hit ignores the counts: the lattice is prepared, 16 is decomposed
@@ -335,7 +347,7 @@ func TestAnatomyKeepsTheSweepLevelsAskedFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Lattice != a.Lattice || b.MemoizedWorkloads() != 2 {
+	if b.Lattice != a.Lattice || b.MemoizedWorkloads() != 3 {
 		t.Fatalf("the second name did not get the prepared lattice as it was (%d workloads)", b.MemoizedWorkloads())
 	}
 	for i := 0; i < 2; i++ {
@@ -345,5 +357,148 @@ func TestAnatomyKeepsTheSweepLevelsAskedFor(t *testing.T) {
 	}
 	if n := b.Decompositions(); n != 2 {
 		t.Errorf("%d decompositions after the second name asked for 16 twice, want 2 in all", n)
+	}
+
+	// Counts no task count can be, and counts past the memo's cap, are
+	// left to Workload.
+	many := []int{0, -3, a.Lattice.N() + 1}
+	for k := 1; k <= MaxMemoizedWorkloads+8; k++ {
+		many = append(many, k)
+	}
+	c, err := NewAnatomy("patient-c", mustDomain(t, dom), p, 36, many...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.MemoizedWorkloads(); n != MaxMemoizedWorkloads {
+		t.Errorf("asked for %d valid counts, the anatomy holds %d workloads; want the cap %d", MaxMemoizedWorkloads+8, n, MaxMemoizedWorkloads)
+	}
+	if _, err := c.Workload(a.Lattice.N() + 1); err == nil {
+		t.Error("want an error for more ranks than fluid sites")
+	}
+}
+
+// TestGeneralCalibratesOnce: eight goroutines asking a cold anatomy for
+// its generalized model start one calibration between them, and each gets
+// the model perfmodel.CalibrateGeneral fits to the same lattice. Run it
+// under -race.
+func TestGeneralCalibratesOnce(t *testing.T) {
+	fw := framework(t)
+	a := anatomy(t, fw)
+	want, err := perfmodel.CalibrateGeneral(a.Lattice, a.Access, CalibrationCounts(a.Lattice.N()), machine.WidestNode(machine.Catalog()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := calibrations.Load()
+	var wg sync.WaitGroup
+	got := make([]perfmodel.GeneralModel, 8)
+	errs := make([]error, len(got))
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = a.General()
+		}()
+	}
+	wg.Wait()
+	if n := calibrations.Load() - before; n != 1 {
+		t.Errorf("%d concurrent General calls ran %d calibrations, want 1", len(got), n)
+	}
+	for g := range got {
+		if errs[g] != nil || got[g] != want {
+			t.Errorf("goroutine %d: %+v (%v), want %+v", g, got[g], errs[g], want)
+		}
+	}
+}
+
+// TestTooSmallToCalibrateStillPredictsDirect: a lattice with fewer fluid
+// sites than the calibration sweep has tasks builds, and serves the
+// direct model; the generalized model, and whatever needs it, reports
+// the calibration's error.
+func TestTooSmallToCalibrateStillPredictsDirect(t *testing.T) {
+	fw := framework(t)
+	a, err := NewAnatomy("speck", tinyDomain(), lbm.Params{Tau: 0.9, UMax: 0.02}, 36, 1, 2)
+	if err != nil {
+		t.Fatalf("a two-site lattice: %v", err)
+	}
+	if n := a.Lattice.N(); n >= len(CalibrationCounts(n)) {
+		t.Fatalf("the lattice has %d sites, enough for the sweep %v", n, CalibrationCounts(n))
+	}
+	for _, k := range []int{1, 2} {
+		if _, err := fw.PredictDirect(a, "CSP-2", k); err != nil {
+			t.Errorf("direct at %d ranks: %v", k, err)
+		}
+	}
+	if _, err := a.General(); err == nil || !strings.Contains(err.Error(), "calibrating") {
+		t.Errorf("General on a two-site lattice: %v, want a calibration error", err)
+	}
+	if _, err := fw.Predict(a, Query{System: "CSP-2", Model: perfmodel.ModelGeneral, Ranks: 2}); err == nil {
+		t.Error("a generalized prediction on a two-site lattice succeeded")
+	}
+	if _, err := fw.Assess(a, 2, 10, ""); err == nil {
+		t.Error("assessing a two-site lattice succeeded")
+	}
+}
+
+// tinyDomain is a two-site channel, inlet to outlet: too few fluid sites
+// for the three task counts a calibration sweep needs.
+func tinyDomain() *geometry.Domain {
+	return &geometry.Domain{Name: "speck", NX: 2, NY: 1, NZ: 1, Types: []geometry.PointType{geometry.Inlet, geometry.Outlet}}
+}
+
+func mustDomain(t *testing.T, dom func() (*geometry.Domain, error)) *geometry.Domain {
+	t.Helper()
+	d, err := dom()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestCachedBuildsTakeTurnsAtTheDomain: while one cached build holds its
+// domain, a build of another key does not start its own; a caller whose
+// ctx ends in that wait gets ctx's error, and the build goes on once the
+// domain is done with.
+func TestCachedBuildsTakeTurnsAtTheDomain(t *testing.T) {
+	c := cache.New[AnatomyKey, *Anatomy](MaxCachedAnatomies, nil)
+	p := lbm.Params{Tau: 0.9, UMax: 0.02}
+	holding, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, err := CachedAnatomy(context.Background(), c, AnatomyKey{"cylinder", 5, p, 36}, "a", func() (*geometry.Domain, error) {
+			close(holding)
+			<-release
+			return geometry.Cylinder(40, 5)
+		})
+		if err != nil {
+			t.Errorf("the held build: %v", err)
+		}
+	}()
+	<-holding
+
+	var started atomic.Bool
+	other := func() (*geometry.Domain, error) {
+		started.Store(true)
+		return geometry.Cylinder(48, 6)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := CachedAnatomy(ctx, c, AnatomyKey{"cylinder", 6, p, 36}, "b", other); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("a build waiting on another's domain: %v, want the deadline", err)
+	}
+	if started.Load() {
+		t.Error("a second domain was built while the first was held")
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := CachedAnatomy(context.Background(), c, AnatomyKey{"cylinder", 6, p, 36}, "b", other)
+		done <- err
+	}()
+	close(release)
+	wg.Wait()
+	if err := <-done; err != nil || !started.Load() {
+		t.Errorf("the waiting build after the first was done: %v (started %v)", err, started.Load())
 	}
 }

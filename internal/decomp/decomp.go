@@ -19,9 +19,9 @@
 // largest; RCB is a sweep of one count. Per-task statistics are counted
 // without maps, one task at a time over sites grouped by owner, and only
 // the finest level of a nested tree scans links: a coarser task is the
-// union of its subtree's tasks, so its halos, points and composition are
-// theirs merged. Bytes are summed per task in ascending site order at
-// every level, so results are reproducible to the bit.
+// union of its subtree's tasks, so its halos and points are theirs
+// merged. Bytes are summed per task in ascending site order at every
+// level, so results are reproducible to the bit.
 //
 // A lattice of at least twice lbm.SetupFloor sites is decomposed on up to
 // GOMAXPROCS goroutines (lbm.SetupWorkers): site coordinates are filled
@@ -41,7 +41,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"repro/internal/geometry"
 	"repro/internal/lbm"
 )
 
@@ -58,10 +57,9 @@ func (h Halo) Bytes() float64 { return float64(h.Links) * lbm.CommBytesPerLink }
 // Task summarizes one task's share of the decomposed workload.
 type Task struct {
 	ID     int
-	Points int                        // fluid sites owned
-	ByType map[geometry.PointType]int // composition of owned sites
-	Bytes  float64                    // memory bytes accessed per timestep (Eq. 9)
-	Sends  []Halo                     // outgoing halo messages, sorted by peer
+	Points int     // fluid sites owned
+	Bytes  float64 // memory bytes accessed per timestep (Eq. 9)
+	Sends  []Halo  // outgoing halo messages, sorted by peer
 }
 
 // Events returns the number of send events per timestep (one per peer; the
@@ -135,6 +133,9 @@ func RCBSweep(t Topology, counts []int, m lbm.AccessModel) ([]*Partition, error)
 		if isPow2(k) {
 			nested = append(nested, i)
 		}
+	}
+	if len(counts) == 0 {
+		return nil, nil
 	}
 	slices.SortStableFunc(nested, func(i, j int) int { return counts[j] - counts[i] })
 	b := newBisector(l)
@@ -326,23 +327,21 @@ func (b *bisector) bisectApart(sites, right []int32, cut, task0, k int, owner []
 // count it will see.
 type tally struct {
 	l          *lbm.Lattice
-	siteCoords                      // where scanTask derives each site's links
-	pointBytes [lbm.NQ + 1]float64  // the access model's PointBytes by stored-vector count
-	kinds      []geometry.PointType // the point types the lattice has, ascending
-	order      []int32              // sites grouped by owner, ascending within each
-	start      []int32              // order[start[t]:start[t+1]] are task t's sites (one spare slot)
-	counters   []counters           // one per goroutine a link scan runs on
-	bytes      []float64            // bytes per task
+	siteCoords                     // where scanTask derives each site's links
+	pointBytes [lbm.NQ + 1]float64 // the access model's PointBytes by stored-vector count
+	order      []int32             // sites grouped by owner, ascending within each
+	start      []int32             // order[start[t]:start[t+1]] are task t's sites (one spare slot)
+	counters   []counters          // one per goroutine a link scan runs on
+	bytes      []float64           // bytes per task
 }
 
 // counters is what the statistics of one task accumulate in, and the halos
 // of the tasks emitted so far: one goroutine's share of a link scan, or
 // the whole of a merge.
 type counters struct {
-	links  []int32    // crossing links per peer, for the task under way
-	peers  []int32    // the peers links is non-zero for
-	byType [256]int32 // sites per point type, for the task under way
-	sends  []Halo     // the emitted tasks' halos, back to back
+	links []int32 // crossing links per peer, for the task under way
+	peers []int32 // the peers links is non-zero for
+	sends []Halo  // the emitted tasks' halos, back to back
 }
 
 func newTally(l *lbm.Lattice, m lbm.AccessModel, maxTasks int, c siteCoords) *tally {
@@ -361,19 +360,10 @@ func newTally(l *lbm.Lattice, m lbm.AccessModel, maxTasks int, c siteCoords) *ta
 	for v := range w.pointBytes {
 		w.pointBytes[v] = m.PointBytes(v)
 	}
-	var present [256]bool
-	for si := 0; si < l.N(); si++ {
-		present[l.Type(si)] = true
-	}
-	for typ, ok := range present {
-		if ok {
-			w.kinds = append(w.kinds, geometry.PointType(typ))
-		}
-	}
 	return w
 }
 
-// computeStats fills per-task points, bytes, composition and halos from
+// computeStats fills per-task points, bytes and halos from
 // p.Owner, one task at a time so a single dense per-peer counter serves
 // them all. With finer nil the tasks' links are scanned, contiguous runs
 // of tasks on goroutines of their own, each with its own counters;
@@ -433,17 +423,10 @@ func (w *tally) computeStats(p, finer *Partition) {
 	}
 }
 
-// emit records task t's composition and halos from the counters a scan
-// or a merge left in c, npeers peers of them, and zeroes what it reads.
+// emit records task t's halos from the counters a scan or a merge left
+// in c, npeers peers of them, and zeroes what it reads.
 func (w *tally) emit(c *counters, task *Task, t, npeers int) {
 	task.ID = t
-	task.ByType = make(map[geometry.PointType]int, 4)
-	for _, typ := range w.kinds {
-		if n := c.byType[typ]; n > 0 {
-			task.ByType[typ] = int(n)
-			c.byType[typ] = 0
-		}
-	}
 	peers := c.peers[:npeers]
 	slices.Sort(peers)
 	mark := len(c.sends)
@@ -482,8 +465,7 @@ func (w *tally) groupByOwner(p *Partition) {
 // scanTask walks the links of task t's sites, deriving each site's row
 // from the lattice's index at the coordinates the sweep already holds. It
 // leaves the crossing-link counts in c.links with the peers they are
-// non-zero for in c.peers[:npeers], and the site composition in
-// c.byType; the caller zeroes what it reads.
+// non-zero for in c.peers[:npeers]; the caller zeroes what it reads.
 //
 //lint:hot
 func (w *tally) scanTask(c *counters, owner []int32, t int) (npeers int) {
@@ -504,7 +486,6 @@ func (w *tally) scanTask(c *counters, owner []int32, t int) (npeers int) {
 				links[peer]++
 			}
 		}
-		c.byType[l.Type(int(si))]++
 	}
 	return npeers
 }
@@ -515,7 +496,7 @@ func (w *tally) scanTask(c *counters, owner []int32, t int) (npeers int) {
 // because a crossing link of t crosses out of one child to a task outside
 // all of them, and that task's ancestor at t's level is its number
 // shifted right; the links a child sends to a peer under the same
-// ancestor stay inside t and drop out; points and composition add.
+// ancestor stay inside t and drop out; points add.
 //
 //lint:hot
 func (w *tally) mergeTask(c *counters, children []Task, t, shift int) (points, npeers int) {
@@ -523,9 +504,6 @@ func (w *tally) mergeTask(c *counters, children []Task, t, shift int) (points, n
 	for i := range children {
 		child := &children[i]
 		points += child.Points
-		for _, typ := range w.kinds {
-			c.byType[typ] += int32(child.ByType[typ])
-		}
 		for _, h := range child.Sends {
 			peer := int32(h.Peer >> shift)
 			if int(peer) == t {

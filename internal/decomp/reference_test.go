@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/decomp"
-	"repro/internal/geometry"
 	"repro/internal/lbm"
 )
 
@@ -81,7 +80,6 @@ func referenceStats(p *decomp.Partition, s *lbm.Sparse, m lbm.AccessModel) {
 	p.Tasks = make([]decomp.Task, p.NTasks)
 	for t := range p.Tasks {
 		p.Tasks[t].ID = t
-		p.Tasks[t].ByType = make(map[geometry.PointType]int, 4)
 	}
 	links := make([]map[int]int, p.NTasks)
 	for t := range links {
@@ -91,7 +89,6 @@ func referenceStats(p *decomp.Partition, s *lbm.Sparse, m lbm.AccessModel) {
 		t := int(p.Owner[si])
 		task := &p.Tasks[t]
 		task.Points++
-		task.ByType[s.Type(si)]++
 		task.Bytes += m.PointBytes(s.Vectors(si))
 		x, y, z := s.SiteCoords(si)
 		for q := 1; q < lbm.NQ; q++ {

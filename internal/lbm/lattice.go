@@ -43,11 +43,11 @@ type Lattice struct {
 
 const solidNeighbor = int32(-1)
 
-// NewLattice indexes the fluid sites of dom in one pass over its voxels
-// and counts their links, wrapping across the x faces when p.PeriodicX. A
-// lattice is built for a parameter set because links depend on the wrap
-// and a driven flow (p.UMax > 0, not periodic) needs inlet sites to be
-// driven from.
+// NewLattice marks the fluid sites of dom in one pass over its voxels,
+// indexes them in one walk over the marks, and counts their links,
+// wrapping across the x faces when p.PeriodicX. A lattice is built for a
+// parameter set because links depend on the wrap and a driven flow
+// (p.UMax > 0, not periodic) needs inlet sites to be driven from.
 func NewLattice(dom *geometry.Domain, p Params) (*Lattice, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -64,36 +64,40 @@ func NewLattice(dom *geometry.Domain, p Params) (*Lattice, error) {
 	l.below = make([]int32, words)
 	inlets := 0
 	for w, rest := 0, dom.Types; w < words; w++ {
-		l.below[w] = int32(len(l.gidx))
+		l.below[w] = int32(l.n)
 		chunk := rest[:min(64, len(rest))]
 		rest = rest[len(chunk):]
 		// Vessels fill a few percent of their box: most words are all
-		// solid and cost only this OR (Solid is the zero PointType).
-		var any geometry.PointType
-		for _, t := range chunk {
-			any |= t
-		}
-		if any == geometry.Solid {
+		// solid and cost only this compare (Solid is the zero PointType).
+		if len(chunk) == 64 && *(*[64]geometry.PointType)(chunk) == [64]geometry.PointType{} {
 			continue
 		}
+		var word uint64
 		for b, t := range chunk {
-			if !t.IsFluid() {
-				continue
+			if t.IsFluid() {
+				word |= 1 << uint(b)
 			}
-			l.fluid[w] |= 1 << uint(b)
-			l.gidx = append(l.gidx, int32(w*64+b))
-			l.types = append(l.types, t)
 			if t == geometry.Inlet {
 				inlets++
 			}
 		}
+		l.fluid[w] = word
+		l.n += bits.OnesCount64(word)
 	}
-	l.n = len(l.gidx)
 	if l.n == 0 {
 		return nil, fmt.Errorf("lbm: domain %q has no fluid sites", dom.Name)
 	}
 	if inlets == 0 && p.UMax > 0 && !p.PeriodicX {
 		return nil, fmt.Errorf("lbm: UMax set but domain %q has no inlet sites", dom.Name)
+	}
+	// The site count known, the index is allocated at its size and filled
+	// by a walk over the set bits.
+	l.gidx, l.types = make([]int32, 0, l.n), make([]geometry.PointType, 0, l.n)
+	for w, word := range l.fluid {
+		for ; word != 0; word &= word - 1 {
+			g := w*64 + bits.TrailingZeros64(word)
+			l.gidx, l.types = append(l.gidx, int32(g)), append(l.types, dom.Types[g])
+		}
 	}
 	l.nvec = make([]uint8, l.n)
 	ForRanges(l.n, SetupWorkers(l.n), func(_, lo, hi int) { l.countVectors(lo, hi) })

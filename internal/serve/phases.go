@@ -23,9 +23,10 @@ import (
 // it is a pure function of:
 //
 //   - phase two, a *core.Anatomy per workload "geometry@scale": the
-//     sparse lattice, its byte summary, the anatomy-tuned generalized
-//     model and the memoized decompositions — machine-independent but
-//     for the calibration node width, a server constant;
+//     sparse lattice, its byte summary, the memoized decompositions and
+//     the anatomy-tuned generalized model, fitted on the first
+//     generalized request — machine-independent but for the calibration
+//     node width, a server constant;
 //   - phase one, a dashboard.Entry per "system|seed|tier": the
 //     microbenchmark characterization (Tier 1 and auto only) behind the
 //     tiered predictor — anatomy-independent.
@@ -58,8 +59,8 @@ func needsCharacterization(tier string) bool {
 // the service's fixed solver parameters. ctx is checked between the
 // expensive stages, so a deadline-bound request abandons the build
 // promptly; the stages themselves are uninterruptible. ranks are the
-// counts the request will have decomposed: a build keeps those its
-// calibration sweep passes through (core.NewAnatomy).
+// counts the request will have decomposed: a build decomposes them in one
+// sweep (core.NewAnatomy).
 func (s *Server) anatomyFor(ctx context.Context, spec WorkloadSpec, ranks ...int) (*core.Anatomy, error) {
 	key := core.AnatomyKey{
 		Geometry:     spec.Geometry,
@@ -107,10 +108,14 @@ func (s *Server) entryFor(ctx context.Context, sys *machine.System, seed int64, 
 // naming the limit.
 func predict(a *core.Anatomy, e dashboard.Entry, model, tier string, ranks int, occupancy float64) (perfmodel.Prediction, error) {
 	if model != perfmodel.ModelDirect {
+		g, err := a.General()
+		if err != nil {
+			return perfmodel.Prediction{}, err
+		}
 		return e.Predict(perfmodel.Request{
 			Model:   perfmodel.ModelGeneral,
 			Summary: &a.Summary,
-			General: a.General,
+			General: g,
 			Ranks:   ranks,
 			Tier:    tier,
 		})

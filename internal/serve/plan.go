@@ -56,6 +56,11 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
+	g, err := a.General()
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
 	d := dashboard.Dashboard{Entries: make([]dashboard.Entry, len(systems))}
 	for i, sys := range systems {
 		if d.Entries[i], _, err = s.entryFor(ctx, sys, seed, tier); err != nil {
@@ -63,7 +68,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	as, err := d.AssessTier(a.Summary, a.General, req.Ranks, req.Steps, tier)
+	as, err := d.AssessTier(a.Summary, g, req.Ranks, req.Steps, tier)
 	if err != nil {
 		writeErr(w, err)
 		return

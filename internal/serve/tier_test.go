@@ -187,7 +187,11 @@ func TestTier2MatchesOracle(t *testing.T) {
 			if got := pr.Predictions[i]; got.Tier != perfmodel.Tier2Measured || got.MFLUPS != want.MFLUPS {
 				t.Errorf("%s at %d ranks: served %s %v MFLUPS, the oracle's backend gives tier2 %v", tier, r, got.Tier, got.MFLUPS, want.MFLUPS)
 			}
-			got, err := calibrated.Predict(perfmodel.Request{Model: perfmodel.ModelGeneral, Summary: &a.Summary, General: a.General,
+			g, err := a.General()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := calibrated.Predict(perfmodel.Request{Model: perfmodel.ModelGeneral, Summary: &a.Summary, General: g,
 				Ranks: r, Tier: perfmodel.Tier2Measured})
 			if err != nil || got != want {
 				t.Errorf("%d ranks: Tier 2 beside a calibrated backend gives %+v (%v), alone %+v", r, got, err, want)

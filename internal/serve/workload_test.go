@@ -10,6 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geometry"
+	"repro/internal/lbm"
+	"repro/internal/machine"
 )
 
 // TestDirectRanksAboveFluidSitesIs400: the direct model decomposes one
@@ -101,9 +104,9 @@ func TestDecompositionMemoIsBounded(t *testing.T) {
 
 // TestColdDirectPredictTakesItsWorkloadsFromTheSweep: the request that
 // makes the server prepare a workload says which rank counts it wants
-// decomposed, so those the calibration sweep passes through cost no
-// decomposition of their own; a generalized request, which decomposes
-// nothing, leaves the memo empty.
+// decomposed, and the build decomposes exactly those in one sweep, so
+// none costs a decomposition of its own; a generalized request, which
+// decomposes nothing, leaves the memo empty.
 func TestColdDirectPredictTakesItsWorkloadsFromTheSweep(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	for _, tc := range []struct {
@@ -111,7 +114,7 @@ func TestColdDirectPredictTakesItsWorkloadsFromTheSweep(t *testing.T) {
 		model                   string
 		memoised, decomposition int
 	}{
-		{5, "direct", 3, 1}, // 8 and 32 are sweep levels, 36 is not
+		{5, "direct", 3, 0},
 		{6, "generalized", 0, 0},
 	} {
 		body := fmt.Sprintf(`{"workload":{"geometry":"cylinder","scale":%g},"systems":["CSP-2"],"ranks":[8,32,36],"model":%q}`, tc.scale, tc.model)
@@ -123,8 +126,47 @@ func TestColdDirectPredictTakesItsWorkloadsFromTheSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a.MemoizedWorkloads() != tc.memoised || a.Decompositions() != int64(tc.decomposition) {
-			t.Errorf("%s predict at ranks 8, 32, 36 on a cold workload: %d workloads memoised, %d decompositions outside the sweep; want %d and %d",
+			t.Errorf("%s predict at ranks 8, 32, 36 on a cold workload: %d workloads memoised, %d decompositions outside the build; want %d and %d",
 				tc.model, a.MemoizedWorkloads(), a.Decompositions(), tc.memoised, tc.decomposition)
+		}
+	}
+}
+
+// TestTooSmallToCalibrateServesDirect: a workload with fewer fluid sites
+// than the calibration sweep has tasks cannot fit the generalized model,
+// but nothing stops it being decomposed, so direct predictions are
+// served. A generalized predict or a plan on it answers 500, the status
+// the failed calibration gave when it failed the whole build.
+func TestTooSmallToCalibrateServesDirect(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	spec := WorkloadSpec{Geometry: "cylinder", Scale: 3}
+	key := core.AnatomyKey{Geometry: spec.Geometry, Scale: spec.Scale, Params: lbm.Params{Tau: 0.9, UMax: 0.02},
+		CoresPerNode: machine.WidestNode(s.cfg.Systems)}
+	// A two-site channel, inlet to outlet, stands in for the workload.
+	speck := &geometry.Domain{Name: "speck", NX: 2, NY: 1, NZ: 1, Types: []geometry.PointType{geometry.Inlet, geometry.Outlet}}
+	a, err := core.CachedAnatomy(context.Background(), s.anatomies, key, spec.Geometry,
+		func() (*geometry.Domain, error) { return speck, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Lattice.N(); n >= len(core.CalibrationCounts(n)) {
+		t.Fatalf("the lattice has %d sites, enough for the sweep %v", n, core.CalibrationCounts(n))
+	}
+
+	predict := func(model string) string {
+		return fmt.Sprintf(`{"workload":{"geometry":"cylinder","scale":3},"systems":["CSP-2"],"ranks":[1,2],"model":%q}`, model)
+	}
+	if resp, data := postJSON(t, ts.URL+"/v1/predict", predict("direct")); resp.StatusCode != http.StatusOK {
+		t.Errorf("direct on a two-site workload: status %d (%s)", resp.StatusCode, data)
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/predict", predict("generalized")},
+		{"/v1/plan", `{"workload":{"geometry":"cylinder","scale":3},"ranks":2,"steps":100}`},
+	} {
+		resp, data := postJSON(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(data), "calibrating") {
+			t.Errorf("%s needing the generalized model of a two-site workload: status %d (%s), want 500 naming the calibration",
+				c.path, resp.StatusCode, data)
 		}
 	}
 }
